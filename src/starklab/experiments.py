@@ -32,12 +32,14 @@ from .localization import (asymptotics_rows, bootstrap_decay_check,
 from .operators import (ConstantPerturbation, ExplicitPerturbation,
                         MarylandPotential, NoPerturbation, PeriodicPerturbation,
                         PotentialError, PotentialSpec,
-                        UniformRandomPerturbation, build_operator, dump_matrix)
+                        UniformRandomPerturbation, box_kernel, build_operator,
+                        dump_matrix)
 from .spectra import (DEGENERACY_GAP, ORTHONORMALITY_TOL, RESIDUAL_TOL,
                       diagonalize, load_spectral, save_spectral)
 
 __all__ = [
     "ConfigError",
+    "ProvenanceMismatchError",
     "ExperimentConfig",
     "StageRecord",
     "RunManifest",
@@ -73,6 +75,10 @@ class ConfigError(ValueError):
         self.problems = list(problems)
         super().__init__("invalid config:\n" + "\n".join(
             f"  {p}" for p in self.problems))
+
+
+class ProvenanceMismatchError(ValueError):
+    """A spectrum dump was written under a different config."""
 
 
 @dataclass(frozen=True)
@@ -577,6 +583,51 @@ def _kernel_box_norm(config: ExperimentConfig, half_width: int) -> float:
     return weighted_norm(kernel, 0.0, cutoff).partial_sum
 
 
+def _first_difference(want, got, path: str):
+    """(path, wanted, found) at the first leaf where two JSON values differ."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        for key in list(want) + [k for k in got if k not in want]:
+            diff = _first_difference(want.get(key), got.get(key),
+                                     f"{path}.{key}")
+            if diff is not None:
+                return diff
+        return None
+    if isinstance(want, list) and isinstance(got, list) \
+            and len(want) == len(got):
+        for i, (w, g) in enumerate(zip(want, got)):
+            diff = _first_difference(w, g, f"{path}[{i}]")
+            if diff is not None:
+                return diff
+        return None
+    return None if want == got else (path, want, got)
+
+
+def _check_provenance(config: ExperimentConfig, half_width: int, sd) -> None:
+    """Refuse a reloaded dump whose provenance differs from the config.
+
+    Compares the kernel as assembled in the box, the potential with its
+    seed, the half-width, the gate tolerances and an explicitly configured
+    interior window; the error names the first differing field.
+    """
+    tol = config.tolerances
+    want = {"kernel": box_kernel(config.kernel, half_width).describe(),
+            "potential": config.potential.describe(),
+            "half_width": half_width,
+            "residual_tol": tol["residual"],
+            "orthonormality_tol": tol["orthonormality"],
+            "degeneracy_gap": tol["degeneracy_gap"]}
+    got = {key: sd.provenance.get(key) for key in want}
+    diff = _first_difference(want, got, "provenance")
+    if diff is None and tol["interior_window"] is not None:
+        diff = _first_difference(tol["interior_window"], sd.interior_window,
+                                 "interior_window")
+    if diff is not None:
+        path, wanted, found = diff
+        raise ProvenanceMismatchError(
+            f"spectrum_N{half_width}.json was written for another config: "
+            f"{path} is {found!r} in the dump but {wanted!r} in the config")
+
+
 def run(config: ExperimentConfig, stages=None, threads: int = 1,
         reuse_spectra: bool = False) -> RunManifest:
     """Execute the requested stages and write artifacts plus manifest.json.
@@ -611,6 +662,8 @@ def run(config: ExperimentConfig, stages=None, threads: int = 1,
     records: list[StageRecord] = []
     failures: list[str] = []
     spectra: dict[int, object] = {}
+    # (half_width, alpha) -> UniformDecayReport, kept for the study stage
+    decay_reports: dict = {}
     tol = config.tolerances
 
     def record(name: str) -> StageRecord:
@@ -627,6 +680,7 @@ def run(config: ExperimentConfig, stages=None, threads: int = 1,
             base = os.path.join(out_dir, f"spectrum_N{n}")
             if reuse_spectra:
                 sd = load_spectral(base)
+                _check_provenance(config, n, sd)
                 outs = [f"spectrum_N{n}.json", f"spectrum_N{n}.bin"]
                 if os.path.exists(os.path.join(out_dir, f"operator_N{n}.bin")):
                     outs.append(f"operator_N{n}.bin")
@@ -717,6 +771,7 @@ def run(config: ExperimentConfig, stages=None, threads: int = 1,
                     per_n: dict = {}
                     for alpha in config.analyses["decay"]["alphas"]:
                         rep = uniform_decay_constants(sd, alpha)
+                        decay_reports[n, alpha] = rep
                         for row in decay_rows(sd, rep):
                             rows.append((n, alpha) + row)
                         per_n[format(alpha, "g")] = {
@@ -873,7 +928,9 @@ def run(config: ExperimentConfig, stages=None, threads: int = 1,
             study_rec.error = "upstream spectrum stage did not complete"
         else:
             try:
-                study = _study_tables(config, spectra, failures)
+                # reports of a ule stage that did not finish are not reused
+                reused = decay_reports if ule_rec.status == "ok" else {}
+                study = _study_tables(config, spectra, failures, reused)
                 write_json(os.path.join(out_dir, "study.json"), study)
                 study_rec.outputs.append("study.json")
                 study_rec.status = "ok"
@@ -893,12 +950,14 @@ def run(config: ExperimentConfig, stages=None, threads: int = 1,
 
 
 def _study_tables(config: ExperimentConfig, spectra: dict,
-                  failures: list) -> dict:
+                  failures: list, decay_reports: dict) -> dict:
     """Drift of eigenvalues, decay constants, and envelope moments in N.
 
     Drifts compare the ladder indices trusted at both sizes.  A decay row
     holds each box's sup constant (first, second) and the largest relative
-    change of a per-mode constant over the shared indices.
+    change of a per-mode constant over the shared indices.  decay_reports
+    maps (half_width, alpha) to a report already computed; missing ones
+    are computed here.
     """
     tol = config.tolerances
     widths = list(config.half_widths)
@@ -929,9 +988,11 @@ def _study_tables(config: ExperimentConfig, spectra: dict,
     decay_rows_out = []
     alphas = ((config.analyses["decay"] or {}).get("alphas") or [])
     for alpha in alphas:
+        reports = {n: decay_reports[n, alpha] if (n, alpha) in decay_reports
+                   else uniform_decay_constants(spectra[n], alpha)
+                   for n in widths}
         for n1, n2 in zip(widths, widths[1:]):
-            rep1 = uniform_decay_constants(spectra[n1], alpha)
-            rep2 = uniform_decay_constants(spectra[n2], alpha)
+            rep1, rep2 = reports[n1], reports[n2]
             # the two sups range over different trusted sets, so the
             # drift compares the modes trusted in both boxes one by one
             second = dict(rep2.per_mode)

@@ -47,6 +47,15 @@ __all__ = [
 ]
 
 
+# interior modes per blocked pass; a d x 128 float64 block is 2 MB at d = 2001
+_BLOCK = 128
+# kernels whose band 2M+1 spans at most this many offsets are convolved by a
+# shifted sum, wider bands by a Toeplitz GEMM: per block of 128 modes on 2
+# cores with OpenBLAS the two cost the same near a band of 31-63 at
+# d = 1001-2801, and the GEMM is 8-17x slower on a nearest-neighbour band
+_SHIFTED_SUM_MAX_BAND = 31
+
+
 class WrongPotentialFamilyError(ValueError):
     """A linear-field theorem check was pointed at another potential family."""
 
@@ -192,40 +201,105 @@ def uniform_decay_constants(sd: SpectralData, alpha: float,
     if fit_outer is None:
         fit_outer = sd.half_width // 2
 
-    sites = sd.sites.astype(float)
+    N = sd.half_width
     indices = sd.ladder_indices
-    per_mode = []
-    per_mode_by_index = []
-    fits = []
-    for p in positions:
-        amp = np.abs(sd.eigenvectors[:, p])
-        m = int(indices[p])
-        center = float(sd.centers[p])
+    rows = np.arange(sd.dimension)[:, np.newaxis]
+    # distances are integers |site - m| <= N + d < 2d, so their powers and
+    # logs are looked up; distance 0 is outside both sups and every fit,
+    # and its zero power never raises a max of nonnegative products
+    dists = np.arange(2 * sd.dimension, dtype=float)
+    power = dists ** alpha
+    power[0] = 0.0
+    log_dist = np.log(dists, out=np.zeros_like(dists), where=dists > 0)
+    degenerate = np.asarray(sd.degenerate_positions, dtype=int)
 
-        dist_c = np.abs(sites - center)
-        sel = dist_c >= 1.0
-        val_c = float(np.max(amp[sel] * dist_c[sel] ** alpha))
+    per_center, per_index, fits = [], [], []
+    for block, amp in _blocks(sd, positions):
+        center_rows = sd.centers[block] + N
+        dist_c = np.abs(rows - center_rows)
+        dist_i = np.abs(rows - (indices[block] + N))
+        per_center.append(np.max(amp * power[dist_c], axis=0))
+        per_index.append(np.max(amp * power[dist_i], axis=0))
+        # only rows within fit_outer of some center can enter a fit
+        lo = max(int(center_rows.min()) - fit_outer, 0)
+        hi = int(center_rows.max()) + fit_outer + 1
+        fit = _decay_slopes(amp[lo:hi], dist_c[lo:hi], log_dist, fit_inner,
+                            fit_outer)
+        fit[np.isin(block, degenerate) | np.isin(block - 1, degenerate)] = \
+            np.nan
+        fits.append(fit)
 
-        dist_i = np.abs(sites - m)
-        sel_i = dist_i >= 1.0
-        val_i = float(np.max(amp[sel_i] * dist_i[sel_i] ** alpha))
+    ladder = indices[positions].tolist()
+    return UniformDecayReport(
+        alpha=alpha,
+        per_mode=tuple(zip(ladder, np.concatenate(per_center).tolist())),
+        per_mode_by_index=tuple(zip(ladder,
+                                    np.concatenate(per_index).tolist())),
+        fit_exponents=tuple(zip(ladder, np.concatenate(fits).tolist())))
 
-        per_mode.append((m, val_c))
-        per_mode_by_index.append((m, val_i))
 
-        if sd.is_degenerate_position(int(p)):
-            fits.append((m, float("nan")))
-            continue
-        fit_sel = (dist_c >= fit_inner) & (dist_c <= fit_outer) & (amp > 0.0)
-        if np.count_nonzero(fit_sel) < 3:
-            fits.append((m, float("nan")))
-            continue
-        slope = np.polyfit(np.log(dist_c[fit_sel]), np.log(amp[fit_sel]), 1)[0]
-        fits.append((m, float(-slope)))
+def _blocks(sd: SpectralData, positions: np.ndarray):
+    """Yield (positions, |eigenvector columns|) for runs of _BLOCK modes."""
+    for start in range(0, positions.size, _BLOCK):
+        block = positions[start:start + _BLOCK]
+        lo, hi = int(block[0]), int(block[-1]) + 1
+        # interior positions are mostly consecutive: a slice is a view,
+        # where a gather of scattered columns costs several times more
+        cols = sd.eigenvectors[:, lo:hi]
+        if hi - lo != block.size:
+            cols = np.take(cols, block - lo, axis=1)
+        yield block, np.abs(cols)
 
-    return UniformDecayReport(alpha=alpha, per_mode=tuple(per_mode),
-                              per_mode_by_index=tuple(per_mode_by_index),
-                              fit_exponents=tuple(fits))
+
+def _decay_slopes(amp: np.ndarray, dist: np.ndarray, log_dist: np.ndarray,
+                  inner: int, outer: int) -> np.ndarray:
+    """Negated least-squares slope of log amp against log dist, per column.
+
+    Fits over inner <= dist <= outer where amp > 0; nan for columns
+    with fewer than 3 such sites.  Three sites span at least two distances
+    (at most two sites share one), so the centred x-spread is positive
+    wherever a slope is taken.
+    """
+    use = (dist >= inner) & (dist <= outer) & (amp > 0.0)
+    count = np.count_nonzero(use, axis=0)
+    fitted = count >= 3
+    x = np.where(use, log_dist[dist], 0.0)
+    y = np.log(amp, out=np.zeros_like(amp), where=use)
+    x_mean = np.divide(x.sum(axis=0), count, out=np.zeros(count.shape),
+                       where=fitted)
+    # slope = sum (x - x_mean) y / sum (x - x_mean)^2 over the mask
+    xc = np.where(use, x - x_mean, 0.0)
+    slope = np.divide(np.einsum("ij,ij->j", xc, y),
+                      np.einsum("ij,ij->j", xc, xc),
+                      out=np.full(count.shape, np.nan), where=fitted)
+    return -slope
+
+
+def _band_convolution(absw: np.ndarray, M: int, d: int):
+    """Map amp to conv[i, :] = sum_j |a(i - j)| amp[j, :] over |i - j| <= M.
+
+    A narrow band is summed offset by offset; a wide one is one GEMM with
+    the d x d Toeplitz matrix T[i, j] = |a(i - j)|.
+    """
+    if 2 * M + 1 <= _SHIFTED_SUM_MAX_BAND:
+        taps = [(o, w) for o, w in zip(range(-M, M + 1), absw) if w != 0.0]
+
+        def shifted_sum(amp):
+            out = np.zeros_like(amp)
+            for o, w in taps:
+                if o >= 0:
+                    out[o:] += w * amp[:d - o]
+                else:
+                    out[:d + o] += w * amp[-o:]
+            return out
+        return shifted_sum
+
+    # v[k] = |a(k - (d - 1))|; window i of v read backwards is row i of T
+    v = np.zeros(2 * d - 1)
+    v[d - 1 - M:d + M] = absw
+    T = np.ascontiguousarray(
+        np.lib.stride_tricks.sliding_window_view(v, d)[:, ::-1])
+    return lambda amp: T @ amp
 
 
 def bootstrap_decay_check(sd: SpectralData, kernel: HoppingKernel,
@@ -237,7 +311,8 @@ def bootstrap_decay_check(sd: SpectralData, kernel: HoppingKernel,
     it, typically the pinning bound).  Sites with |m - n| <= 2*gamma are
     out of scope.  The dropped-tail slack at site n is
     (4*gamma/|m - n|) * (out-of-box hopping mass seen from n) * max|phi_m|,
-    plus a fixed numerical slack.
+    plus a fixed numerical slack.  Violations are listed by mode, then by
+    site.
     """
     if sd.provenance.get("potential", {}).get("family") == "maryland":
         raise WrongPotentialFamilyError(
@@ -265,30 +340,36 @@ def bootstrap_decay_check(sd: SpectralData, kernel: HoppingKernel,
     j1 = np.clip(sites - N + M, 0, 2 * M + 1)
     j2 = np.clip(sites + N + M + 1, 0, 2 * M + 1)
     window_mass = cums[j2] - cums[j1]
-    tail_mass = np.maximum(total_mass - window_mass, 0.0)
+    tail_mass = np.maximum(total_mass - window_mass, 0.0)[:, np.newaxis]
 
+    convolve = _band_convolution(absw, M, d)
     indices = sd.ladder_indices
+    rows = np.arange(d)[:, np.newaxis]
+    # 4*gamma/|m - n| by integer distance |m - n| <= N + max|m|; distance 0
+    # is never in scope
+    dists = np.arange(N + int(np.max(np.abs(indices[positions]))) + 1,
+                      dtype=float)
+    factors = np.zeros_like(dists)
+    factors[1:] = 4.0 * gamma / dists[1:]
+
     violations = []
     n_checked = 0
-    for p in positions:
-        amp = np.abs(sd.eigenvectors[:, p])
-        m = int(indices[p])
-        dist = np.abs(sites - m).astype(float)
+    for block, amp in _blocks(sd, positions):
+        ladder = indices[block]
+        dist = np.abs(rows - (ladder + N))
         scope = dist > 2.0 * gamma
-        if not np.any(scope):
-            continue
-        conv = np.convolve(amp, absw)[M: M + d]
-        factor = 4.0 * gamma / dist[scope]
-        rhs = factor * conv[scope]
-        slack = base_slack + factor * tail_mass[scope] * float(np.max(amp))
-        lhs = amp[scope]
         n_checked += int(np.count_nonzero(scope))
-        bad = lhs > rhs + slack
-        for site, l, r, s in zip(sites[scope][bad], lhs[bad], rhs[bad],
-                                 slack[bad]):
+        factor = factors[dist]
+        rhs = factor * convolve(amp)
+        slack = factor * tail_mass * np.max(amp, axis=0) + base_slack
+        bad = scope & (amp > rhs + slack)
+        if not bad.any():
+            continue
+        for k, i in zip(*np.nonzero(bad.T)):
             violations.append(BootstrapViolation(
-                ladder_index=m, site=int(site), lhs=float(l), rhs=float(r),
-                slack=float(s)))
+                ladder_index=int(ladder[k]), site=int(sites[i]),
+                lhs=float(amp[i, k]), rhs=float(rhs[i, k]),
+                slack=float(slack[i, k])))
 
     return BootstrapReport(gamma=gamma, base_slack=float(base_slack),
                            n_modes=len(positions), n_checked=n_checked,

@@ -33,6 +33,7 @@ __all__ = [
     "MarylandPotential",
     "PotentialSpec",
     "TruncatedOperator",
+    "box_kernel",
     "build_operator",
     "dump_matrix",
     "MAX_DIMENSION_DEFAULT",
@@ -259,6 +260,14 @@ class TruncatedOperator:
         return int(self.sites[i])
 
 
+def box_kernel(kernel: HoppingKernel, half_width: int) -> HoppingKernel:
+    """The kernel as assembled on {-N, ..., N}: an infinite kernel gets a
+    truncation radius of at least 2N+1, so every in-box offset is covered."""
+    if kernel.infinite_support:
+        return kernel.with_cutoff(max(kernel.cutoff or 0, 2 * half_width + 1))
+    return kernel
+
+
 def build_operator(kernel: HoppingKernel,
                    potential: PotentialSpec,
                    half_width: int,
@@ -285,9 +294,7 @@ def build_operator(kernel: HoppingKernel,
     diag = potential.diagonal_values(sites)
     b = potential.perturbation_values(sites)
 
-    kern = kernel
-    if kern.infinite_support:
-        kern = kern.with_cutoff(max(kern.cutoff or 0, d))
+    kern = box_kernel(kernel, half_width)
 
     offsets = kern.positive_offsets(2 * half_width)
     amps = kern.amplitudes(offsets)

@@ -207,6 +207,42 @@ def test_report_reuses_dumps_and_matches(tmp_path, capsys):
         assert open(out_dir / name, "rb").read() == blob, name
 
 
+def test_report_refuses_dumps_of_another_config(tmp_path, capsys):
+    out = str(tmp_path / "shared_out")
+    nn = {"kernel": {"family": "nearest_neighbor"},
+          "potential": {"perturbation": {"kind": "uniform_random",
+                                         "amplitude": 0.5}},
+          "half_widths": [60], "seed": 1,
+          "analyses": {"asymptotics": True, "decay": {"alphas": [3.0]},
+                       "bootstrap": {}},
+          "output": {"directory": out}}
+    assert main(["spectrum", "--config",
+                 write_config(tmp_path / "nn.json", nn)]) == 0
+    power_law = dict(nn, kernel={"family": "power_law", "exponent": 2.5},
+                     potential={"perturbation": {"kind": "uniform_random",
+                                                 "amplitude": 5.0}},
+                     seed=9)
+    reseeded = dict(nn, seed=2)
+    tighter = dict(nn, tolerances={"residual": 1e-11})
+    windowed = dict(nn, tolerances={"interior_window": 7})
+    capsys.readouterr()
+    for doc, field in ((power_law, "provenance.kernel.family"),
+                       (reseeded, "provenance.potential.perturbation.seed"),
+                       (tighter, "provenance.residual_tol"),
+                       (windowed, "interior_window")):
+        code = main(["report", "--config",
+                     write_config(tmp_path / "report.json", doc)])
+        printed = capsys.readouterr().out
+        assert code == 2
+        assert "stage spectrum: failed (ProvenanceMismatchError" in printed
+        assert field in printed
+        assert "stage asymptotics: skipped" in printed
+    # the dumps' own config still reports
+    assert main(["report", "--config",
+                 write_config(tmp_path / "same.json", nn)]) == 0
+    assert "stage spectrum: reused" in capsys.readouterr().out
+
+
 def test_report_without_dumps_exits_2(tmp_path, capsys):
     cfg = quiet_ladder_config(tmp_path, out_name="never_written")
     code = main(["report", "--config", cfg])

@@ -355,6 +355,39 @@ def test_study_decay_drift_compares_shared_modes(tmp_path):
     assert row["relative_change"] < 1e-10
 
 
+def test_study_reuses_the_ule_stage_decay_reports(tmp_path, monkeypatch):
+    import starklab.experiments as experiments
+
+    calls = []
+    measure = experiments.uniform_decay_constants
+
+    def counted(sd, alpha, *args, **kwargs):
+        calls.append((sd.half_width, alpha))
+        return measure(sd, alpha, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "uniform_decay_constants", counted)
+    raw = {"kernel": {"family": "nearest_neighbor"},
+           "potential": {"perturbation": {"kind": "uniform_random",
+                                          "amplitude": 1.0}},
+           "half_widths": [48, 64], "seed": 3,
+           "analyses": {"decay": {"alphas": [2.0, 3.0]}}}
+    expected = sorted((n, a) for n in (48, 64) for a in (2.0, 3.0))
+    rows = {}
+    # all stages: ule computes each report once and study reuses it;
+    # study alone computes them itself
+    for name, stages in (("all", None), ("alone", ["spectrum", "study"])):
+        calls.clear()
+        out = tmp_path / name
+        manifest = run(parse_config(dict(raw, output={"directory": str(out)})),
+                       stages=stages)
+        assert manifest.stage("study").status == "ok"
+        assert sorted(calls) == expected
+        with open(out / "study.json") as fh:
+            rows[name] = json.load(fh)["decay_drift"]
+    assert rows["all"] == rows["alone"]
+    assert len(rows["all"]) == 2
+
+
 def test_study_requires_two_widths(tmp_path):
     cfg = parse_config({"kernel": {"family": "nearest_neighbor"},
                         "half_widths": [8],

@@ -219,3 +219,157 @@ def test_report_rows_align_with_spectrum(spectrum_cache):
     by_mode = dict((n, v) for n, v in drep.per_mode)
     for n, _, _, val_c, _, _ in drows:
         assert by_mode[n] == val_c
+
+
+# ---- blocked checks against the per-mode loops they replace ----
+
+def _decay_oracle(sd, alpha, fit_inner=2, fit_outer=None):
+    """Per-mode uniform_decay_constants: np.polyfit slope per mode."""
+    positions = np.nonzero(sd.interior_mask)[0]
+    if fit_outer is None:
+        fit_outer = sd.half_width // 2
+    sites = sd.sites.astype(float)
+    per_mode, per_mode_by_index, fits = [], [], []
+    for p in positions:
+        amp = np.abs(sd.eigenvectors[:, p])
+        m = int(sd.ladder_indices[p])
+        dist_c = np.abs(sites - float(sd.centers[p]))
+        sel = dist_c >= 1.0
+        per_mode.append((m, float(np.max(amp[sel] * dist_c[sel] ** alpha))))
+        dist_i = np.abs(sites - m)
+        sel_i = dist_i >= 1.0
+        per_mode_by_index.append(
+            (m, float(np.max(amp[sel_i] * dist_i[sel_i] ** alpha))))
+        fit_sel = (dist_c >= fit_inner) & (dist_c <= fit_outer) & (amp > 0.0)
+        if sd.is_degenerate_position(int(p)) or \
+                np.count_nonzero(fit_sel) < 3:
+            fits.append((m, float("nan")))
+            continue
+        slope = np.polyfit(np.log(dist_c[fit_sel]), np.log(amp[fit_sel]), 1)[0]
+        fits.append((m, float(-slope)))
+    return per_mode, per_mode_by_index, fits
+
+
+def _bootstrap_oracle(sd, kernel, gamma, base_slack=1e-8):
+    """Per-mode bootstrap_decay_check: one np.convolve over reach 2N."""
+    d, N = sd.dimension, sd.half_width
+    support = kernel.support_radius
+    M = 2 * N if support is None else min(2 * N, max(support, 1))
+    absw = np.abs(kernel.amplitudes(np.arange(-M, M + 1)))
+    total_cutoff = M if support is None else max(support, 1)
+    total_mass = sl.weighted_norm(kernel, 0.0, total_cutoff).upper_bound
+    cums = np.concatenate([[0.0], np.cumsum(absw)])
+    sites = sd.sites
+    j1 = np.clip(sites - N + M, 0, 2 * M + 1)
+    j2 = np.clip(sites + N + M + 1, 0, 2 * M + 1)
+    tail_mass = np.maximum(total_mass - (cums[j2] - cums[j1]), 0.0)
+    violations, n_checked = [], 0
+    for p in np.nonzero(sd.interior_mask)[0]:
+        amp = np.abs(sd.eigenvectors[:, p])
+        m = int(sd.ladder_indices[p])
+        dist = np.abs(sites - m).astype(float)
+        scope = dist > 2.0 * gamma
+        if not np.any(scope):
+            continue
+        conv = np.convolve(amp, absw)[M: M + d]
+        factor = 4.0 * gamma / dist[scope]
+        rhs = factor * conv[scope]
+        slack = base_slack + factor * tail_mass[scope] * float(np.max(amp))
+        lhs = amp[scope]
+        n_checked += int(np.count_nonzero(scope))
+        bad = lhs > rhs + slack
+        for site, l, r, s in zip(sites[scope][bad], lhs[bad], rhs[bad],
+                                 slack[bad]):
+            violations.append((m, int(site), float(l), float(r), float(s)))
+    return n_checked, violations
+
+
+def _assert_decay_matches_oracle(sd, alpha):
+    rep = sl.uniform_decay_constants(sd, alpha=alpha)
+    per_mode, per_mode_by_index, fits = _decay_oracle(sd, alpha)
+    # same products and maxima, so bit-identical
+    assert rep.per_mode == tuple(per_mode)
+    assert rep.per_mode_by_index == tuple(per_mode_by_index)
+    assert [m for m, _ in rep.fit_exponents] == [m for m, _ in fits]
+    got = np.array([f for _, f in rep.fit_exponents])
+    want = np.array([f for _, f in fits])
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_allclose(got[~np.isnan(want)], want[~np.isnan(want)],
+                               rtol=1e-10)
+    return rep
+
+
+def _assert_bootstrap_matches_oracle(sd, kernel, gamma):
+    rep = sl.bootstrap_decay_check(sd, kernel, gamma=gamma)
+    n_checked, violations = _bootstrap_oracle(sd, kernel, gamma)
+    assert rep.n_checked == n_checked
+    assert [(v.ladder_index, v.site) for v in rep.violations] == \
+        [v[:2] for v in violations]
+    if violations:
+        got = np.array([(v.lhs, v.rhs, v.slack) for v in rep.violations])
+        np.testing.assert_allclose(got, np.array([v[2:] for v in violations]),
+                                   rtol=1e-12)
+    return rep
+
+
+def _interior_count(sd):
+    return int(np.count_nonzero(sd.interior_mask))
+
+
+def test_blocked_checks_match_per_mode_loops_power_law(spectrum_cache):
+    from starklab.localization import _BLOCK, _SHIFTED_SUM_MAX_BAND
+    op, sd = spectrum_cache("pl4", 200, 5.0, 1)
+    # several blocks, the last one partial; the band 2M+1 = 2d-1 is wide
+    assert _interior_count(sd) > _BLOCK and _interior_count(sd) % _BLOCK
+    assert 2 * sd.dimension - 1 > _SHIFTED_SUM_MAX_BAND
+    for alpha in (2.0, 3.0, 2.5):
+        _assert_decay_matches_oracle(sd, alpha)
+    gamma = sl.weighted_norm(op.kernel, 0.0, op.kernel.cutoff).upper_bound \
+        + op.perturbation_sup + 1.0
+    _assert_bootstrap_matches_oracle(sd, op.kernel, gamma)
+    # a smaller gamma brings sites next to the center into scope, where
+    # the inequality need not hold: a nonempty violation list to compare
+    rep = _assert_bootstrap_matches_oracle(sd, op.kernel, 0.6)
+    assert rep.violations
+
+
+def test_blocked_checks_match_per_mode_loops_nearest_neighbor(spectrum_cache):
+    from starklab.localization import _BLOCK
+    op, sd = spectrum_cache("nn", 200)
+    assert _interior_count(sd) > _BLOCK and _interior_count(sd) % _BLOCK
+    _assert_decay_matches_oracle(sd, 5.0)
+    _assert_bootstrap_matches_oracle(sd, op.kernel, 3.0)
+
+
+def test_blocked_bootstrap_matches_on_corrupted_spectrum(spectrum_cache):
+    from starklab.localization import _BLOCK
+    op, sd = spectrum_cache("nn", 100)
+    assert _interior_count(sd) % _BLOCK
+    vec = np.array(sd.eigenvectors)
+    positions = np.nonzero(sd.interior_mask)[0]
+    # far mass planted in the first and the last interior mode, two sites
+    # each, so the list must come out by mode and then by site
+    for p in (positions[0], positions[-1]):
+        center = int(sd.centers[p])
+        for site in (center - 30, center + 40):
+            if abs(site) <= sd.half_width:
+                vec[sd.row_of_site(site), p] = 0.1
+    corrupted = dataclasses.replace(sd, eigenvectors=vec)
+    rep = _assert_bootstrap_matches_oracle(corrupted, op.kernel, 3.0)
+    assert len({v.ladder_index for v in rep.violations}) == 2
+
+
+def test_blocked_decay_matches_on_degenerate_and_zero_kernel(spectrum_cache):
+    _, sd = spectrum_cache("pl4", 60, 0.5, 2)
+    positions = np.nonzero(sd.interior_mask)[0]
+    flagged = dataclasses.replace(
+        sd, degenerate_positions=(int(positions[3]), int(positions[10])))
+    rep = _assert_decay_matches_oracle(flagged, 3.0)
+    fits = dict(rep.fit_exponents)
+    for p in (positions[3], positions[4], positions[10], positions[11]):
+        assert math.isnan(fits[int(sd.ladder_indices[p])])
+    op = sl.build_operator(sl.custom_kernel({}), sl.PotentialSpec(), 12)
+    zero = sl.diagonalize(op)
+    rep = _assert_decay_matches_oracle(zero, 3.0)
+    assert all(math.isnan(f) for _, f in rep.fit_exponents)
+    _assert_bootstrap_matches_oracle(zero, op.kernel, 1.0)
