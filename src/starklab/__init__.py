@@ -19,9 +19,8 @@ from .operators import (ConstantPerturbation, DimensionOverflowError,
                         TruncatedOperator, UniformRandomPerturbation,
                         build_operator, dump_matrix)
 from .spectra import (ConvergenceFailureError, SpectralData,
-                      assign_ladder_indices, default_interior_window,
-                      diagonalize, load_spectral, localization_centers,
-                      save_spectral)
+                      default_interior_window, diagonalize, load_spectral,
+                      localization_centers, save_spectral)
 from .localization import (AsymptoticsReport, BootstrapReport,
                            BootstrapViolation, NoInteriorModesError,
                            UniformDecayReport, WrongPotentialFamilyError,
@@ -33,8 +32,7 @@ from .dynamics import (EnvelopeBound, MomentBoundVerdict, MomentSeries,
                        evolve, evolve_batch, evolve_packet, majorant_defect,
                        moment, moment_bound_verdict, moment_series, time_grid)
 from .experiments import (ConfigError, ExperimentConfig, RunManifest,
-                          StageRecord, convergence_study, load_config,
-                          parse_config, run)
+                          StageRecord, load_config, parse_config, run)
 
 __all__ = [
     "__version__",
@@ -49,9 +47,8 @@ __all__ = [
     "TruncatedOperator", "UniformRandomPerturbation", "build_operator",
     "dump_matrix",
     # spectra
-    "ConvergenceFailureError", "SpectralData", "assign_ladder_indices",
-    "default_interior_window", "diagonalize", "load_spectral",
-    "localization_centers", "save_spectral",
+    "ConvergenceFailureError", "SpectralData", "default_interior_window",
+    "diagonalize", "load_spectral", "localization_centers", "save_spectral",
     # localization
     "AsymptoticsReport", "BootstrapReport", "BootstrapViolation",
     "NoInteriorModesError", "UniformDecayReport",
@@ -64,5 +61,5 @@ __all__ = [
     "moment_bound_verdict", "moment_series", "time_grid",
     # experiments
     "ConfigError", "ExperimentConfig", "RunManifest", "StageRecord",
-    "convergence_study", "load_config", "parse_config", "run",
+    "load_config", "parse_config", "run",
 ]

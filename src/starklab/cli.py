@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    starklab spectrum  --config cfg.json [--out DIR] [--seed S] [--threads K]
+    starklab spectrum  --config cfg.json [--out DIR] [--seed S]
     starklab localize  --config cfg.json ...
     starklab evolve    --config cfg.json ...
     starklab study     --config cfg.json ...
@@ -20,15 +20,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import ConfigError, load_config, run
+from .experiments import ALL_STAGES, ConfigError, load_config, run
 
+# the stage table runs spectrum, three localization checks, dynamics, study
+_SPECTRUM, *_LOCALIZATION, _DYNAMICS, _ = ALL_STAGES
 _STAGES_BY_COMMAND = {
-    "spectrum": ("spectrum",),
-    "localize": ("spectrum", "asymptotics", "ule", "bootstrap"),
-    "evolve": ("spectrum", "dynamics"),
-    "study": ("spectrum", "asymptotics", "ule", "bootstrap", "dynamics",
-              "study"),
-    "report": ("spectrum", "asymptotics", "ule", "bootstrap", "dynamics"),
+    "spectrum": (_SPECTRUM,),
+    "localize": (_SPECTRUM, *_LOCALIZATION),
+    "evolve": (_SPECTRUM, _DYNAMICS),
+    "study": ALL_STAGES,
+    "report": ALL_STAGES[:-1],
 }
 
 
@@ -60,8 +61,6 @@ def _build_parser() -> _Parser:
                          help="output directory (overrides config)")
         cmd.add_argument("--seed", type=int, default=None, metavar="U64",
                          help="seed override for random perturbations")
-        cmd.add_argument("--threads", type=int, default=1, metavar="K",
-                         help="parallel diagonalizations across box sizes")
     return parser
 
 
@@ -77,14 +76,7 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.out is not None or args.seed is not None:
             config = config.with_overrides(out_dir=args.out, seed=args.seed)
-        if args.threads < 1:
-            raise ConfigError(["--threads must be a positive integer"])
-        stages = list(_STAGES_BY_COMMAND[args.command])
-        if args.command == "study" and len(config.half_widths) < 2:
-            raise ConfigError(
-                ["half_widths: a convergence study needs at least two "
-                 "box sizes"])
-        manifest = run(config, stages=stages, threads=args.threads,
+        manifest = run(config, stages=_STAGES_BY_COMMAND[args.command],
                        reuse_spectra=(args.command == "report"))
     except ConfigError as exc:
         print(f"starklab: {exc}", file=sys.stderr)

@@ -136,17 +136,30 @@ def evolve(sd: SpectralData, source: int, t: float) -> WavePacket:
                       source=int(source))
 
 
+def _propagate(sd: SpectralData, source: int, times: np.ndarray,
+               chunk: int):
+    """Iterator of (start, amplitudes at times[start:start + chunk]).
+
+    The source is checked on the call, also when times is empty.
+    """
+    weights = sd.eigenvectors[_source_row(sd, source), :].conj()[:, None]
+
+    def chunks():
+        for s in range(0, times.size, chunk):
+            ts = times[s: s + chunk]
+            phases = np.exp(-1j * np.outer(sd.eigenvalues, ts))
+            yield s, sd.eigenvectors @ (phases * weights)
+    return chunks()
+
+
 def evolve_batch(sd: SpectralData, source: int, times,
                  chunk: int = 1024) -> np.ndarray:
     """Amplitudes at many times, column t -> psi_t, computed in chunks."""
-    row = _source_row(sd, source)
     times = np.asarray(times, dtype=float)
-    weights = sd.eigenvectors[row, :].conj()
+    chunks = _propagate(sd, source, times, chunk)
     out = np.empty((sd.dimension, times.size), dtype=complex)
-    for s in range(0, times.size, chunk):
-        ts = times[s: s + chunk]
-        phases = np.exp(-1j * np.outer(sd.eigenvalues, ts))
-        out[:, s: s + len(ts)] = sd.eigenvectors @ (phases * weights[:, None])
+    for s, amps in chunks:
+        out[:, s: s + amps.shape[1]] = amps
     return out
 
 
@@ -174,16 +187,12 @@ def moment_series(sd: SpectralData, source: int, q: float, times,
     q = float(q)
     if not q > 0:
         raise ValueError(f"moment exponent must be positive, got {q}")
-    row = _source_row(sd, source)
     times = np.asarray(times, dtype=float)
-    weights = sd.eigenvectors[row, :].conj()
+    chunks = _propagate(sd, source, times, chunk)
     site_w = np.abs(sd.sites.astype(float)) ** q
     values = np.empty(times.size, dtype=float)
-    for s in range(0, times.size, chunk):
-        ts = times[s: s + chunk]
-        phases = np.exp(-1j * np.outer(sd.eigenvalues, ts))
-        amps = sd.eigenvectors @ (phases * weights[:, None])
-        values[s: s + len(ts)] = site_w @ (np.abs(amps) ** 2)
+    for s, amps in chunks:
+        values[s: s + amps.shape[1]] = site_w @ (np.abs(amps) ** 2)
     times = times.copy()
     for arr in (times, values):
         arr.flags.writeable = False
@@ -230,10 +239,9 @@ def envelope(sd: SpectralData, source: int, qs=(2.0,)) -> EnvelopeBound:
 def majorant_defect(sd: SpectralData, env: EnvelopeBound, times,
                     chunk: int = 1024) -> float:
     """Largest excess of |psi_t(n)| over B(n, k) across sampled times."""
-    times = np.asarray(times, dtype=float)
     worst = -math.inf
-    for s in range(0, times.size, chunk):
-        amps = evolve_batch(sd, env.source, times[s: s + chunk])
+    for _, amps in _propagate(sd, env.source, np.asarray(times, dtype=float),
+                              chunk):
         worst = max(worst, float(np.max(np.abs(amps)
                                         - env.majorant[:, None])))
     return worst

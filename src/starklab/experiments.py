@@ -18,22 +18,21 @@ import datetime as _dt
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ._format import dumps_json17, write_csv, write_json
 from ._version import __version__
 from .dynamics import (envelope, moment_bound_verdict, moment_series,
                        time_grid)
-from .kernels import HoppingKernel, KernelError, build_kernel, weighted_norm
+from .kernels import HoppingKernel, KernelError, build_kernel
 from .localization import (asymptotics_rows, bootstrap_decay_check,
                            check_eigenvalue_asymptotics, decay_rows,
                            uniform_decay_constants)
 from .operators import (ConstantPerturbation, ExplicitPerturbation,
                         MarylandPotential, NoPerturbation, PeriodicPerturbation,
                         PotentialError, PotentialSpec,
-                        UniformRandomPerturbation, box_kernel, build_operator,
-                        dump_matrix)
+                        UniformRandomPerturbation, box_hopping_norm,
+                        box_kernel, build_operator, dump_matrix)
 from .spectra import (DEGENERACY_GAP, ORTHONORMALITY_TOL, RESIDUAL_TOL,
                       diagonalize, load_spectral, save_spectral)
 
@@ -46,12 +45,8 @@ __all__ = [
     "load_config",
     "parse_config",
     "run",
-    "convergence_study",
     "ALL_STAGES",
 ]
-
-ALL_STAGES = ("spectrum", "asymptotics", "ule", "bootstrap", "dynamics",
-              "study")
 
 _TOLERANCE_DEFAULTS = {
     "residual": RESIDUAL_TOL,
@@ -574,15 +569,6 @@ class RunManifest:
         return bool(self.checks.get("passed", True))
 
 
-def _kernel_box_norm(config: ExperimentConfig, half_width: int) -> float:
-    kernel = config.kernel
-    if kernel.infinite_support:
-        cutoff = max(kernel.cutoff or 0, 2 * half_width + 1)
-    else:
-        cutoff = max(kernel.support_radius, 1)
-    return weighted_norm(kernel, 0.0, cutoff).partial_sum
-
-
 def _first_difference(want, got, path: str):
     """(path, wanted, found) at the first leaf where two JSON values differ."""
     if isinstance(want, dict) and isinstance(got, dict):
@@ -628,63 +614,46 @@ def _check_provenance(config: ExperimentConfig, half_width: int, sd) -> None:
             f"{path} is {found!r} in the dump but {wanted!r} in the config")
 
 
-def run(config: ExperimentConfig, stages=None, threads: int = 1,
-        reuse_spectra: bool = False) -> RunManifest:
-    """Execute the requested stages and write artifacts plus manifest.json.
+@dataclass
+class _RunContext:
+    """What the stages of one run share.
 
-    stages defaults to every stage enabled by the config's analyses block
-    (study only when at least two half-widths are configured).  With
-    reuse_spectra=True the spectrum stage loads existing dumps from the
-    output directory instead of recomputing them.
+    A stage writes its files through write_csv/write_json, which list them
+    under the running stage.  decay_reports and envelopes are set as the
+    last step of the ule and dynamics stages, so they hold only results of
+    a stage that ended ok.
     """
-    if stages is None:
-        stages = ["spectrum"]
-        if config.analyses["asymptotics"]:
-            stages.append("asymptotics")
-        if config.analyses["decay"]:
-            stages.append("ule")
-        if config.analyses["bootstrap"]:
-            stages.append("bootstrap")
-        if config.analyses["dynamics"]:
-            stages.append("dynamics")
-        if len(config.half_widths) >= 2:
-            stages.append("study")
-    stages = list(stages)
-    for name in stages:
-        if name not in ALL_STAGES:
-            raise ValueError(f"unknown stage {name!r}")
-    if "study" in stages and len(config.half_widths) < 2:
-        raise ConfigError(
-            ["half_widths: a convergence study needs at least two box sizes"])
 
-    out_dir = config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    records: list[StageRecord] = []
-    failures: list[str] = []
-    spectra: dict[int, object] = {}
-    # (half_width, alpha) -> UniformDecayReport, kept for the study stage
-    decay_reports: dict = {}
-    tol = config.tolerances
+    config: ExperimentConfig
+    reuse_spectra: bool
+    spectra: dict = field(default_factory=dict)
+    failures: list = field(default_factory=list)
+    localization: dict = field(default_factory=dict)
+    # (half_width, alpha) -> UniformDecayReport
+    decay_reports: dict = field(default_factory=dict)
+    # (source, half_width) -> EnvelopeBound for every configured moment
+    envelopes: dict = field(default_factory=dict)
+    outputs: list = field(default_factory=list)
 
-    def record(name: str) -> StageRecord:
-        rec = StageRecord(name=name, status="skipped")
-        records.append(rec)
-        return rec
+    def write_csv(self, name: str, header, rows) -> None:
+        write_csv(os.path.join(self.config.output_dir, name), header, rows)
+        self.outputs.append(name)
 
-    # ---- spectrum ----
-    spectrum_rec = record("spectrum")
-    spectrum_enabled = "spectrum" in stages or any(
-        s in stages for s in ALL_STAGES[1:])
-    if spectrum_enabled:
-        def one_spectrum(n: int):
-            base = os.path.join(out_dir, f"spectrum_N{n}")
-            if reuse_spectra:
-                sd = load_spectral(base)
-                _check_provenance(config, n, sd)
-                outs = [f"spectrum_N{n}.json", f"spectrum_N{n}.bin"]
-                if os.path.exists(os.path.join(out_dir, f"operator_N{n}.bin")):
-                    outs.append(f"operator_N{n}.bin")
-                return n, sd, outs
+    def write_json(self, name: str, doc) -> None:
+        write_json(os.path.join(self.config.output_dir, name), doc)
+        self.outputs.append(name)
+
+
+def _spectrum_stage(ctx: _RunContext) -> None:
+    config, tol = ctx.config, ctx.config.tolerances
+    for n in config.half_widths:
+        base = os.path.join(config.output_dir, f"spectrum_N{n}")
+        operator_path = os.path.join(config.output_dir, f"operator_N{n}.bin")
+        if ctx.reuse_spectra:
+            sd = load_spectral(base)
+            _check_provenance(config, n, sd)
+            dumped = os.path.exists(operator_path)
+        else:
             op = build_operator(config.kernel, config.potential, n,
                                 max_dimension=config.max_dimension)
             sd = diagonalize(op, interior_window=tol["interior_window"],
@@ -692,273 +661,163 @@ def run(config: ExperimentConfig, stages=None, threads: int = 1,
                              orthonormality_tol=tol["orthonormality"],
                              degeneracy_gap=tol["degeneracy_gap"])
             save_spectral(sd, base)
-            outs = [f"spectrum_N{n}.json", f"spectrum_N{n}.bin"]
             if config.dump_operator:
-                dump_matrix(op, os.path.join(out_dir, f"operator_N{n}.bin"))
-                outs.append(f"operator_N{n}.bin")
-            return n, sd, outs
-
-        try:
-            if threads > 1 and len(config.half_widths) > 1 and not reuse_spectra:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    results = list(pool.map(one_spectrum, config.half_widths))
-            else:
-                results = [one_spectrum(n) for n in config.half_widths]
-            for n, sd, outs in results:
-                spectra[n] = sd
-                spectrum_rec.outputs.extend(outs)
-            spectrum_rec.status = "reused" if reuse_spectra else "ok"
-        except Exception as exc:  # noqa: BLE001 - stage boundary
-            spectrum_rec.status = "failed"
-            spectrum_rec.error = f"{type(exc).__name__}: {exc}"
-
-    spectra_ready = spectrum_rec.status in ("ok", "reused")
-    localization_summary: dict = {"tolerances": {
-        k: v for k, v in tol.items()}}
-
-    # ---- asymptotics ----
-    asym_rec = record("asymptotics")
-    if "asymptotics" in stages and config.analyses["asymptotics"]:
-        if not spectra_ready:
-            asym_rec.status = "skipped"
-            asym_rec.error = "upstream spectrum stage did not complete"
-        else:
-            try:
-                rows = []
-                section = {}
-                for n in config.half_widths:
-                    sd = spectra[n]
-                    rep = check_eigenvalue_asymptotics(
-                        sd, config.kernel, config.potential)
-                    for row in asymptotics_rows(sd, rep):
-                        rows.append((n,) + row)
-                    section[str(n)] = {
-                        "max_deviation": rep.max_deviation,
-                        "bound": rep.bound,
-                        "passed": rep.passed,
-                        "hopping_norm": rep.hopping_norm,
-                        "perturbation_sup": rep.perturbation_sup,
-                        "center_offset_sup": rep.center_offset_sup,
-                        "n_interior": rep.n_interior,
-                    }
-                    if not rep.passed:
-                        failures.append(
-                            f"asymptotics: N={n} max deviation "
-                            f"{rep.max_deviation:.6g} exceeds bound "
-                            f"{rep.bound:.6g}")
-                write_csv(os.path.join(out_dir, "asymptotics.csv"),
-                          ["half_width", "ladder_index", "eigenvalue",
-                           "deviation", "center"], rows)
-                asym_rec.outputs.append("asymptotics.csv")
-                localization_summary["asymptotics"] = section
-                asym_rec.status = "ok"
-            except Exception as exc:  # noqa: BLE001 - stage boundary
-                asym_rec.status = "failed"
-                asym_rec.error = f"{type(exc).__name__}: {exc}"
-
-    # ---- uniform decay ----
-    ule_rec = record("ule")
-    if "ule" in stages and config.analyses["decay"]:
-        if not spectra_ready:
-            ule_rec.status = "skipped"
-            ule_rec.error = "upstream spectrum stage did not complete"
-        else:
-            try:
-                rows = []
-                section: dict = {}
-                for n in config.half_widths:
-                    sd = spectra[n]
-                    per_n: dict = {}
-                    for alpha in config.analyses["decay"]["alphas"]:
-                        rep = uniform_decay_constants(sd, alpha)
-                        decay_reports[n, alpha] = rep
-                        for row in decay_rows(sd, rep):
-                            rows.append((n, alpha) + row)
-                        per_n[format(alpha, "g")] = {
-                            "sup_constant": rep.sup_constant,
-                            "sup_constant_by_index": rep.sup_constant_by_index,
-                            "n_modes": rep.n_modes,
-                        }
-                    section[str(n)] = per_n
-                write_csv(os.path.join(out_dir, "ule.csv"),
-                          ["half_width", "alpha", "ladder_index",
-                           "eigenvalue", "center", "mode_constant",
-                           "mode_constant_by_index", "fit_exponent"], rows)
-                ule_rec.outputs.append("ule.csv")
-                localization_summary["decay"] = section
-                ule_rec.status = "ok"
-            except Exception as exc:  # noqa: BLE001 - stage boundary
-                ule_rec.status = "failed"
-                ule_rec.error = f"{type(exc).__name__}: {exc}"
-
-    # ---- bootstrap ----
-    boot_rec = record("bootstrap")
-    if "bootstrap" in stages and config.analyses["bootstrap"]:
-        if not spectra_ready:
-            boot_rec.status = "skipped"
-            boot_rec.error = "upstream spectrum stage did not complete"
-        else:
-            try:
-                section = {}
-                for n in config.half_widths:
-                    sd = spectra[n]
-                    gamma = config.analyses["bootstrap"]["gamma"]
-                    if gamma is None:
-                        b_sup = float(sd.provenance.get(
-                            "perturbation_sup", 0.0))
-                        gamma = _kernel_box_norm(config, n) + b_sup + 1.0
-                    rep = bootstrap_decay_check(
-                        sd, config.kernel, gamma,
-                        base_slack=tol["bootstrap_slack"])
-                    section[str(n)] = {
-                        "gamma": rep.gamma,
-                        "n_modes": rep.n_modes,
-                        "n_checked": rep.n_checked,
-                        "n_violations": len(rep.violations),
-                        "passed": rep.passed,
-                        "violations": [
-                            {"ladder_index": v.ladder_index, "site": v.site,
-                             "lhs": v.lhs, "rhs": v.rhs, "slack": v.slack}
-                            for v in rep.violations[:100]],
-                    }
-                    if not rep.passed:
-                        failures.append(
-                            f"bootstrap: N={n} has {len(rep.violations)} "
-                            "violations beyond slack")
-                localization_summary["bootstrap"] = section
-                boot_rec.status = "ok"
-            except Exception as exc:  # noqa: BLE001 - stage boundary
-                boot_rec.status = "failed"
-                boot_rec.error = f"{type(exc).__name__}: {exc}"
-
-    if any(k in localization_summary
-           for k in ("asymptotics", "decay", "bootstrap")):
-        write_json(os.path.join(out_dir, "localization.json"),
-                   localization_summary)
-        # the summary belongs to exactly one manifest entry: the first
-        # localization stage that completed
-        owner = next(rec for rec in records
-                     if rec.name in ("asymptotics", "ule", "bootstrap")
-                     and rec.status == "ok")
-        owner.outputs.append("localization.json")
-
-    # ---- dynamics ----
-    dyn_rec = record("dynamics")
-    if "dynamics" in stages and config.analyses["dynamics"]:
-        if not spectra_ready:
-            dyn_rec.status = "skipped"
-            dyn_rec.error = "upstream spectrum stage did not complete"
-        else:
-            try:
-                dyn = config.analyses["dynamics"]
-                grid = dyn["grid"]
-                times = time_grid(dt=grid["dt"], t_max=grid["t_max"],
-                                  quasi_random=grid["quasi_random"],
-                                  far_horizon=grid["far_horizon"])
-                n_series = config.half_widths[-1]
-                sd_series = spectra[n_series]
-                envelope_doc: dict = {"grid": grid,
-                                      "series_half_width": n_series,
-                                      "sources": {}, "verdicts": []}
-                for k in dyn["sources"]:
-                    per_width: dict = {}
-                    for n in config.half_widths:
-                        env = envelope(spectra[n], k, dyn["moments"])
-                        per_width[str(n)] = {
-                            "moments": {
-                                format(q, "g"): {
-                                    "value": env.moments[float(q)][0],
-                                    "boundary_share": env.moments[float(q)][1],
-                                } for q in dyn["moments"]}}
-                    envelope_doc["sources"][str(k)] = {
-                        "half_widths": per_width}
-                    for q in dyn["moments"]:
-                        series = moment_series(sd_series, k, q, times)
-                        name = f"moments_q{format(q, 'g')}_k{k}.csv"
-                        write_csv(os.path.join(out_dir, name),
-                                  ["t", "moment"],
-                                  list(zip(series.times, series.values)))
-                        dyn_rec.outputs.append(name)
-                alphas = ((config.analyses["decay"] or {}).get("alphas")
-                          or [])
-                if len(config.half_widths) >= 2:
-                    sd_small = spectra[config.half_widths[-2]]
-                    sd_big = sd_series
-                else:
-                    sd_small, sd_big = sd_series, None
-                for alpha in alphas:
-                    for k in dyn["sources"]:
-                        for q in dyn["moments"]:
-                            verdict = moment_bound_verdict(
-                                sd_small, alpha, q, source=k,
-                                doubled=sd_big,
-                                ratio_limit=tol["doubling_ratio_limit"],
-                                share_limit=tol["boundary_share_limit"])
-                            envelope_doc["verdicts"].append({
-                                "alpha": verdict.alpha, "q": verdict.q,
-                                "source": verdict.source,
-                                "hypothesis_satisfied":
-                                    verdict.hypothesis_satisfied,
-                                "envelope_moment": verdict.envelope_moment,
-                                "boundary_share": verdict.boundary_share,
-                                "doubling_ratio": verdict.doubling_ratio,
-                                "conclusion": verdict.conclusion,
-                            })
-                            if (verdict.hypothesis_satisfied
-                                    and verdict.doubling_ratio is not None
-                                    and not verdict.asserts_bounded
-                                    and "inconclusive" not in
-                                    verdict.conclusion):
-                                failures.append(
-                                    f"dynamics: alpha={alpha} q={q} k={k} "
-                                    f"{verdict.conclusion}")
-                write_json(os.path.join(out_dir, "envelope.json"),
-                           envelope_doc)
-                dyn_rec.outputs.append("envelope.json")
-                dyn_rec.status = "ok"
-            except Exception as exc:  # noqa: BLE001 - stage boundary
-                dyn_rec.status = "failed"
-                dyn_rec.error = f"{type(exc).__name__}: {exc}"
-
-    # ---- study ----
-    study_rec = record("study")
-    if "study" in stages:
-        if not spectra_ready:
-            study_rec.status = "skipped"
-            study_rec.error = "upstream spectrum stage did not complete"
-        else:
-            try:
-                # reports of a ule stage that did not finish are not reused
-                reused = decay_reports if ule_rec.status == "ok" else {}
-                study = _study_tables(config, spectra, failures, reused)
-                write_json(os.path.join(out_dir, "study.json"), study)
-                study_rec.outputs.append("study.json")
-                study_rec.status = "ok"
-            except Exception as exc:  # noqa: BLE001 - stage boundary
-                study_rec.status = "failed"
-                study_rec.error = f"{type(exc).__name__}: {exc}"
-
-    checks = {"passed": not failures, "failures": failures}
-    manifest = RunManifest(
-        tool_version=__version__,
-        config_hash=config.config_hash(),
-        created_utc=_dt.datetime.now(_dt.timezone.utc).isoformat(),
-        stages=records, checks=checks,
-        effective_config=config.effective)
-    write_json(os.path.join(out_dir, "manifest.json"), manifest.to_dict())
-    return manifest
+                dump_matrix(op, operator_path)
+            dumped = config.dump_operator
+        ctx.spectra[n] = sd
+        ctx.outputs += [f"spectrum_N{n}.json", f"spectrum_N{n}.bin"]
+        if dumped:
+            ctx.outputs.append(f"operator_N{n}.bin")
 
 
-def _study_tables(config: ExperimentConfig, spectra: dict,
-                  failures: list, decay_reports: dict) -> dict:
+def _asymptotics_stage(ctx: _RunContext) -> None:
+    rows = []
+    section = {}
+    for n, sd in ctx.spectra.items():
+        rep = check_eigenvalue_asymptotics(sd, ctx.config.kernel,
+                                           ctx.config.potential)
+        rows += [(n,) + row for row in asymptotics_rows(sd, rep)]
+        section[str(n)] = {
+            "max_deviation": rep.max_deviation,
+            "bound": rep.bound,
+            "passed": rep.passed,
+            "hopping_norm": rep.hopping_norm,
+            "perturbation_sup": rep.perturbation_sup,
+            "center_offset_sup": rep.center_offset_sup,
+            "n_interior": rep.n_interior,
+        }
+        if not rep.passed:
+            ctx.failures.append(
+                f"asymptotics: N={n} max deviation {rep.max_deviation:.6g} "
+                f"exceeds bound {rep.bound:.6g}")
+    ctx.write_csv("asymptotics.csv", ["half_width", "ladder_index",
+                                      "eigenvalue", "deviation", "center"],
+                  rows)
+    ctx.localization["asymptotics"] = section
+
+
+def _ule_stage(ctx: _RunContext) -> None:
+    rows = []
+    section = {}
+    reports = {}
+    for n, sd in ctx.spectra.items():
+        per_n = {}
+        for alpha in ctx.config.analyses["decay"]["alphas"]:
+            rep = reports[n, alpha] = uniform_decay_constants(sd, alpha)
+            rows += [(n, alpha) + row for row in decay_rows(sd, rep)]
+            per_n[format(alpha, "g")] = {
+                "sup_constant": rep.sup_constant,
+                "sup_constant_by_index": rep.sup_constant_by_index,
+                "n_modes": rep.n_modes,
+            }
+        section[str(n)] = per_n
+    ctx.write_csv("ule.csv", ["half_width", "alpha", "ladder_index",
+                              "eigenvalue", "center", "mode_constant",
+                              "mode_constant_by_index", "fit_exponent"], rows)
+    ctx.localization["decay"] = section
+    ctx.decay_reports = reports
+
+
+def _bootstrap_stage(ctx: _RunContext) -> None:
+    config = ctx.config
+    section = {}
+    for n, sd in ctx.spectra.items():
+        gamma = config.analyses["bootstrap"]["gamma"]
+        if gamma is None:
+            b_sup = float(sd.provenance.get("perturbation_sup", 0.0))
+            gamma = box_hopping_norm(config.kernel, n) + b_sup + 1.0
+        rep = bootstrap_decay_check(
+            sd, config.kernel, gamma,
+            base_slack=config.tolerances["bootstrap_slack"])
+        section[str(n)] = {
+            "gamma": rep.gamma,
+            "n_modes": rep.n_modes,
+            "n_checked": rep.n_checked,
+            "n_violations": len(rep.violations),
+            "passed": rep.passed,
+            "violations": [
+                {"ladder_index": v.ladder_index, "site": v.site,
+                 "lhs": v.lhs, "rhs": v.rhs, "slack": v.slack}
+                for v in rep.violations[:100]],
+        }
+        if not rep.passed:
+            ctx.failures.append(f"bootstrap: N={n} has {len(rep.violations)} "
+                                "violations beyond slack")
+    ctx.localization["bootstrap"] = section
+
+
+def _envelopes(config: ExperimentConfig, spectra: dict) -> dict:
+    dyn = config.analyses["dynamics"]
+    return {(k, n): envelope(spectra[n], k, dyn["moments"])
+            for k in dyn["sources"] for n in config.half_widths}
+
+
+def _dynamics_stage(ctx: _RunContext) -> None:
+    config, tol = ctx.config, ctx.config.tolerances
+    dyn = config.analyses["dynamics"]
+    grid = dyn["grid"]
+    times = time_grid(dt=grid["dt"], t_max=grid["t_max"],
+                      quasi_random=grid["quasi_random"],
+                      far_horizon=grid["far_horizon"])
+    widths = config.half_widths
+    sd_series = ctx.spectra[widths[-1]]
+    envs = _envelopes(config, ctx.spectra)
+    envelope_doc: dict = {"grid": grid, "series_half_width": widths[-1],
+                          "sources": {}, "verdicts": []}
+    for k in dyn["sources"]:
+        envelope_doc["sources"][str(k)] = {"half_widths": {
+            str(n): {"moments": {
+                format(q, "g"): {
+                    "value": envs[k, n].moment_bound(q),
+                    "boundary_share": envs[k, n].boundary_share(q),
+                } for q in dyn["moments"]}}
+            for n in widths}}
+        for q in dyn["moments"]:
+            series = moment_series(sd_series, k, q, times)
+            ctx.write_csv(f"moments_q{format(q, 'g')}_k{k}.csv",
+                          ["t", "moment"],
+                          list(zip(series.times, series.values)))
+    alphas = (config.analyses["decay"] or {}).get("alphas") or []
+    if len(widths) >= 2:
+        sd_small, sd_big = ctx.spectra[widths[-2]], sd_series
+    else:
+        sd_small, sd_big = sd_series, None
+    for alpha in alphas:
+        for k in dyn["sources"]:
+            for q in dyn["moments"]:
+                verdict = moment_bound_verdict(
+                    sd_small, alpha, q, source=k, doubled=sd_big,
+                    ratio_limit=tol["doubling_ratio_limit"],
+                    share_limit=tol["boundary_share_limit"])
+                envelope_doc["verdicts"].append({
+                    "alpha": verdict.alpha, "q": verdict.q,
+                    "source": verdict.source,
+                    "hypothesis_satisfied": verdict.hypothesis_satisfied,
+                    "envelope_moment": verdict.envelope_moment,
+                    "boundary_share": verdict.boundary_share,
+                    "doubling_ratio": verdict.doubling_ratio,
+                    "conclusion": verdict.conclusion,
+                })
+                if (verdict.hypothesis_satisfied
+                        and verdict.doubling_ratio is not None
+                        and not verdict.asserts_bounded
+                        and "inconclusive" not in verdict.conclusion):
+                    ctx.failures.append(f"dynamics: alpha={alpha} q={q} k={k} "
+                                        f"{verdict.conclusion}")
+    ctx.write_json("envelope.json", envelope_doc)
+    ctx.envelopes = envs
+
+
+def _study_stage(ctx: _RunContext) -> None:
     """Drift of eigenvalues, decay constants, and envelope moments in N.
 
     Drifts compare the ladder indices trusted at both sizes.  A decay row
     holds each box's sup constant (first, second) and the largest relative
-    change of a per-mode constant over the shared indices.  decay_reports
-    maps (half_width, alpha) to a report already computed; missing ones
+    change of a per-mode constant over the shared indices.  Decay reports
+    and envelopes of the ule and dynamics stages are reused; missing ones
     are computed here.
     """
+    config, spectra = ctx.config, ctx.spectra
     tol = config.tolerances
     widths = list(config.half_widths)
     eig_rows = []
@@ -978,7 +837,7 @@ def _study_tables(config: ExperimentConfig, spectra: dict,
         max_drift = max(drifts) if drifts else 0.0
         within = max_drift <= tol["eigenvalue_drift"]
         if not within:
-            failures.append(
+            ctx.failures.append(
                 f"study: eigenvalue drift {max_drift:.3e} between N={n1} "
                 f"and N={n2} exceeds {tol['eigenvalue_drift']:.1e}")
         eig_rows.append({"pair": [n1, n2], "max_drift": max_drift,
@@ -988,7 +847,8 @@ def _study_tables(config: ExperimentConfig, spectra: dict,
     decay_rows_out = []
     alphas = ((config.analyses["decay"] or {}).get("alphas") or [])
     for alpha in alphas:
-        reports = {n: decay_reports[n, alpha] if (n, alpha) in decay_reports
+        reports = {n: ctx.decay_reports[n, alpha]
+                   if (n, alpha) in ctx.decay_reports
                    else uniform_decay_constants(spectra[n], alpha)
                    for n in widths}
         for n1, n2 in zip(widths, widths[1:]):
@@ -1008,33 +868,97 @@ def _study_tables(config: ExperimentConfig, spectra: dict,
     env_rows = []
     dyn = config.analyses["dynamics"]
     if dyn:
+        envs = ctx.envelopes or _envelopes(config, spectra)
         for k in dyn["sources"]:
             for q in dyn["moments"]:
                 for n1, n2 in zip(widths, widths[1:]):
-                    e1 = envelope(spectra[n1], k, (q,)).moments[float(q)][0]
-                    e2 = envelope(spectra[n2], k, (q,)).moments[float(q)][0]
+                    e1 = envs[k, n1].moment_bound(q)
+                    e2 = envs[k, n2].moment_bound(q)
                     ratio = e2 / e1 if e1 > 0 else 1.0
                     env_rows.append({
                         "q": q, "source": k, "pair": [n1, n2],
                         "ratio": ratio,
                         "within_limit": ratio < tol["doubling_ratio_limit"]})
 
-    return {"eigenvalue_drift": eig_rows, "decay_drift": decay_rows_out,
-            "envelope_ratios": env_rows}
+    ctx.write_json("study.json", {"eigenvalue_drift": eig_rows,
+                                  "decay_drift": decay_rows_out,
+                                  "envelope_ratios": env_rows})
 
 
-def convergence_study(config: ExperimentConfig, threads: int = 1,
-                      reuse_spectra: bool = False) -> RunManifest:
-    """Run every enabled stage plus the cross-size drift tables."""
-    stages = ["spectrum"]
-    if config.analyses["asymptotics"]:
-        stages.append("asymptotics")
-    if config.analyses["decay"]:
-        stages.append("ule")
-    if config.analyses["bootstrap"]:
-        stages.append("bootstrap")
-    if config.analyses["dynamics"]:
-        stages.append("dynamics")
-    stages.append("study")
-    return run(config, stages=stages, threads=threads,
-               reuse_spectra=reuse_spectra)
+# (name, enabled by the config, stage) in run order; the manifest lists
+# every stage, and stages=None runs the enabled ones
+_STAGES = (
+    ("spectrum", lambda config: True, _spectrum_stage),
+    ("asymptotics", lambda config: config.analyses["asymptotics"],
+     _asymptotics_stage),
+    ("ule", lambda config: config.analyses["decay"], _ule_stage),
+    ("bootstrap", lambda config: config.analyses["bootstrap"],
+     _bootstrap_stage),
+    ("dynamics", lambda config: config.analyses["dynamics"], _dynamics_stage),
+    ("study", lambda config: len(config.half_widths) >= 2, _study_stage),
+)
+ALL_STAGES = tuple(name for name, _, _ in _STAGES)
+
+
+def run(config: ExperimentConfig, stages=None,
+        reuse_spectra: bool = False) -> RunManifest:
+    """Execute the requested stages and write artifacts plus manifest.json.
+
+    stages defaults to every stage enabled by the config's analyses block
+    (study only when at least two half-widths are configured).  With
+    reuse_spectra=True the spectrum stage loads existing dumps from the
+    output directory instead of recomputing them.
+    """
+    if stages is None:
+        stages = [name for name, enabled, _ in _STAGES if enabled(config)]
+    stages = list(stages)
+    for name in stages:
+        if name not in ALL_STAGES:
+            raise ValueError(f"unknown stage {name!r}")
+    if "study" in stages and len(config.half_widths) < 2:
+        raise ConfigError(
+            ["half_widths: a convergence study needs at least two box sizes"])
+
+    os.makedirs(config.output_dir, exist_ok=True)
+    ctx = _RunContext(config=config, reuse_spectra=reuse_spectra)
+    records: list[StageRecord] = []
+    # localization.json belongs to exactly one manifest entry: the first
+    # stage that ended ok with a localization section written
+    summary_owner = None
+    for name, enabled, stage in _STAGES:
+        rec = StageRecord(name=name, status="skipped")
+        records.append(rec)
+        # every other stage reads the spectra, so any request runs spectrum
+        wanted = bool(stages) if name == "spectrum" else (
+            name in stages and enabled(config))
+        if not wanted:
+            continue
+        if name != "spectrum" and records[0].status not in ("ok", "reused"):
+            rec.error = "upstream spectrum stage did not complete"
+            continue
+        rec.outputs = ctx.outputs = []
+        try:
+            stage(ctx)
+            rec.status = ("reused" if name == "spectrum" and reuse_spectra
+                          else "ok")
+            if ctx.localization and summary_owner is None:
+                summary_owner = rec
+        except Exception as exc:  # noqa: BLE001 - stage boundary
+            rec.status = "failed"
+            rec.error = f"{type(exc).__name__}: {exc}"
+
+    if summary_owner is not None:
+        write_json(os.path.join(config.output_dir, "localization.json"),
+                   {"tolerances": dict(config.tolerances), **ctx.localization})
+        summary_owner.outputs.append("localization.json")
+
+    manifest = RunManifest(
+        tool_version=__version__,
+        config_hash=config.config_hash(),
+        created_utc=_dt.datetime.now(_dt.timezone.utc).isoformat(),
+        stages=records, checks={"passed": not ctx.failures,
+                                "failures": ctx.failures},
+        effective_config=config.effective)
+    write_json(os.path.join(config.output_dir, "manifest.json"),
+               manifest.to_dict())
+    return manifest

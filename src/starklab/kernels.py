@@ -75,10 +75,6 @@ class HoppingKernel:
     def is_real(self) -> bool:
         return all(v.imag == 0.0 for _, v in self.entries)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.infinite_support and not self.entries
-
     def amplitude(self, m: int) -> complex:
         """Coefficient a(m) of the untruncated kernel."""
         if m == 0:
@@ -109,25 +105,6 @@ class HoppingKernel:
         return np.array(sorted(m for m, _ in self.entries if 0 < m <= radius),
                         dtype=int)
 
-    def coefficients(self, radius: int | None = None) -> dict[int, complex]:
-        """Materialized nonzero coefficients with |m| <= radius."""
-        if radius is None:
-            if self.infinite_support:
-                if self.cutoff is None:
-                    raise KernelError(
-                        "power-law kernel needs a radius (or attached cutoff) "
-                        "to materialize coefficients")
-                radius = self.cutoff
-            else:
-                radius = self.support_radius
-        out: dict[int, complex] = {}
-        for m in range(1, radius + 1):
-            a = self.amplitude(m)
-            if a != 0:
-                out[m] = a
-                out[-m] = a.conjugate()
-        return out
-
     def with_cutoff(self, radius: int) -> "HoppingKernel":
         """Attach a truncation radius (meaningful for power-law kernels)."""
         if radius < 1:
@@ -135,14 +112,6 @@ class HoppingKernel:
         if not self.infinite_support:
             return self
         return replace(self, cutoff=int(radius))
-
-    def max_abs(self, radius: int | None = None) -> float:
-        if self.infinite_support:
-            return 1.0  # |a(1)| dominates for any exponent > 1
-        if not self.entries:
-            return 0.0
-        return max(abs(v) for m, v in self.entries
-                   if radius is None or abs(m) <= radius)
 
     def describe(self) -> dict:
         """Round-trippable record for manifests, dump headers, and configs."""

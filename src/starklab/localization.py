@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import HoppingKernel, weighted_norm
-from .operators import PotentialSpec
+from .operators import PotentialSpec, box_hopping_norm
 from .spectra import SpectralData
 
 __all__ = [
@@ -157,18 +157,15 @@ def check_eigenvalue_asymptotics(sd: SpectralData, kernel: HoppingKernel,
     """Compare trusted eigenvalues against their ladder indices.
 
     Trusted means ladder index |n| <= half_width - interior_window.  The
-    bound is recomputed from the kernel's in-box hopping mass and the
-    realized perturbation sup over the box.
+    bound is recomputed from the kernel's hopping norm in the box
+    (operators.box_hopping_norm) and the realized perturbation sup.
     """
     if potential.family != "electric":
         raise WrongPotentialFamilyError(
             "eigenvalue pinning is stated for the linear-field family; "
             f"got {potential.family}")
 
-    box_cutoff = kernel.cutoff if kernel.infinite_support and kernel.cutoff \
-        else (sd.dimension if kernel.infinite_support
-              else max(kernel.support_radius, 1))
-    hopping_norm = weighted_norm(kernel, 0.0, box_cutoff).partial_sum
+    hopping_norm = box_hopping_norm(kernel, sd.half_width)
     b_sup = float(np.max(np.abs(potential.perturbation_values(sd.sites)))) \
         if sd.dimension else 0.0
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import HoppingKernel
+from .kernels import HoppingKernel, weighted_norm
 
 __all__ = [
     "PotentialError",
@@ -34,6 +34,7 @@ __all__ = [
     "PotentialSpec",
     "TruncatedOperator",
     "box_kernel",
+    "box_hopping_norm",
     "build_operator",
     "dump_matrix",
     "MAX_DIMENSION_DEFAULT",
@@ -256,9 +257,6 @@ class TruncatedOperator:
             raise IndexError(f"site {n} outside box of half-width {self.half_width}")
         return int(n) + self.half_width
 
-    def site_of_row(self, i: int) -> int:
-        return int(self.sites[i])
-
 
 def box_kernel(kernel: HoppingKernel, half_width: int) -> HoppingKernel:
     """The kernel as assembled on {-N, ..., N}: an infinite kernel gets a
@@ -266,6 +264,19 @@ def box_kernel(kernel: HoppingKernel, half_width: int) -> HoppingKernel:
     if kernel.infinite_support:
         return kernel.with_cutoff(max(kernel.cutoff or 0, 2 * half_width + 1))
     return kernel
+
+
+def box_hopping_norm(kernel: HoppingKernel, half_width: int) -> float:
+    """|a|_0 of the box: sum of |a(m)| over the offsets of box_kernel.
+
+    The hopping block T of the box has at most one entry a(m) per offset m
+    in each row and each column, so its row and column sums are at most
+    this partial sum and, by the Schur test, so is ||T||_2.  Offsets that
+    do not fit in the box only make the bound larger.
+    """
+    kern = box_kernel(kernel, half_width)
+    cutoff = kern.cutoff if kern.infinite_support else kern.support_radius
+    return weighted_norm(kern, 0.0, max(cutoff, 1)).partial_sum
 
 
 def build_operator(kernel: HoppingKernel,

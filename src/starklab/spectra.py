@@ -23,8 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._format import write_json
-from .kernels import weighted_norm
-from .operators import TruncatedOperator
+from .operators import TruncatedOperator, box_hopping_norm
 
 __all__ = [
     "ConvergenceFailureError",
@@ -35,7 +34,6 @@ __all__ = [
     "diagonalize",
     "ladder_anchor",
     "detect_centers",
-    "assign_ladder_indices",
     "localization_centers",
     "default_interior_window",
     "save_spectral",
@@ -197,10 +195,9 @@ def diagonalize(op: TruncatedOperator,
     centers = detect_centers(vec, op.sites)
 
     if interior_window is None:
-        box_cutoff = op.kernel.cutoff or max(op.kernel.support_radius or 0, 1)
-        a0 = weighted_norm(op.kernel, 0.0, max(box_cutoff, 1)).upper_bound
         interior_window = default_interior_window(
-            op.half_width, a0, op.perturbation_sup)
+            op.half_width, box_hopping_norm(op.kernel, op.half_width),
+            op.perturbation_sup)
     interior_window = int(interior_window)
     mask = np.abs(centers) <= op.half_width - interior_window
 
@@ -226,12 +223,6 @@ def diagonalize(op: TruncatedOperator,
         anchor_position=anchor, anchor_fallback=fallback, centers=centers,
         interior_window=interior_window, interior_mask=mask,
         degenerate_positions=degenerate, provenance=provenance)
-
-
-def assign_ladder_indices(sd: SpectralData) -> SpectralData:
-    """Recompute the ladder anchor from the stored eigenvalues."""
-    anchor, fallback = ladder_anchor(sd.eigenvalues)
-    return replace(sd, anchor_position=anchor, anchor_fallback=fallback)
 
 
 def localization_centers(sd: SpectralData) -> SpectralData:

@@ -21,6 +21,7 @@ import pytest
 import helpers
 import starklab as sl
 from starklab.cli import main as cli_main
+from starklab.operators import box_hopping_norm
 
 
 def report(num, name, ok, detail):
@@ -29,7 +30,7 @@ def report(num, name, ok, detail):
 
 
 def pinning_gamma(op):
-    box = sl.weighted_norm(op.kernel, 0.0, 2 * op.half_width + 1).partial_sum
+    box = box_hopping_norm(op.kernel, op.half_width)
     return box + op.perturbation_sup + 1.0
 
 

@@ -114,12 +114,6 @@ def test_invalid_field_exits_1(tmp_path, capsys):
     assert "strictly ascending" in capsys.readouterr().err
 
 
-def test_nonpositive_threads_exits_1(tmp_path, capsys):
-    cfg = quiet_ladder_config(tmp_path)
-    assert main(["spectrum", "--config", cfg, "--threads", "0"]) == 1
-    assert "--threads" in capsys.readouterr().err
-
-
 def test_study_needs_two_widths_exits_1(tmp_path, capsys):
     cfg = quiet_ladder_config(tmp_path)
     assert main(["study", "--config", cfg]) == 1
@@ -182,14 +176,48 @@ def test_out_and_seed_overrides(tmp_path, capsys):
 
 
 def test_study_runs_all_stages(tmp_path, capsys):
-    code = main(["study", "--config", study_config(tmp_path),
-                 "--threads", "2"])
+    code = main(["study", "--config", study_config(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0
     for name in ("spectrum", "asymptotics", "ule", "dynamics", "study"):
         assert f"stage {name}: ok" in out
     assert "stage bootstrap: skipped" in out
     assert os.path.exists(tmp_path / "study_out" / "study.json")
+
+
+LOCALIZATION = {"asymptotics", "ule", "bootstrap"}
+
+
+@pytest.mark.parametrize("command, ran", [
+    ("spectrum", {"spectrum"}),
+    ("localize", {"spectrum"} | LOCALIZATION),
+    ("evolve", {"spectrum", "dynamics"}),
+    ("study", {"spectrum", "dynamics", "study"} | LOCALIZATION),
+    ("report", {"spectrum", "dynamics"} | LOCALIZATION),
+])
+def test_each_command_runs_its_stages(tmp_path, capsys, command, ran):
+    # every analysis enabled: a command's own stage set decides what runs
+    cfg = write_config(tmp_path / "all.json", {
+        "kernel": {"family": "custom", "coefficients": {}},
+        "half_widths": [12, 16],
+        "analyses": {"asymptotics": True, "decay": {"alphas": [3.0]},
+                     "bootstrap": {},
+                     "dynamics": {"sources": [0], "moments": [2.0],
+                                  "grid": {"dt": 0.5, "t_max": 5.0,
+                                           "quasi_random": 3,
+                                           "far_horizon": 100.0}}},
+        "output": {"directory": str(tmp_path / "all_out")},
+    })
+    if command == "report":
+        assert main(["spectrum", "--config", cfg]) == 0
+        capsys.readouterr()
+    assert main([command, "--config", cfg]) == 0
+    printed = dict(line.removeprefix("stage ").split(": ")
+                   for line in capsys.readouterr().out.splitlines())
+    assert list(printed) == ["spectrum", "asymptotics", "ule", "bootstrap",
+                             "dynamics", "study"]
+    assert {name for name, status in printed.items()
+            if status != "skipped"} == ran
 
 
 def test_report_reuses_dumps_and_matches(tmp_path, capsys):

@@ -72,8 +72,9 @@ def test_moment_series_matches_pointwise_moments(spectrum_cache):
 
 def test_moment_exponent_must_be_positive(spectrum_cache):
     _, sd = spectrum_cache("pl4", 60, 0.5, 2)
-    with pytest.raises(ValueError):
-        sl.moment_series(sd, 0, q=0.0, times=[0.0])
+    for times in ([0.0], []):
+        with pytest.raises(ValueError):
+            sl.moment_series(sd, 0, q=0.0, times=times)
     packet = sl.evolve(sd, 0, 1.0)
     with pytest.raises(ValueError):
         sl.moment(packet, -2.0)
@@ -85,6 +86,12 @@ def test_source_must_be_interior(spectrum_cache):
     sl.evolve(sd, 28, 0.1)
     with pytest.raises(sl.SourceOutsideInteriorError):
         sl.evolve(sd, 29, 0.1)
+    # the batched propagators check the source before any time is drawn
+    for times in ([0.1], []):
+        with pytest.raises(sl.SourceOutsideInteriorError):
+            sl.evolve_batch(sd, 29, times)
+        with pytest.raises(sl.SourceOutsideInteriorError):
+            sl.moment_series(sd, 29, 2.0, times)
 
 
 def test_eigenbasis_propagator_agrees_with_ode_integrator():

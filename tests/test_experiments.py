@@ -6,7 +6,7 @@ import pytest
 
 import starklab as sl
 from starklab.experiments import parse_config, load_config, run, \
-    convergence_study, ConfigError
+    ConfigError
 
 
 def base_config(out_dir, **overrides):
@@ -217,14 +217,6 @@ def test_run_is_deterministic_across_directories(tmp_path):
         assert b1 == b2, f"{name} differs between identical runs"
 
 
-def test_run_threads_match_serial(tmp_path):
-    out1, out2 = tmp_path / "serial", tmp_path / "pool"
-    run(parse_config(base_config(out1)))
-    run(parse_config(base_config(out2)), threads=2)
-    for name in ("asymptotics.csv", "ule.csv", "study.json"):
-        assert open(out1 / name, "rb").read() == open(out2 / name, "rb").read()
-
-
 def test_maryland_refuses_linear_field_analyses_but_evolves(tmp_path):
     out = tmp_path / "mary"
     cfg = parse_config({
@@ -322,7 +314,7 @@ def test_study_zero_kernel_has_exactly_zero_drift(tmp_path):
                         "analyses": {"asymptotics": True,
                                      "decay": {"alphas": [3.0]}},
                         "output": {"directory": str(out)}})
-    manifest = convergence_study(cfg)
+    manifest = run(cfg)
     assert manifest.stage("study").status == "ok"
     with open(out / "study.json") as fh:
         study = json.load(fh)
@@ -347,7 +339,7 @@ def test_study_decay_drift_compares_shared_modes(tmp_path):
                         "seed": 3,
                         "analyses": {"decay": {"alphas": [3.0]}},
                         "output": {"directory": str(out)}})
-    assert convergence_study(cfg).stage("study").status == "ok"
+    assert run(cfg).stage("study").status == "ok"
     with open(out / "study.json") as fh:
         row = json.load(fh)["decay_drift"][0]
     assert row["second"] > 1.1 * row["first"]
@@ -386,6 +378,38 @@ def test_study_reuses_the_ule_stage_decay_reports(tmp_path, monkeypatch):
             rows[name] = json.load(fh)["decay_drift"]
     assert rows["all"] == rows["alone"]
     assert len(rows["all"]) == 2
+
+
+def test_study_reuses_the_dynamics_stage_envelopes(tmp_path, monkeypatch):
+    import starklab.experiments as experiments
+
+    calls = []
+    measure = experiments.envelope
+
+    def counted(sd, source, qs):
+        calls.append((source, sd.half_width))
+        return measure(sd, source, qs)
+
+    monkeypatch.setattr(experiments, "envelope", counted)
+    raw = base_config(tmp_path, analyses={"dynamics": {
+        "sources": [0], "moments": [2.0, 2.5],
+        "grid": {"dt": 0.5, "t_max": 5.0, "quasi_random": 3,
+                 "far_horizon": 100.0}}})
+    expected = [(0, 12), (0, 24)]
+    ratios = {}
+    # all stages: dynamics computes one envelope per (source, N) for both
+    # moments and study reuses it; study alone computes the same ones
+    for name, stages in (("all", None), ("alone", ["spectrum", "study"])):
+        calls.clear()
+        out = tmp_path / name
+        manifest = run(parse_config(dict(raw, output={"directory": str(out)})),
+                       stages=stages)
+        assert manifest.stage("study").status == "ok"
+        assert sorted(calls) == expected
+        with open(out / "study.json", "rb") as fh:
+            ratios[name] = fh.read()
+    assert ratios["all"] == ratios["alone"]
+    assert len(json.loads(ratios["all"])["envelope_ratios"]) == 2
 
 
 def test_study_requires_two_widths(tmp_path):

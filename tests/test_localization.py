@@ -42,6 +42,18 @@ def test_noisy_long_range_pinning_within_bound(spectrum_cache):
     assert rep.max_deviation > 0.1  # disorder actually moves eigenvalues
 
 
+def test_pinning_hopping_norm_bounds_the_box_hopping_block():
+    # the box is assembled with cutoff max(5, 2N+1), so the norm in the
+    # bound must cover offsets past the kernel's own cutoff of 5
+    op = sl.build_operator(sl.power_law(2.5, cutoff=5), sl.PotentialSpec(),
+                           50)
+    sd = sl.diagonalize(op)
+    rep = sl.check_eigenvalue_asymptotics(sd, sl.power_law(2.5, cutoff=5),
+                                          op.potential)
+    hopping = op.matrix - np.diag(np.diag(op.matrix))
+    assert rep.hopping_norm >= np.linalg.norm(hopping, 2)
+
+
 def test_steeper_field_breaks_the_stated_bound():
     op = sl.build_operator(sl.custom_kernel({}),
                            sl.PotentialSpec(field_slope=2.0), 16)

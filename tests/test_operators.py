@@ -150,7 +150,7 @@ def test_site_row_bookkeeping():
     op = sl.build_operator(sl.nearest_neighbor(), sl.PotentialSpec(), 4)
     assert op.row_of_site(-4) == 0
     assert op.row_of_site(0) == 4
-    assert op.site_of_row(8) == 4
+    assert op.sites[8] == 4
     with pytest.raises(IndexError):
         op.row_of_site(5)
 

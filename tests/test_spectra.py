@@ -190,15 +190,6 @@ def test_load_rejects_foreign_json(tmp_path):
         sl.load_spectral(base)
 
 
-def test_assign_ladder_indices_recomputes_anchor(spectrum_cache):
-    import dataclasses
-    _, sd = spectrum_cache("nn", 20)
-    mangled = dataclasses.replace(sd, anchor_position=0, anchor_fallback=True)
-    fixed = sl.assign_ladder_indices(mangled)
-    assert fixed.anchor_position == sd.anchor_position
-    assert fixed.anchor_fallback == sd.anchor_fallback
-
-
 def test_position_of_out_of_range():
     op = sl.build_operator(sl.custom_kernel({}), sl.PotentialSpec(), 2)
     sd = sl.diagonalize(op)
