@@ -138,18 +138,49 @@ def evolve(sd: SpectralData, source: int, t: float) -> WavePacket:
 
 def _propagate(sd: SpectralData, source: int, times: np.ndarray,
                chunk: int):
-    """Iterator of (start, amplitudes at times[start:start + chunk]).
+    """Iterator of (start, re, im) of psi_t at times[start:start + chunk].
 
-    The source is checked on the call, also when times is empty.
+    re and im are the real and imaginary parts of psi_t as real d x c arrays.
+    Real eigenvectors take one real GEMM per chunk,
+    V @ [w cos(lambda t) | w sin(lambda t)] with w = V[source row, :], and
+    im is minus the sine half; eigenvectors with a nonzero imaginary part
+    take the complex exponential and a complex GEMM.  A real spectrum
+    reloaded from a dump (stored as complex) takes the real path, so it
+    gives the same bytes as before the dump.  The source is checked on the
+    call, also when times is empty.
     """
-    weights = sd.eigenvectors[_source_row(sd, source), :].conj()[:, None]
+    if chunk < 1:
+        raise ValueError(f"chunk must be positive, got {chunk}")
+    vecs, lam = sd.eigenvectors, sd.eigenvalues
+    row = _source_row(sd, source)
+    if np.iscomplexobj(vecs) and not np.any(vecs.imag):
+        vecs = np.ascontiguousarray(vecs.real)
 
-    def chunks():
+    def complex_chunks():
+        weights = vecs[row, :].conj()[:, None]
+        for s in range(0, times.size, chunk):
+            phases = np.exp(-1j * np.outer(lam, times[s: s + chunk]))
+            amps = vecs @ (phases * weights)
+            yield s, amps.real, amps.imag
+
+    def real_chunks():
+        weights = vecs[row, :][:, None]
+        buf = np.empty(lam.size * 2 * min(chunk, times.size))
         for s in range(0, times.size, chunk):
             ts = times[s: s + chunk]
-            phases = np.exp(-1j * np.outer(sd.eigenvalues, ts))
-            yield s, sd.eigenvectors @ (phases * weights)
-    return chunks()
+            c = ts.size
+            trig = buf[: lam.size * 2 * c].reshape(lam.size, 2 * c)
+            cos, sin = trig[:, :c], trig[:, c:]
+            np.multiply.outer(lam, ts, out=cos)
+            np.sin(cos, out=sin)
+            np.cos(cos, out=cos)
+            trig *= weights
+            amps = vecs @ trig
+            re, im = amps[:, :c], amps[:, c:]
+            np.negative(im, out=im)
+            yield s, re, im
+
+    return complex_chunks() if np.iscomplexobj(vecs) else real_chunks()
 
 
 def evolve_batch(sd: SpectralData, source: int, times,
@@ -158,8 +189,10 @@ def evolve_batch(sd: SpectralData, source: int, times,
     times = np.asarray(times, dtype=float)
     chunks = _propagate(sd, source, times, chunk)
     out = np.empty((sd.dimension, times.size), dtype=complex)
-    for s, amps in chunks:
-        out[:, s: s + amps.shape[1]] = amps
+    for s, re, im in chunks:
+        block = out[:, s: s + re.shape[1]]
+        block.real = re
+        block.imag = im
     return out
 
 
@@ -181,22 +214,34 @@ def moment(packet: WavePacket, q: float) -> float:
     return float(np.sum(w * np.abs(packet.amplitudes) ** 2))
 
 
+def _moment_series_all(sd: SpectralData, source: int, qs, times,
+                       chunk: int = 1024) -> list[MomentSeries]:
+    """M_q(t) for every q in qs from one propagation of the packet.
+
+    Each chunk gives all moments at once as W @ (re**2 + im**2), where
+    W[i, n] = |n|**qs[i].
+    """
+    qs = [float(q) for q in qs]
+    for q in qs:
+        if not q > 0:
+            raise ValueError(f"moment exponent must be positive, got {q}")
+    times = np.asarray(times, dtype=float)
+    chunks = _propagate(sd, source, times, chunk)
+    site_w = np.abs(sd.sites.astype(float)) ** np.array(qs)[:, None]
+    values = np.empty((len(qs), times.size), dtype=float)
+    for s, re, im in chunks:
+        values[:, s: s + re.shape[1]] = site_w @ (re * re + im * im)
+    times = times.copy()
+    times.flags.writeable = False
+    values.flags.writeable = False
+    return [MomentSeries(q=q, source=int(source), times=times, values=row)
+            for q, row in zip(qs, values)]
+
+
 def moment_series(sd: SpectralData, source: int, q: float, times,
                   chunk: int = 1024) -> MomentSeries:
     """M_q(t) on a time grid, without materializing all amplitudes."""
-    q = float(q)
-    if not q > 0:
-        raise ValueError(f"moment exponent must be positive, got {q}")
-    times = np.asarray(times, dtype=float)
-    chunks = _propagate(sd, source, times, chunk)
-    site_w = np.abs(sd.sites.astype(float)) ** q
-    values = np.empty(times.size, dtype=float)
-    for s, amps in chunks:
-        values[s: s + amps.shape[1]] = site_w @ (np.abs(amps) ** 2)
-    times = times.copy()
-    for arr in (times, values):
-        arr.flags.writeable = False
-    return MomentSeries(q=q, source=int(source), times=times, values=values)
+    return _moment_series_all(sd, source, (q,), times, chunk)[0]
 
 
 def time_grid(dt: float = 0.05, t_max: float = 1000.0,
@@ -240,11 +285,44 @@ def majorant_defect(sd: SpectralData, env: EnvelopeBound, times,
                     chunk: int = 1024) -> float:
     """Largest excess of |psi_t(n)| over B(n, k) across sampled times."""
     worst = -math.inf
-    for _, amps in _propagate(sd, env.source, np.asarray(times, dtype=float),
-                              chunk):
-        worst = max(worst, float(np.max(np.abs(amps)
+    for _, re, im in _propagate(sd, env.source,
+                                np.asarray(times, dtype=float), chunk):
+        worst = max(worst, float(np.max(np.hypot(re, im)
                                         - env.majorant[:, None])))
     return worst
+
+
+def _verdict(env: EnvelopeBound, alpha: float, q: float,
+             doubled_env: EnvelopeBound | None = None,
+             ratio_limit: float = DOUBLING_RATIO_LIMIT,
+             share_limit: float = BOUNDARY_SHARE_LIMIT) -> MomentBoundVerdict:
+    """Verdict of ``moment_bound_verdict`` from envelopes holding q."""
+    alpha = float(alpha)
+    q = float(q)
+    e_q, share = env.moments[q]
+    hypothesis = alpha > 1.5 + q / 2.0
+
+    ratio: float | None = None
+    if doubled_env is not None:
+        ratio = doubled_env.moments[q][0] / e_q if e_q > 0 else 1.0
+
+    if not hypothesis:
+        conclusion = "hypothesis not satisfied: no assertion"
+    elif share >= share_limit:
+        conclusion = (f"inconclusive: boundary share {share:.3g} "
+                      f">= {share_limit:g}")
+    elif ratio is None:
+        conclusion = "doubling data unavailable"
+    elif ratio < ratio_limit:
+        conclusion = f"bounded: doubling ratio {ratio:.6g} < {ratio_limit:g}"
+    else:
+        conclusion = (f"doubling ratio {ratio:.6g} >= {ratio_limit:g}: "
+                      "growth not excluded")
+
+    return MomentBoundVerdict(alpha=alpha, q=q, source=env.source,
+                              hypothesis_satisfied=hypothesis,
+                              envelope_moment=e_q, boundary_share=share,
+                              doubling_ratio=ratio, conclusion=conclusion)
 
 
 def moment_bound_verdict(sd: SpectralData, alpha: float, q: float,
@@ -260,34 +338,11 @@ def moment_bound_verdict(sd: SpectralData, alpha: float, q: float,
     A boundary share at or above ``share_limit`` makes the verdict
     inconclusive rather than failed.
     """
-    alpha = float(alpha)
-    q = float(q)
     env = envelope(sd, source, (q,))
-    e_q, share = env.moments[q]
-    hypothesis = alpha > 1.5 + q / 2.0
-
-    ratio: float | None = None
+    doubled_env = None
     if doubled is not None:
         if doubled.half_width <= sd.half_width:
             raise ValueError(
                 "doubled decomposition must come from a larger box")
-        env2 = envelope(doubled, source, (q,))
-        ratio = env2.moments[q][0] / e_q if e_q > 0 else 1.0
-
-    if not hypothesis:
-        conclusion = "hypothesis not satisfied: no assertion"
-    elif share >= share_limit:
-        conclusion = (f"inconclusive: boundary share {share:.3g} "
-                      f">= {share_limit:g}")
-    elif ratio is None:
-        conclusion = "doubling data unavailable"
-    elif ratio < ratio_limit:
-        conclusion = f"bounded: doubling ratio {ratio:.6g} < {ratio_limit:g}"
-    else:
-        conclusion = (f"doubling ratio {ratio:.6g} >= {ratio_limit:g}: "
-                      "growth not excluded")
-
-    return MomentBoundVerdict(alpha=alpha, q=q, source=int(source),
-                              hypothesis_satisfied=hypothesis,
-                              envelope_moment=e_q, boundary_share=share,
-                              doubling_ratio=ratio, conclusion=conclusion)
+        doubled_env = envelope(doubled, source, (q,))
+    return _verdict(env, alpha, q, doubled_env, ratio_limit, share_limit)

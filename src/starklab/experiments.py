@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 
 from ._format import dumps_json17, write_csv, write_json
 from ._version import __version__
-from .dynamics import (envelope, moment_bound_verdict, moment_series,
-                       time_grid)
+from .dynamics import _moment_series_all, _verdict, envelope, time_grid
 from .kernels import HoppingKernel, KernelError, build_kernel
 from .localization import (asymptotics_rows, bootstrap_decay_check,
                            check_eigenvalue_asymptotics, decay_rows,
@@ -760,7 +759,6 @@ def _dynamics_stage(ctx: _RunContext) -> None:
                       quasi_random=grid["quasi_random"],
                       far_horizon=grid["far_horizon"])
     widths = config.half_widths
-    sd_series = ctx.spectra[widths[-1]]
     envs = _envelopes(config, ctx.spectra)
     envelope_doc: dict = {"grid": grid, "series_half_width": widths[-1],
                           "sources": {}, "verdicts": []}
@@ -772,21 +770,19 @@ def _dynamics_stage(ctx: _RunContext) -> None:
                     "boundary_share": envs[k, n].boundary_share(q),
                 } for q in dyn["moments"]}}
             for n in widths}}
-        for q in dyn["moments"]:
-            series = moment_series(sd_series, k, q, times)
-            ctx.write_csv(f"moments_q{format(q, 'g')}_k{k}.csv",
+        for series in _moment_series_all(ctx.spectra[widths[-1]], k,
+                                         dyn["moments"], times):
+            ctx.write_csv(f"moments_q{format(series.q, 'g')}_k{k}.csv",
                           ["t", "moment"],
                           list(zip(series.times, series.values)))
     alphas = (config.analyses["decay"] or {}).get("alphas") or []
-    if len(widths) >= 2:
-        sd_small, sd_big = ctx.spectra[widths[-2]], sd_series
-    else:
-        sd_small, sd_big = sd_series, None
+    n_small = widths[-2] if len(widths) >= 2 else widths[-1]
     for alpha in alphas:
         for k in dyn["sources"]:
+            doubled_env = envs[k, widths[-1]] if len(widths) >= 2 else None
             for q in dyn["moments"]:
-                verdict = moment_bound_verdict(
-                    sd_small, alpha, q, source=k, doubled=sd_big,
+                verdict = _verdict(
+                    envs[k, n_small], alpha, q, doubled_env,
                     ratio_limit=tol["doubling_ratio_limit"],
                     share_limit=tol["boundary_share_limit"])
                 envelope_doc["verdicts"].append({

@@ -96,9 +96,6 @@ class SpectralData:
     def eigenvalue_of(self, index: int) -> float:
         return float(self.eigenvalues[self.position_of(index)])
 
-    def vector_of(self, index: int) -> np.ndarray:
-        return self.eigenvectors[:, self.position_of(index)]
-
     def row_of_site(self, n: int) -> int:
         if abs(int(n)) > self.half_width:
             raise IndexError(
@@ -109,10 +106,6 @@ class SpectralData:
     def trusted_site_bound(self) -> int:
         """Sites with |n| <= this bound are in the trusted interior."""
         return self.half_width - self.interior_window
-
-    def is_degenerate_position(self, p: int) -> bool:
-        """Whether position p belongs to a flagged near-degenerate pair."""
-        return p in self.degenerate_positions or (p - 1) in self.degenerate_positions
 
     def center_offset_sup(self) -> int:
         """Empirical sup of |center - ladder index| over interior modes."""

@@ -68,7 +68,7 @@ def decay_witness(sd, rep):
     """Ladder index and center of the mode with the largest constant, and
     the site and |phi| where its weighted amplitude peaks."""
     m, _ = max(rep.per_mode, key=lambda entry: entry[1])
-    amp = np.abs(sd.vector_of(m))
+    amp = np.abs(sd.eigenvectors[:, sd.position_of(m)])
     center = int(sd.centers[sd.position_of(m)])
     dist = np.abs(sd.sites - center).astype(float)
     weighted = np.where(dist >= 1.0, amp * dist ** rep.alpha, -np.inf)

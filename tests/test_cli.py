@@ -3,8 +3,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import starklab as sl
 from starklab.cli import main
 
 
@@ -286,3 +288,53 @@ def test_module_entry_point_runs(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "stage spectrum: ok" in proc.stdout
+
+
+def test_blas_thread_count_moves_only_the_last_digits(tmp_path):
+    # Byte identity holds per BLAS thread count.  Across counts the
+    # eigenvalues agree to round-off, and so do the moments on the uniform
+    # grid.  A shift dl of the eigenvalues turns the phases by dl * t, so
+    # |psi_t(n)| moves by at most t * dl * B(n, k) and M_q(t) by at most
+    # t * dl * (2 + t * dl) * E_q: the far samples (t up to 1e6) are held
+    # to that bound.
+    t_max = 50.0
+    cfg = write_config(tmp_path / "threads.json", {
+        "kernel": {"family": "power_law", "exponent": 4.0},
+        "potential": {"perturbation": {"kind": "uniform_random",
+                                       "amplitude": 0.5}},
+        "half_widths": [60, 120],
+        "seed": 1,
+        "analyses": {"dynamics": {"sources": [0, 3], "moments": [2.0, 2.5],
+                                  "grid": {"dt": 0.1, "t_max": t_max,
+                                           "quasi_random": 20,
+                                           "far_horizon": 1e6}}},
+    })
+    outs = {}
+    for threads in ("1", "2"):
+        outs[threads] = tmp_path / f"out{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "starklab.cli", "evolve",
+                               "--config", cfg, "--out", str(outs[threads])],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+    for n in (60, 120):
+        one, two = (sl.load_spectral(str(outs[t] / f"spectrum_N{n}"))
+                    for t in ("1", "2"))
+        np.testing.assert_allclose(one.eigenvalues, two.eigenvalues,
+                                   rtol=0, atol=1e-12)
+    dl = float(np.max(np.abs(one.eigenvalues - two.eigenvalues)))
+    with open(outs["1"] / "envelope.json") as fh:
+        sources = json.load(fh)["sources"]
+    for k in (0, 3):
+        for q in ("2", "2.5"):
+            name = f"moments_q{q}_k{k}.csv"
+            one, two = (np.loadtxt(outs[t] / name, delimiter=",", skiprows=1)
+                        for t in ("1", "2"))
+            np.testing.assert_array_equal(one[:, 0], two[:, 0])
+            t, diff = one[:, 0], np.abs(one[:, 1] - two[:, 1])
+            sup = np.max(one[:, 1])
+            e_q = sources[str(k)]["half_widths"]["120"]["moments"][q]["value"]
+            assert np.max(diff[t <= t_max]) <= 1e-12 * sup, name
+            assert np.all(diff <= 1e-12 * sup
+                          + t * dl * (2.0 + t * dl) * e_q), name

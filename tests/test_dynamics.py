@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import helpers
 import starklab as sl
+from starklab.dynamics import _moment_series_all
 
 
 def _stationary_setup():
@@ -60,6 +63,9 @@ def test_evolve_batch_matches_single_calls(spectrum_cache):
         np.testing.assert_allclose(batch[:, j],
                                    sl.evolve(sd, 0, t).amplitudes,
                                    atol=1e-12)
+    for chunk in (0, -3):
+        with pytest.raises(ValueError):
+            sl.evolve_batch(sd, 0, times, chunk=chunk)
 
 
 def test_moment_series_matches_pointwise_moments(spectrum_cache):
@@ -68,6 +74,70 @@ def test_moment_series_matches_pointwise_moments(spectrum_cache):
     series = sl.moment_series(sd, 0, q=2.5, times=times, chunk=3)
     direct = [sl.moment(sl.evolve(sd, 0, t), 2.5) for t in times]
     np.testing.assert_allclose(series.values, direct, rtol=1e-12, atol=1e-12)
+
+
+def test_real_and_complex_eigenvectors_propagate_alike(spectrum_cache):
+    # real eigenvectors take the cos/sin GEMM; the same ones times a unit
+    # phase per mode give the same psi_t through the complex exponential;
+    # 23 times in chunks of 5
+    _, sd = spectrum_cache("pl4", 60, 0.5, 2)
+    assert np.isrealobj(sd.eigenvectors)
+    phases = np.exp(1j * np.random.default_rng(4).uniform(0, 6, sd.dimension))
+    sdc = replace(sd, eigenvectors=sd.eigenvectors * phases)
+    times = sl.time_grid(dt=0.5, t_max=10.0, quasi_random=2, far_horizon=1e6)
+    assert times.size == 23
+    for q in (2.0, 2.5):
+        real = sl.moment_series(sd, 0, q, times, chunk=5).values
+        cplx = sl.moment_series(sdc, 0, q, times, chunk=5).values
+        assert np.max(np.abs(real - cplx)) <= 1e-12 * np.max(cplx)
+    np.testing.assert_allclose(sl.evolve_batch(sd, 3, times, chunk=5),
+                               sl.evolve_batch(sdc, 3, times, chunk=5),
+                               rtol=0, atol=1e-12)
+    env = sl.envelope(sd, 0, qs=(2.0,))
+    assert sl.majorant_defect(sd, env, times, chunk=5) == pytest.approx(
+        sl.majorant_defect(sdc, env, times, chunk=5), abs=1e-12)
+
+
+def test_reloaded_real_spectrum_takes_the_real_path(spectrum_cache):
+    # dumps store real eigenvectors as complex; the moments of the
+    # reloaded spectrum are the same bytes
+    _, sd = spectrum_cache("pl4", 60, 0.5, 2)
+    cast = replace(sd, eigenvectors=sd.eigenvectors.astype(complex))
+    times = np.linspace(0.0, 30.0, 13)
+    np.testing.assert_array_equal(
+        sl.moment_series(cast, 0, 2.0, times, chunk=5).values,
+        sl.moment_series(sd, 0, 2.0, times, chunk=5).values)
+
+
+def test_complex_kernel_propagates_like_single_calls():
+    op = sl.build_operator(sl.nearest_neighbor(0.6 + 0.8j),
+                           sl.PotentialSpec(), 30)
+    sd = sl.diagonalize(op, interior_window=8)
+    assert np.iscomplexobj(sd.eigenvectors)
+    times = [0.0, 0.4, 3.0, 17.5, 1e5]
+    batch = sl.evolve_batch(sd, 2, times, chunk=2)
+    series = sl.moment_series(sd, 2, q=2.0, times=times, chunk=2)
+    for j, t in enumerate(times):
+        packet = sl.evolve(sd, 2, t)
+        np.testing.assert_allclose(batch[:, j], packet.amplitudes,
+                                   rtol=0, atol=1e-12)
+        assert series.values[j] == pytest.approx(sl.moment(packet, 2.0),
+                                                 rel=1e-12)
+
+
+def test_all_moments_match_separate_series(spectrum_cache):
+    _, sd = spectrum_cache("pl4", 60, 0.5, 2)
+    times = np.linspace(0.0, 40.0, 30)
+    qs = (2.0, 2.5, 4.0)
+    together = _moment_series_all(sd, 1, qs, times, chunk=7)
+    assert [s.q for s in together] == list(qs)
+    for q, series in zip(qs, together):
+        alone = sl.moment_series(sd, 1, q, times, chunk=7)
+        np.testing.assert_array_equal(series.times, alone.times)
+        np.testing.assert_allclose(series.values, alone.values,
+                                   rtol=0, atol=1e-14 * alone.running_sup)
+    with pytest.raises(ValueError):
+        _moment_series_all(sd, 1, (2.0, -1.0), times)
 
 
 def test_moment_exponent_must_be_positive(spectrum_cache):

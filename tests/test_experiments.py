@@ -412,6 +412,44 @@ def test_study_reuses_the_dynamics_stage_envelopes(tmp_path, monkeypatch):
     assert len(json.loads(ratios["all"])["envelope_ratios"]) == 2
 
 
+def test_dynamics_stage_propagates_once_per_source(tmp_path, monkeypatch):
+    import starklab.dynamics as dynamics
+
+    calls = []
+    propagate = dynamics._propagate
+
+    def counted(sd, source, *args, **kwargs):
+        calls.append((source, sd.half_width))
+        return propagate(sd, source, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_propagate", counted)
+    out = tmp_path / "out"
+    raw = base_config(out, analyses={
+        "decay": {"alphas": [2.0, 3.0]},
+        "dynamics": {"sources": [0, 2], "moments": [2.0, 2.5, 3.0],
+                     "grid": {"dt": 0.5, "t_max": 5.0, "quasi_random": 3,
+                              "far_horizon": 100.0}}})
+    manifest = run(parse_config(raw), stages=["spectrum", "dynamics"])
+    assert manifest.stage("dynamics").status == "ok"
+    assert calls == [(0, 24), (2, 24)]
+    # the verdicts, built from the stage's envelopes, are those of the
+    # public probe on the same spectra
+    small, big = (sl.load_spectral(str(out / f"spectrum_N{n}"))
+                  for n in (12, 24))
+    with open(out / "envelope.json") as fh:
+        verdicts = json.load(fh)["verdicts"]
+    assert len(verdicts) == 2 * 2 * 3
+    for row in verdicts:
+        v = sl.moment_bound_verdict(small, row["alpha"], row["q"],
+                                    source=row["source"], doubled=big)
+        assert row == {"alpha": v.alpha, "q": v.q, "source": v.source,
+                       "hypothesis_satisfied": v.hypothesis_satisfied,
+                       "envelope_moment": v.envelope_moment,
+                       "boundary_share": v.boundary_share,
+                       "doubling_ratio": v.doubling_ratio,
+                       "conclusion": v.conclusion}
+
+
 def test_study_requires_two_widths(tmp_path):
     cfg = parse_config({"kernel": {"family": "nearest_neighbor"},
                         "half_widths": [8],

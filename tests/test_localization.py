@@ -253,7 +253,8 @@ def _decay_oracle(sd, alpha, fit_inner=2, fit_outer=None):
         per_mode_by_index.append(
             (m, float(np.max(amp[sel_i] * dist_i[sel_i] ** alpha))))
         fit_sel = (dist_c >= fit_inner) & (dist_c <= fit_outer) & (amp > 0.0)
-        if sd.is_degenerate_position(int(p)) or \
+        if p in sd.degenerate_positions or \
+                p - 1 in sd.degenerate_positions or \
                 np.count_nonzero(fit_sel) < 3:
             fits.append((m, float("nan")))
             continue

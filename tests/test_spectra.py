@@ -21,8 +21,8 @@ def test_zero_kernel_spectrum_is_the_diagonal():
     assert sd.anchor_position == 3
     assert not sd.anchor_fallback
     assert sd.eigenvalue_of(2) == 2.0
-    np.testing.assert_array_equal(np.abs(sd.vector_of(-1)),
-                                  np.eye(7)[:, 2])
+    np.testing.assert_array_equal(
+        np.abs(sd.eigenvectors[:, sd.position_of(-1)]), np.eye(7)[:, 2])
     assert np.max(sd.residuals) == 0.0
 
 
@@ -110,10 +110,8 @@ def test_degenerate_pair_flagged_and_queryable():
                            sl.PotentialSpec(perturbation=pert), 2)
     sd = sl.diagonalize(op)
     np.testing.assert_array_equal(sd.eigenvalues, [-1.0, 0.0, 1.0, 2.0, 2.0])
+    # a flagged position p marks the pair (p, p + 1)
     assert sd.degenerate_positions == (3,)
-    assert sd.is_degenerate_position(3)
-    assert sd.is_degenerate_position(4)
-    assert not sd.is_degenerate_position(2)
 
 
 def test_no_spurious_degeneracy_on_distinct_diagonal():
