@@ -17,6 +17,7 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -121,18 +122,36 @@ class _Checker:
                            "unknown field")
 
 
+def _finite(value, path: str, chk: _Checker) -> float | None:
+    """float(value), or None after a path-named error if it is not finite.
+
+    json.load accepts the bare NaN and Infinity literals, and an integer
+    too large for a float counts as infinite."""
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        chk.error(path, "must be finite")
+        return None
+    return value
+
+
 def _as_complex(value, path: str, chk: _Checker):
     if isinstance(value, bool):
         chk.error(path, "expected a number or {re, im}")
         return 0j
     if isinstance(value, (int, float)):
-        return complex(value)
+        value = _finite(value, path, chk)
+        return 0j if value is None else complex(value)
     if isinstance(value, dict) and set(value) <= {"re", "im"}:
         try:
-            return complex(float(value.get("re", 0.0)),
-                           float(value.get("im", 0.0)))
+            re, im = (_finite(value.get(key, 0.0), f"{path}.{key}", chk)
+                      for key in ("re", "im"))
         except (TypeError, ValueError):
             pass
+        else:
+            return 0j if re is None or im is None else complex(re, im)
     chk.error(path, "expected a number or {re, im}")
     return 0j
 
@@ -144,7 +163,9 @@ def _number(value, path, chk, *, positive=False, nonnegative=False,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         chk.error(path, "expected a number")
         return default
-    value = float(value)
+    value = _finite(value, path, chk)
+    if value is None:
+        return default
     if positive and not value > 0:
         chk.error(path, "must be positive")
     if nonnegative and value < 0:

@@ -158,7 +158,8 @@ def check_eigenvalue_asymptotics(sd: SpectralData, kernel: HoppingKernel,
 
     Trusted means ladder index |n| <= half_width - interior_window.  The
     bound is recomputed from the kernel's hopping norm in the box
-    (operators.box_hopping_norm) and the realized perturbation sup.
+    (operators.box_hopping_norm) and the realized perturbation sup that
+    diagonalize recorded in the provenance.
     """
     if potential.family != "electric":
         raise WrongPotentialFamilyError(
@@ -166,8 +167,7 @@ def check_eigenvalue_asymptotics(sd: SpectralData, kernel: HoppingKernel,
             f"got {potential.family}")
 
     hopping_norm = box_hopping_norm(kernel, sd.half_width)
-    b_sup = float(np.max(np.abs(potential.perturbation_values(sd.sites)))) \
-        if sd.dimension else 0.0
+    b_sup = float(sd.provenance["perturbation_sup"])
 
     bound_idx = sd.half_width - sd.interior_window
     indices = sd.ladder_indices

@@ -116,6 +116,16 @@ def test_invalid_field_exits_1(tmp_path, capsys):
     assert "strictly ascending" in capsys.readouterr().err
 
 
+def test_non_finite_amplitude_exits_1(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"kernel": {"family": "nearest_neighbor"}, '
+                    '"half_widths": [8], "potential": {"perturbation": '
+                    '{"kind": "uniform_random", "amplitude": NaN}}}')
+    assert main(["spectrum", "--config", str(path)]) == 1
+    assert "potential.perturbation.amplitude: must be finite" in \
+        capsys.readouterr().err
+
+
 def test_study_needs_two_widths_exits_1(tmp_path, capsys):
     cfg = quiet_ladder_config(tmp_path)
     assert main(["study", "--config", cfg]) == 1

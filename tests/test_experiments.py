@@ -119,6 +119,28 @@ def test_parse_rejects_negative_amplitude_and_box_overflow():
     assert "exceeds max_dimension" in text
 
 
+def test_parse_rejects_non_finite_numbers():
+    # json.load parses the bare NaN and Infinity literals
+    raw = json.loads("""{
+        "kernel": {"family": "custom",
+                   "coefficients": {"1": NaN, "2": {"re": 1, "im": -Infinity},
+                                    "-1": NaN, "-2": {"re": 1, "im": 1}}},
+        "potential": {"slope": Infinity,
+                      "perturbation": {"kind": "uniform_random",
+                                       "amplitude": NaN}},
+        "half_widths": [8],
+        "analyses": {"decay": {"alphas": [Infinity]}},
+        "tolerances": {"residual": %s}
+    }""" % ("1" + "0" * 400))
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    problems = err.value.problems
+    for path in ("kernel.coefficients.1", "kernel.coefficients.2.im",
+                 "potential.slope", "potential.perturbation.amplitude",
+                 "analyses.decay.alphas[0]", "tolerances.residual"):
+        assert f"{path}: must be finite" in problems
+
+
 def test_parse_rejects_nonpositive_moments():
     cfg = {"kernel": {"family": "nearest_neighbor"}, "half_widths": [8],
            "analyses": {"dynamics": {"moments": [0.0]}}}

@@ -42,6 +42,20 @@ def test_noisy_long_range_pinning_within_bound(spectrum_cache):
     assert rep.max_deviation > 0.1  # disorder actually moves eigenvalues
 
 
+def test_pinning_reads_the_recorded_perturbation_sup(monkeypatch):
+    op = sl.build_operator(
+        sl.nearest_neighbor(),
+        sl.PotentialSpec(perturbation=sl.UniformRandomPerturbation(1.0, 4)),
+        30)
+    sd = sl.diagonalize(op, interior_window=10)
+
+    def resample(self, sites):
+        raise AssertionError("pinning resampled the perturbation")
+    monkeypatch.setattr(sl.UniformRandomPerturbation, "values", resample)
+    rep = sl.check_eigenvalue_asymptotics(sd, op.kernel, op.potential)
+    assert rep.perturbation_sup == op.perturbation_sup
+
+
 def test_pinning_hopping_norm_bounds_the_box_hopping_block():
     # the box is assembled with cutoff max(5, 2N+1), so the norm in the
     # bound must cover offsets past the kernel's own cutoff of 5

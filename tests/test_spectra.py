@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -221,3 +223,96 @@ def test_diagonalize_invariants_for_arbitrary_finite_kernels(half, n):
     # ladder indices are a relabeling of the ascending positions
     positions = [sd.position_of(i) for i in sd.ladder_indices]
     assert positions == list(range(d))
+
+
+def _disordered(kernel, half_width=40, amplitude=1.0, seed=3):
+    pert = sl.UniformRandomPerturbation(amplitude=amplitude, seed=seed)
+    return sl.build_operator(kernel, sl.PotentialSpec(perturbation=pert),
+                             half_width)
+
+
+TRIDIAGONAL_KERNELS = {
+    "real nearest neighbour": sl.nearest_neighbor(),
+    "complex nearest neighbour": sl.nearest_neighbor(0.6 + 0.8j),
+    "zero kernel": sl.custom_kernel({}),
+    "radius-1 finite support": sl.finite_support([0.7]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIDIAGONAL_KERNELS))
+def test_tridiagonal_path_matches_dense_eigh(name):
+    op = _disordered(TRIDIAGONAL_KERNELS[name])
+    lam, vec = np.linalg.eigh(op.matrix)
+    assert np.min(np.diff(lam)) > 1e-3  # vectors are unique up to phase
+    sd = sl.diagonalize(op)
+    np.testing.assert_allclose(sd.eigenvalues, lam, rtol=0, atol=1e-11)
+    assert sd.eigenvectors.dtype == vec.dtype
+    # align each column's phase (sign, for a real kernel) with the reference
+    overlap = np.sum(vec.conj() * sd.eigenvectors, axis=0)
+    aligned = sd.eigenvectors * (overlap.conj() / np.abs(overlap))
+    np.testing.assert_allclose(aligned, vec, rtol=0, atol=1e-11)
+    dense_resid = np.linalg.norm(op.matrix @ sd.eigenvectors
+                                 - sd.eigenvectors * sd.eigenvalues, axis=0)
+    np.testing.assert_allclose(sd.residuals, dense_resid, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kernel, dense", [
+    (sl.nearest_neighbor(), False),
+    (sl.nearest_neighbor(0.6 + 0.8j), False),
+    (sl.custom_kernel({}), False),
+    (sl.finite_support([0.7]), False),
+    (sl.finite_support([0.7, 0.2]), True),
+    (sl.power_law(4.0), True),
+], ids=["nn", "complex-nn", "zero", "radius-1", "radius-2", "p4"])
+def test_solver_follows_support_radius(kernel, dense, monkeypatch):
+    op = _disordered(kernel, half_width=20)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda H: calls.append(H.shape) or eigh(H))
+    sd = sl.diagonalize(op)
+    assert len(calls) == int(dense)
+    assert sd.eigenvectors.flags.c_contiguous
+
+
+def test_banded_lapack_failure_is_a_convergence_failure(monkeypatch):
+    import scipy.linalg
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eig algorithm did not converge")
+    monkeypatch.setattr(scipy.linalg, "eig_banded", fail)
+    op = sl.build_operator(sl.nearest_neighbor(), sl.PotentialSpec(), 5)
+    with pytest.raises(sl.ConvergenceFailureError, match="did not converge"):
+        sl.diagonalize(op)
+
+
+@pytest.mark.parametrize("kernel", [sl.nearest_neighbor(), sl.power_law(4.0)],
+                         ids=["nn", "p4"])
+def test_non_finite_operator_fails_the_gates(kernel):
+    pert = sl.ExplicitPerturbation(0, (math.inf,))
+    op = sl.build_operator(kernel, sl.PotentialSpec(perturbation=pert), 5)
+    with pytest.raises(sl.ConvergenceFailureError):
+        sl.diagonalize(op, interior_window=2)
+
+
+def test_nan_residual_fails_the_gate(monkeypatch):
+    op = sl.build_operator(sl.power_law(4.0), sl.PotentialSpec(), 5)
+    d = op.dimension
+    monkeypatch.setattr(np.linalg, "eigh", lambda H: (
+        np.arange(d, dtype=float), np.full((d, d), np.nan)))
+    with pytest.raises(sl.ConvergenceFailureError, match="residual nan"):
+        sl.diagonalize(op)
+
+
+def test_import_and_config_load_leave_scipy_unloaded(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"kernel": {"family": "nearest_neighbor"}, '
+                   '"half_widths": [8]}')
+    script = ("import sys, starklab\n"
+              "from starklab.experiments import load_config\n"
+              f"load_config({str(cfg)!r})\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
