@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 import os
 
 import numpy as np
@@ -500,3 +502,435 @@ def test_failed_check_is_not_a_stage_failure(tmp_path):
     assert not manifest.any_stage_failed
     assert not manifest.all_checks_passed
     assert any("asymptotics" in f for f in manifest.checks["failures"])
+
+
+# Golden corpus of the config parser.  Each case edits a base config
+# ("path.to.key": value, DROP deletes the key) and records either the
+# sorted problem lines, or the first 16 hex digits of config_hash() and
+# of the hash after with_overrides(seed=123, out_dir="o2").  The cases
+# are the configs of the tests in this directory and of the demo, a few
+# accepted configs per kernel family and perturbation kind, and one
+# fault per config field.
+NAN, INF = math.nan, math.inf
+DROP = object()
+NN = {"family": "nearest_neighbor"}
+ZERO = {"family": "custom", "coefficients": {}}
+URAND = {"perturbation": {"kind": "uniform_random", "amplitude": 1.0}}
+GRID = {"dt": 0.5, "t_max": 5.0, "quasi_random": 3, "far_horizon": 100.0}
+MARY = {"maryland": {"coupling": 1.0, "frequency": 0.3819660112501051,
+                     "phase": 0.1}}
+DEMO_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                           "study_config.json")
+
+GOLDEN = [
+    # configs of the existing tests
+    ("nn", {"half_widths": [10]},
+     "8b9e80c132db1ba1 0172caa2a8665321"),
+    ("nn", {"half_widths": [10], "analyses": {}},
+     "34128ed14277fb11 acd78dccadcf8e9f"),
+    ("nn", {"kernel": DROP, "half_widths": [8, 4], "bogus_key": 1,
+            "analyses": {"decay": {"alphas": [-1.0]}}, "seed": 2 ** 64},
+     ["analyses.decay.alphas[0]: must be positive",
+      "bogus_key: unknown field",
+      "half_widths: must be strictly ascending",
+      "kernel: required",
+      "seed: must fit in 64 bits"]),
+    ("nn", {"potential": {"slope": 1.0, "maryland": {
+        "coupling": 1.0, "frequency": 0.38}}},
+     ["potential: maryland replaces the linear field; omit slope or set it to"
+      " null"]),
+    ("nn", {"potential": {"perturbation": {"kind": "gaussian"}}},
+     ["potential.perturbation.kind: unknown kind 'gaussian'"]),
+    ("nn", {"half_widths": [8, 5000], "potential": {"perturbation": {
+        "kind": "uniform_random", "amplitude": -2.0}}},
+     ["half_widths[1]: box dimension 10001 exceeds max_dimension 8192",
+      "potential.perturbation.amplitude: must be nonnegative",
+      "potential.perturbation: perturbation amplitude must be nonnegative, "
+      "got -2.0"]),
+    ("nn", {"kernel": {"family": "custom", "coefficients": {
+        "1": NAN, "2": {"re": 1, "im": -INF}, "-1": NAN,
+        "-2": {"re": 1, "im": 1}}},
+        "potential": {"slope": INF, "perturbation": {
+            "kind": "uniform_random", "amplitude": NAN}},
+        "analyses": {"decay": {"alphas": [INF]}},
+        "tolerances": {"residual": 10 ** 400}},
+     ["analyses.decay.alphas[0]: must be finite",
+      "kernel.coefficients.-1: must be finite",
+      "kernel.coefficients.1: must be finite",
+      "kernel.coefficients.2.im: must be finite",
+      "potential.perturbation.amplitude: must be finite",
+      "potential.slope: must be finite",
+      "tolerances.residual: must be finite"]),
+    ("nn", {"analyses": {"dynamics": {"moments": [0.0]}}},
+     ["analyses.dynamics.moments[0]: must be positive"]),
+    ("base", {},
+     "94db85d2e5dc46de 5164c4501e441869"),
+    ("base", {"seed": 6},
+     "be9782a0020f6917 5164c4501e441869"),
+    ("base", {"potential.perturbation.seed": 77},
+     "463bf717bbe550be ddf876abdb1ee304"),
+    ("nn", {"kernel": ZERO, "half_widths": [12]},
+     "5102d979ca939578 74dd6e71483c9ecd"),
+    ("nn", {"potential": MARY, "half_widths": [16],
+            "analyses": {"asymptotics": True, "bootstrap": {"gamma": 3.0},
+                         "dynamics": {"sources": [0], "moments": [2.0],
+                                      "grid": GRID}},
+            "tolerances": {"interior_window": 5}},
+     "3a189c2ee2a36aa1 38f05b629359fd61"),
+    ("nn", {"potential": {"maryland": {"coupling": 1.0, "frequency": 0.5,
+                                       "phase": 0.0}},
+            "analyses": {"asymptotics": True, "dynamics": {
+                "sources": [0], "moments": [2.0], "grid": GRID}}},
+     "a1e85751ca6c88f4 f44dfe832014a983"),
+    ("nn", {"half_widths": [6], "output": {"dump_operator": True}},
+     "9ea54a5773a3916c f59a935484133d54"),
+    ("nn", {"kernel": ZERO, "half_widths": [12, 16], "analyses": {
+        "asymptotics": True, "decay": {"alphas": [3.0]}}},
+     "90578ba8249c1759 0607c93d5e534cc1"),
+    ("nn", {"potential": URAND, "half_widths": [48, 64], "seed": 3,
+            "analyses": {"decay": {"alphas": [3.0]}}},
+     "d3bb961ede247020 436ad0f3bad1c45e"),
+    ("nn", {"potential": URAND, "half_widths": [48, 64], "seed": 3,
+            "analyses": {"decay": {"alphas": [2.0, 3.0]}}},
+     "71b2bde9eeedb6e0 ffe4f7043e575174"),
+    ("base", {"analyses": {"dynamics": {"sources": [0], "moments": [2.0, 2.5],
+                                        "grid": GRID}}},
+     "1ec13c273efcb951 4fc0f8ad1f1e218c"),
+    ("base", {"analyses": {"decay": {"alphas": [2.0, 3.0]}, "dynamics": {
+        "sources": [0, 2], "moments": [2.0, 2.5, 3.0], "grid": GRID}}},
+     "595620430a342b32 46741b38c7335eb1"),
+    ("nn", {"kernel": ZERO, "potential": {"slope": 2.0},
+            "half_widths": [16]},
+     "5e3d4ca8842524c4 22a1bf224255f409"),
+    ("nn", {"kernel": ZERO, "half_widths": [12], "analyses": {
+        "dynamics": {"sources": [0], "moments": [2.0], "grid": GRID}}},
+     "4c7ac535a2675a65 823a4cdf148a0389"),
+    ("nn", {"potential": URAND, "half_widths": [48, 64], "seed": 3,
+            "analyses": {"asymptotics": True, "decay": {"alphas": [3.0]},
+                         "dynamics": {"sources": [0], "moments": [2.0],
+                                      "grid": GRID}}},
+     "82b0d2b4659ddaf4 5546af22421861b9"),
+    ("nn", {"half_widths": [9, 6]},
+     ["half_widths: must be strictly ascending"]),
+    ("nn", {"potential": URAND, "seed": 1, "analyses": {}},
+     "9cbbcd59c99492f1 1dccd6fe941f2f26"),
+    ("nn", {"kernel": ZERO, "half_widths": [12, 16], "analyses": {
+        "asymptotics": True, "decay": {"alphas": [3.0]}, "bootstrap": {},
+        "dynamics": {"sources": [0], "moments": [2.0], "grid": GRID}}},
+     "66c5eab0f7b9dcce d4a9fc74cb334b4e"),
+    ("nn", {"potential": {"perturbation": {"kind": "uniform_random",
+                                           "amplitude": 0.5}},
+            "half_widths": [60], "seed": 1, "analyses": {
+                "asymptotics": True, "decay": {"alphas": [3.0]},
+                "bootstrap": {}},
+            "tolerances": {"residual": 1e-11}},
+     "2da66cc56e7655e7 681db7037675cb1e"),
+    ("nn", {"kernel": {"family": "power_law", "exponent": 2.5},
+            "potential": {"perturbation": {"kind": "uniform_random",
+                                           "amplitude": 5.0}},
+            "half_widths": [60], "seed": 9},
+     "3403e98bac24bcea 76c9badf290255b6"),
+    ("nn", {"kernel": {"family": "power_law", "exponent": 4.0},
+            "potential": {"perturbation": {"kind": "uniform_random",
+                                           "amplitude": 0.5}},
+            "half_widths": [60, 120], "seed": 1,
+            "analyses": {"dynamics": {"sources": [0, 3],
+                                      "moments": [2.0, 2.5],
+                                      "grid": {"dt": 0.1, "t_max": 50.0,
+                                               "quasi_random": 20,
+                                               "far_horizon": 1e6}}}},
+     "fa1ed1d4a451b62e 7764ceaa7e26c4c4"),
+    ("demo", {},
+     "fc74fc75f075d193 c9d1c39ba1bc7ffa"),
+    # every kernel family and perturbation kind, accepted
+    ("nn", {"kernel.amplitude": {"re": 0.6, "im": 0.8}},
+     "8b1cddbfe74c88bb d4f3043343fe7488"),
+    ("nn", {"kernel.amplitude": -0.5},
+     "abdaa617f51cc894 a9a87cff3965893a"),
+    ("nn", {"kernel": {"family": "power_law", "exponent": 3, "cutoff": 40}},
+     "a0351c4ac9f758e2 d345bc7edfa3bef4"),
+    ("nn", {"kernel": {"family": "finite_support",
+                       "half": [1, {"re": 0.5, "im": 0.5}, 0.25]}},
+     "2f61c467bad76cfc b9f82922d6181494"),
+    ("nn", {"kernel": {"family": "custom", "coefficients": {
+        "1": 0.5, "-1": 0.5, "2": {"re": 0.1, "im": 0.2},
+        "-2": {"re": 0.1, "im": -0.2}}}},
+     "5d9705a594f78061 4a00bc962af3d4ff"),
+    ("nn", {"kernel": {"family": "custom", "coefficients": {"3": 1}}},
+     "acd552f91f88de86 c700828108c8e36b"),
+    ("nn", {"potential": {"slope": 0.5, "perturbation": {
+        "kind": "constant", "offset": 0.25}}},
+     "55cc2d9a0ac2b6af 592e59216b8f7638"),
+    ("nn", {"potential": {"perturbation": {"kind": "periodic",
+                                           "pattern": [0.5, -0.5, 1]}}},
+     "ea103160d4182530 b6f281ab90f91ac2"),
+    ("nn", {"potential": {"perturbation": {
+        "kind": "explicit", "first_site": -2, "table": [1.0, 2, -3.5]}}},
+     "8316c86f6337d33c 3be3df0f1982bce7"),
+    ("nn", {"potential": {"perturbation": {"kind": "explicit",
+                                           "table": []}}},
+     "645f24b8fd0d306f fce26d7ab9ee6ba7"),
+    ("nn", {"potential": {"perturbation": {"kind": "none"},
+                          "family": "electric"}},
+     "bbf5eaa143287bb1 c8892c5f8574daf8"),
+    ("nn", {"potential": {"slope": None, "maryland": {
+        "coupling": 2, "frequency": 0.25}}},
+     "28f23442da333778 c327495ad041e213"),
+    ("nn", {"potential": {"perturbation": {"kind": "uniform_random",
+                                           "amplitude": 0, "seed": 4}},
+            "seed": 18446744073709551615},
+     "9ec6baaf3d48d58e 339aed431e8a0b92"),
+    ("nn", {"tolerances": {"residual": 1e-9, "orthonormality": 1e-9,
+                           "degeneracy_gap": 1e-11, "interior_window": 0,
+                           "bootstrap_slack": 1e-7,
+                           "doubling_ratio_limit": 1.2,
+                           "boundary_share_limit": 0.02,
+                           "eigenvalue_drift": 1e-7},
+            "max_dimension": 17, "output": {"dump_operator": False}},
+     "2a6b5d46e6c148c6 0755d58945449d76"),
+    ("nn", {"analyses": {"bootstrap": {"gamma": 4}, "decay": None,
+                         "dynamics": {"grid": {"dt": 1}}}},
+     "35e8d56a36a25a06 7dc155e823e56ee6"),
+    ("nn", {"analyses": {"dynamics": {"grid": None}}, "tolerances": None,
+            "output": None, "potential": None},
+     "2c3f415d9227903b c8b8370515070721"),
+    ("nn", {"output": {"directory": ""}},
+     "bbf5eaa143287bb1 c8892c5f8574daf8"),
+    # one fault per table leaf
+    ("array", {},
+     ["config root must be an object"]),
+    ("nn", {"bogus": 1},
+     ["bogus: unknown field"]),
+    ("nn", {"seed": "x"},
+     ["seed: expected an integer"]),
+    ("nn", {"seed": -1},
+     ["seed: must be >= 0"]),
+    ("nn", {"kernel": DROP},
+     ["kernel: required"]),
+    ("nn", {"kernel": None},
+     ["kernel: expected an object"]),
+    ("nn", {"kernel": []},
+     ["kernel: expected an object"]),
+    ("nn", {"kernel.family": "gaussian"},
+     ["kernel.family: unknown family 'gaussian'; expected nearest_neighbor, "
+      "power_law, finite_support, or custom"]),
+    ("nn", {"kernel.bogus": 1},
+     ["kernel.bogus: unknown field"]),
+    ("nn", {"kernel.amplitude": "x"},
+     ["kernel.amplitude: expected a number or {re, im}"]),
+    ("nn", {"kernel.amplitude": {"re": INF}},
+     ["kernel.amplitude.re: must be finite"]),
+    ("nn", {"kernel.amplitude": {"re": "1.5"}},
+     "aceef5d78ce43df7 921523a19ad02a3a"),
+    ("nn", {"kernel.amplitude": {"re": 1, "x": 0}},
+     ["kernel.amplitude: expected a number or {re, im}"]),
+    ("nn", {"kernel": {"family": "power_law"}},
+     ["kernel.exponent: required for power_law"]),
+    ("nn", {"kernel": {"family": "power_law", "exponent": "x"}},
+     ["kernel.exponent: expected a number"]),
+    ("nn", {"kernel": {"family": "power_law", "exponent": 1.0}},
+     ["kernel: power-law exponent must exceed 1, got 1.0"]),
+    ("nn", {"kernel": {"family": "power_law", "exponent": 4, "cutoff": 0}},
+     ["kernel.cutoff: must be >= 1"]),
+    ("nn", {"kernel": {"family": "power_law", "exponent": 4,
+                       "cutoff": 1.5}},
+     ["kernel.cutoff: expected an integer"]),
+    ("nn", {"kernel": {"family": "finite_support"}},
+     ["kernel.half: expected a list [a(1), a(2), ...]"]),
+    ("nn", {"kernel": {"family": "finite_support", "half": [True]}},
+     ["kernel.half[0]: expected a number or {re, im}"]),
+    ("nn", {"kernel": {"family": "custom", "coefficients": []}},
+     ["kernel.coefficients: expected {offset: amplitude}"]),
+    ("nn", {"kernel": {"family": "custom", "coefficients": {"a": 1}}},
+     ["kernel.coefficients.a: offset keys must be integers"]),
+    ("nn", {"kernel": {"family": "custom", "coefficients": {"1": 1,
+                                                            "01": 2}}},
+     "69b77fe3927055b1 bcbe088e4d73861e"),
+    ("nn", {"kernel": {"family": "custom", "coefficients": {"1": "x"}}},
+     ["kernel.coefficients.1: expected a number or {re, im}"]),
+    ("nn", {"kernel": {"family": "custom", "coefficients": {"1": 1,
+                                                            "-1": 2}}},
+     ["kernel: coefficients violate a(-m) = conj(a(m)) at offset 1"]),
+    ("nn", {"kernel": {"family": "custom", "coefficients": {"0": 1}}},
+     ["kernel: a(0) must vanish; found a nonzero entry at offset 0"]),
+    ("nn", {"potential": "x"},
+     ["potential: expected an object"]),
+    ("nn", {"potential": {"bogus": 1}},
+     ["potential.bogus: unknown field"]),
+    ("nn", {"potential": {"slope": "x"}},
+     ["potential.slope: expected a number"]),
+    ("nn", {"potential": {"slope": None}},
+     ["potential: potential needs a field slope or a maryland block"]),
+    ("nn", {"potential": {"perturbation": "x"}},
+     ["potential.perturbation: expected an object"]),
+    ("nn", {"potential": {"perturbation": {"bogus": 1}}},
+     ["potential.perturbation.bogus: unknown field"]),
+    ("nn", {"potential": {"perturbation": {"kind": None}}},
+     ["potential.perturbation.kind: unknown kind None"]),
+    ("nn", {"potential": {"perturbation": {"kind": "constant",
+                                           "offset": "x"}}},
+     ["potential.perturbation.offset: expected a number"]),
+    ("nn", {"potential": {"perturbation": {"kind": "uniform_random",
+                                           "amplitude": -1}}},
+     ["potential.perturbation.amplitude: must be nonnegative",
+      "potential.perturbation: perturbation amplitude must be nonnegative, "
+      "got -1.0"]),
+    ("nn", {"potential": {"perturbation": {"kind": "uniform_random",
+                                           "amplitude": "x"}}},
+     ["potential.perturbation.amplitude: expected a number"]),
+    ("nn", {"potential": {"perturbation": {"kind": "uniform_random",
+                                           "seed": -1}}},
+     ["potential.perturbation.seed: must be >= 0"]),
+    ("nn", {"potential": {"perturbation": {"kind": "periodic",
+                                           "pattern": []}}},
+     ["potential.perturbation.pattern: expected a nonempty list"]),
+    ("nn", {"potential": {"perturbation": {"kind": "periodic",
+                                           "pattern": ["x"]}}},
+     ["potential.perturbation.pattern[0]: expected a number"]),
+    ("nn", {"potential": {"perturbation": {"kind": "periodic",
+                                           "pattern": [None, 0.5]}}},
+     "9450d8fa70363f32 0fb0caf6a29838b0"),
+    ("nn", {"potential": {"perturbation": {"kind": "explicit"}}},
+     ["potential.perturbation.table: expected a list"]),
+    ("nn", {"potential": {"perturbation": {"kind": "explicit",
+                                           "table": [None]}}},
+     "f5621af048d2323c ab2fbd529b2ac9d2"),
+    ("nn", {"potential": {"perturbation": {"kind": "explicit",
+                                           "table": [], "first_site": 0.5}}},
+     ["potential.perturbation.first_site: expected an integer"]),
+    ("nn", {"potential": {"maryland": "x"}},
+     ["potential.maryland: expected an object"]),
+    ("nn", {"potential": {"maryland": {"frequency": 0.25}}},
+     ["potential.maryland.coupling: required"]),
+    ("nn", {"potential": {"maryland": {"coupling": 1, "frequency": "x"}}},
+     ["potential.maryland.frequency: expected a number",
+      "potential.maryland.frequency: required"]),
+    ("nn", {"potential": {"maryland": {"coupling": 1, "frequency": 0.25,
+                                       "phase": "x", "bogus": 1}}},
+     ["potential.maryland.bogus: unknown field",
+      "potential.maryland.phase: expected a number"]),
+    ("nn", {"half_widths": DROP},
+     ["half_widths: required nonempty list of integers"]),
+    ("nn", {"half_widths": []},
+     ["half_widths: required nonempty list of integers"]),
+    ("nn", {"half_widths": [0]},
+     ["half_widths[0]: must be >= 1"]),
+    ("nn", {"half_widths": ["x", 4]},
+     ["half_widths[0]: expected an integer"]),
+    ("nn", {"half_widths": [None]},
+     "f8705ed845e5ac75 a470b40b6e0b2bad"),
+    ("nn", {"analyses": "x"},
+     ["analyses: expected an object"]),
+    ("nn", {"analyses": None},
+     ["analyses: expected an object"]),
+    ("nn", {"analyses": {"bogus": 1}},
+     ["analyses.bogus: unknown field"]),
+    ("nn", {"analyses": {"asymptotics": "x"}},
+     ["analyses.asymptotics: expected true or false"]),
+    ("nn", {"analyses": {"decay": "x"}},
+     ["analyses.decay: expected an object"]),
+    ("nn", {"analyses": {"decay": {}}},
+     ["analyses.decay.alphas: required nonempty list of positive numbers"]),
+    ("nn", {"analyses": {"decay": {"alphas": [None]}}},
+     "1b924e17d62dbd73 be84f2eaa48090fa"),
+    ("nn", {"analyses": {"bootstrap": "x"}},
+     ["analyses.bootstrap: expected an object"]),
+    ("nn", {"analyses": {"bootstrap": {"gamma": 0}}},
+     ["analyses.bootstrap.gamma: must be positive"]),
+    ("nn", {"analyses": {"dynamics": "x"}},
+     ["analyses.dynamics: expected an object"]),
+    ("nn", {"analyses": {"dynamics": {"sources": "x"}}},
+     ["analyses.dynamics.sources: required nonempty list of integer sites"]),
+    ("nn", {"analyses": {"dynamics": {"sources": [0.5]}}},
+     ["analyses.dynamics.sources[0]: expected an integer"]),
+    ("nn", {"analyses": {"dynamics": {"sources": [None]}}},
+     "2c3f415d9227903b c8b8370515070721"),
+    ("nn", {"analyses": {"dynamics": {"moments": []}}},
+     ["analyses.dynamics.moments: required nonempty list of positive "
+      "exponents"]),
+    ("nn", {"analyses": {"dynamics": {"moments": [None]}}},
+     "2c3f415d9227903b c8b8370515070721"),
+    ("nn", {"analyses": {"dynamics": {"grid": "x"}}},
+     ["analyses.dynamics.grid: expected an object"]),
+    ("nn", {"analyses": {"dynamics": {"grid": []}}},
+     "2c3f415d9227903b c8b8370515070721"),
+    ("nn", {"analyses": {"dynamics": {"grid": {"dt": 0, "t_max": "x",
+                                               "quasi_random": -1,
+                                               "far_horizon": -1,
+                                               "bogus": 1}}}},
+     ["analyses.dynamics.grid.bogus: unknown field",
+      "analyses.dynamics.grid.dt: must be positive",
+      "analyses.dynamics.grid.far_horizon: must be nonnegative",
+      "analyses.dynamics.grid.quasi_random: must be >= 0",
+      "analyses.dynamics.grid.t_max: expected a number"]),
+    ("nn", {"tolerances": "x"},
+     ["tolerances: expected an object"]),
+    ("nn", {"tolerances": False},
+     "bbf5eaa143287bb1 c8892c5f8574daf8"),
+    ("nn", {"tolerances": {"residual": 0, "orthonormality": "x",
+                           "degeneracy_gap": -1, "interior_window": -1,
+                           "bootstrap_slack": True,
+                           "doubling_ratio_limit": 0,
+                           "boundary_share_limit": NAN,
+                           "eigenvalue_drift": -INF, "bogus": 1}},
+     ["tolerances.bogus: unknown field",
+      "tolerances.bootstrap_slack: expected a number",
+      "tolerances.boundary_share_limit: must be finite",
+      "tolerances.degeneracy_gap: must be positive",
+      "tolerances.doubling_ratio_limit: must be positive",
+      "tolerances.eigenvalue_drift: must be finite",
+      "tolerances.interior_window: must be >= 0",
+      "tolerances.orthonormality: expected a number",
+      "tolerances.residual: must be positive"]),
+    ("nn", {"tolerances": {"interior_window": 0.5}},
+     ["tolerances.interior_window: expected an integer"]),
+    ("nn", {"output": "x"},
+     ["output: expected an object"]),
+    ("nn", {"output": 0},
+     "bbf5eaa143287bb1 c8892c5f8574daf8"),
+    ("nn", {"output": {"directory": 1, "dump_operator": "x", "bogus": 1}},
+     ["output.bogus: unknown field",
+      "output.directory: expected a string",
+      "output.dump_operator: expected true or false"]),
+    ("nn", {"output": {"directory": None}},
+     ["output.directory: expected a string"]),
+    ("nn", {"max_dimension": 2},
+     ["half_widths[0]: box dimension 17 exceeds max_dimension 2",
+      "max_dimension: must be >= 3"]),
+    ("nn", {"max_dimension": "x", "half_widths": [5000]},
+     ["half_widths[0]: box dimension 10001 exceeds max_dimension 8192",
+      "max_dimension: expected an integer"]),
+]
+
+
+def golden_base(name):
+    if name == "demo":
+        with open(DEMO_CONFIG) as fh:
+            return json.load(fh)
+    return {"nn": {"kernel": NN, "half_widths": [8]},
+            "base": base_config("out"), "array": []}[name]
+
+
+@pytest.mark.parametrize("base, edits, expected", GOLDEN,
+                         ids=[f"{i}-{case[0]}"
+                              for i, case in enumerate(GOLDEN)])
+def test_golden_config(base, edits, expected):
+    raw = copy.deepcopy(golden_base(base))
+    for path, value in edits.items():
+        *parents, key = path.split(".")
+        node = raw
+        for parent in parents:
+            node = node[parent]
+        if value is DROP:
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(value)
+    if isinstance(expected, str):
+        cfg = parse_config(raw)
+        moved = cfg.with_overrides(seed=123, out_dir="o2")
+        assert f"{cfg.config_hash()[:16]} {moved.config_hash()[:16]}" \
+            == expected
+    else:
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert sorted(err.value.problems) == expected
