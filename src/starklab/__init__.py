@@ -20,7 +20,7 @@ from .operators import (ConstantPerturbation, DimensionOverflowError,
                         build_operator, dump_matrix)
 from .spectra import (ConvergenceFailureError, SpectralData,
                       default_interior_window, diagonalize, load_spectral,
-                      localization_centers, save_spectral)
+                      save_spectral)
 from .localization import (AsymptoticsReport, BootstrapReport,
                            BootstrapViolation, NoInteriorModesError,
                            UniformDecayReport, WrongPotentialFamilyError,
@@ -48,7 +48,7 @@ __all__ = [
     "dump_matrix",
     # spectra
     "ConvergenceFailureError", "SpectralData", "default_interior_window",
-    "diagonalize", "load_spectral", "localization_centers", "save_spectral",
+    "diagonalize", "load_spectral", "save_spectral",
     # localization
     "AsymptoticsReport", "BootstrapReport", "BootstrapViolation",
     "NoInteriorModesError", "UniformDecayReport",

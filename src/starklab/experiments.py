@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -23,16 +24,18 @@ from dataclasses import dataclass, field
 
 from ._format import dumps_json17, write_csv, write_json
 from ._version import __version__
-from .dynamics import _moment_series_all, _verdict, envelope, time_grid
+from .dynamics import (BOUNDARY_SHARE_LIMIT, DOUBLING_RATIO_LIMIT,
+                       _moment_series_all, _verdict, envelope, time_grid)
 from .kernels import HoppingKernel, KernelError, build_kernel
 from .localization import (asymptotics_rows, bootstrap_decay_check,
                            check_eigenvalue_asymptotics, decay_rows,
                            uniform_decay_constants)
-from .operators import (ConstantPerturbation, ExplicitPerturbation,
-                        MarylandPotential, NoPerturbation, PeriodicPerturbation,
-                        PotentialError, PotentialSpec,
-                        UniformRandomPerturbation, box_hopping_norm,
-                        box_kernel, build_operator, dump_matrix)
+from .operators import (MAX_DIMENSION_DEFAULT, ConstantPerturbation,
+                        ExplicitPerturbation, MarylandPotential,
+                        NoPerturbation, PeriodicPerturbation, PotentialError,
+                        PotentialSpec, UniformRandomPerturbation,
+                        box_hopping_norm, box_kernel, build_operator,
+                        dump_matrix)
 from .spectra import (DEGENERACY_GAP, ORTHONORMALITY_TOL, RESIDUAL_TOL,
                       diagonalize, load_spectral, save_spectral)
 
@@ -47,21 +50,6 @@ __all__ = [
     "run",
     "ALL_STAGES",
 ]
-
-_TOLERANCE_DEFAULTS = {
-    "residual": RESIDUAL_TOL,
-    "orthonormality": ORTHONORMALITY_TOL,
-    "degeneracy_gap": DEGENERACY_GAP,
-    "interior_window": None,
-    "bootstrap_slack": 1e-8,
-    "doubling_ratio_limit": 1.1,
-    "boundary_share_limit": 0.01,
-    "eigenvalue_drift": 1e-8,
-}
-
-_GRID_DEFAULTS = {"dt": 0.05, "t_max": 1000.0, "quasi_random": 100,
-                  "far_horizon": 1e6}
-
 
 class ConfigError(ValueError):
     """One or more config fields are invalid; every problem is listed."""
@@ -108,429 +96,325 @@ class ExperimentConfig:
         return parse_config(raw)
 
 
-class _Checker:
-    def __init__(self):
-        self.problems: list[str] = []
-
-    def error(self, path: str, message: str) -> None:
-        self.problems.append(f"{path}: {message}")
-
-    def expect_keys(self, path: str, obj: dict, allowed) -> None:
-        for key in obj:
-            if key not in allowed:
-                self.error(f"{path}.{key}" if path else key,
-                           "unknown field")
+_ABSENT = object()  # default of a field that is left out when absent
 
 
-def _finite(value, path: str, chk: _Checker) -> float | None:
-    """float(value), or None after a path-named error if it is not finite.
+@dataclass(frozen=True)
+class _Field:
+    """One entry of the config table: how to parse one field.
 
-    json.load accepts the bare NaN and Infinity literals, and an integer
-    too large for a float counts as infinite."""
+    kind is number, integer, bool, string, amplitude (a number or
+    {re, im}), list (of item), object (of fields, or of item under
+    integer keys) or any (taken as given).  An object with a tag key is
+    tagged: its tag, or else tag_default, picks its fields from fields.
+
+    An explicit null counts as absent unless the field is nullable.  An
+    absent field reports required if that is set; otherwise it parses
+    default as if given, except that None stays None and _ABSENT leaves
+    the key out.  A value of the wrong type reports expected, or the
+    kind's text, and parses as default.  A well-typed value that fails
+    the test of bound, a pair (test, text), reports text and is kept.
+    unknown is the text, formatted with the tag, for a tag that picks
+    no fields.
+    """
+
+    kind: str
+    default: object = None
+    required: str | None = None
+    expected: str | None = None
+    bound: tuple | None = None
+    nullable: bool = False
+    item: "_Field | None" = None
+    fields: dict | None = None
+    tag: str | None = None
+    tag_default: str | None = None
+    unknown: str | None = None
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# kind -> (test of a well-typed value, problem text for any other value)
+_KINDS = {
+    "number": (_is_number, "expected a number"),
+    "integer": (lambda v: isinstance(v, int) and not isinstance(v, bool),
+                "expected an integer"),
+    "bool": (lambda v: isinstance(v, bool), "expected true or false"),
+    "string": (lambda v: isinstance(v, str), "expected a string"),
+    "amplitude": (_is_number, "expected a number or {re, im}"),
+    "list": (lambda v: isinstance(v, list), "expected a list"),
+    "object": (lambda v: isinstance(v, dict), "expected an object"),
+    "any": (lambda v: True, None),
+}
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+
+
+def _at_least(minimum: int) -> tuple:
+    return (lambda v: v >= minimum, f"must be >= {minimum}")
+
+
+def _positive(default=None) -> _Field:
+    return _Field("number", default=default, bound=_POSITIVE)
+
+
+def _list(item: _Field, text: str, default=None, nonempty=True) -> _Field:
+    """A list field whose wrong type, emptiness and absence all read text
+    (absence only when it has no default)."""
+    return _Field("list", item=item, expected=text, default=default,
+                  required=text if default is None else None,
+                  bound=(len, text) if nonempty else None)
+
+
+def _amplitudes(kind: str, text: str) -> _Field:
+    return _Field(kind, item=_Field("amplitude"), expected=text, required=text)
+
+
+_GRID = {name: p.default
+         for name, p in inspect.signature(time_grid).parameters.items()}
+
+# the table of every config field, walked in this order
+_CONFIG = _Field("object", expected="config root must be an object", fields={
+    "seed": _Field("integer", default=0, bound=_at_least(0)),
+    "kernel": _Field(
+        "object", required="required", tag="family",
+        unknown="unknown family {!r}; expected nearest_neighbor, "
+                "power_law, finite_support, or custom",
+        fields={
+            "nearest_neighbor": {"amplitude": _Field("amplitude",
+                                                     default=1.0)},
+            "power_law": {
+                "exponent": _Field("number",
+                                   required="required for power_law"),
+                "cutoff": _Field("integer", bound=_at_least(1))},
+            "finite_support": {"half": _amplitudes(
+                "list", "expected a list [a(1), a(2), ...]")},
+            "custom": {"coefficients": _amplitudes(
+                "object", "expected {offset: amplitude}")}}),
+    "potential": _Field("object", default={}, fields={
+        # null slope: no linear field; absent: 1 unless maryland is given
+        "slope": _Field("number", default=_ABSENT, nullable=True),
+        "perturbation": _Field(
+            "object", default={}, tag="kind", tag_default="none",
+            unknown="unknown kind {!r}", fields={
+                "none": {},
+                "constant": {"offset": _Field("number", default=0.0)},
+                "uniform_random": {
+                    "amplitude": _Field("number", default=0.0,
+                                        bound=_NONNEGATIVE),
+                    # absent: the run seed
+                    "seed": _Field("integer", default=_ABSENT,
+                                   bound=_at_least(0))},
+                "periodic": {"pattern": _list(_Field("number"),
+                                              "expected a nonempty list")},
+                "explicit": {
+                    "first_site": _Field("integer", default=0),
+                    "table": _list(_Field("number"), "expected a list",
+                                   nonempty=False)}}),
+        "maryland": _Field("object", fields={
+            "coupling": _Field("number", required="required"),
+            "frequency": _Field("number", required="required"),
+            "phase": _Field("number", default=0.0)}),
+        # tolerated so echoed configs round-trip; the family is derived
+        "family": _Field("any")}),
+    "half_widths": _list(_Field("integer", bound=_at_least(1)),
+                         "required nonempty list of integers"),
+    "analyses": _Field("object", default={"asymptotics": True}, fields={
+        "asymptotics": _Field("bool", default=False),
+        "decay": _Field("object", fields={"alphas": _list(
+            _positive(), "required nonempty list of positive numbers")}),
+        "bootstrap": _Field("object", fields={"gamma": _positive()}),
+        "dynamics": _Field("object", fields={
+            "sources": _list(_Field("integer"),
+                             "required nonempty list of integer sites",
+                             default=[0]),
+            "moments": _list(_positive(),
+                             "required nonempty list of positive exponents",
+                             default=[2.0]),
+            "grid": _Field("object", default={}, fields={
+                "dt": _positive(_GRID["dt"]),
+                "t_max": _positive(_GRID["t_max"]),
+                "quasi_random": _Field("integer",
+                                       default=_GRID["quasi_random"],
+                                       bound=_at_least(0)),
+                "far_horizon": _Field("number", default=_GRID["far_horizon"],
+                                      bound=_NONNEGATIVE)})})}),
+    "tolerances": _Field("object", default={}, fields={
+        "residual": _positive(RESIDUAL_TOL),
+        "orthonormality": _positive(ORTHONORMALITY_TOL),
+        "degeneracy_gap": _positive(DEGENERACY_GAP),
+        "interior_window": _Field("integer", bound=_at_least(0)),
+        "bootstrap_slack": _positive(1e-8),
+        "doubling_ratio_limit": _positive(DOUBLING_RATIO_LIMIT),
+        "boundary_share_limit": _positive(BOUNDARY_SHARE_LIMIT),
+        "eigenvalue_drift": _positive(1e-8)}),
+    "output": _Field("object", default={}, fields={
+        "directory": _Field("string", default="out",
+                            bound=(len, "must not be empty")),
+        "dump_operator": _Field("bool", default=False)}),
+    "max_dimension": _Field("integer", default=MAX_DIMENSION_DEFAULT,
+                            bound=_at_least(3)),
+})
+
+_PERTURBATIONS = {"none": NoPerturbation, "constant": ConstantPerturbation,
+                  "uniform_random": UniformRandomPerturbation,
+                  "periodic": PeriodicPerturbation,
+                  "explicit": ExplicitPerturbation}
+
+# tolerance name -> keyword of diagonalize and key of a dump's provenance
+_GATES = {"residual": "residual_tol", "orthonormality": "orthonormality_tol",
+          "degeneracy_gap": "degeneracy_gap"}
+
+
+def _gate_tolerances(tolerances: dict) -> dict:
+    return {keyword: tolerances[name] for name, keyword in _GATES.items()}
+
+
+def _offset(key) -> int | None:
+    """The integer a coefficient key spells exactly, like "-2"; else None."""
     try:
-        value = float(value)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        chk.error(path, "must be finite")
+        return int(key) if str(int(key)) == key else None
+    except (TypeError, ValueError):
         return None
-    return value
 
 
-def _as_complex(value, path: str, chk: _Checker):
-    if isinstance(value, bool):
-        chk.error(path, "expected a number or {re, im}")
-        return 0j
-    if isinstance(value, (int, float)):
-        value = _finite(value, path, chk)
-        return 0j if value is None else complex(value)
-    if isinstance(value, dict) and set(value) <= {"re", "im"}:
-        try:
-            re, im = (_finite(value.get(key, 0.0), f"{path}.{key}", chk)
-                      for key in ("re", "im"))
-        except (TypeError, ValueError):
-            pass
-        else:
-            return 0j if re is None or im is None else complex(re, im)
-    chk.error(path, "expected a number or {re, im}")
-    return 0j
+def _walk(spec: _Field, value, path: str, problems: list):
+    """Parse value by its table entry; append 'path: problem' lines."""
+    def problem(text, at=path):
+        problems.append(f"{at}: {text}" if at != "" else text)
 
-
-def _number(value, path, chk, *, positive=False, nonnegative=False,
-            default=None):
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        chk.error(path, "expected a number")
-        return default
-    value = _finite(value, path, chk)
-    if value is None:
-        return default
-    if positive and not value > 0:
-        chk.error(path, "must be positive")
-    if nonnegative and value < 0:
-        chk.error(path, "must be nonnegative")
-    return value
-
-
-def _integer(value, path, chk, *, minimum=None, default=None):
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, int):
-        chk.error(path, "expected an integer")
-        return default
-    if minimum is not None and value < minimum:
-        chk.error(path, f"must be >= {minimum}")
-    return int(value)
-
-
-def _parse_kernel(raw, chk: _Checker) -> HoppingKernel | None:
-    if not isinstance(raw, dict):
-        chk.error("kernel", "expected an object")
-        return None
-    family = raw.get("family")
-    if family == "nearest_neighbor":
-        chk.expect_keys("kernel", raw, {"family", "amplitude"})
-        params = {}
-        if "amplitude" in raw:
-            params["amplitude"] = _as_complex(raw["amplitude"],
-                                              "kernel.amplitude", chk)
-    elif family == "power_law":
-        chk.expect_keys("kernel", raw, {"family", "exponent", "cutoff"})
-        params = {"exponent": _number(raw.get("exponent"), "kernel.exponent",
-                                      chk, default=0.0)}
-        if raw.get("exponent") is None:
-            chk.error("kernel.exponent", "required for power_law")
-        if "cutoff" in raw and raw["cutoff"] is not None:
-            params["cutoff"] = _integer(raw["cutoff"], "kernel.cutoff", chk,
-                                        minimum=1)
-    elif family == "finite_support":
-        chk.expect_keys("kernel", raw, {"family", "half"})
-        half = raw.get("half")
-        if not isinstance(half, list):
-            chk.error("kernel.half", "expected a list [a(1), a(2), ...]")
-            return None
-        params = {"half": [_as_complex(v, f"kernel.half[{i}]", chk)
-                           for i, v in enumerate(half)]}
-    elif family == "custom":
-        chk.expect_keys("kernel", raw, {"family", "coefficients"})
-        coeffs = raw.get("coefficients")
-        if not isinstance(coeffs, dict):
-            chk.error("kernel.coefficients", "expected {offset: amplitude}")
-            return None
-        table = {}
-        for key, v in coeffs.items():
+    kind = spec.kind
+    parts = {path: value}
+    if kind == "amplitude" and isinstance(value, dict) \
+            and set(value) <= {"re", "im"}:
+        parts = {f"{path}.{key}": 0.0 if value.get(key) is None
+                 else value[key] for key in ("re", "im")}
+    well_typed, expected = _KINDS[kind]
+    if not all(map(well_typed, parts.values())):
+        problem(spec.expected or expected)
+        return spec.default
+    if kind in ("number", "amplitude"):
+        reals = []
+        for at, part in parts.items():
             try:
-                off = int(key)
-            except (TypeError, ValueError):
-                chk.error(f"kernel.coefficients.{key}",
-                          "offset keys must be integers")
-                continue
-            table[off] = _as_complex(v, f"kernel.coefficients.{key}", chk)
-        params = {"coefficients": table}
-    else:
-        chk.error("kernel.family",
-                  f"unknown family {family!r}; expected nearest_neighbor, "
-                  "power_law, finite_support, or custom")
-        return None
-    if chk.problems:
-        return None
-    try:
-        return build_kernel(family, **params)
-    except KernelError as exc:
-        chk.error("kernel", str(exc))
-        return None
-
-
-def _parse_perturbation(raw, seed: int, chk: _Checker):
-    if raw is None:
-        return NoPerturbation()
-    if not isinstance(raw, dict):
-        chk.error("potential.perturbation", "expected an object")
-        return NoPerturbation()
-    kind = raw.get("kind", "none")
-    path = "potential.perturbation"
-    try:
-        if kind == "none":
-            chk.expect_keys(path, raw, {"kind"})
-            return NoPerturbation()
-        if kind == "constant":
-            chk.expect_keys(path, raw, {"kind", "offset"})
-            return ConstantPerturbation(
-                offset=_number(raw.get("offset"), f"{path}.offset", chk,
-                               default=0.0))
-        if kind == "uniform_random":
-            chk.expect_keys(path, raw, {"kind", "amplitude", "seed"})
-            amp = _number(raw.get("amplitude"), f"{path}.amplitude", chk,
-                          nonnegative=True, default=0.0)
-            own_seed = _integer(raw.get("seed"), f"{path}.seed", chk,
-                                minimum=0, default=seed)
-            return UniformRandomPerturbation(amplitude=amp, seed=own_seed)
-        if kind == "periodic":
-            chk.expect_keys(path, raw, {"kind", "pattern"})
-            pattern = raw.get("pattern")
-            if not isinstance(pattern, list) or not pattern:
-                chk.error(f"{path}.pattern", "expected a nonempty list")
-                return NoPerturbation()
-            return PeriodicPerturbation(pattern=tuple(
-                _number(v, f"{path}.pattern[{i}]", chk, default=0.0)
-                for i, v in enumerate(pattern)))
-        if kind == "explicit":
-            chk.expect_keys(path, raw, {"kind", "first_site", "table"})
-            table = raw.get("table")
-            if not isinstance(table, list):
-                chk.error(f"{path}.table", "expected a list")
-                return NoPerturbation()
-            return ExplicitPerturbation(
-                first_site=_integer(raw.get("first_site"),
-                                    f"{path}.first_site", chk, default=0),
-                table=tuple(_number(v, f"{path}.table[{i}]", chk, default=0.0)
-                            for i, v in enumerate(table)))
-    except PotentialError as exc:
-        chk.error(path, str(exc))
-        return NoPerturbation()
-    chk.error(f"{path}.kind", f"unknown kind {kind!r}")
-    return NoPerturbation()
-
-
-def _parse_potential(raw, seed: int, chk: _Checker) -> PotentialSpec | None:
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        chk.error("potential", "expected an object")
-        return None
-    # "family" is tolerated so echoed configs round-trip; it is derived
-    chk.expect_keys("potential", raw,
-                    {"slope", "perturbation", "maryland", "family"})
-    perturbation = _parse_perturbation(raw.get("perturbation"), seed, chk)
-    maryland_raw = raw.get("maryland")
-    maryland = None
-    if maryland_raw is not None:
-        if not isinstance(maryland_raw, dict):
-            chk.error("potential.maryland", "expected an object")
-        else:
-            chk.expect_keys("potential.maryland", maryland_raw,
-                            {"coupling", "frequency", "phase"})
-            coupling = _number(maryland_raw.get("coupling"),
-                               "potential.maryland.coupling", chk)
-            frequency = _number(maryland_raw.get("frequency"),
-                                "potential.maryland.frequency", chk)
-            if coupling is None:
-                chk.error("potential.maryland.coupling", "required")
-            if frequency is None:
-                chk.error("potential.maryland.frequency", "required")
-            phase = _number(maryland_raw.get("phase"),
-                            "potential.maryland.phase", chk, default=0.0)
-            if coupling is not None and frequency is not None:
-                maryland = MarylandPotential(coupling=coupling,
-                                             frequency=frequency, phase=phase)
-    slope = raw.get("slope", None if maryland is not None else 1.0)
-    if slope is not None:
-        slope = _number(slope, "potential.slope", chk, default=1.0)
-    if maryland is not None and slope is not None:
-        chk.error("potential",
-                  "maryland replaces the linear field; omit slope or set "
-                  "it to null")
-        return None
-    if chk.problems:
-        return None
-    try:
-        return PotentialSpec(field_slope=slope, perturbation=perturbation,
-                             maryland=maryland)
-    except PotentialError as exc:
-        chk.error("potential", str(exc))
-        return None
+                reals.append(float(part))
+            except OverflowError:  # an integer beyond the float range
+                reals.append(math.inf)
+            if not math.isfinite(reals[-1]):
+                problem("must be finite", at)
+        if not all(map(math.isfinite, reals)):
+            return spec.default
+        value = complex(*reals) if kind == "amplitude" else reals[0]
+    elif kind == "list":
+        value = [_walk(spec.item, v, f"{path}[{i}]", problems)
+                 for i, v in enumerate(value)]
+    elif kind == "object" and spec.item is not None:
+        items = {}
+        for key, v in value.items():
+            offset = _offset(key)
+            if offset is None:
+                problem("offset keys must be integers", f"{path}.{key}")
+            else:
+                items[offset] = _walk(spec.item, v, f"{path}.{key}",
+                                      problems)
+        value = items
+    elif kind == "object":
+        fields, out = spec.fields, {}
+        if spec.tag is not None:
+            tag = value.get(spec.tag)
+            tag = spec.tag_default if tag is None else tag
+            fields = spec.fields.get(tag) if isinstance(tag, str) else None
+            if fields is None:
+                problem(spec.unknown.format(tag), f"{path}.{spec.tag}")
+                return spec.default
+            out[spec.tag] = tag
+        for key in value:
+            if key not in fields and key not in out:
+                problem("unknown field", f"{path}.{key}" if path else key)
+        for key, field in fields.items():
+            at = f"{path}.{key}" if path else key
+            given = value.get(key)
+            if given is None and not (field.nullable and key in value):
+                if field.required:
+                    problem(field.required, at)
+                    continue
+                given = field.default
+            if given is None:
+                out[key] = None
+            elif given is not _ABSENT:
+                parsed = _walk(field, given, at, problems)
+                if parsed is not _ABSENT:
+                    out[key] = parsed
+        value = out
+    if spec.bound is not None and not spec.bound[0](value):
+        problem(spec.bound[1])
+    return value
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw config dict exhaustively; raise ConfigError listing
-    every problem with its field path."""
-    chk = _Checker()
-    if not isinstance(raw, dict):
-        raise ConfigError(["config root must be an object"])
-    chk.expect_keys("", raw, {"kernel", "potential", "half_widths", "seed",
-                              "analyses", "tolerances", "output",
-                              "max_dimension"})
+    every problem with its field path.
 
-    seed = _integer(raw.get("seed"), "seed", chk, minimum=0, default=0)
-    if seed is not None and seed >= 2 ** 64:
-        chk.error("seed", "must fit in 64 bits")
+    The table checks each field on its own; the checks across fields
+    follow, and the kernel and the potential are built from sections
+    that have no problem."""
+    problems: list[str] = []
+    values = _walk(_CONFIG, raw, "", problems)
+    if values is None:
+        raise ConfigError(problems)
 
-    if "kernel" not in raw:
-        chk.error("kernel", "required")
-        kernel = None
-    else:
-        kernel = _parse_kernel(raw["kernel"], chk)
-    potential = _parse_potential(raw.get("potential"), seed or 0, chk)
+    def clean(section: str) -> bool:
+        return not any(p.startswith((f"{section}:", f"{section}."))
+                       for p in problems)
 
-    half_widths = raw.get("half_widths")
-    widths: tuple[int, ...] = ()
-    if not isinstance(half_widths, list) or not half_widths:
-        chk.error("half_widths", "required nonempty list of integers")
-    else:
-        vals = [_integer(v, f"half_widths[{i}]", chk, minimum=1, default=1)
-                for i, v in enumerate(half_widths)]
-        all_ints = all(isinstance(v, int) and not isinstance(v, bool)
-                       for v in half_widths)
-        if all_ints and any(b <= a for a, b in zip(vals, vals[1:])):
-            chk.error("half_widths", "must be strictly ascending")
-        widths = tuple(vals)
+    seed, max_dim = values["seed"], values["max_dimension"]
+    widths = values.get("half_widths") or []
+    if seed >= 2 ** 64:
+        problems.append("seed: must fit in 64 bits")
+    if all(isinstance(n, int) for n in widths) \
+            and any(b <= a for a, b in zip(widths, widths[1:])):
+        problems.append("half_widths: must be strictly ascending")
+    for i, n in enumerate(widths):
+        if isinstance(n, int) and 2 * n + 1 > max_dim:
+            problems.append(f"half_widths[{i}]: box dimension {2 * n + 1} "
+                            f"exceeds max_dimension {max_dim}")
 
-    if "analyses" in raw:
-        analyses_raw = raw["analyses"]
-    else:
-        analyses_raw = {"asymptotics": True}
-    analyses: dict = {"asymptotics": False, "decay": None, "bootstrap": None,
-                      "dynamics": None}
-    if not isinstance(analyses_raw, dict):
-        chk.error("analyses", "expected an object")
-    else:
-        chk.expect_keys("analyses", analyses_raw,
-                        {"asymptotics", "decay", "bootstrap", "dynamics"})
-        asym = analyses_raw.get("asymptotics", False)
-        if not isinstance(asym, bool):
-            chk.error("analyses.asymptotics", "expected true or false")
-        else:
-            analyses["asymptotics"] = asym
-        decay = analyses_raw.get("decay")
-        if decay is not None:
-            if not isinstance(decay, dict):
-                chk.error("analyses.decay", "expected an object")
-            else:
-                chk.expect_keys("analyses.decay", decay, {"alphas"})
-                alphas = decay.get("alphas")
-                if not isinstance(alphas, list) or not alphas:
-                    chk.error("analyses.decay.alphas",
-                              "required nonempty list of positive numbers")
-                else:
-                    analyses["decay"] = {"alphas": [
-                        _number(a, f"analyses.decay.alphas[{i}]", chk,
-                                positive=True, default=1.0)
-                        for i, a in enumerate(alphas)]}
-        boot = analyses_raw.get("bootstrap")
-        if boot is not None:
-            if not isinstance(boot, dict):
-                chk.error("analyses.bootstrap", "expected an object")
-            else:
-                chk.expect_keys("analyses.bootstrap", boot, {"gamma"})
-                gamma = boot.get("gamma")
-                if gamma is not None:
-                    gamma = _number(gamma, "analyses.bootstrap.gamma", chk,
-                                    positive=True)
-                analyses["bootstrap"] = {"gamma": gamma}
-        dyn = analyses_raw.get("dynamics")
-        if dyn is not None:
-            if not isinstance(dyn, dict):
-                chk.error("analyses.dynamics", "expected an object")
-            else:
-                chk.expect_keys("analyses.dynamics", dyn,
-                                {"sources", "moments", "grid"})
-                sources = dyn.get("sources", [0])
-                if not isinstance(sources, list) or not sources:
-                    chk.error("analyses.dynamics.sources",
-                              "required nonempty list of integer sites")
-                    sources = [0]
-                sources = [_integer(s, f"analyses.dynamics.sources[{i}]",
-                                    chk, default=0)
-                           for i, s in enumerate(sources)]
-                moments = dyn.get("moments", [2.0])
-                if not isinstance(moments, list) or not moments:
-                    chk.error("analyses.dynamics.moments",
-                              "required nonempty list of positive exponents")
-                    moments = [2.0]
-                moments = [_number(m, f"analyses.dynamics.moments[{i}]", chk,
-                                   positive=True, default=2.0)
-                           for i, m in enumerate(moments)]
-                grid_raw = dyn.get("grid") or {}
-                grid = dict(_GRID_DEFAULTS)
-                if not isinstance(grid_raw, dict):
-                    chk.error("analyses.dynamics.grid", "expected an object")
-                else:
-                    chk.expect_keys("analyses.dynamics.grid", grid_raw,
-                                    set(_GRID_DEFAULTS))
-                    for key in ("dt", "t_max"):
-                        if key in grid_raw:
-                            grid[key] = _number(
-                                grid_raw[key],
-                                f"analyses.dynamics.grid.{key}", chk,
-                                positive=True, default=grid[key])
-                    if "quasi_random" in grid_raw:
-                        grid["quasi_random"] = _integer(
-                            grid_raw["quasi_random"],
-                            "analyses.dynamics.grid.quasi_random", chk,
-                            minimum=0, default=grid["quasi_random"])
-                    if "far_horizon" in grid_raw:
-                        grid["far_horizon"] = _number(
-                            grid_raw["far_horizon"],
-                            "analyses.dynamics.grid.far_horizon", chk,
-                            nonnegative=True, default=grid["far_horizon"])
-                analyses["dynamics"] = {"sources": sources,
-                                        "moments": moments, "grid": grid}
+    kernel = potential = None
+    if clean("kernel"):
+        try:
+            kernel = build_kernel(**values["kernel"])
+        except KernelError as exc:
+            problems.append(f"kernel: {exc}")
+    pot = values["potential"]
+    maryland = pot.get("maryland") if clean("potential.maryland") else None
+    slope = pot.get("slope", 1.0 if maryland is None else None)
+    if maryland is not None and slope is not None:
+        problems.append("potential: maryland replaces the linear field; "
+                        "omit slope or set it to null")
+    elif clean("potential"):
+        params = dict(pot["perturbation"])
+        kind = params.pop("kind")
+        if kind == "uniform_random":
+            params.setdefault("seed", seed)
+        try:
+            potential = PotentialSpec(
+                field_slope=slope, perturbation=_PERTURBATIONS[kind](**params),
+                maryland=MarylandPotential(**maryland) if maryland else None)
+        except PotentialError as exc:
+            problems.append(f"potential: {exc}")
+    if problems:
+        raise ConfigError(problems)
 
-    tol = dict(_TOLERANCE_DEFAULTS)
-    tol_raw = raw.get("tolerances") or {}
-    if not isinstance(tol_raw, dict):
-        chk.error("tolerances", "expected an object")
-    else:
-        chk.expect_keys("tolerances", tol_raw, set(_TOLERANCE_DEFAULTS))
-        for key, value in tol_raw.items():
-            if key not in _TOLERANCE_DEFAULTS:
-                continue
-            if key == "interior_window":
-                if value is not None:
-                    tol[key] = _integer(value, f"tolerances.{key}", chk,
-                                        minimum=0)
-            else:
-                tol[key] = _number(value, f"tolerances.{key}", chk,
-                                   positive=True,
-                                   default=_TOLERANCE_DEFAULTS[key])
-
-    out_raw = raw.get("output") or {}
-    out_dir = "out"
-    dump_op = False
-    if not isinstance(out_raw, dict):
-        chk.error("output", "expected an object")
-    else:
-        chk.expect_keys("output", out_raw, {"directory", "dump_operator"})
-        if "directory" in out_raw:
-            if not isinstance(out_raw["directory"], str):
-                chk.error("output.directory", "expected a string")
-            else:
-                out_dir = out_raw["directory"]
-        if "dump_operator" in out_raw:
-            if not isinstance(out_raw["dump_operator"], bool):
-                chk.error("output.dump_operator", "expected true or false")
-            else:
-                dump_op = out_raw["dump_operator"]
-
-    max_dim = _integer(raw.get("max_dimension"), "max_dimension", chk,
-                       minimum=3, default=8192)
-
-    if widths and max_dim is not None:
-        for i, n in enumerate(widths):
-            if isinstance(n, int) and 2 * n + 1 > max_dim:
-                chk.error(f"half_widths[{i}]",
-                          f"box dimension {2 * n + 1} exceeds "
-                          f"max_dimension {max_dim}")
-
-    if chk.problems:
-        raise ConfigError(chk.problems)
-    assert kernel is not None and potential is not None
-
-    effective = {
-        "kernel": kernel.describe(),
-        "potential": potential.describe(),
-        "half_widths": list(widths),
-        "seed": seed,
-        "analyses": analyses,
-        "tolerances": tol,
-        "output": {"directory": out_dir, "dump_operator": dump_op},
-        "max_dimension": max_dim,
-    }
+    effective = dict(values, kernel=kernel.describe(),
+                     potential=potential.describe())
+    output = values["output"]
     return ExperimentConfig(kernel=kernel, potential=potential,
-                            half_widths=widths, seed=seed,
-                            analyses=analyses, tolerances=tol,
-                            output_dir=out_dir, dump_operator=dump_op,
+                            half_widths=tuple(widths), seed=seed,
+                            analyses=values["analyses"],
+                            tolerances=values["tolerances"],
+                            output_dir=output["directory"],
+                            dump_operator=output["dump_operator"],
                             max_dimension=max_dim, effective=effective)
 
 
@@ -619,9 +503,7 @@ def _check_provenance(config: ExperimentConfig, half_width: int, sd) -> None:
     want = {"kernel": box_kernel(config.kernel, half_width).describe(),
             "potential": config.potential.describe(),
             "half_width": half_width,
-            "residual_tol": tol["residual"],
-            "orthonormality_tol": tol["orthonormality"],
-            "degeneracy_gap": tol["degeneracy_gap"]}
+            **_gate_tolerances(tol)}
     got = {key: sd.provenance.get(key) for key in want}
     diff = _first_difference(want, got, "provenance")
     if diff is None and tol["interior_window"] is not None:
@@ -677,9 +559,7 @@ def _spectrum_stage(ctx: _RunContext) -> None:
             op = build_operator(config.kernel, config.potential, n,
                                 max_dimension=config.max_dimension)
             sd = diagonalize(op, interior_window=tol["interior_window"],
-                             residual_tol=tol["residual"],
-                             orthonormality_tol=tol["orthonormality"],
-                             degeneracy_gap=tol["degeneracy_gap"])
+                             **_gate_tolerances(tol))
             save_spectral(sd, base)
             if config.dump_operator:
                 dump_matrix(op, operator_path)
@@ -776,9 +656,7 @@ def _dynamics_stage(ctx: _RunContext) -> None:
     config, tol = ctx.config, ctx.config.tolerances
     dyn = config.analyses["dynamics"]
     grid = dyn["grid"]
-    times = time_grid(dt=grid["dt"], t_max=grid["t_max"],
-                      quasi_random=grid["quasi_random"],
-                      far_horizon=grid["far_horizon"])
+    times = time_grid(**grid)
     widths = config.half_widths
     envs = _envelopes(config, ctx.spectra)
     envelope_doc: dict = {"grid": grid, "series_half_width": widths[-1],
@@ -936,7 +814,10 @@ def run(config: ExperimentConfig, stages=None,
         raise ConfigError(
             ["half_widths: a convergence study needs at least two box sizes"])
 
-    os.makedirs(config.output_dir, exist_ok=True)
+    try:
+        os.makedirs(config.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"output.directory: {exc}"]) from exc
     ctx = _RunContext(config=config, reuse_spectra=reuse_spectra)
     records: list[StageRecord] = []
     # localization.json belongs to exactly one manifest entry: the first

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "diagonalize",
     "ladder_anchor",
     "detect_centers",
-    "localization_centers",
     "default_interior_window",
     "save_spectral",
     "load_spectral",
@@ -233,17 +232,10 @@ def diagonalize(op: TruncatedOperator,
             f"(half_width={op.half_width})")
 
     anchor, fallback = ladder_anchor(lam)
-    centers = detect_centers(vec, op.sites)
-
     if interior_window is None:
         interior_window = default_interior_window(
             op.half_width, box_hopping_norm(op.kernel, op.half_width),
             op.perturbation_sup)
-    interior_window = int(interior_window)
-    mask = np.abs(centers) <= op.half_width - interior_window
-
-    gaps = np.diff(lam)
-    degenerate = tuple(int(p) for p in np.nonzero(gaps < degeneracy_gap)[0])
 
     provenance = {
         "kernel": op.kernel.describe(),
@@ -256,23 +248,28 @@ def diagonalize(op: TruncatedOperator,
         "degeneracy_gap": float(degeneracy_gap),
     }
 
-    for arr in (lam, vec, resid, centers, mask):
+    return _labeled(op.half_width, lam, vec, resid, int(interior_window),
+                    degeneracy_gap, orthonormality_defect=defect,
+                    anchor_position=anchor, anchor_fallback=fallback,
+                    provenance=provenance)
+
+
+def _labeled(half_width: int, lam, vec, resid, interior_window: int,
+             degeneracy_gap: float, **fields) -> SpectralData:
+    """SpectralData with the sites, centers, interior mask and degenerate
+    positions of the eigenpairs, and its arrays frozen."""
+    sites = np.arange(-half_width, half_width + 1)
+    centers = detect_centers(vec, sites)
+    mask = np.abs(centers) <= half_width - interior_window
+    gaps = np.diff(lam)
+    degenerate = tuple(int(p) for p in np.nonzero(gaps < degeneracy_gap)[0])
+    for arr in (sites, lam, vec, resid, centers, mask):
         arr.flags.writeable = False
     return SpectralData(
-        half_width=op.half_width, sites=op.sites, eigenvalues=lam,
-        eigenvectors=vec, residuals=resid, orthonormality_defect=defect,
-        anchor_position=anchor, anchor_fallback=fallback, centers=centers,
+        half_width=half_width, sites=sites, eigenvalues=lam,
+        eigenvectors=vec, residuals=resid, centers=centers,
         interior_window=interior_window, interior_mask=mask,
-        degenerate_positions=degenerate, provenance=provenance)
-
-
-def localization_centers(sd: SpectralData) -> SpectralData:
-    """Recompute centers and the interior mask from the stored vectors."""
-    centers = detect_centers(sd.eigenvectors, sd.sites)
-    mask = np.abs(centers) <= sd.half_width - sd.interior_window
-    centers.flags.writeable = False
-    mask.flags.writeable = False
-    return replace(sd, centers=centers, interior_mask=mask)
+        degenerate_positions=degenerate, **fields)
 
 
 def save_spectral(sd: SpectralData, base_path: str) -> tuple[str, str]:
@@ -337,21 +334,10 @@ def load_spectral(base_path: str) -> SpectralData:
             f"{base_path}.bin does not match the declared dimension {d}")
     vec = vec.reshape(d, d)
 
-    sites = np.arange(-half_width, half_width + 1)
-    centers = detect_centers(vec, sites)
-    window = int(header["interior_window"])
-    mask = np.abs(centers) <= half_width - window
     prov = header.get("provenance", {})
-    gap = float(prov.get("degeneracy_gap", DEGENERACY_GAP))
-    degenerate = tuple(int(p) for p in np.nonzero(np.diff(lam) < gap)[0])
-
-    for arr in (lam, resid, vec, sites, centers, mask):
-        arr.flags.writeable = False
-    return SpectralData(
-        half_width=half_width, sites=sites, eigenvalues=lam,
-        eigenvectors=vec, residuals=resid,
+    return _labeled(
+        half_width, lam, vec, resid, int(header["interior_window"]),
+        float(prov.get("degeneracy_gap", DEGENERACY_GAP)),
         orthonormality_defect=float(header["orthonormality_defect"]),
         anchor_position=int(header["anchor_position"]),
-        anchor_fallback=bool(header["anchor_fallback"]),
-        centers=centers, interior_window=window, interior_mask=mask,
-        degenerate_positions=degenerate, provenance=prov)
+        anchor_fallback=bool(header["anchor_fallback"]), provenance=prov)

@@ -126,6 +126,25 @@ def test_non_finite_amplitude_exits_1(tmp_path, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["config", "flag", "file"])
+def test_unusable_output_directory_exits_1(tmp_path, capsys, where):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    directory = {"config": "", "flag": str(tmp_path / "out"),
+                 "file": str(taken)}[where]
+    cfg = write_config(tmp_path / "cfg.json", {
+        "kernel": {"family": "nearest_neighbor"}, "half_widths": [8],
+        "output": {"directory": directory}})
+    argv = ["spectrum", "--config", cfg] + (["--out", ""]
+                                            if where == "flag" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("starklab: invalid config:")
+    assert "output.directory: " in err
+    if where != "file":
+        assert "output.directory: must not be empty" in err
+
+
 def test_study_needs_two_widths_exits_1(tmp_path, capsys):
     cfg = quiet_ladder_config(tmp_path)
     assert main(["study", "--config", cfg]) == 1

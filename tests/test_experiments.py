@@ -151,6 +151,49 @@ def test_parse_rejects_nonpositive_moments():
     assert "analyses.dynamics.moments[0]: must be positive" in str(err.value)
 
 
+@pytest.mark.parametrize("section, value, problem", [
+    ("half_widths", [None], "half_widths[0]: expected an integer"),
+    ("analyses", {"decay": {"alphas": [None]}},
+     "analyses.decay.alphas[0]: expected a number"),
+    ("analyses", {"dynamics": {"moments": [None]}},
+     "analyses.dynamics.moments[0]: expected a number"),
+    ("analyses", {"dynamics": {"sources": [None]}},
+     "analyses.dynamics.sources[0]: expected an integer"),
+    ("potential", {"perturbation": {"kind": "periodic",
+                                    "pattern": [None, 0.5]}},
+     "potential.perturbation.pattern[0]: expected a number"),
+    ("potential", {"perturbation": {"kind": "explicit", "table": [None]}},
+     "potential.perturbation.table[0]: expected a number"),
+    ("tolerances", False, "tolerances: expected an object"),
+    ("output", 0, "output: expected an object"),
+    ("analyses", {"dynamics": {"grid": []}},
+     "analyses.dynamics.grid: expected an object"),
+])
+def test_parse_rejects_null_items_and_falsy_sections(section, value,
+                                                     problem):
+    raw = {"kernel": {"family": "nearest_neighbor"}, "half_widths": [8],
+           section: value}
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.problems == [problem]
+
+
+@pytest.mark.parametrize("kernel, problem", [
+    ({"family": "nearest_neighbor", "amplitude": {"re": "1.5"}},
+     "kernel.amplitude: expected a number or {re, im}"),
+    ({"family": "nearest_neighbor", "amplitude": {"re": True}},
+     "kernel.amplitude: expected a number or {re, im}"),
+    ({"family": "custom", "coefficients": {"1": 0.5, "01": 0.25}},
+     "kernel.coefficients.01: offset keys must be integers"),
+    ({"family": "custom", "coefficients": {"1_0": 0.5}},
+     "kernel.coefficients.1_0: offset keys must be integers"),
+])
+def test_parse_rejects_misread_kernel_input(kernel, problem):
+    with pytest.raises(ConfigError) as err:
+        parse_config({"kernel": kernel, "half_widths": [8]})
+    assert err.value.problems == [problem]
+
+
 def test_config_hash_ignores_output_location(tmp_path):
     a = parse_config(base_config(tmp_path / "a"))
     b = parse_config(base_config(tmp_path / "b"))
@@ -541,12 +584,11 @@ GOLDEN = [
       " null"]),
     ("nn", {"potential": {"perturbation": {"kind": "gaussian"}}},
      ["potential.perturbation.kind: unknown kind 'gaussian'"]),
+    # changed: no second line for a field that already has a problem
     ("nn", {"half_widths": [8, 5000], "potential": {"perturbation": {
         "kind": "uniform_random", "amplitude": -2.0}}},
      ["half_widths[1]: box dimension 10001 exceeds max_dimension 8192",
-      "potential.perturbation.amplitude: must be nonnegative",
-      "potential.perturbation: perturbation amplitude must be nonnegative, "
-      "got -2.0"]),
+      "potential.perturbation.amplitude: must be nonnegative"]),
     ("nn", {"kernel": {"family": "custom", "coefficients": {
         "1": NAN, "2": {"re": 1, "im": -INF}, "-1": NAN,
         "-2": {"re": 1, "im": 1}}},
@@ -694,8 +736,9 @@ GOLDEN = [
     ("nn", {"analyses": {"dynamics": {"grid": None}}, "tolerances": None,
             "output": None, "potential": None},
      "2c3f415d9227903b c8b8370515070721"),
+    # changed: an empty output directory is rejected
     ("nn", {"output": {"directory": ""}},
-     "bbf5eaa143287bb1 c8892c5f8574daf8"),
+     ["output.directory: must not be empty"]),
     # one fault per table leaf
     ("array", {},
      ["config root must be an object"]),
@@ -707,8 +750,9 @@ GOLDEN = [
      ["seed: must be >= 0"]),
     ("nn", {"kernel": DROP},
      ["kernel: required"]),
+    # changed: a null required field reads required
     ("nn", {"kernel": None},
-     ["kernel: expected an object"]),
+     ["kernel: required"]),
     ("nn", {"kernel": []},
      ["kernel: expected an object"]),
     ("nn", {"kernel.family": "gaussian"},
@@ -720,8 +764,9 @@ GOLDEN = [
      ["kernel.amplitude: expected a number or {re, im}"]),
     ("nn", {"kernel.amplitude": {"re": INF}},
      ["kernel.amplitude.re: must be finite"]),
+    # changed: the parts of {re, im} must be numbers
     ("nn", {"kernel.amplitude": {"re": "1.5"}},
-     "aceef5d78ce43df7 921523a19ad02a3a"),
+     ["kernel.amplitude: expected a number or {re, im}"]),
     ("nn", {"kernel.amplitude": {"re": 1, "x": 0}},
      ["kernel.amplitude: expected a number or {re, im}"]),
     ("nn", {"kernel": {"family": "power_law"}},
@@ -743,9 +788,10 @@ GOLDEN = [
      ["kernel.coefficients: expected {offset: amplitude}"]),
     ("nn", {"kernel": {"family": "custom", "coefficients": {"a": 1}}},
      ["kernel.coefficients.a: offset keys must be integers"]),
+    # changed: an offset key must spell its integer exactly
     ("nn", {"kernel": {"family": "custom", "coefficients": {"1": 1,
                                                             "01": 2}}},
-     "69b77fe3927055b1 bcbe088e4d73861e"),
+     ["kernel.coefficients.01: offset keys must be integers"]),
     ("nn", {"kernel": {"family": "custom", "coefficients": {"1": "x"}}},
      ["kernel.coefficients.1: expected a number or {re, im}"]),
     ("nn", {"kernel": {"family": "custom", "coefficients": {"1": 1,
@@ -765,16 +811,16 @@ GOLDEN = [
      ["potential.perturbation: expected an object"]),
     ("nn", {"potential": {"perturbation": {"bogus": 1}}},
      ["potential.perturbation.bogus: unknown field"]),
+    # changed: a null kind counts as absent, so it is none
     ("nn", {"potential": {"perturbation": {"kind": None}}},
-     ["potential.perturbation.kind: unknown kind None"]),
+     "bbf5eaa143287bb1 c8892c5f8574daf8"),
     ("nn", {"potential": {"perturbation": {"kind": "constant",
                                            "offset": "x"}}},
      ["potential.perturbation.offset: expected a number"]),
+    # changed: no second line for a field that already has a problem
     ("nn", {"potential": {"perturbation": {"kind": "uniform_random",
                                            "amplitude": -1}}},
-     ["potential.perturbation.amplitude: must be nonnegative",
-      "potential.perturbation: perturbation amplitude must be nonnegative, "
-      "got -1.0"]),
+     ["potential.perturbation.amplitude: must be nonnegative"]),
     ("nn", {"potential": {"perturbation": {"kind": "uniform_random",
                                            "amplitude": "x"}}},
      ["potential.perturbation.amplitude: expected a number"]),
@@ -787,14 +833,16 @@ GOLDEN = [
     ("nn", {"potential": {"perturbation": {"kind": "periodic",
                                            "pattern": ["x"]}}},
      ["potential.perturbation.pattern[0]: expected a number"]),
+    # changed: a null list item is a type error, not a default
     ("nn", {"potential": {"perturbation": {"kind": "periodic",
                                            "pattern": [None, 0.5]}}},
-     "9450d8fa70363f32 0fb0caf6a29838b0"),
+     ["potential.perturbation.pattern[0]: expected a number"]),
     ("nn", {"potential": {"perturbation": {"kind": "explicit"}}},
      ["potential.perturbation.table: expected a list"]),
+    # changed: a null list item is a type error, not a default
     ("nn", {"potential": {"perturbation": {"kind": "explicit",
                                            "table": [None]}}},
-     "f5621af048d2323c ab2fbd529b2ac9d2"),
+     ["potential.perturbation.table[0]: expected a number"]),
     ("nn", {"potential": {"perturbation": {"kind": "explicit",
                                            "table": [], "first_site": 0.5}}},
      ["potential.perturbation.first_site: expected an integer"]),
@@ -802,9 +850,9 @@ GOLDEN = [
      ["potential.maryland: expected an object"]),
     ("nn", {"potential": {"maryland": {"frequency": 0.25}}},
      ["potential.maryland.coupling: required"]),
+    # changed: no second line for a field that already has a problem
     ("nn", {"potential": {"maryland": {"coupling": 1, "frequency": "x"}}},
-     ["potential.maryland.frequency: expected a number",
-      "potential.maryland.frequency: required"]),
+     ["potential.maryland.frequency: expected a number"]),
     ("nn", {"potential": {"maryland": {"coupling": 1, "frequency": 0.25,
                                        "phase": "x", "bogus": 1}}},
      ["potential.maryland.bogus: unknown field",
@@ -817,12 +865,14 @@ GOLDEN = [
      ["half_widths[0]: must be >= 1"]),
     ("nn", {"half_widths": ["x", 4]},
      ["half_widths[0]: expected an integer"]),
+    # changed: a null list item is a type error, not a default
     ("nn", {"half_widths": [None]},
-     "f8705ed845e5ac75 a470b40b6e0b2bad"),
+     ["half_widths[0]: expected an integer"]),
     ("nn", {"analyses": "x"},
      ["analyses: expected an object"]),
+    # changed: a null section counts as absent
     ("nn", {"analyses": None},
-     ["analyses: expected an object"]),
+     "bbf5eaa143287bb1 c8892c5f8574daf8"),
     ("nn", {"analyses": {"bogus": 1}},
      ["analyses.bogus: unknown field"]),
     ("nn", {"analyses": {"asymptotics": "x"}},
@@ -831,8 +881,9 @@ GOLDEN = [
      ["analyses.decay: expected an object"]),
     ("nn", {"analyses": {"decay": {}}},
      ["analyses.decay.alphas: required nonempty list of positive numbers"]),
+    # changed: a null list item is a type error, not a default
     ("nn", {"analyses": {"decay": {"alphas": [None]}}},
-     "1b924e17d62dbd73 be84f2eaa48090fa"),
+     ["analyses.decay.alphas[0]: expected a number"]),
     ("nn", {"analyses": {"bootstrap": "x"}},
      ["analyses.bootstrap: expected an object"]),
     ("nn", {"analyses": {"bootstrap": {"gamma": 0}}},
@@ -843,17 +894,20 @@ GOLDEN = [
      ["analyses.dynamics.sources: required nonempty list of integer sites"]),
     ("nn", {"analyses": {"dynamics": {"sources": [0.5]}}},
      ["analyses.dynamics.sources[0]: expected an integer"]),
+    # changed: a null list item is a type error, not a default
     ("nn", {"analyses": {"dynamics": {"sources": [None]}}},
-     "2c3f415d9227903b c8b8370515070721"),
+     ["analyses.dynamics.sources[0]: expected an integer"]),
     ("nn", {"analyses": {"dynamics": {"moments": []}}},
      ["analyses.dynamics.moments: required nonempty list of positive "
       "exponents"]),
+    # changed: a null list item is a type error, not a default
     ("nn", {"analyses": {"dynamics": {"moments": [None]}}},
-     "2c3f415d9227903b c8b8370515070721"),
+     ["analyses.dynamics.moments[0]: expected a number"]),
     ("nn", {"analyses": {"dynamics": {"grid": "x"}}},
      ["analyses.dynamics.grid: expected an object"]),
+    # changed: a falsy non-object section is a type error, not {}
     ("nn", {"analyses": {"dynamics": {"grid": []}}},
-     "2c3f415d9227903b c8b8370515070721"),
+     ["analyses.dynamics.grid: expected an object"]),
     ("nn", {"analyses": {"dynamics": {"grid": {"dt": 0, "t_max": "x",
                                                "quasi_random": -1,
                                                "far_horizon": -1,
@@ -865,8 +919,9 @@ GOLDEN = [
       "analyses.dynamics.grid.t_max: expected a number"]),
     ("nn", {"tolerances": "x"},
      ["tolerances: expected an object"]),
+    # changed: a falsy non-object section is a type error, not {}
     ("nn", {"tolerances": False},
-     "bbf5eaa143287bb1 c8892c5f8574daf8"),
+     ["tolerances: expected an object"]),
     ("nn", {"tolerances": {"residual": 0, "orthonormality": "x",
                            "degeneracy_gap": -1, "interior_window": -1,
                            "bootstrap_slack": True,
@@ -886,14 +941,16 @@ GOLDEN = [
      ["tolerances.interior_window: expected an integer"]),
     ("nn", {"output": "x"},
      ["output: expected an object"]),
+    # changed: a falsy non-object section is a type error, not {}
     ("nn", {"output": 0},
-     "bbf5eaa143287bb1 c8892c5f8574daf8"),
+     ["output: expected an object"]),
     ("nn", {"output": {"directory": 1, "dump_operator": "x", "bogus": 1}},
      ["output.bogus: unknown field",
       "output.directory: expected a string",
       "output.dump_operator: expected true or false"]),
+    # changed: a null field counts as absent
     ("nn", {"output": {"directory": None}},
-     ["output.directory: expected a string"]),
+     "bbf5eaa143287bb1 c8892c5f8574daf8"),
     ("nn", {"max_dimension": 2},
      ["half_widths[0]: box dimension 17 exceeds max_dimension 2",
       "max_dimension: must be >= 3"]),

@@ -6,6 +6,7 @@ import pytest
 
 import starklab as sl
 from starklab.localization import asymptotics_rows, decay_rows
+from starklab.spectra import detect_centers
 
 
 def test_zero_kernel_pins_exactly():
@@ -132,9 +133,11 @@ def test_decay_constants_invariant_under_eigenvector_phases(spectrum_cache):
     _, sd = spectrum_cache("pl4", 60, 0.5, 2)
     rng = np.random.default_rng(0)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, sd.dimension))
+    vectors = sd.eigenvectors * phases[np.newaxis, :]
+    centers = detect_centers(vectors, sd.sites)
     phased = dataclasses.replace(
-        sd, eigenvectors=sd.eigenvectors * phases[np.newaxis, :])
-    phased = sl.localization_centers(phased)
+        sd, eigenvectors=vectors, centers=centers,
+        interior_mask=np.abs(centers) <= sd.trusted_site_bound)
     a = sl.uniform_decay_constants(sd, alpha=3.0)
     b = sl.uniform_decay_constants(phased, alpha=3.0)
     np.testing.assert_allclose([v for _, v in a.per_mode_by_index],
