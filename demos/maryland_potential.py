@@ -44,11 +44,11 @@ def main():
             print(f"{check} check refused: {err}")
 
     # dynamics still runs; the packet stays put here as well
-    series = sl.moment_series(sd, 0, 2.0,
+    series = sl.moment_series(sd, 0, (2.0,),
                               sl.time_grid(dt=0.5, t_max=100.0,
                                            quasi_random=20,
                                            far_horizon=1e5))
-    print(f"sup_t M_2(t) from site 0: {series.running_sup:.4f}")
+    print(f"sup_t M_2(t) from site 0: {series.running_sup[0]:.4f}")
 
     rows = ["site,potential"]
     for site in range(-10, 11):

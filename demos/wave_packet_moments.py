@@ -26,10 +26,11 @@ def main():
     sd, env = envelope_for(200)
     grid = sl.time_grid(dt=0.1, t_max=200.0, quasi_random=50,
                         far_horizon=1e6)
-    series = sl.moment_series(sd, 0, Q, grid)
+    series = sl.moment_series(sd, 0, (Q,), grid)
+    sup = series.running_sup[0]
 
     rows = ["t,moment"]
-    for t, m in zip(series.times, series.values):
+    for t, m in zip(series.times, series.values[0]):
         rows.append(f"{t:.17g},{m:.17g}")
     path = OUT / f"moment_q{Q:g}_k0.csv"
     path.write_text("\n".join(rows) + "\n")
@@ -37,24 +38,23 @@ def main():
           f"largest t = {series.times.max():g})")
 
     bound = env.moment_bound(Q)
-    print(f"sup_t M_q(t) = {series.running_sup:.4f}")
+    print(f"sup_t M_q(t) = {sup:.4f}")
     print(f"envelope E_q = {bound:.4f} "
           f"(boundary share {env.boundary_share(Q):.2e})")
     print(f"headroom: envelope exceeds the observed sup by "
-          f"{bound - series.running_sup:.4f}")
+          f"{bound - sup:.4f}")
 
     # box doubling: E_q has converged when doubling N barely moves it
-    sd_small, env_small = envelope_for(100)
+    _, env_small = envelope_for(100)
     ratio = bound / env_small.moment_bound(Q)
     print(f"E_q(N=200) / E_q(N=100) = {ratio:.6f}")
 
-    verdict = sl.moment_bound_verdict(sd_small, alpha=3.0, q=Q, source=0,
-                                      doubled=sd)
+    verdict = sl.moment_bound_verdict(env_small, alpha=3.0, q=Q,
+                                      doubled=env)
     print(f"verdict at alpha=3, q={Q:g}: {verdict.conclusion}")
     # the same machinery refuses to assert anything when the decay
     # hypothesis alpha > 3/2 + q/2 fails
-    weak = sl.moment_bound_verdict(sd_small, alpha=2.0, q=Q, source=0,
-                                   doubled=sd)
+    weak = sl.moment_bound_verdict(env_small, alpha=2.0, q=Q, doubled=env)
     print(f"verdict at alpha=2, q={Q:g}: {weak.conclusion}")
 
 

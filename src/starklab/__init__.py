@@ -28,9 +28,8 @@ from .localization import (AsymptoticsReport, BootstrapReport,
                            check_eigenvalue_asymptotics,
                            uniform_decay_constants)
 from .dynamics import (EnvelopeBound, MomentBoundVerdict, MomentSeries,
-                       SourceOutsideInteriorError, WavePacket, envelope,
-                       evolve, evolve_batch, evolve_packet, majorant_defect,
-                       moment, moment_bound_verdict, moment_series, time_grid)
+                       SourceOutsideInteriorError, envelope,
+                       moment_bound_verdict, moment_series, time_grid)
 from .experiments import (ConfigError, ExperimentConfig, RunManifest,
                           StageRecord, load_config, parse_config, run)
 
@@ -56,9 +55,8 @@ __all__ = [
     "check_eigenvalue_asymptotics", "uniform_decay_constants",
     # dynamics
     "EnvelopeBound", "MomentBoundVerdict", "MomentSeries",
-    "SourceOutsideInteriorError", "WavePacket", "envelope", "evolve",
-    "evolve_batch", "evolve_packet", "majorant_defect", "moment",
-    "moment_bound_verdict", "moment_series", "time_grid",
+    "SourceOutsideInteriorError", "envelope", "moment_bound_verdict",
+    "moment_series", "time_grid",
     # experiments
     "ConfigError", "ExperimentConfig", "RunManifest", "StageRecord",
     "load_config", "parse_config", "run",

@@ -4,8 +4,8 @@ Evolution of a packet released at site k uses the eigen-expansion
 
     psi_t(n) = sum_m exp(-i lambda_m t) conj(phi_m(k)) phi_m(n),
 
-so any time is reached in one matrix-vector product with no step error
-beyond the eigendecomposition itself.  The position moment is
+so any time is reached in one matrix product with no step error beyond
+the eigendecomposition itself.  The position moment is
 M_q(t) = sum_n |n|**q |psi_t(n)|**2.
 
 The time-uniform envelope B(n, k) = sum_m |phi_m(k)| |phi_m(n)| dominates
@@ -14,6 +14,12 @@ dominates every moment.  When eigenfunctions decay fast enough
 (alpha > 3/2 + q/2), E_q stays bounded as the box grows, which is probed
 by a doubling ratio.  The share of E_q carried by boundary sites is the
 honesty check on the truncation.
+
+The public routines are the ones the ``dynamics`` stage runs:
+``time_grid`` samples the times, ``moment_series`` propagates a packet
+once for every q, ``envelope`` builds B and E_q for one box, and
+``moment_bound_verdict`` judges one (alpha, q) from a box's envelope and
+that of the doubled box.
 """
 
 from __future__ import annotations
@@ -27,18 +33,12 @@ from .spectra import SpectralData
 
 __all__ = [
     "SourceOutsideInteriorError",
-    "WavePacket",
     "MomentSeries",
     "EnvelopeBound",
     "MomentBoundVerdict",
-    "evolve",
-    "evolve_batch",
-    "evolve_packet",
-    "moment",
     "moment_series",
     "time_grid",
     "envelope",
-    "majorant_defect",
     "moment_bound_verdict",
     "DOUBLING_RATIO_LIMIT",
     "BOUNDARY_SHARE_LIMIT",
@@ -53,29 +53,18 @@ class SourceOutsideInteriorError(ValueError):
 
 
 @dataclass(frozen=True)
-class WavePacket:
-    """State of a packet released at ``source`` after time ``time``."""
-
-    sites: np.ndarray
-    amplitudes: np.ndarray
-    time: float
-    source: int
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass(frozen=True)
 class MomentSeries:
-    q: float
+    """M_q(t) of a packet from ``source``: values[i] holds q = qs[i]."""
+
+    qs: tuple
     source: int
     times: np.ndarray
     values: np.ndarray
 
     @property
-    def running_sup(self) -> float:
-        return float(np.max(self.values))
+    def running_sup(self) -> np.ndarray:
+        """Largest sampled M_q(t), one entry per q."""
+        return np.max(self.values, axis=1)
 
 
 @dataclass(frozen=True)
@@ -89,7 +78,6 @@ class EnvelopeBound:
     source: int
     sites: np.ndarray
     majorant: np.ndarray
-    interior_window: int
     moments: dict
 
     def moment_bound(self, q: float) -> float:
@@ -124,16 +112,6 @@ def _source_row(sd: SpectralData, source: int) -> int:
             f"source site {source} lies outside the trusted interior "
             f"|n| <= {sd.trusted_site_bound}")
     return sd.row_of_site(source)
-
-
-def evolve(sd: SpectralData, source: int, t: float) -> WavePacket:
-    """Packet released at ``source`` and evolved for time t."""
-    row = _source_row(sd, source)
-    weights = sd.eigenvectors[row, :].conj()
-    phases = np.exp(-1j * sd.eigenvalues * float(t))
-    amps = sd.eigenvectors @ (phases * weights)
-    return WavePacket(sites=sd.sites, amplitudes=amps, time=float(t),
-                      source=int(source))
 
 
 def _propagate(sd: SpectralData, source: int, times: np.ndarray,
@@ -183,45 +161,14 @@ def _propagate(sd: SpectralData, source: int, times: np.ndarray,
     return complex_chunks() if np.iscomplexobj(vecs) else real_chunks()
 
 
-def evolve_batch(sd: SpectralData, source: int, times,
-                 chunk: int = 1024) -> np.ndarray:
-    """Amplitudes at many times, column t -> psi_t, computed in chunks."""
-    times = np.asarray(times, dtype=float)
-    chunks = _propagate(sd, source, times, chunk)
-    out = np.empty((sd.dimension, times.size), dtype=complex)
-    for s, re, im in chunks:
-        block = out[:, s: s + re.shape[1]]
-        block.real = re
-        block.imag = im
-    return out
-
-
-def evolve_packet(sd: SpectralData, packet: WavePacket, dt: float) -> WavePacket:
-    """Evolve an arbitrary packet by dt through the eigenbasis."""
-    coeffs = sd.eigenvectors.conj().T @ packet.amplitudes
-    coeffs *= np.exp(-1j * sd.eigenvalues * float(dt))
-    amps = sd.eigenvectors @ coeffs
-    return WavePacket(sites=packet.sites, amplitudes=amps,
-                      time=packet.time + float(dt), source=packet.source)
-
-
-def moment(packet: WavePacket, q: float) -> float:
-    """Position moment sum_n |n|**q |psi(n)|**2; requires q > 0."""
-    q = float(q)
-    if not q > 0:
-        raise ValueError(f"moment exponent must be positive, got {q}")
-    w = np.abs(packet.sites.astype(float)) ** q
-    return float(np.sum(w * np.abs(packet.amplitudes) ** 2))
-
-
-def _moment_series_all(sd: SpectralData, source: int, qs, times,
-                       chunk: int = 1024) -> list[MomentSeries]:
+def moment_series(sd: SpectralData, source: int, qs, times,
+                  chunk: int = 1024) -> MomentSeries:
     """M_q(t) for every q in qs from one propagation of the packet.
 
     Each chunk gives all moments at once as W @ (re**2 + im**2), where
-    W[i, n] = |n|**qs[i].
+    W[i, n] = |n|**qs[i], so the amplitudes are never held for all times.
     """
-    qs = [float(q) for q in qs]
+    qs = tuple(float(q) for q in qs)
     for q in qs:
         if not q > 0:
             raise ValueError(f"moment exponent must be positive, got {q}")
@@ -234,14 +181,8 @@ def _moment_series_all(sd: SpectralData, source: int, qs, times,
     times = times.copy()
     times.flags.writeable = False
     values.flags.writeable = False
-    return [MomentSeries(q=q, source=int(source), times=times, values=row)
-            for q, row in zip(qs, values)]
-
-
-def moment_series(sd: SpectralData, source: int, q: float, times,
-                  chunk: int = 1024) -> MomentSeries:
-    """M_q(t) on a time grid, without materializing all amplitudes."""
-    return _moment_series_all(sd, source, (q,), times, chunk)[0]
+    return MomentSeries(qs=qs, source=int(source), times=times,
+                        values=values)
 
 
 def time_grid(dt: float = 0.05, t_max: float = 1000.0,
@@ -278,33 +219,37 @@ def envelope(sd: SpectralData, source: int, qs=(2.0,)) -> EnvelopeBound:
         moments[q] = (total, share)
     major.flags.writeable = False
     return EnvelopeBound(source=int(source), sites=sd.sites, majorant=major,
-                         interior_window=sd.interior_window, moments=moments)
+                         moments=moments)
 
 
-def majorant_defect(sd: SpectralData, env: EnvelopeBound, times,
-                    chunk: int = 1024) -> float:
-    """Largest excess of |psi_t(n)| over B(n, k) across sampled times."""
-    worst = -math.inf
-    for _, re, im in _propagate(sd, env.source,
-                                np.asarray(times, dtype=float), chunk):
-        worst = max(worst, float(np.max(np.hypot(re, im)
-                                        - env.majorant[:, None])))
-    return worst
+def moment_bound_verdict(
+        env: EnvelopeBound, alpha: float, q: float,
+        doubled: EnvelopeBound | None = None,
+        ratio_limit: float = DOUBLING_RATIO_LIMIT,
+        share_limit: float = BOUNDARY_SHARE_LIMIT) -> MomentBoundVerdict:
+    """Probe whether decay rate alpha forces bounded q-moments here.
 
-
-def _verdict(env: EnvelopeBound, alpha: float, q: float,
-             doubled_env: EnvelopeBound | None = None,
-             ratio_limit: float = DOUBLING_RATIO_LIMIT,
-             share_limit: float = BOUNDARY_SHARE_LIMIT) -> MomentBoundVerdict:
-    """Verdict of ``moment_bound_verdict`` from envelopes holding q."""
+    ``env`` and ``doubled`` must both hold q.  The hypothesis
+    alpha > 3/2 + q/2 is arithmetic.  Boundedness of E_q in the
+    infinite-volume limit is probed by the doubling ratio
+    E_q(doubled box) / E_q(box) when the envelope of a larger box from the
+    same source is supplied.  A boundary share at or above ``share_limit``
+    makes the verdict inconclusive rather than failed.
+    """
     alpha = float(alpha)
     q = float(q)
     e_q, share = env.moments[q]
     hypothesis = alpha > 1.5 + q / 2.0
 
     ratio: float | None = None
-    if doubled_env is not None:
-        ratio = doubled_env.moments[q][0] / e_q if e_q > 0 else 1.0
+    if doubled is not None:
+        if doubled.source != env.source:
+            raise ValueError(
+                f"doubled envelope is from source {doubled.source}, "
+                f"not {env.source}")
+        if not doubled.sites.size > env.sites.size:
+            raise ValueError("doubled envelope must come from a larger box")
+        ratio = doubled.moments[q][0] / e_q if e_q > 0 else 1.0
 
     if not hypothesis:
         conclusion = "hypothesis not satisfied: no assertion"
@@ -323,26 +268,3 @@ def _verdict(env: EnvelopeBound, alpha: float, q: float,
                               hypothesis_satisfied=hypothesis,
                               envelope_moment=e_q, boundary_share=share,
                               doubling_ratio=ratio, conclusion=conclusion)
-
-
-def moment_bound_verdict(sd: SpectralData, alpha: float, q: float,
-                         source: int = 0,
-                         doubled: SpectralData | None = None,
-                         ratio_limit: float = DOUBLING_RATIO_LIMIT,
-                         share_limit: float = BOUNDARY_SHARE_LIMIT) -> MomentBoundVerdict:
-    """Probe whether decay rate alpha forces bounded q-moments here.
-
-    The hypothesis alpha > 3/2 + q/2 is arithmetic.  Boundedness of E_q in
-    the infinite-volume limit is probed by the doubling ratio
-    E_q(doubled box) / E_q(box) when a doubled decomposition is supplied.
-    A boundary share at or above ``share_limit`` makes the verdict
-    inconclusive rather than failed.
-    """
-    env = envelope(sd, source, (q,))
-    doubled_env = None
-    if doubled is not None:
-        if doubled.half_width <= sd.half_width:
-            raise ValueError(
-                "doubled decomposition must come from a larger box")
-        doubled_env = envelope(doubled, source, (q,))
-    return _verdict(env, alpha, q, doubled_env, ratio_limit, share_limit)

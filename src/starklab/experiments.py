@@ -20,12 +20,12 @@ import inspect
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from ._format import dumps_json17, write_csv, write_json
 from ._version import __version__
-from .dynamics import (BOUNDARY_SHARE_LIMIT, DOUBLING_RATIO_LIMIT,
-                       _moment_series_all, _verdict, envelope, time_grid)
+from .dynamics import (BOUNDARY_SHARE_LIMIT, DOUBLING_RATIO_LIMIT, envelope,
+                       moment_bound_verdict, moment_series, time_grid)
 from .kernels import HoppingKernel, KernelError, build_kernel
 from .localization import (asymptotics_rows, bootstrap_decay_check,
                            check_eigenvalue_asymptotics, decay_rows,
@@ -113,7 +113,8 @@ class _Field:
     default as if given, except that None stays None and _ABSENT leaves
     the key out.  A value of the wrong type reports expected, or the
     kind's text, and parses as default.  A well-typed value that fails
-    the test of bound, a pair (test, text), reports text and is kept.
+    a test of bound, a tuple of (test, text) pairs, reports each failing
+    text and is kept.
     unknown is the text, formatted with the tag, for a tag that picks
     no fields.
     """
@@ -122,7 +123,7 @@ class _Field:
     default: object = None
     required: str | None = None
     expected: str | None = None
-    bound: tuple | None = None
+    bound: tuple = ()
     nullable: bool = False
     item: "_Field | None" = None
     fields: dict | None = None
@@ -147,12 +148,12 @@ _KINDS = {
     "object": (lambda v: isinstance(v, dict), "expected an object"),
     "any": (lambda v: True, None),
 }
-_POSITIVE = (lambda v: v > 0, "must be positive")
-_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+_POSITIVE = ((lambda v: v > 0, "must be positive"),)
+_NONNEGATIVE = ((lambda v: v >= 0, "must be nonnegative"),)
 
 
 def _at_least(minimum: int) -> tuple:
-    return (lambda v: v >= minimum, f"must be >= {minimum}")
+    return ((lambda v: v >= minimum, f"must be >= {minimum}"),)
 
 
 def _positive(default=None) -> _Field:
@@ -164,7 +165,15 @@ def _list(item: _Field, text: str, default=None, nonempty=True) -> _Field:
     (absence only when it has no default)."""
     return _Field("list", item=item, expected=text, default=default,
                   required=text if default is None else None,
-                  bound=(len, text) if nonempty else None)
+                  bound=((len, text),) if nonempty else ())
+
+
+def _distinct(spec: _Field) -> _Field:
+    """The list field whose parsed entries must differ: 2 and 2.0 collide.
+    Entries of the wrong type parse as None and are left out."""
+    unique = (lambda v: len(set(v) - {None}) == len(v) - v.count(None),
+              "entries must be distinct")
+    return replace(spec, bound=spec.bound + (unique,))
 
 
 def _amplitudes(kind: str, text: str) -> _Field:
@@ -222,16 +231,16 @@ _CONFIG = _Field("object", expected="config root must be an object", fields={
                          "required nonempty list of integers"),
     "analyses": _Field("object", default={"asymptotics": True}, fields={
         "asymptotics": _Field("bool", default=False),
-        "decay": _Field("object", fields={"alphas": _list(
-            _positive(), "required nonempty list of positive numbers")}),
+        "decay": _Field("object", fields={"alphas": _distinct(_list(
+            _positive(), "required nonempty list of positive numbers"))}),
         "bootstrap": _Field("object", fields={"gamma": _positive()}),
         "dynamics": _Field("object", fields={
-            "sources": _list(_Field("integer"),
-                             "required nonempty list of integer sites",
-                             default=[0]),
-            "moments": _list(_positive(),
-                             "required nonempty list of positive exponents",
-                             default=[2.0]),
+            "sources": _distinct(_list(
+                _Field("integer"), "required nonempty list of integer sites",
+                default=[0])),
+            "moments": _distinct(_list(
+                _positive(), "required nonempty list of positive exponents",
+                default=[2.0])),
             "grid": _Field("object", default={}, fields={
                 "dt": _positive(_GRID["dt"]),
                 "t_max": _positive(_GRID["t_max"]),
@@ -251,7 +260,7 @@ _CONFIG = _Field("object", expected="config root must be an object", fields={
         "eigenvalue_drift": _positive(1e-8)}),
     "output": _Field("object", default={}, fields={
         "directory": _Field("string", default="out",
-                            bound=(len, "must not be empty")),
+                            bound=((len, "must not be empty"),)),
         "dump_operator": _Field("bool", default=False)}),
     "max_dimension": _Field("integer", default=MAX_DIMENSION_DEFAULT,
                             bound=_at_least(3)),
@@ -347,8 +356,9 @@ def _walk(spec: _Field, value, path: str, problems: list):
                 if parsed is not _ABSENT:
                     out[key] = parsed
         value = out
-    if spec.bound is not None and not spec.bound[0](value):
-        problem(spec.bound[1])
+    for test, text in spec.bound:
+        if not test(value):
+            problem(text)
     return value
 
 
@@ -635,10 +645,7 @@ def _bootstrap_stage(ctx: _RunContext) -> None:
             "n_checked": rep.n_checked,
             "n_violations": len(rep.violations),
             "passed": rep.passed,
-            "violations": [
-                {"ladder_index": v.ladder_index, "site": v.site,
-                 "lhs": v.lhs, "rhs": v.rhs, "slack": v.slack}
-                for v in rep.violations[:100]],
+            "violations": [asdict(v) for v in rep.violations[:100]],
         }
         if not rep.passed:
             ctx.failures.append(f"bootstrap: N={n} has {len(rep.violations)} "
@@ -669,30 +676,22 @@ def _dynamics_stage(ctx: _RunContext) -> None:
                     "boundary_share": envs[k, n].boundary_share(q),
                 } for q in dyn["moments"]}}
             for n in widths}}
-        for series in _moment_series_all(ctx.spectra[widths[-1]], k,
-                                         dyn["moments"], times):
-            ctx.write_csv(f"moments_q{format(series.q, 'g')}_k{k}.csv",
-                          ["t", "moment"],
-                          list(zip(series.times, series.values)))
+        series = moment_series(ctx.spectra[widths[-1]], k, dyn["moments"],
+                               times)
+        for q, values in zip(series.qs, series.values):
+            ctx.write_csv(f"moments_q{format(q, 'g')}_k{k}.csv",
+                          ["t", "moment"], list(zip(series.times, values)))
     alphas = (config.analyses["decay"] or {}).get("alphas") or []
     n_small = widths[-2] if len(widths) >= 2 else widths[-1]
     for alpha in alphas:
         for k in dyn["sources"]:
             doubled_env = envs[k, widths[-1]] if len(widths) >= 2 else None
             for q in dyn["moments"]:
-                verdict = _verdict(
+                verdict = moment_bound_verdict(
                     envs[k, n_small], alpha, q, doubled_env,
                     ratio_limit=tol["doubling_ratio_limit"],
                     share_limit=tol["boundary_share_limit"])
-                envelope_doc["verdicts"].append({
-                    "alpha": verdict.alpha, "q": verdict.q,
-                    "source": verdict.source,
-                    "hypothesis_satisfied": verdict.hypothesis_satisfied,
-                    "envelope_moment": verdict.envelope_moment,
-                    "boundary_share": verdict.boundary_share,
-                    "doubling_ratio": verdict.doubling_ratio,
-                    "conclusion": verdict.conclusion,
-                })
+                envelope_doc["verdicts"].append(asdict(verdict))
                 if (verdict.hypothesis_satisfied
                         and verdict.doubling_ratio is not None
                         and not verdict.asserts_bounded

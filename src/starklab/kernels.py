@@ -19,6 +19,7 @@ carries an analytic bound on the mass dropped beyond the cutoff.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -153,10 +154,16 @@ class WeightedNorm:
 
 
 def _as_amplitude(value) -> complex:
-    # accept the {"re": x, "im": y} form emitted by describe()
-    if isinstance(value, dict):
-        return complex(float(value.get("re", 0.0)), float(value.get("im", 0.0)))
-    return complex(value)
+    """A number, or the {"re": x, "im": y} form emitted by describe()
+    with real parts; a missing part is 0.  Bools are not numbers here."""
+    parts, kind = [value], numbers.Number
+    if isinstance(value, dict) and set(value) <= {"re", "im"}:
+        parts = [value.get("re", 0.0), value.get("im", 0.0)]
+        kind = numbers.Real
+    if all(isinstance(p, kind) and not isinstance(p, bool) for p in parts):
+        return complex(*parts)
+    raise KernelError(f"an amplitude is a number or {{re, im}} of real "
+                      f"numbers, got {value!r}")
 
 
 def _symmetrize(raw: dict[int, complex]) -> tuple[tuple[int, complex], ...]:

@@ -252,11 +252,6 @@ class TruncatedOperator:
             return 0.0
         return float(np.max(np.abs(self.perturbation_values)))
 
-    def row_of_site(self, n: int) -> int:
-        if abs(n) > self.half_width:
-            raise IndexError(f"site {n} outside box of half-width {self.half_width}")
-        return int(n) + self.half_width
-
 
 def box_kernel(kernel: HoppingKernel, half_width: int) -> HoppingKernel:
     """The kernel as assembled on {-N, ..., N}: an infinite kernel gets a

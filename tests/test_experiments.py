@@ -507,8 +507,10 @@ def test_dynamics_stage_propagates_once_per_source(tmp_path, monkeypatch):
         verdicts = json.load(fh)["verdicts"]
     assert len(verdicts) == 2 * 2 * 3
     for row in verdicts:
-        v = sl.moment_bound_verdict(small, row["alpha"], row["q"],
-                                    source=row["source"], doubled=big)
+        k, q = row["source"], row["q"]
+        v = sl.moment_bound_verdict(sl.envelope(small, k, (q,)),
+                                    row["alpha"], q,
+                                    doubled=sl.envelope(big, k, (q,)))
         assert row == {"alpha": v.alpha, "q": v.q, "source": v.source,
                        "hypothesis_satisfied": v.hypothesis_satisfied,
                        "envelope_moment": v.envelope_moment,
@@ -957,6 +959,15 @@ GOLDEN = [
     ("nn", {"max_dimension": "x", "half_widths": [5000]},
      ["half_widths[0]: box dimension 10001 exceeds max_dimension 8192",
       "max_dimension: expected an integer"]),
+    # added: a repeated analysis entry, compared after parsing
+    ("nn", {"analyses": {"decay": {"alphas": [3, 2.0, 3.0]}}},
+     ["analyses.decay.alphas: entries must be distinct"]),
+    ("nn", {"analyses": {"dynamics": {"sources": [0, 2, 0, 2]}}},
+     ["analyses.dynamics.sources: entries must be distinct"]),
+    ("nn", {"analyses": {"dynamics": {"moments": [2, 2.0, "x", "y"]}}},
+     ["analyses.dynamics.moments: entries must be distinct",
+      "analyses.dynamics.moments[2]: expected a number",
+      "analyses.dynamics.moments[3]: expected a number"]),
 ]
 
 

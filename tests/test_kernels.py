@@ -157,6 +157,18 @@ def test_describe_round_trips_through_build_kernel():
             assert rebuilt.amplitude(m) == k.amplitude(m)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: sl.nearest_neighbor({"re": "1.5"}),
+    lambda: sl.build_kernel("finite_support", half=[{"re": True}]),
+    lambda: sl.nearest_neighbor("1.5"),
+    lambda: sl.nearest_neighbor(True),
+    lambda: sl.custom_kernel({1: {"re": 1.0, "phase": 0.5}}),
+], ids=["string-part", "bool-part", "string", "bool", "unknown-part"])
+def test_amplitude_must_be_a_number_or_real_parts(build):
+    with pytest.raises(KernelError):
+        build()
+
+
 def test_with_cutoff_is_bookkeeping_only():
     # the attached radius records how far assembly materialized the rule;
     # the coefficient rule itself is untouched

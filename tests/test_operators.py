@@ -22,11 +22,9 @@ def test_power_law_with_constant_shift_worked_entries():
     kernel = sl.power_law(4.0)
     pot = sl.PotentialSpec(perturbation=sl.ConstantPerturbation(0.3))
     op = sl.build_operator(kernel, pot, 3)
-    i = op.row_of_site(-3)
-    j = op.row_of_site(0)
-    assert op.matrix[i, j] == pytest.approx(3.0 ** -4, abs=1e-18)
-    k = op.row_of_site(2)
-    assert op.matrix[k, k] == pytest.approx(2.3, abs=1e-15)
+    # rows run over sites -3..3: row 0 is site -3, row 3 site 0
+    assert op.matrix[0, 3] == pytest.approx(3.0 ** -4, abs=1e-18)
+    assert op.matrix[5, 5] == pytest.approx(2.3, abs=1e-15)
     assert op.perturbation_sup == 0.3
 
 
@@ -148,11 +146,9 @@ def test_dimension_guard():
 
 def test_site_row_bookkeeping():
     op = sl.build_operator(sl.nearest_neighbor(), sl.PotentialSpec(), 4)
-    assert op.row_of_site(-4) == 0
-    assert op.row_of_site(0) == 4
-    assert op.sites[8] == 4
-    with pytest.raises(IndexError):
-        op.row_of_site(5)
+    np.testing.assert_array_equal(op.sites, np.arange(-4, 5))
+    # row r is site r - N: the diagonal carries the field n
+    np.testing.assert_array_equal(np.diagonal(op.matrix), op.sites)
 
 
 def test_matrix_is_read_only():
