@@ -121,18 +121,14 @@ def _propagate(sd: SpectralData, source: int, times: np.ndarray,
     re and im are the real and imaginary parts of psi_t as real d x c arrays.
     Real eigenvectors take one real GEMM per chunk,
     V @ [w cos(lambda t) | w sin(lambda t)] with w = V[source row, :], and
-    im is minus the sine half; eigenvectors with a nonzero imaginary part
-    take the complex exponential and a complex GEMM.  A real spectrum
-    reloaded from a dump (stored as complex) takes the real path, so it
-    gives the same bytes as before the dump.  The source is checked on the
-    call, also when times is empty.
+    im is minus the sine half; complex eigenvectors take the complex
+    exponential and a complex GEMM.  The source is checked on the call,
+    also when times is empty.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be positive, got {chunk}")
     vecs, lam = sd.eigenvectors, sd.eigenvalues
     row = _source_row(sd, source)
-    if np.iscomplexobj(vecs) and not np.any(vecs.imag):
-        vecs = np.ascontiguousarray(vecs.real)
 
     def complex_chunks():
         weights = vecs[row, :].conj()[:, None]
@@ -167,6 +163,7 @@ def moment_series(sd: SpectralData, source: int, qs, times,
 
     Each chunk gives all moments at once as W @ (re**2 + im**2), where
     W[i, n] = |n|**qs[i], so the amplitudes are never held for all times.
+    An empty time grid raises ValueError: its series would have no sup.
     """
     qs = tuple(float(q) for q in qs)
     for q in qs:
@@ -174,6 +171,9 @@ def moment_series(sd: SpectralData, source: int, qs, times,
             raise ValueError(f"moment exponent must be positive, got {q}")
     times = np.asarray(times, dtype=float)
     chunks = _propagate(sd, source, times, chunk)
+    if times.size == 0:
+        raise ValueError("moment_series needs a nonempty time grid, "
+                         "got no times")
     site_w = np.abs(sd.sites.astype(float)) ** np.array(qs)[:, None]
     values = np.empty((len(qs), times.size), dtype=float)
     for s, re, im in chunks:

@@ -2,12 +2,15 @@
 
 Eigenpairs come from LAPACK.  A box kernel of support radius at most 1
 (nearest neighbour, radius-1 finite support, the zero kernel) makes a
-tridiagonal matrix, which goes to the banded Hermitian solver
-(scipy.linalg.eig_banded); every other kernel goes to the dense
-Hermitian solver (numpy.linalg.eigh).  Measured at d = 2801 on 2 cores
-with OpenBLAS, the banded solver is about 3x faster on a tridiagonal
-matrix and slower than the dense one from radius 2 on.
-Every decomposition is gated on two invariants before it is returned:
+tridiagonal matrix, which goes to the symmetric tridiagonal
+divide-and-conquer solver (?stevd, through scipy.linalg.lapack.dstevd);
+a complex one is first made real by a diagonal unitary gauge.  Every
+other kernel goes to the dense Hermitian solver (numpy.linalg.eigh).
+Measured at d = 2801 on 2 cores with OpenBLAS, ?stevd takes 0.11 s
+where the dense solver takes 1.9 s.  Each eigenvector's sign
+(its phase, if complex) is fixed so that its largest-modulus entry is
+real and positive.  Every decomposition is gated on two invariants
+before it is returned:
 
     ||H phi - lambda phi||_2 <= residual_tol * max(1, spectral radius)
     max |<phi_i, phi_j> - delta_ij| <= orthonormality_tol
@@ -22,6 +25,7 @@ the untrusted boundary region; the interior mask excludes them.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 from dataclasses import dataclass
@@ -50,7 +54,8 @@ ORTHONORMALITY_TOL = 1e-10
 DEGENERACY_GAP = 1e-12
 
 _FORMAT_NAME = "starklab-spectrum"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+_EIGENVECTOR_DTYPES = ("<f8", "<c16")  # real and complex spectra
 
 
 class ConvergenceFailureError(RuntimeError):
@@ -142,10 +147,51 @@ def ladder_anchor(eigenvalues: np.ndarray,
     return pos, fallback
 
 
+def _peak_rows(eigenvectors: np.ndarray) -> np.ndarray:
+    """Row of the largest-modulus entry of each column, the first on ties.
+
+    One pass down the rows keeps each column's running maximum, so no
+    d x d temporary is allocated and every step reads one contiguous row
+    (an argmax down the columns of a row-major array copies it transposed,
+    which took 4x as long at d = 2801, in column blocks too).
+    """
+    best = np.abs(eigenvectors[0])
+    rows = np.zeros(best.shape, dtype=np.intp)
+    mod = np.empty_like(best)
+    larger = np.empty(best.shape, dtype=bool)
+    for i in range(1, eigenvectors.shape[0]):
+        np.abs(eigenvectors[i], out=mod)
+        np.greater(mod, best, out=larger)  # strict: a tie keeps the first row
+        np.copyto(best, mod, where=larger)
+        np.copyto(rows, i, where=larger)
+    return rows
+
+
+def _fix_phases(vec: np.ndarray) -> np.ndarray:
+    """Scale each column of vec, in place, by the unit-modulus factor that
+    makes its largest-modulus entry (the first on ties) real and positive.
+
+    Returns the peak rows of the scaled columns.  A real column only
+    changes sign, which keeps every modulus and so the peak rows.  A
+    complex column's phase moves its other moduli by rounding, so where
+    two moduli tie to rounding the returned row can be the other one of
+    the pair.
+    """
+    rows = _peak_rows(vec)
+    columns = np.arange(vec.shape[1])
+    peaks = vec[rows, columns]
+    with np.errstate(invalid="ignore"):  # a zero column fails the gates
+        vec *= peaks.conj() / np.abs(peaks)
+    vec[rows, columns] = np.abs(peaks)  # the product leaves imaginary noise
+    if np.iscomplexobj(vec):
+        # a reload finds its centers on the rotated vectors
+        rows = _peak_rows(vec)
+    return rows
+
+
 def detect_centers(eigenvectors: np.ndarray, sites: np.ndarray) -> np.ndarray:
     """Site of maximal modulus per column; ties go to the smaller site."""
-    rows = np.argmax(np.abs(eigenvectors), axis=0)  # argmax takes the first max
-    return np.asarray(sites)[rows]
+    return np.asarray(sites)[_peak_rows(eigenvectors)]
 
 
 def default_interior_window(half_width: int, hopping_norm: float,
@@ -155,17 +201,34 @@ def default_interior_window(half_width: int, hopping_norm: float,
                math.ceil(10.0 * (hopping_norm + perturbation_sup + 1.0)))
 
 
-def _banded_eigh(H: np.ndarray):
-    """Eigenpairs of a tridiagonal Hermitian matrix from LAPACK's banded
-    solver (?sbevd / ?hbevd), read from its two lower diagonals."""
-    # scipy.linalg adds about 0.2 s to the import; load it only when needed
-    from scipy.linalg import eig_banded
+def _tridiagonal_eigh(H: np.ndarray):
+    """Eigenpairs of a tridiagonal Hermitian matrix from LAPACK's
+    symmetric tridiagonal divide-and-conquer solver (?stevd), read from
+    its diagonal and first subdiagonal l.
 
-    band = np.zeros((2, H.shape[0]), dtype=H.dtype)
-    band[0] = H.diagonal()
-    band[1, :-1] = H.diagonal(-1)
-    lam, vec = eig_banded(band, lower=True)
-    return lam, np.ascontiguousarray(vec)  # LAPACK returns Fortran order
+    A complex matrix is D T D^* with T real tridiagonal, off-diagonal
+    |l|, and D = diag(phi) unitary: phi_0 = 1 and
+    phi_{i+1} = phi_i l_i / |l_i| (phi_i where l_i = 0).  The eigenvectors
+    of H are then phi[:, None] * z for the eigenvectors z of T.
+    """
+    # scipy.linalg adds about 0.2 s to the import; load it only when needed
+    from scipy.linalg.lapack import dstevd
+
+    diag, lower = H.diagonal().real, H.diagonal(-1)
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(lower))):
+        raise ValueError("the tridiagonal matrix has non-finite entries")
+    phi = None
+    if np.iscomplexobj(lower):
+        size = np.abs(lower)
+        step = np.ones_like(lower)
+        np.divide(lower, size, out=step, where=size > 0)
+        phi = np.concatenate(([1.0 + 0.0j], np.cumprod(step)))
+        lower = size
+    lam, z, info = dstevd(diag, lower, compute_v=1)
+    if info != 0:
+        raise ValueError(f"?stevd did not converge (info={info})")
+    vec = np.ascontiguousarray(z)  # LAPACK returns Fortran order
+    return lam, vec if phi is None else phi[:, np.newaxis] * vec
 
 
 def _tridiagonal_residuals(H: np.ndarray, lam: np.ndarray,
@@ -189,9 +252,13 @@ def diagonalize(op: TruncatedOperator,
     """Full eigendecomposition of a truncated operator, quality-gated.
 
     A tridiagonal operator (box kernel support radius at most 1) is solved
-    by the banded LAPACK solver and its residual is a three-term sum over
-    the diagonals; any other operator is solved densely and its residual
-    is the product H @ vec.  Eigenvectors are C-contiguous either way.
+    by LAPACK's tridiagonal divide-and-conquer solver and its residual is a
+    three-term sum over the diagonals; any other operator is solved densely
+    and its residual is the product H @ vec.  Eigenvectors are C-contiguous
+    either way.  Each eigenvector is scaled by the unit-modulus factor that
+    makes its largest-modulus entry (the first on ties) real and positive,
+    so the returned and dumped vectors do not depend on the sign or phase
+    the solver picked; the gates check the vectors as returned.
 
     Raises ConvergenceFailureError if LAPACK does not converge, if an
     eigenvalue, residual or Gram entry is not finite, or if the
@@ -201,8 +268,8 @@ def diagonalize(op: TruncatedOperator,
     support = op.kernel.support_radius
     tridiagonal = support is not None and support <= 1
     try:
-        lam, vec = _banded_eigh(H) if tridiagonal else np.linalg.eigh(H)
-    except ValueError as exc:  # LinAlgError, or a non-finite band
+        lam, vec = _tridiagonal_eigh(H) if tridiagonal else np.linalg.eigh(H)
+    except ValueError as exc:  # LinAlgError, ?stevd's info, non-finite H
         raise ConvergenceFailureError(
             f"eigensolver failed on half_width={op.half_width} "
             f"({op.potential.family} potential): {exc}") from exc
@@ -211,6 +278,7 @@ def diagonalize(op: TruncatedOperator,
             "eigensolver returned non-finite eigenvalues "
             f"(half_width={op.half_width})")
 
+    rows = _fix_phases(vec)
     if tridiagonal:
         resid = _tridiagonal_residuals(H, lam, vec)
     else:
@@ -225,7 +293,6 @@ def diagonalize(op: TruncatedOperator,
     gram = vec.conj().T @ vec
     np.fill_diagonal(gram, gram.diagonal() - 1.0)
     defect = float(np.max(np.abs(gram)))
-    del gram  # d x d; free it before detect_centers allocates two more
     if not defect <= orthonormality_tol:
         raise ConvergenceFailureError(
             f"orthonormality defect {defect:.3e} exceeds {orthonormality_tol:.3e} "
@@ -248,18 +315,21 @@ def diagonalize(op: TruncatedOperator,
         "degeneracy_gap": float(degeneracy_gap),
     }
 
-    return _labeled(op.half_width, lam, vec, resid, int(interior_window),
-                    degeneracy_gap, orthonormality_defect=defect,
+    return _labeled(op.half_width, lam, vec, resid, rows,
+                    int(interior_window), degeneracy_gap,
+                    orthonormality_defect=defect,
                     anchor_position=anchor, anchor_fallback=fallback,
                     provenance=provenance)
 
 
-def _labeled(half_width: int, lam, vec, resid, interior_window: int,
-             degeneracy_gap: float, **fields) -> SpectralData:
-    """SpectralData with the sites, centers, interior mask and degenerate
-    positions of the eigenpairs, and its arrays frozen."""
+def _labeled(half_width: int, lam, vec, resid, peak_rows,
+             interior_window: int, degeneracy_gap: float,
+             **fields) -> SpectralData:
+    """SpectralData with the sites, centers (the sites of peak_rows),
+    interior mask and degenerate positions of the eigenpairs, and its
+    arrays frozen."""
     sites = np.arange(-half_width, half_width + 1)
-    centers = detect_centers(vec, sites)
+    centers = sites[peak_rows]
     mask = np.abs(centers) <= half_width - interior_window
     gaps = np.diff(lam)
     degenerate = tuple(int(p) for p in np.nonzero(gaps < degeneracy_gap)[0])
@@ -273,15 +343,24 @@ def _labeled(half_width: int, lam, vec, resid, interior_window: int,
 
 
 def save_spectral(sd: SpectralData, base_path: str) -> tuple[str, str]:
-    """Write {base}.json (header) and {base}.bin (payload).
+    """Write {base}.json (header) and {base}.bin (payload), format v2.
 
     Payload layout, little-endian, in order: eigenvalues (d float64),
-    residuals (d float64), eigenvectors (d*d complex128, row-major, row =
-    site row, column = ascending mode).
+    residuals (d float64), eigenvectors (d*d float64 for a real spectrum,
+    complex128 for a complex one; row-major, row = site row, column =
+    ascending mode).  The header names the eigenvector dtype and carries
+    the payload's byte length and sha256.
     """
     json_path = f"{base_path}.json"
     bin_path = f"{base_path}.bin"
     d = sd.dimension
+    dtype = np.dtype("<c16" if np.iscomplexobj(sd.eigenvectors) else "<f8")
+    parts = [np.ascontiguousarray(sd.eigenvalues, dtype="<f8"),
+             np.ascontiguousarray(sd.residuals, dtype="<f8"),
+             np.ascontiguousarray(sd.eigenvectors, dtype=dtype)]
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
     header = {
         "format": _FORMAT_NAME,
         "format_version": _FORMAT_VERSION,
@@ -297,46 +376,74 @@ def save_spectral(sd: SpectralData, base_path: str) -> tuple[str, str]:
         "provenance": sd.provenance,
         "payload": {
             "file": os.path.basename(bin_path),
+            "eigenvector_dtype": dtype.str,
             "layout": [
                 f"eigenvalues: {d} x float64-le",
                 f"residuals: {d} x float64-le",
-                f"eigenvectors: {d}x{d} x complex128-le row-major "
-                "(row = site, column = mode)",
+                f"eigenvectors: {d}x{d} x {dtype.name}-le "
+                "row-major (row = site, column = mode)",
             ],
-            "byte_length": d * 8 * 2 + d * d * 16,
+            "byte_length": sum(part.nbytes for part in parts),
+            "sha256": digest.hexdigest(),
         },
     }
     write_json(json_path, header)
     with open(bin_path, "wb") as fh:
-        np.ascontiguousarray(sd.eigenvalues, dtype="<f8").tofile(fh)
-        np.ascontiguousarray(sd.residuals, dtype="<f8").tofile(fh)
-        np.ascontiguousarray(sd.eigenvectors, dtype="<c16").tofile(fh)
+        for part in parts:
+            part.tofile(fh)
     return json_path, bin_path
 
 
 def load_spectral(base_path: str) -> SpectralData:
-    """Rebuild SpectralData from a save_spectral dump pair."""
+    """Rebuild SpectralData from a save_spectral dump pair.
+
+    Raises ValueError, naming the problem, for a header that is not a
+    format-v2 spectrum header (a v1 dump must be rewritten by rerunning
+    the spectrum stage), a payload whose length differs from the header's
+    byte_length or from what the dimension and dtype need, and a payload
+    whose sha256 differs from the header's.
+    """
     import json
 
     with open(f"{base_path}.json", "r", encoding="utf-8") as fh:
         header = json.load(fh)
     if header.get("format") != _FORMAT_NAME:
         raise ValueError(f"{base_path}.json is not a spectrum header")
+    version = header.get("format_version")
+    if version != _FORMAT_VERSION:
+        raise ValueError(
+            f"{base_path}.json has dump format_version {version!r}; only "
+            f"format_version {_FORMAT_VERSION} is read: rerun the spectrum "
+            "stage to rewrite it")
     d = int(header["dimension"])
     half_width = int(header["half_width"])
-    with open(f"{base_path}.bin", "rb") as fh:
-        lam = np.fromfile(fh, dtype="<f8", count=d)
-        resid = np.fromfile(fh, dtype="<f8", count=d)
-        vec = np.fromfile(fh, dtype="<c16", count=d * d)
-        trailing = fh.read(1)
-    if lam.size != d or resid.size != d or vec.size != d * d or trailing:
+    payload = header["payload"]
+    if payload.get("eigenvector_dtype") not in _EIGENVECTOR_DTYPES:
+        raise ValueError(f"{base_path}.json names eigenvector dtype "
+                         f"{payload.get('eigenvector_dtype')!r}, not one "
+                         f"of {_EIGENVECTOR_DTYPES}")
+    dtype = np.dtype(payload["eigenvector_dtype"])
+    byte_length = 2 * d * 8 + d * d * dtype.itemsize
+    if payload["byte_length"] != byte_length:
         raise ValueError(
-            f"{base_path}.bin does not match the declared dimension {d}")
-    vec = vec.reshape(d, d)
+            f"{base_path}.json declares byte_length {payload['byte_length']}, "
+            f"but dimension {d} with {dtype.name} eigenvectors needs "
+            f"{byte_length}")
+    raw = np.fromfile(f"{base_path}.bin", dtype=np.uint8)
+    if raw.size != byte_length:
+        raise ValueError(f"{base_path}.bin holds {raw.size} bytes, not the "
+                         f"declared byte_length {byte_length}")
+    if hashlib.sha256(raw).hexdigest() != payload["sha256"]:
+        raise ValueError(f"{base_path}.bin does not match the sha256 in "
+                         f"{base_path}.json: the payload is corrupt")
+    lam = np.frombuffer(raw, "<f8", d)
+    resid = np.frombuffer(raw, "<f8", d, offset=8 * d)
+    vec = np.frombuffer(raw, dtype, d * d, offset=16 * d).reshape(d, d)
 
     prov = header.get("provenance", {})
     return _labeled(
-        half_width, lam, vec, resid, int(header["interior_window"]),
+        half_width, lam, vec, resid, _peak_rows(vec),
+        int(header["interior_window"]),
         float(prov.get("degeneracy_gap", DEGENERACY_GAP)),
         orthonormality_defect=float(header["orthonormality_defect"]),
         anchor_position=int(header["anchor_position"]),

@@ -302,6 +302,24 @@ def test_report_refuses_dumps_of_another_config(tmp_path, capsys):
     assert "stage spectrum: reused" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("damage, problem", [
+    (lambda raw: raw[:100] + bytes([raw[100] ^ 1]) + raw[101:], "sha256"),
+    (lambda raw: raw[:-8], "byte_length"),
+], ids=["flipped-byte", "truncated"])
+def test_report_refuses_a_damaged_dump(tmp_path, capsys, damage, problem):
+    cfg = quiet_ladder_config(tmp_path)
+    assert main(["spectrum", "--config", cfg]) == 0
+    bin_path = tmp_path / "out" / "spectrum_N12.bin"
+    bin_path.write_bytes(damage(bin_path.read_bytes()))
+    capsys.readouterr()
+    code = main(["report", "--config", cfg])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "stage spectrum: failed (ValueError" in out
+    assert problem in out
+    assert "stage asymptotics: skipped" in out
+
+
 def test_report_without_dumps_exits_2(tmp_path, capsys):
     cfg = quiet_ladder_config(tmp_path, out_name="never_written")
     code = main(["report", "--config", cfg])

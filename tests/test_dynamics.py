@@ -108,15 +108,30 @@ def test_real_and_complex_eigenvectors_propagate_alike(spectrum_cache):
     assert defects[0] == pytest.approx(defects[1], abs=1e-12)
 
 
-def test_reloaded_real_spectrum_takes_the_real_path(spectrum_cache):
-    # dumps store real eigenvectors as complex; the moments of the
-    # reloaded spectrum are the same bytes
-    _, sd = spectrum_cache("pl4", 60, 0.5, 2)
-    cast = replace(sd, eigenvectors=sd.eigenvectors.astype(complex))
+@pytest.mark.parametrize("kernel, dtype", [
+    (sl.power_law(4.0), np.float64),
+    (sl.nearest_neighbor(0.6 + 0.8j), np.complex128),
+], ids=["real", "complex"])
+def test_reloaded_spectrum_keeps_its_dtype_and_moments(tmp_path, kernel,
+                                                       dtype):
+    pert = sl.UniformRandomPerturbation(amplitude=0.5, seed=2)
+    op = sl.build_operator(kernel, sl.PotentialSpec(perturbation=pert), 30)
+    sd = sl.diagonalize(op, interior_window=8)
+    sl.save_spectral(sd, str(tmp_path / "spec"))
+    back = sl.load_spectral(str(tmp_path / "spec"))
+    assert sd.eigenvectors.dtype == back.eigenvectors.dtype == dtype
+    np.testing.assert_array_equal(back.eigenvectors, sd.eigenvectors)
+    np.testing.assert_array_equal(back.centers, sd.centers)
     times = np.linspace(0.0, 30.0, 13)
     np.testing.assert_array_equal(
-        sl.moment_series(cast, 0, (2.0,), times, chunk=5).values,
+        sl.moment_series(back, 0, (2.0,), times, chunk=5).values,
         sl.moment_series(sd, 0, (2.0,), times, chunk=5).values)
+
+
+def test_empty_time_grid_is_rejected():
+    sd = _stationary_setup()
+    with pytest.raises(ValueError, match="nonempty time grid"):
+        sl.moment_series(sd, 0, (2.0,), [])
 
 
 def test_complex_kernel_propagates_like_single_calls():

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import helpers
 import starklab as sl
 from starklab.spectra import (ladder_anchor, detect_centers,
-                              default_interior_window)
+                              default_interior_window, _fix_phases,
+                              _tridiagonal_eigh)
 
 SQRT3 = 1.7320508075688773
 
@@ -98,6 +99,37 @@ def test_center_tie_break_goes_to_smaller_site():
     np.testing.assert_array_equal(centers, [-1])
 
 
+def test_phase_fix_makes_the_peak_real_and_positive():
+    vecs = np.array([[0.5, -0.5, 0.1, 0.6j, 0.3],
+                     [-0.5, 0.5, -0.8, -0.6j, 0.4 - 0.3j],
+                     [0.1, 0.0, 0.2, 0.1, 0.1]], dtype=complex)
+    rows = _fix_phases(vecs)
+    # ties go to the first row, the smaller site
+    np.testing.assert_array_equal(rows, [0, 0, 1, 0, 1])
+    np.testing.assert_array_equal(vecs[rows, np.arange(5)],
+                                  [0.5, 0.5, 0.8, 0.6, 0.5])
+    np.testing.assert_allclose(vecs[:, :3].real, [[0.5, 0.5, -0.1],
+                                                  [-0.5, -0.5, 0.8],
+                                                  [0.1, 0.0, -0.2]])
+    np.testing.assert_allclose(vecs[:, 3], [0.6, -0.6, -0.1j], atol=1e-16)
+    real = np.array([[0.5, 0.2], [-0.5, -0.9]])
+    np.testing.assert_array_equal(_fix_phases(real), [0, 1])
+    np.testing.assert_array_equal(real, [[0.5, -0.2], [-0.5, 0.9]])
+
+
+@pytest.mark.parametrize("kernel", [
+    sl.nearest_neighbor(), sl.nearest_neighbor(0.6 + 0.8j),
+    sl.power_law(4.0), sl.finite_support([0.7, 0.2 + 0.3j]),
+], ids=["nn", "complex-nn", "p4", "complex-radius-2"])
+def test_each_eigenvector_peaks_real_and_positive_at_its_center(kernel):
+    sd = sl.diagonalize(_disordered(kernel, half_width=20))
+    vec = sd.eigenvectors
+    peaks = vec[sd.centers + sd.half_width, np.arange(sd.dimension)]
+    assert np.all(peaks.imag == 0.0)
+    assert np.all(peaks.real > 0.0)
+    np.testing.assert_array_equal(peaks.real, np.max(np.abs(vec), axis=0))
+
+
 def test_interior_window_formula():
     assert default_interior_window(200, 2.0, 0.0) == 50
     assert default_interior_window(40, 2.0, 0.0) == 30
@@ -167,6 +199,24 @@ def test_save_load_round_trip(tmp_path, spectrum_cache):
     assert open(bin_path, "rb").read() == first[1]
 
 
+def test_dump_header_names_dtype_length_and_hash(tmp_path, spectrum_cache):
+    import hashlib
+    import json
+
+    _, sd = spectrum_cache("pl4", 20, 1.0, 5)
+    json_path, bin_path = sl.save_spectral(sd, str(tmp_path / "spec"))
+    header = json.load(open(json_path))
+    raw = open(bin_path, "rb").read()
+    d = sd.dimension
+    assert header["format_version"] == 2
+    assert header["payload"]["eigenvector_dtype"] == "<f8"
+    assert header["payload"]["byte_length"] == len(raw) == 16 * d + 8 * d * d
+    assert header["payload"]["sha256"] == hashlib.sha256(raw).hexdigest()
+    # eigenvalues lead the payload, where perfbench/fingerprint.py reads them
+    np.testing.assert_array_equal(np.frombuffer(raw[:8 * d], "<f8"),
+                                  sd.eigenvalues)
+
+
 def test_load_rejects_truncated_payload(tmp_path, spectrum_cache):
     _, sd = spectrum_cache("pl4", 20, 1.0, 5)
     base = str(tmp_path / "broken")
@@ -174,11 +224,40 @@ def test_load_rejects_truncated_payload(tmp_path, spectrum_cache):
     raw = open(bin_path, "rb").read()
     with open(bin_path, "wb") as fh:
         fh.write(raw[:-8])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="declared byte_length"):
         sl.load_spectral(base)
     with open(bin_path, "wb") as fh:
         fh.write(raw + b"\x00")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="declared byte_length"):
+        sl.load_spectral(base)
+
+
+@pytest.mark.parametrize("offset", [0, 8 * 41 + 3, -1],
+                         ids=["eigenvalue", "residual", "eigenvector"])
+def test_load_rejects_a_flipped_payload_byte(tmp_path, spectrum_cache,
+                                             offset):
+    _, sd = spectrum_cache("pl4", 20, 1.0, 5)
+    base = str(tmp_path / "flipped")
+    _, bin_path = sl.save_spectral(sd, base)
+    raw = bytearray(open(bin_path, "rb").read())
+    raw[offset] ^= 0x10
+    with open(bin_path, "wb") as fh:
+        fh.write(raw)
+    with pytest.raises(ValueError, match="sha256"):
+        sl.load_spectral(base)
+
+
+def test_load_rejects_a_version_1_dump(tmp_path, spectrum_cache):
+    import json
+
+    _, sd = spectrum_cache("pl4", 20, 1.0, 5)
+    base = str(tmp_path / "old")
+    json_path, _ = sl.save_spectral(sd, base)
+    header = json.load(open(json_path))
+    header["format_version"] = 1
+    with open(json_path, "w") as fh:
+        json.dump(header, fh)
+    with pytest.raises(ValueError, match="format_version 1;"):
         sl.load_spectral(base)
 
 
@@ -256,6 +335,22 @@ def test_tridiagonal_path_matches_dense_eigh(name):
     np.testing.assert_allclose(sd.residuals, dense_resid, rtol=0, atol=1e-13)
 
 
+def test_complex_gauge_solves_any_hermitian_tridiagonal():
+    # phases vary along the band and one coupling vanishes, so the gauge
+    # must carry phi across a zero and handle more than one phase
+    rng = np.random.default_rng(4)
+    d = 60
+    lower = rng.normal(size=d - 1) * np.exp(2j * np.pi * rng.random(d - 1))
+    lower[17] = 0.0
+    H = np.diag(rng.normal(size=d)).astype(complex)
+    H += np.diag(lower, -1) + np.diag(lower.conj(), 1)
+    lam, vec = _tridiagonal_eigh(H)
+    np.testing.assert_allclose(lam, np.linalg.eigvalsh(H), rtol=0, atol=1e-11)
+    np.testing.assert_allclose(H @ vec, vec * lam, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(vec.conj().T @ vec, np.eye(d), rtol=0,
+                               atol=1e-11)
+
+
 @pytest.mark.parametrize("kernel, dense", [
     (sl.nearest_neighbor(), False),
     (sl.nearest_neighbor(0.6 + 0.8j), False),
@@ -275,14 +370,15 @@ def test_solver_follows_support_radius(kernel, dense, monkeypatch):
     assert sd.eigenvectors.flags.c_contiguous
 
 
-def test_banded_lapack_failure_is_a_convergence_failure(monkeypatch):
-    import scipy.linalg
+def test_tridiagonal_lapack_failure_is_a_convergence_failure(monkeypatch):
+    import scipy.linalg.lapack
 
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("eig algorithm did not converge")
-    monkeypatch.setattr(scipy.linalg, "eig_banded", fail)
+    def fail(d, e, compute_v=1):
+        return d, np.zeros((d.size, d.size)), 3  # info > 0: no convergence
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", fail)
     op = sl.build_operator(sl.nearest_neighbor(), sl.PotentialSpec(), 5)
-    with pytest.raises(sl.ConvergenceFailureError, match="did not converge"):
+    with pytest.raises(sl.ConvergenceFailureError,
+                       match=r"did not converge \(info=3\)"):
         sl.diagonalize(op)
 
 

@@ -10,8 +10,8 @@ Python process builds the operator and times, each as the median of
 REPEATS runs:
 
     build_operator   operator assembly, perturbation sampling included
-    diagonalize      the gated solve (banded for the nearest-neighbour
-                     kernel, dense for p=4)
+    diagonalize      the gated solve (LAPACK's tridiagonal ?stevd for the
+                     nearest-neighbour kernel, dense for p=4)
     eigh             a bare np.linalg.eigh of the same matrix, the dense
                      reference the solver is compared with
     save_spectral    writing the dump pair
