@@ -8,6 +8,13 @@ so any time is reached in one matrix product with no step error beyond
 the eigendecomposition itself.  The position moment is
 M_q(t) = sum_n |n|**q |psi_t(n)|**2.
 
+Times are propagated in chunks, each one GEMM of the eigenvectors with a
+d x c block of weighted phases; for real eigenvectors the complex phases
+are read as interleaved float64, so the real GEMM returns psi directly.
+On the uniform prefix of the grid (times[k] == k * dt exactly) a chunk's
+phases are a fixed table over j * dt times d fresh exponentials at the
+chunk's first time; the far samples take the exponential directly.
+
 The time-uniform envelope B(n, k) = sum_m |phi_m(k)| |phi_m(n)| dominates
 |psi_t(n)| for every t at once; E_q = sum_n |n|**q B(n, k)**2 therefore
 dominates every moment.  When eigenfunctions decay fast enough
@@ -114,55 +121,68 @@ def _source_row(sd: SpectralData, source: int) -> int:
     return sd.row_of_site(source)
 
 
+def _uniform_prefix(times: np.ndarray) -> tuple[float, int]:
+    """(dt, length) of the leading run of times where times[k] == k * dt
+    holds exactly, with dt = times[1] - times[0] (0 for a single time)."""
+    dt = times[1] - times[0] if times.size > 1 else 0.0
+    uniform = times == np.arange(times.size) * dt
+    return dt, times.size if uniform.all() else int(np.argmin(uniform))
+
+
 def _propagate(sd: SpectralData, source: int, times: np.ndarray,
                chunk: int):
-    """Iterator of (start, re, im) of psi_t at times[start:start + chunk].
+    """Iterator of (start, psi): psi_t at times[start:start + chunk].
 
-    re and im are the real and imaginary parts of psi_t as real d x c arrays.
-    Real eigenvectors take one real GEMM per chunk,
-    V @ [w cos(lambda t) | w sin(lambda t)] with w = V[source row, :], and
-    im is minus the sine half; complex eigenvectors take the complex
-    exponential and a complex GEMM.  The source is checked on the call,
-    also when times is empty.
+    psi is a complex d x c array, one column per time, built as
+    V @ (conj(w) exp(-i lambda t)) with w = V[source row, :].  Real
+    eigenvectors take one real GEMM of V with the phases viewed as float64:
+    its d x 2c result, real and imaginary parts interleaved, is psi viewed
+    as float64.  Complex eigenvectors take a complex GEMM.
+
+    The phases of a chunk come from a table conj(w) exp(-i lambda j dt),
+    j < chunk, built once, when the chunk lies wholly inside the uniform
+    prefix: the leading run where times[k] == k * dt holds exactly, with
+    dt = times[1] - times[0].  Such a chunk, starting at t0, costs d
+    exponentials exp(-i lambda t0) and one complex product per entry, so
+    no error accumulates from chunk to chunk.  Every other chunk takes the
+    exponential directly.  The source is checked on the call, also when
+    times is empty.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be positive, got {chunk}")
     vecs, lam = sd.eigenvectors, sd.eigenvalues
-    row = _source_row(sd, source)
+    weights = vecs[_source_row(sd, source), :].conj()[:, None]
+    # real V: the GEMM runs on the phases' float64 view, interleaved parts
+    gemm_view = np.complex128 if np.iscomplexobj(vecs) else np.float64
+    dt, prefix = _uniform_prefix(times)
+    width = min(chunk, times.size)
+    table = (weights * np.exp(-1j * np.outer(lam, np.arange(width) * dt))
+             if prefix >= width > 0 else None)
 
-    def complex_chunks():
-        weights = vecs[row, :].conj()[:, None]
-        for s in range(0, times.size, chunk):
-            phases = np.exp(-1j * np.outer(lam, times[s: s + chunk]))
-            amps = vecs @ (phases * weights)
-            yield s, amps.real, amps.imag
-
-    def real_chunks():
-        weights = vecs[row, :][:, None]
-        buf = np.empty(lam.size * 2 * min(chunk, times.size))
+    def chunks():
         for s in range(0, times.size, chunk):
             ts = times[s: s + chunk]
-            c = ts.size
-            trig = buf[: lam.size * 2 * c].reshape(lam.size, 2 * c)
-            cos, sin = trig[:, :c], trig[:, c:]
-            np.multiply.outer(lam, ts, out=cos)
-            np.sin(cos, out=sin)
-            np.cos(cos, out=cos)
-            trig *= weights
-            amps = vecs @ trig
-            re, im = amps[:, :c], amps[:, c:]
-            np.negative(im, out=im)
-            yield s, re, im
+            if s + ts.size <= prefix:
+                turn = np.exp(-1j * lam * ts[0])[:, None]
+                phases = table[:, :ts.size] * turn
+            else:
+                phases = weights * np.exp(-1j * np.outer(lam, ts))
+            yield s, (vecs @ phases.view(gemm_view)).view(np.complex128)
 
-    return complex_chunks() if np.iscomplexobj(vecs) else real_chunks()
+    return chunks()
 
 
 def moment_series(sd: SpectralData, source: int, qs, times,
-                  chunk: int = 1024) -> MomentSeries:
+                  chunk: int = 256) -> MomentSeries:
     """M_q(t) for every q in qs from one propagation of the packet.
 
-    Each chunk gives all moments at once as W @ (re**2 + im**2), where
-    W[i, n] = |n|**qs[i], so the amplitudes are never held for all times.
+    Each chunk of psi from ``_propagate`` gives all moments at once: its
+    float64 view is squared in place, W @ it with W[i, n] = |n|**qs[i]
+    holds the real and imaginary shares in its even and odd columns, and
+    their sum is M_q.  The amplitudes are never held for all times.  On
+    the default grid the series agrees with the direct exponential to
+    about 1e-13 of its sup; the rounding of lambda * t itself, largest at
+    the far samples, leaves about 4e-11 of the sup against exact phases.
     An empty time grid raises ValueError: its series would have no sup.
     """
     qs = tuple(float(q) for q in qs)
@@ -176,8 +196,12 @@ def moment_series(sd: SpectralData, source: int, qs, times,
                          "got no times")
     site_w = np.abs(sd.sites.astype(float)) ** np.array(qs)[:, None]
     values = np.empty((len(qs), times.size), dtype=float)
-    for s, re, im in chunks:
-        values[:, s: s + re.shape[1]] = site_w @ (re * re + im * im)
+    for s, psi in chunks:
+        parts = psi.view(np.float64)
+        np.square(parts, out=parts)
+        weighted = site_w @ parts
+        np.add(weighted[:, 0::2], weighted[:, 1::2],
+               out=values[:, s: s + psi.shape[1]])
     times = times.copy()
     times.flags.writeable = False
     values.flags.writeable = False

@@ -680,7 +680,8 @@ def _dynamics_stage(ctx: _RunContext) -> None:
                                times)
         for q, values in zip(series.qs, series.values):
             ctx.write_csv(f"moments_q{format(q, 'g')}_k{k}.csv",
-                          ["t", "moment"], list(zip(series.times, values)))
+                          ["t", "moment"],
+                          zip(series.times.tolist(), values.tolist()))
     alphas = (config.analyses["decay"] or {}).get("alphas") or []
     n_small = widths[-2] if len(widths) >= 2 else widths[-1]
     for alpha in alphas:

@@ -34,7 +34,7 @@ def propagated(sd, times):
     # psi_t from site 0 as the dynamics stage propagates it, one column
     # per time
     chunks = dynamics._propagate(sd, 0, np.asarray(times, dtype=float), 1024)
-    return np.hstack([re + 1j * im for _, re, im in chunks])
+    return np.hstack([psi for _, psi in chunks])
 
 
 def pinning_gamma(op):

@@ -17,8 +17,8 @@ def _amplitudes(sd, source, times, chunk=1024):
     # psi_t as the library propagates it, one column per time
     times = np.asarray(times, dtype=float)
     chunks = list(dynamics._propagate(sd, source, times, chunk))
-    assert [s for s, _, _ in chunks] == list(range(0, times.size, chunk))
-    return np.hstack([re + 1j * im for _, re, im in chunks])
+    assert [s for s, _ in chunks] == list(range(0, times.size, chunk))
+    return np.hstack([psi for _, psi in chunks])
 
 
 def test_zero_kernel_packet_only_rotates_its_phase():
@@ -72,6 +72,92 @@ def test_propagate_matches_single_time_evolution(spectrum_cache):
     for chunk in (0, -3):
         with pytest.raises(ValueError):
             dynamics._propagate(sd, 0, np.array(times), chunk)
+
+
+def _assert_propagates_like_single_times(sd, source, times, chunk):
+    amps = _amplitudes(sd, source, times, chunk)
+    for j, t in enumerate(times):
+        np.testing.assert_allclose(
+            amps[:, j], helpers.evolved_amplitudes(sd, source, t),
+            rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("times", [
+    # the uniform prefix of 17 ends inside the third chunk of 7
+    np.concatenate([np.arange(17) * 0.3, [5.2, 5.9, 100.0, 1e4, 2.5e5]]),
+    # no prefix: the grid does not start at 0
+    2.5 + np.arange(20) * 0.3,
+    # k * dt misses the linspace end point in the last bits
+    np.linspace(0.0, 7.3, 34),
+    [3.3],
+    [0.0],
+], ids=["prefix-ends-mid-chunk", "offset", "linspace", "single", "zero"])
+def test_phase_table_grids_match_single_time_evolution(spectrum_cache,
+                                                       times):
+    _, sd = spectrum_cache("pl4", 60, 0.5, 2)
+    _assert_propagates_like_single_times(sd, 0, times, 7)
+
+
+def test_uniform_prefix_is_checked_exactly():
+    def prefix(times):
+        return dynamics._uniform_prefix(np.asarray(times, dtype=float))[1]
+
+    assert prefix(np.concatenate([np.arange(17) * 0.3, [5.2]])) == 17
+    assert prefix(2.5 + np.arange(20) * 0.3) == 0
+    assert prefix(np.linspace(0.0, 7.3, 34)) == 33
+    assert prefix([3.3]) == 0
+    assert prefix([0.0]) == 1
+    assert prefix([]) == 0
+    default = sl.time_grid()
+    assert dynamics._uniform_prefix(default) == (0.05, 20001)
+    assert default.size == 20101
+
+
+def test_complex_spectrum_takes_the_phase_table():
+    op = sl.build_operator(sl.nearest_neighbor(0.6 + 0.8j),
+                           sl.PotentialSpec(), 30)
+    sd = sl.diagonalize(op, interior_window=8)
+    assert np.iscomplexobj(sd.eigenvectors)
+    times = np.concatenate([np.arange(17) * 0.3, [5.2, 5.9, 100.0, 1e4]])
+    _assert_propagates_like_single_times(sd, 2, times, 7)
+
+
+def test_moment_series_agrees_across_chunk_sizes(spectrum_cache):
+    _, sd = spectrum_cache("pl4", 60, 0.5, 2)
+    times = sl.time_grid(dt=0.05, t_max=50.0, quasi_random=20)
+    series = [sl.moment_series(sd, 1, (2.0, 2.5), times, chunk=c).values
+              for c in (1, 7, 256, 4096)]
+    for values in series[1:]:
+        for i in range(2):
+            assert (np.max(np.abs(values[i] - series[0][i]))
+                    <= 1e-12 * np.max(series[0][i]))
+
+
+def test_default_grid_moments_against_extended_precision_phases():
+    # The reference turns every phase in np.longdouble from the same
+    # float64 eigenvalues and times; what is left is the float64 rounding
+    # of lambda * t, largest at the far samples (t up to 1e6).
+    if not np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
+        pytest.skip("np.longdouble is no wider than float64 here")
+    pert = sl.UniformRandomPerturbation(amplitude=0.5, seed=2)
+    op = sl.build_operator(sl.power_law(4.0),
+                           sl.PotentialSpec(perturbation=pert), 30)
+    sd = sl.diagonalize(op, interior_window=8)
+    times = sl.time_grid()
+    qs = (2.0, 2.5)
+    series = sl.moment_series(sd, 0, qs, times)
+    angle = np.multiply.outer(sd.eigenvalues.astype(np.longdouble),
+                              times.astype(np.longdouble))
+    phases = np.cos(angle).astype(float) - 1j * np.sin(angle).astype(float)
+    psi = sd.eigenvectors @ (sd.eigenvectors[sd.row_of_site(0)][:, None]
+                             * phases)
+    reference = (np.abs(sd.sites.astype(float)) ** np.array(qs)[:, None]
+                 @ np.abs(psi) ** 2)
+    _, prefix = dynamics._uniform_prefix(times)
+    for i in range(len(qs)):
+        gap = np.abs(series.values[i] - reference[i]) / np.max(reference[i])
+        assert np.max(gap) <= 4.1e-11
+        assert np.max(gap[:prefix]) <= 2e-13
 
 
 def test_moment_series_matches_pointwise_moments(spectrum_cache):

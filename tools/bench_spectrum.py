@@ -16,6 +16,8 @@ REPEATS runs:
                      reference the solver is compared with
     save_spectral    writing the dump pair
     load_spectral    reading it back
+    moment_series    M_q(t) for q = 2 and 2.5 from site 0 on the default
+                     time grid (20101 times); null above N = MOMENT_MAX_N
 
 Each case runs in its own process, so its peak RSS (``ru_maxrss``) is its
 own; a small untimed solve first loads the solver modules.  The case
@@ -44,6 +46,8 @@ KERNELS = {
 }
 HALF_WIDTHS = (200, 700, 1400, 2000)
 REPEATS = 3
+MOMENT_MAX_N = 700
+MOMENT_QS = (2.0, 2.5)
 SEED = 7
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
@@ -92,11 +96,17 @@ def run_case(kernel_name: str, half_width: int) -> dict:
         dump_bytes = sum(os.path.getsize(p) for p in paths)
         seconds["load_spectral"], _ = _median_time(
             lambda: sl.load_spectral(base))
+    seconds["moment_series"] = None
+    if half_width <= MOMENT_MAX_N:
+        times = sl.time_grid()
+        seconds["moment_series"], _ = _median_time(
+            lambda: sl.moment_series(sd, 0, MOMENT_QS, times))
     return {
         "kernel": kernel_name,
         "half_width": half_width,
         "dimension": op.dimension,
-        "seconds": {k: round(v, 4) for k, v in seconds.items()},
+        "seconds": {k: None if v is None else round(v, 4)
+                    for k, v in seconds.items()},
         "max_residual": float(np.max(sd.residuals)),
         "orthonormality_defect": sd.orthonormality_defect,
         "dump_mb": round(dump_bytes / 1e6, 3),
