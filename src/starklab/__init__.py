@@ -17,7 +17,7 @@ from .operators import (ConstantPerturbation, DimensionOverflowError,
                         MarylandResonanceError, NoPerturbation,
                         PeriodicPerturbation, PotentialError, PotentialSpec,
                         TruncatedOperator, UniformRandomPerturbation,
-                        build_operator, dump_matrix)
+                        build_operator)
 from .spectra import (ConvergenceFailureError, SpectralData,
                       default_interior_window, diagonalize, load_spectral,
                       save_spectral)
@@ -44,7 +44,6 @@ __all__ = [
     "MarylandPotential", "MarylandResonanceError", "NoPerturbation",
     "PeriodicPerturbation", "PotentialError", "PotentialSpec",
     "TruncatedOperator", "UniformRandomPerturbation", "build_operator",
-    "dump_matrix",
     # spectra
     "ConvergenceFailureError", "SpectralData", "default_interior_window",
     "diagonalize", "load_spectral", "save_spectral",

@@ -11,18 +11,6 @@ import math
 import numpy as np
 
 
-def fmt_float(x) -> str:
-    """Render a float with 17 significant digits; '' for None."""
-    if x is None:
-        return ""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -41,20 +29,21 @@ def _jsonable(obj):
     return obj
 
 
-def dumps_json17(obj, indent: int = 2) -> str:
-    """JSON text with sorted keys and 17-significant-digit floats.
+def dumps_json17(obj) -> str:
+    """JSON text with sorted keys, a two-space indent and
+    17-significant-digit floats.
 
     Non-finite floats become null (JSON has no representation for them).
     """
     out: list[str] = []
-    _emit(_jsonable(obj), out, indent, 0)
+    _emit(_jsonable(obj), out, 0)
     out.append("\n")
     return "".join(out)
 
 
-def _emit(obj, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    closepad = " " * (indent * level)
+def _emit(obj, out: list[str], level: int) -> None:
+    pad = "  " * (level + 1)
+    closepad = "  " * level
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -78,7 +67,7 @@ def _emit(obj, out: list[str], indent: int, level: int) -> None:
             out.append(pad)
             out.append(_escape(str(k)))
             out.append(": ")
-            _emit(obj[k], out, indent, level + 1)
+            _emit(obj[k], out, level + 1)
             out.append(",\n" if i + 1 < len(keys) else "\n")
         out.append(closepad + "}")
     elif isinstance(obj, list):
@@ -88,7 +77,7 @@ def _emit(obj, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, v in enumerate(obj):
             out.append(pad)
-            _emit(v, out, indent, level + 1)
+            _emit(v, out, level + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(closepad + "]")
     else:
@@ -120,20 +109,11 @@ def write_json(path, obj) -> None:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Write rows of str/int/float/None cells; floats at 17 digits."""
+    """Write rows of int and float cells; floats at 17 significant digits,
+    non-finite ones as nan, inf and -inf."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = []
-            for cell in row:
-                if cell is None:
-                    cells.append("")
-                elif isinstance(cell, str):
-                    cells.append(cell)
-                elif isinstance(cell, (bool, np.bool_)):
-                    cells.append("true" if cell else "false")
-                elif isinstance(cell, (int, np.integer)):
-                    cells.append(str(int(cell)))
-                else:
-                    cells.append(fmt_float(cell))
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join([
+                str(int(cell)) if isinstance(cell, (int, np.integer))
+                else format(float(cell), ".17g") for cell in row]) + "\n")

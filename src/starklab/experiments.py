@@ -34,8 +34,7 @@ from .operators import (MAX_DIMENSION_DEFAULT, ConstantPerturbation,
                         ExplicitPerturbation, MarylandPotential,
                         NoPerturbation, PeriodicPerturbation, PotentialError,
                         PotentialSpec, UniformRandomPerturbation,
-                        box_hopping_norm, box_kernel, build_operator,
-                        dump_matrix)
+                        box_hopping_norm, box_kernel, build_operator)
 from .spectra import (DEGENERACY_GAP, ORTHONORMALITY_TOL, RESIDUAL_TOL,
                       diagonalize, load_spectral, save_spectral)
 
@@ -73,7 +72,6 @@ class ExperimentConfig:
     analyses: dict
     tolerances: dict
     output_dir: str
-    dump_operator: bool
     max_dimension: int
     effective: dict
 
@@ -260,8 +258,7 @@ _CONFIG = _Field("object", expected="config root must be an object", fields={
         "eigenvalue_drift": _positive(1e-8)}),
     "output": _Field("object", default={}, fields={
         "directory": _Field("string", default="out",
-                            bound=((len, "must not be empty"),)),
-        "dump_operator": _Field("bool", default=False)}),
+                            bound=((len, "must not be empty"),))}),
     "max_dimension": _Field("integer", default=MAX_DIMENSION_DEFAULT,
                             bound=_at_least(3)),
 })
@@ -418,13 +415,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     effective = dict(values, kernel=kernel.describe(),
                      potential=potential.describe())
-    output = values["output"]
     return ExperimentConfig(kernel=kernel, potential=potential,
                             half_widths=tuple(widths), seed=seed,
                             analyses=values["analyses"],
                             tolerances=values["tolerances"],
-                            output_dir=output["directory"],
-                            dump_operator=output["dump_operator"],
+                            output_dir=values["output"]["directory"],
                             max_dimension=max_dim, effective=effective)
 
 
@@ -560,24 +555,17 @@ def _spectrum_stage(ctx: _RunContext) -> None:
     config, tol = ctx.config, ctx.config.tolerances
     for n in config.half_widths:
         base = os.path.join(config.output_dir, f"spectrum_N{n}")
-        operator_path = os.path.join(config.output_dir, f"operator_N{n}.bin")
         if ctx.reuse_spectra:
             sd = load_spectral(base)
             _check_provenance(config, n, sd)
-            dumped = os.path.exists(operator_path)
         else:
             op = build_operator(config.kernel, config.potential, n,
                                 max_dimension=config.max_dimension)
             sd = diagonalize(op, interior_window=tol["interior_window"],
                              **_gate_tolerances(tol))
             save_spectral(sd, base)
-            if config.dump_operator:
-                dump_matrix(op, operator_path)
-            dumped = config.dump_operator
         ctx.spectra[n] = sd
         ctx.outputs += [f"spectrum_N{n}.json", f"spectrum_N{n}.bin"]
-        if dumped:
-            ctx.outputs.append(f"operator_N{n}.bin")
 
 
 def _asymptotics_stage(ctx: _RunContext) -> None:
@@ -606,14 +594,21 @@ def _asymptotics_stage(ctx: _RunContext) -> None:
     ctx.localization["asymptotics"] = section
 
 
+def _decay_reports(config: ExperimentConfig, spectra: dict) -> dict:
+    """(half_width, alpha) -> UniformDecayReport, one call per box."""
+    alphas = config.analyses["decay"]["alphas"]
+    return {(n, rep.alpha): rep for n in config.half_widths
+            for rep in uniform_decay_constants(spectra[n], alphas)}
+
+
 def _ule_stage(ctx: _RunContext) -> None:
     rows = []
     section = {}
-    reports = {}
+    reports = _decay_reports(ctx.config, ctx.spectra)
     for n, sd in ctx.spectra.items():
         per_n = {}
         for alpha in ctx.config.analyses["decay"]["alphas"]:
-            rep = reports[n, alpha] = uniform_decay_constants(sd, alpha)
+            rep = reports[n, alpha]
             rows += [(n, alpha) + row for row in decay_rows(sd, rep)]
             per_n[format(alpha, "g")] = {
                 "sup_constant": rep.sup_constant,
@@ -740,25 +735,23 @@ def _study_stage(ctx: _RunContext) -> None:
                          "within_tolerance": within})
 
     decay_rows_out = []
-    alphas = ((config.analyses["decay"] or {}).get("alphas") or [])
-    for alpha in alphas:
-        reports = {n: ctx.decay_reports[n, alpha]
-                   if (n, alpha) in ctx.decay_reports
-                   else uniform_decay_constants(spectra[n], alpha)
-                   for n in widths}
-        for n1, n2 in zip(widths, widths[1:]):
-            rep1, rep2 = reports[n1], reports[n2]
-            # the two sups range over different trusted sets, so the
-            # drift compares the modes trusted in both boxes one by one
-            second = dict(rep2.per_mode)
-            changes = [abs(second[m] - c1) / max(abs(c1), 1e-300)
-                       for m, c1 in rep1.per_mode if m in second]
-            decay_rows_out.append({"alpha": alpha, "pair": [n1, n2],
-                                   "first": rep1.sup_constant,
-                                   "second": rep2.sup_constant,
-                                   "indices_compared": len(changes),
-                                   "relative_change": max(changes,
-                                                          default=0.0)})
+    decay = config.analyses["decay"]
+    if decay:
+        reports = ctx.decay_reports or _decay_reports(config, spectra)
+        for alpha in decay["alphas"]:
+            for n1, n2 in zip(widths, widths[1:]):
+                rep1, rep2 = reports[n1, alpha], reports[n2, alpha]
+                # the two sups range over different trusted sets, so the
+                # drift compares the modes trusted in both boxes one by one
+                second = dict(rep2.per_mode)
+                changes = [abs(second[m] - c1) / max(abs(c1), 1e-300)
+                           for m, c1 in rep1.per_mode if m in second]
+                decay_rows_out.append({"alpha": alpha, "pair": [n1, n2],
+                                       "first": rep1.sup_constant,
+                                       "second": rep2.sup_constant,
+                                       "indices_compared": len(changes),
+                                       "relative_change": max(changes,
+                                                              default=0.0)})
 
     env_rows = []
     dyn = config.analyses["dynamics"]

@@ -8,8 +8,9 @@ field:
   spacing argument).
 * Uniform power decay: sup over interior modes and sites of
   |phi_m(n)| * dist**alpha, measured against the detected localization
-  center and, separately, against the ladder index.  Least-squares decay
-  exponents per mode are reported as diagnostics only.
+  center and, separately, against the ladder index, for every alpha in
+  one pass.  Least-squares decay exponents per mode do not depend on
+  alpha; they are fitted once and reported as diagnostics only.
 * Bootstrap inequality: away from the center the eigen-equation forces
 
       |phi_m(n)| <= 4*gamma/|m - n| * sum_k |a(k)| |phi_m(n - k)|
@@ -99,8 +100,9 @@ class UniformDecayReport:
     per_mode entries are (ladder index, sup over sites at distance >= 1
     from the detected center); per_mode_by_index anchors distance at the
     ladder index instead.  fit_exponents are per-mode least-squares decay
-    slopes over 2 <= dist <= N/2 (nan when a mode is excluded or has too
-    few usable points); they are diagnostics, not bounds.
+    slopes over 2 <= dist <= N // 2 (nan when a mode is excluded or has
+    too few usable points), the same for every alpha; they are
+    diagnostics, not bounds.
     """
 
     alpha: float
@@ -187,52 +189,61 @@ def check_eigenvalue_asymptotics(sd: SpectralData, kernel: HoppingKernel,
         center_offset_sup=sd.center_offset_sup())
 
 
-def uniform_decay_constants(sd: SpectralData, alpha: float,
-                            fit_inner: int = 2,
-                            fit_outer: int | None = None) -> UniformDecayReport:
-    """Measure sup |phi_m(n)| * dist**alpha over interior modes."""
-    alpha = float(alpha)
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+def uniform_decay_constants(sd: SpectralData,
+                            alphas) -> tuple[UniformDecayReport, ...]:
+    """Measure sup |phi_m(n)| * dist**alpha over interior modes, per alpha.
+
+    One pass over the eigenvector blocks serves every alpha: the
+    distances and the per-mode decay fits (over 2 <= dist <= N // 2) are
+    taken once, and only the two sups run per alpha.  The reports come
+    back in the order of alphas and share one fit_exponents tuple.
+    """
+    alphas = [float(alpha) for alpha in alphas]
+    for alpha in alphas:
+        if not alpha > 0:
+            raise ValueError(f"alpha must be positive, got {alpha}")
     positions = _interior_positions(sd)
-    if fit_outer is None:
-        fit_outer = sd.half_width // 2
 
     N = sd.half_width
+    fit_outer = N // 2
     indices = sd.ladder_indices
     rows = np.arange(sd.dimension)[:, np.newaxis]
     # distances are integers |site - m| <= N + d < 2d, so their powers and
     # logs are looked up; distance 0 is outside both sups and every fit,
     # and its zero power never raises a max of nonnegative products
     dists = np.arange(2 * sd.dimension, dtype=float)
-    power = dists ** alpha
-    power[0] = 0.0
+    powers = [dists ** alpha for alpha in alphas]
     log_dist = np.log(dists, out=np.zeros_like(dists), where=dists > 0)
     degenerate = np.asarray(sd.degenerate_positions, dtype=int)
 
-    per_center, per_index, fits = [], [], []
+    sups = [([], []) for _ in alphas]  # (center, index) anchored, per alpha
+    fits = []
     for block, amp in _blocks(sd, positions):
         center_rows = sd.centers[block] + N
         dist_c = np.abs(rows - center_rows)
         dist_i = np.abs(rows - (indices[block] + N))
-        per_center.append(np.max(amp * power[dist_c], axis=0))
-        per_index.append(np.max(amp * power[dist_i], axis=0))
+        for power, (by_center, by_index) in zip(powers, sups):
+            by_center.append(np.max(amp * power[dist_c], axis=0))
+            by_index.append(np.max(amp * power[dist_i], axis=0))
         # only rows within fit_outer of some center can enter a fit
         lo = max(int(center_rows.min()) - fit_outer, 0)
         hi = int(center_rows.max()) + fit_outer + 1
-        fit = _decay_slopes(amp[lo:hi], dist_c[lo:hi], log_dist, fit_inner,
+        fit = _decay_slopes(amp[lo:hi], dist_c[lo:hi], log_dist, 2,
                             fit_outer)
         fit[np.isin(block, degenerate) | np.isin(block - 1, degenerate)] = \
             np.nan
         fits.append(fit)
 
     ladder = indices[positions].tolist()
-    return UniformDecayReport(
-        alpha=alpha,
-        per_mode=tuple(zip(ladder, np.concatenate(per_center).tolist())),
-        per_mode_by_index=tuple(zip(ladder,
-                                    np.concatenate(per_index).tolist())),
-        fit_exponents=tuple(zip(ladder, np.concatenate(fits).tolist())))
+
+    def by_mode(parts):
+        return tuple(zip(ladder, np.concatenate(parts).tolist()))
+
+    fit_exponents = by_mode(fits)
+    return tuple(UniformDecayReport(alpha=alpha, per_mode=by_mode(by_center),
+                                    per_mode_by_index=by_mode(by_index),
+                                    fit_exponents=fit_exponents)
+                 for alpha, (by_center, by_index) in zip(alphas, sups))
 
 
 def _blocks(sd: SpectralData, positions: np.ndarray):

@@ -36,7 +36,6 @@ __all__ = [
     "box_kernel",
     "box_hopping_norm",
     "build_operator",
-    "dump_matrix",
     "MAX_DIMENSION_DEFAULT",
     "RESONANCE_MARGIN",
 ]
@@ -321,8 +320,3 @@ def build_operator(kernel: HoppingKernel,
     return TruncatedOperator(half_width=half_width, sites=sites, matrix=H,
                              kernel=kern, potential=potential,
                              perturbation_values=b)
-
-
-def dump_matrix(op: TruncatedOperator, path) -> None:
-    """Raw dump: row-major complex entries, little-endian 64-bit floats."""
-    np.ascontiguousarray(op.matrix, dtype="<c16").tofile(path)

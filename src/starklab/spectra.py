@@ -220,8 +220,12 @@ def _tridiagonal_eigh(H: np.ndarray):
     phi = None
     if np.iscomplexobj(lower):
         size = np.abs(lower)
+        # numpy divides a complex by a real through the reciprocal, which
+        # overflows for a subnormal |l|: scale such l by 2**64 (exact) first
+        unit = lower.copy()
+        unit[size < np.finfo(float).tiny] *= 2.0 ** 64
         step = np.ones_like(lower)
-        np.divide(lower, size, out=step, where=size > 0)
+        np.divide(unit, np.abs(unit), out=step, where=size > 0)
         phi = np.concatenate(([1.0 + 0.0j], np.cumprod(step)))
         lower = size
     lam, z, info = dstevd(diag, lower, compute_v=1)

@@ -100,7 +100,7 @@ def test_acceptance_3_decay_constant_stability(spectrum_cache):
         for combo in combos:
             _, sd = spectrum_cache("pl4", n, *combo)
             spectra[n][combo] = sd
-            reps[n][combo] = sl.uniform_decay_constants(sd, alpha)
+            (reps[n][combo],) = sl.uniform_decay_constants(sd, (alpha,))
     finite = all(np.isfinite(rep.sup_constant) for per in reps.values()
                  for rep in per.values())
 

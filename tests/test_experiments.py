@@ -357,21 +357,16 @@ def test_reuse_spectra_fails_cleanly_without_dumps(tmp_path):
     assert manifest.stage("asymptotics").status == "skipped"
 
 
-def test_dump_operator_artifacts_are_tracked(tmp_path):
-    out = tmp_path / "dump"
-    cfg = parse_config({"kernel": {"family": "nearest_neighbor"},
-                        "half_widths": [6],
-                        "output": {"directory": str(out),
-                                   "dump_operator": True}})
-    manifest = run(cfg)
-    assert "operator_N6.bin" in manifest.stage("spectrum").outputs
-    raw = np.fromfile(out / "operator_N6.bin", dtype="<c16").reshape(13, 13)
-    op = sl.build_operator(cfg.kernel, cfg.potential, 6)
-    np.testing.assert_array_equal(raw, op.matrix)
-    # a reuse pass keeps referencing the dump so the manifest stays complete
-    again = run(cfg, reuse_spectra=True)
-    assert "operator_N6.bin" in again.stage("spectrum").outputs
-    assert_outputs_complete(out, again)
+def test_csv_cells_are_integers_and_17_digit_floats(tmp_path):
+    from starklab._format import write_csv
+
+    path = tmp_path / "cells.csv"
+    write_csv(path, ["n", "x"], [(1, 0.1), (np.int64(-2), np.float64(1 / 3)),
+                                 (3, float("nan")), (4, float("inf")),
+                                 (5, -float("inf"))])
+    assert path.read_text() == ("n,x\n1,0.10000000000000001\n"
+                                "-2,0.33333333333333331\n3,nan\n4,inf\n"
+                                "5,-inf\n")
 
 
 def test_study_zero_kernel_has_exactly_zero_drift(tmp_path):
@@ -420,9 +415,9 @@ def test_study_reuses_the_ule_stage_decay_reports(tmp_path, monkeypatch):
     calls = []
     measure = experiments.uniform_decay_constants
 
-    def counted(sd, alpha, *args, **kwargs):
-        calls.append((sd.half_width, alpha))
-        return measure(sd, alpha, *args, **kwargs)
+    def counted(sd, alphas):
+        calls.append((sd.half_width, tuple(alphas)))
+        return measure(sd, alphas)
 
     monkeypatch.setattr(experiments, "uniform_decay_constants", counted)
     raw = {"kernel": {"family": "nearest_neighbor"},
@@ -430,17 +425,17 @@ def test_study_reuses_the_ule_stage_decay_reports(tmp_path, monkeypatch):
                                           "amplitude": 1.0}},
            "half_widths": [48, 64], "seed": 3,
            "analyses": {"decay": {"alphas": [2.0, 3.0]}}}
-    expected = sorted((n, a) for n in (48, 64) for a in (2.0, 3.0))
+    expected = [(48, (2.0, 3.0)), (64, (2.0, 3.0))]
     rows = {}
-    # all stages: ule computes each report once and study reuses it;
-    # study alone computes them itself
+    # one call per box for every alpha; with all stages ule makes the calls
+    # and study reuses its reports, study alone makes them itself
     for name, stages in (("all", None), ("alone", ["spectrum", "study"])):
         calls.clear()
         out = tmp_path / name
         manifest = run(parse_config(dict(raw, output={"directory": str(out)})),
                        stages=stages)
         assert manifest.stage("study").status == "ok"
-        assert sorted(calls) == expected
+        assert calls == expected
         with open(out / "study.json") as fh:
             rows[name] = json.load(fh)["decay_drift"]
     assert rows["all"] == rows["alone"]
@@ -626,8 +621,9 @@ GOLDEN = [
             "analyses": {"asymptotics": True, "dynamics": {
                 "sources": [0], "moments": [2.0], "grid": GRID}}},
      "a1e85751ca6c88f4 f44dfe832014a983"),
+    # changed: the operator dump is gone, so its key is unknown
     ("nn", {"half_widths": [6], "output": {"dump_operator": True}},
-     "9ea54a5773a3916c f59a935484133d54"),
+     ["output.dump_operator: unknown field"]),
     ("nn", {"kernel": ZERO, "half_widths": [12, 16], "analyses": {
         "asymptotics": True, "decay": {"alphas": [3.0]}}},
      "90578ba8249c1759 0607c93d5e534cc1"),
@@ -730,7 +726,7 @@ GOLDEN = [
                            "doubling_ratio_limit": 1.2,
                            "boundary_share_limit": 0.02,
                            "eigenvalue_drift": 1e-7},
-            "max_dimension": 17, "output": {"dump_operator": False}},
+            "max_dimension": 17},
      "2a6b5d46e6c148c6 0755d58945449d76"),
     ("nn", {"analyses": {"bootstrap": {"gamma": 4}, "decay": None,
                          "dynamics": {"grid": {"dt": 1}}}},
@@ -946,10 +942,10 @@ GOLDEN = [
     # changed: a falsy non-object section is a type error, not {}
     ("nn", {"output": 0},
      ["output: expected an object"]),
-    ("nn", {"output": {"directory": 1, "dump_operator": "x", "bogus": 1}},
+    # changed: the operator dump is gone
+    ("nn", {"output": {"directory": 1, "bogus": 1}},
      ["output.bogus: unknown field",
-      "output.directory: expected a string",
-      "output.dump_operator: expected true or false"]),
+      "output.directory: expected a string"]),
     # changed: a null field counts as absent
     ("nn", {"output": {"directory": None}},
      "bbf5eaa143287bb1 c8892c5f8574daf8"),

@@ -101,13 +101,13 @@ def test_no_interior_modes_raises():
     with pytest.raises(sl.NoInteriorModesError):
         sl.check_eigenvalue_asymptotics(sd, op.kernel, op.potential)
     with pytest.raises(sl.NoInteriorModesError):
-        sl.uniform_decay_constants(sd, alpha=3.0)
+        sl.uniform_decay_constants(sd, (3.0,))
 
 
 def test_zero_kernel_decay_constant_vanishes():
     op = sl.build_operator(sl.custom_kernel({}), sl.PotentialSpec(), 12)
     sd = sl.diagonalize(op)
-    rep = sl.uniform_decay_constants(sd, alpha=3.0)
+    rep = sl.uniform_decay_constants(sd, (3.0,))[0]
     assert rep.sup_constant == 0.0
     assert rep.sup_constant_by_index == 0.0
     assert all(math.isnan(f) for _, f in rep.fit_exponents)
@@ -115,7 +115,7 @@ def test_zero_kernel_decay_constant_vanishes():
 
 def test_decay_constant_is_max_over_modes(spectrum_cache):
     _, sd = spectrum_cache("pl4", 60, 0.5, 2)
-    rep = sl.uniform_decay_constants(sd, alpha=3.0)
+    rep = sl.uniform_decay_constants(sd, (3.0,))[0]
     assert rep.sup_constant == max(v for _, v in rep.per_mode)
     assert rep.sup_constant_by_index == max(v for _, v in rep.per_mode_by_index)
     assert rep.n_modes == int(np.count_nonzero(sd.interior_mask))
@@ -124,9 +124,30 @@ def test_decay_constant_is_max_over_modes(spectrum_cache):
 
 def test_decay_constant_monotone_in_alpha(spectrum_cache):
     _, sd = spectrum_cache("pl4", 60, 0.5, 2)
-    sups = [sl.uniform_decay_constants(sd, alpha=a).sup_constant
+    sups = [sl.uniform_decay_constants(sd, (a,))[0].sup_constant
             for a in (2.0, 3.0, 4.0)]
     assert sups[0] <= sups[1] <= sups[2]
+
+
+def test_one_decay_call_serves_every_alpha(spectrum_cache):
+    _, sd = spectrum_cache("pl4", 200, 5.0, 1)  # several blocks of modes
+    alphas = (2.0, 2.5, 3.0)
+    reports = sl.uniform_decay_constants(sd, alphas)
+    assert [rep.alpha for rep in reports] == list(alphas)
+    for alpha, rep in zip(alphas, reports):
+        (single,) = sl.uniform_decay_constants(sd, (alpha,))
+        assert rep.per_mode == single.per_mode
+        assert rep.per_mode_by_index == single.per_mode_by_index
+        np.testing.assert_array_equal(rep.fit_exponents, single.fit_exponents)
+        assert rep.fit_exponents is reports[0].fit_exponents
+
+
+@pytest.mark.parametrize("alphas", [(0.0,), (2.0, -1.0, 3.0),
+                                    (3.0, float("nan"))])
+def test_nonpositive_alpha_anywhere_raises(spectrum_cache, alphas):
+    _, sd = spectrum_cache("pl4", 60, 0.5, 2)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        sl.uniform_decay_constants(sd, alphas)
 
 
 def test_decay_constants_invariant_under_eigenvector_phases(spectrum_cache):
@@ -138,8 +159,8 @@ def test_decay_constants_invariant_under_eigenvector_phases(spectrum_cache):
     phased = dataclasses.replace(
         sd, eigenvectors=vectors, centers=centers,
         interior_mask=np.abs(centers) <= sd.trusted_site_bound)
-    a = sl.uniform_decay_constants(sd, alpha=3.0)
-    b = sl.uniform_decay_constants(phased, alpha=3.0)
+    a = sl.uniform_decay_constants(sd, (3.0,))[0]
+    b = sl.uniform_decay_constants(phased, (3.0,))[0]
     np.testing.assert_allclose([v for _, v in a.per_mode_by_index],
                                [v for _, v in b.per_mode_by_index],
                                rtol=1e-10)
@@ -150,14 +171,14 @@ def test_decay_constant_monotone_under_window_shrink(spectrum_cache):
     op, _ = spectrum_cache("pl4", 60, 0.5, 2)
     wide = sl.diagonalize(op, interior_window=40)
     narrow = sl.diagonalize(op, interior_window=50)
-    g_wide = sl.uniform_decay_constants(wide, alpha=3.0).sup_constant
-    g_narrow = sl.uniform_decay_constants(narrow, alpha=3.0).sup_constant
+    g_wide = sl.uniform_decay_constants(wide, (3.0,))[0].sup_constant
+    g_narrow = sl.uniform_decay_constants(narrow, (3.0,))[0].sup_constant
     assert g_narrow <= g_wide
 
 
 def test_pure_field_modes_decay_superpolynomially(spectrum_cache):
     _, sd = spectrum_cache("nn", 100)
-    rep = sl.uniform_decay_constants(sd, alpha=5.0)
+    rep = sl.uniform_decay_constants(sd, (5.0,))[0]
     fits = [f for _, f in rep.fit_exponents if not math.isnan(f)]
     assert fits
     assert min(fits) > 3.0
@@ -167,8 +188,8 @@ def test_decay_drift_under_doubling_without_disorder(spectrum_cache):
     for kind, alpha in (("nn", 5.0), ("pl4", 3.0)):
         _, small = spectrum_cache(kind, 200)
         _, large = spectrum_cache(kind, 400)
-        g1 = sl.uniform_decay_constants(small, alpha=alpha).sup_constant
-        g2 = sl.uniform_decay_constants(large, alpha=alpha).sup_constant
+        g1 = sl.uniform_decay_constants(small, (alpha,))[0].sup_constant
+        g2 = sl.uniform_decay_constants(large, (alpha,))[0].sup_constant
         assert abs(g2 - g1) / g1 < 0.05
 
 
@@ -242,7 +263,7 @@ def test_report_rows_align_with_spectrum(spectrum_cache):
     for n, lam, dev, center in rows:
         assert lam - n == pytest.approx(dev, abs=1e-14)
         assert abs(center) <= sd.half_width
-    drep = sl.uniform_decay_constants(sd, alpha=3.0)
+    drep = sl.uniform_decay_constants(sd, (3.0,))[0]
     drows = decay_rows(sd, drep)
     assert len(drows) == drep.n_modes
     by_mode = dict((n, v) for n, v in drep.per_mode)
@@ -252,11 +273,10 @@ def test_report_rows_align_with_spectrum(spectrum_cache):
 
 # ---- blocked checks against the per-mode loops they replace ----
 
-def _decay_oracle(sd, alpha, fit_inner=2, fit_outer=None):
+def _decay_oracle(sd, alpha):
     """Per-mode uniform_decay_constants: np.polyfit slope per mode."""
     positions = np.nonzero(sd.interior_mask)[0]
-    if fit_outer is None:
-        fit_outer = sd.half_width // 2
+    fit_outer = sd.half_width // 2
     sites = sd.sites.astype(float)
     per_mode, per_mode_by_index, fits = [], [], []
     for p in positions:
@@ -269,7 +289,7 @@ def _decay_oracle(sd, alpha, fit_inner=2, fit_outer=None):
         sel_i = dist_i >= 1.0
         per_mode_by_index.append(
             (m, float(np.max(amp[sel_i] * dist_i[sel_i] ** alpha))))
-        fit_sel = (dist_c >= fit_inner) & (dist_c <= fit_outer) & (amp > 0.0)
+        fit_sel = (dist_c >= 2) & (dist_c <= fit_outer) & (amp > 0.0)
         if p in sd.degenerate_positions or \
                 p - 1 in sd.degenerate_positions or \
                 np.count_nonzero(fit_sel) < 3:
@@ -315,7 +335,7 @@ def _bootstrap_oracle(sd, kernel, gamma, base_slack=1e-8):
 
 
 def _assert_decay_matches_oracle(sd, alpha):
-    rep = sl.uniform_decay_constants(sd, alpha=alpha)
+    rep = sl.uniform_decay_constants(sd, (alpha,))[0]
     per_mode, per_mode_by_index, fits = _decay_oracle(sd, alpha)
     # same products and maxima, so bit-identical
     assert rep.per_mode == tuple(per_mode)

@@ -157,19 +157,6 @@ def test_matrix_is_read_only():
         op.matrix[0, 0] = 99.0
 
 
-def test_dump_matrix_byte_layout(tmp_path):
-    op = sl.build_operator(sl.nearest_neighbor(), sl.PotentialSpec(), 1)
-    path = tmp_path / "op.bin"
-    sl.dump_matrix(op, path)
-    raw = path.read_bytes()
-    assert len(raw) == 9 * 16
-    back = np.frombuffer(raw, dtype="<c16").reshape(3, 3)
-    np.testing.assert_array_equal(back, op.matrix)
-    # row-major: the second stored pair is entry (0, 1)
-    second = np.frombuffer(raw, dtype="<f8")[2:4]
-    np.testing.assert_array_equal(second, [1.0, 0.0])
-
-
 def test_real_kernel_keeps_real_dtype_complex_kernel_does_not():
     real_op = sl.build_operator(sl.power_law(3.0), sl.PotentialSpec(), 3)
     assert real_op.matrix.dtype == np.float64

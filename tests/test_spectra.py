@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import helpers
 import starklab as sl
@@ -291,6 +291,7 @@ coefficients = st.complex_numbers(min_magnitude=0.0, max_magnitude=3.0,
 
 @given(st.lists(coefficients, min_size=1, max_size=4), st.integers(2, 6))
 @settings(deadline=None, max_examples=25)
+@example(half=[2.225073858507e-311j], n=2)  # a subnormal coupling
 def test_diagonalize_invariants_for_arbitrary_finite_kernels(half, n):
     kernel = sl.finite_support(half)
     op = sl.build_operator(kernel, sl.PotentialSpec(), n)

@@ -18,6 +18,8 @@ REPEATS runs:
     load_spectral    reading it back
     moment_series    M_q(t) for q = 2 and 2.5 from site 0 on the default
                      time grid (20101 times); null above N = MOMENT_MAX_N
+    uniform_decay_constants
+                     the decay sups for alpha = 2 and 3 in one call
 
 Each case runs in its own process, so its peak RSS (``ru_maxrss``) is its
 own; a small untimed solve first loads the solver modules.  The case
@@ -48,6 +50,7 @@ HALF_WIDTHS = (200, 700, 1400, 2000)
 REPEATS = 3
 MOMENT_MAX_N = 700
 MOMENT_QS = (2.0, 2.5)
+DECAY_ALPHAS = (2.0, 3.0)
 SEED = 7
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
@@ -101,6 +104,8 @@ def run_case(kernel_name: str, half_width: int) -> dict:
         times = sl.time_grid()
         seconds["moment_series"], _ = _median_time(
             lambda: sl.moment_series(sd, 0, MOMENT_QS, times))
+    seconds["uniform_decay_constants"], _ = _median_time(
+        lambda: sl.uniform_decay_constants(sd, DECAY_ALPHAS))
     return {
         "kernel": kernel_name,
         "half_width": half_width,
