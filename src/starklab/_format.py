@@ -1,17 +1,24 @@
 """Deterministic serialization helpers.
 
-Floats are emitted with 17 significant digits everywhere (enough to
-round-trip IEEE doubles), so identical runs produce byte-identical files.
+JSON goes through the standard library encoder with sorted keys and a
+two-space indent, so identical runs produce byte-identical files.  Its
+floats are written shortest-round-trip (``repr``): ``json.loads`` gives
+back every float with the same type and bits, ``-0.0`` and ``1.0``
+included.  JSON has no non-finite numbers, so nan and +-inf are written
+as null.  CSV floats are written at 17 significant digits.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
 
 def _jsonable(obj):
+    """obj with str keys, numpy values as Python ones, complex numbers as
+    {re, im} and non-finite floats as None."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -23,89 +30,23 @@ def _jsonable(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return _jsonable({"re": obj.real, "im": obj.imag})
     return obj
 
 
-def dumps_json17(obj) -> str:
-    """JSON text with sorted keys, a two-space indent and
-    17-significant-digit floats.
-
-    Non-finite floats become null (JSON has no representation for them).
-    """
-    out: list[str] = []
-    _emit(_jsonable(obj), out, 0)
-    out.append("\n")
-    return "".join(out)
-
-
-def _emit(obj, out: list[str], level: int) -> None:
-    pad = "  " * (level + 1)
-    closepad = "  " * level
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        if math.isfinite(obj):
-            out.append(format(obj, ".17g"))
-        else:
-            out.append("null")
-    elif isinstance(obj, str):
-        out.append(_escape(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(obj)
-        for i, k in enumerate(keys):
-            out.append(pad)
-            out.append(_escape(str(k)))
-            out.append(": ")
-            _emit(obj[k], out, level + 1)
-            out.append(",\n" if i + 1 < len(keys) else "\n")
-        out.append(closepad + "}")
-    elif isinstance(obj, list):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad)
-            _emit(v, out, level + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(closepad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-_ESCAPES = {
-    "\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t",
-    "\b": "\\b", "\f": "\\f",
-}
-
-
-def _escape(s: str) -> str:
-    parts = ['"']
-    for ch in s:
-        if ch in _ESCAPES:
-            parts.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            parts.append(f"\\u{ord(ch):04x}")
-        else:
-            parts.append(ch)
-    parts.append('"')
-    return "".join(parts)
+def dumps_json(obj) -> str:
+    """JSON text with sorted keys, a two-space indent, shortest-round-trip
+    floats and null for non-finite ones; a value of another type raises
+    TypeError."""
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2,
+                      ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_json17(obj))
+        fh.write(dumps_json(obj))
 
 
 def write_csv(path, header: list[str], rows) -> None:

@@ -21,8 +21,9 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
-from ._format import dumps_json17, write_csv, write_json
+from ._format import dumps_json, write_csv, write_json
 from ._version import __version__
 from .dynamics import (BOUNDARY_SHARE_LIMIT, DOUBLING_RATIO_LIMIT, envelope,
                        moment_bound_verdict, moment_series, time_grid)
@@ -34,7 +35,8 @@ from .operators import (MAX_DIMENSION_DEFAULT, ConstantPerturbation,
                         ExplicitPerturbation, MarylandPotential,
                         NoPerturbation, PeriodicPerturbation, PotentialError,
                         PotentialSpec, UniformRandomPerturbation,
-                        box_hopping_norm, box_kernel, build_operator)
+                        box_hopping_norm, box_kernel, build_operator,
+                        pinning_gamma)
 from .spectra import (DEGENERACY_GAP, ORTHONORMALITY_TOL, RESIDUAL_TOL,
                       diagonalize, load_spectral, save_spectral)
 
@@ -77,7 +79,7 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         hashed = {k: v for k, v in self.effective.items() if k != "output"}
-        return hashlib.sha256(dumps_json17(hashed).encode()).hexdigest()
+        return hashlib.sha256(dumps_json(hashed).encode()).hexdigest()
 
     def with_overrides(self, out_dir: str | None = None,
                        seed: int | None = None) -> "ExperimentConfig":
@@ -526,9 +528,8 @@ class _RunContext:
     """What the stages of one run share.
 
     A stage writes its files through write_csv/write_json, which list them
-    under the running stage.  decay_reports and envelopes are set as the
-    last step of the ule and dynamics stages, so they hold only results of
-    a stage that ended ok.
+    under the running stage.  decay_reports and envelopes are measured by
+    the first stage that reads them and reused by the later ones.
     """
 
     config: ExperimentConfig
@@ -536,11 +537,22 @@ class _RunContext:
     spectra: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
     localization: dict = field(default_factory=dict)
-    # (half_width, alpha) -> UniformDecayReport
-    decay_reports: dict = field(default_factory=dict)
-    # (source, half_width) -> EnvelopeBound for every configured moment
-    envelopes: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
+
+    @cached_property
+    def decay_reports(self) -> dict:
+        """(half_width, alpha) -> UniformDecayReport, one call per box."""
+        alphas = self.config.analyses["decay"]["alphas"]
+        return {(n, rep.alpha): rep for n in self.config.half_widths
+                for rep in uniform_decay_constants(self.spectra[n], alphas)}
+
+    @cached_property
+    def envelopes(self) -> dict:
+        """(source, half_width) -> EnvelopeBound for every configured
+        moment."""
+        dyn = self.config.analyses["dynamics"]
+        return {(k, n): envelope(self.spectra[n], k, dyn["moments"])
+                for k in dyn["sources"] for n in self.config.half_widths}
 
     def write_csv(self, name: str, header, rows) -> None:
         write_csv(os.path.join(self.config.output_dir, name), header, rows)
@@ -594,17 +606,10 @@ def _asymptotics_stage(ctx: _RunContext) -> None:
     ctx.localization["asymptotics"] = section
 
 
-def _decay_reports(config: ExperimentConfig, spectra: dict) -> dict:
-    """(half_width, alpha) -> UniformDecayReport, one call per box."""
-    alphas = config.analyses["decay"]["alphas"]
-    return {(n, rep.alpha): rep for n in config.half_widths
-            for rep in uniform_decay_constants(spectra[n], alphas)}
-
-
 def _ule_stage(ctx: _RunContext) -> None:
     rows = []
     section = {}
-    reports = _decay_reports(ctx.config, ctx.spectra)
+    reports = ctx.decay_reports
     for n, sd in ctx.spectra.items():
         per_n = {}
         for alpha in ctx.config.analyses["decay"]["alphas"]:
@@ -620,7 +625,6 @@ def _ule_stage(ctx: _RunContext) -> None:
                               "eigenvalue", "center", "mode_constant",
                               "mode_constant_by_index", "fit_exponent"], rows)
     ctx.localization["decay"] = section
-    ctx.decay_reports = reports
 
 
 def _bootstrap_stage(ctx: _RunContext) -> None:
@@ -629,8 +633,8 @@ def _bootstrap_stage(ctx: _RunContext) -> None:
     for n, sd in ctx.spectra.items():
         gamma = config.analyses["bootstrap"]["gamma"]
         if gamma is None:
-            b_sup = float(sd.provenance.get("perturbation_sup", 0.0))
-            gamma = box_hopping_norm(config.kernel, n) + b_sup + 1.0
+            gamma = pinning_gamma(box_hopping_norm(config.kernel, n),
+                                  float(sd.provenance["perturbation_sup"]))
         rep = bootstrap_decay_check(
             sd, config.kernel, gamma,
             base_slack=config.tolerances["bootstrap_slack"])
@@ -648,19 +652,13 @@ def _bootstrap_stage(ctx: _RunContext) -> None:
     ctx.localization["bootstrap"] = section
 
 
-def _envelopes(config: ExperimentConfig, spectra: dict) -> dict:
-    dyn = config.analyses["dynamics"]
-    return {(k, n): envelope(spectra[n], k, dyn["moments"])
-            for k in dyn["sources"] for n in config.half_widths}
-
-
 def _dynamics_stage(ctx: _RunContext) -> None:
     config, tol = ctx.config, ctx.config.tolerances
     dyn = config.analyses["dynamics"]
     grid = dyn["grid"]
     times = time_grid(**grid)
     widths = config.half_widths
-    envs = _envelopes(config, ctx.spectra)
+    envs = ctx.envelopes
     envelope_doc: dict = {"grid": grid, "series_half_width": widths[-1],
                           "sources": {}, "verdicts": []}
     for k in dyn["sources"]:
@@ -695,7 +693,6 @@ def _dynamics_stage(ctx: _RunContext) -> None:
                     ctx.failures.append(f"dynamics: alpha={alpha} q={q} k={k} "
                                         f"{verdict.conclusion}")
     ctx.write_json("envelope.json", envelope_doc)
-    ctx.envelopes = envs
 
 
 def _study_stage(ctx: _RunContext) -> None:
@@ -704,8 +701,8 @@ def _study_stage(ctx: _RunContext) -> None:
     Drifts compare the ladder indices trusted at both sizes.  A decay row
     holds each box's sup constant (first, second) and the largest relative
     change of a per-mode constant over the shared indices.  Decay reports
-    and envelopes of the ule and dynamics stages are reused; missing ones
-    are computed here.
+    and envelopes come from the run context, shared with the ule and
+    dynamics stages.
     """
     config, spectra = ctx.config, ctx.spectra
     tol = config.tolerances
@@ -737,7 +734,7 @@ def _study_stage(ctx: _RunContext) -> None:
     decay_rows_out = []
     decay = config.analyses["decay"]
     if decay:
-        reports = ctx.decay_reports or _decay_reports(config, spectra)
+        reports = ctx.decay_reports
         for alpha in decay["alphas"]:
             for n1, n2 in zip(widths, widths[1:]):
                 rep1, rep2 = reports[n1, alpha], reports[n2, alpha]
@@ -756,7 +753,7 @@ def _study_stage(ctx: _RunContext) -> None:
     env_rows = []
     dyn = config.analyses["dynamics"]
     if dyn:
-        envs = ctx.envelopes or _envelopes(config, spectra)
+        envs = ctx.envelopes
         for k in dyn["sources"]:
             for q in dyn["moments"]:
                 for n1, n2 in zip(widths, widths[1:]):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import HoppingKernel, weighted_norm
-from .operators import PotentialSpec, box_hopping_norm
+from .operators import PotentialSpec, box_hopping_norm, pinning_gamma
 from .spectra import SpectralData
 
 __all__ = [
@@ -82,7 +82,7 @@ class AsymptoticsReport:
 
     @property
     def bound(self) -> float:
-        return self.hopping_norm + self.perturbation_sup + 1.0
+        return pinning_gamma(self.hopping_norm, self.perturbation_sup)
 
     @property
     def passed(self) -> bool:

@@ -35,6 +35,7 @@ __all__ = [
     "TruncatedOperator",
     "box_kernel",
     "box_hopping_norm",
+    "pinning_gamma",
     "build_operator",
     "MAX_DIMENSION_DEFAULT",
     "RESONANCE_MARGIN",
@@ -271,6 +272,12 @@ def box_hopping_norm(kernel: HoppingKernel, half_width: int) -> float:
     kern = box_kernel(kernel, half_width)
     cutoff = kern.cutoff if kern.infinite_support else kern.support_radius
     return weighted_norm(kern, 0.0, max(cutoff, 1)).partial_sum
+
+
+def pinning_gamma(hopping_norm: float, perturbation_sup: float) -> float:
+    """gamma = |a|_0 + |b|_inf + 1: the eigenvalue pinning bound, the
+    default bootstrap gamma and the scale of the default interior window."""
+    return hopping_norm + perturbation_sup + 1.0
 
 
 def build_operator(kernel: HoppingKernel,

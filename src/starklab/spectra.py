@@ -26,6 +26,7 @@ the untrusted boundary region; the interior mask excludes them.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._format import write_json
-from .operators import TruncatedOperator, box_hopping_norm
+from .operators import TruncatedOperator, box_hopping_norm, pinning_gamma
 
 __all__ = [
     "ConvergenceFailureError",
@@ -43,7 +44,6 @@ __all__ = [
     "DEGENERACY_GAP",
     "diagonalize",
     "ladder_anchor",
-    "detect_centers",
     "default_interior_window",
     "save_spectral",
     "load_spectral",
@@ -189,16 +189,11 @@ def _fix_phases(vec: np.ndarray) -> np.ndarray:
     return rows
 
 
-def detect_centers(eigenvectors: np.ndarray, sites: np.ndarray) -> np.ndarray:
-    """Site of maximal modulus per column; ties go to the smaller site."""
-    return np.asarray(sites)[_peak_rows(eigenvectors)]
-
-
 def default_interior_window(half_width: int, hopping_norm: float,
                             perturbation_sup: float) -> int:
     """W = max(ceil(N/4), ceil(10 * (|a|_0 + |b|_inf + 1)))."""
     return max(math.ceil(half_width / 4),
-               math.ceil(10.0 * (hopping_norm + perturbation_sup + 1.0)))
+               math.ceil(10.0 * pinning_gamma(hopping_norm, perturbation_sup)))
 
 
 def _tridiagonal_eigh(H: np.ndarray):
@@ -407,8 +402,6 @@ def load_spectral(base_path: str) -> SpectralData:
     byte_length or from what the dimension and dtype need, and a payload
     whose sha256 differs from the header's.
     """
-    import json
-
     with open(f"{base_path}.json", "r", encoding="utf-8") as fh:
         header = json.load(fh)
     if header.get("format") != _FORMAT_NAME:

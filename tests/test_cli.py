@@ -385,3 +385,24 @@ def test_blas_thread_count_moves_only_the_last_digits(tmp_path):
             assert np.max(diff[t <= t_max]) <= 1e-12 * sup, name
             assert np.all(diff <= 1e-12 * sup
                           + t * dl * (2.0 + t * dl) * e_q), name
+
+
+def test_every_benchmark_trace_target_resolves():
+    # perfbench/run.py --trace 1 wraps these by name; a renamed or removed
+    # function would otherwise surface only when the benchmark runs
+    import importlib
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module_name, qualnames in tracer.TARGETS.items():
+        module = importlib.import_module(f"starklab.{module_name}")
+        for qualname in qualnames:
+            owner = module
+            for attr in qualname.split("."):
+                owner = getattr(owner, attr)
+            assert callable(owner), f"starklab.{module_name}.{qualname}"

@@ -357,6 +357,24 @@ def test_reuse_spectra_fails_cleanly_without_dumps(tmp_path):
     assert manifest.stage("asymptotics").status == "skipped"
 
 
+def test_reuse_spectra_needs_the_recorded_perturbation_sup(tmp_path):
+    # the dump's sha256 covers the payload only, so a header can lose the
+    # key; the default gamma must not then fall back to |b|_inf = 0
+    out = tmp_path / "out"
+    cfg = parse_config(base_config(out, half_widths=[12]))
+    assert run(cfg).stage("bootstrap").status == "ok"
+    header_path = out / "spectrum_N12.json"
+    header = json.loads(header_path.read_text())
+    del header["provenance"]["perturbation_sup"]
+    header_path.write_text(json.dumps(header))
+    manifest = run(cfg, stages=["asymptotics", "bootstrap"],
+                   reuse_spectra=True)
+    assert manifest.stage("spectrum").status == "reused"
+    for name in ("asymptotics", "bootstrap"):
+        assert manifest.stage(name).status == "failed"
+        assert manifest.stage(name).error == "KeyError: 'perturbation_sup'"
+
+
 def test_csv_cells_are_integers_and_17_digit_floats(tmp_path):
     from starklab._format import write_csv
 
@@ -367,6 +385,34 @@ def test_csv_cells_are_integers_and_17_digit_floats(tmp_path):
     assert path.read_text() == ("n,x\n1,0.10000000000000001\n"
                                 "-2,0.33333333333333331\n3,nan\n4,inf\n"
                                 "5,-inf\n")
+
+
+def test_json_is_sorted_indented_and_gives_back_every_float(tmp_path):
+    from starklab._format import write_json
+
+    floats = [1.0, -0.0, 0.1, 2.0 ** 60, 5e-324]
+    path = tmp_path / "doc.json"
+    write_json(path, {"b": [np.nan, np.inf, -np.inf], 2: np.int64(-2),
+                      "a": {"y": np.float64(0.5), "x": np.bool_(True)},
+                      "c": np.array([[1.5, -0.0]]), "d": complex(1.0, -0.0),
+                      "s": "tab\t nl\n nul\x00 us\x1f é ∞ \"q\" \\",
+                      "f": floats, "z": [(), {}]})
+    text = path.read_text(encoding="utf-8")
+    assert text == (
+        '{\n  "2": -2,\n'
+        '  "a": {\n    "x": true,\n    "y": 0.5\n  },\n'
+        '  "b": [\n    null,\n    null,\n    null\n  ],\n'
+        '  "c": [\n    [\n      1.5,\n      -0.0\n    ]\n  ],\n'
+        '  "d": {\n    "im": -0.0,\n    "re": 1.0\n  },\n'
+        '  "f": [\n    1.0,\n    -0.0,\n    0.1,\n'
+        '    1.152921504606847e+18,\n    5e-324\n  ],\n'
+        '  "s": "tab\\t nl\\n nul\\u0000 us\\u001f é ∞ \\"q\\" \\\\",\n'
+        '  "z": [\n    [],\n    {}\n  ]\n}\n')
+    doc = json.loads(text)
+    got = doc["f"] + doc["c"][0] + [doc["d"]["re"], doc["d"]["im"]]
+    want = floats + [1.5, -0.0, 1.0, -0.0]
+    assert [(type(v), v.hex()) for v in got] == \
+        [(float, v.hex()) for v in want]
 
 
 def test_study_zero_kernel_has_exactly_zero_drift(tmp_path):
@@ -565,9 +611,9 @@ DEMO_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
 GOLDEN = [
     # configs of the existing tests
     ("nn", {"half_widths": [10]},
-     "8b9e80c132db1ba1 0172caa2a8665321"),
+     "df266ad8c7872d15 af0053e3de14cf4b"),
     ("nn", {"half_widths": [10], "analyses": {}},
-     "34128ed14277fb11 acd78dccadcf8e9f"),
+     "73ccaa07b9b4ccdd 6d06d4300c356b7a"),
     ("nn", {"kernel": DROP, "half_widths": [8, 4], "bogus_key": 1,
             "analyses": {"decay": {"alphas": [-1.0]}}, "seed": 2 ** 64},
      ["analyses.decay.alphas[0]: must be positive",
@@ -603,73 +649,73 @@ GOLDEN = [
     ("nn", {"analyses": {"dynamics": {"moments": [0.0]}}},
      ["analyses.dynamics.moments[0]: must be positive"]),
     ("base", {},
-     "94db85d2e5dc46de 5164c4501e441869"),
+     "4282b616b8af7402 fc114cbce17dd94c"),
     ("base", {"seed": 6},
-     "be9782a0020f6917 5164c4501e441869"),
+     "621ca052787ab3fd fc114cbce17dd94c"),
     ("base", {"potential.perturbation.seed": 77},
-     "463bf717bbe550be ddf876abdb1ee304"),
+     "f979218859247619 fecae75261ccc50f"),
     ("nn", {"kernel": ZERO, "half_widths": [12]},
-     "5102d979ca939578 74dd6e71483c9ecd"),
+     "be7c24a6d9201c55 2fc7bc8afc709a75"),
     ("nn", {"potential": MARY, "half_widths": [16],
             "analyses": {"asymptotics": True, "bootstrap": {"gamma": 3.0},
                          "dynamics": {"sources": [0], "moments": [2.0],
                                       "grid": GRID}},
             "tolerances": {"interior_window": 5}},
-     "3a189c2ee2a36aa1 38f05b629359fd61"),
+     "755bed2cf713c707 c93aba0426f68fb0"),
     ("nn", {"potential": {"maryland": {"coupling": 1.0, "frequency": 0.5,
                                        "phase": 0.0}},
             "analyses": {"asymptotics": True, "dynamics": {
                 "sources": [0], "moments": [2.0], "grid": GRID}}},
-     "a1e85751ca6c88f4 f44dfe832014a983"),
+     "a5f9f51897af42c8 c064a7570c93c84e"),
     # changed: the operator dump is gone, so its key is unknown
     ("nn", {"half_widths": [6], "output": {"dump_operator": True}},
      ["output.dump_operator: unknown field"]),
     ("nn", {"kernel": ZERO, "half_widths": [12, 16], "analyses": {
         "asymptotics": True, "decay": {"alphas": [3.0]}}},
-     "90578ba8249c1759 0607c93d5e534cc1"),
+     "efd1ead0796bc51b 67d41f2df035a4e8"),
     ("nn", {"potential": URAND, "half_widths": [48, 64], "seed": 3,
             "analyses": {"decay": {"alphas": [3.0]}}},
-     "d3bb961ede247020 436ad0f3bad1c45e"),
+     "e41b8ef78087f89f 71cc461bb8691871"),
     ("nn", {"potential": URAND, "half_widths": [48, 64], "seed": 3,
             "analyses": {"decay": {"alphas": [2.0, 3.0]}}},
-     "71b2bde9eeedb6e0 ffe4f7043e575174"),
+     "5b585f1cf39f244d 4676a7834476a99f"),
     ("base", {"analyses": {"dynamics": {"sources": [0], "moments": [2.0, 2.5],
                                         "grid": GRID}}},
-     "1ec13c273efcb951 4fc0f8ad1f1e218c"),
+     "bc6e0b112c521eed 93412fa121148c03"),
     ("base", {"analyses": {"decay": {"alphas": [2.0, 3.0]}, "dynamics": {
         "sources": [0, 2], "moments": [2.0, 2.5, 3.0], "grid": GRID}}},
-     "595620430a342b32 46741b38c7335eb1"),
+     "d11187eed7dee790 dba1be25267017bf"),
     ("nn", {"kernel": ZERO, "potential": {"slope": 2.0},
             "half_widths": [16]},
-     "5e3d4ca8842524c4 22a1bf224255f409"),
+     "6e059652ee1e3941 4b0b6d54e94c08e0"),
     ("nn", {"kernel": ZERO, "half_widths": [12], "analyses": {
         "dynamics": {"sources": [0], "moments": [2.0], "grid": GRID}}},
-     "4c7ac535a2675a65 823a4cdf148a0389"),
+     "c5ae08c90652ea7a bd0e3acbc2a690ee"),
     ("nn", {"potential": URAND, "half_widths": [48, 64], "seed": 3,
             "analyses": {"asymptotics": True, "decay": {"alphas": [3.0]},
                          "dynamics": {"sources": [0], "moments": [2.0],
                                       "grid": GRID}}},
-     "82b0d2b4659ddaf4 5546af22421861b9"),
+     "4fc52ce63ee4d5db 33e19b489d91866d"),
     ("nn", {"half_widths": [9, 6]},
      ["half_widths: must be strictly ascending"]),
     ("nn", {"potential": URAND, "seed": 1, "analyses": {}},
-     "9cbbcd59c99492f1 1dccd6fe941f2f26"),
+     "80fcb61f6fdc5d8b ef5461ea49285203"),
     ("nn", {"kernel": ZERO, "half_widths": [12, 16], "analyses": {
         "asymptotics": True, "decay": {"alphas": [3.0]}, "bootstrap": {},
         "dynamics": {"sources": [0], "moments": [2.0], "grid": GRID}}},
-     "66c5eab0f7b9dcce d4a9fc74cb334b4e"),
+     "7420874a6fc230fb 14bea883f82f9e51"),
     ("nn", {"potential": {"perturbation": {"kind": "uniform_random",
                                            "amplitude": 0.5}},
             "half_widths": [60], "seed": 1, "analyses": {
                 "asymptotics": True, "decay": {"alphas": [3.0]},
                 "bootstrap": {}},
             "tolerances": {"residual": 1e-11}},
-     "2da66cc56e7655e7 681db7037675cb1e"),
+     "148ab65504486ec3 88c2f72ee11401ae"),
     ("nn", {"kernel": {"family": "power_law", "exponent": 2.5},
             "potential": {"perturbation": {"kind": "uniform_random",
                                            "amplitude": 5.0}},
             "half_widths": [60], "seed": 9},
-     "3403e98bac24bcea 76c9badf290255b6"),
+     "3cb6de6f1a4e9294 76ec53dd0d733ed9"),
     ("nn", {"kernel": {"family": "power_law", "exponent": 4.0},
             "potential": {"perturbation": {"kind": "uniform_random",
                                            "amplitude": 0.5}},
@@ -679,47 +725,47 @@ GOLDEN = [
                                       "grid": {"dt": 0.1, "t_max": 50.0,
                                                "quasi_random": 20,
                                                "far_horizon": 1e6}}}},
-     "fa1ed1d4a451b62e 7764ceaa7e26c4c4"),
+     "297aa29a01745a74 0adf6660f723c911"),
     ("demo", {},
-     "fc74fc75f075d193 c9d1c39ba1bc7ffa"),
+     "449d17991eb4cabb ca78b58f51ff47ea"),
     # every kernel family and perturbation kind, accepted
     ("nn", {"kernel.amplitude": {"re": 0.6, "im": 0.8}},
-     "8b1cddbfe74c88bb d4f3043343fe7488"),
+     "67c4c41c227895ae fb0270d6086fb2b9"),
     ("nn", {"kernel.amplitude": -0.5},
-     "abdaa617f51cc894 a9a87cff3965893a"),
+     "25a559064b89fa70 388df2c07094f553"),
     ("nn", {"kernel": {"family": "power_law", "exponent": 3, "cutoff": 40}},
-     "a0351c4ac9f758e2 d345bc7edfa3bef4"),
+     "eb7c733012e8feef 23c2392d4044789b"),
     ("nn", {"kernel": {"family": "finite_support",
                        "half": [1, {"re": 0.5, "im": 0.5}, 0.25]}},
-     "2f61c467bad76cfc b9f82922d6181494"),
+     "7d08aab92609dfd1 86578c583d5d8a1a"),
     ("nn", {"kernel": {"family": "custom", "coefficients": {
         "1": 0.5, "-1": 0.5, "2": {"re": 0.1, "im": 0.2},
         "-2": {"re": 0.1, "im": -0.2}}}},
-     "5d9705a594f78061 4a00bc962af3d4ff"),
+     "c4313c1cb9d474c5 5f8349a7505c418e"),
     ("nn", {"kernel": {"family": "custom", "coefficients": {"3": 1}}},
-     "acd552f91f88de86 c700828108c8e36b"),
+     "bd232c717c4e1a6b 4fbbdf6ed60cd2b1"),
     ("nn", {"potential": {"slope": 0.5, "perturbation": {
         "kind": "constant", "offset": 0.25}}},
-     "55cc2d9a0ac2b6af 592e59216b8f7638"),
+     "7db65ea3aa7ff1e6 268e9f24c1182d80"),
     ("nn", {"potential": {"perturbation": {"kind": "periodic",
                                            "pattern": [0.5, -0.5, 1]}}},
-     "ea103160d4182530 b6f281ab90f91ac2"),
+     "3fac44d49e81f76f 7498e4af10d82e7e"),
     ("nn", {"potential": {"perturbation": {
         "kind": "explicit", "first_site": -2, "table": [1.0, 2, -3.5]}}},
-     "8316c86f6337d33c 3be3df0f1982bce7"),
+     "fa8f3c07c282bbf2 b9368459320e1126"),
     ("nn", {"potential": {"perturbation": {"kind": "explicit",
                                            "table": []}}},
-     "645f24b8fd0d306f fce26d7ab9ee6ba7"),
+     "0deedb01a2a3b4c7 db020f1b74c1dba1"),
     ("nn", {"potential": {"perturbation": {"kind": "none"},
                           "family": "electric"}},
-     "bbf5eaa143287bb1 c8892c5f8574daf8"),
+     "f96c447a3efa15a4 dfca15a14fe387af"),
     ("nn", {"potential": {"slope": None, "maryland": {
         "coupling": 2, "frequency": 0.25}}},
-     "28f23442da333778 c327495ad041e213"),
+     "c637314889bc95a4 b09de736c8fd57c8"),
     ("nn", {"potential": {"perturbation": {"kind": "uniform_random",
                                            "amplitude": 0, "seed": 4}},
             "seed": 18446744073709551615},
-     "9ec6baaf3d48d58e 339aed431e8a0b92"),
+     "1edc990d9a292663 fb1af6dea438bec1"),
     ("nn", {"tolerances": {"residual": 1e-9, "orthonormality": 1e-9,
                            "degeneracy_gap": 1e-11, "interior_window": 0,
                            "bootstrap_slack": 1e-7,
@@ -727,13 +773,13 @@ GOLDEN = [
                            "boundary_share_limit": 0.02,
                            "eigenvalue_drift": 1e-7},
             "max_dimension": 17},
-     "2a6b5d46e6c148c6 0755d58945449d76"),
+     "1a2bacf92d517374 ff62a110cf583073"),
     ("nn", {"analyses": {"bootstrap": {"gamma": 4}, "decay": None,
                          "dynamics": {"grid": {"dt": 1}}}},
-     "35e8d56a36a25a06 7dc155e823e56ee6"),
+     "0bb5417920b40cfd 7fed4e8fd0c5b664"),
     ("nn", {"analyses": {"dynamics": {"grid": None}}, "tolerances": None,
             "output": None, "potential": None},
-     "2c3f415d9227903b c8b8370515070721"),
+     "1c83d29cdef4e0bd 8c6b62fb024936b9"),
     # changed: an empty output directory is rejected
     ("nn", {"output": {"directory": ""}},
      ["output.directory: must not be empty"]),
@@ -811,7 +857,7 @@ GOLDEN = [
      ["potential.perturbation.bogus: unknown field"]),
     # changed: a null kind counts as absent, so it is none
     ("nn", {"potential": {"perturbation": {"kind": None}}},
-     "bbf5eaa143287bb1 c8892c5f8574daf8"),
+     "f96c447a3efa15a4 dfca15a14fe387af"),
     ("nn", {"potential": {"perturbation": {"kind": "constant",
                                            "offset": "x"}}},
      ["potential.perturbation.offset: expected a number"]),
@@ -870,7 +916,7 @@ GOLDEN = [
      ["analyses: expected an object"]),
     # changed: a null section counts as absent
     ("nn", {"analyses": None},
-     "bbf5eaa143287bb1 c8892c5f8574daf8"),
+     "f96c447a3efa15a4 dfca15a14fe387af"),
     ("nn", {"analyses": {"bogus": 1}},
      ["analyses.bogus: unknown field"]),
     ("nn", {"analyses": {"asymptotics": "x"}},
@@ -948,7 +994,7 @@ GOLDEN = [
       "output.directory: expected a string"]),
     # changed: a null field counts as absent
     ("nn", {"output": {"directory": None}},
-     "bbf5eaa143287bb1 c8892c5f8574daf8"),
+     "f96c447a3efa15a4 dfca15a14fe387af"),
     ("nn", {"max_dimension": 2},
      ["half_widths[0]: box dimension 17 exceeds max_dimension 2",
       "max_dimension: must be >= 3"]),
