@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import starklab as sl
+from starklab.operators import box_hopping_norm, pinning_gamma
 
 OUT = Path("demo_out")
 OUT.mkdir(exist_ok=True)
@@ -29,9 +30,8 @@ def main():
                            half_width)
     sd = sl.diagonalize(op)
 
-    box_mass = sl.weighted_norm(op.kernel, 0.0,
-                                2 * half_width + 1).partial_sum
-    gamma = box_mass + op.perturbation_sup + 1.0
+    gamma = pinning_gamma(box_hopping_norm(op.kernel, half_width),
+                          op.perturbation_sup)
     rep = sl.bootstrap_decay_check(sd, op.kernel, gamma=gamma)
     print(f"gamma = {gamma:.4f}, scope |m - n| > {2 * gamma:.2f}")
     print(f"checked {rep.n_checked} (mode, site) pairs: "

@@ -23,6 +23,8 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
+import numpy as np
+
 from ._format import dumps_json, write_csv, write_json
 from ._version import __version__
 from .dynamics import (BOUNDARY_SHARE_LIMIT, DOUBLING_RATIO_LIMIT, envelope,
@@ -35,8 +37,7 @@ from .operators import (MAX_DIMENSION_DEFAULT, ConstantPerturbation,
                         ExplicitPerturbation, MarylandPotential,
                         NoPerturbation, PeriodicPerturbation, PotentialError,
                         PotentialSpec, UniformRandomPerturbation,
-                        box_hopping_norm, box_kernel, build_operator,
-                        pinning_gamma)
+                        box_hopping_norm, build_operator, pinning_gamma)
 from .spectra import (DEGENERACY_GAP, ORTHONORMALITY_TOL, RESIDUAL_TOL,
                       diagonalize, load_spectral, save_spectral)
 
@@ -195,8 +196,7 @@ _CONFIG = _Field("object", expected="config root must be an object", fields={
                                                      default=1.0)},
             "power_law": {
                 "exponent": _Field("number",
-                                   required="required for power_law"),
-                "cutoff": _Field("integer", bound=_at_least(1))},
+                                   required="required for power_law")},
             "finite_support": {"half": _amplitudes(
                 "list", "expected a list [a(1), a(2), ...]")},
             "custom": {"coefficients": _amplitudes(
@@ -502,14 +502,17 @@ def _first_difference(want, got, path: str):
 def _check_provenance(config: ExperimentConfig, half_width: int, sd) -> None:
     """Refuse a reloaded dump whose provenance differs from the config.
 
-    Compares the kernel as assembled in the box, the potential with its
-    seed, the half-width, the gate tolerances and an explicitly configured
-    interior window; the error names the first differing field.
+    Compares the kernel, the potential with its seed, the half-width, the
+    perturbation sup sampled again, the gate tolerances and an explicitly
+    configured interior window; the error names the first differing field.
     """
     tol = config.tolerances
-    want = {"kernel": box_kernel(config.kernel, half_width).describe(),
+    b = config.potential.perturbation_values(
+        np.arange(-half_width, half_width + 1))
+    want = {"kernel": config.kernel.describe(),
             "potential": config.potential.describe(),
             "half_width": half_width,
+            "perturbation_sup": float(np.max(np.abs(b))),
             **_gate_tolerances(tol)}
     got = {key: sd.provenance.get(key) for key in want}
     diff = _first_difference(want, got, "provenance")
@@ -711,17 +714,15 @@ def _study_stage(ctx: _RunContext) -> None:
     for n1, n2 in zip(widths, widths[1:]):
         sd1, sd2 = spectra[n1], spectra[n2]
         bound = min(n1 - sd1.interior_window, n2 - sd2.interior_window)
-        drifts = []
-        count = 0
-        for idx in range(-bound, bound + 1):
-            try:
-                v1 = sd1.eigenvalue_of(idx)
-                v2 = sd2.eigenvalue_of(idx)
-            except IndexError:
-                continue
-            drifts.append(abs(v1 - v2))
-            count += 1
-        max_drift = max(drifts) if drifts else 0.0
+        # ladder indices |n| <= bound that both spectra carry
+        first = max(-bound, -sd1.anchor_position, -sd2.anchor_position)
+        last = min(bound, sd1.dimension - 1 - sd1.anchor_position,
+                   sd2.dimension - 1 - sd2.anchor_position)
+        count = max(last - first + 1, 0)
+        drifts = np.abs(
+            sd1.eigenvalues[first + sd1.anchor_position:][:count]
+            - sd2.eigenvalues[first + sd2.anchor_position:][:count])
+        max_drift = float(drifts.max(initial=0.0))
         within = max_drift <= tol["eigenvalue_drift"]
         if not within:
             ctx.failures.append(

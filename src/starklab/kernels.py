@@ -9,8 +9,8 @@ clean diagonal:
     a(-m) = conj(a(m))  (Hermitian symmetry)
 
 Kernels are either finite support (coefficients stored explicitly) or
-power law (generated from the rule a(m) = |m|**-exponent, with a numeric
-truncation radius attached when the kernel is materialized on a box).
+power law (generated from the rule a(m) = |m|**-exponent at every offset;
+a box of half-width N reads the offsets |m| <= 2N).
 
 Weighted norms sum |a(m)| * |m|**weight; for power-law kernels the result
 carries an analytic bound on the mass dropped beyond the cutoff.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,14 +50,12 @@ class HoppingKernel:
 
     ``entries`` holds the nonzero coefficients of a finite-support kernel,
     both halves, sorted by offset.  A power-law kernel stores no entries;
-    its coefficients come from the rule a(m) = |m|**-exponent, and
-    ``cutoff`` is the truncation radius attached at assembly time.
+    its coefficients come from the rule a(m) = |m|**-exponent.
     """
 
     family: str
     entries: tuple[tuple[int, complex], ...] = ()
     exponent: float | None = None
-    cutoff: int | None = None
 
     @property
     def infinite_support(self) -> bool:
@@ -77,7 +75,7 @@ class HoppingKernel:
         return all(v.imag == 0.0 for _, v in self.entries)
 
     def amplitude(self, m: int) -> complex:
-        """Coefficient a(m) of the untruncated kernel."""
+        """Coefficient a(m)."""
         if m == 0:
             return 0j
         if self.infinite_support:
@@ -90,37 +88,19 @@ class HoppingKernel:
     def amplitudes(self, offsets) -> np.ndarray:
         """Vectorized a(m) over an integer offset array."""
         offs = np.asarray(offsets)
+        out = np.zeros(offs.shape, dtype=complex)
         if self.infinite_support:
-            out = np.zeros(offs.shape, dtype=complex)
             nz = offs != 0
             out[nz] = np.abs(offs[nz]).astype(float) ** -self.exponent
-            return out
-        table = dict(self.entries)
-        return np.array([table.get(int(m), 0j) for m in offs.ravel()],
-                        dtype=complex).reshape(offs.shape)
-
-    def positive_offsets(self, radius: int) -> np.ndarray:
-        """Offsets m with 0 < m <= radius and a(m) != 0, ascending."""
-        if self.infinite_support:
-            return np.arange(1, radius + 1)
-        return np.array(sorted(m for m, _ in self.entries if 0 < m <= radius),
-                        dtype=int)
-
-    def with_cutoff(self, radius: int) -> "HoppingKernel":
-        """Attach a truncation radius (meaningful for power-law kernels)."""
-        if radius < 1:
-            raise KernelError("cutoff must be a positive integer")
-        if not self.infinite_support:
-            return self
-        return replace(self, cutoff=int(radius))
+        for m, v in self.entries:
+            out[offs == m] = v
+        return out
 
     def describe(self) -> dict:
         """Round-trippable record for manifests, dump headers, and configs."""
         out: dict = {"family": self.family}
         if self.family == "power_law":
             out["exponent"] = float(self.exponent)
-            if self.cutoff is not None:
-                out["cutoff"] = int(self.cutoff)
         elif self.family == "nearest_neighbor":
             t = self.amplitude(1)
             out["amplitude"] = {"re": t.real, "im": t.imag}
@@ -198,16 +178,13 @@ def nearest_neighbor(amplitude: complex = 1.0) -> HoppingKernel:
     return HoppingKernel(family="nearest_neighbor", entries=entries)
 
 
-def power_law(exponent: float, cutoff: int | None = None) -> HoppingKernel:
+def power_law(exponent: float) -> HoppingKernel:
     """Kernel a(m) = |m|**-exponent; requires exponent > 1 for summability."""
     exponent = float(exponent)
     if not exponent > 1.0:
         raise KernelError(
             f"power-law exponent must exceed 1, got {exponent}")
-    if cutoff is not None and cutoff < 1:
-        raise KernelError("cutoff must be a positive integer")
-    return HoppingKernel(family="power_law", exponent=exponent,
-                         cutoff=None if cutoff is None else int(cutoff))
+    return HoppingKernel(family="power_law", exponent=exponent)
 
 
 def finite_support(half) -> HoppingKernel:
@@ -239,7 +216,7 @@ def build_kernel(family: str, **params) -> HoppingKernel:
 
     Families and parameters:
       nearest_neighbor(amplitude=1.0)
-      power_law(exponent, cutoff=None)
+      power_law(exponent)
       finite_support(half)
       custom(coefficients)
     """

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import HoppingKernel, weighted_norm
-from .operators import PotentialSpec, box_hopping_norm, pinning_gamma
+from .operators import (PotentialSpec, box_hopping_norm, pinning_gamma,
+                        toeplitz)
 from .spectra import SpectralData
 
 __all__ = [
@@ -302,11 +303,10 @@ def _band_convolution(absw: np.ndarray, M: int, d: int):
             return out
         return shifted_sum
 
-    # v[k] = |a(k - (d - 1))|; window i of v read backwards is row i of T
+    # v[k] = |a(k - (d - 1))|
     v = np.zeros(2 * d - 1)
     v[d - 1 - M:d + M] = absw
-    T = np.ascontiguousarray(
-        np.lib.stride_tricks.sliding_window_view(v, d)[:, ::-1])
+    T = toeplitz(v)
     return lambda amp: T @ amp
 
 

@@ -33,7 +33,7 @@ __all__ = [
     "MarylandPotential",
     "PotentialSpec",
     "TruncatedOperator",
-    "box_kernel",
+    "toeplitz",
     "box_hopping_norm",
     "pinning_gamma",
     "build_operator",
@@ -166,15 +166,15 @@ class MarylandPotential:
         y = np.mod(x - 0.5, 1.0)
         return np.minimum(y, 1.0 - y)
 
-    def values(self, sites, margin: float = RESONANCE_MARGIN) -> np.ndarray:
+    def values(self, sites) -> np.ndarray:
         sites = np.asarray(sites)
         margins = self.resonance_margins(sites)
-        if np.any(margins <= margin):
+        if np.any(margins <= RESONANCE_MARGIN):
             worst = int(np.argmin(margins))
             raise MarylandResonanceError(
                 f"site {int(sites.reshape(-1)[worst])} lies within "
                 f"{margins.reshape(-1)[worst]:.3e} of a tangent pole "
-                f"(guard {margin:g})")
+                f"(guard {RESONANCE_MARGIN:g})")
         x = self.phase + sites.astype(float) * self.frequency
         return self.coupling * np.tan(np.pi * x)
 
@@ -253,25 +253,26 @@ class TruncatedOperator:
         return float(np.max(np.abs(self.perturbation_values)))
 
 
-def box_kernel(kernel: HoppingKernel, half_width: int) -> HoppingKernel:
-    """The kernel as assembled on {-N, ..., N}: an infinite kernel gets a
-    truncation radius of at least 2N+1, so every in-box offset is covered."""
-    if kernel.infinite_support:
-        return kernel.with_cutoff(max(kernel.cutoff or 0, 2 * half_width + 1))
-    return kernel
+def toeplitz(values: np.ndarray) -> np.ndarray:
+    """The d x d matrix T[i, j] = values[d - 1 + i - j] from 2d - 1 values,
+    so values[k] = a(k - (d - 1)) gives T[i, j] = a(i - j)."""
+    d = (len(values) + 1) // 2
+    return np.ascontiguousarray(
+        np.lib.stride_tricks.sliding_window_view(values, d)[:, ::-1])
 
 
 def box_hopping_norm(kernel: HoppingKernel, half_width: int) -> float:
-    """|a|_0 of the box: sum of |a(m)| over the offsets of box_kernel.
+    """|a|_0 of the box: sum of |a(m)| over 0 < |m| <= 2N+1 for a power
+    law, over the support radius otherwise.
 
     The hopping block T of the box has at most one entry a(m) per offset m
     in each row and each column, so its row and column sums are at most
     this partial sum and, by the Schur test, so is ||T||_2.  Offsets that
     do not fit in the box only make the bound larger.
     """
-    kern = box_kernel(kernel, half_width)
-    cutoff = kern.cutoff if kern.infinite_support else kern.support_radius
-    return weighted_norm(kern, 0.0, max(cutoff, 1)).partial_sum
+    radius = (2 * half_width + 1 if kernel.infinite_support
+              else max(kernel.support_radius, 1))
+    return weighted_norm(kernel, 0.0, radius).partial_sum
 
 
 def pinning_gamma(hopping_norm: float, perturbation_sup: float) -> float:
@@ -287,10 +288,9 @@ def build_operator(kernel: HoppingKernel,
     """Assemble the truncated operator on {-N, ..., N}.
 
     Matrix entry (i, j) is a(site_i - site_j) off the diagonal and
-    V(site_i) + b(site_i) on it.  Infinite kernels are materialized with
-    truncation radius at least 2N+1 (every in-box offset is covered), so a
-    smaller box is always the central principal submatrix of a larger one
-    with the same kernel, potential, and seed.
+    V(site_i) + b(site_i) on it.  Every in-box offset |m| <= 2N is read
+    from the kernel, so a smaller box is always the central principal
+    submatrix of a larger one with the same kernel, potential, and seed.
     """
     half_width = int(half_width)
     if half_width < 1:
@@ -306,24 +306,13 @@ def build_operator(kernel: HoppingKernel,
     diag = potential.diagonal_values(sites)
     b = potential.perturbation_values(sites)
 
-    kern = box_kernel(kernel, half_width)
-
-    offsets = kern.positive_offsets(2 * half_width)
-    amps = kern.amplitudes(offsets)
-    real = kern.is_real and np.all(amps.imag == 0.0)
-    dtype = float if real else complex
-    H = np.zeros((d, d), dtype=dtype)
-    rows = np.arange(d)
-    for m, am in zip(offsets, amps):
-        lo = rows[: d - m]
-        # entry (i, j) with site_i - site_j = +m sits m below the diagonal
-        H[lo + m, lo] = am if not real else am.real
-        H[lo, lo + m] = am.conjugate() if not real else am.real
-    H[rows, rows] = diag + b
+    amps = kernel.amplitudes(np.arange(-(d - 1), d))
+    H = toeplitz(amps.real if kernel.is_real else amps)
+    np.fill_diagonal(H, diag + b)
 
     H.flags.writeable = False
     sites.flags.writeable = False
     b.flags.writeable = False
     return TruncatedOperator(half_width=half_width, sites=sites, matrix=H,
-                             kernel=kern, potential=potential,
+                             kernel=kernel, potential=potential,
                              perturbation_values=b)

@@ -302,6 +302,41 @@ def test_report_refuses_dumps_of_another_config(tmp_path, capsys):
     assert "stage spectrum: reused" in capsys.readouterr().out
 
 
+def _edit_sup(provenance):
+    provenance["perturbation_sup"] = 100.0
+
+
+def _add_cutoff(provenance):
+    # what a power-law dump header carried when the kernel had a cutoff
+    provenance["kernel"]["cutoff"] = 25
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_edit_sup, "provenance.perturbation_sup"),
+    (_add_cutoff, "provenance.kernel.cutoff"),
+], ids=["perturbation-sup", "kernel-cutoff"])
+def test_report_refuses_an_edited_header(tmp_path, capsys, edit, field):
+    # the sha256 covers the payload only; report checks the header's
+    # provenance against the config instead
+    cfg = write_config(tmp_path / "cfg.json", {
+        "kernel": {"family": "power_law", "exponent": 4.0},
+        "potential": {"perturbation": {"kind": "uniform_random",
+                                       "amplitude": 1.0}},
+        "half_widths": [12], "seed": 5,
+        "output": {"directory": str(tmp_path / "out")}})
+    assert main(["spectrum", "--config", cfg]) == 0
+    header_path = tmp_path / "out" / "spectrum_N12.json"
+    header = json.loads(header_path.read_text())
+    edit(header["provenance"])
+    header_path.write_text(json.dumps(header))
+    capsys.readouterr()
+    assert main(["report", "--config", cfg]) == 2
+    printed = capsys.readouterr().out
+    assert "stage spectrum: failed (ProvenanceMismatchError" in printed
+    assert field in printed
+    assert "stage asymptotics: skipped" in printed
+
+
 @pytest.mark.parametrize("damage, problem", [
     (lambda raw: raw[:100] + bytes([raw[100] ^ 1]) + raw[101:], "sha256"),
     (lambda raw: raw[:-8], "byte_length"),

@@ -359,7 +359,8 @@ def test_reuse_spectra_fails_cleanly_without_dumps(tmp_path):
 
 def test_reuse_spectra_needs_the_recorded_perturbation_sup(tmp_path):
     # the dump's sha256 covers the payload only, so a header can lose the
-    # key; the default gamma must not then fall back to |b|_inf = 0
+    # key; the default gamma must not then fall back to |b|_inf = 0: the
+    # run refuses the dump, and a library caller gets a KeyError
     out = tmp_path / "out"
     cfg = parse_config(base_config(out, half_widths=[12]))
     assert run(cfg).stage("bootstrap").status == "ok"
@@ -369,10 +370,16 @@ def test_reuse_spectra_needs_the_recorded_perturbation_sup(tmp_path):
     header_path.write_text(json.dumps(header))
     manifest = run(cfg, stages=["asymptotics", "bootstrap"],
                    reuse_spectra=True)
-    assert manifest.stage("spectrum").status == "reused"
+    assert manifest.stage("spectrum").status == "failed"
+    assert manifest.stage("spectrum").error.startswith(
+        "ProvenanceMismatchError")
+    assert "provenance.perturbation_sup is None" in \
+        manifest.stage("spectrum").error
     for name in ("asymptotics", "bootstrap"):
-        assert manifest.stage(name).status == "failed"
-        assert manifest.stage(name).error == "KeyError: 'perturbation_sup'"
+        assert manifest.stage(name).status == "skipped"
+    sd = sl.load_spectral(str(out / "spectrum_N12"))
+    with pytest.raises(KeyError, match="perturbation_sup"):
+        sl.check_eigenvalue_asymptotics(sd, cfg.kernel, cfg.potential)
 
 
 def test_csv_cells_are_integers_and_17_digit_floats(tmp_path):
@@ -434,6 +441,26 @@ def test_study_zero_kernel_has_exactly_zero_drift(tmp_path):
     assert study["decay_drift"][0]["relative_change"] == 0.0
     assert study["decay_drift"][0]["indices_compared"] == 5
     assert manifest.all_checks_passed
+
+
+def test_study_drift_skips_indices_missing_from_a_spectrum(tmp_path):
+    # a shift of 1000 makes every eigenvalue positive, so both ladders
+    # start at index 0 and the negative indices within the bound are absent
+    out = tmp_path / "study"
+    cfg = parse_config({"kernel": {"family": "custom", "coefficients": {}},
+                        "potential": {"perturbation": {"kind": "constant",
+                                                       "offset": 1000.0}},
+                        "half_widths": [12, 16], "analyses": {},
+                        "tolerances": {"interior_window": 0},
+                        "output": {"directory": str(out)}})
+    run(cfg)
+    with open(out / "study.json") as fh:
+        row = json.load(fh)["eigenvalue_drift"][0]
+    # index n is site n - 12 + 1000 in the first box, n - 16 + 1000 in the
+    # second, for n = 0..12
+    assert row["indices_compared"] == 13
+    assert row["max_drift"] == 4.0
+    assert row["within_tolerance"] is False
 
 
 def test_study_decay_drift_compares_shared_modes(tmp_path):
@@ -733,8 +760,9 @@ GOLDEN = [
      "67c4c41c227895ae fb0270d6086fb2b9"),
     ("nn", {"kernel.amplitude": -0.5},
      "25a559064b89fa70 388df2c07094f553"),
+    # changed: a power law has no cutoff field
     ("nn", {"kernel": {"family": "power_law", "exponent": 3, "cutoff": 40}},
-     "eb7c733012e8feef 23c2392d4044789b"),
+     ["kernel.cutoff: unknown field"]),
     ("nn", {"kernel": {"family": "finite_support",
                        "half": [1, {"re": 0.5, "im": 0.5}, 0.25]}},
      "7d08aab92609dfd1 86578c583d5d8a1a"),
@@ -820,10 +848,10 @@ GOLDEN = [
     ("nn", {"kernel": {"family": "power_law", "exponent": 1.0}},
      ["kernel: power-law exponent must exceed 1, got 1.0"]),
     ("nn", {"kernel": {"family": "power_law", "exponent": 4, "cutoff": 0}},
-     ["kernel.cutoff: must be >= 1"]),
+     ["kernel.cutoff: unknown field"]),
     ("nn", {"kernel": {"family": "power_law", "exponent": 4,
                        "cutoff": 1.5}},
-     ["kernel.cutoff: expected an integer"]),
+     ["kernel.cutoff: unknown field"]),
     ("nn", {"kernel": {"family": "finite_support"}},
      ["kernel.half: expected a list [a(1), a(2), ...]"]),
     ("nn", {"kernel": {"family": "finite_support", "half": [True]}},
@@ -1010,6 +1038,9 @@ GOLDEN = [
      ["analyses.dynamics.moments: entries must be distinct",
       "analyses.dynamics.moments[2]: expected a number",
       "analyses.dynamics.moments[3]: expected a number"]),
+    # added: the power law without a cutoff, its only form
+    ("nn", {"kernel": {"family": "power_law", "exponent": 3}},
+     "ed376a4ce6983586 b82bedab90e38e3e"),
 ]
 
 

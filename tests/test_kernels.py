@@ -147,7 +147,6 @@ def test_build_kernel_dispatch():
 def test_describe_round_trips_through_build_kernel():
     for k in (sl.nearest_neighbor(0.5 + 0.5j),
               sl.power_law(3.5),
-              sl.power_law(3.5, cutoff=40),
               sl.finite_support([1.0, 0.5j]),
               sl.custom_kernel({2: 1.5})):
         desc = k.describe()
@@ -169,16 +168,13 @@ def test_amplitude_must_be_a_number_or_real_parts(build):
         build()
 
 
-def test_with_cutoff_is_bookkeeping_only():
-    # the attached radius records how far assembly materialized the rule;
-    # the coefficient rule itself is untouched
-    k = sl.power_law(4.0).with_cutoff(3)
-    assert k.cutoff == 3
-    assert k.infinite_support
-    assert k.amplitude(3) == pytest.approx(AMPLITUDE_P4_M3)
-    assert k.amplitude(4) == pytest.approx(4.0 ** -4)
-    nn = sl.nearest_neighbor()
-    assert nn.with_cutoff(5) is nn
+def test_power_law_takes_no_cutoff():
+    # the rule holds at every offset; a box reads as many as it needs
+    k = sl.power_law(4.0)
+    assert k.describe() == {"family": "power_law", "exponent": 4.0}
+    assert k.amplitude(10 ** 6) == pytest.approx(1e-24)
+    with pytest.raises(KernelError):
+        sl.build_kernel("power_law", exponent=4.0, cutoff=3)
 
 
 coefficients = st.complex_numbers(min_magnitude=0.0, max_magnitude=10.0,

@@ -58,12 +58,11 @@ def test_pinning_reads_the_recorded_perturbation_sup(monkeypatch):
 
 
 def test_pinning_hopping_norm_bounds_the_box_hopping_block():
-    # the box is assembled with cutoff max(5, 2N+1), so the norm in the
-    # bound must cover offsets past the kernel's own cutoff of 5
-    op = sl.build_operator(sl.power_law(2.5, cutoff=5), sl.PotentialSpec(),
-                           50)
+    # the box reads every offset up to 2N, so the norm in the bound must
+    # cover them all; with p = 2.5 the far offsets still weigh
+    op = sl.build_operator(sl.power_law(2.5), sl.PotentialSpec(), 50)
     sd = sl.diagonalize(op)
-    rep = sl.check_eigenvalue_asymptotics(sd, sl.power_law(2.5, cutoff=5),
+    rep = sl.check_eigenvalue_asymptotics(sd, sl.power_law(2.5),
                                           op.potential)
     hopping = op.matrix - np.diag(np.diag(op.matrix))
     assert rep.hopping_norm >= np.linalg.norm(hopping, 2)
@@ -211,7 +210,8 @@ def test_bootstrap_pure_field_clean(spectrum_cache):
 
 def test_bootstrap_long_range_clean(spectrum_cache):
     op, sd = spectrum_cache("pl4", 200)
-    gamma = sl.weighted_norm(op.kernel, 0.0, op.kernel.cutoff).upper_bound + 1.0
+    gamma = sl.weighted_norm(op.kernel, 0.0,
+                             2 * op.half_width + 1).upper_bound + 1.0
     rep = sl.bootstrap_decay_check(sd, op.kernel, gamma=gamma)
     assert rep.passed
 
@@ -374,7 +374,8 @@ def test_blocked_checks_match_per_mode_loops_power_law(spectrum_cache):
     assert 2 * sd.dimension - 1 > _SHIFTED_SUM_MAX_BAND
     for alpha in (2.0, 3.0, 2.5):
         _assert_decay_matches_oracle(sd, alpha)
-    gamma = sl.weighted_norm(op.kernel, 0.0, op.kernel.cutoff).upper_bound \
+    gamma = sl.weighted_norm(op.kernel, 0.0,
+                             2 * op.half_width + 1).upper_bound \
         + op.perturbation_sup + 1.0
     _assert_bootstrap_matches_oracle(sd, op.kernel, gamma)
     # a smaller gamma brings sites next to the center into scope, where

@@ -28,12 +28,24 @@ def test_power_law_with_constant_shift_worked_entries():
     assert op.perturbation_sup == 0.3
 
 
-def test_matrix_matches_naive_assembly():
-    kernel = sl.power_law(4.0)
+@pytest.mark.parametrize("kernel", [
+    sl.power_law(4.0),
+    sl.power_law(2.5),
+    sl.nearest_neighbor(),
+    sl.nearest_neighbor(0.6 + 0.8j),
+    sl.finite_support([1.0, 0.5 + 0.5j, 0.25]),
+    sl.custom_kernel({1: 0.5, 3: -0.25}),
+    sl.custom_kernel({}),
+], ids=["power_law_p4", "power_law_p2.5", "nearest_neighbor",
+        "nearest_neighbor_complex", "finite_support_complex", "custom",
+        "zero"])
+def test_matrix_matches_naive_assembly(kernel):
     pot = sl.PotentialSpec(perturbation=sl.ConstantPerturbation(0.3))
     op = sl.build_operator(kernel, pot, 3)
     expected = helpers.naive_matrix(kernel, pot, 3)
     np.testing.assert_allclose(op.matrix, expected, rtol=1e-15, atol=0.0)
+    assert op.matrix.dtype == (np.float64 if kernel.is_real
+                               else np.complex128)
 
 
 def test_complex_kernel_matches_naive_assembly_and_is_hermitian():
