@@ -51,10 +51,18 @@ def write_json(path, obj) -> None:
 
 def write_csv(path, header: list[str], rows) -> None:
     """Write rows of int and float cells; floats at 17 significant digits,
-    non-finite ones as nan, inf and -inf."""
+    non-finite ones as nan, inf and -inf.  Each row is one %-format of a
+    template cached by the row's cell types: %d for an integer cell, %.17g
+    (as format(float(cell), ".17g")) for any other."""
+    templates: dict = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join([
-                str(int(cell)) if isinstance(cell, (int, np.integer))
-                else format(float(cell), ".17g") for cell in row]) + "\n")
+            row = tuple(row)
+            types = tuple(map(type, row))
+            template = templates.get(types)
+            if template is None:
+                template = templates[types] = ",".join(
+                    "%d" if issubclass(t, (int, np.integer)) else "%.17g"
+                    for t in types) + "\n"
+            fh.write(template % row)

@@ -438,14 +438,20 @@ def load_config(path: str) -> ExperimentConfig:
 
 @dataclass
 class StageRecord:
+    """One stage of a run.  budgets holds what a stage spent of its error
+    budgets, outside the byte-compared outputs: the dynamics stage maps
+    source -> q -> {path, dropped_weight} of its moment series."""
+
     name: str
     status: str  # ok | failed | skipped | reused
     error: str | None = None
     outputs: list = field(default_factory=list)
+    budgets: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {"name": self.name, "status": self.status,
-                "error": self.error, "outputs": sorted(self.outputs)}
+                "error": self.error, "outputs": sorted(self.outputs),
+                "budgets": self.budgets}
 
 
 @dataclass
@@ -531,8 +537,9 @@ class _RunContext:
     """What the stages of one run share.
 
     A stage writes its files through write_csv/write_json, which list them
-    under the running stage.  decay_reports and envelopes are measured by
-    the first stage that reads them and reused by the later ones.
+    under the running stage, and its spent error budgets into budgets.
+    decay_reports and envelopes are measured by the first stage that reads
+    them and reused by the later ones.
     """
 
     config: ExperimentConfig
@@ -541,6 +548,7 @@ class _RunContext:
     failures: list = field(default_factory=list)
     localization: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
+    budgets: dict = field(default_factory=dict)
 
     @cached_property
     def decay_reports(self) -> dict:
@@ -674,10 +682,13 @@ def _dynamics_stage(ctx: _RunContext) -> None:
             for n in widths}}
         series = moment_series(ctx.spectra[widths[-1]], k, dyn["moments"],
                                times)
-        for q, values in zip(series.qs, series.values):
+        for q, values, dropped in zip(series.qs, series.values,
+                                      series.dropped):
             ctx.write_csv(f"moments_q{format(q, 'g')}_k{k}.csv",
                           ["t", "moment"],
                           zip(series.times.tolist(), values.tolist()))
+            ctx.budgets.setdefault(str(k), {})[format(q, "g")] = {
+                "path": series.path, "dropped_weight": dropped}
     alphas = (config.analyses["decay"] or {}).get("alphas") or []
     n_small = widths[-2] if len(widths) >= 2 else widths[-1]
     for alpha in alphas:
@@ -826,6 +837,7 @@ def run(config: ExperimentConfig, stages=None,
             rec.error = "upstream spectrum stage did not complete"
             continue
         rec.outputs = ctx.outputs = []
+        rec.budgets = ctx.budgets = {}
         try:
             stage(ctx)
             rec.status = ("reused" if name == "spectrum" and reuse_spectra

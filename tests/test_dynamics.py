@@ -7,6 +7,8 @@ import helpers
 import starklab as sl
 from starklab import dynamics
 
+EPS = np.finfo(float).eps
+
 
 def _stationary_setup():
     op = sl.build_operator(sl.custom_kernel({}), sl.PotentialSpec(), 12)
@@ -36,6 +38,11 @@ def test_zero_kernel_moment_is_constant_in_time():
     series = sl.moment_series(sd, 5, (2.0,), [0.0, 0.3, 2.0, 50.0])
     np.testing.assert_allclose(series.values, 25.0, atol=1e-10)
     assert series.running_sup[0] == pytest.approx(25.0, abs=1e-10)
+    # from site 0 every mode pair has zero weight: E_q = 0, nothing kept
+    origin = sl.moment_series(sd, 0, (2.0, 3.0), [0.0, 0.3, 2.0, 50.0])
+    assert origin.path == "pairs"
+    assert origin.dropped == (0.0, 0.0)
+    np.testing.assert_array_equal(origin.values, 0.0)
 
 
 def test_time_zero_returns_the_source_delta(spectrum_cache):
@@ -93,9 +100,24 @@ def _assert_propagates_like_single_times(sd, source, times, chunk):
     [0.0],
 ], ids=["prefix-ends-mid-chunk", "offset", "linspace", "single", "zero"])
 def test_phase_table_grids_match_single_time_evolution(spectrum_cache,
-                                                       times):
+                                                       monkeypatch, times):
     _, sd = spectrum_cache("pl4", 60, 0.5, 2)
     _assert_propagates_like_single_times(sd, 0, times, 7)
+    # the pair path on the same grid, its table blocks 7 wide: the
+    # reference rounds lambda * t, the pair path delta * t, so the two
+    # part by about 1e-16 * lambda * t of the moment
+    monkeypatch.setattr(dynamics, "PAIR_SHARE_LIMIT", 1.0)
+    qs = (2.0, 2.5)
+    series = sl.moment_series(sd, 0, qs, times, chunk=7)
+    assert series.path == "pairs"
+    env = sl.envelope(sd, 0, qs)
+    times = np.asarray(times, dtype=float)
+    for i, q in enumerate(qs):
+        direct = [helpers.moment_of(sd.sites,
+                                    helpers.evolved_amplitudes(sd, 0, t), q)
+                  for t in times]
+        gap = np.abs(series.values[i] - direct)
+        assert np.all(gap <= 1e-12 * env.moment_bound(q) * (1 + times / 1e4))
 
 
 def test_uniform_prefix_is_checked_exactly():
@@ -133,10 +155,11 @@ def test_moment_series_agrees_across_chunk_sizes(spectrum_cache):
                     <= 1e-12 * np.max(series[0][i]))
 
 
-def test_default_grid_moments_against_extended_precision_phases():
+def _assert_extended_precision_bounds(path):
     # The reference turns every phase in np.longdouble from the same
     # float64 eigenvalues and times; what is left is the float64 rounding
-    # of lambda * t, largest at the far samples (t up to 1e6).
+    # of lambda * t (delta * t on the pair path), largest at the far
+    # samples (t up to 1e6).
     if not np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
         pytest.skip("np.longdouble is no wider than float64 here")
     pert = sl.UniformRandomPerturbation(amplitude=0.5, seed=2)
@@ -146,6 +169,7 @@ def test_default_grid_moments_against_extended_precision_phases():
     times = sl.time_grid()
     qs = (2.0, 2.5)
     series = sl.moment_series(sd, 0, qs, times)
+    assert series.path == path
     angle = np.multiply.outer(sd.eigenvalues.astype(np.longdouble),
                               times.astype(np.longdouble))
     phases = np.cos(angle).astype(float) - 1j * np.sin(angle).astype(float)
@@ -158,6 +182,63 @@ def test_default_grid_moments_against_extended_precision_phases():
         gap = np.abs(series.values[i] - reference[i]) / np.max(reference[i])
         assert np.max(gap) <= 4.1e-11
         assert np.max(gap[:prefix]) <= 2e-13
+
+
+def test_default_grid_moments_against_extended_precision_phases(
+        monkeypatch):
+    monkeypatch.setattr(dynamics, "PAIR_SHARE_LIMIT", 0.0)
+    _assert_extended_precision_bounds("gemm")
+
+
+def test_pair_path_moments_against_extended_precision_phases(monkeypatch):
+    monkeypatch.setattr(dynamics, "PAIR_SHARE_LIMIT", 1.0)
+    _assert_extended_precision_bounds("pairs")
+
+
+def test_pruned_series_stays_within_its_dropped_weight(spectrum_cache,
+                                                       monkeypatch):
+    # Dropping pairs of total weight D moves every sample by at most D.
+    # The reference keeps every nonzero pair (a zero budget); the slack
+    # covers the rounding of the two cosine sums.
+    _, sd = spectrum_cache("pl4", 60, 0.5, 2)
+    times = sl.time_grid()
+    qs = (2.0, 2.5)
+    env = sl.envelope(sd, 0, qs)
+    monkeypatch.setattr(dynamics, "PAIR_SHARE_LIMIT", 1.0)
+    monkeypatch.setattr(dynamics, "PAIR_BUDGET", 0.0)
+    full = sl.moment_series(sd, 0, qs, times)
+    assert full.path == "pairs"
+    assert full.dropped == (0.0, 0.0)
+    for budget in (1e-14, 1e-9, 1e-4):
+        monkeypatch.setattr(dynamics, "PAIR_BUDGET", budget)
+        pruned = sl.moment_series(sd, 0, qs, times)
+        for i, q in enumerate(qs):
+            e_q = env.moment_bound(q)
+            assert 0.0 < pruned.dropped[i] <= budget * e_q * (1 + 1e-12)
+            gap = np.abs(pruned.values[i] - full.values[i])
+            assert np.max(gap) <= pruned.dropped[i] + 16 * EPS * e_q
+
+
+def test_moment_path_follows_the_kept_pair_count(spectrum_cache):
+    # strong localization keeps a few mode pairs and takes the pair path;
+    # slow decay (p = 2.5) keeps too many, and a complex spectrum has no
+    # cosine sum, so both take the GEMM path and drop nothing
+    times = [0.0, 1.0, 1e3]
+    for kind in ("pl4", "nn"):
+        _, sd = spectrum_cache(kind, 200)
+        series = sl.moment_series(sd, 0, (2.0, 2.5), times)
+        assert series.path == "pairs"
+        assert all(0.0 <= x <= 1e-12 for x in series.dropped)
+    pert = sl.UniformRandomPerturbation(amplitude=0.5, seed=1)
+    weak = sl.diagonalize(sl.build_operator(
+        sl.power_law(2.5), sl.PotentialSpec(perturbation=pert), 60))
+    cplx = sl.diagonalize(sl.build_operator(sl.nearest_neighbor(0.6 + 0.8j),
+                                            sl.PotentialSpec(), 30),
+                          interior_window=8)
+    for sd in (weak, cplx):
+        series = sl.moment_series(sd, 0, (2.0, 2.5), times)
+        assert series.path == "gemm"
+        assert series.dropped == (0.0, 0.0)
 
 
 def test_moment_series_matches_pointwise_moments(spectrum_cache):

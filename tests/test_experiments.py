@@ -386,12 +386,20 @@ def test_csv_cells_are_integers_and_17_digit_floats(tmp_path):
     from starklab._format import write_csv
 
     path = tmp_path / "cells.csv"
+    # rows of differing cell types in one file; an int column stays exact
+    # past 2**53 and a float cell that holds an integer stays a float
     write_csv(path, ["n", "x"], [(1, 0.1), (np.int64(-2), np.float64(1 / 3)),
                                  (3, float("nan")), (4, float("inf")),
-                                 (5, -float("inf"))])
+                                 (5, -float("inf")), (6, -0.0),
+                                 (2 ** 60, 2.0 ** 60),
+                                 (np.uint64(2 ** 63 + 1), np.float32(0.1)),
+                                 [np.int32(7), 5e-324], (8, np.int8(3))])
     assert path.read_text() == ("n,x\n1,0.10000000000000001\n"
                                 "-2,0.33333333333333331\n3,nan\n4,inf\n"
-                                "5,-inf\n")
+                                "5,-inf\n6,-0\n"
+                                "1152921504606846976,1.152921504606847e+18\n"
+                                "9223372036854775809,0.10000000149011612\n"
+                                "7,4.9406564584124654e-324\n8,3\n")
 
 
 def test_json_is_sorted_indented_and_gives_back_every_float(tmp_path):
@@ -567,6 +575,15 @@ def test_dynamics_stage_propagates_once_per_source(tmp_path, monkeypatch):
     manifest = run(parse_config(raw), stages=["spectrum", "dynamics"])
     assert manifest.stage("dynamics").status == "ok"
     assert calls == [(0, 24), (2, 24)]
+    # the path and dropped weight of each (source, q) series sit in the
+    # manifest only; the GEMM path of this small box drops nothing
+    spent = {"path": "gemm", "dropped_weight": 0.0}
+    budgets = {str(k): {q: spent for q in ("2", "2.5", "3")} for k in (0, 2)}
+    assert manifest.stage("dynamics").budgets == budgets
+    assert manifest.stage("spectrum").budgets == {}
+    with open(out / "manifest.json") as fh:
+        stages = {s["name"]: s for s in json.load(fh)["stages"]}
+    assert stages["dynamics"]["budgets"] == budgets
     # the verdicts, built from the stage's envelopes, are those of the
     # public probe on the same spectra
     small, big = (sl.load_spectral(str(out / f"spectrum_N{n}"))
