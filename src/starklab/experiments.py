@@ -9,7 +9,7 @@ writing one manifest plus per-stage artifacts into the output directory.
 A failed stage marks everything downstream of it skipped, but analysis
 stages are siblings: one refusing does not block another.  Reruns with the
 same config and seed give byte-identical CSV and JSON payloads (the
-manifest differs only in its timestamp).
+manifest differs in its timestamp and its per-stage timing).
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import inspect
 import json
 import math
 import os
+import resource
+import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
@@ -456,12 +458,18 @@ class StageRecord:
 
 @dataclass
 class RunManifest:
+    """What a run did.  timing (per stage that ran: wall and CPU seconds,
+    and the process's peak RSS once it ended) and environment (what byte
+    identity depends on) describe the run, not its results."""
+
     tool_version: str
     config_hash: str
     created_utc: str
     stages: list
     checks: dict
     effective_config: dict
+    timing: dict = field(default_factory=dict)
+    environment: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {"tool_version": self.tool_version,
@@ -469,7 +477,9 @@ class RunManifest:
                 "created_utc": self.created_utc,
                 "stages": [s.to_dict() for s in self.stages],
                 "checks": self.checks,
-                "effective_config": self.effective_config}
+                "effective_config": self.effective_config,
+                "timing": self.timing,
+                "environment": self.environment}
 
     def stage(self, name: str) -> StageRecord:
         for rec in self.stages:
@@ -797,6 +807,29 @@ _STAGES = (
 ALL_STAGES = tuple(name for name, _, _ in _STAGES)
 
 
+def _environment() -> dict:
+    """Interpreter, library versions, BLAS build and thread settings, on
+    which the last digits of every output depend."""
+    import platform
+
+    # the bare package loads in about 10 ms (scipy.linalg is the slow
+    # part); importlib.metadata would take about 25 ms
+    import scipy
+
+    # numpy before 1.26 has no CONFIG
+    deps = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
+    blas = deps.get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {k: v for k, v in sorted(os.environ.items())
+                    if k.endswith("_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def run(config: ExperimentConfig, stages=None,
         reuse_spectra: bool = False) -> RunManifest:
     """Execute the requested stages and write artifacts plus manifest.json.
@@ -822,6 +855,7 @@ def run(config: ExperimentConfig, stages=None,
         raise ConfigError([f"output.directory: {exc}"]) from exc
     ctx = _RunContext(config=config, reuse_spectra=reuse_spectra)
     records: list[StageRecord] = []
+    timing: dict = {}
     # localization.json belongs to exactly one manifest entry: the first
     # stage that ended ok with a localization section written
     summary_owner = None
@@ -838,6 +872,7 @@ def run(config: ExperimentConfig, stages=None,
             continue
         rec.outputs = ctx.outputs = []
         rec.budgets = ctx.budgets = {}
+        wall, cpu = time.perf_counter(), time.process_time()
         try:
             stage(ctx)
             rec.status = ("reused" if name == "spectrum" and reuse_spectra
@@ -847,6 +882,13 @@ def run(config: ExperimentConfig, stages=None,
         except Exception as exc:  # noqa: BLE001 - stage boundary
             rec.status = "failed"
             rec.error = f"{type(exc).__name__}: {exc}"
+        timing[name] = {
+            "wall_s": time.perf_counter() - wall,
+            "cpu_s": time.process_time() - cpu,
+            # Linux reports ru_maxrss in KiB
+            "peak_rss_mb": resource.getrusage(
+                resource.RUSAGE_SELF).ru_maxrss / 1024,
+        }
 
     if summary_owner is not None:
         write_json(os.path.join(config.output_dir, "localization.json"),
@@ -859,7 +901,8 @@ def run(config: ExperimentConfig, stages=None,
         created_utc=_dt.datetime.now(_dt.timezone.utc).isoformat(),
         stages=records, checks={"passed": not ctx.failures,
                                 "failures": ctx.failures},
-        effective_config=config.effective)
+        effective_config=config.effective, timing=timing,
+        environment=_environment())
     write_json(os.path.join(config.output_dir, "manifest.json"),
                manifest.to_dict())
     return manifest

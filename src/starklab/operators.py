@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -232,11 +233,16 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Hermitian matrix of the operator restricted to {-N, ..., N}."""
+    """Hermitian operator restricted to {-N, ..., N}.
+
+    ``diagonal`` holds V(n) + b(n) per site.  The dense matrix is built on
+    the first read of ``matrix`` and kept: a tridiagonal box is solved from
+    its diagonals and never needs it.
+    """
 
     half_width: int
     sites: np.ndarray
-    matrix: np.ndarray
+    diagonal: np.ndarray
     kernel: HoppingKernel
     potential: PotentialSpec
     perturbation_values: np.ndarray
@@ -244,6 +250,21 @@ class TruncatedOperator:
     @property
     def dimension(self) -> int:
         return 2 * self.half_width + 1
+
+    @property
+    def dtype(self) -> np.dtype:
+        """float64 for a real kernel, complex128 otherwise."""
+        return np.dtype(np.float64 if self.kernel.is_real else np.complex128)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Read-only d x d matrix: a(site_i - site_j) off the diagonal."""
+        d = self.dimension
+        amps = self.kernel.amplitudes(np.arange(-(d - 1), d))
+        H = toeplitz(amps.real if self.kernel.is_real else amps)
+        np.fill_diagonal(H, self.diagonal)
+        H.flags.writeable = False
+        return H
 
     @property
     def perturbation_sup(self) -> float:
@@ -291,6 +312,7 @@ def build_operator(kernel: HoppingKernel,
     V(site_i) + b(site_i) on it.  Every in-box offset |m| <= 2N is read
     from the kernel, so a smaller box is always the central principal
     submatrix of a larger one with the same kernel, potential, and seed.
+    Only the diagonal is computed here; the matrix is filled on first read.
     """
     half_width = int(half_width)
     if half_width < 1:
@@ -302,17 +324,13 @@ def build_operator(kernel: HoppingKernel,
             f"raise max_dimension explicitly to proceed")
 
     sites = np.arange(-half_width, half_width + 1)
-    # tangent poles abort assembly before any allocation
-    diag = potential.diagonal_values(sites)
+    # a tangent pole aborts assembly before the perturbation is sampled
+    v = potential.diagonal_values(sites)
     b = potential.perturbation_values(sites)
+    diagonal = v + b
 
-    amps = kernel.amplitudes(np.arange(-(d - 1), d))
-    H = toeplitz(amps.real if kernel.is_real else amps)
-    np.fill_diagonal(H, diag + b)
-
-    H.flags.writeable = False
-    sites.flags.writeable = False
-    b.flags.writeable = False
-    return TruncatedOperator(half_width=half_width, sites=sites, matrix=H,
-                             kernel=kernel, potential=potential,
-                             perturbation_values=b)
+    for arr in (sites, diagonal, b):
+        arr.flags.writeable = False
+    return TruncatedOperator(half_width=half_width, sites=sites,
+                             diagonal=diagonal, kernel=kernel,
+                             potential=potential, perturbation_values=b)

@@ -7,7 +7,18 @@ divide-and-conquer solver (?stevd, through scipy.linalg.lapack.dstevd);
 a complex one is first made real by a diagonal unitary gauge.  Every
 other kernel goes to the dense Hermitian solver (numpy.linalg.eigh).
 Measured at d = 2801 on 2 cores with OpenBLAS, ?stevd takes 0.11 s
-where the dense solver takes 1.9 s.  Each eigenvector's sign
+where the dense solver takes 1.9 s.
+
+Each path's peak memory is its solver's.  The tridiagonal path never
+builds the box's matrix: ?stevd reads the diagonal and subdiagonal, and
+its workspace (1 + 4d + d^2 doubles) with its Fortran-ordered
+eigenvectors, then those with their C-ordered copy, set the peak at
+2 d^2 doubles (120 MB above the process's base at d = 2801); a complex
+box adds the gauged complex copy of the eigenvectors.  The dense
+path holds the matrix, and eigh's copy of it with its workspace set the
+peak at about 5 d^2 doubles; the residual's one product H @ vec stays
+below that.  Both gates work on blocks of columns, never on a d x d
+temporary, so neither raises a peak.  Each eigenvector's sign
 (its phase, if complex) is fixed so that its largest-modulus entry is
 real and positive.  Every decomposition is gated on two invariants
 before it is returned:
@@ -196,20 +207,19 @@ def default_interior_window(half_width: int, hopping_norm: float,
                math.ceil(10.0 * pinning_gamma(hopping_norm, perturbation_sup)))
 
 
-def _tridiagonal_eigh(H: np.ndarray):
-    """Eigenpairs of a tridiagonal Hermitian matrix from LAPACK's
-    symmetric tridiagonal divide-and-conquer solver (?stevd), read from
-    its diagonal and first subdiagonal l.
+def _tridiagonal_eigh(diag: np.ndarray, lower: np.ndarray):
+    """Eigenpairs of the Hermitian tridiagonal matrix with real diagonal
+    diag and first subdiagonal lower, from LAPACK's symmetric tridiagonal
+    divide-and-conquer solver (?stevd).
 
     A complex matrix is D T D^* with T real tridiagonal, off-diagonal
     |l|, and D = diag(phi) unitary: phi_0 = 1 and
     phi_{i+1} = phi_i l_i / |l_i| (phi_i where l_i = 0).  The eigenvectors
     of H are then phi[:, None] * z for the eigenvectors z of T.
     """
-    # scipy.linalg adds about 0.2 s to the import; load it only when needed
+    # scipy.linalg adds about 0.33 s to the import; load it only when needed
     from scipy.linalg.lapack import dstevd
 
-    diag, lower = H.diagonal().real, H.diagonal(-1)
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(lower))):
         raise ValueError("the tridiagonal matrix has non-finite entries")
     phi = None
@@ -230,17 +240,54 @@ def _tridiagonal_eigh(H: np.ndarray):
     return lam, vec if phi is None else phi[:, np.newaxis] * vec
 
 
-def _tridiagonal_residuals(H: np.ndarray, lam: np.ndarray,
-                           vec: np.ndarray) -> np.ndarray:
-    """Column norms of H @ vec - vec * lam for a tridiagonal H, summed
-    over the three diagonals instead of a d^3 product."""
-    diag, lower = H.diagonal(), H.diagonal(-1)
-    # (H v)(i) = diag(i) v(i) + lower(i-1) v(i-1) + conj(lower(i)) v(i+1)
-    r = np.subtract.outer(diag, lam)
-    r *= vec
-    r[1:] += lower[:, np.newaxis] * vec[:-1]
-    r[:-1] += lower.conj()[:, np.newaxis] * vec[1:]
-    return np.linalg.norm(r, axis=0)
+# Columns per block of the gates, so that neither holds a d x d temporary.
+# Blocks of 128 to 512 columns all took the time of the full-array gates
+# at d = 2801.
+_GATE_BLOCK = 256
+
+
+def _gate_blocks(d: int):
+    """Column ranges [i0, i1) of _GATE_BLOCK columns covering range(d).
+
+    A one-column tail joins the block before it: numpy sums a single
+    column pairwise, where it sums a wider block row by row as the
+    full-array formula does, so that a tail of one would change bits.
+    """
+    edges = list(range(0, d, _GATE_BLOCK)) + [d]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return zip(edges[:-1], edges[1:])
+
+
+def _tridiagonal_residuals(diag: np.ndarray, lower: np.ndarray,
+                           lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Column norms of H @ vec - vec * lam for the tridiagonal H with
+    diagonal diag and subdiagonal lower, summed over the three diagonals
+    instead of a d^3 product, one block of columns at a time."""
+    diag = diag.astype(vec.dtype)
+    resid = np.empty(len(lam))
+    for i0, i1 in _gate_blocks(len(lam)):
+        v = vec[:, i0:i1]
+        # (H v)(i) = diag(i) v(i) + lower(i-1) v(i-1) + conj(lower(i)) v(i+1)
+        r = np.subtract.outer(diag, lam[i0:i1])
+        r *= v
+        r[1:] += lower[:, np.newaxis] * v[:-1]
+        r[:-1] += lower.conj()[:, np.newaxis] * v[1:]
+        resid[i0:i1] = np.linalg.norm(r, axis=0)
+    return resid
+
+
+def _gram_defect(vec: np.ndarray) -> float:
+    """max |<phi_i, phi_j> - delta_ij| over the columns of vec, from the
+    upper triangle of the Gram matrix formed one block of rows at a time.
+    A NaN entry makes the result NaN."""
+    defect = np.float64(0.0)
+    for i0, i1 in _gate_blocks(vec.shape[1]):
+        left = vec[:, i0:i1]
+        gram = (left.conj() if np.iscomplexobj(left) else left).T @ vec[:, i0:]
+        np.fill_diagonal(gram, gram.diagonal() - 1.0)
+        defect = np.maximum(defect, np.max(np.abs(gram)))  # keeps a NaN
+    return float(defect)
 
 
 def diagonalize(op: TruncatedOperator,
@@ -263,11 +310,15 @@ def diagonalize(op: TruncatedOperator,
     eigenvalue, residual or Gram entry is not finite, or if the
     residual/orthonormality invariants fail at the given tolerances.
     """
-    H = op.matrix
     support = op.kernel.support_radius
     tridiagonal = support is not None and support <= 1
+    if tridiagonal:
+        hop = op.kernel.amplitude(1)
+        lower = np.full(op.dimension - 1,
+                        hop.real if op.kernel.is_real else hop)
     try:
-        lam, vec = _tridiagonal_eigh(H) if tridiagonal else np.linalg.eigh(H)
+        lam, vec = (_tridiagonal_eigh(op.diagonal, lower) if tridiagonal
+                    else np.linalg.eigh(op.matrix))
     except ValueError as exc:  # LinAlgError, ?stevd's info, non-finite H
         raise ConvergenceFailureError(
             f"eigensolver failed on half_width={op.half_width} "
@@ -279,9 +330,10 @@ def diagonalize(op: TruncatedOperator,
 
     rows = _fix_phases(vec)
     if tridiagonal:
-        resid = _tridiagonal_residuals(H, lam, vec)
+        resid = _tridiagonal_residuals(op.diagonal, lower, lam, vec)
     else:
-        resid = np.linalg.norm(H @ vec - vec * lam[np.newaxis, :], axis=0)
+        resid = np.linalg.norm(op.matrix @ vec - vec * lam[np.newaxis, :],
+                               axis=0)
     radius = float(max(abs(lam[0]), abs(lam[-1]))) if len(lam) else 0.0
     resid_limit = residual_tol * max(1.0, radius)
     if not np.max(resid) <= resid_limit:  # a NaN residual fails too
@@ -289,9 +341,7 @@ def diagonalize(op: TruncatedOperator,
             f"max eigenpair residual {np.max(resid):.3e} exceeds "
             f"{resid_limit:.3e} (half_width={op.half_width})")
 
-    gram = vec.conj().T @ vec
-    np.fill_diagonal(gram, gram.diagonal() - 1.0)
-    defect = float(np.max(np.abs(gram)))
+    defect = _gram_defect(vec)
     if not defect <= orthonormality_tol:
         raise ConvergenceFailureError(
             f"orthonormality defect {defect:.3e} exceeds {orthonormality_tol:.3e} "
@@ -308,7 +358,7 @@ def diagonalize(op: TruncatedOperator,
         "potential": op.potential.describe(),
         "half_width": int(op.half_width),
         "perturbation_sup": float(op.perturbation_sup),
-        "matrix_dtype": str(H.dtype),
+        "matrix_dtype": str(op.dtype),
         "residual_tol": float(residual_tol),
         "orthonormality_tol": float(orthonormality_tol),
         "degeneracy_gap": float(degeneracy_gap),

@@ -25,6 +25,26 @@ def naive_matrix(kernel, potential, half_width):
     return out
 
 
+def full_tridiagonal_residuals(H, lam, vec):
+    """Column norms of H @ vec - vec * lam for a tridiagonal H, summed
+    over its three diagonals on whole d x d arrays at once: the formula
+    the blocked residual gate must reproduce bit for bit."""
+    diag, lower = H.diagonal(), H.diagonal(-1)
+    r = np.subtract.outer(diag, lam)
+    r *= vec
+    r[1:] += lower[:, np.newaxis] * vec[:-1]
+    r[:-1] += lower.conj()[:, np.newaxis] * vec[1:]
+    return np.linalg.norm(r, axis=0)
+
+
+def full_gram_defect(vec):
+    """max |<phi_i, phi_j> - delta_ij| from the whole Gram matrix: the
+    formula the blocked orthonormality gate must reproduce bit for bit."""
+    gram = vec.conj().T @ vec
+    np.fill_diagonal(gram, gram.diagonal() - 1.0)
+    return float(np.max(np.abs(gram)))
+
+
 def symmetric_cubic_roots(matrix):
     """Eigenvalues of a real symmetric 3x3 matrix via the trigonometric
     solution of its characteristic polynomial. No eigensolver involved."""

@@ -251,6 +251,19 @@ def test_run_minimal_asymptotics(tmp_path):
         doc = json.load(fh)
     assert doc["config_hash"] == cfg.config_hash()
     assert doc["checks"]["passed"] is True
+    # the stages that ran say where their time and memory went
+    assert sorted(doc["timing"]) == ["asymptotics", "spectrum"]
+    for spent in doc["timing"].values():
+        assert sorted(spent) == ["cpu_s", "peak_rss_mb", "wall_s"]
+        assert all(v >= 0.0 for v in spent.values())
+    assert doc["timing"]["spectrum"]["peak_rss_mb"] > 0.0
+    env = doc["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["scipy"] == __import__("scipy").__version__
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["threads"] == {k: v for k, v in os.environ.items()
+                              if k.endswith("_NUM_THREADS")}
+    assert set(env["blas"]) == {"name", "version"}
 
 
 def test_run_all_stages_and_outputs(tmp_path):

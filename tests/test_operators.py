@@ -165,16 +165,22 @@ def test_site_row_bookkeeping():
 
 def test_matrix_is_read_only():
     op = sl.build_operator(sl.nearest_neighbor(), sl.PotentialSpec(), 2)
+    assert "matrix" not in vars(op)
+    H = op.matrix
+    assert op.matrix is H
     with pytest.raises(ValueError):
-        op.matrix[0, 0] = 99.0
+        H[0, 0] = 99.0
+    with pytest.raises(ValueError):
+        op.diagonal[0] = 99.0
+    np.testing.assert_array_equal(op.diagonal, np.diagonal(H))
 
 
 def test_real_kernel_keeps_real_dtype_complex_kernel_does_not():
     real_op = sl.build_operator(sl.power_law(3.0), sl.PotentialSpec(), 3)
-    assert real_op.matrix.dtype == np.float64
+    assert real_op.matrix.dtype == real_op.dtype == np.float64
     cplx_op = sl.build_operator(sl.custom_kernel({1: 1j}),
                                 sl.PotentialSpec(), 3)
-    assert cplx_op.matrix.dtype == np.complex128
+    assert cplx_op.matrix.dtype == cplx_op.dtype == np.complex128
 
 
 coefficients = st.complex_numbers(min_magnitude=0.0, max_magnitude=5.0,

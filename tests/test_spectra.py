@@ -8,9 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import helpers
 import starklab as sl
+import starklab.spectra
 from starklab.spectra import (ladder_anchor, _peak_rows,
                               default_interior_window, _fix_phases,
-                              _tridiagonal_eigh)
+                              _GATE_BLOCK, _gram_defect,
+                              _tridiagonal_eigh, _tridiagonal_residuals)
 
 SQRT3 = 1.7320508075688773
 
@@ -341,11 +343,12 @@ def test_complex_gauge_solves_any_hermitian_tridiagonal():
     # must carry phi across a zero and handle more than one phase
     rng = np.random.default_rng(4)
     d = 60
+    diag = rng.normal(size=d)
     lower = rng.normal(size=d - 1) * np.exp(2j * np.pi * rng.random(d - 1))
     lower[17] = 0.0
-    H = np.diag(rng.normal(size=d)).astype(complex)
+    H = np.diag(diag).astype(complex)
     H += np.diag(lower, -1) + np.diag(lower.conj(), 1)
-    lam, vec = _tridiagonal_eigh(H)
+    lam, vec = _tridiagonal_eigh(diag, lower)
     np.testing.assert_allclose(lam, np.linalg.eigvalsh(H), rtol=0, atol=1e-11)
     np.testing.assert_allclose(H @ vec, vec * lam, rtol=0, atol=1e-11)
     np.testing.assert_allclose(vec.conj().T @ vec, np.eye(d), rtol=0,
@@ -369,6 +372,77 @@ def test_solver_follows_support_radius(kernel, dense, monkeypatch):
     sd = sl.diagonalize(op)
     assert len(calls) == int(dense)
     assert sd.eigenvectors.flags.c_contiguous
+    # a tridiagonal box is solved from its diagonals, its matrix never built
+    assert ("matrix" in vars(op)) == dense
+
+
+# every block split: one block short of, at and past a full block, and a
+# one-column tail that joins the block before it
+GATE_DIMENSIONS = (1, _GATE_BLOCK - 1, _GATE_BLOCK, _GATE_BLOCK + 1,
+                   2 * _GATE_BLOCK + 3)
+
+
+@pytest.mark.parametrize("d", GATE_DIMENSIONS)
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+def test_blocked_gates_equal_the_full_array_formulas(d, dtype):
+    rng = np.random.default_rng(d)
+    diag = rng.normal(size=d) * d
+    lower = rng.normal(size=d - 1).astype(dtype)
+    if dtype is complex:
+        lower *= np.exp(2j * np.pi * rng.random(d - 1))
+    H = (np.diag(diag) + np.diag(lower, -1)
+         + np.diag(lower.conj(), 1)).astype(dtype)
+    lam, vec = np.linalg.eigh(H)  # ?stevd takes no 1 x 1 matrix
+    _fix_phases(vec)
+    assert np.array_equal(_tridiagonal_residuals(diag, lower, lam, vec),
+                          helpers.full_tridiagonal_residuals(H, lam, vec))
+    assert _gram_defect(vec) == helpers.full_gram_defect(vec)
+    # the dense path's eigenvectors go through the same Gram gate
+    A = rng.normal(size=(d, d)).astype(dtype)
+    if dtype is complex:
+        A += 1j * rng.normal(size=(d, d))
+    _, dense_vec = np.linalg.eigh(A + A.conj().T)
+    _fix_phases(dense_vec)
+    assert _gram_defect(dense_vec) == helpers.full_gram_defect(dense_vec)
+
+
+def _spoil_solver(monkeypatch, spoil):
+    """Pass the tridiagonal solver's eigenvectors through spoil(vec)."""
+    def spoiled(diag, lower):
+        lam, vec = _tridiagonal_eigh(diag, lower)
+        spoil(vec)
+        return lam, vec
+    monkeypatch.setattr(starklab.spectra, "_tridiagonal_eigh", spoiled)
+
+
+@pytest.mark.parametrize("kernel", [sl.nearest_neighbor(),
+                                    sl.nearest_neighbor(0.6 + 0.8j)],
+                         ids=["nn", "complex-nn"])
+@pytest.mark.parametrize("column", [0, -1], ids=["first", "last"])
+def test_blocked_gates_catch_one_bad_column(kernel, column, monkeypatch):
+    # d = 2B + 3 puts the last column in the last block, behind two full ones
+    op = sl.build_operator(kernel, sl.PotentialSpec(), _GATE_BLOCK + 1)
+
+    def put_nan(vec):
+        vec[0, column] = np.nan
+    _spoil_solver(monkeypatch, put_nan)
+    with pytest.raises(sl.ConvergenceFailureError, match="residual nan"):
+        sl.diagonalize(op)
+
+    def mix_in_another_mode(vec):  # breaks the residual and orthonormality
+        vec[:, column] += 1e-6 * vec[:, 1]
+    _spoil_solver(monkeypatch, mix_in_another_mode)
+    with pytest.raises(sl.ConvergenceFailureError, match="residual"):
+        sl.diagonalize(op)
+    with pytest.raises(sl.ConvergenceFailureError,
+                       match="orthonormality defect"):
+        sl.diagonalize(op, residual_tol=math.inf)
+
+
+def test_gram_defect_keeps_a_nan():
+    vec = np.eye(3)
+    vec[2, 2] = np.nan
+    assert math.isnan(_gram_defect(vec))
 
 
 def test_tridiagonal_lapack_failure_is_a_convergence_failure(monkeypatch):

@@ -12,7 +12,9 @@ REPEATS runs:
     build_operator   operator assembly, perturbation sampling included
     diagonalize      the gated solve (LAPACK's tridiagonal ?stevd for the
                      nearest-neighbour kernel, dense for the power laws)
-    eigh             a bare np.linalg.eigh of the same matrix, the dense
+    matrix           the dense fill of the operator's matrix on its first
+                     read, which the tridiagonal solve never makes
+    eigh             a bare np.linalg.eigh of that matrix, the dense
                      reference the solver is compared with
     save_spectral    writing the dump pair
     load_spectral    reading it back
@@ -36,6 +38,7 @@ library versions.  The script is not part of the test suite.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -95,8 +98,11 @@ def run_case(kernel_name: str, half_width: int) -> dict:
     seconds["diagonalize"], sd = _median_time(
         lambda: sl.diagonalize(op))
     diagonalize_rss = _peak_rss_mb()
-    seconds["eigh"], _ = _median_time(
-        lambda: np.linalg.eigh(op.matrix))
+    # a copy of the operator has not built its matrix yet; drop the copy
+    seconds["matrix"] = _median_time(
+        lambda: dataclasses.replace(op).matrix)[0]
+    matrix = op.matrix
+    seconds["eigh"], _ = _median_time(lambda: np.linalg.eigh(matrix))
     with tempfile.TemporaryDirectory() as tmp:
         base = os.path.join(tmp, "spectrum")
         seconds["save_spectral"], paths = _median_time(
