@@ -74,6 +74,7 @@ BOUNDARY_SHARE_LIMIT = 0.01
 PAIR_BUDGET = 1e-14
 # the pair path while it keeps at most this share of d**2 mode pairs
 PAIR_SHARE_LIMIT = 0.05
+_CHUNK = 256              # times per GEMM-path chunk
 _MODE_BLOCK = 64          # columns of A^q built at once
 _TABLE_COLUMNS = 64       # most columns of a pair phase table
 _PAIR_SLAB = 2048         # most pairs summed at once
@@ -180,8 +181,6 @@ def _propagate(sd: SpectralData, source: int, times: np.ndarray,
     exponential directly.  The source is checked on the call, also when
     times is empty.
     """
-    if chunk < 1:
-        raise ValueError(f"chunk must be positive, got {chunk}")
     vecs, lam = sd.eigenvectors, sd.eigenvalues
     weights = vecs[_source_row(sd, source), :].conj()[:, None]
     # real V: the GEMM runs on the phases' float64 view, interleaved parts
@@ -215,22 +214,23 @@ def _smallest_within(size: np.ndarray, scale: np.ndarray,
                       for row, cap in zip(spent, allowance))
 
 
-def _mode_pairs(vecs: np.ndarray, lam: np.ndarray, row: int,
+def _mode_pairs(sd: SpectralData, env: EnvelopeBound, qs: tuple,
                 site_w: np.ndarray, limit: int):
     """Kept mode pairs of a real spectrum: (delta, weights, dropped), or
     None when more than ``limit`` pairs must be kept.
 
     M_q(t) = sum over m <= m' of w_mm' cos(delta_mm' t), with
     delta_mm' = lambda_m - lambda_m', w_mm' = c_m A_mm' c_m' doubled for
-    m < m', c = V[row, :] and A = V^T diag(|n|**q) V; weights[i] holds
-    w for q = qs[i] on the kept pairs.  The sum of |w| over all pairs is
-    at most E_q, the envelope moment, and leaving pairs out moves every
-    sample by at most their sum of |w|, for all t at once.  dropped[i]
-    bounds that sum for qs[i]; it stays within PAIR_BUDGET * E_q.
+    m < m', c the row of V at env's source, A = V^T diag(|n|**q) V and
+    site_w[i] = |n|**qs[i]; weights[i] holds w for q = qs[i] on the kept
+    pairs.  The sum of |w| over all pairs is at most E_q, the envelope
+    moment, and leaving pairs out moves every sample by at most their sum
+    of |w|, for all t at once.  dropped[i] bounds that sum for qs[i]; it
+    stays within PAIR_BUDGET * E_q.
 
     Half the budget goes to modes: the pairs that touch a mode m outside
     a set S carry at most the sum over m of v_m = 2 |c_m| sum_n |n|**q
-    |phi_m(n)| B(n), B = |V| |c|.  The modes of smallest v are dropped
+    |phi_m(n)| B(n), B = env.majorant.  The modes of smallest v are dropped
     within that half, and S is the run lo <= m < hi spanning the rest, so
     A is only built on S, in blocks of _MODE_BLOCK columns on and above
     the diagonal.  In a block, pairs below the rest of the budget over the
@@ -241,16 +241,15 @@ def _mode_pairs(vecs: np.ndarray, lam: np.ndarray, row: int,
     keeps the same pairs.
     """
     nq = site_w.shape[0]
-    c = vecs[row]
+    vecs, lam = sd.eigenvectors, sd.eigenvalues
+    c = vecs[sd.row_of_site(env.source)]
     absc = np.abs(c)
     blocks = [slice(a, a + _MODE_BLOCK)
               for a in range(0, lam.size, _MODE_BLOCK)]
-    # B and E_q = sum_n |n|**q B(n)**2, one block of |V| at a time
-    major = sum(np.abs(vecs[:, blk]) @ absc[blk] for blk in blocks)
-    bound = site_w @ major ** 2
+    bound = np.array([env.moment_bound(q) for q in qs])
     budget = PAIR_BUDGET * bound
     scale = 1.0 / np.maximum(bound, np.finfo(float).tiny)[:, None]
-    reach = site_w * major
+    reach = site_w * env.majorant
     size = np.hstack([2 * absc[blk] * (reach @ np.abs(vecs[:, blk]))
                       for blk in blocks])
     order, cut = _smallest_within(size, scale, budget / 2)
@@ -294,13 +293,14 @@ def _mode_pairs(vecs: np.ndarray, lam: np.ndarray, row: int,
 
 
 def _pair_moments(delta: np.ndarray, weights: np.ndarray,
-                  times: np.ndarray, width: int, out: np.ndarray) -> None:
+                  times: np.ndarray, out: np.ndarray) -> None:
     """out[i, k] = sum_p weights[i, p] cos(delta_p times[k]), summed over
     slabs of at most _PAIR_SLAB pairs so that memory stays bounded.
 
-    On the uniform prefix (times[k] == k * dt exactly) a block of ``width``
-    times from t0 is Re sum_p (w_p exp(-i delta_p t0)) exp(-i delta_p j dt):
-    the second factor is a fixed table over j < width, and one real GEMM
+    On the uniform prefix (times[k] == k * dt exactly) a block of
+    width = _TABLE_COLUMNS times from t0 is
+    Re sum_p (w_p exp(-i delta_p t0)) exp(-i delta_p j dt): the second
+    factor is a fixed table over j < width, and one real GEMM
     of [Re, Im](w exp(-i delta t0)) with [cos; sin](delta j dt) gives every
     q of a group of blocks.  exp(-i delta t0) is the product of two
     exponentials taken directly, at the group's first time and at the
@@ -309,7 +309,7 @@ def _pair_moments(delta: np.ndarray, weights: np.ndarray,
     """
     nq = weights.shape[0]
     _, prefix = _uniform_prefix(times)
-    width = min(width, prefix)
+    width = min(_TABLE_COLUMNS, prefix)
     blocks = -(-prefix // width) if width else 0
     out[:] = 0.0
     for lo in range(0, delta.size, _PAIR_SLAB):
@@ -337,19 +337,19 @@ def _pair_moments(delta: np.ndarray, weights: np.ndarray,
             out[:, s:s + step] += wl @ np.cos(np.outer(dl, times[s:s + step]))
 
 
-def moment_series(sd: SpectralData, source: int, qs, times,
-                  chunk: int = 256) -> MomentSeries:
+def moment_series(sd: SpectralData, source: int, qs, times) -> MomentSeries:
     """M_q(t) for every q in qs from one pass over the times.
 
     A real spectrum takes the pair path when ``_mode_pairs`` keeps at most
     PAIR_SHARE_LIMIT * d**2 mode pairs under the budget PAIR_BUDGET * E_q
-    per q; ``_pair_moments`` then sums their cosines with a phase table of
-    min(chunk, _TABLE_COLUMNS) columns on the uniform prefix.  Otherwise
-    (a complex spectrum, or weak localization) the GEMM path runs: each
-    chunk of psi from ``_propagate`` gives all moments at once, its
-    float64 view squared in place and W @ it, W[i, n] = |n|**qs[i],
-    holding the real and imaginary shares in its even and odd columns.
-    The amplitudes are never held for all times.
+    per q, with B and E_q from ``envelope``; ``_pair_moments`` then sums
+    their cosines with a phase table of _TABLE_COLUMNS columns on the
+    uniform prefix.  Otherwise (a complex spectrum, or weak localization)
+    the GEMM path runs: each chunk of _CHUNK times of psi from
+    ``_propagate`` gives all moments at once, its float64 view squared in
+    place and W @ it, W[i, n] = |n|**qs[i], holding the real and
+    imaginary shares in its even and odd columns.  The amplitudes are
+    never held for all times.
 
     On the default grid the two paths agree to about 1e-13 of the sup on
     the uniform prefix.  At the far samples (t up to 1e6) they part by up
@@ -359,24 +359,19 @@ def moment_series(sd: SpectralData, source: int, qs, times,
     ValueError: its series would have no sup.
     """
     qs = tuple(float(q) for q in qs)
-    for q in qs:
-        if not q > 0:
-            raise ValueError(f"moment exponent must be positive, got {q}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be positive, got {chunk}")
-    row = _source_row(sd, source)
+    env = envelope(sd, source, qs)  # checks the source and every q
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("moment_series needs a nonempty time grid, "
                          "got no times")
     site_w = np.abs(sd.sites.astype(float)) ** np.array(qs)[:, None]
     values = np.empty((len(qs), times.size), dtype=float)
-    vecs, d = sd.eigenvectors, sd.dimension
-    pairs = None if np.iscomplexobj(vecs) else _mode_pairs(
-        vecs, sd.eigenvalues, row, site_w, int(PAIR_SHARE_LIMIT * d * d))
+    d = sd.dimension
+    pairs = None if np.iscomplexobj(sd.eigenvectors) else _mode_pairs(
+        sd, env, qs, site_w, int(PAIR_SHARE_LIMIT * d * d))
     if pairs is None:
         path, dropped = "gemm", (0.0,) * len(qs)
-        for s, psi in _propagate(sd, source, times, chunk):
+        for s, psi in _propagate(sd, source, times, _CHUNK):
             parts = psi.view(np.float64)
             np.square(parts, out=parts)
             weighted = site_w @ parts
@@ -384,8 +379,7 @@ def moment_series(sd: SpectralData, source: int, qs, times,
                    out=values[:, s: s + psi.shape[1]])
     else:
         delta, weights, spent = pairs
-        _pair_moments(delta, weights, times, min(chunk, _TABLE_COLUMNS),
-                      values)
+        _pair_moments(delta, weights, times, values)
         path, dropped = "pairs", tuple(float(x) for x in spent)
     times = times.copy()
     times.flags.writeable = False

@@ -41,7 +41,7 @@ from .operators import (MAX_DIMENSION_DEFAULT, ConstantPerturbation,
                         PotentialSpec, UniformRandomPerturbation,
                         box_hopping_norm, build_operator, pinning_gamma)
 from .spectra import (DEGENERACY_GAP, ORTHONORMALITY_TOL, RESIDUAL_TOL,
-                      diagonalize, load_spectral, save_spectral)
+                      diagonalize, load_spectral, provenance, save_spectral)
 
 __all__ = [
     "ConfigError",
@@ -450,11 +450,6 @@ class StageRecord:
     outputs: list = field(default_factory=list)
     budgets: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "status": self.status,
-                "error": self.error, "outputs": sorted(self.outputs),
-                "budgets": self.budgets}
-
 
 @dataclass
 class RunManifest:
@@ -470,16 +465,6 @@ class RunManifest:
     effective_config: dict
     timing: dict = field(default_factory=dict)
     environment: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"tool_version": self.tool_version,
-                "config_hash": self.config_hash,
-                "created_utc": self.created_utc,
-                "stages": [s.to_dict() for s in self.stages],
-                "checks": self.checks,
-                "effective_config": self.effective_config,
-                "timing": self.timing,
-                "environment": self.environment}
 
     def stage(self, name: str) -> StageRecord:
         for rec in self.stages:
@@ -518,20 +503,15 @@ def _first_difference(want, got, path: str):
 def _check_provenance(config: ExperimentConfig, half_width: int, sd) -> None:
     """Refuse a reloaded dump whose provenance differs from the config.
 
-    Compares the kernel, the potential with its seed, the half-width, the
-    perturbation sup sampled again, the gate tolerances and an explicitly
+    Compares the provenance that diagonalize would record for the
+    config's box, its perturbation sampled again, and an explicitly
     configured interior window; the error names the first differing field.
     """
     tol = config.tolerances
-    b = config.potential.perturbation_values(
-        np.arange(-half_width, half_width + 1))
-    want = {"kernel": config.kernel.describe(),
-            "potential": config.potential.describe(),
-            "half_width": half_width,
-            "perturbation_sup": float(np.max(np.abs(b))),
-            **_gate_tolerances(tol)}
-    got = {key: sd.provenance.get(key) for key in want}
-    diff = _first_difference(want, got, "provenance")
+    op = build_operator(config.kernel, config.potential, half_width,
+                        max_dimension=config.max_dimension)
+    diff = _first_difference(provenance(op, **_gate_tolerances(tol)),
+                             sd.provenance, "provenance")
     if diff is None and tol["interior_window"] is not None:
         diff = _first_difference(tol["interior_window"], sd.interior_window,
                                  "interior_window")
@@ -734,7 +714,7 @@ def _study_stage(ctx: _RunContext) -> None:
     eig_rows = []
     for n1, n2 in zip(widths, widths[1:]):
         sd1, sd2 = spectra[n1], spectra[n2]
-        bound = min(n1 - sd1.interior_window, n2 - sd2.interior_window)
+        bound = min(sd1.trusted_site_bound, sd2.trusted_site_bound)
         # ladder indices |n| <= bound that both spectra carry
         first = max(-bound, -sd1.anchor_position, -sd2.anchor_position)
         last = min(bound, sd1.dimension - 1 - sd1.anchor_position,
@@ -894,6 +874,8 @@ def run(config: ExperimentConfig, stages=None,
         write_json(os.path.join(config.output_dir, "localization.json"),
                    {"tolerances": dict(config.tolerances), **ctx.localization})
         summary_owner.outputs.append("localization.json")
+    for rec in records:
+        rec.outputs.sort()
 
     manifest = RunManifest(
         tool_version=__version__,
@@ -904,5 +886,5 @@ def run(config: ExperimentConfig, stages=None,
         effective_config=config.effective, timing=timing,
         environment=_environment())
     write_json(os.path.join(config.output_dir, "manifest.json"),
-               manifest.to_dict())
+               asdict(manifest))
     return manifest

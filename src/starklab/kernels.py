@@ -12,13 +12,12 @@ Kernels are either finite support (coefficients stored explicitly) or
 power law (generated from the rule a(m) = |m|**-exponent at every offset;
 a box of half-width N reads the offsets |m| <= 2N).
 
-Weighted norms sum |a(m)| * |m|**weight; for power-law kernels the result
-carries an analytic bound on the mass dropped beyond the cutoff.
+The hopping mass sums |a(m)| over 0 < |m| <= cutoff; for power-law
+kernels it carries an analytic bound on the mass dropped beyond the cutoff.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -39,9 +38,6 @@ __all__ = [
 
 class KernelError(ValueError):
     """A kernel definition violates the symmetry or family contract."""
-
-
-FAMILIES = ("nearest_neighbor", "power_law", "finite_support", "custom")
 
 
 @dataclass(frozen=True)
@@ -117,20 +113,15 @@ class HoppingKernel:
 
 @dataclass(frozen=True)
 class WeightedNorm:
-    """Partial weighted sum of a kernel plus a bound on the dropped tail."""
+    """Partial hopping mass of a kernel plus a bound on the dropped tail."""
 
-    weight: float
     cutoff: int
     partial_sum: float
-    tail_bound: float  # 0 for finite kernels; inf when the tail diverges
+    tail_bound: float  # 0 for finite kernels
 
     @property
     def upper_bound(self) -> float:
         return self.partial_sum + self.tail_bound
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.tail_bound)
 
 
 def _as_amplitude(value) -> complex:
@@ -221,48 +212,35 @@ def build_kernel(family: str, **params) -> HoppingKernel:
       custom(coefficients)
     """
     if family not in _BUILDERS:
-        raise KernelError(
-            f"unknown kernel family {family!r}; expected one of {FAMILIES}")
+        raise KernelError(f"unknown kernel family {family!r}; expected one "
+                          f"of {tuple(_BUILDERS)}")
     try:
         return _BUILDERS[family](**params)
     except TypeError as exc:
         raise KernelError(f"bad parameters for family {family!r}: {exc}") from exc
 
 
-def weighted_norm(kernel: HoppingKernel, weight: float, cutoff: int) -> WeightedNorm:
-    """Sum |a(m)| * |m|**weight over 0 < |m| <= cutoff, with tail bound.
+def weighted_norm(kernel: HoppingKernel, cutoff: int) -> WeightedNorm:
+    """Sum |a(m)| over 0 < |m| <= cutoff, with tail bound.
 
     For a power-law kernel the tail bound is the integral majorant
-    2 * cutoff**(weight - exponent + 1) / (exponent - weight - 1) of the
-    dropped mass, infinite when weight >= exponent - 1.  Finite kernels
-    must be fully covered by the cutoff and have zero tail.
+    2 * cutoff**(1 - exponent) / (exponent - 1) of the dropped mass.
+    Finite kernels must be fully covered by the cutoff and have zero tail.
     """
-    weight = float(weight)
-    if weight < 0:
-        raise ValueError(f"weight must be nonnegative, got {weight}")
     cutoff = int(cutoff)
     if cutoff < 1:
         raise ValueError(f"cutoff must be a positive integer, got {cutoff}")
 
     if kernel.infinite_support:
         p = kernel.exponent
-        partial = 0.0
-        # chunked so very large cutoffs stay in bounded memory
-        step = 1 << 20
-        for start in range(1, cutoff + 1, step):
-            m = np.arange(start, min(start + step, cutoff + 1), dtype=float)
-            partial += float(np.sum(m ** (weight - p)))
-        partial *= 2.0
-        if weight < p - 1.0:
-            s = weight - p
-            tail = 2.0 * cutoff ** (s + 1.0) / (-s - 1.0)
-        else:
-            tail = math.inf
-        return WeightedNorm(weight, cutoff, partial, tail)
+        m = np.arange(1, cutoff + 1, dtype=float)
+        partial = 2.0 * float(np.sum(m ** -p))
+        tail = 2.0 * cutoff ** (1.0 - p) / (p - 1.0)
+        return WeightedNorm(cutoff, partial, tail)
 
     radius = kernel.support_radius
     if cutoff < radius:
         raise ValueError(
             f"cutoff {cutoff} does not cover the kernel support radius {radius}")
-    partial = sum(abs(v) * abs(m) ** weight for m, v in kernel.entries)
-    return WeightedNorm(weight, cutoff, float(partial), 0.0)
+    return WeightedNorm(cutoff, float(sum(abs(v) for _, v in kernel.entries)),
+                        0.0)

@@ -172,9 +172,8 @@ def check_eigenvalue_asymptotics(sd: SpectralData, kernel: HoppingKernel,
     hopping_norm = box_hopping_norm(kernel, sd.half_width)
     b_sup = float(sd.provenance["perturbation_sup"])
 
-    bound_idx = sd.half_width - sd.interior_window
     indices = sd.ladder_indices
-    trusted = np.abs(indices) <= bound_idx
+    trusted = np.abs(indices) <= sd.trusted_site_bound
     if not np.any(trusted):
         raise NoInteriorModesError(
             f"no trusted ladder indices: half_width={sd.half_width}, "
@@ -340,7 +339,7 @@ def bootstrap_decay_check(sd: SpectralData, kernel: HoppingKernel,
     # hopping beyond +-M never reaches the box, but it still counts in the
     # total mass that the dropped-tail slack must account for
     total_cutoff = M if support is None else max(support, 1)
-    total_mass = weighted_norm(kernel, 0.0, total_cutoff).upper_bound
+    total_mass = weighted_norm(kernel, total_cutoff).upper_bound
     cums = np.concatenate([[0.0], np.cumsum(absw)])  # cums[j] = sum absw[:j]
 
     sites = sd.sites

@@ -161,22 +161,18 @@ class MarylandPotential:
     frequency: float
     phase: float = 0.0
 
-    def resonance_margins(self, sites) -> np.ndarray:
-        """Distance of phase + n * frequency to the nearest half-integer."""
-        x = self.phase + np.asarray(sites, dtype=float) * self.frequency
-        y = np.mod(x - 0.5, 1.0)
-        return np.minimum(y, 1.0 - y)
-
     def values(self, sites) -> np.ndarray:
         sites = np.asarray(sites)
-        margins = self.resonance_margins(sites)
+        x = self.phase + sites.astype(float) * self.frequency
+        # distance of x to the nearest half-integer, a pole of the tangent
+        y = np.mod(x - 0.5, 1.0)
+        margins = np.minimum(y, 1.0 - y)
         if np.any(margins <= RESONANCE_MARGIN):
             worst = int(np.argmin(margins))
             raise MarylandResonanceError(
                 f"site {int(sites.reshape(-1)[worst])} lies within "
                 f"{margins.reshape(-1)[worst]:.3e} of a tangent pole "
                 f"(guard {RESONANCE_MARGIN:g})")
-        x = self.phase + sites.astype(float) * self.frequency
         return self.coupling * np.tan(np.pi * x)
 
     def describe(self) -> dict:
@@ -293,7 +289,7 @@ def box_hopping_norm(kernel: HoppingKernel, half_width: int) -> float:
     """
     radius = (2 * half_width + 1 if kernel.infinite_support
               else max(kernel.support_radius, 1))
-    return weighted_norm(kernel, 0.0, radius).partial_sum
+    return weighted_norm(kernel, radius).partial_sum
 
 
 def pinning_gamma(hopping_norm: float, perturbation_sup: float) -> float:

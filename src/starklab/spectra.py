@@ -13,15 +13,17 @@ Each path's peak memory is its solver's.  The tridiagonal path never
 builds the box's matrix: ?stevd reads the diagonal and subdiagonal, and
 its workspace (1 + 4d + d^2 doubles) with its Fortran-ordered
 eigenvectors, then those with their C-ordered copy, set the peak at
-2 d^2 doubles (120 MB above the process's base at d = 2801); a complex
-box adds the gauged complex copy of the eigenvectors.  The dense
-path holds the matrix, and eigh's copy of it with its workspace set the
-peak at about 5 d^2 doubles; the residual's one product H @ vec stays
-below that.  Both gates work on blocks of columns, never on a d x d
-temporary, so neither raises a peak.  Each eigenvector's sign
-(its phase, if complex) is fixed so that its largest-modulus entry is
-real and positive.  Every decomposition is gated on two invariants
-before it is returned:
+2 d^2 doubles (120 MB above the process's base at d = 2801).  A complex
+box writes the gauged eigenvectors from the Fortran-ordered ones
+straight into one C-ordered complex array, so its peak is 3 d^2
+doubles, not the 4 d^2 of a C-ordered real copy followed by the gauged
+product.  The dense path holds the matrix, and eigh's copy of it with
+its workspace set the peak at about 5 d^2 doubles; the residual's one
+product H @ vec stays below that.  Both gates work on blocks of
+columns, never on a d x d temporary, so neither raises a peak.  Each
+eigenvector's sign (its phase, if complex) is fixed so that its
+largest-modulus entry is real and positive.  Every decomposition is
+gated on two invariants before it is returned:
 
     ||H phi - lambda phi||_2 <= residual_tol * max(1, spectral radius)
     max |<phi_i, phi_j> - delta_ij| <= orthonormality_tol
@@ -54,6 +56,7 @@ __all__ = [
     "ORTHONORMALITY_TOL",
     "DEGENERACY_GAP",
     "diagonalize",
+    "provenance",
     "ladder_anchor",
     "default_interior_window",
     "save_spectral",
@@ -140,21 +143,20 @@ class SpectralData:
 ANCHOR_TOLERANCE = 1e-8  # below the unit level spacing, above solver noise
 
 
-def ladder_anchor(eigenvalues: np.ndarray,
-                  tol: float = ANCHOR_TOLERANCE) -> tuple[int, bool]:
+def ladder_anchor(eigenvalues: np.ndarray) -> tuple[int, bool]:
     """Position of the smallest nonnegative eigenvalue, with fallback flag.
 
-    Nonnegative is taken with a small tolerance: a zero eigenvalue that the
-    solver returns as -1e-16 must still anchor the ladder, or the whole
-    labeling shifts by one on floating-point noise.  For an all-negative
-    spectrum the anchor sits one past the last position (every label is
-    negative); for an all-positive spectrum it is position 0.  Both
-    one-sided cases are flagged.
+    Nonnegative is taken with the tolerance ANCHOR_TOLERANCE: a zero
+    eigenvalue that the solver returns as -1e-16 must still anchor the
+    ladder, or the whole labeling shifts by one on floating-point noise.
+    For an all-negative spectrum the anchor sits one past the last
+    position (every label is negative); for an all-positive spectrum it
+    is position 0.  Both one-sided cases are flagged.
     """
     lam = np.asarray(eigenvalues)
-    pos = int(np.searchsorted(lam, -float(tol), side="left"))
+    pos = int(np.searchsorted(lam, -ANCHOR_TOLERANCE, side="left"))
     fallback = pos == len(lam) or \
-        (pos == 0 and (len(lam) == 0 or lam[0] > tol))
+        (pos == 0 and (len(lam) == 0 or lam[0] > ANCHOR_TOLERANCE))
     return pos, fallback
 
 
@@ -236,8 +238,11 @@ def _tridiagonal_eigh(diag: np.ndarray, lower: np.ndarray):
     lam, z, info = dstevd(diag, lower, compute_v=1)
     if info != 0:
         raise ValueError(f"?stevd did not converge (info={info})")
-    vec = np.ascontiguousarray(z)  # LAPACK returns Fortran order
-    return lam, vec if phi is None else phi[:, np.newaxis] * vec
+    if phi is None:
+        return lam, np.ascontiguousarray(z)  # LAPACK returns Fortran order
+    # straight from the Fortran-ordered z into C order, with no real copy
+    return lam, np.multiply(phi[:, np.newaxis], z,
+                            out=np.empty(z.shape, complex))
 
 
 # Columns per block of the gates, so that neither holds a d x d temporary.
@@ -353,7 +358,21 @@ def diagonalize(op: TruncatedOperator,
             op.half_width, box_hopping_norm(op.kernel, op.half_width),
             op.perturbation_sup)
 
-    provenance = {
+    return _labeled(op.half_width, lam, vec, resid, rows,
+                    int(interior_window), degeneracy_gap,
+                    orthonormality_defect=defect,
+                    anchor_position=anchor, anchor_fallback=fallback,
+                    provenance=provenance(op, residual_tol,
+                                          orthonormality_tol,
+                                          degeneracy_gap))
+
+
+def provenance(op: TruncatedOperator, residual_tol: float,
+               orthonormality_tol: float, degeneracy_gap: float) -> dict:
+    """The record of what a spectrum of op was computed from: the kernel,
+    the potential, the box, the realized perturbation sup, the matrix
+    dtype and the gate tolerances."""
+    return {
         "kernel": op.kernel.describe(),
         "potential": op.potential.describe(),
         "half_width": int(op.half_width),
@@ -363,12 +382,6 @@ def diagonalize(op: TruncatedOperator,
         "orthonormality_tol": float(orthonormality_tol),
         "degeneracy_gap": float(degeneracy_gap),
     }
-
-    return _labeled(op.half_width, lam, vec, resid, rows,
-                    int(interior_window), degeneracy_gap,
-                    orthonormality_defect=defect,
-                    anchor_position=anchor, anchor_fallback=fallback,
-                    provenance=provenance)
 
 
 def _labeled(half_width: int, lam, vec, resid, peak_rows,

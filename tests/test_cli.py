@@ -306,6 +306,10 @@ def _edit_sup(provenance):
     provenance["perturbation_sup"] = 100.0
 
 
+def _edit_dtype(provenance):
+    provenance["matrix_dtype"] = "complex128"
+
+
 def _add_cutoff(provenance):
     # what a power-law dump header carried when the kernel had a cutoff
     provenance["kernel"]["cutoff"] = 25
@@ -313,8 +317,9 @@ def _add_cutoff(provenance):
 
 @pytest.mark.parametrize("edit, field", [
     (_edit_sup, "provenance.perturbation_sup"),
+    (_edit_dtype, "provenance.matrix_dtype"),
     (_add_cutoff, "provenance.kernel.cutoff"),
-], ids=["perturbation-sup", "kernel-cutoff"])
+], ids=["perturbation-sup", "matrix-dtype", "kernel-cutoff"])
 def test_report_refuses_an_edited_header(tmp_path, capsys, edit, field):
     # the sha256 covers the payload only; report checks the header's
     # provenance against the config instead

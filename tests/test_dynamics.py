@@ -23,6 +23,14 @@ def _amplitudes(sd, source, times, chunk=1024):
     return np.hstack([psi for _, psi in chunks])
 
 
+def _set_chunk(monkeypatch, chunk):
+    # moment_series in GEMM chunks of `chunk` times and pair-path table
+    # blocks of at most as many
+    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    monkeypatch.setattr(dynamics, "_TABLE_COLUMNS",
+                        min(chunk, dynamics._TABLE_COLUMNS))
+
+
 def test_zero_kernel_packet_only_rotates_its_phase():
     sd = _stationary_setup()
     amps = _amplitudes(sd, 2, [7.0])[:, 0]
@@ -76,9 +84,6 @@ def test_propagate_matches_single_time_evolution(spectrum_cache):
         for j, t in enumerate(times):
             np.testing.assert_allclose(
                 amps[:, j], helpers.evolved_amplitudes(sd, 0, t), atol=1e-12)
-    for chunk in (0, -3):
-        with pytest.raises(ValueError):
-            dynamics._propagate(sd, 0, np.array(times), chunk)
 
 
 def _assert_propagates_like_single_times(sd, source, times, chunk):
@@ -107,8 +112,9 @@ def test_phase_table_grids_match_single_time_evolution(spectrum_cache,
     # reference rounds lambda * t, the pair path delta * t, so the two
     # part by about 1e-16 * lambda * t of the moment
     monkeypatch.setattr(dynamics, "PAIR_SHARE_LIMIT", 1.0)
+    _set_chunk(monkeypatch, 7)
     qs = (2.0, 2.5)
-    series = sl.moment_series(sd, 0, qs, times, chunk=7)
+    series = sl.moment_series(sd, 0, qs, times)
     assert series.path == "pairs"
     env = sl.envelope(sd, 0, qs)
     times = np.asarray(times, dtype=float)
@@ -144,11 +150,14 @@ def test_complex_spectrum_takes_the_phase_table():
     _assert_propagates_like_single_times(sd, 2, times, 7)
 
 
-def test_moment_series_agrees_across_chunk_sizes(spectrum_cache):
+def test_moment_series_agrees_across_chunk_sizes(spectrum_cache,
+                                                monkeypatch):
     _, sd = spectrum_cache("pl4", 60, 0.5, 2)
     times = sl.time_grid(dt=0.05, t_max=50.0, quasi_random=20)
-    series = [sl.moment_series(sd, 1, (2.0, 2.5), times, chunk=c).values
-              for c in (1, 7, 256, 4096)]
+    series = []
+    for chunk in (1, 7, 256, 4096):
+        _set_chunk(monkeypatch, chunk)
+        series.append(sl.moment_series(sd, 1, (2.0, 2.5), times).values)
     for values in series[1:]:
         for i in range(2):
             assert (np.max(np.abs(values[i] - series[0][i]))
@@ -241,10 +250,12 @@ def test_moment_path_follows_the_kept_pair_count(spectrum_cache):
         assert series.dropped == (0.0, 0.0)
 
 
-def test_moment_series_matches_pointwise_moments(spectrum_cache):
+def test_moment_series_matches_pointwise_moments(spectrum_cache,
+                                                 monkeypatch):
     _, sd = spectrum_cache("pl4", 60, 0.5, 2)
     times = np.linspace(0.0, 5.0, 11)
-    series = sl.moment_series(sd, 0, (2.5,), times, chunk=3)
+    _set_chunk(monkeypatch, 3)
+    series = sl.moment_series(sd, 0, (2.5,), times)
     direct = [helpers.moment_of(sd.sites,
                                 helpers.evolved_amplitudes(sd, 0, t), 2.5)
               for t in times]
@@ -252,7 +263,8 @@ def test_moment_series_matches_pointwise_moments(spectrum_cache):
                                atol=1e-12)
 
 
-def test_real_and_complex_eigenvectors_propagate_alike(spectrum_cache):
+def test_real_and_complex_eigenvectors_propagate_alike(spectrum_cache,
+                                                       monkeypatch):
     # real eigenvectors take the cos/sin GEMM; the same ones times a unit
     # phase per mode give the same psi_t through the complex exponential;
     # 23 times in chunks of 5
@@ -262,8 +274,9 @@ def test_real_and_complex_eigenvectors_propagate_alike(spectrum_cache):
     sdc = replace(sd, eigenvectors=sd.eigenvectors * phases)
     times = sl.time_grid(dt=0.5, t_max=10.0, quasi_random=2, far_horizon=1e6)
     assert times.size == 23
-    real = sl.moment_series(sd, 0, (2.0, 2.5), times, chunk=5).values
-    cplx = sl.moment_series(sdc, 0, (2.0, 2.5), times, chunk=5).values
+    _set_chunk(monkeypatch, 5)
+    real = sl.moment_series(sd, 0, (2.0, 2.5), times).values
+    cplx = sl.moment_series(sdc, 0, (2.0, 2.5), times).values
     for i in range(2):
         assert np.max(np.abs(real[i] - cplx[i])) <= 1e-12 * np.max(cplx[i])
     np.testing.assert_allclose(_amplitudes(sd, 3, times, chunk=5),
@@ -279,8 +292,8 @@ def test_real_and_complex_eigenvectors_propagate_alike(spectrum_cache):
     (sl.power_law(4.0), np.float64),
     (sl.nearest_neighbor(0.6 + 0.8j), np.complex128),
 ], ids=["real", "complex"])
-def test_reloaded_spectrum_keeps_its_dtype_and_moments(tmp_path, kernel,
-                                                       dtype):
+def test_reloaded_spectrum_keeps_its_dtype_and_moments(tmp_path, monkeypatch,
+                                                       kernel, dtype):
     pert = sl.UniformRandomPerturbation(amplitude=0.5, seed=2)
     op = sl.build_operator(kernel, sl.PotentialSpec(perturbation=pert), 30)
     sd = sl.diagonalize(op, interior_window=8)
@@ -290,9 +303,10 @@ def test_reloaded_spectrum_keeps_its_dtype_and_moments(tmp_path, kernel,
     np.testing.assert_array_equal(back.eigenvectors, sd.eigenvectors)
     np.testing.assert_array_equal(back.centers, sd.centers)
     times = np.linspace(0.0, 30.0, 13)
+    _set_chunk(monkeypatch, 5)
     np.testing.assert_array_equal(
-        sl.moment_series(back, 0, (2.0,), times, chunk=5).values,
-        sl.moment_series(sd, 0, (2.0,), times, chunk=5).values)
+        sl.moment_series(back, 0, (2.0,), times).values,
+        sl.moment_series(sd, 0, (2.0,), times).values)
 
 
 def test_empty_time_grid_is_rejected():
@@ -301,14 +315,15 @@ def test_empty_time_grid_is_rejected():
         sl.moment_series(sd, 0, (2.0,), [])
 
 
-def test_complex_kernel_propagates_like_single_calls():
+def test_complex_kernel_propagates_like_single_calls(monkeypatch):
     op = sl.build_operator(sl.nearest_neighbor(0.6 + 0.8j),
                            sl.PotentialSpec(), 30)
     sd = sl.diagonalize(op, interior_window=8)
     assert np.iscomplexobj(sd.eigenvectors)
     times = [0.0, 0.4, 3.0, 17.5, 1e5]
     batch = _amplitudes(sd, 2, times, chunk=2)
-    series = sl.moment_series(sd, 2, (2.0,), times, chunk=2)
+    _set_chunk(monkeypatch, 2)
+    series = sl.moment_series(sd, 2, (2.0,), times)
     for j, t in enumerate(times):
         amps = helpers.evolved_amplitudes(sd, 2, t)
         np.testing.assert_allclose(batch[:, j], amps, rtol=0, atol=1e-12)
@@ -316,15 +331,16 @@ def test_complex_kernel_propagates_like_single_calls():
             helpers.moment_of(sd.sites, amps, 2.0), rel=1e-12)
 
 
-def test_all_moments_match_separate_series(spectrum_cache):
+def test_all_moments_match_separate_series(spectrum_cache, monkeypatch):
     _, sd = spectrum_cache("pl4", 60, 0.5, 2)
     times = np.linspace(0.0, 40.0, 30)
     qs = (2.0, 2.5, 4.0)
-    together = sl.moment_series(sd, 1, qs, times, chunk=7)
+    _set_chunk(monkeypatch, 7)
+    together = sl.moment_series(sd, 1, qs, times)
     assert together.qs == qs
     assert together.values.shape == (len(qs), times.size)
     for i, q in enumerate(qs):
-        alone = sl.moment_series(sd, 1, (q,), times, chunk=7)
+        alone = sl.moment_series(sd, 1, (q,), times)
         np.testing.assert_array_equal(together.times, alone.times)
         np.testing.assert_allclose(together.values[i], alone.values[0],
                                    rtol=0,
@@ -482,3 +498,18 @@ def test_verdict_rejects_doubled_envelope_of_another_source(spectrum_cache):
     _, other = _envelopes(spectrum_cache, (2.0,), source=1)
     with pytest.raises(ValueError, match="source 1"):
         sl.moment_bound_verdict(small, alpha=3.0, q=2.0, doubled=other)
+
+
+@pytest.mark.parametrize("share", [1.0, 0.0], ids=["pairs", "gemm"])
+def test_repeated_moment_gives_equal_rows(spectrum_cache, monkeypatch,
+                                          share):
+    # the envelope keeps one E_q per distinct q; the series keeps every q
+    _, sd = spectrum_cache("pl4", 60, 0.5, 2)
+    monkeypatch.setattr(dynamics, "PAIR_SHARE_LIMIT", share)
+    times = sl.time_grid(dt=0.5, t_max=20.0, quasi_random=5)
+    series = sl.moment_series(sd, 0, (2.0, 2.0), times)
+    assert series.path == ("pairs" if share else "gemm")
+    assert series.qs == (2.0, 2.0)
+    assert series.values.shape == (2, times.size)
+    np.testing.assert_array_equal(series.values[0], series.values[1])
+    assert series.dropped[0] == series.dropped[1]

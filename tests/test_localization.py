@@ -210,7 +210,7 @@ def test_bootstrap_pure_field_clean(spectrum_cache):
 
 def test_bootstrap_long_range_clean(spectrum_cache):
     op, sd = spectrum_cache("pl4", 200)
-    gamma = sl.weighted_norm(op.kernel, 0.0,
+    gamma = sl.weighted_norm(op.kernel,
                              2 * op.half_width + 1).upper_bound + 1.0
     rep = sl.bootstrap_decay_check(sd, op.kernel, gamma=gamma)
     assert rep.passed
@@ -307,7 +307,7 @@ def _bootstrap_oracle(sd, kernel, gamma, base_slack=1e-8):
     M = 2 * N if support is None else min(2 * N, max(support, 1))
     absw = np.abs(kernel.amplitudes(np.arange(-M, M + 1)))
     total_cutoff = M if support is None else max(support, 1)
-    total_mass = sl.weighted_norm(kernel, 0.0, total_cutoff).upper_bound
+    total_mass = sl.weighted_norm(kernel, total_cutoff).upper_bound
     cums = np.concatenate([[0.0], np.cumsum(absw)])
     sites = sd.sites
     j1 = np.clip(sites - N + M, 0, 2 * M + 1)
@@ -374,7 +374,7 @@ def test_blocked_checks_match_per_mode_loops_power_law(spectrum_cache):
     assert 2 * sd.dimension - 1 > _SHIFTED_SUM_MAX_BAND
     for alpha in (2.0, 3.0, 2.5):
         _assert_decay_matches_oracle(sd, alpha)
-    gamma = sl.weighted_norm(op.kernel, 0.0,
+    gamma = sl.weighted_norm(op.kernel,
                              2 * op.half_width + 1).upper_bound \
         + op.perturbation_sup + 1.0
     _assert_bootstrap_matches_oracle(sd, op.kernel, gamma)

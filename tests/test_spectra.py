@@ -355,6 +355,25 @@ def test_complex_gauge_solves_any_hermitian_tridiagonal():
                                atol=1e-11)
 
 
+def test_complex_gauge_writes_phi_times_z_in_c_order():
+    # the gauged vectors are phi[:, None] * z for the eigenvectors z of
+    # the real matrix with off-diagonal |l|, bit for bit, and C-ordered
+    rng = np.random.default_rng(5)
+    d = 50
+    diag = rng.normal(size=d)
+    lower = rng.normal(size=d - 1) * np.exp(2j * np.pi * rng.random(d - 1))
+    lower[9] = 0.0
+    lam, vec = _tridiagonal_eigh(diag, lower)
+    real_lam, z = _tridiagonal_eigh(diag, np.abs(lower))
+    step = np.ones_like(lower)
+    np.divide(lower, np.abs(lower), out=step, where=lower != 0)
+    phi = np.concatenate(([1.0 + 0.0j], np.cumprod(step)))
+    np.testing.assert_array_equal(lam, real_lam)
+    np.testing.assert_array_equal(vec, phi[:, None] * z)
+    assert vec.dtype == np.complex128
+    assert vec.flags.c_contiguous and z.flags.c_contiguous
+
+
 @pytest.mark.parametrize("kernel, dense", [
     (sl.nearest_neighbor(), False),
     (sl.nearest_neighbor(0.6 + 0.8j), False),
