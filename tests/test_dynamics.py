@@ -23,12 +23,16 @@ def _amplitudes(sd, source, times, chunk=1024):
     return np.hstack([psi for _, psi in chunks])
 
 
+_TABLE_COLUMNS = dynamics._TABLE_COLUMNS
+
+
 def _set_chunk(monkeypatch, chunk):
     # moment_series in GEMM chunks of `chunk` times and pair-path table
-    # blocks of at most as many
+    # blocks of at most as many (capped by the unpatched table width, so
+    # a test may call this more than once)
     monkeypatch.setattr(dynamics, "_CHUNK", chunk)
     monkeypatch.setattr(dynamics, "_TABLE_COLUMNS",
-                        min(chunk, dynamics._TABLE_COLUMNS))
+                        min(chunk, _TABLE_COLUMNS))
 
 
 def test_zero_kernel_packet_only_rotates_its_phase():
@@ -154,14 +158,23 @@ def test_moment_series_agrees_across_chunk_sizes(spectrum_cache,
                                                 monkeypatch):
     _, sd = spectrum_cache("pl4", 60, 0.5, 2)
     times = sl.time_grid(dt=0.05, t_max=50.0, quasi_random=20)
-    series = []
-    for chunk in (1, 7, 256, 4096):
-        _set_chunk(monkeypatch, chunk)
-        series.append(sl.moment_series(sd, 1, (2.0, 2.5), times).values)
-    for values in series[1:]:
-        for i in range(2):
-            assert (np.max(np.abs(values[i] - series[0][i]))
-                    <= 1e-12 * np.max(series[0][i]))
+    # table widths 1, 7, 64, 64 on the pair path, GEMM chunks of 1, 7,
+    # 256 and 4096 times on the GEMM path
+    for path, limit in (("pairs", 1.0), ("gemm", 0.0)):
+        monkeypatch.setattr(dynamics, "PAIR_SHARE_LIMIT", limit)
+        series = []
+        widths = []
+        for chunk in (1, 7, 256, 4096):
+            _set_chunk(monkeypatch, chunk)
+            widths.append(dynamics._TABLE_COLUMNS)
+            result = sl.moment_series(sd, 1, (2.0, 2.5), times)
+            assert result.path == path
+            series.append(result.values)
+        assert widths == [1, 7, _TABLE_COLUMNS, _TABLE_COLUMNS]
+        for values in series[1:]:
+            for i in range(2):
+                assert (np.max(np.abs(values[i] - series[0][i]))
+                        <= 1e-12 * np.max(series[0][i]))
 
 
 def _assert_extended_precision_bounds(path):
