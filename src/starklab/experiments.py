@@ -442,7 +442,7 @@ def load_config(path: str) -> ExperimentConfig:
 class StageRecord:
     """One stage of a run.  budgets holds what a stage spent of its error
     budgets, outside the byte-compared outputs: the dynamics stage maps
-    source -> q -> {path, dropped_weight} of its moment series."""
+    source -> q -> {dropped_weight} of its moment series."""
 
     name: str
     status: str  # ok | failed | skipped | reused
@@ -678,7 +678,7 @@ def _dynamics_stage(ctx: _RunContext) -> None:
                           ["t", "moment"],
                           zip(series.times.tolist(), values.tolist()))
             ctx.budgets.setdefault(str(k), {})[format(q, "g")] = {
-                "path": series.path, "dropped_weight": dropped}
+                "dropped_weight": dropped}
     alphas = (config.analyses["decay"] or {}).get("alphas") or []
     n_small = widths[-2] if len(widths) >= 2 else widths[-1]
     for alpha in alphas:

@@ -31,10 +31,11 @@ def report(num, name, ok, detail):
 
 
 def propagated(sd, times):
-    # psi_t from site 0 as the dynamics stage propagates it, one column
-    # per time
-    chunks = dynamics._propagate(sd, 0, np.asarray(times, dtype=float), 1024)
-    return np.hstack([psi for _, psi in chunks])
+    # psi_t from site 0 as the library builds it, on the full spectrum,
+    # one column per time
+    row = sd.eigenvectors[sd.row_of_site(0)]
+    return dynamics._amplitudes(sd.eigenvectors, sd.eigenvalues, row.conj(),
+                                np.asarray(times, dtype=float))
 
 
 def pinning_gamma(op):

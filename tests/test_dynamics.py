@@ -15,24 +15,19 @@ def _stationary_setup():
     return sl.diagonalize(op, interior_window=2)
 
 
-def _amplitudes(sd, source, times, chunk=1024):
-    # psi_t as the library propagates it, one column per time
-    times = np.asarray(times, dtype=float)
-    chunks = list(dynamics._propagate(sd, source, times, chunk))
-    assert [s for s, _ in chunks] == list(range(0, times.size, chunk))
-    return np.hstack([psi for _, psi in chunks])
-
-
-_TABLE_COLUMNS = dynamics._TABLE_COLUMNS
+def _amplitudes(sd, source, times):
+    # psi_t as the library builds it, on the full spectrum, one column per
+    # time
+    row = sd.eigenvectors[sd.row_of_site(source)]
+    return dynamics._amplitudes(sd.eigenvectors, sd.eigenvalues, row.conj(),
+                                np.asarray(times, dtype=float))
 
 
 def _set_chunk(monkeypatch, chunk):
-    # moment_series in GEMM chunks of `chunk` times and pair-path table
-    # blocks of at most as many (capped by the unpatched table width, so
-    # a test may call this more than once)
-    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
-    monkeypatch.setattr(dynamics, "_TABLE_COLUMNS",
-                        min(chunk, _TABLE_COLUMNS))
+    # moment_series with psi built `chunk` times at a time off the uniform
+    # prefix and `chunk` mode pairs spread onto the FFT grid at a time
+    monkeypatch.setattr(dynamics, "_DIRECT_TIMES", chunk)
+    monkeypatch.setattr(dynamics, "_SPREAD_PAIRS", chunk)
 
 
 def test_zero_kernel_packet_only_rotates_its_phase():
@@ -52,7 +47,6 @@ def test_zero_kernel_moment_is_constant_in_time():
     assert series.running_sup[0] == pytest.approx(25.0, abs=1e-10)
     # from site 0 every mode pair has zero weight: E_q = 0, nothing kept
     origin = sl.moment_series(sd, 0, (2.0, 3.0), [0.0, 0.3, 2.0, 50.0])
-    assert origin.path == "pairs"
     assert origin.dropped == (0.0, 0.0)
     np.testing.assert_array_equal(origin.values, 0.0)
 
@@ -83,15 +77,14 @@ def test_group_law(spectrum_cache):
 def test_propagate_matches_single_time_evolution(spectrum_cache):
     _, sd = spectrum_cache("pl4", 60, 0.5, 2)
     times = [0.0, 0.5, 2.0, 9.0]
-    for chunk in (1, 3, 1024):
-        amps = _amplitudes(sd, 0, times, chunk)
-        for j, t in enumerate(times):
-            np.testing.assert_allclose(
-                amps[:, j], helpers.evolved_amplitudes(sd, 0, t), atol=1e-12)
+    amps = _amplitudes(sd, 0, times)
+    for j, t in enumerate(times):
+        np.testing.assert_allclose(
+            amps[:, j], helpers.evolved_amplitudes(sd, 0, t), atol=1e-12)
 
 
-def _assert_propagates_like_single_times(sd, source, times, chunk):
-    amps = _amplitudes(sd, source, times, chunk)
+def _assert_propagates_like_single_times(sd, source, times):
+    amps = _amplitudes(sd, source, times)
     for j, t in enumerate(times):
         np.testing.assert_allclose(
             amps[:, j], helpers.evolved_amplitudes(sd, source, t),
@@ -100,6 +93,7 @@ def _assert_propagates_like_single_times(sd, source, times, chunk):
 
 @pytest.mark.parametrize("times", [
     # the uniform prefix of 17 ends inside the third chunk of 7
+    # (of directly built times and of pairs spread at once)
     np.concatenate([np.arange(17) * 0.3, [5.2, 5.9, 100.0, 1e4, 2.5e5]]),
     # no prefix: the grid does not start at 0
     2.5 + np.arange(20) * 0.3,
@@ -111,15 +105,13 @@ def _assert_propagates_like_single_times(sd, source, times, chunk):
 def test_phase_table_grids_match_single_time_evolution(spectrum_cache,
                                                        monkeypatch, times):
     _, sd = spectrum_cache("pl4", 60, 0.5, 2)
-    _assert_propagates_like_single_times(sd, 0, times, 7)
-    # the pair path on the same grid, its table blocks 7 wide: the
-    # reference rounds lambda * t, the pair path delta * t, so the two
-    # part by about 1e-16 * lambda * t of the moment
-    monkeypatch.setattr(dynamics, "PAIR_SHARE_LIMIT", 1.0)
+    _assert_propagates_like_single_times(sd, 0, times)
+    # the moments on the same grid, in chunks of 7: the reference rounds
+    # lambda * t, the pair sums delta * t, so the two part by about
+    # 1e-16 * lambda * t of the moment
     _set_chunk(monkeypatch, 7)
     qs = (2.0, 2.5)
     series = sl.moment_series(sd, 0, qs, times)
-    assert series.path == "pairs"
     env = sl.envelope(sd, 0, qs)
     times = np.asarray(times, dtype=float)
     for i, q in enumerate(qs):
@@ -151,52 +143,46 @@ def test_complex_spectrum_takes_the_phase_table():
     sd = sl.diagonalize(op, interior_window=8)
     assert np.iscomplexobj(sd.eigenvectors)
     times = np.concatenate([np.arange(17) * 0.3, [5.2, 5.9, 100.0, 1e4]])
-    _assert_propagates_like_single_times(sd, 2, times, 7)
+    _assert_propagates_like_single_times(sd, 2, times)
 
 
 def test_moment_series_agrees_across_chunk_sizes(spectrum_cache,
                                                 monkeypatch):
     _, sd = spectrum_cache("pl4", 60, 0.5, 2)
     times = sl.time_grid(dt=0.05, t_max=50.0, quasi_random=20)
-    # table widths 1, 7, 64, 64 on the pair path, GEMM chunks of 1, 7,
-    # 256 and 4096 times on the GEMM path
-    for path, limit in (("pairs", 1.0), ("gemm", 0.0)):
-        monkeypatch.setattr(dynamics, "PAIR_SHARE_LIMIT", limit)
-        series = []
-        widths = []
-        for chunk in (1, 7, 256, 4096):
-            _set_chunk(monkeypatch, chunk)
-            widths.append(dynamics._TABLE_COLUMNS)
-            result = sl.moment_series(sd, 1, (2.0, 2.5), times)
-            assert result.path == path
-            series.append(result.values)
-        assert widths == [1, 7, _TABLE_COLUMNS, _TABLE_COLUMNS]
-        for values in series[1:]:
-            for i in range(2):
-                assert (np.max(np.abs(values[i] - series[0][i]))
-                        <= 1e-12 * np.max(series[0][i]))
+    # psi built 1, 7, 256 or 4096 times at a time, pairs spread as many
+    # at a time
+    series = []
+    for chunk in (1, 7, 256, 4096):
+        _set_chunk(monkeypatch, chunk)
+        series.append(sl.moment_series(sd, 1, (2.0, 2.5), times).values)
+    for values in series[1:]:
+        for i in range(2):
+            assert (np.max(np.abs(values[i] - series[0][i]))
+                    <= 1e-12 * np.max(series[0][i]))
 
 
-def _assert_extended_precision_bounds(path):
+@pytest.mark.parametrize("kernel", [
+    sl.power_law(4.0), sl.power_law(2.5), sl.nearest_neighbor(0.6 + 0.8j),
+], ids=["p4", "p2.5", "complex-nn"])
+def test_default_grid_moments_against_extended_precision_phases(kernel):
     # The reference turns every phase in np.longdouble from the same
     # float64 eigenvalues and times; what is left is the float64 rounding
-    # of lambda * t (delta * t on the pair path), largest at the far
-    # samples (t up to 1e6).
+    # of delta * t on the uniform prefix and of lambda * t at the far
+    # samples (t up to 1e6), where it is largest.
     if not np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
         pytest.skip("np.longdouble is no wider than float64 here")
     pert = sl.UniformRandomPerturbation(amplitude=0.5, seed=2)
-    op = sl.build_operator(sl.power_law(4.0),
-                           sl.PotentialSpec(perturbation=pert), 30)
+    op = sl.build_operator(kernel, sl.PotentialSpec(perturbation=pert), 30)
     sd = sl.diagonalize(op, interior_window=8)
     times = sl.time_grid()
     qs = (2.0, 2.5)
     series = sl.moment_series(sd, 0, qs, times)
-    assert series.path == path
     angle = np.multiply.outer(sd.eigenvalues.astype(np.longdouble),
                               times.astype(np.longdouble))
     phases = np.cos(angle).astype(float) - 1j * np.sin(angle).astype(float)
-    psi = sd.eigenvectors @ (sd.eigenvectors[sd.row_of_site(0)][:, None]
-                             * phases)
+    coeffs = sd.eigenvectors[sd.row_of_site(0)].conj()
+    psi = sd.eigenvectors @ (coeffs[:, None] * phases)
     reference = (np.abs(sd.sites.astype(float)) ** np.array(qs)[:, None]
                  @ np.abs(psi) ** 2)
     _, prefix = dynamics._uniform_prefix(times)
@@ -204,17 +190,6 @@ def _assert_extended_precision_bounds(path):
         gap = np.abs(series.values[i] - reference[i]) / np.max(reference[i])
         assert np.max(gap) <= 4.1e-11
         assert np.max(gap[:prefix]) <= 2e-13
-
-
-def test_default_grid_moments_against_extended_precision_phases(
-        monkeypatch):
-    monkeypatch.setattr(dynamics, "PAIR_SHARE_LIMIT", 0.0)
-    _assert_extended_precision_bounds("gemm")
-
-
-def test_pair_path_moments_against_extended_precision_phases(monkeypatch):
-    monkeypatch.setattr(dynamics, "PAIR_SHARE_LIMIT", 1.0)
-    _assert_extended_precision_bounds("pairs")
 
 
 def test_pruned_series_stays_within_its_dropped_weight(spectrum_cache,
@@ -226,10 +201,8 @@ def test_pruned_series_stays_within_its_dropped_weight(spectrum_cache,
     times = sl.time_grid()
     qs = (2.0, 2.5)
     env = sl.envelope(sd, 0, qs)
-    monkeypatch.setattr(dynamics, "PAIR_SHARE_LIMIT", 1.0)
     monkeypatch.setattr(dynamics, "PAIR_BUDGET", 0.0)
     full = sl.moment_series(sd, 0, qs, times)
-    assert full.path == "pairs"
     assert full.dropped == (0.0, 0.0)
     for budget in (1e-14, 1e-9, 1e-4):
         monkeypatch.setattr(dynamics, "PAIR_BUDGET", budget)
@@ -239,28 +212,6 @@ def test_pruned_series_stays_within_its_dropped_weight(spectrum_cache,
             assert 0.0 < pruned.dropped[i] <= budget * e_q * (1 + 1e-12)
             gap = np.abs(pruned.values[i] - full.values[i])
             assert np.max(gap) <= pruned.dropped[i] + 16 * EPS * e_q
-
-
-def test_moment_path_follows_the_kept_pair_count(spectrum_cache):
-    # strong localization keeps a few mode pairs and takes the pair path;
-    # slow decay (p = 2.5) keeps too many, and a complex spectrum has no
-    # cosine sum, so both take the GEMM path and drop nothing
-    times = [0.0, 1.0, 1e3]
-    for kind in ("pl4", "nn"):
-        _, sd = spectrum_cache(kind, 200)
-        series = sl.moment_series(sd, 0, (2.0, 2.5), times)
-        assert series.path == "pairs"
-        assert all(0.0 <= x <= 1e-12 for x in series.dropped)
-    pert = sl.UniformRandomPerturbation(amplitude=0.5, seed=1)
-    weak = sl.diagonalize(sl.build_operator(
-        sl.power_law(2.5), sl.PotentialSpec(perturbation=pert), 60))
-    cplx = sl.diagonalize(sl.build_operator(sl.nearest_neighbor(0.6 + 0.8j),
-                                            sl.PotentialSpec(), 30),
-                          interior_window=8)
-    for sd in (weak, cplx):
-        series = sl.moment_series(sd, 0, (2.0, 2.5), times)
-        assert series.path == "gemm"
-        assert series.dropped == (0.0, 0.0)
 
 
 def test_moment_series_matches_pointwise_moments(spectrum_cache,
@@ -278,9 +229,10 @@ def test_moment_series_matches_pointwise_moments(spectrum_cache,
 
 def test_real_and_complex_eigenvectors_propagate_alike(spectrum_cache,
                                                        monkeypatch):
-    # real eigenvectors take the cos/sin GEMM; the same ones times a unit
-    # phase per mode give the same psi_t through the complex exponential;
-    # 23 times in chunks of 5
+    # real eigenvectors take the interleaved real GEMM; the same ones
+    # times a unit phase per mode give the same psi_t through the complex
+    # GEMM and the same moments through complex pair weights; 23 times in
+    # chunks of 5
     _, sd = spectrum_cache("pl4", 60, 0.5, 2)
     assert np.isrealobj(sd.eigenvectors)
     phases = np.exp(1j * np.random.default_rng(4).uniform(0, 6, sd.dimension))
@@ -292,11 +244,11 @@ def test_real_and_complex_eigenvectors_propagate_alike(spectrum_cache,
     cplx = sl.moment_series(sdc, 0, (2.0, 2.5), times).values
     for i in range(2):
         assert np.max(np.abs(real[i] - cplx[i])) <= 1e-12 * np.max(cplx[i])
-    np.testing.assert_allclose(_amplitudes(sd, 3, times, chunk=5),
-                               _amplitudes(sdc, 3, times, chunk=5),
+    np.testing.assert_allclose(_amplitudes(sd, 3, times),
+                               _amplitudes(sdc, 3, times),
                                rtol=0, atol=1e-12)
     env = sl.envelope(sd, 0, qs=(2.0,))
-    defects = [helpers.majorant_defect(_amplitudes(s, 0, times, chunk=5),
+    defects = [helpers.majorant_defect(_amplitudes(s, 0, times),
                                        env.majorant) for s in (sd, sdc)]
     assert defects[0] == pytest.approx(defects[1], abs=1e-12)
 
@@ -328,13 +280,32 @@ def test_empty_time_grid_is_rejected():
         sl.moment_series(sd, 0, (2.0,), [])
 
 
+@pytest.mark.parametrize("kernel", [
+    sl.power_law(4.0), sl.nearest_neighbor(0.6 + 0.8j),
+], ids=["real", "complex"])
+def test_bad_dynamics_input_is_rejected(kernel):
+    sd = sl.diagonalize(sl.build_operator(kernel, sl.PotentialSpec(), 30),
+                        interior_window=8)
+    times = [0.0, 0.5, 1.0]
+    with pytest.raises(ValueError, match="at least one moment exponent"):
+        sl.moment_series(sd, 0, (), times)
+    for q in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            sl.moment_series(sd, 0, (2.0, q), times)
+        with pytest.raises(ValueError, match="positive and finite"):
+            sl.envelope(sd, 0, (q,))
+    for bad in ([0.0, np.nan], [0.0, np.inf, 1.0], [[0.0, 0.5], [1.0, 1.5]]):
+        with pytest.raises(ValueError, match="1-D grid of finite times"):
+            sl.moment_series(sd, 0, (2.0,), bad)
+
+
 def test_complex_kernel_propagates_like_single_calls(monkeypatch):
     op = sl.build_operator(sl.nearest_neighbor(0.6 + 0.8j),
                            sl.PotentialSpec(), 30)
     sd = sl.diagonalize(op, interior_window=8)
     assert np.iscomplexobj(sd.eigenvectors)
     times = [0.0, 0.4, 3.0, 17.5, 1e5]
-    batch = _amplitudes(sd, 2, times, chunk=2)
+    batch = _amplitudes(sd, 2, times)
     _set_chunk(monkeypatch, 2)
     series = sl.moment_series(sd, 2, (2.0,), times)
     for j, t in enumerate(times):
@@ -342,6 +313,21 @@ def test_complex_kernel_propagates_like_single_calls(monkeypatch):
         np.testing.assert_allclose(batch[:, j], amps, rtol=0, atol=1e-12)
         assert series.values[0, j] == pytest.approx(
             helpers.moment_of(sd.sites, amps, 2.0), rel=1e-12)
+
+
+def test_complex_gauge_leaves_the_moments_of_the_real_kernel():
+    # amplitude 0.6+0.8i is the modulus-1 kernel in the diagonal gauge
+    # psi(n) -> exp(i n theta) psi(n), which leaves |psi| unchanged
+    pert = sl.UniformRandomPerturbation(amplitude=2.0, seed=3)
+    spectra = [sl.diagonalize(sl.build_operator(
+        sl.nearest_neighbor(a), sl.PotentialSpec(perturbation=pert), 60),
+        interior_window=8) for a in (1.0, 0.6 + 0.8j)]
+    assert np.iscomplexobj(spectra[1].eigenvectors)
+    times = sl.time_grid()
+    real, cplx = (sl.moment_series(sd, 0, (2.0, 2.5), times).values
+                  for sd in spectra)
+    for i in range(2):
+        assert np.max(np.abs(cplx[i] - real[i])) <= 1e-12 * np.max(real[i])
 
 
 def test_all_moments_match_separate_series(spectrum_cache, monkeypatch):
@@ -379,10 +365,8 @@ def test_source_must_be_interior(spectrum_cache):
     sl.envelope(sd, 28)
     with pytest.raises(sl.SourceOutsideInteriorError):
         sl.envelope(sd, 29)
-    # the propagators check the source before any time is drawn
+    # the series checks the source before the times
     for times in ([0.1], []):
-        with pytest.raises(sl.SourceOutsideInteriorError):
-            dynamics._propagate(sd, 29, np.array(times), 8)
         with pytest.raises(sl.SourceOutsideInteriorError):
             sl.moment_series(sd, 29, (2.0,), times)
 
@@ -513,15 +497,11 @@ def test_verdict_rejects_doubled_envelope_of_another_source(spectrum_cache):
         sl.moment_bound_verdict(small, alpha=3.0, q=2.0, doubled=other)
 
 
-@pytest.mark.parametrize("share", [1.0, 0.0], ids=["pairs", "gemm"])
-def test_repeated_moment_gives_equal_rows(spectrum_cache, monkeypatch,
-                                          share):
+def test_repeated_moment_gives_equal_rows(spectrum_cache):
     # the envelope keeps one E_q per distinct q; the series keeps every q
     _, sd = spectrum_cache("pl4", 60, 0.5, 2)
-    monkeypatch.setattr(dynamics, "PAIR_SHARE_LIMIT", share)
     times = sl.time_grid(dt=0.5, t_max=20.0, quasi_random=5)
     series = sl.moment_series(sd, 0, (2.0, 2.0), times)
-    assert series.path == ("pairs" if share else "gemm")
     assert series.qs == (2.0, 2.0)
     assert series.values.shape == (2, times.size)
     np.testing.assert_array_equal(series.values[0], series.values[1])

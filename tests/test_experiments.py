@@ -572,13 +572,13 @@ def test_dynamics_stage_propagates_once_per_source(tmp_path, monkeypatch):
     import starklab.dynamics as dynamics
 
     calls = []
-    propagate = dynamics._propagate
+    mode_pairs = dynamics._mode_pairs
 
-    def counted(sd, source, *args, **kwargs):
-        calls.append((source, sd.half_width))
-        return propagate(sd, source, *args, **kwargs)
+    def counted(sd, env, *args, **kwargs):
+        calls.append((env.source, sd.half_width))
+        return mode_pairs(sd, env, *args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "_propagate", counted)
+    monkeypatch.setattr(dynamics, "_mode_pairs", counted)
     out = tmp_path / "out"
     raw = base_config(out, analyses={
         "decay": {"alphas": [2.0, 3.0]},
@@ -588,11 +588,17 @@ def test_dynamics_stage_propagates_once_per_source(tmp_path, monkeypatch):
     manifest = run(parse_config(raw), stages=["spectrum", "dynamics"])
     assert manifest.stage("dynamics").status == "ok"
     assert calls == [(0, 24), (2, 24)]
-    # the path and dropped weight of each (source, q) series sit in the
-    # manifest only; the GEMM path of this small box drops nothing
-    spent = {"path": "gemm", "dropped_weight": 0.0}
-    budgets = {str(k): {q: spent for q in ("2", "2.5", "3")} for k in (0, 2)}
-    assert manifest.stage("dynamics").budgets == budgets
+    # the dropped weight of each (source, q) series sits in the manifest
+    # only, within the pair budget of its envelope moment
+    budgets = manifest.stage("dynamics").budgets
+    with open(out / "envelope.json") as fh:
+        bounds = json.load(fh)["sources"]
+    for k in ("0", "2"):
+        assert sorted(budgets[k]) == ["2", "2.5", "3"]
+        for q, spent in budgets[k].items():
+            e_q = bounds[k]["half_widths"]["24"]["moments"][q]["value"]
+            assert list(spent) == ["dropped_weight"]
+            assert 0.0 <= spent["dropped_weight"] <= dynamics.PAIR_BUDGET * e_q
     assert manifest.stage("spectrum").budgets == {}
     with open(out / "manifest.json") as fh:
         stages = {s["name"]: s for s in json.load(fh)["stages"]}

@@ -20,10 +20,9 @@ REPEATS runs:
     load_spectral    reading it back
     moment_series    M_q(t) for q = 2 and 2.5 from site 0 on the default
                      time grid (20101 times); null above N = MOMENT_MAX_N.
-                     ``moment_path`` records the path it took: "pairs"
-                     for the strongly localized kernels, "gemm" for the
-                     slowly decaying p=2.5 one, so that both sides of
-                     the crossover are on record
+                     The kernels span strong localization (p=4, nearest
+                     neighbour), slow decay (p=2.5) and a complex
+                     spectrum (nearest neighbour with amplitude 0.6+0.8i)
     uniform_decay_constants
                      the decay sups for alpha = 2 and 3 in one call
 
@@ -53,6 +52,9 @@ KERNELS = {
     "nearest_neighbor_B2": ({"family": "nearest_neighbor"}, 2.0),
     "power_law_p4_B0.5": ({"family": "power_law", "exponent": 4.0}, 0.5),
     "power_law_p2.5_B0.5": ({"family": "power_law", "exponent": 2.5}, 0.5),
+    "nearest_neighbor_0.6+0.8i_B2": (
+        {"family": "nearest_neighbor", "amplitude": {"re": 0.6, "im": 0.8}},
+        2.0),
 }
 HALF_WIDTHS = (200, 700, 1400, 2000)
 REPEATS = 3
@@ -110,12 +112,11 @@ def run_case(kernel_name: str, half_width: int) -> dict:
         dump_bytes = sum(os.path.getsize(p) for p in paths)
         seconds["load_spectral"], _ = _median_time(
             lambda: sl.load_spectral(base))
-    seconds["moment_series"] = moment_path = None
+    seconds["moment_series"] = None
     if half_width <= MOMENT_MAX_N:
         times = sl.time_grid()
-        seconds["moment_series"], series = _median_time(
+        seconds["moment_series"], _ = _median_time(
             lambda: sl.moment_series(sd, 0, MOMENT_QS, times))
-        moment_path = series.path
     seconds["uniform_decay_constants"], _ = _median_time(
         lambda: sl.uniform_decay_constants(sd, DECAY_ALPHAS))
     return {
@@ -124,7 +125,6 @@ def run_case(kernel_name: str, half_width: int) -> dict:
         "dimension": op.dimension,
         "seconds": {k: None if v is None else round(v, 4)
                     for k, v in seconds.items()},
-        "moment_path": moment_path,
         "max_residual": float(np.max(sd.residuals)),
         "orthonormality_defect": sd.orthonormality_defect,
         "dump_mb": round(dump_bytes / 1e6, 3),
