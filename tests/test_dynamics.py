@@ -162,20 +162,17 @@ def test_moment_series_agrees_across_chunk_sizes(spectrum_cache,
                     <= 1e-12 * np.max(series[0][i]))
 
 
-@pytest.mark.parametrize("kernel", [
-    sl.power_law(4.0), sl.power_law(2.5), sl.nearest_neighbor(0.6 + 0.8j),
-], ids=["p4", "p2.5", "complex-nn"])
-def test_default_grid_moments_against_extended_precision_phases(kernel):
+def _extended_precision_gaps(kernel, times):
     # The reference turns every phase in np.longdouble from the same
     # float64 eigenvalues and times; what is left is the float64 rounding
     # of delta * t on the uniform prefix and of lambda * t at the far
-    # samples (t up to 1e6), where it is largest.
+    # samples (t up to 1e6), where it is largest.  Returns the gap of each
+    # q's series relative to its largest reference value.
     if not np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
         pytest.skip("np.longdouble is no wider than float64 here")
     pert = sl.UniformRandomPerturbation(amplitude=0.5, seed=2)
     op = sl.build_operator(kernel, sl.PotentialSpec(perturbation=pert), 30)
     sd = sl.diagonalize(op, interior_window=8)
-    times = sl.time_grid()
     qs = (2.0, 2.5)
     series = sl.moment_series(sd, 0, qs, times)
     angle = np.multiply.outer(sd.eigenvalues.astype(np.longdouble),
@@ -185,11 +182,37 @@ def test_default_grid_moments_against_extended_precision_phases(kernel):
     psi = sd.eigenvectors @ (coeffs[:, None] * phases)
     reference = (np.abs(sd.sites.astype(float)) ** np.array(qs)[:, None]
                  @ np.abs(psi) ** 2)
+    return [np.abs(series.values[i] - reference[i]) / np.max(reference[i])
+            for i in range(len(qs))]
+
+
+def _assert_default_grid_bounds(kernel):
+    times = sl.time_grid()
     _, prefix = dynamics._uniform_prefix(times)
-    for i in range(len(qs)):
-        gap = np.abs(series.values[i] - reference[i]) / np.max(reference[i])
+    assert 0 < prefix < times.size
+    for gap in _extended_precision_gaps(kernel, times):
         assert np.max(gap) <= 4.1e-11
         assert np.max(gap[:prefix]) <= 2e-13
+
+
+def test_default_grid_moments_against_extended_precision_phases():
+    _assert_default_grid_bounds(sl.power_law(4.0))
+
+
+@pytest.mark.parametrize("kernel", [
+    sl.power_law(2.5), sl.nearest_neighbor(0.6 + 0.8j),
+], ids=["p2.5", "complex-nn"])
+def test_other_kernels_moments_against_extended_precision_phases(kernel):
+    _assert_default_grid_bounds(kernel)
+
+
+def test_pair_path_moments_against_extended_precision_phases():
+    # the uniform prefix of the default grid alone: every sample is a sum
+    # over kept mode pairs
+    times = sl.time_grid()
+    times = times[:dynamics._uniform_prefix(times)[1]]
+    for gap in _extended_precision_gaps(sl.power_law(4.0), times):
+        assert np.max(gap) <= 2e-13
 
 
 def test_pruned_series_stays_within_its_dropped_weight(spectrum_cache,
@@ -497,10 +520,16 @@ def test_verdict_rejects_doubled_envelope_of_another_source(spectrum_cache):
         sl.moment_bound_verdict(small, alpha=3.0, q=2.0, doubled=other)
 
 
-def test_repeated_moment_gives_equal_rows(spectrum_cache):
-    # the envelope keeps one E_q per distinct q; the series keeps every q
+@pytest.mark.parametrize("start", [0.0, 0.25], ids=["pairs", "gemm"])
+def test_repeated_moment_gives_equal_rows(spectrum_cache, start):
+    # the envelope keeps one E_q per distinct q; the series keeps every q.
+    # From t = 0 the grid is one uniform run, summed over mode pairs; from
+    # t = 0.25 it has no uniform prefix, and every sample comes from psi_t
+    # by a GEMM.
     _, sd = spectrum_cache("pl4", 60, 0.5, 2)
-    times = sl.time_grid(dt=0.5, t_max=20.0, quasi_random=5)
+    times = start + np.arange(41) * 0.5
+    prefix = dynamics._uniform_prefix(times)[1]
+    assert prefix == (0 if start else times.size)
     series = sl.moment_series(sd, 0, (2.0, 2.0), times)
     assert series.qs == (2.0, 2.0)
     assert series.values.shape == (2, times.size)
