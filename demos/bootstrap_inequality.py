@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 import starklab as sl
-from starklab.operators import box_hopping_norm, pinning_gamma
 
 OUT = Path("demo_out")
 OUT.mkdir(exist_ok=True)
@@ -30,9 +29,8 @@ def main():
                            half_width)
     sd = sl.diagonalize(op)
 
-    gamma = pinning_gamma(box_hopping_norm(op.kernel, half_width),
-                          op.perturbation_sup)
-    rep = sl.bootstrap_decay_check(sd, op.kernel, gamma=gamma)
+    gamma = sd.pinning_gamma
+    rep = sl.bootstrap_decay_check(sd)  # gamma defaults to the pinning bound
     print(f"gamma = {gamma:.4f}, scope |m - n| > {2 * gamma:.2f}")
     print(f"checked {rep.n_checked} (mode, site) pairs: "
           f"{'all satisfy the inequality' if rep.passed else 'VIOLATIONS'}")
@@ -60,7 +58,7 @@ def main():
     vec = np.array(sd.eigenvectors)
     vec[sd.row_of_site(60), sd.position_of(0)] = 0.05
     bad = dataclasses.replace(sd, eigenvectors=vec)
-    control = sl.bootstrap_decay_check(bad, op.kernel, gamma=gamma)
+    control = sl.bootstrap_decay_check(bad)
     v = control.violations[0]
     print(f"planted 0.05 at site 60 of mode 0 -> "
           f"{len(control.violations)} violation(s); first: "

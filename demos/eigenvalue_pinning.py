@@ -18,7 +18,7 @@ def one_run(kernel, amplitude, seed, half_width=150):
     pot = sl.PotentialSpec(field_slope=1.0, perturbation=pert)
     op = sl.build_operator(kernel, pot, half_width)
     sd = sl.diagonalize(op)
-    return sl.check_eigenvalue_asymptotics(sd, op.kernel, op.potential)
+    return sl.check_eigenvalue_asymptotics(sd)
 
 
 def main():

@@ -37,14 +37,14 @@ def main():
     for check in ("pinning", "bootstrap"):
         try:
             if check == "pinning":
-                sl.check_eigenvalue_asymptotics(sd, op.kernel, op.potential)
+                sl.check_eigenvalue_asymptotics(sd)
             else:
-                sl.bootstrap_decay_check(sd, op.kernel, gamma=3.0)
+                sl.bootstrap_decay_check(sd, gamma=3.0)
         except sl.WrongPotentialFamilyError as err:
             print(f"{check} check refused: {err}")
 
     # dynamics still runs; the packet stays put here as well
-    series = sl.moment_series(sd, 0, (2.0,),
+    series = sl.moment_series(sd, sl.envelope(sd, 0, (2.0,)), (2.0,),
                               sl.time_grid(dt=0.5, t_max=100.0,
                                            quasi_random=20,
                                            far_horizon=1e5))

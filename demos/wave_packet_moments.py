@@ -26,7 +26,7 @@ def main():
     sd, env = envelope_for(200)
     grid = sl.time_grid(dt=0.1, t_max=200.0, quasi_random=50,
                         far_horizon=1e6)
-    series = sl.moment_series(sd, 0, (Q,), grid)
+    series = sl.moment_series(sd, env, (Q,), grid)
     sup = series.running_sup[0]
 
     rows = ["t,moment"]

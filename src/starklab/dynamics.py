@@ -37,10 +37,10 @@ by a doubling ratio.  The share of E_q carried by boundary sites is the
 honesty check on the truncation.
 
 The public routines are the ones the ``dynamics`` stage runs:
-``time_grid`` samples the times, ``moment_series`` propagates a packet
-once for every q, ``envelope`` builds B and E_q for one box, and
-``moment_bound_verdict`` judges one (alpha, q) from a box's envelope and
-that of the doubled box.
+``time_grid`` samples the times, ``envelope`` builds B and E_q for one
+source and box, ``moment_series`` propagates the packet of an envelope
+once for every q, and ``moment_bound_verdict`` judges one (alpha, q)
+from a box's envelope and that of the doubled box.
 """
 
 from __future__ import annotations
@@ -294,21 +294,28 @@ def _pair_sums(delta: np.ndarray, weights: np.ndarray, dt: float,
     return out
 
 
-def moment_series(sd: SpectralData, source: int, qs, times) -> MomentSeries:
+def moment_series(sd: SpectralData, env: EnvelopeBound, qs,
+                  times) -> MomentSeries:
     """M_q(t) for every q in qs from one pass over the times.
 
-    ``_pair_sums`` sums the pairs ``_mode_pairs`` keeps on the uniform
-    prefix of the times.  Every other sample comes from psi_t on their
-    mode run, _DIRECT_TIMES times at a time: its float64 view squared in
-    place and W @ it, W[i, n] = |n|**qs[i], holding the real and imaginary
-    shares in its even and odd columns.  Raises ValueError for an empty qs,
-    a q that is not positive and finite, and times that are empty, not 1-D
-    or not finite.
+    The packet starts at env.source; env = envelope(sd, source, ...) of
+    this very sd gives the pair budget B and E_q.  ``_pair_sums`` sums the
+    pairs ``_mode_pairs`` keeps on the uniform prefix of the times.  Every
+    other sample comes from psi_t on their mode run, _DIRECT_TIMES times
+    at a time: its float64 view squared in place and W @ it, W[i, n] =
+    |n|**qs[i], holding the real and imaginary shares in its even and odd
+    columns.  Raises ValueError for an empty qs, an env of another
+    spectrum or without some q, and times that are empty, not 1-D or not
+    finite.
     """
     qs = tuple(float(q) for q in qs)
-    env = envelope(sd, source, qs)  # checks the source and every q
     if not qs:
         raise ValueError("moment_series needs at least one moment exponent")
+    if env.sites is not sd.sites:
+        raise ValueError("env was built on another spectrum than sd")
+    missing = [q for q in qs if q not in env.moments]
+    if missing:
+        raise ValueError(f"env holds no E_q for q = {missing}")
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("moment_series needs a nonempty time grid, "
@@ -323,7 +330,7 @@ def moment_series(sd: SpectralData, source: int, qs, times) -> MomentSeries:
     if prefix:
         values[:, :prefix] = _pair_sums(delta, weights, dt, prefix)
     vecs = sd.eigenvectors[:, run]
-    coeffs = sd.eigenvectors[sd.row_of_site(source), run].conj()
+    coeffs = sd.eigenvectors[sd.row_of_site(env.source), run].conj()
     for s in range(prefix, times.size, _DIRECT_TIMES):
         parts = _amplitudes(vecs, sd.eigenvalues[run], coeffs,
                             times[s:s + _DIRECT_TIMES]).view(np.float64)
@@ -334,7 +341,7 @@ def moment_series(sd: SpectralData, source: int, qs, times) -> MomentSeries:
     times = times.copy()
     times.flags.writeable = False
     values.flags.writeable = False
-    return MomentSeries(qs=qs, source=int(source), times=times, values=values,
+    return MomentSeries(qs=qs, source=env.source, times=times, values=values,
                         dropped=tuple(float(x) for x in dropped))
 
 

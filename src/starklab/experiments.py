@@ -39,7 +39,7 @@ from .operators import (MAX_DIMENSION_DEFAULT, ConstantPerturbation,
                         ExplicitPerturbation, MarylandPotential,
                         NoPerturbation, PeriodicPerturbation, PotentialError,
                         PotentialSpec, UniformRandomPerturbation,
-                        box_hopping_norm, build_operator, pinning_gamma)
+                        build_operator)
 from .spectra import (DEGENERACY_GAP, ORTHONORMALITY_TOL, RESIDUAL_TOL,
                       diagonalize, load_spectral, provenance, save_spectral)
 
@@ -585,8 +585,7 @@ def _asymptotics_stage(ctx: _RunContext) -> None:
     rows = []
     section = {}
     for n, sd in ctx.spectra.items():
-        rep = check_eigenvalue_asymptotics(sd, ctx.config.kernel,
-                                           ctx.config.potential)
+        rep = check_eigenvalue_asymptotics(sd)
         rows += [(n,) + row for row in asymptotics_rows(sd, rep)]
         section[str(n)] = {
             "max_deviation": rep.max_deviation,
@@ -632,12 +631,8 @@ def _bootstrap_stage(ctx: _RunContext) -> None:
     config = ctx.config
     section = {}
     for n, sd in ctx.spectra.items():
-        gamma = config.analyses["bootstrap"]["gamma"]
-        if gamma is None:
-            gamma = pinning_gamma(box_hopping_norm(config.kernel, n),
-                                  float(sd.provenance["perturbation_sup"]))
         rep = bootstrap_decay_check(
-            sd, config.kernel, gamma,
+            sd, config.analyses["bootstrap"]["gamma"],
             base_slack=config.tolerances["bootstrap_slack"])
         section[str(n)] = {
             "gamma": rep.gamma,
@@ -670,8 +665,8 @@ def _dynamics_stage(ctx: _RunContext) -> None:
                     "boundary_share": envs[k, n].boundary_share(q),
                 } for q in dyn["moments"]}}
             for n in widths}}
-        series = moment_series(ctx.spectra[widths[-1]], k, dyn["moments"],
-                               times)
+        series = moment_series(ctx.spectra[widths[-1]], envs[k, widths[-1]],
+                               dyn["moments"], times)
         for q, values, dropped in zip(series.qs, series.values,
                                       series.dropped):
             ctx.write_csv(f"moments_q{format(q, 'g')}_k{k}.csv",

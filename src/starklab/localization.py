@@ -1,7 +1,7 @@
 """Localization diagnostics: eigenvalue pinning, uniform decay, bootstrap.
 
 Three empirical checks on a diagonalized operator with a uniform linear
-field:
+field, each read from the SpectralData and its provenance alone:
 
 * Pinning: every trusted eigenvalue sits within |a|_0 + |b|_inf + 1 of its
   ladder index (Schur bound on the hopping part plus the half-integer
@@ -29,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import HoppingKernel, weighted_norm
-from .operators import (PotentialSpec, box_hopping_norm, pinning_gamma,
-                        toeplitz)
+from .kernels import weighted_norm
+from .operators import box_hopping_norm, toeplitz
 from .spectra import SpectralData
 
 __all__ = [
@@ -71,19 +70,16 @@ class AsymptoticsReport:
     """Pinning of trusted eigenvalues to their ladder indices.
 
     deviations holds (ladder index, eigenvalue - index), signed;
-    max_deviation is the sup of their moduli.  The pass flag is always
-    recomputed from the stored fields.
+    max_deviation is the sup of their moduli, bound the box's pinning
+    gamma.  The pass flag is always recomputed from the stored fields.
     """
 
     max_deviation: float
+    bound: float
     hopping_norm: float
     perturbation_sup: float
     deviations: tuple[tuple[int, float], ...]
     center_offset_sup: int
-
-    @property
-    def bound(self) -> float:
-        return pinning_gamma(self.hopping_norm, self.perturbation_sup)
 
     @property
     def passed(self) -> bool:
@@ -155,22 +151,22 @@ def _interior_positions(sd: SpectralData) -> np.ndarray:
     return positions
 
 
-def check_eigenvalue_asymptotics(sd: SpectralData, kernel: HoppingKernel,
-                                 potential: PotentialSpec) -> AsymptoticsReport:
+def _require_linear_field(sd: SpectralData, message: str) -> None:
+    """Refuse sd unless it records the linear field; message takes family."""
+    family = sd.provenance["potential"]["family"]
+    if family != "electric":
+        raise WrongPotentialFamilyError(message.format(family=family))
+
+
+def check_eigenvalue_asymptotics(sd: SpectralData) -> AsymptoticsReport:
     """Compare trusted eigenvalues against their ladder indices.
 
     Trusted means ladder index |n| <= half_width - interior_window.  The
-    bound is recomputed from the kernel's hopping norm in the box
-    (operators.box_hopping_norm) and the realized perturbation sup that
-    diagonalize recorded in the provenance.
+    bound is sd.pinning_gamma, from the recorded kernel's hopping norm in
+    the box and the realized perturbation sup.
     """
-    if potential.family != "electric":
-        raise WrongPotentialFamilyError(
-            "eigenvalue pinning is stated for the linear-field family; "
-            f"got {potential.family}")
-
-    hopping_norm = box_hopping_norm(kernel, sd.half_width)
-    b_sup = float(sd.provenance["perturbation_sup"])
+    _require_linear_field(sd, "eigenvalue pinning is stated for the "
+                              "linear-field family; got {family}")
 
     indices = sd.ladder_indices
     trusted = np.abs(indices) <= sd.trusted_site_bound
@@ -183,8 +179,9 @@ def check_eigenvalue_asymptotics(sd: SpectralData, kernel: HoppingKernel,
                   for n, v in zip(indices[trusted], devs))
     return AsymptoticsReport(
         max_deviation=float(np.max(np.abs(devs))),
-        hopping_norm=float(hopping_norm),
-        perturbation_sup=b_sup,
+        bound=sd.pinning_gamma,
+        hopping_norm=box_hopping_norm(sd.kernel, sd.half_width),
+        perturbation_sup=float(sd.provenance["perturbation_sup"]),
         deviations=pairs,
         center_offset_sup=sd.center_offset_sup())
 
@@ -309,22 +306,20 @@ def _band_convolution(absw: np.ndarray, M: int, d: int):
     return lambda amp: T @ amp
 
 
-def bootstrap_decay_check(sd: SpectralData, kernel: HoppingKernel,
-                          gamma: float,
+def bootstrap_decay_check(sd: SpectralData, gamma: float | None = None,
                           base_slack: float = 1e-8) -> BootstrapReport:
     """Check the bootstrap inequality on every interior mode.
 
-    gamma must dominate every trusted pinning deviation (caller supplies
-    it, typically the pinning bound).  Sites with |m - n| <= 2*gamma are
+    gamma must dominate every trusted pinning deviation; None takes the
+    pinning bound sd.pinning_gamma.  Sites with |m - n| <= 2*gamma are
     out of scope.  The dropped-tail slack at site n is
     (4*gamma/|m - n|) * (out-of-box hopping mass seen from n) * max|phi_m|,
     plus a fixed numerical slack.  Violations are listed by mode, then by
     site.
     """
-    if sd.provenance.get("potential", {}).get("family") == "maryland":
-        raise WrongPotentialFamilyError(
-            "the bootstrap inequality is stated for the linear-field family")
-    gamma = float(gamma)
+    _require_linear_field(sd, "the bootstrap inequality is stated for the "
+                              "linear-field family")
+    gamma = sd.pinning_gamma if gamma is None else float(gamma)
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     positions = _interior_positions(sd)
@@ -332,6 +327,7 @@ def bootstrap_decay_check(sd: SpectralData, kernel: HoppingKernel,
     d = sd.dimension
     N = sd.half_width
     reach = 2 * N
+    kernel = sd.kernel
     support = kernel.support_radius
     M = reach if support is None else min(reach, max(support, 1))
     offsets = np.arange(-M, M + 1)

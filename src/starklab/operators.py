@@ -292,10 +292,11 @@ def box_hopping_norm(kernel: HoppingKernel, half_width: int) -> float:
     return weighted_norm(kernel, radius).partial_sum
 
 
-def pinning_gamma(hopping_norm: float, perturbation_sup: float) -> float:
-    """gamma = |a|_0 + |b|_inf + 1: the eigenvalue pinning bound, the
-    default bootstrap gamma and the scale of the default interior window."""
-    return hopping_norm + perturbation_sup + 1.0
+def pinning_gamma(kernel: HoppingKernel, half_width: int,
+                  perturbation_sup: float) -> float:
+    """gamma = |a|_0 + |b|_inf + 1 of the box: the eigenvalue pinning bound,
+    the default bootstrap gamma and the scale of the default window."""
+    return box_hopping_norm(kernel, half_width) + perturbation_sup + 1.0
 
 
 def build_operator(kernel: HoppingKernel,

@@ -47,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._format import write_json
-from .operators import TruncatedOperator, box_hopping_norm, pinning_gamma
+from .kernels import HoppingKernel, build_kernel
+from .operators import TruncatedOperator, pinning_gamma
 
 __all__ = [
     "ConvergenceFailureError",
@@ -106,6 +107,17 @@ class SpectralData:
     @property
     def spectral_radius(self) -> float:
         return float(max(abs(self.eigenvalues[0]), abs(self.eigenvalues[-1])))
+
+    @property
+    def kernel(self) -> HoppingKernel:
+        """The hopping kernel the spectrum was computed from."""
+        return build_kernel(**self.provenance["kernel"])
+
+    @property
+    def pinning_gamma(self) -> float:
+        """gamma = |a|_0 + |b|_inf + 1 of the box, from the provenance."""
+        return pinning_gamma(self.kernel, self.half_width,
+                             float(self.provenance["perturbation_sup"]))
 
     @property
     def ladder_indices(self) -> np.ndarray:
@@ -202,11 +214,9 @@ def _fix_phases(vec: np.ndarray) -> np.ndarray:
     return rows
 
 
-def default_interior_window(half_width: int, hopping_norm: float,
-                            perturbation_sup: float) -> int:
-    """W = max(ceil(N/4), ceil(10 * (|a|_0 + |b|_inf + 1)))."""
-    return max(math.ceil(half_width / 4),
-               math.ceil(10.0 * pinning_gamma(hopping_norm, perturbation_sup)))
+def default_interior_window(half_width: int, gamma: float) -> int:
+    """W = max(ceil(N/4), ceil(10 * gamma)), gamma = |a|_0 + |b|_inf + 1."""
+    return max(math.ceil(half_width / 4), math.ceil(10.0 * gamma))
 
 
 def _tridiagonal_eigh(diag: np.ndarray, lower: np.ndarray):
@@ -355,8 +365,8 @@ def diagonalize(op: TruncatedOperator,
     anchor, fallback = ladder_anchor(lam)
     if interior_window is None:
         interior_window = default_interior_window(
-            op.half_width, box_hopping_norm(op.kernel, op.half_width),
-            op.perturbation_sup)
+            op.half_width,
+            pinning_gamma(op.kernel, op.half_width, op.perturbation_sup))
 
     return _labeled(op.half_width, lam, vec, resid, rows,
                     int(interior_window), degeneracy_gap,
@@ -461,9 +471,10 @@ def load_spectral(base_path: str) -> SpectralData:
 
     Raises ValueError, naming the problem, for a header that is not a
     format-v2 spectrum header (a v1 dump must be rewritten by rerunning
-    the spectrum stage), a payload whose length differs from the header's
-    byte_length or from what the dimension and dtype need, and a payload
-    whose sha256 differs from the header's.
+    the spectrum stage), a header whose half_width disagrees with its
+    dimension or provenance, a payload whose length differs from the
+    header's byte_length or from what the dimension and dtype need, and a
+    payload whose sha256 differs from the header's.
     """
     with open(f"{base_path}.json", "r", encoding="utf-8") as fh:
         header = json.load(fh)
@@ -477,6 +488,10 @@ def load_spectral(base_path: str) -> SpectralData:
             "stage to rewrite it")
     d = int(header["dimension"])
     half_width = int(header["half_width"])
+    prov = header.get("provenance", {})
+    if d != 2 * half_width + 1 or prov.get("half_width") != half_width:
+        raise ValueError(f"{base_path}.json: half_width {half_width} "
+                         f"disagrees with dimension {d} or provenance")
     payload = header["payload"]
     if payload.get("eigenvector_dtype") not in _EIGENVECTOR_DTYPES:
         raise ValueError(f"{base_path}.json names eigenvector dtype "
@@ -500,7 +515,6 @@ def load_spectral(base_path: str) -> SpectralData:
     resid = np.frombuffer(raw, "<f8", d, offset=8 * d)
     vec = np.frombuffer(raw, dtype, d * d, offset=16 * d).reshape(d, d)
 
-    prov = header.get("provenance", {})
     return _labeled(
         half_width, lam, vec, resid, _peak_rows(vec),
         int(header["interior_window"]),

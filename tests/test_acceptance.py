@@ -59,9 +59,8 @@ def test_acceptance_2_eigenvalue_pinning(spectrum_cache):
     for kind in ("nn", "pl4"):
         for amp in (0.5, 5.0):
             for seed in range(5):
-                op, sd = spectrum_cache(kind, 400, amp, seed)
-                rep = sl.check_eigenvalue_asymptotics(sd, op.kernel,
-                                                      op.potential)
+                _, sd = spectrum_cache(kind, 400, amp, seed)
+                rep = sl.check_eigenvalue_asymptotics(sd)
                 runs += 1
                 all_passed &= rep.passed
                 worst_margin = max(worst_margin,
@@ -155,16 +154,16 @@ def test_acceptance_4_bootstrap_inequality(spectrum_cache):
     clean = True
     for kind, amp, seed in (("nn", 0.0, 0), ("pl4", 0.5, 2)):
         op, sd = spectrum_cache(kind, 200, amp, seed)
-        rep = sl.bootstrap_decay_check(sd, op.kernel, gamma=pinning_gamma(op))
+        rep = sl.bootstrap_decay_check(sd, gamma=pinning_gamma(op))
         clean &= rep.passed
         checked += rep.n_checked
 
     # negative control: planted far-field amplitude must be caught
-    op0, sd0 = spectrum_cache("nn", 200)
+    _, sd0 = spectrum_cache("nn", 200)
     vec = np.array(sd0.eigenvectors)
     vec[sd0.row_of_site(80), sd0.position_of(0)] = 0.1
     corrupted = dataclasses.replace(sd0, eigenvectors=vec)
-    control = sl.bootstrap_decay_check(corrupted, op0.kernel, gamma=3.0)
+    control = sl.bootstrap_decay_check(corrupted, gamma=3.0)
     caught = (not control.passed) and \
         any(v.ladder_index == 0 and v.site == 80 for v in control.violations)
 
@@ -181,7 +180,7 @@ def test_acceptance_5_moment_boundedness(spectrum_cache):
     _, sd_big = spectrum_cache("pl4", 400)
     env_small = sl.envelope(sd_small, 0, qs=(q,))
     env_big = sl.envelope(sd_big, 0, qs=(q,))
-    series = sl.moment_series(sd_big, 0, (q,), sl.time_grid())
+    series = sl.moment_series(sd_big, env_big, (q,), sl.time_grid())
     bound = env_big.moment_bound(q)
     margin = series.running_sup[0] - bound
     ratio = bound / env_small.moment_bound(q)

@@ -360,6 +360,30 @@ def test_report_refuses_a_damaged_dump(tmp_path, capsys, damage, problem):
     assert "stage asymptotics: skipped" in out
 
 
+def test_report_refuses_a_header_whose_half_width_disagrees(tmp_path,
+                                                            capsys):
+    # the header's half_width, not its provenance's, places the centers:
+    # an edited one would shift every center by a site
+    cfg = write_config(tmp_path / "cfg.json", {
+        "kernel": {"family": "power_law", "exponent": 4.0},
+        "half_widths": [40], "seed": 1,
+        "analyses": {"asymptotics": True, "decay": {"alphas": [3.0]},
+                     "bootstrap": {}, "dynamics": {"sources": [0]}},
+        "output": {"directory": str(tmp_path / "out")}})
+    assert main(["spectrum", "--config", cfg]) == 0
+    header_path = tmp_path / "out" / "spectrum_N40.json"
+    header = json.loads(header_path.read_text())
+    header["half_width"] = 41
+    header_path.write_text(json.dumps(header))
+    capsys.readouterr()
+    assert main(["report", "--config", cfg]) == 2
+    out = capsys.readouterr().out
+    assert "stage spectrum: failed (ValueError" in out
+    assert "half_width 41 disagrees with dimension 81" in out
+    for name in ("asymptotics", "ule", "bootstrap", "dynamics"):
+        assert f"stage {name}: skipped" in out
+
+
 def test_report_without_dumps_exits_2(tmp_path, capsys):
     cfg = quiet_ladder_config(tmp_path, out_name="never_written")
     code = main(["report", "--config", cfg])

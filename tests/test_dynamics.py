@@ -23,6 +23,12 @@ def _amplitudes(sd, source, times):
                                 np.asarray(times, dtype=float))
 
 
+def _series(sd, source, qs, times):
+    # the series from the envelope of its own source and moments, as the
+    # dynamics stage builds it
+    return sl.moment_series(sd, sl.envelope(sd, source, qs), qs, times)
+
+
 def _set_chunk(monkeypatch, chunk):
     # moment_series with psi built `chunk` times at a time off the uniform
     # prefix and `chunk` mode pairs spread onto the FFT grid at a time
@@ -42,11 +48,11 @@ def test_zero_kernel_packet_only_rotates_its_phase():
 
 def test_zero_kernel_moment_is_constant_in_time():
     sd = _stationary_setup()
-    series = sl.moment_series(sd, 5, (2.0,), [0.0, 0.3, 2.0, 50.0])
+    series = _series(sd, 5, (2.0,), [0.0, 0.3, 2.0, 50.0])
     np.testing.assert_allclose(series.values, 25.0, atol=1e-10)
     assert series.running_sup[0] == pytest.approx(25.0, abs=1e-10)
     # from site 0 every mode pair has zero weight: E_q = 0, nothing kept
-    origin = sl.moment_series(sd, 0, (2.0, 3.0), [0.0, 0.3, 2.0, 50.0])
+    origin = _series(sd, 0, (2.0, 3.0), [0.0, 0.3, 2.0, 50.0])
     assert origin.dropped == (0.0, 0.0)
     np.testing.assert_array_equal(origin.values, 0.0)
 
@@ -111,8 +117,8 @@ def test_phase_table_grids_match_single_time_evolution(spectrum_cache,
     # 1e-16 * lambda * t of the moment
     _set_chunk(monkeypatch, 7)
     qs = (2.0, 2.5)
-    series = sl.moment_series(sd, 0, qs, times)
     env = sl.envelope(sd, 0, qs)
+    series = sl.moment_series(sd, env, qs, times)
     times = np.asarray(times, dtype=float)
     for i, q in enumerate(qs):
         direct = [helpers.moment_of(sd.sites,
@@ -155,7 +161,7 @@ def test_moment_series_agrees_across_chunk_sizes(spectrum_cache,
     series = []
     for chunk in (1, 7, 256, 4096):
         _set_chunk(monkeypatch, chunk)
-        series.append(sl.moment_series(sd, 1, (2.0, 2.5), times).values)
+        series.append(_series(sd, 1, (2.0, 2.5), times).values)
     for values in series[1:]:
         for i in range(2):
             assert (np.max(np.abs(values[i] - series[0][i]))
@@ -174,7 +180,7 @@ def _extended_precision_gaps(kernel, times):
     op = sl.build_operator(kernel, sl.PotentialSpec(perturbation=pert), 30)
     sd = sl.diagonalize(op, interior_window=8)
     qs = (2.0, 2.5)
-    series = sl.moment_series(sd, 0, qs, times)
+    series = _series(sd, 0, qs, times)
     angle = np.multiply.outer(sd.eigenvalues.astype(np.longdouble),
                               times.astype(np.longdouble))
     phases = np.cos(angle).astype(float) - 1j * np.sin(angle).astype(float)
@@ -225,11 +231,11 @@ def test_pruned_series_stays_within_its_dropped_weight(spectrum_cache,
     qs = (2.0, 2.5)
     env = sl.envelope(sd, 0, qs)
     monkeypatch.setattr(dynamics, "PAIR_BUDGET", 0.0)
-    full = sl.moment_series(sd, 0, qs, times)
+    full = sl.moment_series(sd, env, qs, times)
     assert full.dropped == (0.0, 0.0)
     for budget in (1e-14, 1e-9, 1e-4):
         monkeypatch.setattr(dynamics, "PAIR_BUDGET", budget)
-        pruned = sl.moment_series(sd, 0, qs, times)
+        pruned = sl.moment_series(sd, env, qs, times)
         for i, q in enumerate(qs):
             e_q = env.moment_bound(q)
             assert 0.0 < pruned.dropped[i] <= budget * e_q * (1 + 1e-12)
@@ -242,7 +248,7 @@ def test_moment_series_matches_pointwise_moments(spectrum_cache,
     _, sd = spectrum_cache("pl4", 60, 0.5, 2)
     times = np.linspace(0.0, 5.0, 11)
     _set_chunk(monkeypatch, 3)
-    series = sl.moment_series(sd, 0, (2.5,), times)
+    series = _series(sd, 0, (2.5,), times)
     direct = [helpers.moment_of(sd.sites,
                                 helpers.evolved_amplitudes(sd, 0, t), 2.5)
               for t in times]
@@ -263,8 +269,8 @@ def test_real_and_complex_eigenvectors_propagate_alike(spectrum_cache,
     times = sl.time_grid(dt=0.5, t_max=10.0, quasi_random=2, far_horizon=1e6)
     assert times.size == 23
     _set_chunk(monkeypatch, 5)
-    real = sl.moment_series(sd, 0, (2.0, 2.5), times).values
-    cplx = sl.moment_series(sdc, 0, (2.0, 2.5), times).values
+    real = _series(sd, 0, (2.0, 2.5), times).values
+    cplx = _series(sdc, 0, (2.0, 2.5), times).values
     for i in range(2):
         assert np.max(np.abs(real[i] - cplx[i])) <= 1e-12 * np.max(cplx[i])
     np.testing.assert_allclose(_amplitudes(sd, 3, times),
@@ -293,14 +299,14 @@ def test_reloaded_spectrum_keeps_its_dtype_and_moments(tmp_path, monkeypatch,
     times = np.linspace(0.0, 30.0, 13)
     _set_chunk(monkeypatch, 5)
     np.testing.assert_array_equal(
-        sl.moment_series(back, 0, (2.0,), times).values,
-        sl.moment_series(sd, 0, (2.0,), times).values)
+        _series(back, 0, (2.0,), times).values,
+        _series(sd, 0, (2.0,), times).values)
 
 
 def test_empty_time_grid_is_rejected():
     sd = _stationary_setup()
     with pytest.raises(ValueError, match="nonempty time grid"):
-        sl.moment_series(sd, 0, (2.0,), [])
+        _series(sd, 0, (2.0,), [])
 
 
 @pytest.mark.parametrize("kernel", [
@@ -311,15 +317,15 @@ def test_bad_dynamics_input_is_rejected(kernel):
                         interior_window=8)
     times = [0.0, 0.5, 1.0]
     with pytest.raises(ValueError, match="at least one moment exponent"):
-        sl.moment_series(sd, 0, (), times)
+        _series(sd, 0, (), times)
     for q in (np.inf, np.nan):
         with pytest.raises(ValueError, match="positive and finite"):
-            sl.moment_series(sd, 0, (2.0, q), times)
+            _series(sd, 0, (2.0, q), times)
         with pytest.raises(ValueError, match="positive and finite"):
             sl.envelope(sd, 0, (q,))
     for bad in ([0.0, np.nan], [0.0, np.inf, 1.0], [[0.0, 0.5], [1.0, 1.5]]):
         with pytest.raises(ValueError, match="1-D grid of finite times"):
-            sl.moment_series(sd, 0, (2.0,), bad)
+            _series(sd, 0, (2.0,), bad)
 
 
 def test_complex_kernel_propagates_like_single_calls(monkeypatch):
@@ -330,7 +336,7 @@ def test_complex_kernel_propagates_like_single_calls(monkeypatch):
     times = [0.0, 0.4, 3.0, 17.5, 1e5]
     batch = _amplitudes(sd, 2, times)
     _set_chunk(monkeypatch, 2)
-    series = sl.moment_series(sd, 2, (2.0,), times)
+    series = _series(sd, 2, (2.0,), times)
     for j, t in enumerate(times):
         amps = helpers.evolved_amplitudes(sd, 2, t)
         np.testing.assert_allclose(batch[:, j], amps, rtol=0, atol=1e-12)
@@ -347,7 +353,7 @@ def test_complex_gauge_leaves_the_moments_of_the_real_kernel():
         interior_window=8) for a in (1.0, 0.6 + 0.8j)]
     assert np.iscomplexobj(spectra[1].eigenvectors)
     times = sl.time_grid()
-    real, cplx = (sl.moment_series(sd, 0, (2.0, 2.5), times).values
+    real, cplx = (_series(sd, 0, (2.0, 2.5), times).values
                   for sd in spectra)
     for i in range(2):
         assert np.max(np.abs(cplx[i] - real[i])) <= 1e-12 * np.max(real[i])
@@ -358,25 +364,43 @@ def test_all_moments_match_separate_series(spectrum_cache, monkeypatch):
     times = np.linspace(0.0, 40.0, 30)
     qs = (2.0, 2.5, 4.0)
     _set_chunk(monkeypatch, 7)
-    together = sl.moment_series(sd, 1, qs, times)
+    together = _series(sd, 1, qs, times)
     assert together.qs == qs
     assert together.values.shape == (len(qs), times.size)
     for i, q in enumerate(qs):
-        alone = sl.moment_series(sd, 1, (q,), times)
+        alone = _series(sd, 1, (q,), times)
         np.testing.assert_array_equal(together.times, alone.times)
         np.testing.assert_allclose(together.values[i], alone.values[0],
                                    rtol=0,
                                    atol=1e-14 * alone.running_sup[0])
         assert together.running_sup[i] == np.max(together.values[i])
     with pytest.raises(ValueError):
-        sl.moment_series(sd, 1, (2.0, -1.0), times)
+        _series(sd, 1, (2.0, -1.0), times)
+
+
+def test_moment_series_refuses_a_foreign_or_short_envelope(spectrum_cache):
+    _, sd = spectrum_cache("pl4", 60, 0.5, 2)
+    times = [0.0, 0.5, 1.0]
+    # an envelope of a box of the same size and of a larger box
+    for other in (spectrum_cache("pl4", 60)[1], spectrum_cache("pl4", 100)[1]):
+        with pytest.raises(ValueError, match="another spectrum"):
+            sl.moment_series(sd, sl.envelope(other, 0, (2.0,)), (2.0,),
+                             times)
+    with pytest.raises(ValueError, match=r"no E_q for q = \[2.5\]"):
+        sl.moment_series(sd, sl.envelope(sd, 0, (2.0,)), (2.0, 2.5), times)
+    # a subset of the envelope's moments, from the envelope's source
+    series = sl.moment_series(sd, sl.envelope(sd, 3, (2.0, 2.5)), (2.5,),
+                              times)
+    assert series.source == 3
+    np.testing.assert_array_equal(series.values,
+                                  _series(sd, 3, (2.5,), times).values)
 
 
 def test_moment_exponent_must_be_positive(spectrum_cache):
     _, sd = spectrum_cache("pl4", 60, 0.5, 2)
     for times in ([0.0], []):
         with pytest.raises(ValueError):
-            sl.moment_series(sd, 0, (0.0,), times)
+            _series(sd, 0, (0.0,), times)
     with pytest.raises(ValueError):
         sl.envelope(sd, 0, qs=(-2.0,))
 
@@ -384,14 +408,14 @@ def test_moment_exponent_must_be_positive(spectrum_cache):
 def test_source_must_be_interior(spectrum_cache):
     _, sd = spectrum_cache("pl4", 60)
     assert sd.trusted_site_bound == 28
-    sl.moment_series(sd, 28, (2.0,), [0.1])
-    sl.envelope(sd, 28)
+    series = _series(sd, 28, (2.0,), [0.1])
+    assert series.source == 28
     with pytest.raises(sl.SourceOutsideInteriorError):
         sl.envelope(sd, 29)
-    # the series checks the source before the times
+    # the envelope checks the source before the series sees the times
     for times in ([0.1], []):
         with pytest.raises(sl.SourceOutsideInteriorError):
-            sl.moment_series(sd, 29, (2.0,), times)
+            _series(sd, 29, (2.0,), times)
 
 
 def test_eigenbasis_propagator_agrees_with_ode_integrator():
@@ -435,7 +459,7 @@ def test_envelope_majorizes_the_motion(spectrum_cache):
     env = sl.envelope(sd, 0, qs=(2.5,))
     defect = helpers.majorant_defect(_amplitudes(sd, 0, times), env.majorant)
     assert defect <= 1e-10
-    series = sl.moment_series(sd, 0, (2.5,), times)
+    series = sl.moment_series(sd, env, (2.5,), times)
     assert series.running_sup[0] <= env.moment_bound(2.5) + 1e-10
     # the source column of the majorant matrix carries unit diagonal
     assert env.majorant[sd.row_of_site(0)] >= 1.0 - 1e-8
@@ -443,12 +467,12 @@ def test_envelope_majorizes_the_motion(spectrum_cache):
 
 def test_pure_field_moments_are_periodic(spectrum_cache):
     _, sd = spectrum_cache("nn", 100)
-    short = sl.moment_series(sd, 0, (2.0,), np.arange(0.0, 100.0, 0.05))
-    longer = sl.moment_series(sd, 0, (2.0,), np.arange(0.0, 1000.0, 0.05))
+    short = _series(sd, 0, (2.0,), np.arange(0.0, 100.0, 0.05))
+    longer = _series(sd, 0, (2.0,), np.arange(0.0, 1000.0, 0.05))
     assert (abs(longer.running_sup[0] - short.running_sup[0])
             / short.running_sup[0] < 0.01)
     # explicit period check at 2*pi
-    period = sl.moment_series(sd, 0, (2.0,), [0.3, 0.3 + 2.0 * np.pi])
+    period = _series(sd, 0, (2.0,), [0.3, 0.3 + 2.0 * np.pi])
     m1, m2 = period.values[0]
     assert m1 == pytest.approx(m2, abs=1e-6)
 
@@ -530,7 +554,7 @@ def test_repeated_moment_gives_equal_rows(spectrum_cache, start):
     times = start + np.arange(41) * 0.5
     prefix = dynamics._uniform_prefix(times)[1]
     assert prefix == (0 if start else times.size)
-    series = sl.moment_series(sd, 0, (2.0, 2.0), times)
+    series = _series(sd, 0, (2.0, 2.0), times)
     assert series.qs == (2.0, 2.0)
     assert series.values.shape == (2, times.size)
     np.testing.assert_array_equal(series.values[0], series.values[1])

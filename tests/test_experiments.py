@@ -392,7 +392,7 @@ def test_reuse_spectra_needs_the_recorded_perturbation_sup(tmp_path):
         assert manifest.stage(name).status == "skipped"
     sd = sl.load_spectral(str(out / "spectrum_N12"))
     with pytest.raises(KeyError, match="perturbation_sup"):
-        sl.check_eigenvalue_asymptotics(sd, cfg.kernel, cfg.potential)
+        sl.check_eigenvalue_asymptotics(sd)
 
 
 def test_csv_cells_are_integers_and_17_digit_floats(tmp_path):

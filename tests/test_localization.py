@@ -12,7 +12,7 @@ from starklab.spectra import _peak_rows
 def test_zero_kernel_pins_exactly():
     op = sl.build_operator(sl.custom_kernel({}), sl.PotentialSpec(), 12)
     sd = sl.diagonalize(op)
-    rep = sl.check_eigenvalue_asymptotics(sd, op.kernel, op.potential)
+    rep = sl.check_eigenvalue_asymptotics(sd)
     assert rep.max_deviation == 0.0
     assert rep.hopping_norm == 0.0
     assert rep.bound == 1.0
@@ -25,8 +25,8 @@ def test_zero_kernel_pins_exactly():
 
 
 def test_pure_field_pinning_tight(spectrum_cache):
-    op, sd = spectrum_cache("nn", 200)
-    rep = sl.check_eigenvalue_asymptotics(sd, op.kernel, op.potential)
+    _, sd = spectrum_cache("nn", 200)
+    rep = sl.check_eigenvalue_asymptotics(sd)
     assert rep.bound == 3.0
     assert rep.max_deviation <= 1e-8
     assert rep.passed
@@ -36,7 +36,7 @@ def test_pure_field_pinning_tight(spectrum_cache):
 
 def test_noisy_long_range_pinning_within_bound(spectrum_cache):
     op, sd = spectrum_cache("pl4", 200, 5.0, 1)
-    rep = sl.check_eigenvalue_asymptotics(sd, op.kernel, op.potential)
+    rep = sl.check_eigenvalue_asymptotics(sd)
     # realized sup of |b| is below the drawn amplitude
     assert rep.perturbation_sup == op.perturbation_sup
     assert rep.passed
@@ -53,7 +53,7 @@ def test_pinning_reads_the_recorded_perturbation_sup(monkeypatch):
     def resample(self, sites):
         raise AssertionError("pinning resampled the perturbation")
     monkeypatch.setattr(sl.UniformRandomPerturbation, "values", resample)
-    rep = sl.check_eigenvalue_asymptotics(sd, op.kernel, op.potential)
+    rep = sl.check_eigenvalue_asymptotics(sd)
     assert rep.perturbation_sup == op.perturbation_sup
 
 
@@ -62,8 +62,7 @@ def test_pinning_hopping_norm_bounds_the_box_hopping_block():
     # cover them all; with p = 2.5 the far offsets still weigh
     op = sl.build_operator(sl.power_law(2.5), sl.PotentialSpec(), 50)
     sd = sl.diagonalize(op)
-    rep = sl.check_eigenvalue_asymptotics(sd, sl.power_law(2.5),
-                                          op.potential)
+    rep = sl.check_eigenvalue_asymptotics(sd)
     hopping = op.matrix - np.diag(np.diag(op.matrix))
     assert rep.hopping_norm >= np.linalg.norm(hopping, 2)
 
@@ -72,7 +71,7 @@ def test_steeper_field_breaks_the_stated_bound():
     op = sl.build_operator(sl.custom_kernel({}),
                            sl.PotentialSpec(field_slope=2.0), 16)
     sd = sl.diagonalize(op)
-    rep = sl.check_eigenvalue_asymptotics(sd, op.kernel, op.potential)
+    rep = sl.check_eigenvalue_asymptotics(sd)
     assert rep.bound == 1.0
     assert rep.max_deviation == 6.0  # index n sits at eigenvalue 2n
     assert not rep.passed
@@ -87,18 +86,18 @@ def _maryland_spectrum():
 
 
 def test_maryland_refused_by_linear_field_checks():
-    op, sd = _maryland_spectrum()
+    _, sd = _maryland_spectrum()
     with pytest.raises(sl.WrongPotentialFamilyError):
-        sl.check_eigenvalue_asymptotics(sd, op.kernel, op.potential)
+        sl.check_eigenvalue_asymptotics(sd)
     with pytest.raises(sl.WrongPotentialFamilyError):
-        sl.bootstrap_decay_check(sd, op.kernel, gamma=3.0)
+        sl.bootstrap_decay_check(sd, gamma=3.0)
 
 
 def test_no_interior_modes_raises():
     op = sl.build_operator(sl.power_law(4.0), sl.PotentialSpec(), 4)
     sd = sl.diagonalize(op)  # window swallows the whole box
     with pytest.raises(sl.NoInteriorModesError):
-        sl.check_eigenvalue_asymptotics(sd, op.kernel, op.potential)
+        sl.check_eigenvalue_asymptotics(sd)
     with pytest.raises(sl.NoInteriorModesError):
         sl.uniform_decay_constants(sd, (3.0,))
 
@@ -195,15 +194,15 @@ def test_decay_drift_under_doubling_without_disorder(spectrum_cache):
 def test_bootstrap_zero_kernel_trivially_clean():
     op = sl.build_operator(sl.custom_kernel({}), sl.PotentialSpec(), 12)
     sd = sl.diagonalize(op)
-    rep = sl.bootstrap_decay_check(sd, op.kernel, gamma=1.0)
+    rep = sl.bootstrap_decay_check(sd, gamma=1.0)
     assert rep.passed
     assert rep.n_checked > 0
     assert rep.n_modes == int(np.count_nonzero(sd.interior_mask))
 
 
 def test_bootstrap_pure_field_clean(spectrum_cache):
-    op, sd = spectrum_cache("nn", 200)
-    rep = sl.bootstrap_decay_check(sd, op.kernel, gamma=3.0)
+    _, sd = spectrum_cache("nn", 200)
+    rep = sl.bootstrap_decay_check(sd, gamma=3.0)
     assert rep.passed
     assert rep.n_checked > 10000
 
@@ -212,18 +211,18 @@ def test_bootstrap_long_range_clean(spectrum_cache):
     op, sd = spectrum_cache("pl4", 200)
     gamma = sl.weighted_norm(op.kernel,
                              2 * op.half_width + 1).upper_bound + 1.0
-    rep = sl.bootstrap_decay_check(sd, op.kernel, gamma=gamma)
+    rep = sl.bootstrap_decay_check(sd, gamma=gamma)
     assert rep.passed
 
 
 def test_bootstrap_flags_injected_far_amplitude(spectrum_cache):
-    op, sd = spectrum_cache("nn", 100)
+    _, sd = spectrum_cache("nn", 100)
     vec = np.array(sd.eigenvectors)
     p = sd.position_of(0)
     row = sd.row_of_site(50)
     vec[row, p] = 0.1  # plant mass far from the center of mode 0
     corrupted = dataclasses.replace(sd, eigenvectors=vec)
-    rep = sl.bootstrap_decay_check(corrupted, op.kernel, gamma=3.0)
+    rep = sl.bootstrap_decay_check(corrupted, gamma=3.0)
     assert not rep.passed
     assert any(v.ladder_index == 0 and v.site == 50 for v in rep.violations)
 
@@ -238,9 +237,10 @@ def test_bootstrap_arithmetic_on_a_crafted_mode():
     p = sd.position_of(0)
     vec[sd.row_of_site(1), p] = 0.2
     vec[sd.row_of_site(2), p] = 0.25
-    crafted = dataclasses.replace(sd, eigenvectors=vec)
-    kernel = sl.custom_kernel({1: 0.5})
-    rep = sl.bootstrap_decay_check(crafted, kernel, gamma=0.9)
+    # the check reads the kernel from the provenance
+    crafted = dataclasses.replace(sd, eigenvectors=vec, provenance=dict(
+        sd.provenance, kernel=sl.custom_kernel({1: 0.5}).describe()))
+    rep = sl.bootstrap_decay_check(crafted, gamma=0.9)
     assert len(rep.violations) == 1
     v = rep.violations[0]
     assert (v.ladder_index, v.site) == (0, 2)
@@ -250,14 +250,14 @@ def test_bootstrap_arithmetic_on_a_crafted_mode():
 
 
 def test_bootstrap_gamma_must_be_positive(spectrum_cache):
-    op, sd = spectrum_cache("nn", 100)
+    _, sd = spectrum_cache("nn", 100)
     with pytest.raises(ValueError):
-        sl.bootstrap_decay_check(sd, op.kernel, gamma=0.0)
+        sl.bootstrap_decay_check(sd, gamma=0.0)
 
 
 def test_report_rows_align_with_spectrum(spectrum_cache):
-    op, sd = spectrum_cache("pl4", 60, 0.5, 2)
-    rep = sl.check_eigenvalue_asymptotics(sd, op.kernel, op.potential)
+    _, sd = spectrum_cache("pl4", 60, 0.5, 2)
+    rep = sl.check_eigenvalue_asymptotics(sd)
     rows = asymptotics_rows(sd, rep)
     assert len(rows) == rep.n_interior
     for n, lam, dev, center in rows:
@@ -350,7 +350,7 @@ def _assert_decay_matches_oracle(sd, alpha):
 
 
 def _assert_bootstrap_matches_oracle(sd, kernel, gamma):
-    rep = sl.bootstrap_decay_check(sd, kernel, gamma=gamma)
+    rep = sl.bootstrap_decay_check(sd, gamma=gamma)
     n_checked, violations = _bootstrap_oracle(sd, kernel, gamma)
     assert rep.n_checked == n_checked
     assert [(v.ladder_index, v.site) for v in rep.violations] == \

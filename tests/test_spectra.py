@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import helpers
 import starklab as sl
 import starklab.spectra
+from starklab.operators import pinning_gamma
 from starklab.spectra import (ladder_anchor, _peak_rows,
                               default_interior_window, _fix_phases,
                               _GATE_BLOCK, _gram_defect,
@@ -133,10 +134,11 @@ def test_each_eigenvector_peaks_real_and_positive_at_its_center(kernel):
 
 
 def test_interior_window_formula():
-    assert default_interior_window(200, 2.0, 0.0) == 50
-    assert default_interior_window(40, 2.0, 0.0) == 30
-    assert default_interior_window(40, 2.0, 5.0) == 80
-    assert default_interior_window(1000, 0.0, 0.0) == 250
+    # the second argument is gamma = |a|_0 + |b|_inf + 1
+    assert default_interior_window(200, 3.0) == 50
+    assert default_interior_window(40, 3.0) == 30
+    assert default_interior_window(40, 8.0) == 80
+    assert default_interior_window(1000, 1.0) == 250
 
 
 def test_degenerate_pair_flagged_and_queryable():
@@ -199,6 +201,47 @@ def test_save_load_round_trip(tmp_path, spectrum_cache):
     sl.save_spectral(sd, base)
     assert open(json_path, "rb").read() == first[0]
     assert open(bin_path, "rb").read() == first[1]
+
+
+@pytest.mark.parametrize("kernel", [
+    sl.nearest_neighbor(), sl.nearest_neighbor(0.6 + 0.8j), sl.power_law(2.5),
+    sl.finite_support([0.6 + 0.8j, 0.3j]),
+    sl.custom_kernel({1: 0.5, 3: -0.25j}), sl.custom_kernel({}),
+], ids=["nn", "complex-nn", "p2.5", "finite", "custom", "zero"])
+def test_spectrum_reads_back_its_kernel_and_gamma(tmp_path, kernel):
+    pert = sl.UniformRandomPerturbation(amplitude=0.5, seed=3)
+    op = sl.build_operator(kernel, sl.PotentialSpec(perturbation=pert), 10)
+    sd = sl.diagonalize(op, interior_window=2)
+    gamma = pinning_gamma(op.kernel, op.half_width, op.perturbation_sup)
+    assert sd.kernel == op.kernel
+    assert sd.pinning_gamma == gamma
+    # the kernel and gamma come back from the dump's JSON header, bit for bit
+    sl.save_spectral(sd, str(tmp_path / "spec"))
+    back = sl.load_spectral(str(tmp_path / "spec"))
+    assert back.kernel == op.kernel
+    assert np.float64(back.pinning_gamma).tobytes() == \
+        np.float64(gamma).tobytes()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("half_width", 21), ("dimension", 43), ("provenance", 21),
+], ids=["half_width", "dimension", "provenance"])
+def test_load_rejects_a_header_whose_half_width_disagrees(
+        tmp_path, spectrum_cache, key, value):
+    import json
+
+    _, sd = spectrum_cache("pl4", 20, 1.0, 5)
+    base = str(tmp_path / "edited")
+    json_path, _ = sl.save_spectral(sd, base)
+    header = json.load(open(json_path))
+    if key == "provenance":
+        header["provenance"]["half_width"] = value
+    else:
+        header[key] = value
+    with open(json_path, "w") as fh:
+        json.dump(header, fh)
+    with pytest.raises(ValueError, match="half_width 2[01] disagrees"):
+        sl.load_spectral(base)
 
 
 def test_dump_header_names_dtype_length_and_hash(tmp_path, spectrum_cache):

@@ -18,13 +18,19 @@ REPEATS runs:
                      reference the solver is compared with
     save_spectral    writing the dump pair
     load_spectral    reading it back
-    moment_series    M_q(t) for q = 2 and 2.5 from site 0 on the default
-                     time grid (20101 times); null above N = MOMENT_MAX_N.
-                     The kernels span strong localization (p=4, nearest
-                     neighbour), slow decay (p=2.5) and a complex
-                     spectrum (nearest neighbour with amplitude 0.6+0.8i)
+    moment_series    the envelope and M_q(t) from it, for q = 2 and 2.5
+                     from site 0 on the default time grid (20101 times);
+                     null above N = MOMENT_MAX_N.  The kernels span strong
+                     localization (p=4, nearest neighbour), slow decay
+                     (p=2.5) and a complex spectrum (nearest neighbour
+                     with amplitude 0.6+0.8i)
     uniform_decay_constants
                      the decay sups for alpha = 2 and 3 in one call
+    check_eigenvalue_asymptotics
+                     the pinning check
+    bootstrap_decay_check
+                     the bootstrap inequality at the default gamma, the
+                     box's pinning bound
 
 Each case runs in its own process, so its peak RSS (``ru_maxrss``) is its
 own; a small untimed solve first loads the solver modules.  The case
@@ -116,9 +122,14 @@ def run_case(kernel_name: str, half_width: int) -> dict:
     if half_width <= MOMENT_MAX_N:
         times = sl.time_grid()
         seconds["moment_series"], _ = _median_time(
-            lambda: sl.moment_series(sd, 0, MOMENT_QS, times))
+            lambda: sl.moment_series(sd, sl.envelope(sd, 0, MOMENT_QS),
+                                     MOMENT_QS, times))
     seconds["uniform_decay_constants"], _ = _median_time(
         lambda: sl.uniform_decay_constants(sd, DECAY_ALPHAS))
+    seconds["check_eigenvalue_asymptotics"], _ = _median_time(
+        lambda: sl.check_eigenvalue_asymptotics(sd))
+    seconds["bootstrap_decay_check"], _ = _median_time(
+        lambda: sl.bootstrap_decay_check(sd))
     return {
         "kernel": kernel_name,
         "half_width": half_width,
