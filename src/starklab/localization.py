@@ -20,7 +20,11 @@ field, each read from the SpectralData and its provenance alone:
   the box.
 
 The first and third checks refuse Maryland-family potentials: their
-hypotheses name the linear field.
+hypotheses name the linear field.  The decay and bootstrap checks walk
+the interior modes in blocks and read only the rows each block's
+eigenvectors occupy (sd.row_support): the exact-zero rows of a
+localized spectrum never change a sup, a fit or a violation, so they
+are skipped.
 """
 
 from __future__ import annotations
@@ -204,7 +208,6 @@ def uniform_decay_constants(sd: SpectralData,
     N = sd.half_width
     fit_outer = N // 2
     indices = sd.ladder_indices
-    rows = np.arange(sd.dimension)[:, np.newaxis]
     # distances are integers |site - m| <= N + d < 2d, so their powers and
     # logs are looked up; distance 0 is outside both sups and every fit,
     # and its zero power never raises a max of nonnegative products
@@ -215,16 +218,17 @@ def uniform_decay_constants(sd: SpectralData,
 
     sups = [([], []) for _ in alphas]  # (center, index) anchored, per alpha
     fits = []
-    for block, amp in _blocks(sd, positions):
+    for block, rows, amp in _blocks(sd, positions):
+        box_rows = np.arange(rows.start, rows.stop)[:, np.newaxis]
         center_rows = sd.centers[block] + N
-        dist_c = np.abs(rows - center_rows)
-        dist_i = np.abs(rows - (indices[block] + N))
+        dist_c = np.abs(box_rows - center_rows)
+        dist_i = np.abs(box_rows - (indices[block] + N))
         for power, (by_center, by_index) in zip(powers, sups):
             by_center.append(np.max(amp * power[dist_c], axis=0))
             by_index.append(np.max(amp * power[dist_i], axis=0))
         # only rows within fit_outer of some center can enter a fit
-        lo = max(int(center_rows.min()) - fit_outer, 0)
-        hi = int(center_rows.max()) + fit_outer + 1
+        lo = max(int(center_rows.min()) - fit_outer - rows.start, 0)
+        hi = max(int(center_rows.max()) + fit_outer + 1 - rows.start, 0)
         fit = _decay_slopes(amp[lo:hi], dist_c[lo:hi], log_dist, 2,
                             fit_outer)
         fit[np.isin(block, degenerate) | np.isin(block - 1, degenerate)] = \
@@ -243,17 +247,34 @@ def uniform_decay_constants(sd: SpectralData,
                  for alpha, (by_center, by_index) in zip(alphas, sups))
 
 
-def _blocks(sd: SpectralData, positions: np.ndarray):
-    """Yield (positions, |eigenvector columns|) for runs of _BLOCK modes."""
-    for start in range(0, positions.size, _BLOCK):
-        block = positions[start:start + _BLOCK]
+def _blocks(sd: SpectralData, positions: np.ndarray, widen: int = 0):
+    """Yield (positions, rows, |entries|) for runs of _BLOCK modes.
+
+    rows is the slice of box rows from the first to the last nonzero row
+    of any of the block's eigenvectors (sd.row_support), widened by widen
+    rows on each side and clipped to the box; |entries| are the moduli of
+    the block's eigenvectors on those rows.  Every entry outside them is
+    an exact zero, which leaves a max and a row-by-row sum unchanged, so
+    a pass over the rows gives the bits of a pass over the whole box at a
+    cost that follows the localization length, not the box.  A block of
+    one mode keeps the whole box: numpy sums a single column pairwise,
+    where dropping its zero rows would regroup the partial sums.
+    """
+    start, stop = sd.row_support
+    d = sd.dimension
+    for first in range(0, positions.size, _BLOCK):
+        block = positions[first:first + _BLOCK]
+        rows = slice(0, d)
+        if block.size > 1:
+            rows = slice(max(int(start[block].min()) - widen, 0),
+                         min(int(stop[block].max()) + widen, d))
         lo, hi = int(block[0]), int(block[-1]) + 1
         # interior positions are mostly consecutive: a slice is a view,
         # where a gather of scattered columns costs several times more
-        cols = sd.eigenvectors[:, lo:hi]
+        cols = sd.eigenvectors[rows, lo:hi]
         if hi - lo != block.size:
             cols = np.take(cols, block - lo, axis=1)
-        yield block, np.abs(cols)
+        yield block, rows, np.abs(cols)
 
 
 def _decay_slopes(amp: np.ndarray, dist: np.ndarray, log_dist: np.ndarray,
@@ -281,29 +302,33 @@ def _decay_slopes(amp: np.ndarray, dist: np.ndarray, log_dist: np.ndarray,
 
 
 def _band_convolution(absw: np.ndarray, M: int, d: int):
-    """Map amp to conv[i, :] = sum_j |a(i - j)| amp[j, :] over |i - j| <= M.
+    """Map amp to conv[i, :] = sum_j |a(i - j)| amp[j, :] over |i - j| <= M,
+    and the rows by which amp's row range must be widened to hold conv.
 
-    A narrow band is summed offset by offset; a wide one is one GEMM with
-    the d x d Toeplitz matrix T[i, j] = |a(i - j)|.
+    A narrow band is summed offset by offset on any run of rows, widened
+    by M; a wide one is one GEMM with the d x d Toeplitz matrix
+    T[i, j] = |a(i - j)| on the whole box, since a GEMM over fewer rows
+    splits its sums elsewhere and changes their last bits.
     """
     if 2 * M + 1 <= _SHIFTED_SUM_MAX_BAND:
         taps = [(o, w) for o, w in zip(range(-M, M + 1), absw) if w != 0.0]
 
         def shifted_sum(amp):
             out = np.zeros_like(amp)
+            n = len(amp)  # at least M + 1 rows, or the whole box
             for o, w in taps:
                 if o >= 0:
-                    out[o:] += w * amp[:d - o]
+                    out[o:] += w * amp[:n - o]
                 else:
-                    out[:d + o] += w * amp[-o:]
+                    out[:n + o] += w * amp[-o:]
             return out
-        return shifted_sum
+        return shifted_sum, M
 
     # v[k] = |a(k - (d - 1))|
     v = np.zeros(2 * d - 1)
     v[d - 1 - M:d + M] = absw
     T = toeplitz(v)
-    return lambda amp: T @ amp
+    return (lambda amp: T @ amp), d
 
 
 def bootstrap_decay_check(sd: SpectralData, gamma: float | None = None,
@@ -345,32 +370,39 @@ def bootstrap_decay_check(sd: SpectralData, gamma: float | None = None,
     window_mass = cums[j2] - cums[j1]
     tail_mass = np.maximum(total_mass - window_mass, 0.0)[:, np.newaxis]
 
-    convolve = _band_convolution(absw, M, d)
+    convolve, widen = _band_convolution(absw, M, d)
     indices = sd.ladder_indices
-    rows = np.arange(d)[:, np.newaxis]
     # 4*gamma/|m - n| by integer distance |m - n| <= N + max|m|; distance 0
     # is never in scope
     dists = np.arange(N + int(np.max(np.abs(indices[positions]))) + 1,
                       dtype=float)
     factors = np.zeros_like(dists)
     factors[1:] = 4.0 * gamma / dists[1:]
+    # sites in scope, |m - n| > 2*gamma, counted over the whole box: the
+    # rows within floor(2*gamma) of row m + N are out of scope
+    near = np.floor(2.0 * gamma)
+    mode_rows = indices[positions] + N
+    out_of_scope = np.clip(np.minimum(mode_rows + near, d - 1)
+                           - np.maximum(mode_rows - near, 0) + 1, 0, None)
+    n_checked = int(positions.size * d - out_of_scope.sum())
 
     violations = []
-    n_checked = 0
-    for block, amp in _blocks(sd, positions):
+    # a site where |phi_m| = 0 cannot exceed rhs + slack >= 0, so only the
+    # rows of each block's support are checked
+    for block, rows, amp in _blocks(sd, positions, widen):
         ladder = indices[block]
-        dist = np.abs(rows - (ladder + N))
+        dist = np.abs(np.arange(rows.start, rows.stop)[:, np.newaxis]
+                      - (ladder + N))
         scope = dist > 2.0 * gamma
-        n_checked += int(np.count_nonzero(scope))
         factor = factors[dist]
         rhs = factor * convolve(amp)
-        slack = factor * tail_mass * np.max(amp, axis=0) + base_slack
+        slack = factor * tail_mass[rows] * np.max(amp, axis=0) + base_slack
         bad = scope & (amp > rhs + slack)
         if not bad.any():
             continue
         for k, i in zip(*np.nonzero(bad.T)):
             violations.append(BootstrapViolation(
-                ladder_index=int(ladder[k]), site=int(sites[i]),
+                ladder_index=int(ladder[k]), site=int(sites[rows.start + i]),
                 lhs=float(amp[i, k]), rhs=float(rhs[i, k]),
                 slack=float(slack[i, k])))
 

@@ -373,7 +373,8 @@ def test_reuse_spectra_fails_cleanly_without_dumps(tmp_path):
 def test_reuse_spectra_needs_the_recorded_perturbation_sup(tmp_path):
     # the dump's sha256 covers the payload only, so a header can lose the
     # key; the default gamma must not then fall back to |b|_inf = 0: the
-    # run refuses the dump, and a library caller gets a KeyError
+    # run refuses the dump, and a library caller gets a ValueError naming
+    # the missing key
     out = tmp_path / "out"
     cfg = parse_config(base_config(out, half_widths=[12]))
     assert run(cfg).stage("bootstrap").status == "ok"
@@ -391,7 +392,7 @@ def test_reuse_spectra_needs_the_recorded_perturbation_sup(tmp_path):
     for name in ("asymptotics", "bootstrap"):
         assert manifest.stage(name).status == "skipped"
     sd = sl.load_spectral(str(out / "spectrum_N12"))
-    with pytest.raises(KeyError, match="perturbation_sup"):
+    with pytest.raises(ValueError, match="provenance.perturbation_sup"):
         sl.check_eigenvalue_asymptotics(sd)
 
 

@@ -400,11 +400,17 @@ def test_blocked_bootstrap_matches_on_corrupted_spectrum(spectrum_cache):
     positions = np.nonzero(sd.interior_mask)[0]
     # far mass planted in the first and the last interior mode, two sites
     # each, so the list must come out by mode and then by site
+    start, stop = sd.row_support
+    outside = 0
     for p in (positions[0], positions[-1]):
         center = int(sd.centers[p])
         for site in (center - 30, center + 40):
             if abs(site) <= sd.half_width:
-                vec[sd.row_of_site(site), p] = 0.1
+                row = sd.row_of_site(site)
+                vec[row, p] = 0.1
+                outside += not start[p] <= row < stop[p]
+    # a check on the clean spectrum's supports would miss these sites
+    assert outside
     corrupted = dataclasses.replace(sd, eigenvectors=vec)
     rep = _assert_bootstrap_matches_oracle(corrupted, op.kernel, 3.0)
     assert len({v.ladder_index for v in rep.violations}) == 2
@@ -424,3 +430,32 @@ def test_blocked_decay_matches_on_degenerate_and_zero_kernel(spectrum_cache):
     rep = _assert_decay_matches_oracle(zero, 3.0)
     assert all(math.isnan(f) for _, f in rep.fit_exponents)
     _assert_bootstrap_matches_oracle(zero, op.kernel, 1.0)
+
+
+def test_a_one_mode_block_fits_on_the_whole_box():
+    from starklab.localization import _BLOCK, _decay_slopes
+    # numpy sums a single column pairwise, so the last block, which holds
+    # one mode here, keeps the rows of the whole box and with them the
+    # bits of its fit: the window of fit rows around the center, zeros
+    # included, as a one-column pass over the box takes it
+    op = sl.build_operator(sl.nearest_neighbor(), sl.PotentialSpec(
+        perturbation=sl.UniformRandomPerturbation(amplitude=0.5, seed=3)),
+        257)
+    sd = sl.diagonalize(op)
+    positions = np.nonzero(sd.interior_mask)[0]
+    assert positions.size % _BLOCK == 1
+    p = int(positions[-1])
+    N, fit_outer = sd.half_width, sd.half_width // 2
+    center = int(sd.centers[p]) + N
+    lo, hi = max(center - fit_outer, 0), center + fit_outer + 1
+    amp = np.abs(sd.eigenvectors[lo:hi, p:p + 1])
+    dist = np.abs(np.arange(lo, min(hi, sd.dimension))[:, np.newaxis]
+                  - center)
+    dists = np.arange(2 * sd.dimension, dtype=float)
+    log_dist = np.log(dists, out=np.zeros_like(dists), where=dists > 0)
+    want = _decay_slopes(amp, dist, log_dist, 2, fit_outer)[0]
+    start, stop = sd.row_support
+    assert stop[p] - start[p] < hi - lo  # the support alone would differ
+    fits = dict(sl.uniform_decay_constants(sd, (3.0,))[0].fit_exponents)
+    assert fits[int(sd.ladder_indices[p])] == want
+

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -12,7 +13,8 @@ import starklab.spectra
 from starklab.operators import pinning_gamma
 from starklab.spectra import (ladder_anchor, _peak_rows,
                               default_interior_window, _fix_phases,
-                              _GATE_BLOCK, _gram_defect,
+                              _GATE_BLOCK, _gate_blocks, _gram_defect,
+                              _row_support, _subdiagonal,
                               _tridiagonal_eigh, _tridiagonal_residuals)
 
 SQRT3 = 1.7320508075688773
@@ -244,6 +246,22 @@ def test_load_rejects_a_header_whose_half_width_disagrees(
         sl.load_spectral(base)
 
 
+@pytest.mark.parametrize("key", ["kernel", "perturbation_sup"])
+def test_a_missing_provenance_key_is_named(tmp_path, spectrum_cache, key):
+    import json
+
+    _, sd = spectrum_cache("pl4", 20, 1.0, 5)
+    base = str(tmp_path / "stripped")
+    json_path, _ = sl.save_spectral(sd, base)
+    header = json.load(open(json_path))
+    del header["provenance"][key]
+    with open(json_path, "w") as fh:
+        json.dump(header, fh)
+    loaded = sl.load_spectral(base)
+    with pytest.raises(ValueError, match=f"no provenance.{key}"):
+        loaded.pinning_gamma
+
+
 def test_dump_header_names_dtype_length_and_hash(tmp_path, spectrum_cache):
     import hashlib
     import json
@@ -456,16 +474,68 @@ def test_blocked_gates_equal_the_full_array_formulas(d, dtype):
          + np.diag(lower.conj(), 1)).astype(dtype)
     lam, vec = np.linalg.eigh(H)  # ?stevd takes no 1 x 1 matrix
     _fix_phases(vec)
-    assert np.array_equal(_tridiagonal_residuals(diag, lower, lam, vec),
-                          helpers.full_tridiagonal_residuals(H, lam, vec))
-    assert _gram_defect(vec) == helpers.full_gram_defect(vec)
+    support = _row_support(vec)
+    assert np.array_equal(
+        _tridiagonal_residuals(diag, lower, lam, vec, support),
+        helpers.full_tridiagonal_residuals(H, lam, vec))
+    assert _gram_defect(vec, support) == helpers.full_gram_defect(vec)
     # the dense path's eigenvectors go through the same Gram gate
     A = rng.normal(size=(d, d)).astype(dtype)
     if dtype is complex:
         A += 1j * rng.normal(size=(d, d))
     _, dense_vec = np.linalg.eigh(A + A.conj().T)
     _fix_phases(dense_vec)
-    assert _gram_defect(dense_vec) == helpers.full_gram_defect(dense_vec)
+    assert _gram_defect(dense_vec, _row_support(dense_vec)) == \
+        helpers.full_gram_defect(dense_vec)
+
+
+LOCALIZED_KERNELS = pytest.mark.parametrize(
+    "kernel", [sl.nearest_neighbor(), sl.nearest_neighbor(0.6 + 0.8j)],
+    ids=["nn", "complex-nn"])
+
+
+@LOCALIZED_KERNELS
+def test_gates_on_a_localized_box_equal_the_full_array_formulas(kernel):
+    # a Stark box's eigenvectors end in exact zeros; d = 2B + 3 spans three
+    # gate blocks, each of whose row ranges is narrower than the box
+    op = sl.build_operator(kernel, sl.PotentialSpec(), _GATE_BLOCK + 1)
+    d = op.dimension
+    lower = _subdiagonal(op)
+    lam, vec = _tridiagonal_eigh(op.diagonal, lower)
+    _fix_phases(vec)
+    support = _row_support(vec)
+    start, stop = support
+    for i0, i1 in _gate_blocks(d):
+        assert stop[i0:i1].max() - start[i0:i1].min() < d
+    H = op.matrix
+    assert np.array_equal(
+        _tridiagonal_residuals(op.diagonal, lower, lam, vec, support),
+        helpers.full_tridiagonal_residuals(H, lam, vec))
+    assert _gram_defect(vec, support) == helpers.full_gram_defect(vec)
+
+
+def test_row_support_brackets_the_nonzero_rows():
+    vec = np.zeros((6, 4), dtype=complex)
+    vec[1, 0] = vec[3, 0] = 1.0  # a zero row inside the support stays in
+    vec[5, 1] = 1j
+    vec[2, 3] = np.nan  # NaN != 0; column 2 is zero
+    start, stop = _row_support(vec)
+    np.testing.assert_array_equal(start, [1, 5, 0, 2])
+    np.testing.assert_array_equal(stop, [4, 6, 6, 3])
+
+
+def test_spectrum_support_follows_its_eigenvectors(spectrum_cache):
+    _, sd = spectrum_cache("nn", 100)
+    start, stop = sd.row_support  # seeded by diagonalize
+    fresh = _row_support(sd.eigenvectors)
+    np.testing.assert_array_equal(start, fresh[0])
+    np.testing.assert_array_equal(stop, fresh[1])
+    assert np.max(stop - start) < sd.dimension
+    vec = np.array(sd.eigenvectors)
+    vec[-1, 0] = 1e-3
+    moved = dataclasses.replace(sd, eigenvectors=vec)
+    assert moved.row_support[1][0] == sd.dimension
+    assert sd.row_support[1][0] < sd.dimension
 
 
 def _spoil_solver(monkeypatch, spoil):
@@ -477,9 +547,7 @@ def _spoil_solver(monkeypatch, spoil):
     monkeypatch.setattr(starklab.spectra, "_tridiagonal_eigh", spoiled)
 
 
-@pytest.mark.parametrize("kernel", [sl.nearest_neighbor(),
-                                    sl.nearest_neighbor(0.6 + 0.8j)],
-                         ids=["nn", "complex-nn"])
+@LOCALIZED_KERNELS
 @pytest.mark.parametrize("column", [0, -1], ids=["first", "last"])
 def test_blocked_gates_catch_one_bad_column(kernel, column, monkeypatch):
     # d = 2B + 3 puts the last column in the last block, behind two full ones
@@ -501,10 +569,28 @@ def test_blocked_gates_catch_one_bad_column(kernel, column, monkeypatch):
         sl.diagonalize(op, residual_tol=math.inf)
 
 
+@LOCALIZED_KERNELS
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_gates_see_a_non_finite_entry_outside_a_support(kernel, value,
+                                                        monkeypatch):
+    # the gates take the support of the vectors as spoiled, not as solved
+    op = sl.build_operator(kernel, sl.PotentialSpec(), _GATE_BLOCK + 1)
+    _, clean = _tridiagonal_eigh(op.diagonal, _subdiagonal(op))
+    start, stop = _row_support(clean)
+    row = op.dimension - 1
+    assert not start[0] <= row < stop[0]
+
+    def plant(vec):
+        vec[row, 0] = value
+    _spoil_solver(monkeypatch, plant)
+    with pytest.raises(sl.ConvergenceFailureError, match="residual"):
+        sl.diagonalize(op)
+
+
 def test_gram_defect_keeps_a_nan():
     vec = np.eye(3)
     vec[2, 2] = np.nan
-    assert math.isnan(_gram_defect(vec))
+    assert math.isnan(_gram_defect(vec, _row_support(vec)))
 
 
 def test_tridiagonal_lapack_failure_is_a_convergence_failure(monkeypatch):

@@ -12,6 +12,16 @@ REPEATS runs:
     build_operator   operator assembly, perturbation sampling included
     diagonalize      the gated solve (LAPACK's tridiagonal ?stevd for the
                      nearest-neighbour kernel, dense for the power laws)
+    centers          the peak row of every eigenvector (one pass down
+                     the rows, as diagonalize and load_spectral take it)
+    row_support      the first and last nonzero row of every eigenvector
+                     (one pass down the rows), which the gates and the
+                     localization checks restrict their rows to
+    residual_gate    the eigenpair residuals: the three-term sum on the
+                     row supports for the nearest-neighbour kernels, the
+                     product H @ vec for the power laws
+    gram_gate        the orthonormality defect, against the later modes
+                     whose supports meet each block's rows
     matrix           the dense fill of the operator's matrix on its first
                      read, which the tridiagonal solve never makes
     eigh             a bare np.linalg.eigh of that matrix, the dense
@@ -93,6 +103,7 @@ def run_case(kernel_name: str, half_width: int) -> dict:
     import numpy as np
 
     import starklab as sl
+    from starklab import spectra
 
     spec, amplitude = KERNELS[kernel_name]
     kernel = sl.build_kernel(**spec)
@@ -106,6 +117,14 @@ def run_case(kernel_name: str, half_width: int) -> dict:
     seconds["diagonalize"], sd = _median_time(
         lambda: sl.diagonalize(op))
     diagonalize_rss = _peak_rss_mb()
+    vec = sd.eigenvectors
+    seconds["centers"], _ = _median_time(lambda: spectra._peak_rows(vec))
+    seconds["row_support"], support = _median_time(
+        lambda: spectra._row_support(vec))
+    seconds["residual_gate"], _ = _median_time(
+        lambda: spectra._residuals(op, sd.eigenvalues, vec, support))
+    seconds["gram_gate"], _ = _median_time(
+        lambda: spectra._gram_defect(vec, support))
     # a copy of the operator has not built its matrix yet; drop the copy
     seconds["matrix"] = _median_time(
         lambda: dataclasses.replace(op).matrix)[0]
