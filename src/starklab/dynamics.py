@@ -136,6 +136,11 @@ class MomentBoundVerdict:
     def asserts_bounded(self) -> bool:
         return self.conclusion.startswith("bounded")
 
+    @property
+    def growth_not_excluded(self) -> bool:
+        """The probe failed: the ratio is at its limit or above, or NaN."""
+        return self.conclusion.endswith("growth not excluded")
+
 
 def _source_row(sd: SpectralData, source: int) -> int:
     source = int(source)

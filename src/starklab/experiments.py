@@ -685,10 +685,7 @@ def _dynamics_stage(ctx: _RunContext) -> None:
                     ratio_limit=tol["doubling_ratio_limit"],
                     share_limit=tol["boundary_share_limit"])
                 envelope_doc["verdicts"].append(asdict(verdict))
-                if (verdict.hypothesis_satisfied
-                        and verdict.doubling_ratio is not None
-                        and not verdict.asserts_bounded
-                        and "inconclusive" not in verdict.conclusion):
+                if verdict.growth_not_excluded:
                     ctx.failures.append(f"dynamics: alpha={alpha} q={q} k={k} "
                                         f"{verdict.conclusion}")
     ctx.write_json("envelope.json", envelope_doc)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .kernels import weighted_norm
 from .operators import box_hopping_norm, toeplitz
-from .spectra import SpectralData
+from .spectra import SpectralData, support_rows
 
 __all__ = [
     "WrongPotentialFamilyError",
@@ -157,7 +157,7 @@ def _interior_positions(sd: SpectralData) -> np.ndarray:
 
 def _require_linear_field(sd: SpectralData, message: str) -> None:
     """Refuse sd unless it records the linear field; message takes family."""
-    family = sd.provenance["potential"]["family"]
+    family = sd.recorded("potential")["family"]
     if family != "electric":
         raise WrongPotentialFamilyError(message.format(family=family))
 
@@ -185,7 +185,7 @@ def check_eigenvalue_asymptotics(sd: SpectralData) -> AsymptoticsReport:
         max_deviation=float(np.max(np.abs(devs))),
         bound=sd.pinning_gamma,
         hopping_norm=box_hopping_norm(sd.kernel, sd.half_width),
-        perturbation_sup=float(sd.provenance["perturbation_sup"]),
+        perturbation_sup=float(sd.recorded("perturbation_sup")),
         deviations=pairs,
         center_offset_sup=sd.center_offset_sup())
 
@@ -250,9 +250,8 @@ def uniform_decay_constants(sd: SpectralData,
 def _blocks(sd: SpectralData, positions: np.ndarray, widen: int = 0):
     """Yield (positions, rows, |entries|) for runs of _BLOCK modes.
 
-    rows is the slice of box rows from the first to the last nonzero row
-    of any of the block's eigenvectors (sd.row_support), widened by widen
-    rows on each side and clipped to the box; |entries| are the moduli of
+    rows is the slice of box rows that the block's eigenvectors occupy,
+    support_rows(sd.row_support, block, widen); |entries| are the moduli of
     the block's eigenvectors on those rows.  Every entry outside them is
     an exact zero, which leaves a max and a row-by-row sum unchanged, so
     a pass over the rows gives the bits of a pass over the whole box at a
@@ -260,14 +259,10 @@ def _blocks(sd: SpectralData, positions: np.ndarray, widen: int = 0):
     one mode keeps the whole box: numpy sums a single column pairwise,
     where dropping its zero rows would regroup the partial sums.
     """
-    start, stop = sd.row_support
-    d = sd.dimension
     for first in range(0, positions.size, _BLOCK):
         block = positions[first:first + _BLOCK]
-        rows = slice(0, d)
-        if block.size > 1:
-            rows = slice(max(int(start[block].min()) - widen, 0),
-                         min(int(stop[block].max()) + widen, d))
+        rows = (slice(0, sd.dimension) if block.size == 1
+                else support_rows(sd.row_support, block, widen))
         lo, hi = int(block[0]), int(block[-1]) + 1
         # interior positions are mostly consecutive: a slice is a view,
         # where a gather of scattered columns costs several times more

@@ -18,13 +18,15 @@ box writes the gauged eigenvectors from the Fortran-ordered ones
 straight into one C-ordered complex array, so its peak is 3 d^2
 doubles, not the 4 d^2 of a C-ordered real copy followed by the gauged
 product.  The dense path holds the matrix, and eigh's copy of it with
-its workspace set the peak at about 5 d^2 doubles; the residual's one
-product H @ vec stays below that.  Both gates work on blocks of
-columns, never on a d x d temporary, so neither raises a peak.
+its workspace set the peak at about 5 d^2 doubles; its residual is one
+whole-box product H @ vec, which stays below that.  The Gram defect and
+the tridiagonal residual work on blocks of columns, never on a d x d
+temporary, so neither raises a peak.
 
 Both gates also work on row supports: the first and last nonzero row
-of each eigenvector (_row_support, one pass down the rows, about
-0.03 s at d = 2801).  A Stark box's eigenvectors end in exact zeros (about 75
+of each eigenvector.  One pass down the rows (_column_scan, about 0.04 s
+at d = 2801) gives them with each eigenvector's peak row.  A Stark
+box's eigenvectors end in exact zeros (about 75
 nonzero rows of 2801 at N = 1400, B = 2), so the tridiagonal residual
 of a block of columns takes only the rows of its support widened by
 one, and the Gram matrix of a block only the later columns whose
@@ -124,35 +126,30 @@ class SpectralData:
     def spectral_radius(self) -> float:
         return float(max(abs(self.eigenvalues[0]), abs(self.eigenvalues[-1])))
 
-    def _recorded(self, key: str):
+    def recorded(self, key: str):
         """provenance[key]; ValueError naming the key if it is missing."""
-        if key not in self.provenance:
-            raise ValueError(
-                f"spectrum of half_width {self.half_width} has no "
-                f"provenance.{key}: its dump header lacks the key; rerun the "
-                "spectrum stage to rewrite it")
-        return self.provenance[key]
+        return _recorded(self.provenance, self.half_width, key)
 
     @property
     def kernel(self) -> HoppingKernel:
         """The hopping kernel the spectrum was computed from."""
-        return build_kernel(**self._recorded("kernel"))
+        return build_kernel(**self.recorded("kernel"))
 
     @property
     def pinning_gamma(self) -> float:
         """gamma = |a|_0 + |b|_inf + 1 of the box, from the provenance."""
         return pinning_gamma(self.kernel, self.half_width,
-                             float(self._recorded("perturbation_sup")))
+                             float(self.recorded("perturbation_sup")))
 
     @cached_property
     def row_support(self) -> tuple[np.ndarray, np.ndarray]:
         """(start, stop): every row of eigenvector k outside
-        [start[k], stop[k]) is an exact zero (see _row_support).
+        [start[k], stop[k]) is an exact zero (see _column_scan).
 
         Derived from eigenvectors on first use, so a copy made by
         dataclasses.replace with other eigenvectors derives its own.
         """
-        return _row_support(self.eigenvectors)
+        return _column_scan(self.eigenvectors)[1]
 
     @property
     def ladder_indices(self) -> np.ndarray:
@@ -207,71 +204,71 @@ def ladder_anchor(eigenvalues: np.ndarray) -> tuple[int, bool]:
     return pos, fallback
 
 
-def _peak_rows(eigenvectors: np.ndarray) -> np.ndarray:
-    """Row of the largest-modulus entry of each column, the first on ties.
+def _column_scan(vec: np.ndarray):
+    """(peak_rows, (start, stop)) of the columns of vec, in one pass down
+    the rows: each step reads one contiguous row and no d x d temporary
+    is allocated (an argmax down the columns of a row-major array copies
+    it transposed, which took 4x as long at d = 2801, in blocks too).
 
-    One pass down the rows keeps each column's running maximum, so no
-    d x d temporary is allocated and every step reads one contiguous row
-    (an argmax down the columns of a row-major array copies it transposed,
-    which took 4x as long at d = 2801, in column blocks too).
+    peak_rows holds each column's row of largest modulus, the first on
+    ties; row 0 seeds the running maximum, so a NaN there keeps row 0.
+    [start, stop) runs from each column's first nonzero row to its last:
+    NaN and inf count as nonzero, -0.0 as zero, and a zero column gets
+    the whole box.  Every row outside it is an exact zero, so a row-by-row
+    sum or a max down a column over it equals the one over the column.
     """
-    best = np.abs(eigenvectors[0])
-    rows = np.zeros(best.shape, dtype=np.intp)
-    mod = np.empty_like(best)
-    larger = np.empty(best.shape, dtype=bool)
-    for i in range(1, eigenvectors.shape[0]):
-        np.abs(eigenvectors[i], out=mod)
-        np.greater(mod, best, out=larger)  # strict: a tie keeps the first row
-        np.copyto(best, mod, where=larger)
-        np.copyto(rows, i, where=larger)
-    return rows
-
-
-def _row_support(eigenvectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First nonzero row and one past the last nonzero row of each column,
-    as two arrays (start, stop).
-
-    A NaN or inf entry counts as nonzero (NaN != 0).  A zero column gets
-    the whole box.  Every row outside [start, stop) is an exact zero, so a
-    row-by-row sum or a max down a column over the rows [start, stop)
-    equals the one over the whole column.  One pass down the rows, as in
-    _peak_rows, so no d x d temporary is allocated.
-    """
-    d, n = eigenvectors.shape
+    d, n = vec.shape
+    best = np.abs(vec[0])
+    rows = np.zeros(n, dtype=np.intp)
     start = np.full(n, d, dtype=np.intp)
     stop = np.zeros(n, dtype=np.intp)
-    nonzero = np.empty(n, dtype=bool)
+    mod = best.copy()
+    flags = np.empty(n, dtype=bool)
     for i in range(d):
-        np.not_equal(eigenvectors[i], 0, out=nonzero)
-        np.minimum(start, i, out=start, where=nonzero)
-        np.copyto(stop, i + 1, where=nonzero)
+        if i:
+            np.abs(vec[i], out=mod)
+            np.greater(mod, best, out=flags)  # strict: a tie keeps the first
+            np.copyto(best, mod, where=flags)
+            np.copyto(rows, i, where=flags)
+        np.not_equal(mod, 0, out=flags)  # |x| != 0 exactly where x != 0
+        np.minimum(start, i, out=start, where=flags)
+        np.copyto(stop, i + 1, where=flags)
     empty = stop == 0
     start[empty] = 0
     stop[empty] = d
     start.flags.writeable = stop.flags.writeable = False
-    return start, stop
+    return rows, (start, stop)
 
 
-def _fix_phases(vec: np.ndarray) -> np.ndarray:
+def support_rows(support: tuple[np.ndarray, np.ndarray], columns,
+                 widen: int = 0) -> slice:
+    """The rows from the first to the last nonzero row of any of the
+    columns (indices or a slice into the _column_scan support), widened
+    by widen on each side and clipped to the box."""
+    start, stop = support
+    return slice(max(int(start[columns].min()) - widen, 0),
+                 min(int(stop[columns].max()) + widen, len(stop)))
+
+
+def _fix_phases(vec: np.ndarray):
     """Scale each column of vec, in place, by the unit-modulus factor that
     makes its largest-modulus entry (the first on ties) real and positive.
 
-    Returns the peak rows of the scaled columns.  A real column only
-    changes sign, which keeps every modulus and so the peak rows.  A
-    complex column's phase moves its other moduli by rounding, so where
-    two moduli tie to rounding the returned row can be the other one of
-    the pair.
+    Returns _column_scan of the scaled columns.  A real column only
+    changes sign, which keeps every modulus and zero, so the scan that
+    found the peaks serves (a zero or non-finite peak makes the column
+    NaN, inside that scan's support, and fails the gates).  A complex
+    column's phase moves its other
+    moduli by rounding, so it is scanned again, as a reload scans it:
+    two moduli that tie to rounding can swap peak rows.
     """
-    rows = _peak_rows(vec)
+    scan = rows, _ = _column_scan(vec)
     columns = np.arange(vec.shape[1])
     peaks = vec[rows, columns]
     with np.errstate(invalid="ignore"):  # a zero column fails the gates
         vec *= peaks.conj() / np.abs(peaks)
     vec[rows, columns] = np.abs(peaks)  # the product leaves imaginary noise
-    if np.iscomplexobj(vec):
-        # a reload finds its centers on the rotated vectors
-        rows = _peak_rows(vec)
-    return rows
+    return _column_scan(vec) if np.iscomplexobj(vec) else scan
 
 
 def default_interior_window(half_width: int, gamma: float) -> int:
@@ -342,24 +339,23 @@ def _tridiagonal_residuals(diag: np.ndarray, lower: np.ndarray,
     diagonal diag and subdiagonal lower, summed over the three diagonals
     instead of a d^3 product, one block of columns at a time.
 
-    support is _row_support(vec).  H moves a vector by at most one row,
-    so a block's residual is zero outside the rows of its support widened
-    by one; numpy sums each column of a block row by row, and the rows it
-    leaves out add exact zeros, so the norms keep their bits.
+    support is vec's row support (_column_scan).  H moves a vector by
+    at most one row, so a block's residual is zero outside the rows of
+    its support widened by one; numpy sums each column of a block row by
+    row, and the rows it leaves out add exact zeros, so the norms keep
+    their bits.
     """
-    start, stop = support
     d = len(lam)
     diag = diag.astype(vec.dtype)
     resid = np.empty(d)
     for i0, i1 in _gate_blocks(d):
-        r0 = max(int(start[i0:i1].min()) - 1, 0)
-        r1 = min(int(stop[i0:i1].max()) + 1, d)
-        v = vec[r0:r1, i0:i1]
+        rows = support_rows(support, slice(i0, i1), 1)
+        v = vec[rows, i0:i1]
         # (H v)(i) = diag(i) v(i) + lower(i-1) v(i-1) + conj(lower(i)) v(i+1);
-        # v is zero on the rows r0 - 1 and r1 that border the slice
-        r = np.subtract.outer(diag[r0:r1], lam[i0:i1])
+        # v is zero on the two rows that border the slice
+        r = np.subtract.outer(diag[rows], lam[i0:i1])
         r *= v
-        band = lower[r0:r1 - 1, np.newaxis]
+        band = lower[rows.start:rows.stop - 1, np.newaxis]
         r[1:] += band * v[:-1]
         r[:-1] += band.conj() * v[1:]
         resid[i0:i1] = np.linalg.norm(r, axis=0)
@@ -371,10 +367,10 @@ def _gram_defect(vec: np.ndarray,
     """max |<phi_i, phi_j> - delta_ij| over the columns of vec, from the
     upper triangle of the Gram matrix formed one block of rows at a time.
 
-    support is _row_support(vec).  A block's rows of the Gram matrix are
-    formed only against the later columns up to the last one whose
-    support meets the block's rows: every entry past it is a sum of
-    exact zeros.  The products run over every row of the box, since a
+    support is vec's row support (_column_scan).  A block's rows of the
+    Gram matrix are formed only against the later columns up to the last
+    one whose support meets the block's rows: every entry past it is a
+    sum of exact zeros.  The products run over every row of the box, since a
     GEMM over fewer rows splits its sums elsewhere and changes the last
     bits of the entries.  A NaN entry makes the result NaN, an inf one
     makes it inf or NaN.
@@ -382,8 +378,8 @@ def _gram_defect(vec: np.ndarray,
     start, stop = support
     defect = np.float64(0.0)
     for i0, i1 in _gate_blocks(vec.shape[1]):
-        r0, r1 = start[i0:i1].min(), stop[i0:i1].max()
-        meets = np.flatnonzero((start[i1:] < r1) & (stop[i1:] > r0))
+        r = support_rows(support, slice(i0, i1))
+        meets = np.flatnonzero((start[i1:] < r.stop) & (stop[i1:] > r.start))
         j1 = i1 + int(meets[-1]) + 1 if meets.size else i1
         left = vec[:, i0:i1]
         gram = (left.conj() if np.iscomplexobj(left) else left).T \
@@ -404,10 +400,11 @@ def _subdiagonal(op: TruncatedOperator) -> np.ndarray | None:
 
 
 def _residuals(op: TruncatedOperator, lam: np.ndarray, vec: np.ndarray,
+               lower: np.ndarray | None,
                support: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Column norms of H @ vec - vec * lam: the three-term sum of a
-    tridiagonal box, the product H @ vec for any other box."""
-    lower = _subdiagonal(op)
+    tridiagonal box (lower = _subdiagonal(op)), the product H @ vec for
+    any other box (lower None)."""
     if lower is None:
         return np.linalg.norm(op.matrix @ vec - vec * lam[np.newaxis, :],
                               axis=0)
@@ -448,10 +445,9 @@ def diagonalize(op: TruncatedOperator,
             "eigensolver returned non-finite eigenvalues "
             f"(half_width={op.half_width})")
 
-    rows = _fix_phases(vec)
-    support = _row_support(vec)
+    scan = _, support = _fix_phases(vec)
     with np.errstate(invalid="ignore"):  # a non-finite residual fails below
-        resid = _residuals(op, lam, vec, support)
+        resid = _residuals(op, lam, vec, lower, support)
     radius = float(max(abs(lam[0]), abs(lam[-1]))) if len(lam) else 0.0
     resid_limit = residual_tol * max(1.0, radius)
     if not np.max(resid) <= resid_limit:  # a NaN residual fails too
@@ -471,13 +467,12 @@ def diagonalize(op: TruncatedOperator,
             op.half_width,
             pinning_gamma(op.kernel, op.half_width, op.perturbation_sup))
 
-    return _labeled(op.half_width, lam, vec, resid, rows,
-                    int(interior_window), degeneracy_gap, support,
+    return _labeled(op.half_width, lam, vec, resid, scan,
+                    int(interior_window),
+                    provenance(op, residual_tol, orthonormality_tol,
+                               degeneracy_gap),
                     orthonormality_defect=defect,
-                    anchor_position=anchor, anchor_fallback=fallback,
-                    provenance=provenance(op, residual_tol,
-                                          orthonormality_tol,
-                                          degeneracy_gap))
+                    anchor_position=anchor, anchor_fallback=fallback)
 
 
 def provenance(op: TruncatedOperator, residual_tol: float,
@@ -497,27 +492,35 @@ def provenance(op: TruncatedOperator, residual_tol: float,
     }
 
 
-def _labeled(half_width: int, lam, vec, resid, peak_rows,
-             interior_window: int, degeneracy_gap: float, support=None,
-             **fields) -> SpectralData:
-    """SpectralData with the sites, centers (the sites of peak_rows),
-    interior mask and degenerate positions of the eigenpairs, and its
-    arrays frozen; a given support (_row_support(vec)) seeds its
-    row_support."""
+def _recorded(provenance: dict, half_width: int, key: str):
+    """provenance[key]; ValueError naming the key if it is missing."""
+    if key not in provenance:
+        raise ValueError(
+            f"spectrum of half_width {half_width} has no provenance.{key}: "
+            "its dump header lacks the key; rerun the spectrum stage to "
+            "rewrite it")
+    return provenance[key]
+
+
+def _labeled(half_width: int, lam, vec, resid, scan, interior_window: int,
+             provenance: dict, **fields) -> SpectralData:
+    """SpectralData with the sites, centers (the sites of the peak rows of
+    scan = _column_scan(vec)), interior mask and degenerate positions of
+    the eigenpairs, its arrays frozen and its row_support seeded."""
+    peak_rows, support = scan
     sites = np.arange(-half_width, half_width + 1)
     centers = sites[peak_rows]
     mask = np.abs(centers) <= half_width - interior_window
-    gaps = np.diff(lam)
-    degenerate = tuple(int(p) for p in np.nonzero(gaps < degeneracy_gap)[0])
+    gap = float(_recorded(provenance, half_width, "degeneracy_gap"))
+    degenerate = tuple(int(p) for p in np.nonzero(np.diff(lam) < gap)[0])
     for arr in (sites, lam, vec, resid, centers, mask):
         arr.flags.writeable = False
     sd = SpectralData(
         half_width=half_width, sites=sites, eigenvalues=lam,
         eigenvectors=vec, residuals=resid, centers=centers,
         interior_window=interior_window, interior_mask=mask,
-        degenerate_positions=degenerate, **fields)
-    if support is not None:
-        vars(sd)["row_support"] = support  # where cached_property keeps it
+        degenerate_positions=degenerate, provenance=provenance, **fields)
+    vars(sd)["row_support"] = support  # where cached_property keeps it
     return sd
 
 
@@ -623,9 +626,8 @@ def load_spectral(base_path: str) -> SpectralData:
     vec = np.frombuffer(raw, dtype, d * d, offset=16 * d).reshape(d, d)
 
     return _labeled(
-        half_width, lam, vec, resid, _peak_rows(vec),
-        int(header["interior_window"]),
-        float(prov.get("degeneracy_gap", DEGENERACY_GAP)),
+        half_width, lam, vec, resid, _column_scan(vec),
+        int(header["interior_window"]), prov,
         orthonormality_defect=float(header["orthonormality_defect"]),
         anchor_position=int(header["anchor_position"]),
-        anchor_fallback=bool(header["anchor_fallback"]), provenance=prov)
+        anchor_fallback=bool(header["anchor_fallback"]))

@@ -6,7 +6,7 @@ import pytest
 
 import starklab as sl
 from starklab.localization import asymptotics_rows, decay_rows
-from starklab.spectra import _peak_rows
+from starklab.spectra import _column_scan
 
 
 def test_zero_kernel_pins_exactly():
@@ -153,7 +153,7 @@ def test_decay_constants_invariant_under_eigenvector_phases(spectrum_cache):
     rng = np.random.default_rng(0)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, sd.dimension))
     vectors = sd.eigenvectors * phases[np.newaxis, :]
-    centers = sd.sites[_peak_rows(vectors)]
+    centers = sd.sites[_column_scan(vectors)[0]]
     phased = dataclasses.replace(
         sd, eigenvectors=vectors, centers=centers,
         interior_mask=np.abs(centers) <= sd.trusted_site_bound)

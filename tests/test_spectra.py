@@ -11,10 +11,10 @@ import helpers
 import starklab as sl
 import starklab.spectra
 from starklab.operators import pinning_gamma
-from starklab.spectra import (ladder_anchor, _peak_rows,
+from starklab.spectra import (ladder_anchor, _column_scan,
                               default_interior_window, _fix_phases,
                               _GATE_BLOCK, _gate_blocks, _gram_defect,
-                              _row_support, _subdiagonal,
+                              _subdiagonal,
                               _tridiagonal_eigh, _tridiagonal_residuals)
 
 SQRT3 = 1.7320508075688773
@@ -97,29 +97,39 @@ def test_pure_field_centers_sit_one_site_inward(spectrum_cache):
 
 
 def test_center_tie_break_goes_to_smaller_site():
-    vecs = np.zeros((5, 1))
+    vecs = np.zeros((5, 2))
     vecs[1, 0] = 0.5
-    vecs[3, 0] = 0.5
-    centers = np.arange(-2, 3)[_peak_rows(vecs)]
-    np.testing.assert_array_equal(centers, [-1])
+    vecs[3, 0] = -0.5
+    vecs[1:4, 1] = [0.5, np.nextafter(0.5, 1.0), 0.5]  # strictly larger wins
+    rows, (start, stop) = _column_scan(vecs)
+    np.testing.assert_array_equal(np.arange(-2, 3)[rows], [-1, 0])
+    np.testing.assert_array_equal(start, [1, 1])
+    np.testing.assert_array_equal(stop, [4, 4])
 
 
 def test_phase_fix_makes_the_peak_real_and_positive():
     vecs = np.array([[0.5, -0.5, 0.1, 0.6j, 0.3],
                      [-0.5, 0.5, -0.8, -0.6j, 0.4 - 0.3j],
                      [0.1, 0.0, 0.2, 0.1, 0.1]], dtype=complex)
-    rows = _fix_phases(vecs)
+    rows, (start, stop) = _fix_phases(vecs)
     # ties go to the first row, the smaller site
     np.testing.assert_array_equal(rows, [0, 0, 1, 0, 1])
+    np.testing.assert_array_equal(start, [0, 0, 0, 0, 0])
+    np.testing.assert_array_equal(stop, [3, 2, 3, 3, 3])
     np.testing.assert_array_equal(vecs[rows, np.arange(5)],
                                   [0.5, 0.5, 0.8, 0.6, 0.5])
     np.testing.assert_allclose(vecs[:, :3].real, [[0.5, 0.5, -0.1],
                                                   [-0.5, -0.5, 0.8],
                                                   [0.1, 0.0, -0.2]])
     np.testing.assert_allclose(vecs[:, 3], [0.6, -0.6, -0.1j], atol=1e-16)
-    real = np.array([[0.5, 0.2], [-0.5, -0.9]])
-    np.testing.assert_array_equal(_fix_phases(real), [0, 1])
-    np.testing.assert_array_equal(real, [[0.5, -0.2], [-0.5, 0.9]])
+    real = np.array([[0.5, 0.2, 0.0], [-0.5, -0.9, -0.7]])
+    rows, (start, stop) = _fix_phases(real)
+    np.testing.assert_array_equal(rows, [0, 1, 1])
+    # the sign flip keeps every zero, so the scan before it still holds
+    np.testing.assert_array_equal(start, [0, 0, 1])
+    np.testing.assert_array_equal(stop, [2, 2, 2])
+    np.testing.assert_array_equal(real, [[0.5, -0.2, 0.0],
+                                         [-0.5, 0.9, 0.7]])
 
 
 @pytest.mark.parametrize("kernel", [
@@ -246,7 +256,8 @@ def test_load_rejects_a_header_whose_half_width_disagrees(
         sl.load_spectral(base)
 
 
-@pytest.mark.parametrize("key", ["kernel", "perturbation_sup"])
+@pytest.mark.parametrize("key", ["kernel", "perturbation_sup", "potential",
+                                 "degeneracy_gap"])
 def test_a_missing_provenance_key_is_named(tmp_path, spectrum_cache, key):
     import json
 
@@ -257,9 +268,18 @@ def test_a_missing_provenance_key_is_named(tmp_path, spectrum_cache, key):
     del header["provenance"][key]
     with open(json_path, "w") as fh:
         json.dump(header, fh)
+    named = f"no provenance.{key}"
+    if key == "degeneracy_gap":  # the loader labels degenerate pairs by it
+        with pytest.raises(ValueError, match=named):
+            sl.load_spectral(base)
+        return
     loaded = sl.load_spectral(base)
-    with pytest.raises(ValueError, match=f"no provenance.{key}"):
-        loaded.pinning_gamma
+    reads = {"potential": [sl.check_eigenvalue_asymptotics,
+                           sl.bootstrap_decay_check]}.get(
+        key, [lambda sd: sd.pinning_gamma])
+    for read in reads:
+        with pytest.raises(ValueError, match=named):
+            read(loaded)
 
 
 def test_dump_header_names_dtype_length_and_hash(tmp_path, spectrum_cache):
@@ -473,8 +493,7 @@ def test_blocked_gates_equal_the_full_array_formulas(d, dtype):
     H = (np.diag(diag) + np.diag(lower, -1)
          + np.diag(lower.conj(), 1)).astype(dtype)
     lam, vec = np.linalg.eigh(H)  # ?stevd takes no 1 x 1 matrix
-    _fix_phases(vec)
-    support = _row_support(vec)
+    _, support = _fix_phases(vec)
     assert np.array_equal(
         _tridiagonal_residuals(diag, lower, lam, vec, support),
         helpers.full_tridiagonal_residuals(H, lam, vec))
@@ -484,8 +503,8 @@ def test_blocked_gates_equal_the_full_array_formulas(d, dtype):
     if dtype is complex:
         A += 1j * rng.normal(size=(d, d))
     _, dense_vec = np.linalg.eigh(A + A.conj().T)
-    _fix_phases(dense_vec)
-    assert _gram_defect(dense_vec, _row_support(dense_vec)) == \
+    _, dense_support = _fix_phases(dense_vec)
+    assert _gram_defect(dense_vec, dense_support) == \
         helpers.full_gram_defect(dense_vec)
 
 
@@ -502,8 +521,7 @@ def test_gates_on_a_localized_box_equal_the_full_array_formulas(kernel):
     d = op.dimension
     lower = _subdiagonal(op)
     lam, vec = _tridiagonal_eigh(op.diagonal, lower)
-    _fix_phases(vec)
-    support = _row_support(vec)
+    _, support = _fix_phases(vec)
     start, stop = support
     for i0, i1 in _gate_blocks(d):
         assert stop[i0:i1].max() - start[i0:i1].min() < d
@@ -515,19 +533,23 @@ def test_gates_on_a_localized_box_equal_the_full_array_formulas(kernel):
 
 
 def test_row_support_brackets_the_nonzero_rows():
-    vec = np.zeros((6, 4), dtype=complex)
+    vec = np.zeros((6, 6), dtype=complex)
     vec[1, 0] = vec[3, 0] = 1.0  # a zero row inside the support stays in
     vec[5, 1] = 1j
     vec[2, 3] = np.nan  # NaN != 0; column 2 is zero
-    start, stop = _row_support(vec)
-    np.testing.assert_array_equal(start, [1, 5, 0, 2])
-    np.testing.assert_array_equal(stop, [4, 6, 6, 3])
+    vec[0, 4] = np.nan  # a NaN in row 0 seeds the maximum and keeps it
+    vec[3, 4] = 2.0
+    vec[1, 5], vec[4, 5] = -0.0, 0.5  # -0.0 is a zero
+    rows, (start, stop) = _column_scan(vec)
+    np.testing.assert_array_equal(rows, [1, 5, 0, 0, 0, 4])
+    np.testing.assert_array_equal(start, [1, 5, 0, 2, 0, 4])
+    np.testing.assert_array_equal(stop, [4, 6, 6, 3, 4, 5])
 
 
 def test_spectrum_support_follows_its_eigenvectors(spectrum_cache):
     _, sd = spectrum_cache("nn", 100)
     start, stop = sd.row_support  # seeded by diagonalize
-    fresh = _row_support(sd.eigenvectors)
+    _, fresh = _column_scan(sd.eigenvectors)
     np.testing.assert_array_equal(start, fresh[0])
     np.testing.assert_array_equal(stop, fresh[1])
     assert np.max(stop - start) < sd.dimension
@@ -536,6 +558,26 @@ def test_spectrum_support_follows_its_eigenvectors(spectrum_cache):
     moved = dataclasses.replace(sd, eigenvectors=vec)
     assert moved.row_support[1][0] == sd.dimension
     assert sd.row_support[1][0] < sd.dimension
+
+
+@pytest.mark.parametrize("kernel, scans", [
+    (sl.nearest_neighbor(), 1), (sl.nearest_neighbor(0.6 + 0.8j), 2),
+], ids=["real", "complex"])
+def test_column_scans_per_spectrum(kernel, scans, tmp_path, monkeypatch):
+    # a real box is scanned once, a complex one again after its phases,
+    # and a reloaded dump once, whatever the analyses read of it
+    calls = []
+    scan = starklab.spectra._column_scan
+    monkeypatch.setattr(starklab.spectra, "_column_scan",
+                        lambda vec: calls.append(vec.shape) or scan(vec))
+    sd = sl.diagonalize(_disordered(kernel, half_width=40))
+    assert len(calls) == scans
+    sl.save_spectral(sd, str(tmp_path / "spec"))
+    calls.clear()
+    loaded = sl.load_spectral(str(tmp_path / "spec"))
+    sl.uniform_decay_constants(loaded, (2.0,))
+    sl.bootstrap_decay_check(loaded)
+    assert len(calls) == 1
 
 
 def _spoil_solver(monkeypatch, spoil):
@@ -576,7 +618,7 @@ def test_gates_see_a_non_finite_entry_outside_a_support(kernel, value,
     # the gates take the support of the vectors as spoiled, not as solved
     op = sl.build_operator(kernel, sl.PotentialSpec(), _GATE_BLOCK + 1)
     _, clean = _tridiagonal_eigh(op.diagonal, _subdiagonal(op))
-    start, stop = _row_support(clean)
+    _, (start, stop) = _column_scan(clean)
     row = op.dimension - 1
     assert not start[0] <= row < stop[0]
 
@@ -590,7 +632,7 @@ def test_gates_see_a_non_finite_entry_outside_a_support(kernel, value,
 def test_gram_defect_keeps_a_nan():
     vec = np.eye(3)
     vec[2, 2] = np.nan
-    assert math.isnan(_gram_defect(vec, _row_support(vec)))
+    assert math.isnan(_gram_defect(vec, _column_scan(vec)[1]))
 
 
 def test_tridiagonal_lapack_failure_is_a_convergence_failure(monkeypatch):

@@ -12,11 +12,10 @@ REPEATS runs:
     build_operator   operator assembly, perturbation sampling included
     diagonalize      the gated solve (LAPACK's tridiagonal ?stevd for the
                      nearest-neighbour kernel, dense for the power laws)
-    centers          the peak row of every eigenvector (one pass down
-                     the rows, as diagonalize and load_spectral take it)
-    row_support      the first and last nonzero row of every eigenvector
-                     (one pass down the rows), which the gates and the
-                     localization checks restrict their rows to
+    column_scan      the one pass down the rows that gives every
+                     eigenvector's peak row (its center) and its first
+                     and last nonzero row, to which the gates and the
+                     localization checks restrict their rows
     residual_gate    the eigenpair residuals: the three-term sum on the
                      row supports for the nearest-neighbour kernels, the
                      product H @ vec for the power laws
@@ -28,12 +27,12 @@ REPEATS runs:
                      reference the solver is compared with
     save_spectral    writing the dump pair
     load_spectral    reading it back
-    moment_series    the envelope and M_q(t) from it, for q = 2 and 2.5
-                     from site 0 on the default time grid (20101 times);
-                     null above N = MOMENT_MAX_N.  The kernels span strong
-                     localization (p=4, nearest neighbour), slow decay
-                     (p=2.5) and a complex spectrum (nearest neighbour
-                     with amplitude 0.6+0.8i)
+    envelope         the envelope bound for q = 2 and 2.5 from site 0
+    moment_series    M_q(t) from that envelope on the default time grid
+                     (20101 times); null above N = MOMENT_MAX_N.  The
+                     kernels span strong localization (p=4, nearest
+                     neighbour), slow decay (p=2.5) and a complex
+                     spectrum (nearest neighbour with amplitude 0.6+0.8i)
     uniform_decay_constants
                      the decay sups for alpha = 2 and 3 in one call
     check_eigenvalue_asymptotics
@@ -118,11 +117,11 @@ def run_case(kernel_name: str, half_width: int) -> dict:
         lambda: sl.diagonalize(op))
     diagonalize_rss = _peak_rss_mb()
     vec = sd.eigenvectors
-    seconds["centers"], _ = _median_time(lambda: spectra._peak_rows(vec))
-    seconds["row_support"], support = _median_time(
-        lambda: spectra._row_support(vec))
+    seconds["column_scan"], (_, support) = _median_time(
+        lambda: spectra._column_scan(vec))
+    lower = spectra._subdiagonal(op)
     seconds["residual_gate"], _ = _median_time(
-        lambda: spectra._residuals(op, sd.eigenvalues, vec, support))
+        lambda: spectra._residuals(op, sd.eigenvalues, vec, lower, support))
     seconds["gram_gate"], _ = _median_time(
         lambda: spectra._gram_defect(vec, support))
     # a copy of the operator has not built its matrix yet; drop the copy
@@ -137,12 +136,13 @@ def run_case(kernel_name: str, half_width: int) -> dict:
         dump_bytes = sum(os.path.getsize(p) for p in paths)
         seconds["load_spectral"], _ = _median_time(
             lambda: sl.load_spectral(base))
+    seconds["envelope"], env = _median_time(
+        lambda: sl.envelope(sd, 0, MOMENT_QS))
     seconds["moment_series"] = None
     if half_width <= MOMENT_MAX_N:
         times = sl.time_grid()
         seconds["moment_series"], _ = _median_time(
-            lambda: sl.moment_series(sd, sl.envelope(sd, 0, MOMENT_QS),
-                                     MOMENT_QS, times))
+            lambda: sl.moment_series(sd, env, MOMENT_QS, times))
     seconds["uniform_decay_constants"], _ = _median_time(
         lambda: sl.uniform_decay_constants(sd, DECAY_ALPHAS))
     seconds["check_eigenvalue_asymptotics"], _ = _median_time(
