@@ -41,7 +41,8 @@ from .operators import (MAX_DIMENSION_DEFAULT, ConstantPerturbation,
                         PotentialSpec, UniformRandomPerturbation,
                         build_operator)
 from .spectra import (DEGENERACY_GAP, ORTHONORMALITY_TOL, RESIDUAL_TOL,
-                      diagonalize, load_spectral, provenance, save_spectral)
+                      diagonalize, load_spectral, provenance,
+                      recheck_residuals, save_spectral)
 
 __all__ = [
     "ConfigError",
@@ -501,11 +502,14 @@ def _first_difference(want, got, path: str):
 
 
 def _check_provenance(config: ExperimentConfig, half_width: int, sd) -> None:
-    """Refuse a reloaded dump whose provenance differs from the config.
+    """Refuse a reloaded dump whose provenance differs from the config,
+    or whose eigenpairs fail the residual gate again.
 
     Compares the provenance that diagonalize would record for the
     config's box, its perturbation sampled again, and an explicitly
     configured interior window; the error names the first differing field.
+    A tridiagonal box's residuals are then recomputed on the rebuilt box
+    (spectra.recheck_residuals); a dense box's are not.
     """
     tol = config.tolerances
     op = build_operator(config.kernel, config.potential, half_width,
@@ -520,6 +524,7 @@ def _check_provenance(config: ExperimentConfig, half_width: int, sd) -> None:
         raise ProvenanceMismatchError(
             f"spectrum_N{half_width}.json was written for another config: "
             f"{path} is {found!r} in the dump but {wanted!r} in the config")
+    recheck_residuals(sd, op)
 
 
 @dataclass

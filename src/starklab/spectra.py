@@ -39,8 +39,16 @@ full support and cost what they did.  The support is kept on the
 SpectralData for the localization checks.
 
 Each eigenvector's sign (its phase, if complex) is fixed so that its
-largest-modulus entry is real and positive.  Every decomposition is
-gated on two invariants before it is returned:
+largest-modulus entry is real and positive, and its zeros are then made
++0.0: vec += 0.0 moves no other entry, and ?stevd returns about 60% of
+a Stark box's zeros as -0.0.  A dump (format v3) stores each
+eigenvector's run from its first to its last nonzero row, its row
+support, and a reload fills every other row with +0.0, so the reloaded
+eigenvectors equal the computed ones bit for bit.  At N = 1400, B = 2
+the runs are 2.7% of the d^2 entries; a power-law box's runs span the
+box.
+
+Every decomposition is gated on two invariants before it is returned:
 
     ||H phi - lambda phi||_2 <= residual_tol * max(1, spectral radius)
     max |<phi_i, phi_j> - delta_ij| <= orthonormality_tol
@@ -56,6 +64,7 @@ the untrusted boundary region; the interior mask excludes them.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -76,6 +85,7 @@ __all__ = [
     "DEGENERACY_GAP",
     "diagonalize",
     "provenance",
+    "recheck_residuals",
     "ladder_anchor",
     "default_interior_window",
     "save_spectral",
@@ -87,7 +97,7 @@ ORTHONORMALITY_TOL = 1e-10
 DEGENERACY_GAP = 1e-12
 
 _FORMAT_NAME = "starklab-spectrum"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _EIGENVECTOR_DTYPES = ("<f8", "<c16")  # real and complex spectra
 
 
@@ -411,6 +421,18 @@ def _residuals(op: TruncatedOperator, lam: np.ndarray, vec: np.ndarray,
     return _tridiagonal_residuals(op.diagonal, lower, lam, vec, support)
 
 
+def _residual_gate(resid: np.ndarray, lam: np.ndarray, residual_tol: float,
+                   half_width: int) -> None:
+    """ConvergenceFailureError unless max(resid) <= residual_tol *
+    max(1, spectral radius); a NaN residual fails too."""
+    radius = float(max(abs(lam[0]), abs(lam[-1]))) if len(lam) else 0.0
+    resid_limit = residual_tol * max(1.0, radius)
+    if not np.max(resid) <= resid_limit:
+        raise ConvergenceFailureError(
+            f"max eigenpair residual {np.max(resid):.3e} exceeds "
+            f"{resid_limit:.3e} (half_width={half_width})")
+
+
 def diagonalize(op: TruncatedOperator,
                 interior_window: int | None = None,
                 residual_tol: float = RESIDUAL_TOL,
@@ -425,8 +447,9 @@ def diagonalize(op: TruncatedOperator,
     either way.  Each eigenvector is scaled by the unit-modulus factor that
     makes its largest-modulus entry (the first on ties) real and positive,
     so the returned and dumped vectors do not depend on the sign or phase
-    the solver picked; the gates check the vectors as returned, on their
-    row supports, which the returned SpectralData keeps.
+    the solver picked, and every zero entry is made +0.0; the gates check
+    the vectors as returned, on their row supports, which the returned
+    SpectralData keeps.
 
     Raises ConvergenceFailureError if LAPACK does not converge, if an
     eigenvalue, residual or Gram entry is not finite, or if the
@@ -446,14 +469,10 @@ def diagonalize(op: TruncatedOperator,
             f"(half_width={op.half_width})")
 
     scan = _, support = _fix_phases(vec)
+    vec += 0.0  # -0.0 -> +0.0, so that a dump's runs give vec back exactly
     with np.errstate(invalid="ignore"):  # a non-finite residual fails below
         resid = _residuals(op, lam, vec, lower, support)
-    radius = float(max(abs(lam[0]), abs(lam[-1]))) if len(lam) else 0.0
-    resid_limit = residual_tol * max(1.0, radius)
-    if not np.max(resid) <= resid_limit:  # a NaN residual fails too
-        raise ConvergenceFailureError(
-            f"max eigenpair residual {np.max(resid):.3e} exceeds "
-            f"{resid_limit:.3e} (half_width={op.half_width})")
+    _residual_gate(resid, lam, residual_tol, op.half_width)
 
     defect = _gram_defect(vec, support)
     if not defect <= orthonormality_tol:
@@ -473,6 +492,42 @@ def diagonalize(op: TruncatedOperator,
                                degeneracy_gap),
                     orthonormality_defect=defect,
                     anchor_position=anchor, anchor_fallback=fallback)
+
+
+# How far a tridiagonal box's largest residual, recomputed on a reload,
+# may move from the recorded one, relative.  Evaluated in other orders
+# (a dense BLAS product H @ vec at 1 and 2 threads, the three terms
+# summed in another order, extended precision) it moved by at most 3.4%
+# on nearest-neighbour boxes, real and 0.6+0.8i, N = 12 to 2000; on the
+# machine that wrote the dump it moves by nothing.
+RESIDUAL_RECHECK_RTOL = 0.25
+
+
+def recheck_residuals(sd: SpectralData, op: TruncatedOperator) -> None:
+    """Re-run the residual gate on a reloaded spectrum of the box op.
+
+    On a tridiagonal box the three-term residuals of the loaded
+    eigenpairs (about 0.013 s at N = 1400) must pass the gate at the
+    recorded residual_tol (ConvergenceFailureError), and their maximum
+    must match the recorded max_residual within RESIDUAL_RECHECK_RTOL
+    (ValueError): the bits may differ on another machine.  A dense box is
+    not rechecked, since its product H @ vec takes 0.58 s at N = 1400.
+    """
+    lower = _subdiagonal(op)
+    if lower is None:
+        return
+    lam = sd.eigenvalues
+    with np.errstate(invalid="ignore"):  # a non-finite residual fails below
+        resid = _tridiagonal_residuals(op.diagonal, lower, lam,
+                                       sd.eigenvectors, sd.row_support)
+    _residual_gate(resid, lam, float(sd.recorded("residual_tol")),
+                   sd.half_width)
+    recorded = float(np.max(sd.residuals))
+    if not abs(np.max(resid) - recorded) <= RESIDUAL_RECHECK_RTOL * recorded:
+        raise ValueError(
+            f"spectrum of half_width {sd.half_width}: its eigenpairs' max "
+            f"residual is {np.max(resid):.6e} on reload but "
+            f"{recorded:.6e} as recorded: the eigenvectors were changed")
 
 
 def provenance(op: TruncatedOperator, residual_tol: float,
@@ -524,25 +579,67 @@ def _labeled(half_width: int, lam, vec, resid, scan, interior_window: int,
     return sd
 
 
+def _summary(sd: SpectralData) -> dict:
+    """The header fields that restate what the payload gives, in the
+    order load_spectral compares them."""
+    return {
+        "degenerate_positions": list(sd.degenerate_positions),
+        "max_residual": float(np.max(sd.residuals)) if sd.dimension else 0.0,
+        "center_offset_sup": sd.center_offset_sup(),
+    }
+
+
+def _payload_length(d: int, support, dtype: np.dtype) -> int:
+    """Bytes of a v3 payload: eigenvalues, residuals, start and stop (8 d
+    bytes each) and the runs [start[k], stop[k]) of every column."""
+    start, stop = support
+    return 32 * d + int(np.sum(stop - start)) * dtype.itemsize
+
+
+def _run_blocks(support):
+    """(columns, rows, mask) for each block of columns of a dump: the rows
+    the columns span and the mask, over vec[rows, columns].T, of each
+    column's run [start, stop).  The masked entries, in C order, are the
+    columns' runs in mode order."""
+    start, stop = support
+    for i0, i1 in _gate_blocks(len(start)):
+        columns = slice(i0, i1)
+        rows = support_rows(support, columns)
+        at = np.arange(rows.start, rows.stop)
+        yield columns, rows, ((at >= start[columns, np.newaxis])
+                              & (at < stop[columns, np.newaxis]))
+
+
 def save_spectral(sd: SpectralData, base_path: str) -> tuple[str, str]:
-    """Write {base}.json (header) and {base}.bin (payload), format v2.
+    """Write {base}.json (header) and {base}.bin (payload), format v3.
 
     Payload layout, little-endian, in order: eigenvalues (d float64),
-    residuals (d float64), eigenvectors (d*d float64 for a real spectrum,
-    complex128 for a complex one; row-major, row = site row, column =
-    ascending mode).  The header names the eigenvector dtype and carries
-    the payload's byte length and sha256.
+    residuals (d float64), the row support start and stop of every
+    eigenvector (d int64 each; sd.row_support), then each eigenvector's
+    run eigenvectors[start[k]:stop[k], k], concatenated in mode order
+    (float64 for a real spectrum, complex128 for a complex one).  Every
+    row outside a run is +0.0 (see diagonalize).  The header names the
+    eigenvector dtype and carries the payload's byte length and sha256,
+    and restates the degenerate positions, the largest residual and the
+    center offset sup, which load_spectral checks against the payload.
     """
     json_path = f"{base_path}.json"
     bin_path = f"{base_path}.bin"
     d = sd.dimension
     dtype = np.dtype("<c16" if np.iscomplexobj(sd.eigenvectors) else "<f8")
-    parts = [np.ascontiguousarray(sd.eigenvalues, dtype="<f8"),
+    start, stop = sd.row_support
+    heads = [np.ascontiguousarray(sd.eigenvalues, dtype="<f8"),
              np.ascontiguousarray(sd.residuals, dtype="<f8"),
-             np.ascontiguousarray(sd.eigenvectors, dtype=dtype)]
+             np.ascontiguousarray(start, dtype="<i8"),
+             np.ascontiguousarray(stop, dtype="<i8")]
+    vec = sd.eigenvectors
+    runs = (vec[rows, columns].T[mask].astype(dtype, copy=False)
+            for columns, rows, mask in _run_blocks((start, stop)))
     digest = hashlib.sha256()
-    for part in parts:
-        digest.update(part)
+    with open(bin_path, "wb") as fh:
+        for part in itertools.chain(heads, runs):
+            digest.update(part)
+            part.tofile(fh)
     header = {
         "format": _FORMAT_NAME,
         "format_version": _FORMAT_VERSION,
@@ -552,9 +649,7 @@ def save_spectral(sd: SpectralData, base_path: str) -> tuple[str, str]:
         "anchor_position": sd.anchor_position,
         "anchor_fallback": sd.anchor_fallback,
         "orthonormality_defect": sd.orthonormality_defect,
-        "max_residual": float(np.max(sd.residuals)) if d else 0.0,
-        "degenerate_positions": list(sd.degenerate_positions),
-        "center_offset_sup": sd.center_offset_sup(),
+        **_summary(sd),
         "provenance": sd.provenance,
         "payload": {
             "file": os.path.basename(bin_path),
@@ -562,29 +657,34 @@ def save_spectral(sd: SpectralData, base_path: str) -> tuple[str, str]:
             "layout": [
                 f"eigenvalues: {d} x float64-le",
                 f"residuals: {d} x float64-le",
-                f"eigenvectors: {d}x{d} x {dtype.name}-le "
-                "row-major (row = site, column = mode)",
+                f"start: {d} x int64-le (first nonzero row of each mode)",
+                f"stop: {d} x int64-le (one past its last nonzero row)",
+                f"runs: rows [start, stop) of each mode in ascending mode "
+                f"order, {dtype.name}-le; every other entry is +0.0",
             ],
-            "byte_length": sum(part.nbytes for part in parts),
+            "byte_length": _payload_length(d, (start, stop), dtype),
             "sha256": digest.hexdigest(),
         },
     }
     write_json(json_path, header)
-    with open(bin_path, "wb") as fh:
-        for part in parts:
-            part.tofile(fh)
     return json_path, bin_path
 
 
 def load_spectral(base_path: str) -> SpectralData:
     """Rebuild SpectralData from a save_spectral dump pair.
 
-    Raises ValueError, naming the problem, for a header that is not a
-    format-v2 spectrum header (a v1 dump must be rewritten by rerunning
-    the spectrum stage), a header whose half_width disagrees with its
-    dimension or provenance, a payload whose length differs from the
-    header's byte_length or from what the dimension and dtype need, and a
-    payload whose sha256 differs from the header's.
+    The runs are unpacked into one zeroed C-ordered d x d array, which
+    the one row scan (_column_scan) then reads for the centers and row
+    supports.  Raises ValueError, naming the problem, for a header that
+    is not a format-v3 spectrum header (a v1 or v2 dump must be rewritten
+    by rerunning the spectrum stage), a header whose half_width disagrees
+    with its dimension or provenance, a payload whose length differs from
+    the header's byte_length, a row support outside 0 <= start < stop <= d
+    or a byte_length other than the one the supports and the dtype need,
+    a payload whose sha256 differs from the header's, a stored run that
+    does not begin and end on a nonzero entry (a zero column's run spans
+    the box), and a header whose degenerate_positions, max_residual or
+    center_offset_sup differs from what the payload gives.
     """
     with open(f"{base_path}.json", "r", encoding="utf-8") as fh:
         header = json.load(fh)
@@ -608,26 +708,61 @@ def load_spectral(base_path: str) -> SpectralData:
                          f"{payload.get('eigenvector_dtype')!r}, not one "
                          f"of {_EIGENVECTOR_DTYPES}")
     dtype = np.dtype(payload["eigenvector_dtype"])
-    byte_length = 2 * d * 8 + d * d * dtype.itemsize
-    if payload["byte_length"] != byte_length:
-        raise ValueError(
-            f"{base_path}.json declares byte_length {payload['byte_length']}, "
-            f"but dimension {d} with {dtype.name} eigenvectors needs "
-            f"{byte_length}")
-    raw = np.fromfile(f"{base_path}.bin", dtype=np.uint8)
-    if raw.size != byte_length:
-        raise ValueError(f"{base_path}.bin holds {raw.size} bytes, not the "
-                         f"declared byte_length {byte_length}")
-    if hashlib.sha256(raw).hexdigest() != payload["sha256"]:
+    declared = payload["byte_length"]
+    with open(f"{base_path}.bin", "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != declared:
+            raise ValueError(f"{base_path}.bin holds {size} bytes, not the "
+                             f"declared byte_length {declared}")
+        if size < 32 * d:
+            raise ValueError(
+                f"{base_path}.json declares byte_length {declared}, short "
+                f"of the {32 * d} bytes of dimension {d}'s eigenvalues, "
+                "residuals and row supports")
+        values = np.fromfile(fh, "<f8", 2 * d)
+        bounds = np.fromfile(fh, "<i8", 2 * d)
+        support = start, stop = bounds[:d], bounds[d:]
+        bad = np.flatnonzero((start < 0) | (start >= stop) | (stop > d))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(
+                f"{base_path}.bin stores rows [{start[k]}, {stop[k]}) for "
+                f"mode position {k}, outside 0 <= start < stop <= {d}")
+        need = _payload_length(d, support, dtype)
+        if declared != need:
+            raise ValueError(
+                f"{base_path}.json declares byte_length {declared}, but "
+                f"dimension {d} with the stored row supports and "
+                f"{dtype.name} eigenvectors needs {need}")
+        digest = hashlib.sha256(values)
+        digest.update(bounds)
+        vec = np.zeros((d, d), dtype)
+        for columns, rows, mask in _run_blocks(support):
+            run = np.fromfile(fh, dtype, int(np.count_nonzero(mask)))
+            digest.update(run)
+            vec[rows, columns].T[mask] = run
+    if digest.hexdigest() != payload["sha256"]:
         raise ValueError(f"{base_path}.bin does not match the sha256 in "
                          f"{base_path}.json: the payload is corrupt")
-    lam = np.frombuffer(raw, "<f8", d)
-    resid = np.frombuffer(raw, "<f8", d, offset=8 * d)
-    vec = np.frombuffer(raw, dtype, d * d, offset=16 * d).reshape(d, d)
+    scan = _, (first, end) = _column_scan(vec)
+    moved = np.flatnonzero((first != start) | (end != stop))
+    if moved.size:
+        k = int(moved[0])
+        raise ValueError(
+            f"{base_path}.bin stores rows [{start[k]}, {stop[k]}) for mode "
+            f"position {k}, but its nonzero entries span rows "
+            f"[{first[k]}, {end[k]}): a run must begin and end on a "
+            "nonzero entry, or span the box for a zero column")
 
-    return _labeled(
-        half_width, lam, vec, resid, _column_scan(vec),
+    sd = _labeled(
+        half_width, values[:d], vec, values[d:], scan,
         int(header["interior_window"]), prov,
         orthonormality_defect=float(header["orthonormality_defect"]),
         anchor_position=int(header["anchor_position"]),
         anchor_fallback=bool(header["anchor_fallback"]))
+    for key, value in _summary(sd).items():
+        if header.get(key) != value:
+            raise ValueError(
+                f"{base_path}.json states {key} {header.get(key)!r}, but "
+                f"its payload gives {value!r}")
+    return sd

@@ -3,8 +3,12 @@
 Everything here recomputes expected values by a different route than the
 library (naive double loops, closed-form root formulas, a generic ODE
 integrator, one complex eigen-expansion per time) so agreement is
-meaningful.
+meaningful.  resigned_dump edits a spectrum dump and signs it again, and
+run_offset finds an eigenvector's run in its payload, for the tests of
+what a reload must refuse.
 """
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -35,6 +39,36 @@ def full_tridiagonal_residuals(H, lam, vec):
     r[1:] += lower[:, np.newaxis] * vec[:-1]
     r[:-1] += lower.conj()[:, np.newaxis] * vec[1:]
     return np.linalg.norm(r, axis=0)
+
+
+def resigned_dump(base, edit_payload=None, edit_header=None):
+    """Edit a spectrum dump in place and sign it again: edit_payload
+    changes the bytes of base.bin (a bytearray), the header then takes the
+    edited payload's sha256 and length, and edit_header changes the header
+    (a dict) last."""
+    with open(f"{base}.bin", "rb") as fh:
+        raw = bytearray(fh.read())
+    if edit_payload is not None:
+        edit_payload(raw)
+    with open(f"{base}.bin", "wb") as fh:
+        fh.write(raw)
+    with open(f"{base}.json", encoding="utf-8") as fh:
+        header = json.load(fh)
+    header["payload"]["sha256"] = hashlib.sha256(raw).hexdigest()
+    header["payload"]["byte_length"] = len(raw)
+    if edit_header is not None:
+        edit_header(header)
+    with open(f"{base}.json", "w", encoding="utf-8") as fh:
+        json.dump(header, fh)
+
+
+def run_offset(sd, position):
+    """Byte offset of the run of the eigenvector at position in a v3
+    payload: eigenvalues, residuals, start and stop come first."""
+    start, stop = sd.row_support
+    itemsize = sd.eigenvectors.dtype.itemsize
+    return (32 * sd.dimension
+            + itemsize * int(np.sum(stop[:position] - start[:position])))
 
 
 def full_gram_defect(vec):

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import helpers
 import starklab as sl
 from starklab.cli import main
 
@@ -356,6 +357,41 @@ def test_report_refuses_a_damaged_dump(tmp_path, capsys, damage, problem):
     out = capsys.readouterr().out
     assert code == 2
     assert "stage spectrum: failed (ValueError" in out
+    assert problem in out
+    assert "stage asymptotics: skipped" in out
+
+
+@pytest.mark.parametrize("scale, problem", [
+    (1.0 + 1e-6, "(ConvergenceFailureError: max eigenpair residual"),
+    (1.0 + 1e-11, "on reload but"),
+], ids=["gate", "recorded-max"])
+def test_report_regates_an_edited_eigenvector(tmp_path, capsys, scale,
+                                              problem):
+    # an eigenvector entry edited and the payload signed again passes the
+    # loader's checks; report recomputes the tridiagonal residuals, which
+    # fail the gate or no longer match the recorded max_residual
+    cfg = write_config(tmp_path / "cfg.json", {
+        "kernel": {"family": "nearest_neighbor"},
+        "potential": {"perturbation": {"kind": "uniform_random",
+                                       "amplitude": 1.0}},
+        "half_widths": [12], "seed": 5,
+        "output": {"directory": str(tmp_path / "out")}})
+    assert main(["spectrum", "--config", cfg]) == 0
+    base = str(tmp_path / "out" / "spectrum_N12")
+    sd = sl.load_spectral(base)
+    k = 7
+    at = helpers.run_offset(sd, k) + 8 * int(
+        sd.row_of_site(sd.centers[k]) - sd.row_support[0][k])
+
+    def edit(raw):
+        entry = np.frombuffer(raw[at:at + 8], "<f8")[0] * scale
+        raw[at:at + 8] = np.float64(entry).tobytes()
+    helpers.resigned_dump(base, edit)
+    sl.load_spectral(base)
+    capsys.readouterr()
+    assert main(["report", "--config", cfg]) == 2
+    out = capsys.readouterr().out
+    assert "stage spectrum: failed" in out
     assert problem in out
     assert "stage asymptotics: skipped" in out
 

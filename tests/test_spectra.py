@@ -291,9 +291,11 @@ def test_dump_header_names_dtype_length_and_hash(tmp_path, spectrum_cache):
     header = json.load(open(json_path))
     raw = open(bin_path, "rb").read()
     d = sd.dimension
-    assert header["format_version"] == 2
+    start, stop = sd.row_support
+    assert header["format_version"] == 3
     assert header["payload"]["eigenvector_dtype"] == "<f8"
-    assert header["payload"]["byte_length"] == len(raw) == 16 * d + 8 * d * d
+    assert header["payload"]["byte_length"] == len(raw) == \
+        32 * d + 8 * int(np.sum(stop - start))
     assert header["payload"]["sha256"] == hashlib.sha256(raw).hexdigest()
     # eigenvalues lead the payload, where perfbench/fingerprint.py reads them
     np.testing.assert_array_equal(np.frombuffer(raw[:8 * d], "<f8"),
@@ -330,17 +332,117 @@ def test_load_rejects_a_flipped_payload_byte(tmp_path, spectrum_cache,
         sl.load_spectral(base)
 
 
-def test_load_rejects_a_version_1_dump(tmp_path, spectrum_cache):
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_rejects_a_version_1_dump(tmp_path, spectrum_cache, version):
     import json
 
     _, sd = spectrum_cache("pl4", 20, 1.0, 5)
     base = str(tmp_path / "old")
     json_path, _ = sl.save_spectral(sd, base)
     header = json.load(open(json_path))
-    header["format_version"] = 1
+    header["format_version"] = version
     with open(json_path, "w") as fh:
         json.dump(header, fh)
-    with pytest.raises(ValueError, match="format_version 1;"):
+    with pytest.raises(ValueError, match=f"format_version {version};.*rerun"):
+        sl.load_spectral(base)
+
+
+@pytest.mark.parametrize("kernel, amplitude", [
+    (sl.nearest_neighbor(), 2.0), (sl.nearest_neighbor(0.6 + 0.8j), 2.0),
+    (sl.power_law(4.0), 0.5),
+], ids=["nn", "complex-nn", "p4"])
+def test_round_trip_keeps_every_bit(tmp_path, kernel, amplitude):
+    sd = sl.diagonalize(_disordered(kernel, half_width=150,
+                                    amplitude=amplitude))
+    vec = sd.eigenvectors
+    parts = vec.view(float)  # a complex entry's real and imaginary parts
+    # the zeros are +0.0, so the zero rows a dump leaves out come back
+    assert not np.any(np.signbit(parts) & (parts == 0))
+    start, stop = sd.row_support
+    share = np.sum(stop - start) / sd.dimension ** 2
+    assert share == 1.0 if kernel.support_radius is None else share < 0.5
+    sl.save_spectral(sd, str(tmp_path / "spec"))
+    back = sl.load_spectral(str(tmp_path / "spec"))
+    for name in ("eigenvalues", "residuals", "eigenvectors", "centers"):
+        assert getattr(back, name).dtype == getattr(sd, name).dtype
+        assert getattr(back, name).tobytes() == getattr(sd, name).tobytes()
+    assert back.eigenvectors.flags.c_contiguous
+    np.testing.assert_array_equal(back.row_support[0], start)
+    np.testing.assert_array_equal(back.row_support[1], stop)
+
+
+def test_recheck_residuals_reads_only_tridiagonal_boxes(spectrum_cache):
+    for kind in ("nn", "pl4"):
+        op, sd = spectrum_cache(kind, 12, 1.0, 5)
+        sl.spectra.recheck_residuals(sd, op)
+        vec = np.array(sd.eigenvectors)
+        vec[12, 3] += 1e-3
+        edited = dataclasses.replace(sd, eigenvectors=vec)
+        if kind == "pl4":  # a dense box's H @ vec is not paid again
+            sl.spectra.recheck_residuals(edited, op)
+            continue
+        with pytest.raises(sl.ConvergenceFailureError, match="residual"):
+            sl.spectra.recheck_residuals(edited, op)
+
+
+@pytest.mark.parametrize("edge", ["first", "last"])
+def test_load_rejects_a_run_with_a_zero_edge(tmp_path, spectrum_cache,
+                                             edge):
+    _, sd = spectrum_cache("nn", 40, 2.0, 3)
+    base = str(tmp_path / "spec")
+    sl.save_spectral(sd, base)
+    k = 17
+    start, stop = sd.row_support
+    at = helpers.run_offset(sd, k) + (
+        0 if edge == "first" else 8 * int(stop[k] - start[k] - 1))
+
+    def zero_it(raw):
+        raw[at:at + 8] = bytes(8)
+    helpers.resigned_dump(base, zero_it)
+    with pytest.raises(ValueError, match=f"mode position {k}, but its "
+                                         "nonzero entries span"):
+        sl.load_spectral(base)
+
+
+@pytest.mark.parametrize("which, value, problem", [
+    ("start", -1, "outside 0 <= start < stop"),
+    ("stop", "d+1", "outside 0 <= start < stop"),
+    ("start", "stop", "outside 0 <= start < stop"),
+    ("stop", "stop+1", "declares byte_length"),
+], ids=["negative-start", "stop-past-box", "empty-run", "longer-run"])
+def test_load_rejects_bad_row_supports(tmp_path, spectrum_cache, which,
+                                       value, problem):
+    _, sd = spectrum_cache("nn", 40, 2.0, 3)
+    d, k = sd.dimension, 17
+    base = str(tmp_path / "spec")
+    sl.save_spectral(sd, base)
+    stop = int(sd.row_support[1][k])
+    value = {"stop": stop, "stop+1": stop + 1, "d+1": d + 1}.get(value,
+                                                                 value)
+    at = (16 if which == "start" else 24) * d + 8 * k
+
+    def store(raw):
+        raw[at:at + 8] = np.int64(value).astype("<i8").tobytes()
+    helpers.resigned_dump(base, store)
+    with pytest.raises(ValueError, match=problem):
+        sl.load_spectral(base)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("degenerate_positions", [3, 4]), ("max_residual", 123.0),
+    ("center_offset_sup", 9),
+])
+def test_load_rejects_an_edited_summary_field(tmp_path, spectrum_cache,
+                                              key, value):
+    _, sd = spectrum_cache("nn", 12, 1.0, 5)
+    base = str(tmp_path / "spec")
+    sl.save_spectral(sd, base)
+    assert sd.degenerate_positions == () and sd.center_offset_sup() != 9
+
+    def edit(header):
+        header[key] = value
+    helpers.resigned_dump(base, edit_header=edit)
+    with pytest.raises(ValueError, match=f"states {key} "):
         sl.load_spectral(base)
 
 
