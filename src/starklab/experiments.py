@@ -273,9 +273,10 @@ _PERTURBATIONS = {"none": NoPerturbation, "constant": ConstantPerturbation,
                   "periodic": PeriodicPerturbation,
                   "explicit": ExplicitPerturbation}
 
-# tolerance name -> keyword of diagonalize and key of a dump's provenance
+# tolerance name -> keyword of diagonalize and provenance
 _GATES = {"residual": "residual_tol", "orthonormality": "orthonormality_tol",
-          "degeneracy_gap": "degeneracy_gap"}
+          "degeneracy_gap": "degeneracy_gap",
+          "interior_window": "interior_window"}
 
 
 def _gate_tolerances(tolerances: dict) -> dict:
@@ -501,28 +502,18 @@ def _first_difference(want, got, path: str):
     return None if want == got else (path, want, got)
 
 
-def _check_provenance(config: ExperimentConfig, half_width: int, sd) -> None:
-    """Refuse a reloaded dump whose provenance differs from the config,
-    or whose eigenpairs fail the residual gate again.
-
-    Compares the provenance that diagonalize would record for the
-    config's box, its perturbation sampled again, and an explicitly
-    configured interior window; the error names the first differing field.
-    A tridiagonal box's residuals are then recomputed on the rebuilt box
-    (spectra.recheck_residuals); a dense box's are not.
-    """
-    tol = config.tolerances
-    op = build_operator(config.kernel, config.potential, half_width,
-                        max_dimension=config.max_dimension)
-    diff = _first_difference(provenance(op, **_gate_tolerances(tol)),
-                             sd.provenance, "provenance")
-    if diff is None and tol["interior_window"] is not None:
-        diff = _first_difference(tol["interior_window"], sd.interior_window,
-                                 "interior_window")
+def _check_provenance(config: ExperimentConfig, op, sd) -> None:
+    """Refuse a reloaded dump whose provenance differs from the one
+    diagonalize records for the config's box op, naming the first
+    differing field, or whose eigenpairs fail the residual gate again
+    (spectra.recheck_residuals: tridiagonal boxes only)."""
+    diff = _first_difference(
+        provenance(op, **_gate_tolerances(config.tolerances)),
+        sd.provenance, "provenance")
     if diff is not None:
         path, wanted, found = diff
         raise ProvenanceMismatchError(
-            f"spectrum_N{half_width}.json was written for another config: "
+            f"spectrum_N{op.half_width}.json was written for another config: "
             f"{path} is {found!r} in the dump but {wanted!r} in the config")
     recheck_residuals(sd, op)
 
@@ -570,17 +561,16 @@ class _RunContext:
 
 
 def _spectrum_stage(ctx: _RunContext) -> None:
-    config, tol = ctx.config, ctx.config.tolerances
+    config = ctx.config
     for n in config.half_widths:
         base = os.path.join(config.output_dir, f"spectrum_N{n}")
+        op = build_operator(config.kernel, config.potential, n,
+                            max_dimension=config.max_dimension)
         if ctx.reuse_spectra:
             sd = load_spectral(base)
-            _check_provenance(config, n, sd)
+            _check_provenance(config, op, sd)
         else:
-            op = build_operator(config.kernel, config.potential, n,
-                                max_dimension=config.max_dimension)
-            sd = diagonalize(op, interior_window=tol["interior_window"],
-                             **_gate_tolerances(tol))
+            sd = diagonalize(op, **_gate_tolerances(config.tolerances))
             save_spectral(sd, base)
         ctx.spectra[n] = sd
         ctx.outputs += [f"spectrum_N{n}.json", f"spectrum_N{n}.bin"]

@@ -35,13 +35,13 @@ zeros.  The outputs keep their bits.  The Gram products still run over
 every row, since a GEMM over fewer rows splits its sums elsewhere.  At
 d = 2801 on 2 cores the residual takes 0.01 s instead of 0.18 s and the
 Gram defect 0.09 s instead of 0.40 s; a dense box's eigenvectors have
-full support and cost what they did.  The support is kept on the
-SpectralData for the localization checks.
+full support and cost what they did.  The scan is kept on the
+SpectralData, whose labels and the localization checks read it.
 
 Each eigenvector's sign (its phase, if complex) is fixed so that its
 largest-modulus entry is real and positive, and its zeros are then made
 +0.0: vec += 0.0 moves no other entry, and ?stevd returns about 60% of
-a Stark box's zeros as -0.0.  A dump (format v3) stores each
+a Stark box's zeros as -0.0.  A dump (format v4) stores each
 eigenvector's run from its first to its last nonzero row, its row
 support, and a reload fills every other row with +0.0, so the reloaded
 eigenvectors equal the computed ones bit for bit.  At N = 1400, B = 2
@@ -59,6 +59,9 @@ directions in ascending order.  Each eigenvector also carries its
 localization center, the site of maximal modulus (ties broken toward the
 smaller site).  Modes whose center lies within W of the box edge sit in
 the untrusted boundary region; the interior mask excludes them.
+
+SpectralData stores the eigenpairs, their residuals, the Gram defect and
+the provenance (W included); every label above is derived from those.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ ORTHONORMALITY_TOL = 1e-10
 DEGENERACY_GAP = 1e-12
 
 _FORMAT_NAME = "starklab-spectrum"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 _EIGENVECTOR_DTYPES = ("<f8", "<c16")  # real and complex spectra
 
 
@@ -107,25 +110,20 @@ class ConvergenceFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenpairs of a truncated operator with labels and trust metadata.
+    """Eigenpairs of a truncated operator, their gates and provenance.
 
     Eigenvalues ascend; eigenvector k is the column eigenvectors[:, k].
+    Every label (sites, centers, row supports, interior mask, degenerate
+    positions, ladder anchor) is derived from these fields on first use
+    and frozen, so a copy made by dataclasses.replace derives its own.
     anchor_position is the ascending position carrying ladder index 0, so
     the ladder index of position p is p - anchor_position.
     """
 
-    half_width: int
-    sites: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residuals: np.ndarray
     orthonormality_defect: float
-    anchor_position: int
-    anchor_fallback: bool
-    centers: np.ndarray
-    interior_window: int
-    interior_mask: np.ndarray
-    degenerate_positions: tuple[int, ...]
     provenance: dict
 
     @property
@@ -133,12 +131,25 @@ class SpectralData:
         return len(self.eigenvalues)
 
     @property
+    def half_width(self) -> int:
+        return self.dimension // 2
+
+    @property
     def spectral_radius(self) -> float:
         return float(max(abs(self.eigenvalues[0]), abs(self.eigenvalues[-1])))
 
     def recorded(self, key: str):
         """provenance[key]; ValueError naming the key if it is missing."""
-        return _recorded(self.provenance, self.half_width, key)
+        if key not in self.provenance:
+            raise ValueError(
+                f"spectrum of half_width {self.half_width} has no "
+                f"provenance.{key}: its dump header lacks the key; rerun the "
+                "spectrum stage to rewrite it")
+        return self.provenance[key]
+
+    @property
+    def interior_window(self) -> int:
+        return int(self.recorded("interior_window"))
 
     @property
     def kernel(self) -> HoppingKernel:
@@ -152,14 +163,42 @@ class SpectralData:
                              float(self.recorded("perturbation_sup")))
 
     @cached_property
+    def _scan(self):
+        """_column_scan(eigenvectors), seeded where it was already taken."""
+        return _column_scan(self.eigenvectors)
+
+    @cached_property
     def row_support(self) -> tuple[np.ndarray, np.ndarray]:
         """(start, stop): every row of eigenvector k outside
-        [start[k], stop[k]) is an exact zero (see _column_scan).
+        [start[k], stop[k]) is an exact zero (see _column_scan)."""
+        return self._scan[1]
 
-        Derived from eigenvectors on first use, so a copy made by
-        dataclasses.replace with other eigenvectors derives its own.
-        """
-        return _column_scan(self.eigenvectors)[1]
+    @cached_property
+    def sites(self) -> np.ndarray:
+        return _frozen(np.arange(-self.half_width, self.half_width + 1))
+
+    @cached_property
+    def centers(self) -> np.ndarray:
+        """The site of each eigenvector's largest-modulus row."""
+        return _frozen(self.sites[self._scan[0]])
+
+    @cached_property
+    def interior_mask(self) -> np.ndarray:
+        return _frozen(np.abs(self.centers) <= self.trusted_site_bound)
+
+    @cached_property
+    def degenerate_positions(self) -> tuple[int, ...]:
+        gap = float(self.recorded("degeneracy_gap"))
+        return tuple(int(p) for p in
+                     np.nonzero(np.diff(self.eigenvalues) < gap)[0])
+
+    @cached_property
+    def anchor_position(self) -> int:
+        return ladder_anchor(self.eigenvalues)[0]
+
+    @cached_property
+    def anchor_fallback(self) -> bool:
+        return ladder_anchor(self.eigenvalues)[1]
 
     @property
     def ladder_indices(self) -> np.ndarray:
@@ -192,6 +231,11 @@ class SpectralData:
             return 0
         return int(np.max(np.abs(self.centers[mask]
                                  - self.ladder_indices[mask])))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 ANCHOR_TOLERANCE = 1e-8  # below the unit level spacing, above solver noise
@@ -480,18 +524,11 @@ def diagonalize(op: TruncatedOperator,
             f"orthonormality defect {defect:.3e} exceeds {orthonormality_tol:.3e} "
             f"(half_width={op.half_width})")
 
-    anchor, fallback = ladder_anchor(lam)
-    if interior_window is None:
-        interior_window = default_interior_window(
-            op.half_width,
-            pinning_gamma(op.kernel, op.half_width, op.perturbation_sup))
-
-    return _labeled(op.half_width, lam, vec, resid, scan,
-                    int(interior_window),
-                    provenance(op, residual_tol, orthonormality_tol,
-                               degeneracy_gap),
-                    orthonormality_defect=defect,
-                    anchor_position=anchor, anchor_fallback=fallback)
+    sd = SpectralData(_frozen(lam), _frozen(vec), _frozen(resid), defect,
+                      provenance(op, residual_tol, orthonormality_tol,
+                                 degeneracy_gap, interior_window))
+    vars(sd)["_scan"] = scan  # where cached_property keeps it
+    return sd
 
 
 # How far a tridiagonal box's largest residual, recomputed on a reload,
@@ -531,10 +568,16 @@ def recheck_residuals(sd: SpectralData, op: TruncatedOperator) -> None:
 
 
 def provenance(op: TruncatedOperator, residual_tol: float,
-               orthonormality_tol: float, degeneracy_gap: float) -> dict:
+               orthonormality_tol: float, degeneracy_gap: float,
+               interior_window: int | None = None) -> dict:
     """The record of what a spectrum of op was computed from: the kernel,
     the potential, the box, the realized perturbation sup, the matrix
-    dtype and the gate tolerances."""
+    dtype, the gate tolerances and the interior window (by default
+    default_interior_window of the box's gamma)."""
+    if interior_window is None:
+        interior_window = default_interior_window(
+            op.half_width,
+            pinning_gamma(op.kernel, op.half_width, op.perturbation_sup))
     return {
         "kernel": op.kernel.describe(),
         "potential": op.potential.describe(),
@@ -544,45 +587,16 @@ def provenance(op: TruncatedOperator, residual_tol: float,
         "residual_tol": float(residual_tol),
         "orthonormality_tol": float(orthonormality_tol),
         "degeneracy_gap": float(degeneracy_gap),
+        "interior_window": int(interior_window),
     }
-
-
-def _recorded(provenance: dict, half_width: int, key: str):
-    """provenance[key]; ValueError naming the key if it is missing."""
-    if key not in provenance:
-        raise ValueError(
-            f"spectrum of half_width {half_width} has no provenance.{key}: "
-            "its dump header lacks the key; rerun the spectrum stage to "
-            "rewrite it")
-    return provenance[key]
-
-
-def _labeled(half_width: int, lam, vec, resid, scan, interior_window: int,
-             provenance: dict, **fields) -> SpectralData:
-    """SpectralData with the sites, centers (the sites of the peak rows of
-    scan = _column_scan(vec)), interior mask and degenerate positions of
-    the eigenpairs, its arrays frozen and its row_support seeded."""
-    peak_rows, support = scan
-    sites = np.arange(-half_width, half_width + 1)
-    centers = sites[peak_rows]
-    mask = np.abs(centers) <= half_width - interior_window
-    gap = float(_recorded(provenance, half_width, "degeneracy_gap"))
-    degenerate = tuple(int(p) for p in np.nonzero(np.diff(lam) < gap)[0])
-    for arr in (sites, lam, vec, resid, centers, mask):
-        arr.flags.writeable = False
-    sd = SpectralData(
-        half_width=half_width, sites=sites, eigenvalues=lam,
-        eigenvectors=vec, residuals=resid, centers=centers,
-        interior_window=interior_window, interior_mask=mask,
-        degenerate_positions=degenerate, provenance=provenance, **fields)
-    vars(sd)["row_support"] = support  # where cached_property keeps it
-    return sd
 
 
 def _summary(sd: SpectralData) -> dict:
     """The header fields that restate what the payload gives, in the
     order load_spectral compares them."""
     return {
+        "anchor_position": sd.anchor_position,
+        "anchor_fallback": sd.anchor_fallback,
         "degenerate_positions": list(sd.degenerate_positions),
         "max_residual": float(np.max(sd.residuals)) if sd.dimension else 0.0,
         "center_offset_sup": sd.center_offset_sup(),
@@ -590,7 +604,7 @@ def _summary(sd: SpectralData) -> dict:
 
 
 def _payload_length(d: int, support, dtype: np.dtype) -> int:
-    """Bytes of a v3 payload: eigenvalues, residuals, start and stop (8 d
+    """Bytes of a payload: eigenvalues, residuals, start and stop (8 d
     bytes each) and the runs [start[k], stop[k]) of every column."""
     start, stop = support
     return 32 * d + int(np.sum(stop - start)) * dtype.itemsize
@@ -611,7 +625,7 @@ def _run_blocks(support):
 
 
 def save_spectral(sd: SpectralData, base_path: str) -> tuple[str, str]:
-    """Write {base}.json (header) and {base}.bin (payload), format v3.
+    """Write {base}.json (header) and {base}.bin (payload), format v4.
 
     Payload layout, little-endian, in order: eigenvalues (d float64),
     residuals (d float64), the row support start and stop of every
@@ -620,8 +634,8 @@ def save_spectral(sd: SpectralData, base_path: str) -> tuple[str, str]:
     (float64 for a real spectrum, complex128 for a complex one).  Every
     row outside a run is +0.0 (see diagonalize).  The header names the
     eigenvector dtype and carries the payload's byte length and sha256,
-    and restates the degenerate positions, the largest residual and the
-    center offset sup, which load_spectral checks against the payload.
+    the orthonormality defect and the provenance, and restates the labels
+    of _summary, which load_spectral checks against the payload.
     """
     json_path = f"{base_path}.json"
     bin_path = f"{base_path}.bin"
@@ -645,11 +659,8 @@ def save_spectral(sd: SpectralData, base_path: str) -> tuple[str, str]:
         "format_version": _FORMAT_VERSION,
         "half_width": sd.half_width,
         "dimension": d,
-        "interior_window": sd.interior_window,
-        "anchor_position": sd.anchor_position,
-        "anchor_fallback": sd.anchor_fallback,
-        "orthonormality_defect": sd.orthonormality_defect,
         **_summary(sd),
+        "orthonormality_defect": sd.orthonormality_defect,
         "provenance": sd.provenance,
         "payload": {
             "file": os.path.basename(bin_path),
@@ -676,15 +687,17 @@ def load_spectral(base_path: str) -> SpectralData:
     The runs are unpacked into one zeroed C-ordered d x d array, which
     the one row scan (_column_scan) then reads for the centers and row
     supports.  Raises ValueError, naming the problem, for a header that
-    is not a format-v3 spectrum header (a v1 or v2 dump must be rewritten
-    by rerunning the spectrum stage), a header whose half_width disagrees
-    with its dimension or provenance, a payload whose length differs from
-    the header's byte_length, a row support outside 0 <= start < stop <= d
-    or a byte_length other than the one the supports and the dtype need,
-    a payload whose sha256 differs from the header's, a stored run that
-    does not begin and end on a nonzero entry (a zero column's run spans
-    the box), and a header whose degenerate_positions, max_residual or
-    center_offset_sup differs from what the payload gives.
+    is not a format-v4 spectrum header (a v1, v2 or v3 dump must be
+    rewritten by rerunning the spectrum stage), a header whose half_width
+    disagrees with its dimension or provenance, a payload whose length
+    differs from the header's byte_length, a row support outside
+    0 <= start < stop <= d or a byte_length other than the one the
+    supports and the dtype need, a payload whose sha256 differs from the
+    header's, a stored run that does not begin and end on a nonzero entry
+    (a zero column's run spans the box), and a header whose _summary
+    field (the anchor, its fallback flag, degenerate_positions,
+    max_residual or center_offset_sup) differs from what the payload and
+    the provenance give.
     """
     with open(f"{base_path}.json", "r", encoding="utf-8") as fh:
         header = json.load(fh)
@@ -754,12 +767,9 @@ def load_spectral(base_path: str) -> SpectralData:
             f"[{first[k]}, {end[k]}): a run must begin and end on a "
             "nonzero entry, or span the box for a zero column")
 
-    sd = _labeled(
-        half_width, values[:d], vec, values[d:], scan,
-        int(header["interior_window"]), prov,
-        orthonormality_defect=float(header["orthonormality_defect"]),
-        anchor_position=int(header["anchor_position"]),
-        anchor_fallback=bool(header["anchor_fallback"]))
+    sd = SpectralData(_frozen(values[:d]), _frozen(vec), _frozen(values[d:]),
+                      float(header["orthonormality_defect"]), prov)
+    vars(sd)["_scan"] = scan
     for key, value in _summary(sd).items():
         if header.get(key) != value:
             raise ValueError(

@@ -63,7 +63,7 @@ def resigned_dump(base, edit_payload=None, edit_header=None):
 
 
 def run_offset(sd, position):
-    """Byte offset of the run of the eigenvector at position in a v3
+    """Byte offset of the run of the eigenvector at position in a
     payload: eigenvalues, residuals, start and stop come first."""
     start, stop = sd.row_support
     itemsize = sd.eigenvectors.dtype.itemsize

@@ -289,7 +289,7 @@ def test_report_refuses_dumps_of_another_config(tmp_path, capsys):
     for doc, field in ((power_law, "provenance.kernel.family"),
                        (reseeded, "provenance.potential.perturbation.seed"),
                        (tighter, "provenance.residual_tol"),
-                       (windowed, "interior_window")):
+                       (windowed, "provenance.interior_window")):
         code = main(["report", "--config",
                      write_config(tmp_path / "report.json", doc)])
         printed = capsys.readouterr().out
@@ -341,6 +341,28 @@ def test_report_refuses_an_edited_header(tmp_path, capsys, edit, field):
     assert "stage spectrum: failed (ProvenanceMismatchError" in printed
     assert field in printed
     assert "stage asymptotics: skipped" in printed
+
+
+def test_report_refuses_an_edited_default_window(tmp_path, capsys):
+    # with no window in the config, the dump's window is still compared:
+    # the default one, 50 here, is part of the provenance
+    cfg = write_config(tmp_path / "cfg.json", {
+        "kernel": {"family": "nearest_neighbor"},
+        "potential": {"perturbation": {"kind": "uniform_random",
+                                       "amplitude": 1.0}},
+        "half_widths": [200], "seed": 5,
+        "output": {"directory": str(tmp_path / "out")}})
+    assert main(["spectrum", "--config", cfg]) == 0
+    header_path = tmp_path / "out" / "spectrum_N200.json"
+    header = json.loads(header_path.read_text())
+    assert header["provenance"]["interior_window"] == 50
+    header["provenance"]["interior_window"] = 49
+    header_path.write_text(json.dumps(header))
+    capsys.readouterr()
+    assert main(["report", "--config", cfg]) == 2
+    printed = capsys.readouterr().out
+    assert "stage spectrum: failed (ProvenanceMismatchError" in printed
+    assert "provenance.interior_window is 49 in the dump but 50" in printed
 
 
 @pytest.mark.parametrize("damage, problem", [

@@ -6,7 +6,6 @@ import pytest
 
 import starklab as sl
 from starklab.localization import asymptotics_rows, decay_rows
-from starklab.spectra import _column_scan
 
 
 def test_zero_kernel_pins_exactly():
@@ -152,11 +151,9 @@ def test_decay_constants_invariant_under_eigenvector_phases(spectrum_cache):
     _, sd = spectrum_cache("pl4", 60, 0.5, 2)
     rng = np.random.default_rng(0)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, sd.dimension))
-    vectors = sd.eigenvectors * phases[np.newaxis, :]
-    centers = sd.sites[_column_scan(vectors)[0]]
+    # the copy derives its own centers and interior mask from its vectors
     phased = dataclasses.replace(
-        sd, eigenvectors=vectors, centers=centers,
-        interior_mask=np.abs(centers) <= sd.trusted_site_bound)
+        sd, eigenvectors=sd.eigenvectors * phases[np.newaxis, :])
     a = sl.uniform_decay_constants(sd, (3.0,))[0]
     b = sl.uniform_decay_constants(phased, (3.0,))[0]
     np.testing.assert_allclose([v for _, v in a.per_mode_by_index],
@@ -419,8 +416,12 @@ def test_blocked_bootstrap_matches_on_corrupted_spectrum(spectrum_cache):
 def test_blocked_decay_matches_on_degenerate_and_zero_kernel(spectrum_cache):
     _, sd = spectrum_cache("pl4", 60, 0.5, 2)
     positions = np.nonzero(sd.interior_mask)[0]
-    flagged = dataclasses.replace(
-        sd, degenerate_positions=(int(positions[3]), int(positions[10])))
+    lam = np.array(sd.eigenvalues)
+    for p in (positions[3], positions[10]):  # far below the anchor
+        lam[p + 1] = lam[p]
+    flagged = dataclasses.replace(sd, eigenvalues=lam)
+    assert flagged.degenerate_positions == (positions[3], positions[10])
+    assert flagged.anchor_position == sd.anchor_position
     rep = _assert_decay_matches_oracle(flagged, 3.0)
     fits = dict(rep.fit_exponents)
     for p in (positions[3], positions[4], positions[10], positions[11]):

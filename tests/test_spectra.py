@@ -257,7 +257,7 @@ def test_load_rejects_a_header_whose_half_width_disagrees(
 
 
 @pytest.mark.parametrize("key", ["kernel", "perturbation_sup", "potential",
-                                 "degeneracy_gap"])
+                                 "degeneracy_gap", "interior_window"])
 def test_a_missing_provenance_key_is_named(tmp_path, spectrum_cache, key):
     import json
 
@@ -269,7 +269,8 @@ def test_a_missing_provenance_key_is_named(tmp_path, spectrum_cache, key):
     with open(json_path, "w") as fh:
         json.dump(header, fh)
     named = f"no provenance.{key}"
-    if key == "degeneracy_gap":  # the loader labels degenerate pairs by it
+    # the loader checks the degenerate pairs and interior modes they label
+    if key in ("degeneracy_gap", "interior_window"):
         with pytest.raises(ValueError, match=named):
             sl.load_spectral(base)
         return
@@ -292,7 +293,7 @@ def test_dump_header_names_dtype_length_and_hash(tmp_path, spectrum_cache):
     raw = open(bin_path, "rb").read()
     d = sd.dimension
     start, stop = sd.row_support
-    assert header["format_version"] == 3
+    assert header["format_version"] == 4
     assert header["payload"]["eigenvector_dtype"] == "<f8"
     assert header["payload"]["byte_length"] == len(raw) == \
         32 * d + 8 * int(np.sum(stop - start))
@@ -332,7 +333,7 @@ def test_load_rejects_a_flipped_payload_byte(tmp_path, spectrum_cache,
         sl.load_spectral(base)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_load_rejects_a_version_1_dump(tmp_path, spectrum_cache, version):
     import json
 
@@ -430,7 +431,8 @@ def test_load_rejects_bad_row_supports(tmp_path, spectrum_cache, which,
 
 @pytest.mark.parametrize("key, value", [
     ("degenerate_positions", [3, 4]), ("max_residual", 123.0),
-    ("center_offset_sup", 9),
+    ("center_offset_sup", 9), ("anchor_position", 3),
+    ("anchor_fallback", True),
 ])
 def test_load_rejects_an_edited_summary_field(tmp_path, spectrum_cache,
                                               key, value):
@@ -438,6 +440,7 @@ def test_load_rejects_an_edited_summary_field(tmp_path, spectrum_cache,
     base = str(tmp_path / "spec")
     sl.save_spectral(sd, base)
     assert sd.degenerate_positions == () and sd.center_offset_sup() != 9
+    assert sd.anchor_position != 3 and not sd.anchor_fallback
 
     def edit(header):
         header[key] = value

@@ -22,9 +22,14 @@ REPEATS runs:
     gram_gate        the orthonormality defect, against the later modes
                      whose supports meet each block's rows
     matrix           the dense fill of the operator's matrix on its first
-                     read, which the tridiagonal solve never makes
-    eigh             a bare np.linalg.eigh of that matrix, the dense
-                     reference the solver is compared with
+                     read; null for the nearest-neighbour kernels, whose
+                     tridiagonal solve never makes it
+    eigh             the bare LAPACK solver that diagonalize calls, the
+                     floor it is compared with: ?stevd (scipy's dstevd)
+                     on the diagonal and subdiagonal for the
+                     nearest-neighbour kernels (|subdiagonal| for a
+                     complex one, as its gauge makes it), np.linalg.eigh
+                     of the matrix for the power laws
     save_spectral    writing the dump pair
     load_spectral    reading it back
     envelope         the envelope bound for q = 2 and 2.5 from site 0
@@ -44,9 +49,10 @@ REPEATS runs:
 Each case runs in its own process, so its peak RSS (``ru_maxrss``) is its
 own; a small untimed solve first loads the solver modules.  The case
 reports the peak twice: after the diagonalize runs, and at the end,
-which includes the dense eigh reference.  The BLAS thread count is pinned to min(2, nproc) unless the
-caller sets OPENBLAS_NUM_THREADS; the report records it with the
-library versions.  The script is not part of the test suite.
+which includes the bare solver.  The BLAS thread count is pinned to
+min(2, nproc) unless the caller sets OPENBLAS_NUM_THREADS; the report
+records it with the library versions.  The script is not part of the
+test suite.
 """
 
 from __future__ import annotations
@@ -124,11 +130,18 @@ def run_case(kernel_name: str, half_width: int) -> dict:
         lambda: spectra._residuals(op, sd.eigenvalues, vec, lower, support))
     seconds["gram_gate"], _ = _median_time(
         lambda: spectra._gram_defect(vec, support))
-    # a copy of the operator has not built its matrix yet; drop the copy
-    seconds["matrix"] = _median_time(
-        lambda: dataclasses.replace(op).matrix)[0]
-    matrix = op.matrix
-    seconds["eigh"], _ = _median_time(lambda: np.linalg.eigh(matrix))
+    if lower is None:
+        # a copy of the operator has not built its matrix yet; drop it
+        seconds["matrix"] = _median_time(
+            lambda: dataclasses.replace(op).matrix)[0]
+        matrix = op.matrix
+        seconds["eigh"], _ = _median_time(lambda: np.linalg.eigh(matrix))
+    else:
+        from scipy.linalg.lapack import dstevd
+        seconds["matrix"] = None
+        band = np.abs(lower) if np.iscomplexobj(lower) else lower
+        seconds["eigh"], _ = _median_time(
+            lambda: dstevd(op.diagonal, band, compute_v=1))
     with tempfile.TemporaryDirectory() as tmp:
         base = os.path.join(tmp, "spectrum")
         seconds["save_spectral"], paths = _median_time(
