@@ -233,7 +233,8 @@ class TruncatedOperator:
 
     ``diagonal`` holds V(n) + b(n) per site.  The dense matrix is built on
     the first read of ``matrix`` and kept: a tridiagonal box is solved from
-    its diagonals and never needs it.
+    its diagonals and never needs it, and the dense solver overwrites a
+    Fortran-ordered copy from ``assemble("F")`` before the residual reads it.
     """
 
     half_width: int
@@ -254,12 +255,19 @@ class TruncatedOperator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Read-only d x d matrix: a(site_i - site_j) off the diagonal."""
+        """Read-only C-ordered d x d matrix: assemble(), kept."""
+        H = self.assemble()
+        H.flags.writeable = False
+        return H
+
+    def assemble(self, order: str = "C") -> np.ndarray:
+        """A fresh, writable d x d matrix of the box in C or Fortran ("F")
+        order: a(site_i - site_j) off the diagonal, V + b on it.  Both
+        orders hold the same entries."""
         d = self.dimension
         amps = self.kernel.amplitudes(np.arange(-(d - 1), d))
-        H = toeplitz(amps.real if self.kernel.is_real else amps)
+        H = toeplitz(amps.real if self.kernel.is_real else amps, order)
         np.fill_diagonal(H, self.diagonal)
-        H.flags.writeable = False
         return H
 
     @property
@@ -270,12 +278,14 @@ class TruncatedOperator:
         return float(np.max(np.abs(self.perturbation_values)))
 
 
-def toeplitz(values: np.ndarray) -> np.ndarray:
+def toeplitz(values: np.ndarray, order: str = "C") -> np.ndarray:
     """The d x d matrix T[i, j] = values[d - 1 + i - j] from 2d - 1 values,
-    so values[k] = a(k - (d - 1)) gives T[i, j] = a(i - j)."""
+    so values[k] = a(k - (d - 1)) gives T[i, j] = a(i - j); a fresh array
+    in C or Fortran ("F") order."""
     d = (len(values) + 1) // 2
-    return np.ascontiguousarray(
-        np.lib.stride_tricks.sliding_window_view(values, d)[:, ::-1])
+    return np.array(
+        np.lib.stride_tricks.sliding_window_view(values, d)[:, ::-1],
+        order=order)
 
 
 def box_hopping_norm(kernel: HoppingKernel, half_width: int) -> float:

@@ -5,7 +5,9 @@ Eigenpairs come from LAPACK.  A box kernel of support radius at most 1
 tridiagonal matrix, which goes to the symmetric tridiagonal
 divide-and-conquer solver (?stevd, through scipy.linalg.lapack.dstevd);
 a complex one is first made real by a diagonal unitary gauge.  Every
-other kernel goes to the dense Hermitian solver (numpy.linalg.eigh).
+other kernel goes to the dense Hermitian divide-and-conquer solver
+(?syevd, or ?heevd if complex), called in place in the LAPACK numpy
+loaded (_dense_eigh; numpy.linalg.eigh where that LAPACK lacks it).
 Measured at d = 2801 on 2 cores with OpenBLAS, ?stevd takes 0.11 s
 where the dense solver takes 1.9 s.
 
@@ -17,11 +19,15 @@ eigenvectors, then those with their C-ordered copy, set the peak at
 box writes the gauged eigenvectors from the Fortran-ordered ones
 straight into one C-ordered complex array, so its peak is 3 d^2
 doubles, not the 4 d^2 of a C-ordered real copy followed by the gauged
-product.  The dense path holds the matrix, and eigh's copy of it with
-its workspace set the peak at about 5 d^2 doubles; its residual is one
-whole-box product H @ vec, which stays below that.  The Gram defect and
-the tridiagonal residual work on blocks of columns, never on a d x d
-temporary, so neither raises a peak.
+product.  The dense solver overwrites a fresh Fortran-ordered matrix
+with the eigenvectors, so the matrix and its 2 d^2 workspace set the
+peak at 3 d^2 entries (numpy.linalg.eigh's copy of the matrix and its
+output array made it 5 d^2).  The dense residual is one whole-box
+product R = H @ vec, from which each block of columns subtracts its
+vec * lam in place before its norms are taken: H, the eigenvectors and
+R make 3 d^2 again.  The Gram defect and the tridiagonal residual work
+on blocks of columns, never on a d x d temporary, so neither raises a
+peak.
 
 Both gates also work on row supports: the first and last nonzero row
 of each eigenvector.  One pass down the rows (_column_scan, about 0.04 s
@@ -66,6 +72,8 @@ the provenance (W included); every label above is derived from those.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import itertools
 import json
@@ -366,6 +374,88 @@ def _tridiagonal_eigh(diag: np.ndarray, lower: np.ndarray):
                             out=np.empty(z.shape, complex))
 
 
+# LAPACK's dense Hermitian divide-and-conquer solver, real (?syevd) and
+# complex (?heevd), by the names it may have in numpy's own LAPACK, in the
+# order they are looked up.  Only names whose 64_ suffix fixes every
+# integer argument at int64 are taken.
+_EVD_NAMES = {"d": ("scipy_dsyevd_64_", "dsyevd_64_"),
+              "z": ("scipy_zheevd_64_", "zheevd_64_")}
+
+
+@functools.cache
+def _lapack_evd(kind: str):
+    """LAPACK's ?syevd (kind "d") or ?heevd (kind "z") as a ctypes
+    function, from the library numpy.linalg loaded; None where that
+    library exports none of its _EVD_NAMES.
+
+    The arguments follow the Fortran interface with int64 integers:
+    jobz, uplo, n, a, lda, w, work, lwork, [rwork, lrwork,] iwork, liwork,
+    info, then the two hidden lengths of jobz and uplo.  The arrays are
+    checked for dtype, order and writability on each call.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):  # a numpy without that module file
+        return None
+    names = [name for name in _EVD_NAMES[kind] if hasattr(lib, name)]
+    if not names:
+        return None
+
+    def array(dtype, order="C"):
+        return np.ctypeslib.ndpointer(dtype,
+                                      flags=(f"{order}_CONTIGUOUS", "WRITEABLE"))
+    integer = ctypes.POINTER(ctypes.c_int64)
+    entry = np.float64 if kind == "d" else np.complex128
+    rwork = [array(np.float64), integer] if kind == "z" else []
+    evd = getattr(lib, names[0])
+    evd.argtypes = [ctypes.c_char_p, ctypes.c_char_p, integer,
+                    array(entry, "F"), integer, array(np.float64),
+                    array(entry), integer, *rwork, array(np.int64), integer,
+                    integer, ctypes.c_size_t, ctypes.c_size_t]
+    evd.restype = None
+    return evd
+
+
+def _dense_eigh(op: TruncatedOperator):
+    """Eigenpairs of the dense box op: (ascending eigenvalues, C-ordered
+    eigenvectors as columns).
+
+    LAPACK's ?syevd (real) or ?heevd (complex) overwrites a fresh
+    Fortran-ordered matrix of op with its eigenvectors, with jobz 'V',
+    uplo 'L' and the workspace sizes of an lwork = -1 query: the call
+    numpy.linalg.eigh makes, so the eigenpairs are its bits, without
+    eigh's copy of the matrix or its separate output array.  The peak is
+    the matrix and the workspace, 3 d^2 entries; the eigenvectors are
+    copied to C order after the workspace is freed.  op.matrix is not
+    read.  Where numpy's LAPACK exports no int64 ?syevd/?heevd
+    (_lapack_evd), this is numpy.linalg.eigh(op.matrix).  ValueError if
+    LAPACK returns a nonzero info.
+    """
+    kind = "d" if op.kernel.is_real else "z"
+    evd = _lapack_evd(kind)
+    if evd is None:
+        return np.linalg.eigh(op.matrix)
+    a = op.assemble("F")
+    n = ctypes.c_int64(op.dimension)
+    lam = np.empty(op.dimension)
+    info = ctypes.c_int64()
+    # work, [rwork,] iwork: a one-entry space with size -1 asks for the
+    # size LAPACK wants there, which the second call gets
+    spaces = [np.empty(1, a.dtype), np.empty(1, np.int64)]
+    if kind == "z":
+        spaces.insert(1, np.empty(1))
+    for query in (True, False):
+        if not query:
+            spaces = [np.empty(int(s[0].real), s.dtype) for s in spaces]
+        sized = [(s, ctypes.c_int64(-1 if query else s.size)) for s in spaces]
+        evd(b"V", b"L", n, a, n, lam, *itertools.chain(*sized), info, 1, 1)
+        if info.value:
+            raise ValueError(f"?{'syevd' if kind == 'd' else 'heevd'} did "
+                             f"not converge (info={info.value})")
+    del spaces, sized
+    return lam, np.ascontiguousarray(a)
+
+
 # Columns per block of the gates, so that neither holds a d x d temporary.
 # Blocks of 128 to 512 columns all took the time of the full-array gates
 # at d = 2801.
@@ -457,11 +547,19 @@ def _residuals(op: TruncatedOperator, lam: np.ndarray, vec: np.ndarray,
                lower: np.ndarray | None,
                support: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Column norms of H @ vec - vec * lam: the three-term sum of a
-    tridiagonal box (lower = _subdiagonal(op)), the product H @ vec for
-    any other box (lower None)."""
+    tridiagonal box (lower = _subdiagonal(op)), one whole-box product
+    H @ vec for any other box (lower None), from which each block of
+    columns subtracts its vec * lam in place before its norms are taken.
+    The product is not split by columns: a GEMM on fewer columns changed
+    the last bits of some entries at 2 OpenBLAS threads."""
     if lower is None:
-        return np.linalg.norm(op.matrix @ vec - vec * lam[np.newaxis, :],
-                              axis=0)
+        r = op.matrix @ vec
+        resid = np.empty(len(lam))
+        for i0, i1 in _gate_blocks(len(lam)):
+            block = r[:, i0:i1]
+            block -= vec[:, i0:i1] * lam[np.newaxis, i0:i1]
+            resid[i0:i1] = np.linalg.norm(block, axis=0)
+        return resid
     return _tridiagonal_residuals(op.diagonal, lower, lam, vec, support)
 
 
@@ -487,8 +585,10 @@ def diagonalize(op: TruncatedOperator,
     A tridiagonal operator (box kernel support radius at most 1) is solved
     by LAPACK's tridiagonal divide-and-conquer solver and its residual is a
     three-term sum over the diagonals; any other operator is solved densely
-    and its residual is the product H @ vec.  Eigenvectors are C-contiguous
-    either way.  Each eigenvector is scaled by the unit-modulus factor that
+    in place (_dense_eigh, peak 3 d^2 entries) and its residual is one
+    product H @ vec, less vec * lam one block of columns at a time, which
+    peaks at 3 d^2 too.  Eigenvectors are C-contiguous either way.  Each
+    eigenvector is scaled by the unit-modulus factor that
     makes its largest-modulus entry (the first on ties) real and positive,
     so the returned and dumped vectors do not depend on the sign or phase
     the solver picked, and every zero entry is made +0.0; the gates check
@@ -501,9 +601,9 @@ def diagonalize(op: TruncatedOperator,
     """
     lower = _subdiagonal(op)
     try:
-        lam, vec = (np.linalg.eigh(op.matrix) if lower is None
+        lam, vec = (_dense_eigh(op) if lower is None
                     else _tridiagonal_eigh(op.diagonal, lower))
-    except ValueError as exc:  # LinAlgError, ?stevd's info, non-finite H
+    except ValueError as exc:  # LinAlgError, a LAPACK info, non-finite H
         raise ConvergenceFailureError(
             f"eigensolver failed on half_width={op.half_width} "
             f"({op.potential.family} potential): {exc}") from exc

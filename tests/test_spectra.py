@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import subprocess
 import sys
 
@@ -12,9 +13,9 @@ import starklab as sl
 import starklab.spectra
 from starklab.operators import pinning_gamma
 from starklab.spectra import (ladder_anchor, _column_scan,
-                              default_interior_window, _fix_phases,
-                              _GATE_BLOCK, _gate_blocks, _gram_defect,
-                              _subdiagonal,
+                              default_interior_window, _dense_eigh,
+                              _fix_phases, _GATE_BLOCK, _gate_blocks,
+                              _gram_defect, _lapack_evd, _subdiagonal,
                               _tridiagonal_eigh, _tridiagonal_residuals)
 
 SQRT3 = 1.7320508075688773
@@ -571,9 +572,9 @@ def test_complex_gauge_writes_phi_times_z_in_c_order():
 def test_solver_follows_support_radius(kernel, dense, monkeypatch):
     op = _disordered(kernel, half_width=20)
     calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda H: calls.append(H.shape) or eigh(H))
+    monkeypatch.setattr(starklab.spectra, "_dense_eigh",
+                        lambda op: calls.append(op.dimension)
+                        or _dense_eigh(op))
     sd = sl.diagonalize(op)
     assert len(calls) == int(dense)
     assert sd.eigenvectors.flags.c_contiguous
@@ -764,21 +765,119 @@ def test_non_finite_operator_fails_the_gates(kernel):
 def test_nan_residual_fails_the_gate(monkeypatch):
     op = sl.build_operator(sl.power_law(4.0), sl.PotentialSpec(), 5)
     d = op.dimension
-    monkeypatch.setattr(np.linalg, "eigh", lambda H: (
+    monkeypatch.setattr(starklab.spectra, "_dense_eigh", lambda op: (
         np.arange(d, dtype=float), np.full((d, d), np.nan)))
     with pytest.raises(sl.ConvergenceFailureError, match="residual nan"):
         sl.diagonalize(op)
+
+
+def _last_line_of(script: str) -> str:
+    """The last line a fresh interpreter running script prints."""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
 
 
 def test_import_and_config_load_leave_scipy_unloaded(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"kernel": {"family": "nearest_neighbor"}, '
                    '"half_widths": [8]}')
-    script = ("import sys, starklab\n"
-              "from starklab.experiments import load_config\n"
-              f"load_config({str(cfg)!r})\n"
-              "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _last_line_of("import sys, starklab\n"
+                         "from starklab.experiments import load_config\n"
+                         f"load_config({str(cfg)!r})\n"
+                         + SCIPY_MODULES) == "[]"
+
+
+def test_dense_diagonalize_leaves_scipy_unloaded():
+    # the dense solver and its gates never pay scipy.linalg's import
+    assert _last_line_of("import sys, starklab as sl\n"
+                         "sl.diagonalize(sl.build_operator(sl.power_law(4.0),"
+                         " sl.PotentialSpec(), 20))\n"
+                         + SCIPY_MODULES) == "[]"
+
+
+DENSE_KERNELS = pytest.mark.parametrize(
+    "kernel", [sl.power_law(4.0),
+               sl.finite_support([0.6 + 0.8j, 0.1 - 0.3j, 0.05j])],
+    ids=["p4", "complex"])
+
+
+def _needs_lapack_evd(kernel):
+    if _lapack_evd("d" if kernel.is_real else "z") is None:
+        pytest.skip("numpy's LAPACK exports no int64 ?syevd/?heevd: the "
+                    "dense solver is numpy.linalg.eigh itself")
+
+
+@pytest.fixture
+def no_lapack_evd(monkeypatch):
+    """Look the dense solver up by names no LAPACK exports, so that it
+    falls back to numpy.linalg.eigh."""
+    monkeypatch.setattr(starklab.spectra, "_EVD_NAMES",
+                        {"d": ("starklab_no_dsyevd_64_",),
+                         "z": ("starklab_no_zheevd_64_",)})
+    _lapack_evd.cache_clear()
+    yield
+    _lapack_evd.cache_clear()  # before the names come back
+
+
+@DENSE_KERNELS
+@pytest.mark.parametrize("half_width", [1, _GATE_BLOCK // 2, 200],
+                         ids=["d3", "d257", "d401"])
+def test_in_place_dense_solve_equals_eigh_bit_for_bit(kernel, half_width,
+                                                      request):
+    _needs_lapack_evd(kernel)
+    lam, vec = _dense_eigh(_disordered(kernel, half_width))
+    assert vec.flags.c_contiguous
+    oracle = np.linalg.eigh(_disordered(kernel, half_width).matrix)
+    np.testing.assert_array_equal(lam, oracle[0])
+    np.testing.assert_array_equal(vec, oracle[1])
+    sd = sl.diagonalize(_disordered(kernel, half_width))
+    request.getfixturevalue("no_lapack_evd")
+    assert _lapack_evd("d" if kernel.is_real else "z") is None
+    fallback = sl.diagonalize(_disordered(kernel, half_width))
+    for field in ("eigenvalues", "eigenvectors", "residuals"):
+        np.testing.assert_array_equal(getattr(sd, field),
+                                      getattr(fallback, field))
+    assert sd.orthonormality_defect == fallback.orthonormality_defect
+    assert sd.provenance == fallback.provenance
+
+
+@DENSE_KERNELS
+def test_dense_lapack_failure_is_a_convergence_failure(kernel, monkeypatch):
+    def fail(*args):  # info, the third argument from the end, set to 7
+        args[-3].value = 7
+    monkeypatch.setattr(starklab.spectra, "_lapack_evd", lambda kind: fail)
+    op = _disordered(kernel, half_width=5)
+    with pytest.raises(sl.ConvergenceFailureError,
+                       match=r"evd did not converge \(info=7\)"):
+        sl.diagonalize(op)
+
+
+@DENSE_KERNELS
+def test_dense_diagonalize_peak_stays_below_its_bound(kernel):
+    # eigh held the matrix, its copy, the 2 d^2 workspace and its output
+    # (5.1 to 5.4 d^2 entries of rise at N = 600); the in-place solve
+    # holds the matrix and the workspace, and the residual the matrix,
+    # the eigenvectors and their product (3.4 to 3.7).  The peak is the
+    # child's VmHWM: Linux starts a child's ru_maxrss at its parent's peak,
+    # which in a test run can exceed the child's whole solve.
+    _needs_lapack_evd(kernel)
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read the peak RSS from")
+    ratio = _last_line_of(
+        "import re, starklab as sl\n"
+        "def peak_kib():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return int(re.search(r'VmHWM:\\s*(\\d+)', fh.read())[1])\n"
+        f"kernel = sl.build_kernel(**{kernel.describe()!r})\n"
+        "sl.diagonalize(sl.build_operator(kernel, sl.PotentialSpec(), 1))\n"
+        "before = peak_kib()\n"
+        "op = sl.build_operator(kernel, sl.PotentialSpec(), 600)\n"
+        "sl.diagonalize(op)\n"
+        "rise = (peak_kib() - before) * 1024\n"
+        "print(rise / (op.dimension ** 2 * op.dtype.itemsize))")
+    assert float(ratio) < 4.5

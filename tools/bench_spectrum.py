@@ -18,7 +18,8 @@ REPEATS runs:
                      localization checks restrict their rows
     residual_gate    the eigenpair residuals: the three-term sum on the
                      row supports for the nearest-neighbour kernels, the
-                     product H @ vec for the power laws
+                     product H @ vec less vec * lam, block by block, for
+                     the power laws
     gram_gate        the orthonormality defect, against the later modes
                      whose supports meet each block's rows
     matrix           the dense fill of the operator's matrix on its first
@@ -28,8 +29,10 @@ REPEATS runs:
                      floor it is compared with: ?stevd (scipy's dstevd)
                      on the diagonal and subdiagonal for the
                      nearest-neighbour kernels (|subdiagonal| for a
-                     complex one, as its gauge makes it), np.linalg.eigh
-                     of the matrix for the power laws
+                     complex one, as its gauge makes it), the in-place
+                     ?syevd on a fresh Fortran-ordered matrix for the
+                     power laws (spectra._dense_eigh; numpy.linalg.eigh
+                     of the matrix on a numpy whose LAPACK lacks it)
     save_spectral    writing the dump pair
     load_spectral    reading it back
     envelope         the envelope bound for q = 2 and 2.5 from site 0
@@ -134,8 +137,7 @@ def run_case(kernel_name: str, half_width: int) -> dict:
         # a copy of the operator has not built its matrix yet; drop it
         seconds["matrix"] = _median_time(
             lambda: dataclasses.replace(op).matrix)[0]
-        matrix = op.matrix
-        seconds["eigh"], _ = _median_time(lambda: np.linalg.eigh(matrix))
+        seconds["eigh"], _ = _median_time(lambda: spectra._dense_eigh(op))
     else:
         from scipy.linalg.lapack import dstevd
         seconds["matrix"] = None
