@@ -779,17 +779,12 @@ def _environment() -> dict:
     which the last digits of every output depend."""
     import platform
 
-    # the bare package loads in about 10 ms (scipy.linalg is the slow
-    # part); importlib.metadata would take about 25 ms
-    import scipy
-
     # numpy before 1.26 has no CONFIG
     deps = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
     blas = deps.get("blas", {})
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "threads": {k: v for k, v in sorted(os.environ.items())
                     if k.endswith("_NUM_THREADS")},

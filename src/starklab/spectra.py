@@ -3,13 +3,14 @@
 Eigenpairs come from LAPACK.  A box kernel of support radius at most 1
 (nearest neighbour, radius-1 finite support, the zero kernel) makes a
 tridiagonal matrix, which goes to the symmetric tridiagonal
-divide-and-conquer solver (?stevd, through scipy.linalg.lapack.dstevd);
-a complex one is first made real by a diagonal unitary gauge.  Every
-other kernel goes to the dense Hermitian divide-and-conquer solver
-(?syevd, or ?heevd if complex), called in place in the LAPACK numpy
-loaded (_dense_eigh; numpy.linalg.eigh where that LAPACK lacks it).
-Measured at d = 2801 on 2 cores with OpenBLAS, ?stevd takes 0.11 s
-where the dense solver takes 1.9 s.
+divide-and-conquer solver (?stevd); a complex one is first made real by
+a diagonal unitary gauge.  Every other kernel goes to the dense
+Hermitian divide-and-conquer solver (?syevd, or ?heevd if complex),
+called in place.  Both are called in the LAPACK numpy loaded (_lapack);
+where it lacks ?stevd a tridiagonal box is solved densely, and where it
+lacks the dense solver that is numpy.linalg.eigh.  Measured at d = 2801
+on 2 cores with OpenBLAS, ?stevd takes 0.11 s where the dense solver
+takes 1.9 s.
 
 Each path's peak memory is its solver's.  The tridiagonal path never
 builds the box's matrix: ?stevd reads the diagonal and subdiagonal, and
@@ -341,16 +342,14 @@ def default_interior_window(half_width: int, gamma: float) -> int:
 def _tridiagonal_eigh(diag: np.ndarray, lower: np.ndarray):
     """Eigenpairs of the Hermitian tridiagonal matrix with real diagonal
     diag and first subdiagonal lower, from LAPACK's symmetric tridiagonal
-    divide-and-conquer solver (?stevd).
+    divide-and-conquer solver (?stevd, through _solve) on copies of diag
+    and lower, which it overwrites.
 
     A complex matrix is D T D^* with T real tridiagonal, off-diagonal
     |l|, and D = diag(phi) unitary: phi_0 = 1 and
     phi_{i+1} = phi_i l_i / |l_i| (phi_i where l_i = 0).  The eigenvectors
     of H are then phi[:, None] * z for the eigenvectors z of T.
     """
-    # scipy.linalg adds about 0.33 s to the import; load it only when needed
-    from scipy.linalg.lapack import dstevd
-
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(lower))):
         raise ValueError("the tridiagonal matrix has non-finite entries")
     phi = None
@@ -364,56 +363,81 @@ def _tridiagonal_eigh(diag: np.ndarray, lower: np.ndarray):
         np.divide(unit, np.abs(unit), out=step, where=size > 0)
         phi = np.concatenate(([1.0 + 0.0j], np.cumprod(step)))
         lower = size
-    lam, z, info = dstevd(diag, lower, compute_v=1)
-    if info != 0:
-        raise ValueError(f"?stevd did not converge (info={info})")
+    n, lam = ctypes.c_int64(len(diag)), np.array(diag, dtype=np.float64)
+    z = np.empty((len(diag), len(diag)), order="F")
+    _solve("dstevd", (b"V", n, lam, np.array(lower, dtype=np.float64), z, n),
+           (np.float64, np.int64))
     if phi is None:
-        return lam, np.ascontiguousarray(z)  # LAPACK returns Fortran order
+        return lam, np.ascontiguousarray(z)  # after _solve freed its space
     # straight from the Fortran-ordered z into C order, with no real copy
     return lam, np.multiply(phi[:, np.newaxis], z,
                             out=np.empty(z.shape, complex))
 
 
-# LAPACK's dense Hermitian divide-and-conquer solver, real (?syevd) and
-# complex (?heevd), by the names it may have in numpy's own LAPACK, in the
-# order they are looked up.  Only names whose 64_ suffix fixes every
-# integer argument at int64 are taken.
-_EVD_NAMES = {"d": ("scipy_dsyevd_64_", "dsyevd_64_"),
-              "z": ("scipy_zheevd_64_", "zheevd_64_")}
+# The names a LAPACK routine may have in numpy's own LAPACK, in lookup
+# order: only those whose 64_ suffix fixes every integer at int64.
+_LAPACK_NAMES = ("scipy_{}_64_", "{}_64_")
 
 
 @functools.cache
-def _lapack_evd(kind: str):
-    """LAPACK's ?syevd (kind "d") or ?heevd (kind "z") as a ctypes
-    function, from the library numpy.linalg loaded; None where that
-    library exports none of its _EVD_NAMES.
+def _lapack(name: str):
+    """LAPACK's dstevd, dsyevd or zheevd as a ctypes function, from the
+    library numpy.linalg loaded; None where that library exports it under
+    none of the _LAPACK_NAMES.
 
     The arguments follow the Fortran interface with int64 integers:
-    jobz, uplo, n, a, lda, w, work, lwork, [rwork, lrwork,] iwork, liwork,
-    info, then the two hidden lengths of jobz and uplo.  The arrays are
-    checked for dtype, order and writability on each call.
+    jobz, n, d, e, z, ldz (dstevd) or jobz, uplo, n, a, lda, w (the
+    others), then work, lwork, [rwork, lrwork (zheevd),] iwork, liwork,
+    info and the hidden lengths of the character arguments.  The arrays
+    are checked for dtype, order and writability on each call.
     """
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):  # a numpy without that module file
         return None
-    names = [name for name in _EVD_NAMES[kind] if hasattr(lib, name)]
+    names = [rule.format(name) for rule in _LAPACK_NAMES
+             if hasattr(lib, rule.format(name))]
     if not names:
         return None
 
     def array(dtype, order="C"):
         return np.ctypeslib.ndpointer(dtype,
                                       flags=(f"{order}_CONTIGUOUS", "WRITEABLE"))
+    char, length = ctypes.c_char_p, ctypes.c_size_t
     integer = ctypes.POINTER(ctypes.c_int64)
-    entry = np.float64 if kind == "d" else np.complex128
-    rwork = [array(np.float64), integer] if kind == "z" else []
-    evd = getattr(lib, names[0])
-    evd.argtypes = [ctypes.c_char_p, ctypes.c_char_p, integer,
-                    array(entry, "F"), integer, array(np.float64),
-                    array(entry), integer, *rwork, array(np.int64), integer,
-                    integer, ctypes.c_size_t, ctypes.c_size_t]
-    evd.restype = None
-    return evd
+    real = array(np.float64)
+    entry = np.complex128 if name == "zheevd" else np.float64
+    if name == "dstevd":
+        head = [char, integer, real, real, array(entry, "F"), integer]
+    else:
+        head = [char, char, integer, array(entry, "F"), integer, real]
+    rwork = [real, integer] if name == "zheevd" else []
+    routine = getattr(lib, names[0])
+    routine.argtypes = [*head, array(entry), integer, *rwork,
+                        array(np.int64), integer, integer,
+                        *[length] * sum(arg is char for arg in head)]
+    routine.restype = None
+    return routine
+
+
+def _solve(name: str, head: tuple, spaces: tuple) -> None:
+    """Call _lapack(name) on head, a workspace of each dtype in spaces
+    with its size, info and the hidden length (1) of each character in
+    head: first with one-entry spaces of size -1, a query of the sizes
+    LAPACK wants, then with spaces of those sizes, freed on return.
+    ValueError if LAPACK returns a nonzero info."""
+    routine = _lapack(name)
+    info = ctypes.c_int64()
+    spaces = [np.empty(1, dtype) for dtype in spaces]
+    for query in (True, False):
+        if not query:
+            spaces = [np.empty(int(s[0].real), s.dtype) for s in spaces]
+        sized = [(s, ctypes.c_int64(-1 if query else s.size)) for s in spaces]
+        routine(*head, *itertools.chain(*sized), info,
+                *[1 for arg in head if isinstance(arg, bytes)])
+        if info.value:
+            raise ValueError(f"?{name[1:]} did not converge "
+                             f"(info={info.value})")
 
 
 def _dense_eigh(op: TruncatedOperator):
@@ -428,31 +452,19 @@ def _dense_eigh(op: TruncatedOperator):
     the matrix and the workspace, 3 d^2 entries; the eigenvectors are
     copied to C order after the workspace is freed.  op.matrix is not
     read.  Where numpy's LAPACK exports no int64 ?syevd/?heevd
-    (_lapack_evd), this is numpy.linalg.eigh(op.matrix).  ValueError if
+    (_lapack), this is numpy.linalg.eigh(op.matrix).  ValueError if
     LAPACK returns a nonzero info.
     """
-    kind = "d" if op.kernel.is_real else "z"
-    evd = _lapack_evd(kind)
-    if evd is None:
+    name = "dsyevd" if op.kernel.is_real else "zheevd"
+    if _lapack(name) is None:
         return np.linalg.eigh(op.matrix)
     a = op.assemble("F")
     n = ctypes.c_int64(op.dimension)
     lam = np.empty(op.dimension)
-    info = ctypes.c_int64()
-    # work, [rwork,] iwork: a one-entry space with size -1 asks for the
-    # size LAPACK wants there, which the second call gets
-    spaces = [np.empty(1, a.dtype), np.empty(1, np.int64)]
-    if kind == "z":
-        spaces.insert(1, np.empty(1))
-    for query in (True, False):
-        if not query:
-            spaces = [np.empty(int(s[0].real), s.dtype) for s in spaces]
-        sized = [(s, ctypes.c_int64(-1 if query else s.size)) for s in spaces]
-        evd(b"V", b"L", n, a, n, lam, *itertools.chain(*sized), info, 1, 1)
-        if info.value:
-            raise ValueError(f"?{'syevd' if kind == 'd' else 'heevd'} did "
-                             f"not converge (info={info.value})")
-    del spaces, sized
+    # work, [rwork,] iwork
+    spaces = (a.dtype, np.float64, np.int64) if name == "zheevd" \
+        else (a.dtype, np.int64)
+    _solve(name, (b"V", b"L", n, a, n, lam), spaces)
     return lam, np.ascontiguousarray(a)
 
 
@@ -583,25 +595,25 @@ def diagonalize(op: TruncatedOperator,
     """Full eigendecomposition of a truncated operator, quality-gated.
 
     A tridiagonal operator (box kernel support radius at most 1) is solved
-    by LAPACK's tridiagonal divide-and-conquer solver and its residual is a
-    three-term sum over the diagonals; any other operator is solved densely
-    in place (_dense_eigh, peak 3 d^2 entries) and its residual is one
-    product H @ vec, less vec * lam one block of columns at a time, which
-    peaks at 3 d^2 too.  Eigenvectors are C-contiguous either way.  Each
-    eigenvector is scaled by the unit-modulus factor that
-    makes its largest-modulus entry (the first on ties) real and positive,
-    so the returned and dumped vectors do not depend on the sign or phase
-    the solver picked, and every zero entry is made +0.0; the gates check
-    the vectors as returned, on their row supports, which the returned
-    SpectralData keeps.
+    by LAPACK's tridiagonal divide-and-conquer solver (densely where
+    numpy's LAPACK lacks it) and its residual is a three-term sum over the
+    diagonals; any other operator is solved densely in place (_dense_eigh,
+    peak 3 d^2 entries) and its residual is one product H @ vec, less
+    vec * lam one block of columns at a time, which peaks at 3 d^2 too.
+    Eigenvectors are C-contiguous either way.  Each eigenvector is scaled
+    by the unit-modulus factor that makes its largest-modulus entry (the
+    first on ties) real and positive, so the returned and dumped vectors
+    do not depend on the sign or phase the solver picked, and every zero
+    entry is made +0.0; the gates check the vectors as returned, on their
+    row supports, which the returned SpectralData keeps.
 
     Raises ConvergenceFailureError if LAPACK does not converge, if an
     eigenvalue, residual or Gram entry is not finite, or if the
     residual/orthonormality invariants fail at the given tolerances.
     """
     lower = _subdiagonal(op)
-    try:
-        lam, vec = (_dense_eigh(op) if lower is None
+    try:  # where numpy's LAPACK has no ?stevd a tridiagonal box goes dense
+        lam, vec = (_dense_eigh(op) if lower is None or not _lapack("dstevd")
                     else _tridiagonal_eigh(op.diagonal, lower))
     except ValueError as exc:  # LinAlgError, a LAPACK info, non-finite H
         raise ConvergenceFailureError(

@@ -459,6 +459,30 @@ def test_module_entry_point_runs(tmp_path):
     assert "stage spectrum: ok" in proc.stdout
 
 
+def test_cli_runs_with_scipy_blocked(tmp_path):
+    # with sys.modules["scipy"] = None every scipy import fails, so a
+    # tridiagonal study and a dense evolve must run without scipy
+    evolve = write_config(tmp_path / "p4.json", {
+        "kernel": {"family": "power_law", "exponent": 4.0},
+        "half_widths": [40],
+        "analyses": {"dynamics": {"sources": [0], "moments": [2.0],
+                                  "grid": {"dt": 0.5, "t_max": 5.0,
+                                           "quasi_random": 3,
+                                           "far_horizon": 100.0}}},
+        "output": {"directory": str(tmp_path / "p4_out")},
+    })
+    script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
+              "from starklab.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))")
+    for command, cfg in (("study", study_config(tmp_path)),
+                         ("evolve", evolve)):
+        proc = subprocess.run([sys.executable, "-c", script, command,
+                               "--config", cfg],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_blas_thread_count_moves_only_the_last_digits(tmp_path):
     # Byte identity holds per BLAS thread count.  Across counts the
     # eigenvalues agree to round-off, and so do the moments on the uniform

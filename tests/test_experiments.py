@@ -259,7 +259,7 @@ def test_run_minimal_asymptotics(tmp_path):
     assert doc["timing"]["spectrum"]["peak_rss_mb"] > 0.0
     env = doc["environment"]
     assert env["numpy"] == np.__version__
-    assert env["scipy"] == __import__("scipy").__version__
+    assert "scipy" not in env  # no output depends on scipy
     assert env["cpu_count"] == os.cpu_count()
     assert env["threads"] == {k: v for k, v in os.environ.items()
                               if k.endswith("_NUM_THREADS")}

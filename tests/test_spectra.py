@@ -15,7 +15,7 @@ from starklab.operators import pinning_gamma
 from starklab.spectra import (ladder_anchor, _column_scan,
                               default_interior_window, _dense_eigh,
                               _fix_phases, _GATE_BLOCK, _gate_blocks,
-                              _gram_defect, _lapack_evd, _subdiagonal,
+                              _gram_defect, _lapack, _subdiagonal,
                               _tridiagonal_eigh, _tridiagonal_residuals)
 
 SQRT3 = 1.7320508075688773
@@ -500,6 +500,12 @@ def _disordered(kernel, half_width=40, amplitude=1.0, seed=3):
                              half_width)
 
 
+def _needs_lapack(name):
+    if _lapack(name) is None:
+        pytest.skip(f"numpy's LAPACK exports no int64 {name}: a tridiagonal "
+                    "box is solved densely, a dense one by numpy.linalg.eigh")
+
+
 TRIDIAGONAL_KERNELS = {
     "real nearest neighbour": sl.nearest_neighbor(),
     "complex nearest neighbour": sl.nearest_neighbor(0.6 + 0.8j),
@@ -528,6 +534,7 @@ def test_tridiagonal_path_matches_dense_eigh(name):
 def test_complex_gauge_solves_any_hermitian_tridiagonal():
     # phases vary along the band and one coupling vanishes, so the gauge
     # must carry phi across a zero and handle more than one phase
+    _needs_lapack("dstevd")
     rng = np.random.default_rng(4)
     d = 60
     diag = rng.normal(size=d)
@@ -545,6 +552,7 @@ def test_complex_gauge_solves_any_hermitian_tridiagonal():
 def test_complex_gauge_writes_phi_times_z_in_c_order():
     # the gauged vectors are phi[:, None] * z for the eigenvectors z of
     # the real matrix with off-diagonal |l|, bit for bit, and C-ordered
+    _needs_lapack("dstevd")
     rng = np.random.default_rng(5)
     d = 50
     diag = rng.normal(size=d)
@@ -570,6 +578,8 @@ def test_complex_gauge_writes_phi_times_z_in_c_order():
     (sl.power_law(4.0), True),
 ], ids=["nn", "complex-nn", "zero", "radius-1", "radius-2", "p4"])
 def test_solver_follows_support_radius(kernel, dense, monkeypatch):
+    if not dense:
+        _needs_lapack("dstevd")
     op = _disordered(kernel, half_width=20)
     calls = []
     monkeypatch.setattr(starklab.spectra, "_dense_eigh",
@@ -598,7 +608,7 @@ def test_blocked_gates_equal_the_full_array_formulas(d, dtype):
         lower *= np.exp(2j * np.pi * rng.random(d - 1))
     H = (np.diag(diag) + np.diag(lower, -1)
          + np.diag(lower.conj(), 1)).astype(dtype)
-    lam, vec = np.linalg.eigh(H)  # ?stevd takes no 1 x 1 matrix
+    lam, vec = np.linalg.eigh(H)  # any eigenpairs: the gates are tested
     _, support = _fix_phases(vec)
     assert np.array_equal(
         _tridiagonal_residuals(diag, lower, lam, vec, support),
@@ -623,6 +633,7 @@ LOCALIZED_KERNELS = pytest.mark.parametrize(
 def test_gates_on_a_localized_box_equal_the_full_array_formulas(kernel):
     # a Stark box's eigenvectors end in exact zeros; d = 2B + 3 spans three
     # gate blocks, each of whose row ranges is narrower than the box
+    _needs_lapack("dstevd")
     op = sl.build_operator(kernel, sl.PotentialSpec(), _GATE_BLOCK + 1)
     d = op.dimension
     lower = _subdiagonal(op)
@@ -688,6 +699,7 @@ def test_column_scans_per_spectrum(kernel, scans, tmp_path, monkeypatch):
 
 def _spoil_solver(monkeypatch, spoil):
     """Pass the tridiagonal solver's eigenvectors through spoil(vec)."""
+    _needs_lapack("dstevd")
     def spoiled(diag, lower):
         lam, vec = _tridiagonal_eigh(diag, lower)
         spoil(vec)
@@ -722,6 +734,7 @@ def test_blocked_gates_catch_one_bad_column(kernel, column, monkeypatch):
 def test_gates_see_a_non_finite_entry_outside_a_support(kernel, value,
                                                         monkeypatch):
     # the gates take the support of the vectors as spoiled, not as solved
+    _needs_lapack("dstevd")
     op = sl.build_operator(kernel, sl.PotentialSpec(), _GATE_BLOCK + 1)
     _, clean = _tridiagonal_eigh(op.diagonal, _subdiagonal(op))
     _, (start, stop) = _column_scan(clean)
@@ -742,15 +755,54 @@ def test_gram_defect_keeps_a_nan():
 
 
 def test_tridiagonal_lapack_failure_is_a_convergence_failure(monkeypatch):
-    import scipy.linalg.lapack
-
-    def fail(d, e, compute_v=1):
-        return d, np.zeros((d.size, d.size)), 3  # info > 0: no convergence
-    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", fail)
+    def fail(*args):  # info, the second argument from the end, set to 3
+        args[-2].value = 3
+    monkeypatch.setattr(starklab.spectra, "_lapack", lambda name: fail)
     op = sl.build_operator(sl.nearest_neighbor(), sl.PotentialSpec(), 5)
     with pytest.raises(sl.ConvergenceFailureError,
                        match=r"did not converge \(info=3\)"):
         sl.diagonalize(op)
+
+
+@LOCALIZED_KERNELS
+@pytest.mark.parametrize("half_width, amplitude, seed", [
+    (1, 1.0, 3), (_GATE_BLOCK // 2, 1.0, 3), (1400, 2.0, 1),
+], ids=["d3", "d257", "N1400"])
+def test_tridiagonal_solve_equals_scipy_dstevd_bit_for_bit(
+        kernel, half_width, amplitude, seed):
+    dstevd = pytest.importorskip("scipy.linalg.lapack").dstevd
+    _needs_lapack("dstevd")
+    op = _disordered(kernel, half_width, amplitude, seed)
+    diag, lower = op.diagonal.copy(), _subdiagonal(op)
+    band = np.abs(lower)  # the real matrix of the gauge
+    oracle_lam, oracle_z, info = dstevd(diag, band, compute_v=1)
+    assert info == 0
+    lam, _ = _tridiagonal_eigh(op.diagonal, lower)
+    np.testing.assert_array_equal(lam, oracle_lam)
+    real_lam, z = _tridiagonal_eigh(op.diagonal, band)
+    np.testing.assert_array_equal(real_lam, oracle_lam)
+    np.testing.assert_array_equal(z, oracle_z)
+    # ?stevd overwrites its diagonal and subdiagonal; it gets copies
+    np.testing.assert_array_equal(op.diagonal, diag)
+    np.testing.assert_array_equal(band, np.abs(lower))
+
+
+@LOCALIZED_KERNELS
+def test_tridiagonal_box_goes_dense_without_stevd(kernel, monkeypatch,
+                                                  request):
+    _needs_lapack("dstevd")
+    stevd = sl.diagonalize(_disordered(kernel))
+    request.getfixturevalue("no_lapack")
+    assert _lapack("dstevd") is None
+    calls = []
+    monkeypatch.setattr(starklab.spectra, "_dense_eigh",
+                        lambda op: calls.append(op.dimension)
+                        or _dense_eigh(op))
+    dense = sl.diagonalize(_disordered(kernel))  # both gates pass
+    assert len(calls) == 1
+    np.testing.assert_allclose(dense.eigenvalues, stevd.eigenvalues, rtol=0,
+                               atol=1e-12 * max(1.0, stevd.spectral_radius))
+    assert dense.provenance == stevd.provenance
 
 
 @pytest.mark.parametrize("kernel", [sl.nearest_neighbor(), sl.power_law(4.0)],
@@ -792,36 +844,26 @@ def test_import_and_config_load_leave_scipy_unloaded(tmp_path):
                          + SCIPY_MODULES) == "[]"
 
 
-def test_dense_diagonalize_leaves_scipy_unloaded():
-    # the dense solver and its gates never pay scipy.linalg's import
-    assert _last_line_of("import sys, starklab as sl\n"
-                         "sl.diagonalize(sl.build_operator(sl.power_law(4.0),"
-                         " sl.PotentialSpec(), 20))\n"
-                         + SCIPY_MODULES) == "[]"
-
-
 DENSE_KERNELS = pytest.mark.parametrize(
     "kernel", [sl.power_law(4.0),
                sl.finite_support([0.6 + 0.8j, 0.1 - 0.3j, 0.05j])],
     ids=["p4", "complex"])
 
 
-def _needs_lapack_evd(kernel):
-    if _lapack_evd("d" if kernel.is_real else "z") is None:
-        pytest.skip("numpy's LAPACK exports no int64 ?syevd/?heevd: the "
-                    "dense solver is numpy.linalg.eigh itself")
+def _dense_solver(kernel) -> str:
+    return "dsyevd" if kernel.is_real else "zheevd"
 
 
 @pytest.fixture
-def no_lapack_evd(monkeypatch):
-    """Look the dense solver up by names no LAPACK exports, so that it
-    falls back to numpy.linalg.eigh."""
-    monkeypatch.setattr(starklab.spectra, "_EVD_NAMES",
-                        {"d": ("starklab_no_dsyevd_64_",),
-                         "z": ("starklab_no_zheevd_64_",)})
-    _lapack_evd.cache_clear()
+def no_lapack(monkeypatch):
+    """Look every LAPACK routine up by names no library exports, so that a
+    tridiagonal box goes dense and the dense solver falls back to
+    numpy.linalg.eigh."""
+    monkeypatch.setattr(starklab.spectra, "_LAPACK_NAMES",
+                        ("starklab_no_{}_64_",))
+    _lapack.cache_clear()
     yield
-    _lapack_evd.cache_clear()  # before the names come back
+    _lapack.cache_clear()  # before the names come back
 
 
 @DENSE_KERNELS
@@ -829,15 +871,15 @@ def no_lapack_evd(monkeypatch):
                          ids=["d3", "d257", "d401"])
 def test_in_place_dense_solve_equals_eigh_bit_for_bit(kernel, half_width,
                                                       request):
-    _needs_lapack_evd(kernel)
+    _needs_lapack(_dense_solver(kernel))
     lam, vec = _dense_eigh(_disordered(kernel, half_width))
     assert vec.flags.c_contiguous
     oracle = np.linalg.eigh(_disordered(kernel, half_width).matrix)
     np.testing.assert_array_equal(lam, oracle[0])
     np.testing.assert_array_equal(vec, oracle[1])
     sd = sl.diagonalize(_disordered(kernel, half_width))
-    request.getfixturevalue("no_lapack_evd")
-    assert _lapack_evd("d" if kernel.is_real else "z") is None
+    request.getfixturevalue("no_lapack")
+    assert _lapack(_dense_solver(kernel)) is None
     fallback = sl.diagonalize(_disordered(kernel, half_width))
     for field in ("eigenvalues", "eigenvectors", "residuals"):
         np.testing.assert_array_equal(getattr(sd, field),
@@ -850,7 +892,7 @@ def test_in_place_dense_solve_equals_eigh_bit_for_bit(kernel, half_width,
 def test_dense_lapack_failure_is_a_convergence_failure(kernel, monkeypatch):
     def fail(*args):  # info, the third argument from the end, set to 7
         args[-3].value = 7
-    monkeypatch.setattr(starklab.spectra, "_lapack_evd", lambda kind: fail)
+    monkeypatch.setattr(starklab.spectra, "_lapack", lambda name: fail)
     op = _disordered(kernel, half_width=5)
     with pytest.raises(sl.ConvergenceFailureError,
                        match=r"evd did not converge \(info=7\)"):
@@ -865,7 +907,7 @@ def test_dense_diagonalize_peak_stays_below_its_bound(kernel):
     # the eigenvectors and their product (3.4 to 3.7).  The peak is the
     # child's VmHWM: Linux starts a child's ru_maxrss at its parent's peak,
     # which in a test run can exceed the child's whole solve.
-    _needs_lapack_evd(kernel)
+    _needs_lapack(_dense_solver(kernel))
     if not os.path.exists("/proc/self/status"):
         pytest.skip("no /proc/self/status to read the peak RSS from")
     ratio = _last_line_of(

@@ -11,7 +11,9 @@ REPEATS runs:
 
     build_operator   operator assembly, perturbation sampling included
     diagonalize      the gated solve (LAPACK's tridiagonal ?stevd for the
-                     nearest-neighbour kernel, dense for the power laws)
+                     nearest-neighbour kernel, dense for the power laws),
+                     each repeat on a fresh copy of the operator, so that
+                     no repeat finds the matrix an earlier one built
     column_scan      the one pass down the rows that gives every
                      eigenvector's peak row (its center) and its first
                      and last nonzero row, to which the gates and the
@@ -26,13 +28,13 @@ REPEATS runs:
                      read; null for the nearest-neighbour kernels, whose
                      tridiagonal solve never makes it
     eigh             the bare LAPACK solver that diagonalize calls, the
-                     floor it is compared with: ?stevd (scipy's dstevd)
-                     on the diagonal and subdiagonal for the
-                     nearest-neighbour kernels (|subdiagonal| for a
-                     complex one, as its gauge makes it), the in-place
-                     ?syevd on a fresh Fortran-ordered matrix for the
-                     power laws (spectra._dense_eigh; numpy.linalg.eigh
-                     of the matrix on a numpy whose LAPACK lacks it)
+                     floor it is compared with, in the LAPACK numpy
+                     loaded: ?stevd on the diagonal and subdiagonal for
+                     the nearest-neighbour kernels, gauge included
+                     (spectra._tridiagonal_eigh), the in-place ?syevd on
+                     a fresh Fortran-ordered matrix for the power laws
+                     (spectra._dense_eigh; numpy.linalg.eigh of the
+                     matrix on a numpy whose LAPACK lacks it)
     save_spectral    writing the dump pair
     load_spectral    reading it back
     envelope         the envelope bound for q = 2 and 2.5 from site 0
@@ -123,7 +125,7 @@ def run_case(kernel_name: str, half_width: int) -> dict:
     seconds["build_operator"], op = _median_time(
         lambda: sl.build_operator(kernel, potential, half_width))
     seconds["diagonalize"], sd = _median_time(
-        lambda: sl.diagonalize(op))
+        lambda: sl.diagonalize(dataclasses.replace(op)))
     diagonalize_rss = _peak_rss_mb()
     vec = sd.eigenvectors
     seconds["column_scan"], (_, support) = _median_time(
@@ -139,11 +141,9 @@ def run_case(kernel_name: str, half_width: int) -> dict:
             lambda: dataclasses.replace(op).matrix)[0]
         seconds["eigh"], _ = _median_time(lambda: spectra._dense_eigh(op))
     else:
-        from scipy.linalg.lapack import dstevd
         seconds["matrix"] = None
-        band = np.abs(lower) if np.iscomplexobj(lower) else lower
         seconds["eigh"], _ = _median_time(
-            lambda: dstevd(op.diagonal, band, compute_v=1))
+            lambda: spectra._tridiagonal_eigh(op.diagonal, lower))
     with tempfile.TemporaryDirectory() as tmp:
         base = os.path.join(tmp, "spectrum")
         seconds["save_spectral"], paths = _median_time(
@@ -180,12 +180,10 @@ def run_case(kernel_name: str, half_width: int) -> dict:
 
 def environment(env: dict) -> dict:
     import numpy
-    import scipy
 
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
         "threads": {v: env.get(v) for v in THREAD_VARIABLES},
     }
