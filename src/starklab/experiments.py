@@ -41,7 +41,7 @@ from .operators import (MAX_DIMENSION_DEFAULT, ConstantPerturbation,
                         PotentialSpec, UniformRandomPerturbation,
                         build_operator)
 from .spectra import (DEGENERACY_GAP, ORTHONORMALITY_TOL, RESIDUAL_TOL,
-                      diagonalize, load_spectral, provenance,
+                      blas_runtime, diagonalize, load_spectral, provenance,
                       recheck_residuals, save_spectral)
 
 __all__ = [
@@ -160,6 +160,9 @@ def _at_least(minimum: int) -> tuple:
     return ((lambda v: v >= minimum, f"must be >= {minimum}"),)
 
 
+_SEED = _at_least(0) + ((lambda v: v < 2 ** 64, "must fit in 64 bits"),)
+
+
 def _positive(default=None) -> _Field:
     return _Field("number", default=default, bound=_POSITIVE)
 
@@ -189,7 +192,7 @@ _GRID = {name: p.default
 
 # the table of every config field, walked in this order
 _CONFIG = _Field("object", expected="config root must be an object", fields={
-    "seed": _Field("integer", default=0, bound=_at_least(0)),
+    "seed": _Field("integer", default=0, bound=_SEED),
     "kernel": _Field(
         "object", required="required", tag="family",
         unknown="unknown family {!r}; expected nearest_neighbor, "
@@ -217,7 +220,7 @@ _CONFIG = _Field("object", expected="config root must be an object", fields={
                                         bound=_NONNEGATIVE),
                     # absent: the run seed
                     "seed": _Field("integer", default=_ABSENT,
-                                   bound=_at_least(0))},
+                                   bound=_SEED)},
                 "periodic": {"pattern": _list(_Field("number"),
                                               "expected a nonempty list")},
                 "explicit": {
@@ -383,8 +386,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     seed, max_dim = values["seed"], values["max_dimension"]
     widths = values.get("half_widths") or []
-    if seed >= 2 ** 64:
-        problems.append("seed: must fit in 64 bits")
     if all(isinstance(n, int) for n in widths) \
             and any(b <= a for a, b in zip(widths, widths[1:])):
         problems.append("half_widths: must be strictly ascending")
@@ -409,7 +410,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         params = dict(pot["perturbation"])
         kind = params.pop("kind")
         if kind == "uniform_random":
-            params.setdefault("seed", seed)
+            # a bad run seed is reported once, under seed
+            params.setdefault("seed", seed if clean("seed") else 0)
         try:
             potential = PotentialSpec(
                 field_slope=slope, perturbation=_PERTURBATIONS[kind](**params),
@@ -775,8 +777,10 @@ ALL_STAGES = tuple(name for name, _, _ in _STAGES)
 
 
 def _environment() -> dict:
-    """Interpreter, library versions, BLAS build and thread settings, on
-    which the last digits of every output depend."""
+    """Interpreter, library versions, BLAS build and thread settings, and
+    the threads, core and build config numpy's BLAS reports at run time
+    (None where it cannot say), on which the last digits of every output
+    depend."""
     import platform
 
     # numpy before 1.26 has no CONFIG
@@ -788,6 +792,7 @@ def _environment() -> dict:
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "threads": {k: v for k, v in sorted(os.environ.items())
                     if k.endswith("_NUM_THREADS")},
+        "blas_runtime": blas_runtime(),
         "cpu_count": os.cpu_count(),
     }
 

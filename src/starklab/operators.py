@@ -15,6 +15,7 @@ Rows and columns are ordered by site, so row i corresponds to site i - N.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -86,30 +87,121 @@ class UniformRandomPerturbation:
 
     Each site's draw is keyed by (seed, site), so the realized values do not
     depend on the box: enlarging the box extends the sample instead of
-    reshuffling it.
+    reshuffling it.  Site n takes the first uniform(-amplitude, amplitude)
+    of numpy's default_rng((seed, n + 2**32)), computed for the whole box
+    at once (_first_doubles).  The seed is an integer in [0, 2**64) and
+    the range 2 * amplitude is finite; a site below -2**32 has no key
+    (ValueError).
     """
 
     amplitude: float
     seed: int
 
     def __post_init__(self):
+        if not (isinstance(self.seed, numbers.Integral)
+                and 0 <= self.seed < 2 ** 64):
+            raise PotentialError(f"perturbation seed must be an integer in "
+                                 f"[0, 2**64), got {self.seed!r}")
         if self.amplitude < 0:
             raise PotentialError(
                 f"perturbation amplitude must be nonnegative, got {self.amplitude}")
+        if not math.isfinite(2.0 * self.amplitude):
+            raise PotentialError(
+                f"perturbation range 2 * amplitude must be finite, "
+                f"got amplitude {self.amplitude}")
 
     def values(self, sites) -> np.ndarray:
-        sites = np.asarray(sites)
-        out = np.empty(sites.shape, dtype=float)
-        flat = out.reshape(-1)
-        for i, n in enumerate(np.asarray(sites).reshape(-1)):
-            rng = np.random.default_rng(
-                (int(self.seed), int(n) + _SITE_KEY_OFFSET))
-            flat[i] = rng.uniform(-self.amplitude, self.amplitude)
-        return out
+        sites = np.asarray(sites).astype(np.int64)
+        if np.any(sites < -_SITE_KEY_OFFSET):
+            raise ValueError(
+                f"site {int(sites.min())} is below -2**32 and has no key")
+        # n + 2**32 in wrapping uint64 arithmetic: exact for n >= -2**32
+        keys = sites.astype(np.uint64) + np.uint64(_SITE_KEY_OFFSET)
+        low, high = -float(self.amplitude), float(self.amplitude)
+        # Generator.uniform: low + (high - low) * next_double
+        return low + (high - low) * _first_doubles(int(self.seed), keys)
 
     def describe(self) -> dict:
         return {"kind": "uniform_random", "amplitude": float(self.amplitude),
                 "seed": int(self.seed)}
+
+
+# numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 (a 128-bit
+# LCG with the XSL-RR output), whose streams _first_doubles reproduces
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)  # (high, low) words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix over uint32 arrays: each call xors the
+    words with the running constant, steps the constant by mult,
+    multiplies by it and folds the high half in."""
+    def hashmix(words: np.ndarray) -> np.ndarray:
+        nonlocal const
+        words = words ^ const
+        const = const * mult & _MASK32
+        words = words * const
+        return words ^ (words >> 16)
+    return hashmix
+
+
+def _mul128(value: tuple, const: tuple) -> tuple:
+    """value * const mod 2**128, both (high, low) pairs of uint64 words,
+    value of arrays and const of ints; the high word of lo * c_lo comes
+    from 32-bit limbs."""
+    (hi, lo), (c_hi, c_lo) = value, const
+    a0, a1, b0, b1 = lo & _MASK32, lo >> 32, c_lo & _MASK32, c_lo >> 32
+    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return carry + lo * c_hi + hi * c_lo, lo * c_lo
+
+
+def _add128(a: tuple, b: tuple) -> tuple:
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < a[1]), lo
+
+
+def _first_doubles(seed: int, keys: np.ndarray) -> np.ndarray:
+    """default_rng((seed, key)).random() for every uint64 key, in one
+    pass over the array: SeedSequence's entropy mixing and
+    generate_state(4, uint64), PCG64's seeding, then one step and its
+    output (x >> 11) * 2**-53.  Every step is elementwise, so keys may
+    have any shape."""
+    # the entropy: the seed's 1-2 uint32 words and the key's 1-2,
+    # zero-padded to the pool of 4; a pad hashes like a key's zero high
+    # word, so a key below 2**32 can take two words as well
+    seed_words = [seed & _MASK32] + ([seed >> 32] if seed > _MASK32 else [])
+    words = [np.full(keys.shape, w, np.uint32) for w in seed_words]
+    words += [(keys & _MASK32).astype(np.uint32),
+              (keys >> 32).astype(np.uint32)]
+    words += [np.zeros(keys.shape, np.uint32)] * (4 - len(words))
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (_MIX_MULT_L * pool[dst]
+                         - _MIX_MULT_R * hashmix(pool[src]))
+                pool[dst] = mixed ^ (mixed >> 16)
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    w0, w1, w2, w3 = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+
+    # PCG64 seeding from initstate (w0, w1) and initseq (w2, w3): the
+    # state starts at 0, so its first step leaves the increment
+    inc = (w2 << 1 | w3 >> 63, w3 << 1 | 1)
+    state = _add128(inc, (w0, w1))
+    for _ in range(2):  # the seeding's second step, then the draw's
+        state = _add128(_mul128(state, _PCG_MULT), inc)
+    hi, lo = state
+    x, rot = hi ^ lo, hi >> 58
+    out = x >> rot | x << ((64 - rot) & 63)
+    return (out >> 11) * 2.0 ** -53
 
 
 @dataclass(frozen=True)

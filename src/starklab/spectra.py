@@ -380,10 +380,42 @@ _LAPACK_NAMES = ("scipy_{}_64_", "{}_64_")
 
 
 @functools.cache
+def _numpy_lapack():
+    """A ctypes handle on the library numpy.linalg loaded; None for a
+    numpy without that module file."""
+    try:
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+
+
+# OpenBLAS's run-time queries, as numpy's scipy-openblas build exports
+# them: the thread count it will use, the core it picked and its build
+_BLAS_QUERIES = {
+    "threads": ("scipy_openblas_get_num_threads64_", ctypes.c_int),
+    "core": ("scipy_openblas_get_corename64_", ctypes.c_char_p),
+    "config": ("scipy_openblas_get_config64_", ctypes.c_char_p),
+}
+
+
+def blas_runtime() -> dict:
+    """What numpy's BLAS reports at run time, one entry per
+    _BLAS_QUERIES key; None where the library lacks the symbol."""
+    out = {}
+    for key, (symbol, restype) in _BLAS_QUERIES.items():
+        query = getattr(_numpy_lapack(), symbol, None)
+        if query is not None:
+            query.argtypes, query.restype = [], restype
+            query = query()
+        out[key] = query.decode() if isinstance(query, bytes) else query
+    return out
+
+
+@functools.cache
 def _lapack(name: str):
     """LAPACK's dstevd, dsyevd or zheevd as a ctypes function, from the
-    library numpy.linalg loaded; None where that library exports it under
-    none of the _LAPACK_NAMES.
+    library numpy.linalg loaded (_numpy_lapack); None where that library
+    exports it under none of the _LAPACK_NAMES.
 
     The arguments follow the Fortran interface with int64 integers:
     jobz, n, d, e, z, ldz (dstevd) or jobz, uplo, n, a, lda, w (the
@@ -391,10 +423,7 @@ def _lapack(name: str):
     info and the hidden lengths of the character arguments.  The arrays
     are checked for dtype, order and writability on each call.
     """
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError):  # a numpy without that module file
-        return None
+    lib = _numpy_lapack()
     names = [rule.format(name) for rule in _LAPACK_NAMES
              if hasattr(lib, rule.format(name))]
     if not names:

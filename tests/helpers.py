@@ -1,11 +1,12 @@
 """Independent oracles used by the tests.
 
 Everything here recomputes expected values by a different route than the
-library (naive double loops, closed-form root formulas, a generic ODE
-integrator, one complex eigen-expansion per time) so agreement is
-meaningful.  resigned_dump edits a spectrum dump and signs it again, and
-run_offset finds an eigenvector's run in its payload, for the tests of
-what a reload must refuse.
+library (naive double loops, one numpy generator per disordered site,
+closed-form root formulas, a generic ODE integrator, one complex
+eigen-expansion per time) so agreement is meaningful.  resigned_dump
+edits a spectrum dump and signs it again, and run_offset finds an
+eigenvector's run in its payload, for the tests of what a reload must
+refuse.
 """
 import hashlib
 import json
@@ -13,12 +14,31 @@ import math
 
 import numpy as np
 
+import starklab as sl
+
+
+def per_site_draws(perturbation, sites):
+    """b at each site; for uniform random disorder, one
+    default_rng((seed, n + 2**32)) per site n and its first
+    uniform(-a, a): the rule the library computes for the whole box at
+    once."""
+    if not isinstance(perturbation, sl.UniformRandomPerturbation):
+        return perturbation.values(sites)
+    sites = np.asarray(sites)
+    out = np.empty(sites.shape, dtype=float)
+    flat = out.reshape(-1)
+    for i, n in enumerate(sites.reshape(-1)):
+        rng = np.random.default_rng((int(perturbation.seed), int(n) + 2 ** 32))
+        flat[i] = rng.uniform(-perturbation.amplitude, perturbation.amplitude)
+    return out
+
 
 def naive_matrix(kernel, potential, half_width):
     # assemble straight from the definition, one entry at a time
     sites = np.arange(-half_width, half_width + 1)
     d = sites.size
-    diag = potential.diagonal_values(sites) + potential.perturbation_values(sites)
+    diag = (potential.diagonal_values(sites)
+            + per_site_draws(potential.perturbation, sites))
     out = np.zeros((d, d), dtype=complex)
     for i in range(d):
         for j in range(d):

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 import helpers
 import starklab as sl
+from starklab import spectra
 from starklab.cli import main
 
 
@@ -125,6 +127,16 @@ def test_non_finite_amplitude_exits_1(tmp_path, capsys):
     assert main(["spectrum", "--config", str(path)]) == 1
     assert "potential.perturbation.amplitude: must be finite" in \
         capsys.readouterr().err
+
+
+def test_amplitude_of_unbounded_range_exits_1(tmp_path, capsys):
+    # 2 * 1e308 overflows: refused with the config, not in the spectrum
+    cfg = write_config(tmp_path / "wide.json", {
+        "kernel": {"family": "nearest_neighbor"}, "half_widths": [8],
+        "potential": {"perturbation": {"kind": "uniform_random",
+                                       "amplitude": 1e308}}})
+    assert main(["spectrum", "--config", cfg]) == 1
+    assert "range 2 * amplitude must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where", ["config", "flag", "file"])
@@ -481,6 +493,40 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
                                "--config", cfg],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_manifest_records_the_blas_runtime_without_thread_variables(
+        tmp_path):
+    # with no *_NUM_THREADS variable set, environment.threads is empty and
+    # only the BLAS itself can say how many threads it ran and on what core
+    cfg = write_config(tmp_path / "nn.json", {
+        "kernel": {"family": "nearest_neighbor"}, "half_widths": [8],
+        "output": {"directory": str(tmp_path / "out")}})
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith("_NUM_THREADS")}
+    proc = subprocess.run([sys.executable, "-m", "starklab.cli", "spectrum",
+                           "--config", cfg],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    with open(tmp_path / "out" / "manifest.json") as fh:
+        recorded = json.load(fh)["environment"]
+    assert recorded["threads"] == {}
+    runtime, here = recorded["blas_runtime"], spectra.blas_runtime()
+    assert set(runtime) == {"threads", "core", "config"}
+    assert (runtime["core"], runtime["config"]) == (here["core"],
+                                                    here["config"])
+    if here["threads"] is None:
+        assert runtime["threads"] is None
+    else:
+        assert 1 <= runtime["threads"] <= os.cpu_count()
+
+
+def test_blas_runtime_records_null_for_a_missing_symbol(monkeypatch):
+    monkeypatch.setitem(spectra._BLAS_QUERIES, "core",
+                        ("no_such_blas_symbol", ctypes.c_char_p))
+    runtime = spectra.blas_runtime()
+    assert runtime["core"] is None
+    assert set(runtime) == {"threads", "core", "config"}
 
 
 def test_blas_thread_count_moves_only_the_last_digits(tmp_path):

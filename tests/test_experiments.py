@@ -92,6 +92,42 @@ def test_parse_collects_every_problem_with_paths():
     assert len(err.value.problems) >= 5
 
 
+@pytest.mark.parametrize("edits, problems", [
+    ({"potential": {"perturbation": {"kind": "uniform_random",
+                                     "seed": 2 ** 64}}},
+     ["potential.perturbation.seed: must fit in 64 bits"]),
+    ({"potential": {"perturbation": {"kind": "uniform_random",
+                                     "seed": 2 ** 70}}},
+     ["potential.perturbation.seed: must fit in 64 bits"]),
+    ({"potential": {"perturbation": {"kind": "uniform_random",
+                                     "amplitude": 1e308}}},
+     ["potential: perturbation range 2 * amplitude must be finite, "
+      "got amplitude 1e+308"]),
+    # an inherited bad run seed is reported once, under seed
+    ({"seed": 2 ** 64, "potential": {"perturbation": {
+        "kind": "uniform_random", "amplitude": 1.0}}},
+     ["seed: must fit in 64 bits"]),
+    ({"seed": -1, "potential": {"perturbation": {
+        "kind": "uniform_random", "amplitude": 1e308}}},
+     ["potential: perturbation range 2 * amplitude must be finite, "
+      "got amplitude 1e+308", "seed: must be >= 0"]),
+])
+def test_parse_bounds_the_disorder(edits, problems):
+    raw = {"kernel": {"family": "nearest_neighbor"}, "half_widths": [8],
+           **edits}
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert sorted(err.value.problems) == problems
+
+
+def test_parse_accepts_the_largest_disorder_seed():
+    cfg = parse_config({"kernel": {"family": "nearest_neighbor"},
+                        "half_widths": [8], "seed": 2 ** 64 - 1,
+                        "potential": {"perturbation": {
+                            "kind": "uniform_random", "amplitude": 1.0}}})
+    assert cfg.potential.perturbation.seed == 2 ** 64 - 1
+
+
 def test_parse_rejects_maryland_with_slope():
     cfg = {"kernel": {"family": "nearest_neighbor"}, "half_widths": [8],
            "potential": {"slope": 1.0,
@@ -264,6 +300,7 @@ def test_run_minimal_asymptotics(tmp_path):
     assert env["threads"] == {k: v for k, v in os.environ.items()
                               if k.endswith("_NUM_THREADS")}
     assert set(env["blas"]) == {"name", "version"}
+    assert set(env["blas_runtime"]) == {"threads", "core", "config"}
 
 
 def test_run_all_stages_and_outputs(tmp_path):

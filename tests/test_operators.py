@@ -93,6 +93,55 @@ def test_uniform_random_bounded_and_reproducible():
     np.testing.assert_array_equal(pert.values(np.arange(-5, 6)), b1[45:56])
 
 
+# sites on both sides of 0: keys n + 2**32 of two uint32 words (n >= 0)
+# and of one (n < 0), down to the smallest key, 0 at n = -2**32
+KEYED_SITES = np.concatenate([
+    np.arange(-40, 41), [-2 ** 32, -2 ** 32 + 1, -2 ** 31, 2 ** 31, 2 ** 40,
+                         2 ** 62]])
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 0.5, 5.0])
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 31 + 5, 2 ** 32 - 1, 2 ** 32,
+                                  2 ** 32 + 3, 2 ** 63 + 11, 2 ** 64 - 1])
+def test_uniform_random_equals_per_site_generators_bit_for_bit(seed,
+                                                               amplitude):
+    # the whole-box pass against one numpy generator per site: a numpy
+    # whose SeedSequence, PCG64 or uniform formula moves fails here
+    pert = sl.UniformRandomPerturbation(amplitude=amplitude, seed=seed)
+    for sites in (KEYED_SITES, np.arange(-6, 6).reshape(3, 4)):
+        got = pert.values(sites)
+        expected = helpers.per_site_draws(pert, sites)
+        assert got.shape == sites.shape
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70, 2.5])
+def test_uniform_random_refuses_a_seed_not_an_unsigned_64_bit_integer(seed):
+    with pytest.raises(sl.PotentialError, match="seed"):
+        sl.UniformRandomPerturbation(amplitude=1.0, seed=seed)
+
+
+@pytest.mark.parametrize("amplitude", [np.inf, np.nan, 1e308])
+def test_uniform_random_refuses_a_range_that_is_not_finite(amplitude):
+    with pytest.raises(sl.PotentialError, match="finite"):
+        sl.UniformRandomPerturbation(amplitude=amplitude, seed=1)
+
+
+def test_uniform_random_accepts_a_finite_range_near_overflow():
+    pert = sl.UniformRandomPerturbation(amplitude=8e307, seed=1)
+    sites = np.arange(-3, 4)
+    np.testing.assert_array_equal(pert.values(sites),
+                                  helpers.per_site_draws(pert, sites))
+
+
+def test_site_below_the_smallest_key_raises_like_numpy():
+    pert = sl.UniformRandomPerturbation(amplitude=1.0, seed=1)
+    for draws in (pert.values, lambda s: helpers.per_site_draws(pert, s)):
+        with pytest.raises(ValueError):
+            draws(np.array([0, -2 ** 32 - 1]))
+
+
 def test_perturbation_sup_is_recomputed_from_the_box():
     pert = sl.UniformRandomPerturbation(amplitude=5.0, seed=0)
     op = sl.build_operator(sl.nearest_neighbor(),

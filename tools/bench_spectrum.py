@@ -9,6 +9,9 @@ For every kernel in KERNELS and half-width N in HALF_WIDTHS, a fresh
 Python process builds the operator and times, each as the median of
 REPEATS runs:
 
+    perturbation_values
+                     the disorder draws b(n) over the box's 2N+1 sites
+                     on their own, in one vectorized pass
     build_operator   operator assembly, perturbation sampling included
     diagonalize      the gated solve (LAPACK's tridiagonal ?stevd for the
                      nearest-neighbour kernel, dense for the power laws),
@@ -122,6 +125,9 @@ def run_case(kernel_name: str, half_width: int) -> dict:
     # untimed: import the solver modules and start the BLAS threads
     sl.diagonalize(sl.build_operator(kernel, potential, 10))
     seconds = {}
+    sites = np.arange(-half_width, half_width + 1)
+    seconds["perturbation_values"], _ = _median_time(
+        lambda: potential.perturbation_values(sites))
     seconds["build_operator"], op = _median_time(
         lambda: sl.build_operator(kernel, potential, half_width))
     seconds["diagonalize"], sd = _median_time(
