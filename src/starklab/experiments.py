@@ -446,7 +446,9 @@ def load_config(path: str) -> ExperimentConfig:
 class StageRecord:
     """One stage of a run.  budgets holds what a stage spent of its error
     budgets, outside the byte-compared outputs: the dynamics stage maps
-    source -> q -> {dropped_weight} of its moment series."""
+    source -> q -> {dropped_weight} of its moment series, the bootstrap
+    stage half_width -> {n_candidates, min_margin, min_margin_at} of its
+    report."""
 
     name: str
     status: str  # ok | failed | skipped | reused
@@ -639,6 +641,9 @@ def _bootstrap_stage(ctx: _RunContext) -> None:
             "passed": rep.passed,
             "violations": [asdict(v) for v in rep.violations[:100]],
         }
+        ctx.budgets[str(n)] = {"n_candidates": rep.n_candidates,
+                               "min_margin": rep.min_margin,
+                               "min_margin_at": rep.min_margin_at}
         if not rep.passed:
             ctx.failures.append(f"bootstrap: N={n} has {len(rep.violations)} "
                                 "violations beyond slack")

@@ -99,6 +99,120 @@ def full_gram_defect(vec):
     return float(np.max(np.abs(gram)))
 
 
+def whole_box_bootstrap(sd, gamma, base_slack=1e-8):
+    """The bootstrap check with its right side formed on every row of the
+    box, one block of localization._BLOCK interior modes at a time: the
+    shifted sum over the whole box for a narrow band, one GEMM with the
+    d x d Toeplitz matrix for a wide one.  The candidate-row check must
+    reproduce its sites, lhs, slack and counts bit for bit, and its rhs
+    (bit for bit on a narrow band) within 1e-13 relative.
+
+    Returns (n_checked, violations as (ladder index, site, lhs, rhs,
+    slack), the number of candidate rows of each block, the margins
+    (rhs + slack - lhs) / (rhs + slack) of the candidates as (margin,
+    ladder index, site), by mode and then by site, and per block each
+    row's largest lhs - (slack - base_slack) over the modes in scope,
+    which a row's lhs must exceed by base_slack to be a candidate).
+    """
+    from starklab.localization import _BLOCK, _SHIFTED_SUM_MAX_BAND
+    from starklab.operators import toeplitz
+
+    d, N = sd.dimension, sd.half_width
+    kernel = sd.kernel
+    support = kernel.support_radius
+    M = 2 * N if support is None else min(2 * N, max(support, 1))
+    absw = np.abs(kernel.amplitudes(np.arange(-M, M + 1)))
+    total_cutoff = M if support is None else max(support, 1)
+    total_mass = sl.weighted_norm(kernel, total_cutoff).upper_bound
+    cums = np.concatenate([[0.0], np.cumsum(absw)])
+    sites = sd.sites
+    j1 = np.clip(sites - N + M, 0, 2 * M + 1)
+    j2 = np.clip(sites + N + M + 1, 0, 2 * M + 1)
+    tail_mass = np.maximum(total_mass - (cums[j2] - cums[j1]),
+                           0.0)[:, np.newaxis]
+    if 2 * M + 1 <= _SHIFTED_SUM_MAX_BAND:
+        def convolve(amp):
+            out = np.zeros_like(amp)
+            for o, w in zip(range(-M, M + 1), absw):
+                if w == 0.0:
+                    continue
+                if o >= 0:
+                    out[o:] += w * amp[:d - o]
+                else:
+                    out[:d + o] += w * amp[-o:]
+            return out
+    else:
+        v = np.zeros(2 * d - 1)
+        v[d - 1 - M:d + M] = absw
+        T = toeplitz(v)
+
+        def convolve(amp):
+            return T @ amp
+
+    positions = np.nonzero(sd.interior_mask)[0]
+    n_checked, violations, candidate_rows, margins = 0, [], [], []
+    excess = []
+    for first in range(0, positions.size, _BLOCK):
+        block = positions[first:first + _BLOCK]
+        ladder = sd.ladder_indices[block]
+        amp = np.abs(sd.eigenvectors[:, block])
+        dist = np.abs(np.arange(d)[:, np.newaxis] - (ladder + N))
+        factor = np.where(dist > 0, 4.0 * gamma / np.maximum(dist, 1), 0.0)
+        scope = dist > 2.0 * gamma
+        rhs = factor * convolve(amp)
+        tail_slack = factor * tail_mass * np.max(amp, axis=0)
+        slack = tail_slack + base_slack
+        excess.append(np.max(np.where(scope, amp - tail_slack, -np.inf),
+                             axis=1))
+        n_checked += int(np.count_nonzero(scope))
+        candidate = scope & (amp > slack)
+        candidate_rows.append(int(np.count_nonzero(candidate.any(axis=1))))
+        bound = rhs + slack
+        for k, i in zip(*np.nonzero(candidate.T)):
+            margins.append(((bound[i, k] - amp[i, k]) / bound[i, k],
+                            int(ladder[k]), int(sites[i])))
+            if amp[i, k] > bound[i, k]:
+                violations.append((int(ladder[k]), int(sites[i]),
+                                   float(amp[i, k]), float(rhs[i, k]),
+                                   float(slack[i, k])))
+    return n_checked, violations, candidate_rows, margins, excess
+
+
+def assert_bootstrap_matches_whole_box(sd, gamma, base_slack=1e-8):
+    """bootstrap_decay_check(sd, gamma, base_slack) against
+    whole_box_bootstrap: the same sites, lhs, slack, counts and witness
+    site; rhs and the smallest margin bit for bit on a narrow band,
+    within 1e-13 relative on a wide one.  Returns the oracle's candidate
+    rows per block."""
+    from starklab.localization import _SHIFTED_SUM_MAX_BAND
+
+    rep = sl.bootstrap_decay_check(sd, gamma, base_slack)
+    n_checked, violations, candidate_rows, margins, _ = \
+        whole_box_bootstrap(sd, gamma, base_slack)
+    assert rep.n_checked == n_checked
+    assert [(v.ladder_index, v.site, v.lhs, v.slack)
+            for v in rep.violations] == \
+        [(m, n, lhs, slack) for m, n, lhs, _, slack in violations]
+    support = sd.kernel.support_radius
+    narrow = support is not None and \
+        2 * min(2 * sd.half_width, max(support, 1)) + 1 <= \
+        _SHIFTED_SUM_MAX_BAND
+    rtol = 0.0 if narrow else 1e-13
+    np.testing.assert_allclose([v.rhs for v in rep.violations],
+                               [v[3] for v in violations], rtol=rtol, atol=0)
+    assert rep.n_candidates == len(margins)
+    if margins:
+        w = int(np.argmin([m for m, _, _ in margins]))
+        margin, *at = margins[w]
+        assert rep.min_margin_at == tuple(at)
+        # rhs + slack within rtol moves lhs / (rhs + slack) = 1 - margin
+        # by at most rtol times itself
+        assert abs(rep.min_margin - margin) <= rtol * (1.0 - margin)
+    else:
+        assert rep.min_margin is None and rep.min_margin_at is None
+    return candidate_rows
+
+
 def symmetric_cubic_roots(matrix):
     """Eigenvalues of a real symmetric 3x3 matrix via the trigonometric
     solution of its characteristic polynomial. No eigensolver involved."""

@@ -322,6 +322,28 @@ def test_run_all_stages_and_outputs(tmp_path):
     assert env["verdicts"]
 
 
+def test_bootstrap_stage_records_its_witness_in_the_manifest(tmp_path):
+    out = tmp_path / "out"
+    manifest = run(parse_config(base_config(out)),
+                   stages=["spectrum", "bootstrap"])
+    budgets = manifest.stage("bootstrap").budgets
+    assert sorted(budgets) == ["12", "24"]
+    for n in (12, 24):
+        rep = sl.bootstrap_decay_check(
+            sl.load_spectral(str(out / f"spectrum_N{n}")))
+        assert budgets[str(n)] == {"n_candidates": rep.n_candidates,
+                                   "min_margin": rep.min_margin,
+                                   "min_margin_at": rep.min_margin_at}
+        assert rep.n_candidates > 0
+    with open(out / "manifest.json") as fh:
+        stages = {s["name"]: s for s in json.load(fh)["stages"]}
+    assert stages["bootstrap"]["budgets"] == json.loads(json.dumps(budgets))
+    # the byte-compared summary does not carry it
+    with open(out / "localization.json") as fh:
+        section = json.load(fh)["bootstrap"]["24"]
+    assert not {"n_candidates", "min_margin", "min_margin_at"} & set(section)
+
+
 def test_run_is_deterministic_across_directories(tmp_path):
     out1, out2 = tmp_path / "one", tmp_path / "two"
     m1 = run(parse_config(base_config(out1)))

@@ -1,11 +1,16 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import helpers
 import starklab as sl
-from starklab.localization import asymptotics_rows, decay_rows
+from starklab.localization import _BLOCK, asymptotics_rows, decay_rows
 
 
 def test_zero_kernel_pins_exactly():
@@ -212,14 +217,16 @@ def test_bootstrap_long_range_clean(spectrum_cache):
     assert rep.passed
 
 
+def _planted_far_amplitude(sd):
+    """sd with 0.1 planted at site 50 of mode 0, far from its center."""
+    vec = np.array(sd.eigenvectors)
+    vec[sd.row_of_site(50), sd.position_of(0)] = 0.1
+    return dataclasses.replace(sd, eigenvectors=vec)
+
+
 def test_bootstrap_flags_injected_far_amplitude(spectrum_cache):
     _, sd = spectrum_cache("nn", 100)
-    vec = np.array(sd.eigenvectors)
-    p = sd.position_of(0)
-    row = sd.row_of_site(50)
-    vec[row, p] = 0.1  # plant mass far from the center of mode 0
-    corrupted = dataclasses.replace(sd, eigenvectors=vec)
-    rep = sl.bootstrap_decay_check(corrupted, gamma=3.0)
+    rep = sl.bootstrap_decay_check(_planted_far_amplitude(sd), gamma=3.0)
     assert not rep.passed
     assert any(v.ladder_index == 0 and v.site == 50 for v in rep.violations)
 
@@ -250,6 +257,39 @@ def test_bootstrap_gamma_must_be_positive(spectrum_cache):
     _, sd = spectrum_cache("nn", 100)
     with pytest.raises(ValueError):
         sl.bootstrap_decay_check(sd, gamma=0.0)
+
+
+@pytest.mark.parametrize("gamma, base_slack, problem", [
+    (math.inf, 1e-8, "gamma"),  # passed with no site checked
+    (3.0, math.nan, "base_slack"),  # passed with no violation
+    (3.0, math.inf, "base_slack"),  # passed with no violation
+    (3.0, -1.0, "base_slack"),  # 25,221 spurious violations
+], ids=["gamma-inf", "slack-nan", "slack-inf", "slack-negative"])
+def test_bootstrap_refuses_a_bound_that_is_not_finite_and_positive(
+        spectrum_cache, gamma, base_slack, problem):
+    _, sd = spectrum_cache("nn", 100)
+    with pytest.raises(ValueError, match=f"{problem} must be finite and "
+                                         "positive"):
+        sl.bootstrap_decay_check(_planted_far_amplitude(sd), gamma=gamma,
+                                 base_slack=base_slack)
+
+
+def test_bootstrap_witness_is_the_smallest_candidate_margin(spectrum_cache):
+    _, sd = spectrum_cache("nn", 100)
+    clean = sl.bootstrap_decay_check(sd, gamma=3.0)
+    assert clean.passed and clean.n_candidates > 0
+    assert 0 <= clean.min_margin < 1
+    planted = sl.bootstrap_decay_check(_planted_far_amplitude(sd), gamma=3.0)
+    # margin < 0 exactly at a violation; the planted site is the worst
+    assert planted.min_margin < 0
+    assert planted.min_margin_at == (0, 50)
+    assert planted.n_candidates > clean.n_candidates
+    for s in (sd, _planted_far_amplitude(sd)):
+        helpers.assert_bootstrap_matches_whole_box(s, 3.0)
+    # no candidate, no witness
+    none = sl.bootstrap_decay_check(sd, gamma=3.0, base_slack=10.0)
+    assert none.n_candidates == 0
+    assert none.min_margin is None and none.min_margin_at is None
 
 
 def test_report_rows_align_with_spectrum(spectrum_cache):
@@ -411,6 +451,86 @@ def test_blocked_bootstrap_matches_on_corrupted_spectrum(spectrum_cache):
     corrupted = dataclasses.replace(sd, eigenvectors=vec)
     rep = _assert_bootstrap_matches_oracle(corrupted, op.kernel, 3.0)
     assert len({v.ladder_index for v in rep.violations}) == 2
+
+
+# ---- the candidate-row bootstrap against the whole-box formula ----
+
+def candidate_row_cases():
+    """Check bootstrap_decay_check against helpers.whole_box_bootstrap on
+    first blocks whose candidate rows number 0, 1, a few, tens and all,
+    for a wide band (p = 4) and a narrow one (nearest neighbour), at
+    N = 150.  Returns each kernel's dimension and its first block's
+    candidate row counts, case by case."""
+    found = {}
+    for name, kernel, amplitude, seed in (
+            ("p4", sl.power_law(4.0), 0.5, 7),
+            ("nn", sl.nearest_neighbor(), 2.0, 1)):
+        op = sl.build_operator(kernel, sl.PotentialSpec(
+            perturbation=sl.UniformRandomPerturbation(amplitude, seed)), 150)
+        sd = sl.diagonalize(op)
+        gamma = sd.pinning_gamma
+        # a row is a candidate where its excess tops base_slack, so a
+        # base_slack between the n-th and the next largest excess leaves
+        # n candidate rows
+        excess = np.sort(helpers.whole_box_bootstrap(sd, gamma)[4][0])[::-1]
+        slacks = [10.0, 1e-8] + [math.sqrt(excess[n - 1] * excess[n])
+                                 for n in (1, 2, 5, 9, 40, 90)
+                                 if excess[n] > 0]
+        counts = [helpers.assert_bootstrap_matches_whole_box(sd, gamma, b)[0]
+                  for b in slacks]
+        # every row: the first and the last mode of the first block made
+        # flat below their peaks, which keeps their centers, far enough
+        # apart that each row is in scope of one
+        vec = np.array(sd.eigenvectors)
+        first = np.nonzero(sd.interior_mask)[0][:_BLOCK]
+        for p in (first[0], first[-1]):
+            peak = vec[sd.row_of_site(int(sd.centers[p])), p]
+            vec[:, p] = np.where(vec[:, p] == peak, peak, 0.5 * abs(peak))
+        flat = dataclasses.replace(sd, eigenvectors=vec)
+        assert np.array_equal(flat.interior_mask, sd.interior_mask)
+        counts.append(helpers.assert_bootstrap_matches_whole_box(
+            flat, gamma)[0])
+        found[name] = (sd.dimension, counts)
+    return found
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_candidate_rows_give_the_whole_box_check(threads):
+    # OpenBLAS picks its GEMM kernel by the shape of the product and the
+    # thread count, so each count runs in a fresh interpreter
+    paths = [os.path.dirname(__file__),
+             os.path.dirname(os.path.dirname(sl.__file__)),
+             os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, test_localization as t; "
+                               "print(json.dumps(t.candidate_row_cases()))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout.strip().splitlines()[-1])
+    for name, (d, counts) in found.items():
+        assert 0 in counts and 1 in counts and counts[-1] == d, name
+        assert any(2 <= c <= 9 for c in counts), name
+    d, counts = found["p4"]
+    assert any(33 <= c <= 100 for c in counts)
+
+
+@pytest.mark.parametrize("kind", ["nn", "pl4"])
+def test_a_nan_in_one_mode_hides_no_violation_in_another(spectrum_cache,
+                                                         kind):
+    _, sd = spectrum_cache(kind, 100)
+    vec = np.array(sd.eigenvectors)
+    a, b = np.nonzero(sd.interior_mask)[0][:2]  # one block
+    site = int(sd.centers[b]) + 40
+    row = sd.row_of_site(site)
+    vec[row, a] = np.nan  # a row max would read nan and drop the row
+    vec[row, b] = 0.1
+    corrupted = dataclasses.replace(sd, eigenvectors=vec)
+    rep = sl.bootstrap_decay_check(corrupted, gamma=3.0)
+    assert (int(sd.ladder_indices[b]), site) in \
+        [(v.ladder_index, v.site) for v in rep.violations]
+    helpers.assert_bootstrap_matches_whole_box(corrupted, 3.0)
 
 
 def test_blocked_decay_matches_on_degenerate_and_zero_kernel(spectrum_cache):

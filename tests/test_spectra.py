@@ -649,6 +649,40 @@ def test_gates_on_a_localized_box_equal_the_full_array_formulas(kernel):
     assert _gram_defect(vec, support) == helpers.full_gram_defect(vec)
 
 
+@LOCALIZED_KERNELS
+@pytest.mark.parametrize("seed", [1, 5, 7, 11])
+def test_support_row_gram_defect_is_within_four_ulps_of_the_whole_box(
+        kernel, seed):
+    # the strips run over each block's support rows, which splits the
+    # GEMM's sums elsewhere: the stated tolerance is 4 * 2**-52
+    pert = sl.UniformRandomPerturbation(2.0, seed)
+    sd = sl.diagonalize(sl.build_operator(
+        kernel, sl.PotentialSpec(perturbation=pert), 300))
+    start, stop = sd.row_support
+    assert np.max(stop - start) < sd.dimension // 4
+    whole = helpers.full_gram_defect(np.asarray(sd.eigenvectors))
+    assert abs(sd.orthonormality_defect - whole) <= 4 * 2.0 ** -52
+
+
+@LOCALIZED_KERNELS
+@pytest.mark.parametrize("later", ["first", "last"])
+def test_gram_defect_reads_every_later_column_meeting_a_block(kernel, later):
+    # column j is made to overlap column i of the first block by 1e-3, the
+    # largest Gram entry, which only the first block's strip holds: j is
+    # the first column after the block, or the last column of the box,
+    # whose support now reaches the block's rows
+    sd = sl.diagonalize(sl.build_operator(kernel, sl.PotentialSpec(),
+                                          _GATE_BLOCK + 1))
+    vec = np.array(sd.eigenvectors)
+    i = _GATE_BLOCK - 1
+    j = _GATE_BLOCK if later == "first" else sd.dimension - 1
+    vec[:, j] += 1e-3 * vec[:, i]
+    _, support = _column_scan(vec)
+    defect = _gram_defect(vec, support)
+    assert defect == pytest.approx(1e-3, rel=1e-9)
+    assert abs(defect - helpers.full_gram_defect(vec)) <= 4 * 2.0 ** -52
+
+
 def test_row_support_brackets_the_nonzero_rows():
     vec = np.zeros((6, 6), dtype=complex)
     vec[1, 0] = vec[3, 0] = 1.0  # a zero row inside the support stays in

@@ -26,7 +26,8 @@ REPEATS runs:
                      product H @ vec less vec * lam, block by block, for
                      the power laws
     gram_gate        the orthonormality defect, against the later modes
-                     whose supports meet each block's rows
+                     whose supports meet each block's rows, over the
+                     block's support rows
     matrix           the dense fill of the operator's matrix on its first
                      read; null for the nearest-neighbour kernels, whose
                      tridiagonal solve never makes it
@@ -52,7 +53,8 @@ REPEATS runs:
                      the pinning check
     bootstrap_decay_check
                      the bootstrap inequality at the default gamma, the
-                     box's pinning bound
+                     box's pinning bound, its right side formed only on
+                     the candidate rows
 
 Each case runs in its own process, so its peak RSS (``ru_maxrss``) is its
 own; a small untimed solve first loads the solver modules.  The case
