@@ -133,10 +133,6 @@ class MomentBoundVerdict:
     conclusion: str
 
     @property
-    def asserts_bounded(self) -> bool:
-        return self.conclusion.startswith("bounded")
-
-    @property
     def growth_not_excluded(self) -> bool:
         """The probe failed: the ratio is at its limit or above, or NaN."""
         return self.conclusion.endswith("growth not excluded")

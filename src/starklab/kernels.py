@@ -115,7 +115,6 @@ class HoppingKernel:
 class WeightedNorm:
     """Partial hopping mass of a kernel plus a bound on the dropped tail."""
 
-    cutoff: int
     partial_sum: float
     tail_bound: float  # 0 for finite kernels
 
@@ -236,11 +235,10 @@ def weighted_norm(kernel: HoppingKernel, cutoff: int) -> WeightedNorm:
         m = np.arange(1, cutoff + 1, dtype=float)
         partial = 2.0 * float(np.sum(m ** -p))
         tail = 2.0 * cutoff ** (1.0 - p) / (p - 1.0)
-        return WeightedNorm(cutoff, partial, tail)
+        return WeightedNorm(partial, tail)
 
     radius = kernel.support_radius
     if cutoff < radius:
         raise ValueError(
             f"cutoff {cutoff} does not cover the kernel support radius {radius}")
-    return WeightedNorm(cutoff, float(sum(abs(v) for _, v in kernel.entries)),
-                        0.0)
+    return WeightedNorm(float(sum(abs(v) for _, v in kernel.entries)), 0.0)

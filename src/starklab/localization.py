@@ -59,9 +59,14 @@ __all__ = [
 # interior modes per blocked pass; a d x 128 float64 block is 2 MB at d = 2001
 _BLOCK = 128
 # kernels whose band 2M+1 spans at most this many offsets are convolved by a
-# shifted sum, wider bands by a Toeplitz GEMM: per block of 128 modes on 2
-# cores with OpenBLAS the two cost the same near a band of 31-63 at
-# d = 1001-2801, and the GEMM is 8-17x slower on a nearest-neighbour band
+# shifted sum, wider bands by a Toeplitz GEMM.  Per block of 128 modes at
+# the candidate rows of a p = 4 box (about 200 rows; B = 0.5, seed 7) on 2
+# cores with OpenBLAS, the two cost the same near a band of 15 at d = 1001
+# and of 31-47 at d = 2001-2801, and the GEMM is 4-12x slower on a
+# nearest-neighbour band.  A narrow band must stay a shifted sum whatever
+# the speed: for the nearest-neighbour kernel a = 0.73 (N = 700, B = 2,
+# seed 1, gamma 0.6) a GEMM moved the right side's bits in 105 of 687
+# violations
 _SHIFTED_SUM_MAX_BAND = 31
 
 
@@ -263,11 +268,11 @@ def uniform_decay_constants(sd: SpectralData,
                  for alpha, (by_center, by_index) in zip(alphas, sups))
 
 
-def _blocks(sd: SpectralData, positions: np.ndarray, widen: int = 0):
+def _blocks(sd: SpectralData, positions: np.ndarray):
     """Yield (positions, rows, |entries|) for runs of _BLOCK modes.
 
     rows is the slice of box rows that the block's eigenvectors occupy,
-    support_rows(sd.row_support, block, widen); |entries| are the moduli of
+    support_rows(sd.row_support, block); |entries| are the moduli of
     the block's eigenvectors on those rows.  Every entry outside them is
     an exact zero, which leaves a max and a row-by-row sum unchanged, so
     a pass over the rows gives the bits of a pass over the whole box at a
@@ -278,7 +283,7 @@ def _blocks(sd: SpectralData, positions: np.ndarray, widen: int = 0):
     for first in range(0, positions.size, _BLOCK):
         block = positions[first:first + _BLOCK]
         rows = (slice(0, sd.dimension) if block.size == 1
-                else support_rows(sd.row_support, block, widen))
+                else support_rows(sd.row_support, block))
         lo, hi = int(block[0]), int(block[-1]) + 1
         # interior positions are mostly consecutive: a slice is a view,
         # where a gather of scattered columns costs several times more
@@ -313,37 +318,36 @@ def _decay_slopes(amp: np.ndarray, dist: np.ndarray, log_dist: np.ndarray,
 
 
 def _band_convolution(absw: np.ndarray, M: int, d: int):
-    """Map (amp, rows) to conv[r, :] = sum_j |a(i - j)| amp[j, :] over
-    |i - j| <= M at the rows i = rows[r] of amp, and the rows by which
-    amp's row range must be widened for conv to see every nonzero term.
+    """Map (amp, rows, at) to conv[r, :] = sum_j |a(at[r] - j)| amp[j, :]
+    over |at[r] - j| <= M, where amp holds the box rows j of the slice
+    rows and every other row of the box is an exact zero.
 
-    A narrow band is summed offset by offset at the listed rows, in the
-    tap order of a shifted sum over the whole run, so with its bits; a
-    tap past amp's rows would add an exact zero and is skipped.  A wide
-    band is the GEMM T[rows] @ amp with T[i, j] = |a(i - j)| over the
-    whole box, so the inner dimension stays d; the rows of T are
+    A narrow band is summed offset by offset at the rows at, in the tap
+    order of a shifted sum over the whole run, so with its bits; a tap
+    past amp's rows would add an exact zero and is skipped.  A wide band
+    is the GEMM T[at, rows] @ amp with T[i, j] = |a(i - j)|: its rows are
     reversed windows of the kernel vector, and the d x d matrix is never
-    built.  A GEMM over fewer output rows can move the last bits: at
-    p = 4, d = 2001 it did at 1 to 3 rows (by at most 1.5e-14 relative)
+    built.  A GEMM over other shapes can move the last bits: at p = 4,
+    d = 2001 it did at 1 to 3 output rows (by at most 1.5e-14 relative)
     and matched from 4 rows up, at 1 and 2 OpenBLAS threads.
     """
     if 2 * M + 1 <= _SHIFTED_SUM_MAX_BAND:
         taps = [(o, w) for o, w in zip(range(-M, M + 1), absw) if w != 0.0]
 
-        def shifted_sum(amp, rows):
-            out = np.zeros((rows.size, amp.shape[1]))
+        def shifted_sum(amp, rows, at):
+            out = np.zeros((at.size, amp.shape[1]))
             for o, w in taps:
-                src = rows - o
+                src = at - rows.start - o
                 inside = (src >= 0) & (src < len(amp))
                 out[inside] += w * amp[src[inside]]
             return out
-        return shifted_sum, 0
+        return shifted_sum
 
     # v[k] = |a(k - (d - 1))|, so window i reversed is row i of T
     v = np.zeros(2 * d - 1)
     v[d - 1 - M:d + M] = absw
     windows = np.lib.stride_tricks.sliding_window_view(v, d)
-    return (lambda amp, rows: windows[rows, ::-1] @ amp), d
+    return lambda amp, rows, at: windows[:, ::-1][at, rows] @ amp
 
 
 def bootstrap_decay_check(sd: SpectralData, gamma: float | None = None,
@@ -395,7 +399,7 @@ def bootstrap_decay_check(sd: SpectralData, gamma: float | None = None,
     window_mass = cums[j2] - cums[j1]
     tail_mass = np.maximum(total_mass - window_mass, 0.0)[:, np.newaxis]
 
-    convolve, widen = _band_convolution(absw, M, d)
+    convolve = _band_convolution(absw, M, d)
     indices = sd.ladder_indices
     # 4*gamma/|m - n| by integer distance |m - n| <= N + max|m|; distance 0
     # is never in scope
@@ -416,7 +420,7 @@ def bootstrap_decay_check(sd: SpectralData, gamma: float | None = None,
     margins = []  # per block with candidates: (margin, ladder index, site)
     # a site where |phi_m| = 0 cannot exceed rhs + slack >= 0, so only the
     # rows of each block's support are checked
-    for block, rows, amp in _blocks(sd, positions, widen):
+    for block, rows, amp in _blocks(sd, positions):
         # slack >= base_slack, so only rows where some mode has
         # amp > base_slack can hold a candidate; any() over the modes, as
         # a NaN in one mode would hide the others from a row max
@@ -433,7 +437,7 @@ def bootstrap_decay_check(sd: SpectralData, gamma: float | None = None,
             continue
         box_rows, factor, slack, lhs, cand = (
             x[keep] for x in (box_rows, factor, slack, lhs, cand))
-        rhs = factor * convolve(amp, box_rows - rows.start)
+        rhs = factor * convolve(amp, rows, box_rows)
         bound = rhs + slack
         k, i = np.nonzero(cand.T)  # by mode, then by site
         n_candidates += k.size

@@ -1,16 +1,18 @@
 """Diagonalization with quality gates, ladder labels, and dumps.
 
-Eigenpairs come from LAPACK.  A box kernel of support radius at most 1
-(nearest neighbour, radius-1 finite support, the zero kernel) makes a
-tridiagonal matrix, which goes to the symmetric tridiagonal
-divide-and-conquer solver (?stevd); a complex one is first made real by
-a diagonal unitary gauge.  Every other kernel goes to the dense
-Hermitian divide-and-conquer solver (?syevd, or ?heevd if complex),
-called in place.  Both are called in the LAPACK numpy loaded (_lapack);
-where it lacks ?stevd a tridiagonal box is solved densely, and where it
-lacks the dense solver that is numpy.linalg.eigh.  Measured at d = 2801
-on 2 cores with OpenBLAS, ?stevd takes 0.11 s where the dense solver
-takes 1.9 s.
+Eigenpairs come from LAPACK, through one solver choice (_eigh).  A box
+kernel of support radius at most 1 (nearest neighbour, radius-1 finite
+support, the zero kernel) makes a tridiagonal matrix, which goes to the
+symmetric tridiagonal divide-and-conquer solver (?stevd); a complex one
+is first made real by a diagonal unitary gauge.  Every other kernel goes
+to the dense Hermitian divide-and-conquer solver (?syevd, or ?heevd if
+complex), called in place.  Both are called in the LAPACK numpy loaded
+(_lapack); where it lacks ?stevd a tridiagonal box is solved densely,
+and where it lacks the dense solver that is numpy.linalg.eigh.  Measured
+at d = 2801 on 2 cores with OpenBLAS, ?stevd takes 0.11 s where the
+dense solver takes 1.9 s.  The residual's form follows the box, not the
+solver (_gated_residuals): a tridiagonal box solved densely keeps its
+three-term residual.
 
 Each path's peak memory is its solver's.  The tridiagonal path never
 builds the box's matrix: ?stevd reads the diagonal and subdiagonal, and
@@ -469,21 +471,27 @@ def _solve(name: str, head: tuple, spaces: tuple) -> None:
                              f"(info={info.value})")
 
 
-def _dense_eigh(op: TruncatedOperator):
-    """Eigenpairs of the dense box op: (ascending eigenvalues, C-ordered
-    eigenvectors as columns).
+def _eigh(op: TruncatedOperator):
+    """Eigenpairs of the box op: (ascending eigenvalues, C-ordered
+    eigenvectors as columns), from the one solver picked here.
 
-    LAPACK's ?syevd (real) or ?heevd (complex) overwrites a fresh
+    A tridiagonal box (_subdiagonal) goes to ?stevd (_tridiagonal_eigh),
+    which never reads op.matrix.  Any other box, or a tridiagonal one
+    where numpy's LAPACK exports no int64 ?stevd (_lapack), goes to
+    ?syevd (real) or ?heevd (complex), which overwrites a fresh
     Fortran-ordered matrix of op with its eigenvectors, with jobz 'V',
     uplo 'L' and the workspace sizes of an lwork = -1 query: the call
     numpy.linalg.eigh makes, so the eigenpairs are its bits, without
     eigh's copy of the matrix or its separate output array.  The peak is
     the matrix and the workspace, 3 d^2 entries; the eigenvectors are
-    copied to C order after the workspace is freed.  op.matrix is not
-    read.  Where numpy's LAPACK exports no int64 ?syevd/?heevd
-    (_lapack), this is numpy.linalg.eigh(op.matrix).  ValueError if
-    LAPACK returns a nonzero info.
+    copied to C order after the workspace is freed.  Where numpy's LAPACK
+    exports no int64 dense solver either, this is
+    numpy.linalg.eigh(op.matrix).  ValueError if LAPACK returns a
+    nonzero info.
     """
+    lower = _subdiagonal(op)
+    if lower is not None and _lapack("dstevd") is not None:
+        return _tridiagonal_eigh(op.diagonal, lower)
     name = "dsyevd" if op.kernel.is_real else "zheevd"
     if _lapack(name) is None:
         return np.linalg.eigh(op.matrix)
@@ -587,36 +595,38 @@ def _subdiagonal(op: TruncatedOperator) -> np.ndarray | None:
     return np.full(op.dimension - 1, hop.real if op.kernel.is_real else hop)
 
 
-def _residuals(op: TruncatedOperator, lam: np.ndarray, vec: np.ndarray,
-               lower: np.ndarray | None,
-               support: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Column norms of H @ vec - vec * lam: the three-term sum of a
-    tridiagonal box (lower = _subdiagonal(op)), one whole-box product
-    H @ vec for any other box (lower None), from which each block of
-    columns subtracts its vec * lam in place before its norms are taken.
-    The product is not split by columns: a GEMM on fewer columns changed
-    the last bits of some entries at 2 OpenBLAS threads."""
-    if lower is None:
-        r = op.matrix @ vec
-        resid = np.empty(len(lam))
-        for i0, i1 in _gate_blocks(len(lam)):
-            block = r[:, i0:i1]
-            block -= vec[:, i0:i1] * lam[np.newaxis, i0:i1]
-            resid[i0:i1] = np.linalg.norm(block, axis=0)
-        return resid
-    return _tridiagonal_residuals(op.diagonal, lower, lam, vec, support)
+def _gated_residuals(op: TruncatedOperator, lam: np.ndarray,
+                     vec: np.ndarray, support: tuple[np.ndarray, np.ndarray],
+                     residual_tol: float) -> np.ndarray:
+    """Column norms of H @ vec - vec * lam for the box op, gated:
+    ConvergenceFailureError unless their max is <= residual_tol *
+    max(1, spectral radius), which a NaN residual fails too.
 
-
-def _residual_gate(resid: np.ndarray, lam: np.ndarray, residual_tol: float,
-                   half_width: int) -> None:
-    """ConvergenceFailureError unless max(resid) <= residual_tol *
-    max(1, spectral radius); a NaN residual fails too."""
-    radius = float(max(abs(lam[0]), abs(lam[-1]))) if len(lam) else 0.0
-    resid_limit = residual_tol * max(1.0, radius)
+    The form follows the box, not its solver: a tridiagonal box
+    (_subdiagonal) takes the three-term sum on the row supports
+    (_tridiagonal_residuals), any other box one whole-box product
+    H @ vec, from which each block of columns subtracts its vec * lam in
+    place before its norms are taken.  The product is not split by
+    columns: a GEMM on fewer columns changed the last bits of some
+    entries at 2 OpenBLAS threads."""
+    lower = _subdiagonal(op)
+    with np.errstate(invalid="ignore"):  # a non-finite residual fails below
+        if lower is not None:
+            resid = _tridiagonal_residuals(op.diagonal, lower, lam, vec,
+                                           support)
+        else:
+            r = op.matrix @ vec
+            resid = np.empty(len(lam))
+            for i0, i1 in _gate_blocks(len(lam)):
+                block = r[:, i0:i1]
+                block -= vec[:, i0:i1] * lam[np.newaxis, i0:i1]
+                resid[i0:i1] = np.linalg.norm(block, axis=0)
+    resid_limit = residual_tol * max(1.0, abs(lam[0]), abs(lam[-1]))
     if not np.max(resid) <= resid_limit:
         raise ConvergenceFailureError(
             f"max eigenpair residual {np.max(resid):.3e} exceeds "
-            f"{resid_limit:.3e} (half_width={half_width})")
+            f"{resid_limit:.3e} (half_width={op.half_width})")
+    return resid
 
 
 def diagonalize(op: TruncatedOperator,
@@ -626,13 +636,9 @@ def diagonalize(op: TruncatedOperator,
                 degeneracy_gap: float = DEGENERACY_GAP) -> SpectralData:
     """Full eigendecomposition of a truncated operator, quality-gated.
 
-    A tridiagonal operator (box kernel support radius at most 1) is solved
-    by LAPACK's tridiagonal divide-and-conquer solver (densely where
-    numpy's LAPACK lacks it) and its residual is a three-term sum over the
-    diagonals; any other operator is solved densely in place (_dense_eigh,
-    peak 3 d^2 entries) and its residual is one product H @ vec, less
-    vec * lam one block of columns at a time, which peaks at 3 d^2 too.
-    Eigenvectors are C-contiguous either way.  Each eigenvector is scaled
+    _eigh picks the solver and _gated_residuals the residual's form, both
+    from the box.  Eigenvectors are C-contiguous either way, and neither
+    step peaks above 3 d^2 entries.  Each eigenvector is scaled
     by the unit-modulus factor that makes its largest-modulus entry (the
     first on ties) real and positive, so the returned and dumped vectors
     do not depend on the sign or phase the solver picked, and every zero
@@ -643,10 +649,8 @@ def diagonalize(op: TruncatedOperator,
     eigenvalue, residual or Gram entry is not finite, or if the
     residual/orthonormality invariants fail at the given tolerances.
     """
-    lower = _subdiagonal(op)
-    try:  # where numpy's LAPACK has no ?stevd a tridiagonal box goes dense
-        lam, vec = (_dense_eigh(op) if lower is None or not _lapack("dstevd")
-                    else _tridiagonal_eigh(op.diagonal, lower))
+    try:
+        lam, vec = _eigh(op)
     except ValueError as exc:  # LinAlgError, a LAPACK info, non-finite H
         raise ConvergenceFailureError(
             f"eigensolver failed on half_width={op.half_width} "
@@ -658,9 +662,7 @@ def diagonalize(op: TruncatedOperator,
 
     scan = _, support = _fix_phases(vec)
     vec += 0.0  # -0.0 -> +0.0, so that a dump's runs give vec back exactly
-    with np.errstate(invalid="ignore"):  # a non-finite residual fails below
-        resid = _residuals(op, lam, vec, lower, support)
-    _residual_gate(resid, lam, residual_tol, op.half_width)
+    resid = _gated_residuals(op, lam, vec, support, residual_tol)
 
     defect = _gram_defect(vec, support)
     if not defect <= orthonormality_tol:
@@ -694,15 +696,11 @@ def recheck_residuals(sd: SpectralData, op: TruncatedOperator) -> None:
     (ValueError): the bits may differ on another machine.  A dense box is
     not rechecked, since its product H @ vec takes 0.58 s at N = 1400.
     """
-    lower = _subdiagonal(op)
-    if lower is None:
+    if _subdiagonal(op) is None:
         return
-    lam = sd.eigenvalues
-    with np.errstate(invalid="ignore"):  # a non-finite residual fails below
-        resid = _tridiagonal_residuals(op.diagonal, lower, lam,
-                                       sd.eigenvectors, sd.row_support)
-    _residual_gate(resid, lam, float(sd.recorded("residual_tol")),
-                   sd.half_width)
+    resid = _gated_residuals(op, sd.eigenvalues, sd.eigenvectors,
+                             sd.row_support,
+                             float(sd.recorded("residual_tol")))
     recorded = float(np.max(sd.residuals))
     if not abs(np.max(resid) - recorded) <= RESIDUAL_RECHECK_RTOL * recorded:
         raise ValueError(
@@ -825,6 +823,18 @@ def save_spectral(sd: SpectralData, base_path: str) -> tuple[str, str]:
     return json_path, bin_path
 
 
+def _header_field(header: dict, path: str, where: str):
+    """The entry of a dump header at the dotted path; ValueError naming
+    the path and where if an entry on it is not an object or lacks the
+    next key."""
+    entry = header
+    for key in path.split("."):
+        if not isinstance(entry, dict) or key not in entry:
+            raise ValueError(f"{where} has no {path} field")
+        entry = entry[key]
+    return entry
+
+
 def load_spectral(base_path: str) -> SpectralData:
     """Rebuild SpectralData from a save_spectral dump pair.
 
@@ -838,14 +848,15 @@ def load_spectral(base_path: str) -> SpectralData:
     0 <= start < stop <= d or a byte_length other than the one the
     supports and the dtype need, a payload whose sha256 differs from the
     header's, a stored run that does not begin and end on a nonzero entry
-    (a zero column's run spans the box), and a header whose _summary
+    (a zero column's run spans the box), a header whose _summary
     field (the anchor, its fallback flag, degenerate_positions,
     max_residual or center_offset_sup) differs from what the payload and
-    the provenance give.
+    the provenance give, and a header that lacks a field it reads or
+    whose provenance or payload is not an object (_header_field).
     """
     with open(f"{base_path}.json", "r", encoding="utf-8") as fh:
         header = json.load(fh)
-    if header.get("format") != _FORMAT_NAME:
+    if not isinstance(header, dict) or header.get("format") != _FORMAT_NAME:
         raise ValueError(f"{base_path}.json is not a spectrum header")
     version = header.get("format_version")
     if version != _FORMAT_VERSION:
@@ -853,19 +864,21 @@ def load_spectral(base_path: str) -> SpectralData:
             f"{base_path}.json has dump format_version {version!r}; only "
             f"format_version {_FORMAT_VERSION} is read: rerun the spectrum "
             "stage to rewrite it")
-    d = int(header["dimension"])
-    half_width = int(header["half_width"])
-    prov = header.get("provenance", {})
-    if d != 2 * half_width + 1 or prov.get("half_width") != half_width:
+
+    def field(path):
+        return _header_field(header, path, f"{base_path}.json")
+    d = int(field("dimension"))
+    half_width = int(field("half_width"))
+    if d != 2 * half_width + 1 or \
+            field("provenance.half_width") != half_width:
         raise ValueError(f"{base_path}.json: half_width {half_width} "
                          f"disagrees with dimension {d} or provenance")
-    payload = header["payload"]
-    if payload.get("eigenvector_dtype") not in _EIGENVECTOR_DTYPES:
+    dtype = field("payload.eigenvector_dtype")
+    if dtype not in _EIGENVECTOR_DTYPES:
         raise ValueError(f"{base_path}.json names eigenvector dtype "
-                         f"{payload.get('eigenvector_dtype')!r}, not one "
-                         f"of {_EIGENVECTOR_DTYPES}")
-    dtype = np.dtype(payload["eigenvector_dtype"])
-    declared = payload["byte_length"]
+                         f"{dtype!r}, not one of {_EIGENVECTOR_DTYPES}")
+    dtype = np.dtype(dtype)
+    declared = field("payload.byte_length")
     with open(f"{base_path}.bin", "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size != declared:
@@ -898,7 +911,7 @@ def load_spectral(base_path: str) -> SpectralData:
             run = np.fromfile(fh, dtype, int(np.count_nonzero(mask)))
             digest.update(run)
             vec[rows, columns].T[mask] = run
-    if digest.hexdigest() != payload["sha256"]:
+    if digest.hexdigest() != field("payload.sha256"):
         raise ValueError(f"{base_path}.bin does not match the sha256 in "
                          f"{base_path}.json: the payload is corrupt")
     scan = _, (first, end) = _column_scan(vec)
@@ -912,7 +925,8 @@ def load_spectral(base_path: str) -> SpectralData:
             "nonzero entry, or span the box for a zero column")
 
     sd = SpectralData(_frozen(values[:d]), _frozen(vec), _frozen(values[d:]),
-                      float(header["orthonormality_defect"]), prov)
+                      float(field("orthonormality_defect")),
+                      field("provenance"))
     vars(sd)["_scan"] = scan
     for key, value in _summary(sd).items():
         if header.get(key) != value:

@@ -1,6 +1,19 @@
 import pytest
 
 import starklab as sl
+import starklab.spectra
+
+
+@pytest.fixture
+def no_lapack(monkeypatch):
+    """Look every LAPACK routine up by names no library exports, so that a
+    tridiagonal box goes dense and the dense solver falls back to
+    numpy.linalg.eigh."""
+    monkeypatch.setattr(starklab.spectra, "_LAPACK_NAMES",
+                        ("starklab_no_{}_64_",))
+    starklab.spectra._lapack.cache_clear()
+    yield
+    starklab.spectra._lapack.cache_clear()  # before the names come back
 
 
 @pytest.fixture(scope="session")

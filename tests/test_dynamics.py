@@ -488,7 +488,7 @@ def test_verdict_hypothesis_arithmetic(spectrum_cache):
     v = sl.moment_bound_verdict(env, alpha=2.0, q=3.0)
     assert not v.hypothesis_satisfied
     assert v.conclusion.startswith("hypothesis not satisfied")
-    assert not v.asserts_bounded
+    assert not v.conclusion.startswith("bounded")
     assert not v.growth_not_excluded
     v2 = sl.moment_bound_verdict(env, alpha=3.0, q=2.5)
     assert v2.hypothesis_satisfied
@@ -499,7 +499,7 @@ def test_verdict_without_doubling_data(spectrum_cache):
     v = sl.moment_bound_verdict(sl.envelope(sd, 0), alpha=3.0, q=2.0)
     assert v.doubling_ratio is None
     assert v.conclusion == "doubling data unavailable"
-    assert not v.asserts_bounded
+    assert not v.conclusion.startswith("bounded")
     assert not v.growth_not_excluded
 
 
@@ -510,7 +510,6 @@ def test_verdict_bounded_with_doubling(spectrum_cache):
     assert v.boundary_share < 0.01
     assert v.doubling_ratio is not None
     assert v.doubling_ratio < 1.1
-    assert v.asserts_bounded
     assert not v.growth_not_excluded
     assert v.conclusion.startswith("bounded")
 
@@ -519,7 +518,7 @@ def test_verdict_growth_not_excluded_under_tight_limit(spectrum_cache):
     small, large = _envelopes(spectrum_cache, (2.0,))
     v = sl.moment_bound_verdict(small, alpha=3.0, q=2.0, doubled=large,
                                 ratio_limit=0.5)
-    assert not v.asserts_bounded
+    assert not v.conclusion.startswith("bounded")
     assert v.growth_not_excluded
     assert "growth not excluded" in v.conclusion
 
@@ -531,7 +530,7 @@ def test_verdict_growth_not_excluded_on_a_nan_ratio(spectrum_cache):
     broken = replace(large, moments={2.0: (np.nan, share)})
     v = sl.moment_bound_verdict(small, alpha=3.0, q=2.0, doubled=broken)
     assert np.isnan(v.doubling_ratio)
-    assert not v.asserts_bounded
+    assert not v.conclusion.startswith("bounded")
     assert v.growth_not_excluded
     assert v.conclusion.startswith("doubling ratio nan")
 
@@ -543,7 +542,7 @@ def test_verdict_inconclusive_when_boundary_leaks():
     assert v.hypothesis_satisfied
     assert v.boundary_share >= 0.01
     assert v.conclusion.startswith("inconclusive")
-    assert not v.asserts_bounded
+    assert not v.conclusion.startswith("bounded")
     assert not v.growth_not_excluded
 
 

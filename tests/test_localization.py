@@ -516,6 +516,27 @@ def test_candidate_rows_give_the_whole_box_check(threads):
     assert any(33 <= c <= 100 for c in counts)
 
 
+def test_wide_band_reads_only_the_support_rows(spectrum_cache):
+    # a dense solve's eigenvectors span the box, so their tails are cut to
+    # exact zeros 40 sites from each center: the one case where the wide
+    # band's GEMM runs over fewer rows than the whole box
+    from starklab.localization import _BLOCK, _SHIFTED_SUM_MAX_BAND
+    from starklab.spectra import support_rows
+    _, sd = spectrum_cache("pl4", 200, 5.0, 1)
+    assert 2 * sd.dimension - 1 > _SHIFTED_SUM_MAX_BAND
+    vec = np.array(sd.eigenvectors)
+    rows = np.arange(sd.dimension)[:, np.newaxis]
+    vec[np.abs(rows - (sd.centers + sd.half_width)) > 40] = 0.0
+    cut = dataclasses.replace(sd, eigenvectors=vec)
+    assert np.array_equal(cut.centers, sd.centers)
+    positions = np.nonzero(cut.interior_mask)[0]
+    spans = [support_rows(cut.row_support, positions[i:i + _BLOCK])
+             for i in range(0, positions.size, _BLOCK)]
+    assert all(r.stop - r.start < cut.dimension for r in spans)
+    assert sl.bootstrap_decay_check(cut, 0.6).violations
+    helpers.assert_bootstrap_matches_whole_box(cut, 0.6)
+
+
 @pytest.mark.parametrize("kind", ["nn", "pl4"])
 def test_a_nan_in_one_mode_hides_no_violation_in_another(spectrum_cache,
                                                          kind):

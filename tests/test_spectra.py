@@ -13,7 +13,7 @@ import starklab as sl
 import starklab.spectra
 from starklab.operators import pinning_gamma
 from starklab.spectra import (ladder_anchor, _column_scan,
-                              default_interior_window, _dense_eigh,
+                              default_interior_window, _eigh,
                               _fix_phases, _GATE_BLOCK, _gate_blocks,
                               _gram_defect, _lapack, _subdiagonal,
                               _tridiagonal_eigh, _tridiagonal_residuals)
@@ -458,6 +458,38 @@ def test_load_rejects_foreign_json(tmp_path):
         sl.load_spectral(base)
 
 
+def _without(*path):
+    """A header edit that deletes the entry at path."""
+    def edit(header):
+        *parents, key = path
+        for parent in parents:
+            header = header[parent]
+        del header[key]
+    return edit
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_without("dimension"), "dimension"),
+    (_without("half_width"), "half_width"),
+    (_without("payload"), "payload.eigenvector_dtype"),
+    (_without("payload", "byte_length"), "payload.byte_length"),
+    (_without("payload", "sha256"), "payload.sha256"),
+    (_without("orthonormality_defect"), "orthonormality_defect"),
+    # a list of the provenance's keys: "half_width" in it, but no entry
+    (lambda header: header.update(provenance=list(header["provenance"])),
+     "provenance.half_width"),
+], ids=["dimension", "half_width", "payload", "byte_length", "sha256",
+        "orthonormality_defect", "provenance-list"])
+def test_load_names_a_header_field_it_cannot_read(tmp_path, spectrum_cache,
+                                                  edit, field):
+    _, sd = spectrum_cache("nn", 6)
+    base = str(tmp_path / "spec")
+    sl.save_spectral(sd, base)
+    helpers.resigned_dump(base, edit_header=edit)
+    with pytest.raises(ValueError, match=f"has no {field} field"):
+        sl.load_spectral(base)
+
+
 def test_position_of_out_of_range():
     op = sl.build_operator(sl.custom_kernel({}), sl.PotentialSpec(), 2)
     sd = sl.diagonalize(op)
@@ -582,11 +614,11 @@ def test_solver_follows_support_radius(kernel, dense, monkeypatch):
         _needs_lapack("dstevd")
     op = _disordered(kernel, half_width=20)
     calls = []
-    monkeypatch.setattr(starklab.spectra, "_dense_eigh",
-                        lambda op: calls.append(op.dimension)
-                        or _dense_eigh(op))
+    monkeypatch.setattr(starklab.spectra, "_tridiagonal_eigh",
+                        lambda diag, lower: calls.append(diag.size)
+                        or _tridiagonal_eigh(diag, lower))
     sd = sl.diagonalize(op)
-    assert len(calls) == int(dense)
+    assert len(calls) == int(not dense)
     assert sd.eigenvectors.flags.c_contiguous
     # a tridiagonal box is solved from its diagonals, its matrix never built
     assert ("matrix" in vars(op)) == dense
@@ -829,14 +861,19 @@ def test_tridiagonal_box_goes_dense_without_stevd(kernel, monkeypatch,
     request.getfixturevalue("no_lapack")
     assert _lapack("dstevd") is None
     calls = []
-    monkeypatch.setattr(starklab.spectra, "_dense_eigh",
-                        lambda op: calls.append(op.dimension)
-                        or _dense_eigh(op))
-    dense = sl.diagonalize(_disordered(kernel))  # both gates pass
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: calls.append(a.shape) or eigh(a))
+    op = _disordered(kernel)
+    dense = sl.diagonalize(op)  # both gates pass
     assert len(calls) == 1
     np.testing.assert_allclose(dense.eigenvalues, stevd.eigenvalues, rtol=0,
                                atol=1e-12 * max(1.0, stevd.spectral_radius))
     assert dense.provenance == stevd.provenance
+    # the residual follows the box, not the solver: still three terms
+    assert np.array_equal(dense.residuals, _tridiagonal_residuals(
+        op.diagonal, _subdiagonal(op), dense.eigenvalues, dense.eigenvectors,
+        dense.row_support))
 
 
 @pytest.mark.parametrize("kernel", [sl.nearest_neighbor(), sl.power_law(4.0)],
@@ -851,7 +888,7 @@ def test_non_finite_operator_fails_the_gates(kernel):
 def test_nan_residual_fails_the_gate(monkeypatch):
     op = sl.build_operator(sl.power_law(4.0), sl.PotentialSpec(), 5)
     d = op.dimension
-    monkeypatch.setattr(starklab.spectra, "_dense_eigh", lambda op: (
+    monkeypatch.setattr(starklab.spectra, "_eigh", lambda op: (
         np.arange(d, dtype=float), np.full((d, d), np.nan)))
     with pytest.raises(sl.ConvergenceFailureError, match="residual nan"):
         sl.diagonalize(op)
@@ -888,25 +925,13 @@ def _dense_solver(kernel) -> str:
     return "dsyevd" if kernel.is_real else "zheevd"
 
 
-@pytest.fixture
-def no_lapack(monkeypatch):
-    """Look every LAPACK routine up by names no library exports, so that a
-    tridiagonal box goes dense and the dense solver falls back to
-    numpy.linalg.eigh."""
-    monkeypatch.setattr(starklab.spectra, "_LAPACK_NAMES",
-                        ("starklab_no_{}_64_",))
-    _lapack.cache_clear()
-    yield
-    _lapack.cache_clear()  # before the names come back
-
-
 @DENSE_KERNELS
 @pytest.mark.parametrize("half_width", [1, _GATE_BLOCK // 2, 200],
                          ids=["d3", "d257", "d401"])
 def test_in_place_dense_solve_equals_eigh_bit_for_bit(kernel, half_width,
                                                       request):
     _needs_lapack(_dense_solver(kernel))
-    lam, vec = _dense_eigh(_disordered(kernel, half_width))
+    lam, vec = _eigh(_disordered(kernel, half_width))
     assert vec.flags.c_contiguous
     oracle = np.linalg.eigh(_disordered(kernel, half_width).matrix)
     np.testing.assert_array_equal(lam, oracle[0])

@@ -21,24 +21,25 @@ REPEATS runs:
                      eigenvector's peak row (its center) and its first
                      and last nonzero row, to which the gates and the
                      localization checks restrict their rows
-    residual_gate    the eigenpair residuals: the three-term sum on the
-                     row supports for the nearest-neighbour kernels, the
-                     product H @ vec less vec * lam, block by block, for
-                     the power laws
+    residual_gate    the gated eigenpair residuals
+                     (spectra._gated_residuals): the three-term sum on
+                     the row supports for the nearest-neighbour kernels,
+                     the product H @ vec less vec * lam, block by block,
+                     for the power laws
     gram_gate        the orthonormality defect, against the later modes
                      whose supports meet each block's rows, over the
                      block's support rows
     matrix           the dense fill of the operator's matrix on its first
                      read; null for the nearest-neighbour kernels, whose
-                     tridiagonal solve never makes it
-    eigh             the bare LAPACK solver that diagonalize calls, the
-                     floor it is compared with, in the LAPACK numpy
-                     loaded: ?stevd on the diagonal and subdiagonal for
-                     the nearest-neighbour kernels, gauge included
-                     (spectra._tridiagonal_eigh), the in-place ?syevd on
-                     a fresh Fortran-ordered matrix for the power laws
-                     (spectra._dense_eigh; numpy.linalg.eigh of the
-                     matrix on a numpy whose LAPACK lacks it)
+                     tridiagonal residual never reads it
+    eigh             the bare solver that diagonalize calls, the floor it
+                     is compared with, as spectra._eigh picks it in the
+                     LAPACK numpy loaded: ?stevd on the diagonal and
+                     subdiagonal for the nearest-neighbour kernels, gauge
+                     included, the in-place ?syevd on a fresh
+                     Fortran-ordered matrix for the power laws, and
+                     numpy.linalg.eigh of the matrix where that LAPACK
+                     lacks the routine
     save_spectral    writing the dump pair
     load_spectral    reading it back
     envelope         the envelope bound for q = 2 and 2.5 from site 0
@@ -61,8 +62,8 @@ own; a small untimed solve first loads the solver modules.  The case
 reports the peak twice: after the diagonalize runs, and at the end,
 which includes the bare solver.  The BLAS thread count is pinned to
 min(2, nproc) unless the caller sets OPENBLAS_NUM_THREADS; the report
-records it with the library versions.  The script is not part of the
-test suite.
+records it with the library versions.  tests/test_tools.py runs
+run_case on small boxes; the full sweep is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -138,20 +139,15 @@ def run_case(kernel_name: str, half_width: int) -> dict:
     vec = sd.eigenvectors
     seconds["column_scan"], (_, support) = _median_time(
         lambda: spectra._column_scan(vec))
-    lower = spectra._subdiagonal(op)
     seconds["residual_gate"], _ = _median_time(
-        lambda: spectra._residuals(op, sd.eigenvalues, vec, lower, support))
+        lambda: spectra._gated_residuals(op, sd.eigenvalues, vec, support,
+                                         spectra.RESIDUAL_TOL))
     seconds["gram_gate"], _ = _median_time(
         lambda: spectra._gram_defect(vec, support))
-    if lower is None:
-        # a copy of the operator has not built its matrix yet; drop it
-        seconds["matrix"] = _median_time(
-            lambda: dataclasses.replace(op).matrix)[0]
-        seconds["eigh"], _ = _median_time(lambda: spectra._dense_eigh(op))
-    else:
-        seconds["matrix"] = None
-        seconds["eigh"], _ = _median_time(
-            lambda: spectra._tridiagonal_eigh(op.diagonal, lower))
+    # a copy of the operator has not built its matrix yet; drop it
+    seconds["matrix"] = None if spectra._subdiagonal(op) is not None else \
+        _median_time(lambda: dataclasses.replace(op).matrix)[0]
+    seconds["eigh"], _ = _median_time(lambda: spectra._eigh(op))
     with tempfile.TemporaryDirectory() as tmp:
         base = os.path.join(tmp, "spectrum")
         seconds["save_spectral"], paths = _median_time(
