@@ -14,34 +14,42 @@ dense solver takes 1.9 s.  The residual's form follows the box, not the
 solver (_gated_residuals): a tridiagonal box solved densely keeps its
 three-term residual.
 
+The eigenvectors stay in the layout LAPACK writes them in, Fortran
+(column-major) order, from the solve to the dump and back: eigenvector
+k, the column k, is contiguous, and no copy to C order is made.  Every
+pass over them that goes mode by mode (the scan, the phases, the dump's
+runs) reads contiguous memory.
+
 Each path's peak memory is its solver's.  The tridiagonal path never
 builds the box's matrix: ?stevd reads the diagonal and subdiagonal, and
-its workspace (1 + 4d + d^2 doubles) with its Fortran-ordered
-eigenvectors, then those with their C-ordered copy, set the peak at
-2 d^2 doubles (120 MB above the process's base at d = 2801).  A complex
-box writes the gauged eigenvectors from the Fortran-ordered ones
-straight into one C-ordered complex array, so its peak is 3 d^2
-doubles, not the 4 d^2 of a C-ordered real copy followed by the gauged
-product.  The dense solver overwrites a fresh Fortran-ordered matrix
-with the eigenvectors, so the matrix and its 2 d^2 workspace set the
-peak at 3 d^2 entries (numpy.linalg.eigh's copy of the matrix and its
-output array made it 5 d^2).  The dense residual is one whole-box
+its workspace (1 + 4d + d^2 doubles) with its eigenvectors set the peak
+at 2 d^2 doubles (120 MB above the process's base at d = 2801); after
+the solve the eigenvectors alone hold d^2, where a C-ordered copy used
+to hold 2 d^2 again.  A complex box writes the gauged eigenvectors from
+the real ones straight into one Fortran-ordered complex array, so its
+peak is 3 d^2 doubles, not the 4 d^2 of a real copy followed by the
+gauged product.  The dense solver overwrites a fresh Fortran-ordered
+matrix with the eigenvectors, so the matrix and its 2 d^2 workspace set
+the peak at 3 d^2 entries (numpy.linalg.eigh's copy of the matrix and
+its output array made it 5 d^2).  The dense residual is one whole-box
 product R = H @ vec, from which each block of columns subtracts its
 vec * lam in place before its norms are taken: H, the eigenvectors and
 R make 3 d^2 again.  The Gram defect and the tridiagonal residual work
 on blocks of columns, never on a d x d temporary, so neither raises a
-peak.
+peak.  What an earlier box freed would stay resident on the malloc heap
+and add to a later box's peak, so diagonalize hands the heap's free
+pages back to the system before the solve and after the gates.
 
 Both gates also work on row supports: the first and last nonzero row
-of each eigenvector.  One pass down the rows (_column_scan, about 0.04 s
-at d = 2801) gives them with each eigenvector's peak row.  A Stark
-box's eigenvectors end in exact zeros (about 75
-nonzero rows of 2801 at N = 1400, B = 2), so the tridiagonal residual
-of a block of columns takes only the rows of its support widened by
-one, and the Gram matrix of a block only the later columns whose
-support meets the block's rows, over the block's support rows; every
-other term is a product with an exact zero.  The residuals keep their
-bits, the Gram defect its bits to 4 * 2**-52.  At d = 2801 on 2 cores
+of each eigenvector.  One scan of the columns, 64 at a time
+(_column_scan, about 0.01 s at d = 2801, B = 2), gives them with each
+eigenvector's peak row.  A Stark box's eigenvectors end in exact zeros
+(about 75 nonzero rows of 2801 at N = 1400, B = 2), so the tridiagonal
+residual of a block of columns takes only the rows of its support
+widened by one, and the Gram matrix of a block only the later columns
+whose support meets the block's rows, over the block's support rows;
+every other term is a product with an exact zero.  The residuals keep
+their bits, the Gram defect its bits to 4 * 2**-52.  At d = 2801 on 2 cores
 the residual takes 0.01 s instead of 0.18 s and the Gram defect 0.01 s
 instead of 0.06 s over every row; a dense box's eigenvectors have full
 support and cost what they did.  The scan is kept on the SpectralData,
@@ -53,9 +61,10 @@ largest-modulus entry is real and positive, and its zeros are then made
 a Stark box's zeros as -0.0.  A dump (format v4) stores each
 eigenvector's run from its first to its last nonzero row, its row
 support, and a reload fills every other row with +0.0, so the reloaded
-eigenvectors equal the computed ones bit for bit.  At N = 1400, B = 2
-the runs are 2.7% of the d^2 entries; a power-law box's runs span the
-box.
+eigenvectors equal the computed ones bit for bit.  Each run is
+contiguous in the column-major eigenvectors, read so by the save and
+written so by the reload.  At N = 1400, B = 2 the runs are 2.7% of the
+d^2 entries; a power-law box's runs span the box.
 
 Every decomposition is gated on two invariants before it is returned:
 
@@ -123,8 +132,11 @@ class ConvergenceFailureError(RuntimeError):
 class SpectralData:
     """Eigenpairs of a truncated operator, their gates and provenance.
 
-    Eigenvalues ascend; eigenvector k is the column eigenvectors[:, k].
-    Every label (sites, centers, row supports, interior mask, degenerate
+    Eigenvalues ascend; eigenvector k is the column eigenvectors[:, k],
+    contiguous where eigenvectors is Fortran-ordered, as diagonalize and
+    load_spectral return it (any layout gives the same results: a BLAS
+    product of moduli takes them from row_major_moduli).  Every
+    label (sites, centers, row supports, interior mask, degenerate
     positions, ladder anchor) is derived from these fields on first use
     and frozen, so a copy made by dataclasses.replace derives its own.
     anchor_position is the ascending position carrying ladder index 0, so
@@ -269,38 +281,58 @@ def ladder_anchor(eigenvalues: np.ndarray) -> tuple[int, bool]:
     return pos, fallback
 
 
+# Modes per block of the scan, whose nonzero flags and moduli go into two
+# buffers of _SCAN_BLOCK x d entries, allocated once per scan
+_SCAN_BLOCK = 64
+
+
 def _column_scan(vec: np.ndarray):
-    """(peak_rows, (start, stop)) of the columns of vec, in one pass down
-    the rows: each step reads one contiguous row and no d x d temporary
-    is allocated (an argmax down the columns of a row-major array copies
-    it transposed, which took 4x as long at d = 2801, in blocks too).
+    """(peak_rows, (start, stop)) of the columns of vec, one block of
+    _SCAN_BLOCK columns at a time, each read as the rows of vec.T: a
+    column-major vec (a solver's or a reload's) is read contiguously.
 
     peak_rows holds each column's row of largest modulus, the first on
-    ties; row 0 seeds the running maximum, so a NaN there keeps row 0.
+    ties, as a running maximum down the column seeded by row 0 finds it:
+    a NaN in row 0 keeps row 0, and a NaN in any other row never wins.
     [start, stop) runs from each column's first nonzero row to its last:
     NaN and inf count as nonzero, -0.0 as zero, and a zero column gets
     the whole box.  Every row outside it is an exact zero, so a row-by-row
     sum or a max down a column over it equals the one over the column.
+
+    A block's flags x != 0 give [start, stop) by an argmax from each end;
+    its moduli are taken only on the rows from the first start to the
+    last stop of the block (about 136 rows per 64 modes at N = 1400,
+    B = 2), outside which every entry of the block is zero.  A column
+    whose argmax lands on a NaN takes the first of its largest other
+    moduli, or row 0 where that is not positive or row 0 is the NaN.
     """
     d, n = vec.shape
-    best = np.abs(vec[0])
-    rows = np.zeros(n, dtype=np.intp)
-    start = np.full(n, d, dtype=np.intp)
-    stop = np.zeros(n, dtype=np.intp)
-    mod = best.copy()
-    flags = np.empty(n, dtype=bool)
-    for i in range(d):
-        if i:
-            np.abs(vec[i], out=mod)
-            np.greater(mod, best, out=flags)  # strict: a tie keeps the first
-            np.copyto(best, mod, where=flags)
-            np.copyto(rows, i, where=flags)
-        np.not_equal(mod, 0, out=flags)  # |x| != 0 exactly where x != 0
-        np.minimum(start, i, out=start, where=flags)
-        np.copyto(stop, i + 1, where=flags)
-    empty = stop == 0
-    start[empty] = 0
-    stop[empty] = d
+    rows = np.empty(n, dtype=np.intp)
+    start = np.empty(n, dtype=np.intp)
+    stop = np.empty(n, dtype=np.intp)
+    width = min(_SCAN_BLOCK, n)
+    flags = np.empty((width, d), dtype=bool)
+    mod = np.empty((width, d))
+    for k0 in range(0, n, _SCAN_BLOCK):
+        k1 = min(k0 + _SCAN_BLOCK, n)
+        block = vec.T[k0:k1]
+        nonzero = np.not_equal(block, 0, out=flags[:k1 - k0])
+        # a zero column has no True: its argmaxes give [0, d)
+        start[k0:k1] = np.argmax(nonzero, axis=1)
+        stop[k0:k1] = d - np.argmax(nonzero[:, ::-1], axis=1)
+        lo, hi = int(start[k0:k1].min()), int(stop[k0:k1].max())
+        amp = np.abs(block[:, lo:hi], out=mod[:k1 - k0, :hi - lo])
+        peak = np.argmax(amp, axis=1)  # the first NaN, if any
+        rows[k0:k1] = lo + peak
+        nan = np.flatnonzero(np.isnan(amp[np.arange(k1 - k0), peak]))
+        if nan.size:
+            rest = np.where(np.isnan(amp[nan]), -1.0, amp[nan])
+            peak = np.argmax(rest, axis=1)
+            # no positive entry on the rows: row 0 (zero, or the NaN
+            # seed) is the first of the column's maximum
+            top = rest[np.arange(nan.size), peak] > 0
+            top &= ~np.isnan(np.abs(block[nan, 0]))
+            rows[k0 + nan] = np.where(top, lo + peak, 0)
     start.flags.writeable = stop.flags.writeable = False
     return rows, (start, stop)
 
@@ -313,6 +345,27 @@ def support_rows(support: tuple[np.ndarray, np.ndarray], columns,
     start, stop = support
     return slice(max(int(start[columns].min()) - widen, 0),
                  min(int(stop[columns].max()) + widen, len(stop)))
+
+
+_MODULI_BLOCK = 128
+
+
+def row_major_moduli(vec: np.ndarray) -> np.ndarray:
+    """|vec| as a C-ordered (row-major) array, whatever vec's layout.
+
+    The eigenvectors are column-major, but a BLAS product (a GEMV or a
+    GEMM) sums in an order that follows its operands' layout, so every
+    product of moduli that must keep its bits takes them from here.  A
+    column-major vec is transposed 128 columns at a time: at d = 2801
+    that takes 0.04 s where one np.abs(vec, order="C") takes 0.07 s.
+    """
+    if vec.flags.c_contiguous:
+        return np.abs(vec)
+    out = np.empty(vec.shape, dtype=vec.real.dtype)
+    for first in range(0, vec.shape[1], _MODULI_BLOCK):
+        cols = slice(first, first + _MODULI_BLOCK)
+        np.abs(vec[:, cols], out=out[:, cols])
+    return out
 
 
 def _fix_phases(vec: np.ndarray):
@@ -345,12 +398,14 @@ def _tridiagonal_eigh(diag: np.ndarray, lower: np.ndarray):
     """Eigenpairs of the Hermitian tridiagonal matrix with real diagonal
     diag and first subdiagonal lower, from LAPACK's symmetric tridiagonal
     divide-and-conquer solver (?stevd, through _solve) on copies of diag
-    and lower, which it overwrites.
+    and lower, which it overwrites.  The eigenvectors are the
+    Fortran-ordered array ?stevd wrote, returned as they are.
 
     A complex matrix is D T D^* with T real tridiagonal, off-diagonal
     |l|, and D = diag(phi) unitary: phi_0 = 1 and
     phi_{i+1} = phi_i l_i / |l_i| (phi_i where l_i = 0).  The eigenvectors
-    of H are then phi[:, None] * z for the eigenvectors z of T.
+    of H are then phi[:, None] * z for the eigenvectors z of T, written
+    into one Fortran-ordered complex array.
     """
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(lower))):
         raise ValueError("the tridiagonal matrix has non-finite entries")
@@ -370,10 +425,9 @@ def _tridiagonal_eigh(diag: np.ndarray, lower: np.ndarray):
     _solve("dstevd", (b"V", n, lam, np.array(lower, dtype=np.float64), z, n),
            (np.float64, np.int64))
     if phi is None:
-        return lam, np.ascontiguousarray(z)  # after _solve freed its space
-    # straight from the Fortran-ordered z into C order, with no real copy
+        return lam, z
     return lam, np.multiply(phi[:, np.newaxis], z,
-                            out=np.empty(z.shape, complex))
+                            out=np.empty(z.shape, complex, order="F"))
 
 
 # The names a LAPACK routine may have in numpy's own LAPACK, in lookup
@@ -451,6 +505,28 @@ def _lapack(name: str):
     return routine
 
 
+@functools.cache
+def _malloc_trim():
+    """The C library's malloc_trim as a ctypes function (glibc); None
+    where the process's C library has none."""
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+
+
+def _release_free_heap() -> None:
+    """Hand the malloc heap's free pages back to the system, where the C
+    library can (malloc_trim(0)).  Once a freed array has raised glibc's
+    mmap threshold, arrays of up to d^2 entries go on the heap, and when
+    freed they stay resident: an earlier box's residual product and
+    temporaries then added to a later box's peak (p = 4, N = 500 then
+    1000: 13 MB of a 160 MB peak)."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 def _solve(name: str, head: tuple, spaces: tuple) -> None:
     """Call _lapack(name) on head, a workspace of each dtype in spaces
     with its size, info and the hidden length (1) of each character in
@@ -472,7 +548,7 @@ def _solve(name: str, head: tuple, spaces: tuple) -> None:
 
 
 def _eigh(op: TruncatedOperator):
-    """Eigenpairs of the box op: (ascending eigenvalues, C-ordered
+    """Eigenpairs of the box op: (ascending eigenvalues, Fortran-ordered
     eigenvectors as columns), from the one solver picked here.
 
     A tridiagonal box (_subdiagonal) goes to ?stevd (_tridiagonal_eigh),
@@ -483,18 +559,19 @@ def _eigh(op: TruncatedOperator):
     uplo 'L' and the workspace sizes of an lwork = -1 query: the call
     numpy.linalg.eigh makes, so the eigenpairs are its bits, without
     eigh's copy of the matrix or its separate output array.  The peak is
-    the matrix and the workspace, 3 d^2 entries; the eigenvectors are
-    copied to C order after the workspace is freed.  Where numpy's LAPACK
-    exports no int64 dense solver either, this is
-    numpy.linalg.eigh(op.matrix).  ValueError if LAPACK returns a
-    nonzero info.
+    the matrix and the workspace, 3 d^2 entries, and the overwritten
+    matrix is returned as the eigenvectors.  Where numpy's LAPACK exports
+    no int64 dense solver either, this is numpy.linalg.eigh(op.matrix),
+    whose C-ordered eigenvectors are copied to Fortran order.  ValueError
+    if LAPACK returns a nonzero info.
     """
     lower = _subdiagonal(op)
     if lower is not None and _lapack("dstevd") is not None:
         return _tridiagonal_eigh(op.diagonal, lower)
     name = "dsyevd" if op.kernel.is_real else "zheevd"
     if _lapack(name) is None:
-        return np.linalg.eigh(op.matrix)
+        lam, vec = np.linalg.eigh(op.matrix)
+        return lam, np.asfortranarray(vec)
     a = op.assemble("F")
     n = ctypes.c_int64(op.dimension)
     lam = np.empty(op.dimension)
@@ -502,7 +579,7 @@ def _eigh(op: TruncatedOperator):
     spaces = (a.dtype, np.float64, np.int64) if name == "zheevd" \
         else (a.dtype, np.int64)
     _solve(name, (b"V", b"L", n, a, n, lam), spaces)
-    return lam, np.ascontiguousarray(a)
+    return lam, a
 
 
 # Columns per block of the gates, so that neither holds a d x d temporary.
@@ -637,8 +714,10 @@ def diagonalize(op: TruncatedOperator,
     """Full eigendecomposition of a truncated operator, quality-gated.
 
     _eigh picks the solver and _gated_residuals the residual's form, both
-    from the box.  Eigenvectors are C-contiguous either way, and neither
-    step peaks above 3 d^2 entries.  Each eigenvector is scaled
+    from the box.  Eigenvectors are Fortran-ordered either way, as the
+    solver wrote them, and neither step peaks above 3 d^2 entries; the
+    heap's free pages are handed back before the solve and after the
+    gates (_release_free_heap).  Each eigenvector is scaled
     by the unit-modulus factor that makes its largest-modulus entry (the
     first on ties) real and positive, so the returned and dumped vectors
     do not depend on the sign or phase the solver picked, and every zero
@@ -649,6 +728,7 @@ def diagonalize(op: TruncatedOperator,
     eigenvalue, residual or Gram entry is not finite, or if the
     residual/orthonormality invariants fail at the given tolerances.
     """
+    _release_free_heap()  # before the solve, which sets the peak
     try:
         lam, vec = _eigh(op)
     except ValueError as exc:  # LinAlgError, a LAPACK info, non-finite H
@@ -674,6 +754,7 @@ def diagonalize(op: TruncatedOperator,
                       provenance(op, residual_tol, orthonormality_tol,
                                  degeneracy_gap, interior_window))
     vars(sd)["_scan"] = scan  # where cached_property keeps it
+    _release_free_heap()  # the gates' temporaries
     return sd
 
 
@@ -756,7 +837,9 @@ def _run_blocks(support):
     """(columns, rows, mask) for each block of columns of a dump: the rows
     the columns span and the mask, over vec[rows, columns].T, of each
     column's run [start, stop).  The masked entries, in C order, are the
-    columns' runs in mode order."""
+    columns' runs in mode order; for Fortran-ordered eigenvectors
+    vec[rows, columns].T is row-major, so each run is read or written as
+    contiguous memory."""
     start, stop = support
     for i0, i1 in _gate_blocks(len(start)):
         columns = slice(i0, i1)
@@ -838,10 +921,10 @@ def _header_field(header: dict, path: str, where: str):
 def load_spectral(base_path: str) -> SpectralData:
     """Rebuild SpectralData from a save_spectral dump pair.
 
-    The runs are unpacked into one zeroed C-ordered d x d array, which
-    the one row scan (_column_scan) then reads for the centers and row
-    supports.  Raises ValueError, naming the problem, for a header that
-    is not a format-v4 spectrum header (a v1, v2 or v3 dump must be
+    The runs are unpacked into one zeroed Fortran-ordered d x d array,
+    each run into contiguous memory, which _column_scan then reads, mode
+    by mode, for the centers and row supports.  Raises ValueError, naming
+    the problem, for a header that is not a format-v4 spectrum header (a v1, v2 or v3 dump must be
     rewritten by rerunning the spectrum stage), a header whose half_width
     disagrees with its dimension or provenance, a payload whose length
     differs from the header's byte_length, a row support outside
@@ -906,7 +989,7 @@ def load_spectral(base_path: str) -> SpectralData:
                 f"{dtype.name} eigenvectors needs {need}")
         digest = hashlib.sha256(values)
         digest.update(bounds)
-        vec = np.zeros((d, d), dtype)
+        vec = np.zeros((d, d), dtype, order="F")
         for columns, rows, mask in _run_blocks(support):
             run = np.fromfile(fh, dtype, int(np.count_nonzero(mask)))
             digest.update(run)

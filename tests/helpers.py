@@ -3,10 +3,10 @@
 Everything here recomputes expected values by a different route than the
 library (naive double loops, one numpy generator per disordered site,
 closed-form root formulas, a generic ODE integrator, one complex
-eigen-expansion per time) so agreement is meaningful.  resigned_dump
-edits a spectrum dump and signs it again, and run_offset finds an
-eigenvector's run in its payload, for the tests of what a reload must
-refuse.
+eigen-expansion per time, a running maximum down the rows) so agreement
+is meaningful.  resigned_dump edits a spectrum dump and signs it again,
+and run_offset finds an eigenvector's run in its payload, for the tests
+of what a reload must refuse.
 """
 import hashlib
 import json
@@ -89,6 +89,31 @@ def run_offset(sd, position):
     itemsize = sd.eigenvectors.dtype.itemsize
     return (32 * sd.dimension
             + itemsize * int(np.sum(stop[:position] - start[:position])))
+
+
+def row_scan(vec):
+    """(peak_rows, (start, stop)) of the columns of vec by one running
+    maximum down the rows, seeded by row 0 and replaced only by a strictly
+    larger modulus (so the first row wins a tie, and a NaN wins only in
+    row 0), and the first and last row where x != 0 (a zero column gets
+    the whole box): the rule the library's blocked scan computes."""
+    d, n = vec.shape
+    best = np.abs(vec[0])
+    rows = np.zeros(n, dtype=np.intp)
+    start = np.full(n, d, dtype=np.intp)
+    stop = np.zeros(n, dtype=np.intp)
+    for i in range(d):
+        mod = np.abs(vec[i])
+        if i:
+            larger = mod > best
+            best[larger] = mod[larger]
+            rows[larger] = i
+        nonzero = vec[i] != 0
+        start[nonzero] = np.minimum(start[nonzero], i)
+        stop[nonzero] = i + 1
+    empty = stop == 0
+    start[empty], stop[empty] = 0, d
+    return rows, (start, stop)
 
 
 def full_gram_defect(vec):

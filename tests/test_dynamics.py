@@ -575,3 +575,26 @@ def test_repeated_moment_gives_equal_rows(spectrum_cache, start):
     assert series.values.shape == (2, times.size)
     np.testing.assert_array_equal(series.values[0], series.values[1])
     assert series.dropped[0] == series.dropped[1]
+
+
+@pytest.mark.parametrize("kernel", [
+    sl.nearest_neighbor(), sl.nearest_neighbor(0.6 + 0.8j), sl.power_law(4.0),
+], ids=["nn", "complex-nn", "p4"])
+def test_envelope_and_moments_keep_their_bits_in_either_layout(kernel):
+    # a spectrum's eigenvectors are column-major; a row-major copy of them
+    # gives the same envelope and moments bit for bit, dropped weight too
+    pert = sl.UniformRandomPerturbation(amplitude=2.0, seed=1)
+    sd = sl.diagonalize(sl.build_operator(
+        kernel, sl.PotentialSpec(perturbation=pert), 300))
+    assert sd.eigenvectors.flags.f_contiguous
+    row_major = replace(sd, eigenvectors=np.ascontiguousarray(
+        sd.eigenvectors))
+    qs = (2.0, 2.5)
+    times = sl.time_grid(dt=0.5, t_max=50.0, quasi_random=20)
+    envs = [sl.envelope(s, 0, qs) for s in (sd, row_major)]
+    assert envs[0].majorant.tobytes() == envs[1].majorant.tobytes()
+    assert envs[0].moments == envs[1].moments
+    series = [sl.moment_series(s, env, qs, times)
+              for s, env in zip((sd, row_major), envs)]
+    assert series[0].values.tobytes() == series[1].values.tobytes()
+    assert series[0].dropped == series[1].dropped

@@ -601,3 +601,29 @@ def test_a_one_mode_block_fits_on_the_whole_box():
     fits = dict(sl.uniform_decay_constants(sd, (3.0,))[0].fit_exponents)
     assert fits[int(sd.ladder_indices[p])] == want
 
+
+
+@pytest.mark.parametrize("kernel, amplitude", [
+    (sl.nearest_neighbor(), 2.0), (sl.nearest_neighbor(0.6 + 0.8j), 2.0),
+    (sl.power_law(4.0), 0.5),
+], ids=["nn", "complex-nn", "p4"])
+def test_decay_and_bootstrap_keep_their_bits_in_either_layout(kernel,
+                                                              amplitude):
+    # the eigenvectors are column-major; a row-major copy gives the same
+    # sups, fits, margins and violations bit for bit
+    pert = sl.UniformRandomPerturbation(amplitude=amplitude, seed=1)
+    sd = sl.diagonalize(sl.build_operator(
+        kernel, sl.PotentialSpec(perturbation=pert), 300))
+    assert sd.eigenvectors.flags.f_contiguous
+    row_major = dataclasses.replace(
+        sd, eigenvectors=np.ascontiguousarray(sd.eigenvectors))
+    decay = [sl.uniform_decay_constants(s, (2.0, 3.0))
+             for s in (sd, row_major)]
+    boot = [sl.bootstrap_decay_check(s, gamma=1.0)
+            for s in (sd, row_major)]
+    for ours, theirs in zip(*decay):
+        for field in ("per_mode", "per_mode_by_index", "fit_exponents"):
+            assert np.array(getattr(ours, field)).tobytes() == \
+                np.array(getattr(theirs, field)).tobytes()
+    assert boot[0] == boot[1]
+    assert boot[0].n_candidates > 0

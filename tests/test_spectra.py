@@ -16,7 +16,8 @@ from starklab.spectra import (ladder_anchor, _column_scan,
                               default_interior_window, _eigh,
                               _fix_phases, _GATE_BLOCK, _gate_blocks,
                               _gram_defect, _lapack, _subdiagonal,
-                              _tridiagonal_eigh, _tridiagonal_residuals)
+                              _tridiagonal_eigh, _tridiagonal_residuals,
+                              row_major_moduli)
 
 SQRT3 = 1.7320508075688773
 
@@ -357,7 +358,7 @@ def test_round_trip_keeps_every_bit(tmp_path, kernel, amplitude):
     sd = sl.diagonalize(_disordered(kernel, half_width=150,
                                     amplitude=amplitude))
     vec = sd.eigenvectors
-    parts = vec.view(float)  # a complex entry's real and imaginary parts
+    parts = np.stack([vec.real, vec.imag])  # every entry's two parts
     # the zeros are +0.0, so the zero rows a dump leaves out come back
     assert not np.any(np.signbit(parts) & (parts == 0))
     start, stop = sd.row_support
@@ -368,7 +369,7 @@ def test_round_trip_keeps_every_bit(tmp_path, kernel, amplitude):
     for name in ("eigenvalues", "residuals", "eigenvectors", "centers"):
         assert getattr(back, name).dtype == getattr(sd, name).dtype
         assert getattr(back, name).tobytes() == getattr(sd, name).tobytes()
-    assert back.eigenvectors.flags.c_contiguous
+    assert back.eigenvectors.flags.f_contiguous
     np.testing.assert_array_equal(back.row_support[0], start)
     np.testing.assert_array_equal(back.row_support[1], stop)
 
@@ -581,9 +582,10 @@ def test_complex_gauge_solves_any_hermitian_tridiagonal():
                                atol=1e-11)
 
 
-def test_complex_gauge_writes_phi_times_z_in_c_order():
+def test_complex_gauge_writes_phi_times_z_in_f_order():
     # the gauged vectors are phi[:, None] * z for the eigenvectors z of
-    # the real matrix with off-diagonal |l|, bit for bit, and C-ordered
+    # the real matrix with off-diagonal |l|, bit for bit, and
+    # Fortran-ordered as ?stevd returns z
     _needs_lapack("dstevd")
     rng = np.random.default_rng(5)
     d = 50
@@ -598,7 +600,7 @@ def test_complex_gauge_writes_phi_times_z_in_c_order():
     np.testing.assert_array_equal(lam, real_lam)
     np.testing.assert_array_equal(vec, phi[:, None] * z)
     assert vec.dtype == np.complex128
-    assert vec.flags.c_contiguous and z.flags.c_contiguous
+    assert vec.flags.f_contiguous and z.flags.f_contiguous
 
 
 @pytest.mark.parametrize("kernel, dense", [
@@ -619,7 +621,7 @@ def test_solver_follows_support_radius(kernel, dense, monkeypatch):
                         or _tridiagonal_eigh(diag, lower))
     sd = sl.diagonalize(op)
     assert len(calls) == int(not dense)
-    assert sd.eigenvectors.flags.c_contiguous
+    assert sd.eigenvectors.flags.f_contiguous
     # a tridiagonal box is solved from its diagonals, its matrix never built
     assert ("matrix" in vars(op)) == dense
 
@@ -727,6 +729,113 @@ def test_row_support_brackets_the_nonzero_rows():
     np.testing.assert_array_equal(rows, [1, 5, 0, 0, 0, 4])
     np.testing.assert_array_equal(start, [1, 5, 0, 2, 0, 4])
     np.testing.assert_array_equal(stop, [4, 6, 6, 3, 4, 5])
+
+
+def _crafted_columns(dtype):
+    """Columns for every rule of the scan, then random sparse columns
+    with planted NaNs, infs and ties, over more than two scan blocks."""
+    nan, inf = np.nan, np.inf
+    cols = [
+        [nan, 1.0, 2.0, 0.0, 0.0],     # a NaN in row 0 keeps row 0
+        [0.0, 1.0, nan, 3.0, 0.0],     # a NaN below row 0 never wins
+        [0.0, nan, 0.0, 0.0, 0.0],     # nor when it is the only nonzero
+        [nan, 0.0, 0.0, 0.0, 0.0],
+        [nan, nan, nan, nan, nan],
+        [0.0, 1.0, inf, 2.0, 0.0],     # inf is the largest modulus
+        [0.0, -0.5, 0.25, 0.5, 0.0],   # the first row wins a tie
+        [-0.0, 0.0, 1.0, -0.0, -0.0],  # -0.0 is a zero
+        [0.0, 0.0, 0.0, 0.0, 0.0],     # a zero column gets the whole box
+        [-0.0, -0.0, -0.0, -0.0, -0.0],
+        [2.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, -2.0],
+    ]
+    vec = np.zeros((150, 200), dtype)
+    vec[:5, :len(cols)] = np.array(cols).T
+    rng = np.random.default_rng(4)
+    for k in range(len(cols), vec.shape[1]):
+        lo = int(rng.integers(0, 140))
+        hi = int(rng.integers(lo + 1, 151))
+        vec[lo:hi, k] = rng.normal(size=hi - lo)
+        if dtype is complex:
+            vec[lo:hi, k] += 1j * rng.normal(size=hi - lo)
+        plant = int(rng.integers(0, 5))
+        row = int(rng.integers(0, 150))
+        if plant == 1:
+            vec[row, k] = nan
+        elif plant == 2:
+            vec[row, k] = inf
+        elif plant == 3:  # a tie with the column's peak
+            vec[row, k] = np.max(np.abs(vec[:, k]))
+    vec[:, 100] = 0.0  # a zero column inside a block of localized ones
+    if dtype is complex:
+        vec[1, 20] = complex(nan, inf)  # |x| is inf, not NaN
+        vec[3, 6] = complex(0.0, -0.5)  # a tie in modulus alone
+    return vec
+
+
+def _assert_scan_is_the_oracle(vec):
+    want_rows, (want_start, want_stop) = helpers.row_scan(vec)
+    for copy in (np.ascontiguousarray(vec), np.asfortranarray(vec)):
+        rows, (start, stop) = _column_scan(copy)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(start, want_start)
+        np.testing.assert_array_equal(stop, want_stop)
+
+
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+def test_column_scan_is_the_row_loop_on_crafted_columns(dtype):
+    nan = np.nan
+    vec = _crafted_columns(dtype)
+    rows, (start, stop) = helpers.row_scan(vec)
+    # the oracle itself keeps the rules the crafted columns state
+    np.testing.assert_array_equal(rows[:12],
+                                  [0, 3, 0, 0, 0, 2, 1, 2, 0, 0, 0, 4])
+    np.testing.assert_array_equal(start[:12],
+                                  [0, 1, 1, 0, 0, 1, 1, 2, 0, 0, 0, 4])
+    np.testing.assert_array_equal(stop[:12],
+                                  [3, 4, 2, 1, 5, 4, 4, 3, 150, 150, 1, 5])
+    _assert_scan_is_the_oracle(vec)
+    _assert_scan_is_the_oracle(vec[:, :1])  # one column, one short block
+    # a lone NaN in a block whose rows start below row 0
+    lone = np.zeros((6, 2), dtype)
+    lone[4, 0] = nan
+    lone[3:5, 1] = [1.0, 2.0]
+    assert helpers.row_scan(lone)[0][0] == 0
+    _assert_scan_is_the_oracle(lone)
+
+
+@pytest.mark.parametrize("kernel, amplitude", [
+    (sl.nearest_neighbor(), 2.0), (sl.nearest_neighbor(0.6 + 0.8j), 2.0),
+    (sl.power_law(4.0), 0.5), (sl.finite_support([0.7, 0.2 + 0.3j]), 1.0),
+], ids=["nn", "complex-nn", "p4", "complex-radius-2"])
+def test_column_scan_is_the_row_loop_on_solver_output(kernel, amplitude):
+    op = _disordered(kernel, half_width=100, amplitude=amplitude)
+    _, raw = _eigh(op)  # before its phases are fixed and -0.0 cleared
+    _assert_scan_is_the_oracle(raw)
+    sd = sl.diagonalize(_disordered(kernel, half_width=100,
+                                    amplitude=amplitude))
+    _assert_scan_is_the_oracle(sd.eigenvectors)
+    peaks, _ = helpers.row_scan(sd.eigenvectors)
+    np.testing.assert_array_equal(sd.centers, sd.sites[peaks])
+
+
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+def test_row_major_moduli_are_the_moduli_in_c_order(dtype):
+    rng = np.random.default_rng(3)
+    vec = rng.standard_normal((300, 301)).astype(dtype)
+    if dtype is complex:
+        vec.imag = rng.standard_normal(vec.shape)
+    vec[5, 7] = -0.0
+    want = np.abs(vec)
+    fortran = np.asfortranarray(vec)
+    whole, part = (slice(None), slice(None)), (slice(10, None), slice(3, 260))
+    # C and Fortran order, a slice of each, widths past the 128-column block
+    for source, index in [(vec, whole), (fortran, whole), (vec, part),
+                          (fortran, part)]:
+        got = row_major_moduli(source[index])
+        assert got.flags.c_contiguous and got.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want[index].view(np.uint64))
 
 
 def test_spectrum_support_follows_its_eigenvectors(spectrum_cache):
@@ -932,7 +1041,7 @@ def test_in_place_dense_solve_equals_eigh_bit_for_bit(kernel, half_width,
                                                       request):
     _needs_lapack(_dense_solver(kernel))
     lam, vec = _eigh(_disordered(kernel, half_width))
-    assert vec.flags.c_contiguous
+    assert vec.flags.f_contiguous
     oracle = np.linalg.eigh(_disordered(kernel, half_width).matrix)
     np.testing.assert_array_equal(lam, oracle[0])
     np.testing.assert_array_equal(vec, oracle[1])
@@ -982,3 +1091,17 @@ def test_dense_diagonalize_peak_stays_below_its_bound(kernel):
         "rise = (peak_kib() - before) * 1024\n"
         "print(rise / (op.dimension ** 2 * op.dtype.itemsize))")
     assert float(ratio) < 4.5
+
+
+def test_diagonalize_releases_the_free_heap_around_the_solve(monkeypatch):
+    # the heap is trimmed before the solve and after the gates; a C
+    # library without malloc_trim leaves the spectrum as it is
+    calls = []
+    monkeypatch.setattr(starklab.spectra, "_malloc_trim",
+                        lambda: lambda pad: calls.append(pad))
+    op = _disordered(sl.power_law(4.0), half_width=20)
+    trimmed = sl.diagonalize(op)
+    assert calls == [0, 0]
+    monkeypatch.setattr(starklab.spectra, "_malloc_trim", lambda: None)
+    plain = sl.diagonalize(_disordered(sl.power_law(4.0), half_width=20))
+    assert trimmed.eigenvectors.tobytes() == plain.eigenvectors.tobytes()

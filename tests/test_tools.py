@@ -1,7 +1,10 @@
 """tools/bench_spectrum.py's run_case on small boxes, in numpy's own
 LAPACK and with every LAPACK routine missing, so that a change to the
-spectrum layer that breaks the bench script fails the suite."""
+spectrum layer that breaks the bench script fails the suite; and
+tools/identity_sweep.py's comparison of two output trees."""
 import importlib.util
+import json
+import math
 import os
 
 import pytest
@@ -40,3 +43,80 @@ def test_bench_case_times_every_layer(bench, kernel, lapack, monkeypatch,
     assert 0 <= case["orthonormality_defect"] <= ORTHONORMALITY_TOL
     assert case["dump_mb"] > 0
     assert 0 < case["peak_rss_mb_to_diagonalize"] <= case["peak_rss_mb"]
+
+
+SWEEP = os.path.join(os.path.dirname(TOOL), "identity_sweep.py")
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    spec = importlib.util.spec_from_file_location("identity_sweep", SWEEP)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _output_tree(root, csv_value="0.10000000000000001", timing=1.5):
+    """A small output tree: a CSV, a JSON payload, a binary and a
+    manifest with a timing and a timestamp."""
+    out = root / "case" / "out"
+    out.mkdir(parents=True)
+    (out / "ule.csv").write_text(
+        f"ladder_index,sup_constant\n0,{csv_value}\n1,2.5\n")
+    (out / "study.json").write_text('{"drift": [1.0, 2.0]}\n')
+    (out / "spectrum_N1.bin").write_bytes(bytes(range(16)))
+    (out / "manifest.json").write_text(json.dumps({
+        "created_utc": f"2026-01-01T00:00:0{int(timing)}",
+        "timing": {"spectrum": {"wall_s": timing}},
+        "environment": {"cpu_count": int(timing)},
+        "stages": [{"name": "spectrum", "status": "ok"}]}))
+    return root
+
+
+def test_identity_sweep_reports_identical_trees(sweep, tmp_path):
+    base = _output_tree(tmp_path / "base")
+    head = _output_tree(tmp_path / "head")
+    records = sweep.compare_trees(str(base), str(head))
+    assert {r["status"] for r in records} == {"identical"}
+    assert len(records) == 4
+    assert sweep.summary(records).endswith("verdict: identical")
+
+
+def test_identity_sweep_reports_a_one_ulp_csv_change(sweep, tmp_path):
+    above = math.nextafter(0.1, 1.0)
+    moved = repr(above)
+    base = _output_tree(tmp_path / "base")
+    head = _output_tree(tmp_path / "head", csv_value=moved)
+    records = {r["file"]: r for r in
+               sweep.compare_trees(str(base), str(head))}
+    record = records[os.path.join("case", "out", "ule.csv")]
+    assert record["status"] == "differs"
+    assert record["values"] == 1
+    assert record["first"] == "row 1 sup_constant"
+    assert record["max_abs"] == above - 0.1
+    assert record["max_rel"] == (above - 0.1) / above
+    text = sweep.summary(list(records.values()))
+    assert "differs: case/out/ule.csv: 1 values" in text
+    assert text.endswith("verdict: differs")
+
+
+def test_identity_sweep_ignores_a_manifests_timing(sweep, tmp_path):
+    base = _output_tree(tmp_path / "base", timing=1.5)
+    head = _output_tree(tmp_path / "head", timing=2.5)
+    records = {r["file"]: r for r in
+               sweep.compare_trees(str(base), str(head))}
+    manifest = os.path.join("case", "out", "manifest.json")
+    assert records[manifest]["status"] == "equal"
+    assert all(r["status"] == "identical" for name, r in records.items()
+               if name != manifest)
+    assert sweep.summary(list(records.values())).endswith(
+        "verdict: identical")
+    # a stage record is not ignored
+    (tmp_path / "head" / manifest).write_text(
+        (tmp_path / "head" / manifest).read_text().replace('"ok"',
+                                                           '"failed"'))
+    record = sweep.compare_file(
+        manifest, (tmp_path / "base" / manifest).read_bytes(),
+        (tmp_path / "head" / manifest).read_bytes())
+    assert (record["status"], record["first"]) == \
+        ("differs", "stages[0].status")

@@ -17,9 +17,10 @@ REPEATS runs:
                      nearest-neighbour kernel, dense for the power laws),
                      each repeat on a fresh copy of the operator, so that
                      no repeat finds the matrix an earlier one built
-    column_scan      the one pass down the rows that gives every
-                     eigenvector's peak row (its center) and its first
-                     and last nonzero row, to which the gates and the
+    column_scan      the one scan of the column-major eigenvectors, 64
+                     modes at a time, that gives every eigenvector's
+                     peak row (its center) and its first and last
+                     nonzero row, to which the gates and the
                      localization checks restrict their rows
     residual_gate    the gated eigenpair residuals
                      (spectra._gated_residuals): the three-term sum on
