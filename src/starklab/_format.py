@@ -10,6 +10,7 @@ as null.  CSV floats are written at 17 significant digits.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -49,20 +50,39 @@ def write_json(path, obj) -> None:
         fh.write(dumps_json(obj))
 
 
+# Rows per chunk of a CSV: each chunk is formatted and written with one join
+_CSV_CHUNK = 1024
+
+
+def column_rows(*columns):
+    """The rows of equal-length 1-d arrays, zipped as Python scalars, each
+    array converted one chunk of _CSV_CHUNK rows at a time (its tolist()),
+    so that no whole-column list is held."""
+    for first in range(0, len(columns[0]), _CSV_CHUNK):
+        yield from zip(*(c[first:first + _CSV_CHUNK].tolist()
+                         for c in columns))
+
+
 def write_csv(path, header: list[str], rows) -> None:
     """Write rows of int and float cells; floats at 17 significant digits,
     non-finite ones as nan, inf and -inf.  Each row is one %-format of a
     template cached by the row's cell types: %d for an integer cell, %.17g
-    (as format(float(cell), ".17g")) for any other."""
+    (as format(float(cell), ".17g")) for any other.  rows is read and
+    written in chunks of _CSV_CHUNK rows, each chunk's lines joined into
+    one write, so neither the rows nor the file's text are held whole."""
     templates: dict = {}
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            row = tuple(row)
-            types = tuple(map(type, row))
-            template = templates.get(types)
-            if template is None:
-                template = templates[types] = ",".join(
-                    "%d" if issubclass(t, (int, np.integer)) else "%.17g"
-                    for t in types) + "\n"
-            fh.write(template % row)
+        while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
+            lines = []
+            for row in chunk:
+                row = tuple(row)
+                types = tuple(map(type, row))
+                template = templates.get(types)
+                if template is None:
+                    template = templates[types] = ",".join(
+                        "%d" if issubclass(t, (int, np.integer)) else "%.17g"
+                        for t in types) + "\n"
+                lines.append(template % row)
+            fh.write("".join(lines))

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._format import dumps_json, write_csv, write_json
+from ._format import column_rows, dumps_json, write_csv, write_json
 from ._version import __version__
 from .dynamics import (BOUNDARY_SHARE_LIMIT, DOUBLING_RATIO_LIMIT, envelope,
                        moment_bound_verdict, moment_series, time_grid)
@@ -565,8 +565,13 @@ class _RunContext:
 
 
 def _spectrum_stage(ctx: _RunContext) -> None:
+    """Solve (or reload) every box, the largest first, so that no smaller
+    box's eigenvectors are resident under the largest solve, which sets
+    the run's peak; ctx.spectra then lists them in config order, which
+    every later stage and file follows."""
     config = ctx.config
-    for n in config.half_widths:
+    spectra = {}
+    for n in reversed(config.half_widths):  # they ascend
         base = os.path.join(config.output_dir, f"spectrum_N{n}")
         op = build_operator(config.kernel, config.potential, n,
                             max_dimension=config.max_dimension)
@@ -576,8 +581,9 @@ def _spectrum_stage(ctx: _RunContext) -> None:
         else:
             sd = diagonalize(op, **_gate_tolerances(config.tolerances))
             save_spectral(sd, base)
-        ctx.spectra[n] = sd
+        spectra[n] = sd
         ctx.outputs += [f"spectrum_N{n}.json", f"spectrum_N{n}.bin"]
+    ctx.spectra.update((n, spectra[n]) for n in config.half_widths)
 
 
 def _asymptotics_stage(ctx: _RunContext) -> None:
@@ -673,7 +679,7 @@ def _dynamics_stage(ctx: _RunContext) -> None:
                                       series.dropped):
             ctx.write_csv(f"moments_q{format(q, 'g')}_k{k}.csv",
                           ["t", "moment"],
-                          zip(series.times.tolist(), values.tolist()))
+                          column_rows(series.times, values))
             ctx.budgets.setdefault(str(k), {})[format(q, "g")] = {
                 "dropped_weight": dropped}
     alphas = (config.analyses["decay"] or {}).get("alphas") or []

@@ -299,12 +299,17 @@ def _column_scan(vec: np.ndarray):
     the whole box.  Every row outside it is an exact zero, so a row-by-row
     sum or a max down a column over it equals the one over the column.
 
-    A block's flags x != 0 give [start, stop) by an argmax from each end;
-    its moduli are taken only on the rows from the first start to the
-    last stop of the block (about 136 rows per 64 modes at N = 1400,
-    B = 2), outside which every entry of the block is zero.  A column
-    whose argmax lands on a NaN takes the first of its largest other
-    moduli, or row 0 where that is not positive or row 0 is the NaN.
+    A block's flags x != 0 give start by an argmax and stop by the
+    largest flagged row index (an argmax over the reversed rows is
+    slower: numpy's fast bool argmax needs a contiguous row).  A complex
+    block with contiguous rows is flagged on its real view, each entry's
+    two flags then paired through a uint16 view, faster than a complex
+    x != 0: either way an entry is nonzero where either part is.  The
+    moduli are taken only on the rows from the first start to the last
+    stop of the block (about 136 rows per 64 modes at N = 1400, B = 2),
+    outside which every entry of the block is zero.  A column whose
+    argmax lands on a NaN takes the first of its largest other moduli,
+    or row 0 where that is not positive or row 0 is the NaN.
     """
     d, n = vec.shape
     rows = np.empty(n, dtype=np.intp)
@@ -312,15 +317,30 @@ def _column_scan(vec: np.ndarray):
     stop = np.empty(n, dtype=np.intp)
     width = min(_SCAN_BLOCK, n)
     flags = np.empty((width, d), dtype=bool)
+    index = np.arange(d, dtype=np.min_scalar_type(d))
+    marked = np.empty((width, d), dtype=index.dtype)
+    pairs = np.empty((width, 2 * d), dtype=bool) \
+        if np.iscomplexobj(vec) and vec.T.flags.c_contiguous else None
     mod = np.empty((width, d))
     for k0 in range(0, n, _SCAN_BLOCK):
         k1 = min(k0 + _SCAN_BLOCK, n)
         block = vec.T[k0:k1]
-        nonzero = np.not_equal(block, 0, out=flags[:k1 - k0])
-        # a zero column has no True: its argmaxes give [0, d)
-        start[k0:k1] = np.argmax(nonzero, axis=1)
-        stop[k0:k1] = d - np.argmax(nonzero[:, ::-1], axis=1)
-        lo, hi = int(start[k0:k1].min()), int(stop[k0:k1].max())
+        if pairs is None:
+            nonzero = np.not_equal(block, 0, out=flags[:k1 - k0])
+        else:
+            parts = np.not_equal(block.view(block.real.dtype), 0,
+                                 out=pairs[:k1 - k0])
+            nonzero = np.not_equal(parts.view(np.uint16), 0,
+                                   out=flags[:k1 - k0])
+        first = np.argmax(nonzero, axis=1)
+        lo = int(first.min())
+        last = np.max(np.multiply(nonzero[:, lo:], index[lo:],
+                                  out=marked[:k1 - k0, lo:]), axis=1)
+        # a zero column has no True (its argmax reads row 0): [0, d)
+        empty = ~nonzero[np.arange(k1 - k0), first]
+        start[k0:k1] = first
+        stop[k0:k1] = np.where(empty, d, last + 1)
+        hi = int(stop[k0:k1].max())
         amp = np.abs(block[:, lo:hi], out=mod[:k1 - k0, :hi - lo])
         peak = np.argmax(amp, axis=1)  # the first NaN, if any
         rows[k0:k1] = lo + peak
@@ -519,9 +539,12 @@ def _release_free_heap() -> None:
     """Hand the malloc heap's free pages back to the system, where the C
     library can (malloc_trim(0)).  Once a freed array has raised glibc's
     mmap threshold, arrays of up to d^2 entries go on the heap, and when
-    freed they stay resident: an earlier box's residual product and
-    temporaries then added to a later box's peak (p = 4, N = 500 then
-    1000: 13 MB of a 160 MB peak)."""
+    freed they stay resident: one box's residual product and temporaries
+    then add to what runs after it.  A run solves its largest box first,
+    so that is the smaller boxes and the analyses: without the trim,
+    perfbench's peak rose by 0.8 MB on powerlaw-study (p = 4, N = 1000
+    then 500) and by 2.7 MB on dynamics-long-grid (N = 400 then 200), at
+    seed 1."""
     trim = _malloc_trim()
     if trim is not None:
         trim(0)

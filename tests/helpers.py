@@ -6,7 +6,7 @@ closed-form root formulas, a generic ODE integrator, one complex
 eigen-expansion per time, a running maximum down the rows) so agreement
 is meaningful.  resigned_dump edits a spectrum dump and signs it again,
 and run_offset finds an eigenvector's run in its payload, for the tests
-of what a reload must refuse.
+of what a reload must refuse; per_row_csv writes a CSV one row at a time.
 """
 import hashlib
 import json
@@ -114,6 +114,24 @@ def row_scan(vec):
     empty = stop == 0
     start[empty], stop[empty] = 0, d
     return rows, (start, stop)
+
+
+def per_row_csv(path, header, rows):
+    """A CSV written one row at a time: each row one %-format of a
+    template cached by its cell types, %d for an integer cell and %.17g
+    for any other, and one write per row (the byte format of
+    _format.write_csv, which writes in chunks)."""
+    templates = {}
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            row = tuple(row)
+            types = tuple(map(type, row))
+            if types not in templates:
+                templates[types] = ",".join(
+                    "%d" if issubclass(t, (int, np.integer)) else "%.17g"
+                    for t in types) + "\n"
+            fh.write(templates[types] % row)
 
 
 def full_gram_defect(vec):

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import helpers
 import starklab as sl
 from starklab.experiments import parse_config, load_config, run, \
     ConfigError
@@ -421,6 +422,108 @@ def test_reuse_spectra_reloads_dumps(tmp_path):
     assert_outputs_complete(out, manifest)
 
 
+def _recorded_contexts(monkeypatch):
+    """The run contexts that run makes from here on, as they are made."""
+    import starklab.experiments as experiments
+
+    contexts = []
+
+    class Recorded(experiments._RunContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            contexts.append(self)
+
+    monkeypatch.setattr(experiments, "_RunContext", Recorded)
+    return contexts
+
+
+def test_spectrum_stage_solves_and_reloads_the_largest_box_first(
+        tmp_path, monkeypatch):
+    import starklab.experiments as experiments
+
+    contexts = _recorded_contexts(monkeypatch)
+    seen = []
+    solve, reload = experiments.diagonalize, experiments.load_spectral
+
+    def spied_solve(op, **tolerances):
+        seen.append(("solve", op.half_width, list(contexts[-1].spectra)))
+        return solve(op, **tolerances)
+
+    def spied_reload(base):
+        seen.append(("reload", os.path.basename(base),
+                     list(contexts[-1].spectra)))
+        return reload(base)
+
+    monkeypatch.setattr(experiments, "diagonalize", spied_solve)
+    monkeypatch.setattr(experiments, "load_spectral", spied_reload)
+    cfg = parse_config(base_config(tmp_path / "out",
+                                   half_widths=[8, 12, 24]))
+    run(cfg, stages=["spectrum"])
+    run(cfg, reuse_spectra=True)
+    # no box is in the run's spectra while any box is solved or reloaded
+    assert seen == [("solve", 24, []), ("solve", 12, []), ("solve", 8, []),
+                    ("reload", "spectrum_N24", []),
+                    ("reload", "spectrum_N12", []),
+                    ("reload", "spectrum_N8", [])]
+    # the later stages see them in config order
+    assert [list(ctx.spectra) for ctx in contexts] == [[8, 12, 24]] * 2
+
+
+def test_outputs_keep_the_config_order_of_the_boxes(tmp_path):
+    import csv
+
+    out = tmp_path / "out"
+    widths = [8, 12, 24]
+    manifest = run(parse_config(base_config(out, half_widths=widths)))
+    assert not manifest.any_stage_failed
+    for name in ("asymptotics.csv", "ule.csv"):
+        with open(out / name) as fh:
+            column = [int(row["half_width"]) for row in csv.DictReader(fh)]
+        # each box's rows in one run, the boxes in config order
+        assert [n for i, n in enumerate(column)
+                if i == 0 or column[i - 1] != n] == widths, name
+    with open(out / "study.json") as fh:
+        study = json.load(fh)
+    for section in ("eigenvalue_drift", "decay_drift", "envelope_ratios"):
+        assert [row["pair"] for row in study[section]] == [[8, 12], [12, 24]]
+    with open(out / "localization.json") as fh:
+        summary = json.load(fh)
+    # every section is its own box's
+    for n in widths:
+        sd = sl.load_spectral(str(out / f"spectrum_N{n}"))
+        rep = sl.check_eigenvalue_asymptotics(sd)
+        assert summary["asymptotics"][str(n)]["max_deviation"] == \
+            rep.max_deviation
+        assert summary["bootstrap"][str(n)]["n_modes"] == \
+            sl.bootstrap_decay_check(sd).n_modes
+
+
+def test_study_whose_largest_box_fails_its_gate_writes_no_dump(
+        tmp_path, monkeypatch):
+    import starklab.experiments as experiments
+
+    solved = []
+    solve = experiments.diagonalize
+
+    def gated(op, **tolerances):
+        solved.append(op.half_width)
+        if op.half_width == 24:  # a Gram defect no box meets
+            tolerances["orthonormality_tol"] = 1e-300
+        return solve(op, **tolerances)
+
+    monkeypatch.setattr(experiments, "diagonalize", gated)
+    out = tmp_path / "out"
+    manifest = run(parse_config(base_config(out)))
+    spectrum = manifest.stage("spectrum")
+    assert spectrum.status == "failed"
+    assert spectrum.error.startswith("ConvergenceFailureError: "
+                                     "orthonormality defect")
+    assert solved == [24]
+    assert manifest.stage("study").status == "skipped"
+    assert not [f for f in os.listdir(out) if f.startswith("spectrum_")]
+    assert_outputs_complete(out, manifest)
+
+
 def test_reuse_spectra_fails_cleanly_without_dumps(tmp_path):
     out = tmp_path / "empty"
     cfg = parse_config(base_config(out))
@@ -473,6 +576,40 @@ def test_csv_cells_are_integers_and_17_digit_floats(tmp_path):
                                 "1152921504606846976,1.152921504606847e+18\n"
                                 "9223372036854775809,0.10000000149011612\n"
                                 "7,4.9406564584124654e-324\n8,3\n")
+
+
+def _mixed_rows(count):
+    """count rows of int, numpy integer and float cells, whose cell types
+    change from row to row and across every chunk boundary."""
+    for i in range(count):
+        if i % 3 == 0:
+            yield (i, i / 7)
+        elif i % 3 == 1:
+            yield [np.int64(-i), np.float64(i) * 0.1, float("nan")]
+        else:
+            yield (np.uint16(i), np.float32(1 / (i + 1)), 2 ** 60 + i, -0.0)
+
+
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
+def test_csv_in_chunks_is_the_per_row_loop(tmp_path, count):
+    from starklab._format import write_csv
+
+    write_csv(tmp_path / "chunked.csv", ["a", "b"], _mixed_rows(count))
+    helpers.per_row_csv(tmp_path / "rows.csv", ["a", "b"], _mixed_rows(count))
+    chunked = (tmp_path / "chunked.csv").read_bytes()
+    assert chunked == (tmp_path / "rows.csv").read_bytes()
+    assert chunked.count(b"\n") == count + 1
+
+
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
+def test_column_rows_are_the_zipped_columns(count):
+    from starklab._format import column_rows
+
+    times = np.linspace(0.0, 1.0, count)
+    values = np.sqrt(times) / 3
+    rows = list(column_rows(times, values))
+    assert rows == list(zip(times.tolist(), values.tolist()))
+    assert all(type(cell) is float for row in rows for cell in row)
 
 
 def test_json_is_sorted_indented_and_gives_back_every_float(tmp_path):

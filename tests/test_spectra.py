@@ -804,6 +804,45 @@ def test_column_scan_is_the_row_loop_on_crafted_columns(dtype):
     _assert_scan_is_the_oracle(lone)
 
 
+def test_column_scan_flags_either_part_of_a_complex_entry():
+    nan, inf = np.nan, np.inf
+    cols = [
+        [0j, complex(0.0, 1.0), 0j, complex(2.0, 0.0), 0j],  # either part
+        [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.5),
+         0j, complex(-0.0, 0.0)],                  # a -0.0 part is a zero
+        [0j, complex(0.0, nan), 0j, complex(0.0, 3.0), 0j],  # NaN imaginary
+        [0j, complex(nan, 0.0), complex(1.0, 0.0), 0j, 0j],  # NaN real
+        [complex(0.0, nan), 0j, complex(1.0, 1.0), 0j, 0j],  # in row 0
+        [0j, complex(0.0, inf), complex(5.0, 5.0), 0j, 0j],  # inf imaginary
+        [0j, 0j, complex(-inf, 0.0), 0j, complex(0.0, -1.0)],
+        [0j, 0j, complex(nan, inf), complex(nan, nan), 0j],
+        [0j, 0j, 0j, 0j, complex(0.0, 5e-324)],    # a subnormal part
+        [complex(-0.0, -0.0)] * 5,                 # a zero column
+    ]
+    vec = np.zeros((140, 150), complex)
+    vec[:5, :len(cols)] = np.array(cols).T
+    vec[130:, 70] = complex(0.0, -0.0)  # a zero column in a later block
+    vec[139, 71] = complex(-0.0, 2.0)   # and one nonzero only in the last row
+    rows, (start, stop) = helpers.row_scan(vec)
+    # the oracle itself keeps the rules the crafted columns state
+    np.testing.assert_array_equal(rows[:10], [3, 2, 3, 2, 0, 1, 2, 2, 4, 0])
+    np.testing.assert_array_equal(start[:10], [1, 2, 1, 1, 0, 1, 2, 2, 4, 0])
+    np.testing.assert_array_equal(stop[:10],
+                                  [4, 3, 4, 3, 3, 3, 5, 4, 5, 140])
+    assert (start[70], stop[70], start[71], stop[71]) == (0, 140, 139, 140)
+    _assert_scan_is_the_oracle(vec)
+
+
+def test_column_scan_stops_past_the_uint16_rows():
+    vec = np.zeros((70001, 2))
+    vec[[3, 70000], 0] = [1.0, 0.5]
+    vec[65536, 1] = -2.0
+    rows, (start, stop) = _column_scan(np.asfortranarray(vec))
+    np.testing.assert_array_equal(rows, [3, 65536])
+    np.testing.assert_array_equal(start, [3, 65536])
+    np.testing.assert_array_equal(stop, [70001, 65537])
+
+
 @pytest.mark.parametrize("kernel, amplitude", [
     (sl.nearest_neighbor(), 2.0), (sl.nearest_neighbor(0.6 + 0.8j), 2.0),
     (sl.power_law(4.0), 0.5), (sl.finite_support([0.7, 0.2 + 0.3j]), 1.0),

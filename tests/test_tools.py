@@ -1,6 +1,7 @@
 """tools/bench_spectrum.py's run_case on small boxes, in numpy's own
-LAPACK and with every LAPACK routine missing, so that a change to the
-spectrum layer that breaks the bench script fails the suite; and
+LAPACK and with every LAPACK routine missing, and its run_study of the
+command line at small N, so that a change to the spectrum layer or the
+CLI that breaks the bench script fails the suite; and
 tools/identity_sweep.py's comparison of two output trees."""
 import importlib.util
 import json
@@ -43,6 +44,25 @@ def test_bench_case_times_every_layer(bench, kernel, lapack, monkeypatch,
     assert 0 <= case["orthonormality_defect"] <= ORTHONORMALITY_TOL
     assert case["dump_mb"] > 0
     assert 0 < case["peak_rss_mb_to_diagonalize"] <= case["peak_rss_mb"]
+
+
+@pytest.mark.parametrize("kernel", ["nearest_neighbor_B2",
+                                    "power_law_p4_B0.5"])
+def test_bench_study_runs_the_cli_end_to_end(bench, kernel):
+    assert kernel in bench.STUDIES
+    study = bench.run_study(kernel, (100, 200))
+    assert (study["kernel"], study["half_widths"]) == (kernel, [100, 200])
+    assert study["wall_s"] > 0
+    # the child's own peak: the interpreter, numpy and both boxes
+    assert study["peak_rss_mb"] > 1
+    assert isinstance(study["checks_passed"], bool)
+
+
+def test_bench_study_reports_a_failed_run(bench, monkeypatch):
+    monkeypatch.setitem(bench.KERNELS, "broken",
+                        ({"family": "power_law", "exponent": -1.0}, 0.5))
+    with pytest.raises(RuntimeError, match="exited 1"):
+        bench.run_study("broken", (100, 200))
 
 
 SWEEP = os.path.join(os.path.dirname(TOOL), "identity_sweep.py")

@@ -63,8 +63,16 @@ own; a small untimed solve first loads the solver modules.  The case
 reports the peak twice: after the diagonalize runs, and at the end,
 which includes the bare solver.  The BLAS thread count is pinned to
 min(2, nproc) unless the caller sets OPENBLAS_NUM_THREADS; the report
-records it with the library versions.  tests/test_tools.py runs
-run_case on small boxes; the full sweep is not part of the test suite.
+records it with the library versions.
+
+Then, end to end, one ``python -m starklab.cli study`` per kernel family
+in STUDIES (p=4 at N = 500 and 1000, nearest neighbour at N = 700 and
+1400), each one fresh process on that kernel's config with the
+asymptotics, decay and bootstrap analyses, reports its wall time and its
+own peak RSS (the child's ``ru_maxrss``).
+
+tests/test_tools.py runs run_case and run_study on small boxes; the full
+sweep is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -97,6 +105,11 @@ DECAY_ALPHAS = (2.0, 3.0)
 SEED = 7
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
+# kernel -> the half-widths of its end-to-end study
+STUDIES = {"power_law_p4_B0.5": (500, 1000),
+           "nearest_neighbor_B2": (700, 1400)}
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def _median_time(fn):
@@ -183,6 +196,56 @@ def run_case(kernel_name: str, half_width: int) -> dict:
     }
 
 
+def run_study(kernel_name: str, half_widths) -> dict:
+    """Run one ``starklab study`` of the kernel's config at half_widths in
+    a fresh process (child_environment); return its wall time and the
+    process's peak RSS.  The CLI's exit code 3 (a check failed) still
+    counts as a run."""
+    spec, amplitude = KERNELS[kernel_name]
+    config = {"kernel": spec, "seed": SEED,
+              "potential": {"slope": 1.0, "perturbation": {
+                  "kind": "uniform_random", "amplitude": amplitude}},
+              "half_widths": list(half_widths),
+              "analyses": {"asymptotics": True,
+                           "decay": {"alphas": list(DECAY_ALPHAS)},
+                           "bootstrap": {}}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        log_path = os.path.join(tmp, "study.log")
+        with open(log_path, "wb") as log:
+            start = time.perf_counter()
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "starklab.cli", "study", "--config",
+                 path, "--out", os.path.join(tmp, "out")],
+                env=child_environment(), stdout=log,
+                stderr=subprocess.STDOUT)
+            _, status, usage = os.wait4(proc.pid, 0)
+            wall = time.perf_counter() - start
+        code = os.waitstatus_to_exitcode(status)
+        if code not in (0, 3):
+            with open(log_path, encoding="utf-8") as fh:
+                raise RuntimeError(f"starklab study exited {code}:\n"
+                                   + fh.read())
+    return {"kernel": kernel_name, "half_widths": list(half_widths),
+            "wall_s": round(wall, 3),
+            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+            "checks_passed": code == 0}
+
+
+def child_environment() -> dict:
+    """This process's environment with src on PYTHONPATH and the BLAS
+    thread count pinned to min(2, nproc) where the caller set none."""
+    threads = str(min(2, os.cpu_count() or 1))
+    env = dict(os.environ)
+    for var in THREAD_VARIABLES:
+        env.setdefault(var, threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def environment(env: dict) -> dict:
     import numpy
 
@@ -206,14 +269,7 @@ def main(argv=None) -> int:
     if not args.out:
         parser.error("--out is required")
 
-    threads = str(min(2, os.cpu_count() or 1))
-    env = dict(os.environ)
-    for var in THREAD_VARIABLES:
-        env.setdefault(var, threads)
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    env = child_environment()
     cases = []
     for kernel_name in KERNELS:
         for n in HALF_WIDTHS:
@@ -228,8 +284,15 @@ def main(argv=None) -> int:
             print(f"{kernel_name} N={n}: {case['seconds']} "
                   f"peak {case['peak_rss_mb']} MB", flush=True)
             cases.append(case)
+    studies = []
+    for kernel_name, half_widths in STUDIES.items():
+        study = run_study(kernel_name, half_widths)
+        print(f"study {kernel_name} N={half_widths}: {study['wall_s']} s "
+              f"peak {study['peak_rss_mb']} MB", flush=True)
+        studies.append(study)
     report = {"repeats": REPEATS, "seed": SEED,
-              "environment": environment(env), "cases": cases}
+              "environment": environment(env), "cases": cases,
+              "studies": studies}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
