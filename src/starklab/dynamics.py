@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import SpectralData, row_major_moduli
+from .spectra import SpectralData
 
 __all__ = [
     "SourceOutsideInteriorError",
@@ -213,7 +213,7 @@ def _mode_pairs(sd: SpectralData, env: EnvelopeBound, qs: tuple,
     scale = 1.0 / np.maximum(bound, np.finfo(float).tiny)[:, None]
     reach = site_w * env.majorant
     size = np.hstack([2 * np.abs(row[blk])
-                      * (reach @ row_major_moduli(vecs[:, blk]))
+                      * (reach @ np.abs(vecs[:, blk], order="C"))
                       for blk in blocks])
     order, cut = _smallest_within(size, scale, budget / 2)
     modes = order[cut:]
@@ -367,7 +367,7 @@ def time_grid(dt: float = 0.05, t_max: float = 1000.0,
 def envelope(sd: SpectralData, source: int, qs=(2.0,)) -> EnvelopeBound:
     """Time-uniform majorant from ``source`` and its weighted masses."""
     row = _source_row(sd, source)
-    absvec = row_major_moduli(sd.eigenvectors)
+    absvec = np.abs(sd.eigenvectors, order="C")
     major = absvec @ absvec[row, :]
     moments = {}
     boundary = np.abs(sd.sites) > sd.trusted_site_bound

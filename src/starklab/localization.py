@@ -39,7 +39,7 @@ import numpy as np
 
 from .kernels import weighted_norm
 from .operators import box_hopping_norm
-from .spectra import SpectralData, row_major_moduli, support_rows
+from .spectra import SpectralData, support_rows
 
 __all__ = [
     "WrongPotentialFamilyError",
@@ -279,8 +279,8 @@ def _blocks(sd: SpectralData, positions: np.ndarray):
     cost that follows the localization length, not the box.  A block of
     one mode keeps the whole box: numpy sums a single column pairwise,
     where dropping its zero rows would regroup the partial sums.  The
-    moduli are row-major (row_major_moduli), so every sum down a block
-    and the bootstrap's GEMM add in the order a row-major block fixes.
+    moduli are C-ordered (row-major), so every sum down a block and the
+    bootstrap's GEMM add in the order a row-major block fixes.
     """
     for first in range(0, positions.size, _BLOCK):
         block = positions[first:first + _BLOCK]
@@ -292,7 +292,7 @@ def _blocks(sd: SpectralData, positions: np.ndarray):
         cols = sd.eigenvectors[rows, lo:hi]
         if hi - lo != block.size:
             cols = np.take(cols, block - lo, axis=1)
-        yield block, rows, row_major_moduli(cols)
+        yield block, rows, np.abs(cols, order="C")
 
 
 def _decay_slopes(amp: np.ndarray, dist: np.ndarray, log_dist: np.ndarray,

@@ -8,11 +8,9 @@ is first made real by a diagonal unitary gauge.  Every other kernel goes
 to the dense Hermitian divide-and-conquer solver (?syevd, or ?heevd if
 complex), called in place.  Both are called in the LAPACK numpy loaded
 (_lapack); where it lacks ?stevd a tridiagonal box is solved densely,
-and where it lacks the dense solver that is numpy.linalg.eigh.  Measured
-at d = 2801 on 2 cores with OpenBLAS, ?stevd takes 0.11 s where the
-dense solver takes 1.9 s.  The residual's form follows the box, not the
-solver (_gated_residuals): a tridiagonal box solved densely keeps its
-three-term residual.
+and where it lacks the dense solver that is numpy.linalg.eigh.  The
+residual's form follows the box, not the solver (_gated_residuals): a
+tridiagonal box solved densely keeps its three-term residual.
 
 The eigenvectors stay in the layout LAPACK writes them in, Fortran
 (column-major) order, from the solve to the dump and back: eigenvector
@@ -23,48 +21,43 @@ runs) reads contiguous memory.
 Each path's peak memory is its solver's.  The tridiagonal path never
 builds the box's matrix: ?stevd reads the diagonal and subdiagonal, and
 its workspace (1 + 4d + d^2 doubles) with its eigenvectors set the peak
-at 2 d^2 doubles (120 MB above the process's base at d = 2801); after
-the solve the eigenvectors alone hold d^2, where a C-ordered copy used
-to hold 2 d^2 again.  A complex box writes the gauged eigenvectors from
-the real ones straight into one Fortran-ordered complex array, so its
-peak is 3 d^2 doubles, not the 4 d^2 of a real copy followed by the
-gauged product.  The dense solver overwrites a fresh Fortran-ordered
-matrix with the eigenvectors, so the matrix and its 2 d^2 workspace set
-the peak at 3 d^2 entries (numpy.linalg.eigh's copy of the matrix and
-its output array made it 5 d^2).  The dense residual is one whole-box
-product R = H @ vec, from which each block of columns subtracts its
-vec * lam in place before its norms are taken: H, the eigenvectors and
-R make 3 d^2 again.  The Gram defect and the tridiagonal residual work
-on blocks of columns, never on a d x d temporary, so neither raises a
-peak.  What an earlier box freed would stay resident on the malloc heap
-and add to a later box's peak, so diagonalize hands the heap's free
-pages back to the system before the solve and after the gates.
+at 2 d^2 doubles; after the solve the eigenvectors alone hold d^2.  A
+complex box writes the gauged eigenvectors from the real ones straight
+into one Fortran-ordered complex array, so its peak is 3 d^2 doubles.
+The dense solver overwrites a fresh Fortran-ordered matrix with the
+eigenvectors, so the matrix and its 2 d^2 workspace set the peak at
+3 d^2 entries.  The dense residual is one whole-box product R = H @ vec,
+from which each block of columns subtracts its vec * lam in place
+before its norms are taken: H, the eigenvectors and R make 3 d^2 again.
+The Gram defect and the tridiagonal residual work on blocks of columns,
+never on a d x d temporary, so neither raises a peak.  What an earlier
+box or the scan freed would stay resident on the malloc heap and add to
+the solve's or the gates' peak, so diagonalize hands the heap's free
+pages back to the system before each.
 
 Both gates also work on row supports: the first and last nonzero row
 of each eigenvector.  One scan of the columns, 64 at a time
-(_column_scan, about 0.01 s at d = 2801, B = 2), gives them with each
-eigenvector's peak row.  A Stark box's eigenvectors end in exact zeros
-(about 75 nonzero rows of 2801 at N = 1400, B = 2), so the tridiagonal
-residual of a block of columns takes only the rows of its support
-widened by one, and the Gram matrix of a block only the later columns
-whose support meets the block's rows, over the block's support rows;
-every other term is a product with an exact zero.  The residuals keep
-their bits, the Gram defect its bits to 4 * 2**-52.  At d = 2801 on 2 cores
-the residual takes 0.01 s instead of 0.18 s and the Gram defect 0.01 s
-instead of 0.06 s over every row; a dense box's eigenvectors have full
-support and cost what they did.  The scan is kept on the SpectralData,
-whose labels and the localization checks read it.
+(_column_scan), gives them with each eigenvector's peak row.  A Stark
+box's eigenvectors end in exact zeros, so the tridiagonal residual of a
+block of columns takes only the rows of its support widened by one, and
+the Gram matrix of a block only the later columns whose support meets
+the block's rows, over the block's support rows; every other term is a
+product with an exact zero.  The residuals keep their bits, the Gram
+defect its bits to 4 * 2**-52; a dense box's eigenvectors have full
+support, so its gates run over every row.  The scan is kept on the
+SpectralData, whose labels and the localization checks read it.
 
 Each eigenvector's sign (its phase, if complex) is fixed so that its
 largest-modulus entry is real and positive, and its zeros are then made
-+0.0: vec += 0.0 moves no other entry, and ?stevd returns about 60% of
-a Stark box's zeros as -0.0.  A dump (format v4) stores each
++0.0: vec += 0.0 moves no other entry, and ?stevd returns many of a
+Stark box's zeros as -0.0.  A dump (format v4) stores each
 eigenvector's run from its first to its last nonzero row, its row
 support, and a reload fills every other row with +0.0, so the reloaded
 eigenvectors equal the computed ones bit for bit.  Each run is
 contiguous in the column-major eigenvectors, read so by the save and
-written so by the reload.  At N = 1400, B = 2 the runs are 2.7% of the
-d^2 entries; a power-law box's runs span the box.
+written so by the reload.  A reload refuses a non-finite eigenvalue,
+residual or eigenvector entry, so a NaN reaches the scan only from a
+raw solve, whose gates then fail.
 
 Every decomposition is gated on two invariants before it is returned:
 
@@ -135,7 +128,7 @@ class SpectralData:
     Eigenvalues ascend; eigenvector k is the column eigenvectors[:, k],
     contiguous where eigenvectors is Fortran-ordered, as diagonalize and
     load_spectral return it (any layout gives the same results: a BLAS
-    product of moduli takes them from row_major_moduli).  Every
+    product of moduli takes them in C order).  Every
     label (sites, centers, row supports, interior mask, degenerate
     positions, ladder anchor) is derived from these fields on first use
     and frozen, so a copy made by dataclasses.replace derives its own.
@@ -281,9 +274,7 @@ def ladder_anchor(eigenvalues: np.ndarray) -> tuple[int, bool]:
     return pos, fallback
 
 
-# Modes per block of the scan, whose nonzero flags and moduli go into two
-# buffers of _SCAN_BLOCK x d entries, allocated once per scan
-_SCAN_BLOCK = 64
+_SCAN_BLOCK = 64  # modes per block of the scan
 
 
 def _column_scan(vec: np.ndarray):
@@ -291,9 +282,8 @@ def _column_scan(vec: np.ndarray):
     _SCAN_BLOCK columns at a time, each read as the rows of vec.T: a
     column-major vec (a solver's or a reload's) is read contiguously.
 
-    peak_rows holds each column's row of largest modulus, the first on
-    ties, as a running maximum down the column seeded by row 0 finds it:
-    a NaN in row 0 keeps row 0, and a NaN in any other row never wins.
+    peak_rows holds each column's row of largest modulus, np.argmax of
+    its moduli: the first row wins a tie, and the first NaN wins outright.
     [start, stop) runs from each column's first nonzero row to its last:
     NaN and inf count as nonzero, -0.0 as zero, and a zero column gets
     the whole box.  Every row outside it is an exact zero, so a row-by-row
@@ -306,53 +296,30 @@ def _column_scan(vec: np.ndarray):
     two flags then paired through a uint16 view, faster than a complex
     x != 0: either way an entry is nonzero where either part is.  The
     moduli are taken only on the rows from the first start to the last
-    stop of the block (about 136 rows per 64 modes at N = 1400, B = 2),
-    outside which every entry of the block is zero.  A column whose
-    argmax lands on a NaN takes the first of its largest other moduli,
-    or row 0 where that is not positive or row 0 is the NaN.
+    stop of the block, outside which every entry of the block is zero.
     """
     d, n = vec.shape
     rows = np.empty(n, dtype=np.intp)
     start = np.empty(n, dtype=np.intp)
     stop = np.empty(n, dtype=np.intp)
-    width = min(_SCAN_BLOCK, n)
-    flags = np.empty((width, d), dtype=bool)
     index = np.arange(d, dtype=np.min_scalar_type(d))
-    marked = np.empty((width, d), dtype=index.dtype)
-    pairs = np.empty((width, 2 * d), dtype=bool) \
-        if np.iscomplexobj(vec) and vec.T.flags.c_contiguous else None
-    mod = np.empty((width, d))
+    paired = np.iscomplexobj(vec) and vec.T.flags.c_contiguous
     for k0 in range(0, n, _SCAN_BLOCK):
         k1 = min(k0 + _SCAN_BLOCK, n)
         block = vec.T[k0:k1]
-        if pairs is None:
-            nonzero = np.not_equal(block, 0, out=flags[:k1 - k0])
+        if paired:
+            nonzero = (block.view(block.real.dtype) != 0).view(np.uint16) != 0
         else:
-            parts = np.not_equal(block.view(block.real.dtype), 0,
-                                 out=pairs[:k1 - k0])
-            nonzero = np.not_equal(parts.view(np.uint16), 0,
-                                   out=flags[:k1 - k0])
+            nonzero = block != 0
         first = np.argmax(nonzero, axis=1)
         lo = int(first.min())
-        last = np.max(np.multiply(nonzero[:, lo:], index[lo:],
-                                  out=marked[:k1 - k0, lo:]), axis=1)
+        last = np.max(nonzero[:, lo:] * index[lo:], axis=1)
         # a zero column has no True (its argmax reads row 0): [0, d)
         empty = ~nonzero[np.arange(k1 - k0), first]
         start[k0:k1] = first
         stop[k0:k1] = np.where(empty, d, last + 1)
         hi = int(stop[k0:k1].max())
-        amp = np.abs(block[:, lo:hi], out=mod[:k1 - k0, :hi - lo])
-        peak = np.argmax(amp, axis=1)  # the first NaN, if any
-        rows[k0:k1] = lo + peak
-        nan = np.flatnonzero(np.isnan(amp[np.arange(k1 - k0), peak]))
-        if nan.size:
-            rest = np.where(np.isnan(amp[nan]), -1.0, amp[nan])
-            peak = np.argmax(rest, axis=1)
-            # no positive entry on the rows: row 0 (zero, or the NaN
-            # seed) is the first of the column's maximum
-            top = rest[np.arange(nan.size), peak] > 0
-            top &= ~np.isnan(np.abs(block[nan, 0]))
-            rows[k0 + nan] = np.where(top, lo + peak, 0)
+        rows[k0:k1] = lo + np.argmax(np.abs(block[:, lo:hi]), axis=1)
     start.flags.writeable = stop.flags.writeable = False
     return rows, (start, stop)
 
@@ -367,27 +334,6 @@ def support_rows(support: tuple[np.ndarray, np.ndarray], columns,
                  min(int(stop[columns].max()) + widen, len(stop)))
 
 
-_MODULI_BLOCK = 128
-
-
-def row_major_moduli(vec: np.ndarray) -> np.ndarray:
-    """|vec| as a C-ordered (row-major) array, whatever vec's layout.
-
-    The eigenvectors are column-major, but a BLAS product (a GEMV or a
-    GEMM) sums in an order that follows its operands' layout, so every
-    product of moduli that must keep its bits takes them from here.  A
-    column-major vec is transposed 128 columns at a time: at d = 2801
-    that takes 0.04 s where one np.abs(vec, order="C") takes 0.07 s.
-    """
-    if vec.flags.c_contiguous:
-        return np.abs(vec)
-    out = np.empty(vec.shape, dtype=vec.real.dtype)
-    for first in range(0, vec.shape[1], _MODULI_BLOCK):
-        cols = slice(first, first + _MODULI_BLOCK)
-        np.abs(vec[:, cols], out=out[:, cols])
-    return out
-
-
 def _fix_phases(vec: np.ndarray):
     """Scale each column of vec, in place, by the unit-modulus factor that
     makes its largest-modulus entry (the first on ties) real and positive.
@@ -396,9 +342,9 @@ def _fix_phases(vec: np.ndarray):
     changes sign, which keeps every modulus and zero, so the scan that
     found the peaks serves (a zero or non-finite peak makes the column
     NaN, inside that scan's support, and fails the gates).  A complex
-    column's phase moves its other
-    moduli by rounding, so it is scanned again, as a reload scans it:
-    two moduli that tie to rounding can swap peak rows.
+    column's phase moves its other moduli by rounding, so it is scanned
+    again, as a reload scans it: two moduli that tie to rounding can swap
+    peak rows.
     """
     scan = rows, _ = _column_scan(vec)
     columns = np.arange(vec.shape[1])
@@ -540,11 +486,8 @@ def _release_free_heap() -> None:
     library can (malloc_trim(0)).  Once a freed array has raised glibc's
     mmap threshold, arrays of up to d^2 entries go on the heap, and when
     freed they stay resident: one box's residual product and temporaries
-    then add to what runs after it.  A run solves its largest box first,
-    so that is the smaller boxes and the analyses: without the trim,
-    perfbench's peak rose by 0.8 MB on powerlaw-study (p = 4, N = 1000
-    then 500) and by 2.7 MB on dynamics-long-grid (N = 400 then 200), at
-    seed 1."""
+    then add to the next box's solve, and the scan's block temporaries to
+    the gates' peak."""
     trim = _malloc_trim()
     if trim is not None:
         trim(0)
@@ -739,7 +682,7 @@ def diagonalize(op: TruncatedOperator,
     _eigh picks the solver and _gated_residuals the residual's form, both
     from the box.  Eigenvectors are Fortran-ordered either way, as the
     solver wrote them, and neither step peaks above 3 d^2 entries; the
-    heap's free pages are handed back before the solve and after the
+    heap's free pages are handed back before the solve and before the
     gates (_release_free_heap).  Each eigenvector is scaled
     by the unit-modulus factor that makes its largest-modulus entry (the
     first on ties) real and positive, so the returned and dumped vectors
@@ -765,6 +708,7 @@ def diagonalize(op: TruncatedOperator,
 
     scan = _, support = _fix_phases(vec)
     vec += 0.0  # -0.0 -> +0.0, so that a dump's runs give vec back exactly
+    _release_free_heap()  # the scan's block temporaries, before the gates
     resid = _gated_residuals(op, lam, vec, support, residual_tol)
 
     defect = _gram_defect(vec, support)
@@ -777,7 +721,6 @@ def diagonalize(op: TruncatedOperator,
                       provenance(op, residual_tol, orthonormality_tol,
                                  degeneracy_gap, interior_window))
     vars(sd)["_scan"] = scan  # where cached_property keeps it
-    _release_free_heap()  # the gates' temporaries
     return sd
 
 
@@ -953,7 +896,10 @@ def load_spectral(base_path: str) -> SpectralData:
     differs from the header's byte_length, a row support outside
     0 <= start < stop <= d or a byte_length other than the one the
     supports and the dtype need, a payload whose sha256 differs from the
-    header's, a stored run that does not begin and end on a nonzero entry
+    header's, a non-finite eigenvalue, residual or eigenvector entry
+    (naming the first mode position that holds one; the values and runs
+    are checked as they are read, not the d x d array), a stored run
+    that does not begin and end on a nonzero entry
     (a zero column's run spans the box), a header whose _summary
     field (the anchor, its fallback flag, degenerate_positions,
     max_residual or center_offset_sup) differs from what the payload and
@@ -1012,14 +958,22 @@ def load_spectral(base_path: str) -> SpectralData:
                 f"{dtype.name} eigenvectors needs {need}")
         digest = hashlib.sha256(values)
         digest.update(bounds)
+        finite = bool(np.isfinite(values).all())
         vec = np.zeros((d, d), dtype, order="F")
         for columns, rows, mask in _run_blocks(support):
             run = np.fromfile(fh, dtype, int(np.count_nonzero(mask)))
             digest.update(run)
+            finite &= bool(np.isfinite(run).all())
             vec[rows, columns].T[mask] = run
     if digest.hexdigest() != field("payload.sha256"):
         raise ValueError(f"{base_path}.bin does not match the sha256 in "
                          f"{base_path}.json: the payload is corrupt")
+    if not finite:
+        bad = ~(np.isfinite(values.reshape(2, d)).all(axis=0)
+                & np.isfinite(vec).all(axis=0))
+        raise ValueError(
+            f"{base_path}.bin stores a non-finite eigenvalue, residual or "
+            f"eigenvector entry for mode position {np.argmax(bad)}")
     scan = _, (first, end) = _column_scan(vec)
     moved = np.flatnonzero((first != start) | (end != stop))
     if moved.size:

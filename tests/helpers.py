@@ -5,8 +5,9 @@ library (naive double loops, one numpy generator per disordered site,
 closed-form root formulas, a generic ODE integrator, one complex
 eigen-expansion per time, a running maximum down the rows) so agreement
 is meaningful.  resigned_dump edits a spectrum dump and signs it again,
-and run_offset finds an eigenvector's run in its payload, for the tests
-of what a reload must refuse; per_row_csv writes a CSV one row at a time.
+run_offset finds an eigenvector's run in its payload, and
+non_finite_dump stores a NaN or inf in one, for the tests of what a
+reload must refuse; per_row_csv writes a CSV one row at a time.
 """
 import hashlib
 import json
@@ -91,12 +92,32 @@ def run_offset(sd, position):
             + itemsize * int(np.sum(stop[:position] - start[:position])))
 
 
+def non_finite_dump(base, what, position):
+    """Store a non-finite value for the mode at position in the dump at
+    base and sign it again: a NaN in the middle of its eigenvector's run
+    (what "eigenvector"), an inf eigenvalue or a NaN residual."""
+    sd = sl.load_spectral(base)
+    if what == "eigenvector":
+        start, stop = sd.row_support
+        at = run_offset(sd, position) + sd.eigenvectors.itemsize * int(
+            (stop[position] - start[position]) // 2)
+        value = np.array(np.nan, sd.eigenvectors.dtype)
+    else:
+        at = 8 * (position + (sd.dimension if what == "residual" else 0))
+        value = np.array(np.inf if what == "eigenvalue" else np.nan, "<f8")
+
+    def store(raw):
+        raw[at:at + value.itemsize] = value.tobytes()
+    resigned_dump(base, store)
+
+
 def row_scan(vec):
     """(peak_rows, (start, stop)) of the columns of vec by one running
-    maximum down the rows, seeded by row 0 and replaced only by a strictly
-    larger modulus (so the first row wins a tie, and a NaN wins only in
-    row 0), and the first and last row where x != 0 (a zero column gets
-    the whole box): the rule the library's blocked scan computes."""
+    maximum down the rows, seeded by row 0 and replaced by a strictly
+    larger modulus or by a NaN where it is not yet a NaN (so the first
+    row wins a tie and the first NaN wins, np.argmax's rule), and the
+    first and last row where x != 0 (a zero column gets the whole box):
+    the rule the library's blocked scan computes."""
     d, n = vec.shape
     best = np.abs(vec[0])
     rows = np.zeros(n, dtype=np.intp)
@@ -105,7 +126,7 @@ def row_scan(vec):
     for i in range(d):
         mod = np.abs(vec[i])
         if i:
-            larger = mod > best
+            larger = (mod > best) | (np.isnan(mod) & ~np.isnan(best))
             best[larger] = mod[larger]
             rows[larger] = i
         nonzero = vec[i] != 0

@@ -430,6 +430,36 @@ def test_report_regates_an_edited_eigenvector(tmp_path, capsys, scale,
     assert "stage asymptotics: skipped" in out
 
 
+@pytest.mark.parametrize("kernel, what", [
+    ({"family": "power_law", "exponent": 4.0}, "eigenvector"),
+    ({"family": "nearest_neighbor"}, "eigenvector"),
+    ({"family": "nearest_neighbor"}, "eigenvalue"),
+    ({"family": "nearest_neighbor"}, "residual"),
+], ids=["dense-nan-vector", "tridiagonal-nan-vector", "inf-eigenvalue",
+        "nan-residual"])
+def test_report_refuses_a_non_finite_dump(tmp_path, capsys, kernel, what):
+    # the payload is signed again; a dense box's NaN would otherwise reach
+    # the analyses, which no residual recheck guards
+    cfg = write_config(tmp_path / "cfg.json", {
+        "kernel": kernel,
+        "potential": {"perturbation": {"kind": "uniform_random",
+                                       "amplitude": 1.0}},
+        "half_widths": [100, 200], "seed": 3,
+        "analyses": {"asymptotics": True, "decay": {"alphas": [3.0]}},
+        "output": {"directory": str(tmp_path / "out")}})
+    assert main(["spectrum", "--config", cfg]) == 0
+    helpers.non_finite_dump(str(tmp_path / "out" / "spectrum_N200"), what,
+                            200)
+    capsys.readouterr()
+    assert main(["report", "--config", cfg]) == 2
+    out = capsys.readouterr().out
+    assert "stage spectrum: failed (ValueError" in out
+    assert "spectrum_N200.bin stores a non-finite eigenvalue, residual " \
+        "or eigenvector entry for mode position 200" in out
+    assert "stage ule: skipped" in out
+    assert not os.path.exists(tmp_path / "out" / "ule.csv")
+
+
 def test_report_refuses_a_header_whose_half_width_disagrees(tmp_path,
                                                             capsys):
     # the header's half_width, not its provenance's, places the centers:

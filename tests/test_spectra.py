@@ -16,8 +16,7 @@ from starklab.spectra import (ladder_anchor, _column_scan,
                               default_interior_window, _eigh,
                               _fix_phases, _GATE_BLOCK, _gate_blocks,
                               _gram_defect, _lapack, _subdiagonal,
-                              _tridiagonal_eigh, _tridiagonal_residuals,
-                              row_major_moduli)
+                              _tridiagonal_eigh, _tridiagonal_residuals)
 
 SQRT3 = 1.7320508075688773
 
@@ -431,6 +430,24 @@ def test_load_rejects_bad_row_supports(tmp_path, spectrum_cache, which,
         sl.load_spectral(base)
 
 
+@pytest.mark.parametrize("kind, what", [
+    ("pl4", "eigenvector"), ("nn", "eigenvector"), ("nn", "eigenvalue"),
+    ("nn", "residual"),
+], ids=["dense-nan-vector", "tridiagonal-nan-vector", "inf-eigenvalue",
+        "nan-residual"])
+def test_load_rejects_a_non_finite_value(tmp_path, spectrum_cache, kind,
+                                         what):
+    # signed again, so that only the finiteness check can refuse it
+    _, sd = spectrum_cache(kind, 40, 2.0, 3)
+    base = str(tmp_path / "spec")
+    sl.save_spectral(sd, base)
+    helpers.non_finite_dump(base, what, 17)
+    with pytest.raises(ValueError, match=r"spec\.bin stores a non-finite "
+                       r"eigenvalue, residual or eigenvector entry for mode "
+                       r"position 17$"):
+        sl.load_spectral(base)
+
+
 @pytest.mark.parametrize("key, value", [
     ("degenerate_positions", [3, 4]), ("max_residual", 123.0),
     ("center_offset_sup", 9), ("anchor_position", 3),
@@ -721,12 +738,12 @@ def test_row_support_brackets_the_nonzero_rows():
     vec = np.zeros((6, 6), dtype=complex)
     vec[1, 0] = vec[3, 0] = 1.0  # a zero row inside the support stays in
     vec[5, 1] = 1j
-    vec[2, 3] = np.nan  # NaN != 0; column 2 is zero
-    vec[0, 4] = np.nan  # a NaN in row 0 seeds the maximum and keeps it
+    vec[2, 3] = np.nan  # NaN != 0, and it is the peak; column 2 is zero
+    vec[0, 4] = np.nan  # the first NaN is the peak
     vec[3, 4] = 2.0
     vec[1, 5], vec[4, 5] = -0.0, 0.5  # -0.0 is a zero
     rows, (start, stop) = _column_scan(vec)
-    np.testing.assert_array_equal(rows, [1, 5, 0, 0, 0, 4])
+    np.testing.assert_array_equal(rows, [1, 5, 0, 2, 0, 4])
     np.testing.assert_array_equal(start, [1, 5, 0, 2, 0, 4])
     np.testing.assert_array_equal(stop, [4, 6, 6, 3, 4, 5])
 
@@ -736,9 +753,9 @@ def _crafted_columns(dtype):
     with planted NaNs, infs and ties, over more than two scan blocks."""
     nan, inf = np.nan, np.inf
     cols = [
-        [nan, 1.0, 2.0, 0.0, 0.0],     # a NaN in row 0 keeps row 0
-        [0.0, 1.0, nan, 3.0, 0.0],     # a NaN below row 0 never wins
-        [0.0, nan, 0.0, 0.0, 0.0],     # nor when it is the only nonzero
+        [nan, 1.0, 2.0, 0.0, 0.0],     # the first NaN wins, in row 0
+        [0.0, 1.0, nan, 3.0, 0.0],     # or below it, over a larger modulus
+        [0.0, nan, 0.0, 0.0, 0.0],     # and when it is the only nonzero
         [nan, 0.0, 0.0, 0.0, 0.0],
         [nan, nan, nan, nan, nan],
         [0.0, 1.0, inf, 2.0, 0.0],     # inf is the largest modulus
@@ -789,7 +806,7 @@ def test_column_scan_is_the_row_loop_on_crafted_columns(dtype):
     rows, (start, stop) = helpers.row_scan(vec)
     # the oracle itself keeps the rules the crafted columns state
     np.testing.assert_array_equal(rows[:12],
-                                  [0, 3, 0, 0, 0, 2, 1, 2, 0, 0, 0, 4])
+                                  [0, 2, 1, 0, 0, 2, 1, 2, 0, 0, 0, 4])
     np.testing.assert_array_equal(start[:12],
                                   [0, 1, 1, 0, 0, 1, 1, 2, 0, 0, 0, 4])
     np.testing.assert_array_equal(stop[:12],
@@ -800,7 +817,7 @@ def test_column_scan_is_the_row_loop_on_crafted_columns(dtype):
     lone = np.zeros((6, 2), dtype)
     lone[4, 0] = nan
     lone[3:5, 1] = [1.0, 2.0]
-    assert helpers.row_scan(lone)[0][0] == 0
+    assert helpers.row_scan(lone)[0][0] == 4
     _assert_scan_is_the_oracle(lone)
 
 
@@ -825,7 +842,7 @@ def test_column_scan_flags_either_part_of_a_complex_entry():
     vec[139, 71] = complex(-0.0, 2.0)   # and one nonzero only in the last row
     rows, (start, stop) = helpers.row_scan(vec)
     # the oracle itself keeps the rules the crafted columns state
-    np.testing.assert_array_equal(rows[:10], [3, 2, 3, 2, 0, 1, 2, 2, 4, 0])
+    np.testing.assert_array_equal(rows[:10], [3, 2, 1, 1, 0, 1, 2, 3, 4, 0])
     np.testing.assert_array_equal(start[:10], [1, 2, 1, 1, 0, 1, 2, 2, 4, 0])
     np.testing.assert_array_equal(stop[:10],
                                   [4, 3, 4, 3, 3, 3, 5, 4, 5, 140])
@@ -856,25 +873,6 @@ def test_column_scan_is_the_row_loop_on_solver_output(kernel, amplitude):
     _assert_scan_is_the_oracle(sd.eigenvectors)
     peaks, _ = helpers.row_scan(sd.eigenvectors)
     np.testing.assert_array_equal(sd.centers, sd.sites[peaks])
-
-
-@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
-def test_row_major_moduli_are_the_moduli_in_c_order(dtype):
-    rng = np.random.default_rng(3)
-    vec = rng.standard_normal((300, 301)).astype(dtype)
-    if dtype is complex:
-        vec.imag = rng.standard_normal(vec.shape)
-    vec[5, 7] = -0.0
-    want = np.abs(vec)
-    fortran = np.asfortranarray(vec)
-    whole, part = (slice(None), slice(None)), (slice(10, None), slice(3, 260))
-    # C and Fortran order, a slice of each, widths past the 128-column block
-    for source, index in [(vec, whole), (fortran, whole), (vec, part),
-                          (fortran, part)]:
-        got = row_major_moduli(source[index])
-        assert got.flags.c_contiguous and got.dtype == np.float64
-        np.testing.assert_array_equal(got.view(np.uint64),
-                                      want[index].view(np.uint64))
 
 
 def test_spectrum_support_follows_its_eigenvectors(spectrum_cache):
@@ -1133,7 +1131,7 @@ def test_dense_diagonalize_peak_stays_below_its_bound(kernel):
 
 
 def test_diagonalize_releases_the_free_heap_around_the_solve(monkeypatch):
-    # the heap is trimmed before the solve and after the gates; a C
+    # the heap is trimmed before the solve and before the gates; a C
     # library without malloc_trim leaves the spectrum as it is
     calls = []
     monkeypatch.setattr(starklab.spectra, "_malloc_trim",

@@ -35,10 +35,13 @@ def test_bench_case_times_every_layer(bench, kernel, lapack, monkeypatch,
     case = bench.run_case(kernel, 80)
     assert (case["kernel"], case["half_width"], case["dimension"]) == \
         (kernel, 80, 161)
-    seconds = case["seconds"]
+    seconds, spread = case["seconds"], case["seconds_min_max"]
+    assert spread.keys() == seconds.keys()
     # the tridiagonal residual never reads the dense matrix
     assert (seconds.pop("matrix") is None) == kernel.startswith("nearest")
+    assert (spread.pop("matrix") is None) == kernel.startswith("nearest")
     assert all(t >= 0 for t in seconds.values())
+    assert all(spread[k][0] <= t <= spread[k][1] for k, t in seconds.items())
     # the gates' limits; the spectral radius is below the dimension
     assert 0 <= case["max_residual"] <= RESIDUAL_TOL * case["dimension"]
     assert 0 <= case["orthonormality_defect"] <= ORTHONORMALITY_TOL

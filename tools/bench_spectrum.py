@@ -7,7 +7,8 @@ Run from the repository root:
 
 For every kernel in KERNELS and half-width N in HALF_WIDTHS, a fresh
 Python process builds the operator and times, each as the median of
-REPEATS runs:
+REPEATS runs under "seconds", with the fastest and slowest of those runs
+under "seconds_min_max" to show the spread:
 
     perturbation_values
                      the disorder draws b(n) over the box's 2N+1 sites
@@ -112,8 +113,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
 
 
-def _median_time(fn):
-    """Median wall time of fn() over REPEATS calls, and its last result."""
+def _timed(fn):
+    """(min, median, max) wall time of fn() over REPEATS calls, and its
+    last result."""
     times = []
     result = None
     for _ in range(REPEATS):
@@ -121,7 +123,7 @@ def _median_time(fn):
         start = time.perf_counter()
         result = fn()
         times.append(time.perf_counter() - start)
-    return statistics.median(times), result
+    return (min(times), statistics.median(times), max(times)), result
 
 
 def _peak_rss_mb() -> float:
@@ -143,51 +145,54 @@ def run_case(kernel_name: str, half_width: int) -> dict:
     sl.diagonalize(sl.build_operator(kernel, potential, 10))
     seconds = {}
     sites = np.arange(-half_width, half_width + 1)
-    seconds["perturbation_values"], _ = _median_time(
+    seconds["perturbation_values"], _ = _timed(
         lambda: potential.perturbation_values(sites))
-    seconds["build_operator"], op = _median_time(
+    seconds["build_operator"], op = _timed(
         lambda: sl.build_operator(kernel, potential, half_width))
-    seconds["diagonalize"], sd = _median_time(
+    seconds["diagonalize"], sd = _timed(
         lambda: sl.diagonalize(dataclasses.replace(op)))
     diagonalize_rss = _peak_rss_mb()
     vec = sd.eigenvectors
-    seconds["column_scan"], (_, support) = _median_time(
+    seconds["column_scan"], (_, support) = _timed(
         lambda: spectra._column_scan(vec))
-    seconds["residual_gate"], _ = _median_time(
+    seconds["residual_gate"], _ = _timed(
         lambda: spectra._gated_residuals(op, sd.eigenvalues, vec, support,
                                          spectra.RESIDUAL_TOL))
-    seconds["gram_gate"], _ = _median_time(
+    seconds["gram_gate"], _ = _timed(
         lambda: spectra._gram_defect(vec, support))
     # a copy of the operator has not built its matrix yet; drop it
     seconds["matrix"] = None if spectra._subdiagonal(op) is not None else \
-        _median_time(lambda: dataclasses.replace(op).matrix)[0]
-    seconds["eigh"], _ = _median_time(lambda: spectra._eigh(op))
+        _timed(lambda: dataclasses.replace(op).matrix)[0]
+    seconds["eigh"], _ = _timed(lambda: spectra._eigh(op))
     with tempfile.TemporaryDirectory() as tmp:
         base = os.path.join(tmp, "spectrum")
-        seconds["save_spectral"], paths = _median_time(
+        seconds["save_spectral"], paths = _timed(
             lambda: sl.save_spectral(sd, base))
         dump_bytes = sum(os.path.getsize(p) for p in paths)
-        seconds["load_spectral"], _ = _median_time(
+        seconds["load_spectral"], _ = _timed(
             lambda: sl.load_spectral(base))
-    seconds["envelope"], env = _median_time(
+    seconds["envelope"], env = _timed(
         lambda: sl.envelope(sd, 0, MOMENT_QS))
     seconds["moment_series"] = None
     if half_width <= MOMENT_MAX_N:
         times = sl.time_grid()
-        seconds["moment_series"], _ = _median_time(
+        seconds["moment_series"], _ = _timed(
             lambda: sl.moment_series(sd, env, MOMENT_QS, times))
-    seconds["uniform_decay_constants"], _ = _median_time(
+    seconds["uniform_decay_constants"], _ = _timed(
         lambda: sl.uniform_decay_constants(sd, DECAY_ALPHAS))
-    seconds["check_eigenvalue_asymptotics"], _ = _median_time(
+    seconds["check_eigenvalue_asymptotics"], _ = _timed(
         lambda: sl.check_eigenvalue_asymptotics(sd))
-    seconds["bootstrap_decay_check"], _ = _median_time(
+    seconds["bootstrap_decay_check"], _ = _timed(
         lambda: sl.bootstrap_decay_check(sd))
     return {
         "kernel": kernel_name,
         "half_width": half_width,
         "dimension": op.dimension,
-        "seconds": {k: None if v is None else round(v, 4)
+        "seconds": {k: None if v is None else round(v[1], 4)
                     for k, v in seconds.items()},
+        "seconds_min_max": {k: None if v is None else
+                            [round(v[0], 4), round(v[2], 4)]
+                            for k, v in seconds.items()},
         "max_residual": float(np.max(sd.residuals)),
         "orthonormality_defect": sd.orthonormality_defect,
         "dump_mb": round(dump_bytes / 1e6, 3),
