@@ -118,6 +118,17 @@ class EnvelopeBound:
     def boundary_share(self, q: float) -> float:
         return self.moments[float(q)][1]
 
+    def doubling_ratio(self, larger: EnvelopeBound, q: float) -> float:
+        """E_q(larger) / E_q, 1.0 where E_q is 0, for the envelope of a
+        larger box from the same source (ValueError otherwise)."""
+        if larger.source != self.source:
+            raise ValueError(f"larger envelope is from source "
+                             f"{larger.source}, not {self.source}")
+        if not larger.sites.size > self.sites.size:
+            raise ValueError("larger envelope must come from a larger box")
+        e_q = self.moment_bound(q)
+        return larger.moment_bound(q) / e_q if e_q > 0 else 1.0
+
 
 @dataclass(frozen=True)
 class MomentBoundVerdict:
@@ -394,9 +405,8 @@ def moment_bound_verdict(
 
     ``env`` and ``doubled`` must both hold q.  The hypothesis
     alpha > 3/2 + q/2 is arithmetic.  Boundedness of E_q in the
-    infinite-volume limit is probed by the doubling ratio
-    E_q(doubled box) / E_q(box) when the envelope of a larger box from the
-    same source is supplied.  A boundary share at or above ``share_limit``
+    infinite-volume limit is probed by env.doubling_ratio(doubled, q)
+    when doubled is given.  A boundary share at or above ``share_limit``
     makes the verdict inconclusive rather than failed.
     """
     alpha = float(alpha)
@@ -404,15 +414,7 @@ def moment_bound_verdict(
     e_q, share = env.moments[q]
     hypothesis = alpha > 1.5 + q / 2.0
 
-    ratio: float | None = None
-    if doubled is not None:
-        if doubled.source != env.source:
-            raise ValueError(
-                f"doubled envelope is from source {doubled.source}, "
-                f"not {env.source}")
-        if not doubled.sites.size > env.sites.size:
-            raise ValueError("doubled envelope must come from a larger box")
-        ratio = doubled.moments[q][0] / e_q if e_q > 0 else 1.0
+    ratio = None if doubled is None else env.doubling_ratio(doubled, q)
 
     if not hypothesis:
         conclusion = "hypothesis not satisfied: no assertion"

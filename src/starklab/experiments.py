@@ -683,13 +683,13 @@ def _dynamics_stage(ctx: _RunContext) -> None:
             ctx.budgets.setdefault(str(k), {})[format(q, "g")] = {
                 "dropped_weight": dropped}
     alphas = (config.analyses["decay"] or {}).get("alphas") or []
-    n_small = widths[-2] if len(widths) >= 2 else widths[-1]
+    # the two largest boxes, or the one box with no doubling
+    n_small, n_large = widths[-2:] if len(widths) >= 2 else (widths[-1], None)
     for alpha in alphas:
         for k in dyn["sources"]:
-            doubled_env = envs[k, widths[-1]] if len(widths) >= 2 else None
             for q in dyn["moments"]:
                 verdict = moment_bound_verdict(
-                    envs[k, n_small], alpha, q, doubled_env,
+                    envs[k, n_small], alpha, q, envs.get((k, n_large)),
                     ratio_limit=tol["doubling_ratio_limit"],
                     share_limit=tol["boundary_share_limit"])
                 envelope_doc["verdicts"].append(asdict(verdict))
@@ -716,13 +716,10 @@ def _study_stage(ctx: _RunContext) -> None:
         sd1, sd2 = spectra[n1], spectra[n2]
         bound = min(sd1.trusted_site_bound, sd2.trusted_site_bound)
         # ladder indices |n| <= bound that both spectra carry
-        first = max(-bound, -sd1.anchor_position, -sd2.anchor_position)
-        last = min(bound, sd1.dimension - 1 - sd1.anchor_position,
-                   sd2.dimension - 1 - sd2.anchor_position)
-        count = max(last - first + 1, 0)
-        drifts = np.abs(
-            sd1.eigenvalues[first + sd1.anchor_position:][:count]
-            - sd2.eigenvalues[first + sd2.anchor_position:][:count])
+        shared = np.intersect1d(sd1.ladder_indices, sd2.ladder_indices)
+        shared = shared[np.abs(shared) <= bound]
+        drifts = np.abs(sd1.eigenvalues[sd1.anchor_position + shared]
+                        - sd2.eigenvalues[sd2.anchor_position + shared])
         max_drift = float(drifts.max(initial=0.0))
         within = max_drift <= tol["eigenvalue_drift"]
         if not within:
@@ -730,7 +727,7 @@ def _study_stage(ctx: _RunContext) -> None:
                 f"study: eigenvalue drift {max_drift:.3e} between N={n1} "
                 f"and N={n2} exceeds {tol['eigenvalue_drift']:.1e}")
         eig_rows.append({"pair": [n1, n2], "max_drift": max_drift,
-                         "indices_compared": count,
+                         "indices_compared": shared.size,
                          "within_tolerance": within})
 
     decay_rows_out = []
@@ -759,9 +756,7 @@ def _study_stage(ctx: _RunContext) -> None:
         for k in dyn["sources"]:
             for q in dyn["moments"]:
                 for n1, n2 in zip(widths, widths[1:]):
-                    e1 = envs[k, n1].moment_bound(q)
-                    e2 = envs[k, n2].moment_bound(q)
-                    ratio = e2 / e1 if e1 > 0 else 1.0
+                    ratio = envs[k, n1].doubling_ratio(envs[k, n2], q)
                     env_rows.append({
                         "q": q, "source": k, "pair": [n1, n2],
                         "ratio": ratio,

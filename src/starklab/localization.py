@@ -476,11 +476,10 @@ def asymptotics_rows(sd: SpectralData, report: AsymptoticsReport):
 
 def decay_rows(sd: SpectralData, report: UniformDecayReport):
     """Per-mode rows (ladder_index, eigenvalue, center, constants, fit)."""
-    fit_by_index = dict(report.fit_exponents)
     rows = []
-    for (n, val_c), (_, val_i) in zip(report.per_mode,
-                                      report.per_mode_by_index):
+    for (n, val_c), (_, val_i), (_, fit) in zip(
+            report.per_mode, report.per_mode_by_index, report.fit_exponents):
         p = sd.position_of(n)
         rows.append((n, float(sd.eigenvalues[p]), int(sd.centers[p]),
-                     val_c, val_i, fit_by_index.get(n, float("nan"))))
+                     val_c, val_i, fit))
     return rows

@@ -390,10 +390,7 @@ def _tridiagonal_eigh(diag: np.ndarray, lower: np.ndarray):
     z = np.empty((len(diag), len(diag)), order="F")
     _solve("dstevd", (b"V", n, lam, np.array(lower, dtype=np.float64), z, n),
            (np.float64, np.int64))
-    if phi is None:
-        return lam, z
-    return lam, np.multiply(phi[:, np.newaxis], z,
-                            out=np.empty(z.shape, complex, order="F"))
+    return lam, z if phi is None else phi[:, np.newaxis] * z
 
 
 # The names a LAPACK routine may have in numpy's own LAPACK, in lookup

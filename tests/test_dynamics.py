@@ -546,9 +546,20 @@ def test_verdict_inconclusive_when_boundary_leaks():
     assert not v.growth_not_excluded
 
 
+def test_doubling_ratio_is_one_where_the_moment_is_zero(spectrum_cache):
+    small, large = _envelopes(spectrum_cache, (2.0,))
+    assert small.doubling_ratio(large, 2) == \
+        large.moment_bound(2.0) / small.moment_bound(2.0)
+    zero = replace(small, moments={2.0: (0.0, small.boundary_share(2.0))})
+    assert zero.doubling_ratio(large, 2.0) == 1.0
+
+
+# the verdict takes its ratio, and so these refusals, from doubling_ratio
 def test_verdict_rejects_smaller_doubled_box(spectrum_cache):
     small, large = _envelopes(spectrum_cache, (2.0,))
     for doubled in (small, large):
+        with pytest.raises(ValueError, match="larger box"):
+            large.doubling_ratio(doubled, 2.0)
         with pytest.raises(ValueError, match="larger box"):
             sl.moment_bound_verdict(large, alpha=3.0, q=2.0, doubled=doubled)
 
@@ -556,6 +567,8 @@ def test_verdict_rejects_smaller_doubled_box(spectrum_cache):
 def test_verdict_rejects_doubled_envelope_of_another_source(spectrum_cache):
     small, _ = _envelopes(spectrum_cache, (2.0,))
     _, other = _envelopes(spectrum_cache, (2.0,), source=1)
+    with pytest.raises(ValueError, match="source 1"):
+        small.doubling_ratio(other, 2.0)
     with pytest.raises(ValueError, match="source 1"):
         sl.moment_bound_verdict(small, alpha=3.0, q=2.0, doubled=other)
 

@@ -486,6 +486,12 @@ def test_outputs_keep_the_config_order_of_the_boxes(tmp_path):
         study = json.load(fh)
     for section in ("eigenvalue_drift", "decay_drift", "envelope_ratios"):
         assert [row["pair"] for row in study[section]] == [[8, 12], [12, 24]]
+    # the last pair's ratio is the dynamics verdict's doubling ratio
+    with open(out / "envelope.json") as fh:
+        (verdict,) = json.load(fh)["verdicts"]
+    last = study["envelope_ratios"][-1]
+    assert (last["source"], last["q"]) == (verdict["source"], verdict["q"])
+    assert last["ratio"] == verdict["doubling_ratio"]
     with open(out / "localization.json") as fh:
         summary = json.load(fh)
     # every section is its own box's

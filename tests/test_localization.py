@@ -142,6 +142,10 @@ def test_one_decay_call_serves_every_alpha(spectrum_cache):
         assert rep.per_mode_by_index == single.per_mode_by_index
         np.testing.assert_array_equal(rep.fit_exponents, single.fit_exponents)
         assert rep.fit_exponents is reports[0].fit_exponents
+        # decay_rows zips the three tuples: one ladder order
+        ladder = [m for m, _ in rep.per_mode]
+        assert [m for m, _ in rep.per_mode_by_index] == ladder
+        assert [m for m, _ in rep.fit_exponents] == ladder
 
 
 @pytest.mark.parametrize("alphas", [(0.0,), (2.0, -1.0, 3.0),
@@ -304,8 +308,10 @@ def test_report_rows_align_with_spectrum(spectrum_cache):
     drows = decay_rows(sd, drep)
     assert len(drows) == drep.n_modes
     by_mode = dict((n, v) for n, v in drep.per_mode)
-    for n, _, _, val_c, _, _ in drows:
+    fits = dict(drep.fit_exponents)
+    for n, _, _, val_c, _, fit in drows:
         assert by_mode[n] == val_c
+        assert fit == fits[n] or math.isnan(fit) and math.isnan(fits[n])
 
 
 # ---- blocked checks against the per-mode loops they replace ----

@@ -1000,19 +1000,31 @@ def test_tridiagonal_solve_equals_scipy_dstevd_bit_for_bit(
 
 
 @LOCALIZED_KERNELS
-def test_tridiagonal_box_goes_dense_without_stevd(kernel, monkeypatch,
-                                                  request):
+@pytest.mark.parametrize("hidden", ["no-stevd", "no-lapack"])
+def test_tridiagonal_box_goes_dense_without_stevd(kernel, hidden,
+                                                  monkeypatch, request):
+    # without ?stevd the box goes to the in-place ?syevd/?heevd; without
+    # any routine, to numpy.linalg.eigh(op.matrix)
     _needs_lapack("dstevd")
     stevd = sl.diagonalize(_disordered(kernel))
-    request.getfixturevalue("no_lapack")
-    assert _lapack("dstevd") is None
+    if hidden == "no-stevd":
+        _needs_lapack(_dense_solver(kernel))
+        lookup = starklab.spectra._lapack
+        monkeypatch.setattr(starklab.spectra, "_lapack", lambda name: (
+            None if name == "dstevd" else lookup(name)))
+    else:
+        request.getfixturevalue("no_lapack")
+        assert _lapack(_dense_solver(kernel)) is None
+    assert starklab.spectra._lapack("dstevd") is None
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda a: calls.append(a.shape) or eigh(a))
     op = _disordered(kernel)
     dense = sl.diagonalize(op)  # both gates pass
-    assert len(calls) == 1
+    assert len(calls) == (hidden == "no-lapack")
+    # only numpy's eigh reads (and so keeps) the dense matrix
+    assert ("matrix" in op.__dict__) == (hidden == "no-lapack")
     np.testing.assert_allclose(dense.eigenvalues, stevd.eigenvalues, rtol=0,
                                atol=1e-12 * max(1.0, stevd.spectral_radius))
     assert dense.provenance == stevd.provenance

@@ -143,3 +143,26 @@ def test_identity_sweep_ignores_a_manifests_timing(sweep, tmp_path):
         (tmp_path / "head" / manifest).read_bytes())
     assert (record["status"], record["first"]) == \
         ("differs", "stages[0].status")
+
+
+def _package(root, files):
+    package = root / "src" / "starklab"
+    package.mkdir(parents=True)
+    for name, text in files.items():
+        (package / name).write_text(text)
+    return str(root)
+
+
+def test_identity_sweep_counts_code_and_docstring_lines(sweep, tmp_path):
+    base = _package(tmp_path / "base", {
+        "a.py": '"""Module\ndocstring."""\n\nX = 1  # a comment\n',
+        "notes.txt": "not python\n"})
+    head = _package(tmp_path / "head", {
+        "a.py": '"""Module."""\n# a comment line\n\n\n'
+                'def f(x):\n    """One line."""\n'
+                '    return """a string\nover two lines"""\n',
+        "b.py": "class C:\n    '''Class\n    docstring.'''\n"
+                "    y = (1,\n         2)\n"})
+    assert sweep.line_counts(base) == {"total": 4, "docstring": 2, "code": 1}
+    assert sweep.line_counts(head) == {"total": 13, "docstring": 4,
+                                       "code": 6}

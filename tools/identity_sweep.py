@@ -31,14 +31,17 @@ A ``manifest.json`` is compared without its IGNORED_MANIFEST_KEYS, which
 hold wall times, a timestamp and the host.  The summary ends with
 ``verdict: identical`` (exit status 0) or ``verdict: differs`` (1); a
 command that exits nonzero on either side is named and makes the exit
-status 2, whatever the files show.  Both trees and their outputs live
-in a temporary directory that is removed at the end.  The sweep took
-15-17 s on 2 cores; it needs no network.
+status 2, whatever the files show.  Under the summary, one line per
+tree gives the lines of its ``src/starklab`` (line_counts): in total, in
+docstrings, and of code.  Both trees and their outputs live in a
+temporary directory that is removed at the end.  The sweep took 15-17 s
+on 2 cores; it needs no network.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import importlib.util
 import io
@@ -50,6 +53,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tokenize
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 IGNORED_MANIFEST_KEYS = ("created_utc", "timing", "environment")
@@ -303,6 +307,40 @@ def summary(records: list) -> str:
     return "\n".join(lines)
 
 
+# tokens that make no line code: comments, line ends and indentation
+_NOT_CODE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER)
+
+
+def line_counts(tree: str) -> dict:
+    """Lines of the .py files in tree's src/starklab: "total", "docstring"
+    (the lines of module, class and function docstrings, found by ast)
+    and "code" (the lines any other token spans, found by tokenize, so
+    neither a comment-only nor a blank line counts)."""
+    package = os.path.join(tree, "src", "starklab")
+    counts = {"total": 0, "docstring": 0, "code": 0}
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            text = fh.read()
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)) \
+                    and ast.get_docstring(node, clean=False) is not None:
+                first = node.body[0]
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+        code = set()
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type not in _NOT_CODE:
+                code.update(range(token.start[0], token.end[0] + 1))
+        counts["total"] += len(text.splitlines())
+        counts["docstring"] += len(docstrings)
+        counts["code"] += len(code - docstrings)
+    return counts
+
+
 def _extract(rev: str, into: str) -> str:
     """git archive of rev, unpacked into the directory into; its commit."""
     sha = subprocess.run(["git", "-C", REPO, "rev-parse", "--verify",
@@ -340,11 +378,15 @@ def main(argv=None) -> int:
                                config, commands)]
             print(f"ran {name}", file=sys.stderr, flush=True)
         records = compare_trees(outputs["base"], outputs["head"])
+        lines = {side: line_counts(tree) for side, tree in trees.items()}
     text = summary(records)
     print(f"identity sweep: base {args.base} ({sha[:12]}) against the "
           f"working tree, {len(sweep)} cases, "
           f"{time.perf_counter() - began:.0f} s")
     print(text)
+    for side, n in lines.items():
+        print(f"src/starklab {side}: {n['total']} lines, {n['docstring']} "
+              f"docstring, {n['code']} code")
     for line in failed:
         print(f"failed: {line}")
     if failed:
