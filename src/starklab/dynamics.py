@@ -376,7 +376,9 @@ def time_grid(dt: float = 0.05, t_max: float = 1000.0,
 
 
 def envelope(sd: SpectralData, source: int, qs=(2.0,)) -> EnvelopeBound:
-    """Time-uniform majorant from ``source`` and its weighted masses."""
+    """Time-uniform majorant from ``source`` and its weighted masses;
+    ValueError for a q that is not positive and finite, or whose E_q
+    overflows float64 (|n|**q does from |n| = 6 on at q = 400)."""
     row = _source_row(sd, source)
     absvec = np.abs(sd.eigenvectors, order="C")
     major = absvec @ absvec[row, :]
@@ -387,8 +389,14 @@ def envelope(sd: SpectralData, source: int, qs=(2.0,)) -> EnvelopeBound:
         if not 0 < q < math.inf:
             raise ValueError(
                 f"moment exponent must be positive and finite, got {q}")
-        contrib = np.abs(sd.sites.astype(float)) ** q * major ** 2
-        total = float(np.sum(contrib))
+        # an overflow gives inf, or NaN where inf meets a zero majorant
+        with np.errstate(over="ignore", invalid="ignore"):
+            contrib = np.abs(sd.sites.astype(float)) ** q * major ** 2
+            total = float(np.sum(contrib))
+        if not math.isfinite(total):
+            raise ValueError(
+                f"E_q overflows float64 at q = {q:g} from source {source} "
+                f"in the box of half-width {sd.half_width}")
         share = float(np.sum(contrib[boundary]) / total) if total > 0 else 0.0
         moments[q] = (total, share)
     major.flags.writeable = False
@@ -398,16 +406,15 @@ def envelope(sd: SpectralData, source: int, qs=(2.0,)) -> EnvelopeBound:
 
 def moment_bound_verdict(
         env: EnvelopeBound, alpha: float, q: float,
-        doubled: EnvelopeBound | None = None,
-        ratio_limit: float = DOUBLING_RATIO_LIMIT,
-        share_limit: float = BOUNDARY_SHARE_LIMIT) -> MomentBoundVerdict:
+        doubled: EnvelopeBound | None = None) -> MomentBoundVerdict:
     """Probe whether decay rate alpha forces bounded q-moments here.
 
     ``env`` and ``doubled`` must both hold q.  The hypothesis
     alpha > 3/2 + q/2 is arithmetic.  Boundedness of E_q in the
     infinite-volume limit is probed by env.doubling_ratio(doubled, q)
-    when doubled is given.  A boundary share at or above ``share_limit``
-    makes the verdict inconclusive rather than failed.
+    when doubled is given: bounded below DOUBLING_RATIO_LIMIT.  A
+    boundary share at or above BOUNDARY_SHARE_LIMIT makes the verdict
+    inconclusive rather than failed.
     """
     alpha = float(alpha)
     q = float(q)
@@ -418,16 +425,17 @@ def moment_bound_verdict(
 
     if not hypothesis:
         conclusion = "hypothesis not satisfied: no assertion"
-    elif share >= share_limit:
+    elif share >= BOUNDARY_SHARE_LIMIT:
         conclusion = (f"inconclusive: boundary share {share:.3g} "
-                      f">= {share_limit:g}")
+                      f">= {BOUNDARY_SHARE_LIMIT:g}")
     elif ratio is None:
         conclusion = "doubling data unavailable"
-    elif ratio < ratio_limit:
-        conclusion = f"bounded: doubling ratio {ratio:.6g} < {ratio_limit:g}"
+    elif ratio < DOUBLING_RATIO_LIMIT:
+        conclusion = (f"bounded: doubling ratio {ratio:.6g} "
+                      f"< {DOUBLING_RATIO_LIMIT:g}")
     else:
-        conclusion = (f"doubling ratio {ratio:.6g} >= {ratio_limit:g}: "
-                      "growth not excluded")
+        conclusion = (f"doubling ratio {ratio:.6g} >= "
+                      f"{DOUBLING_RATIO_LIMIT:g}: growth not excluded")
 
     return MomentBoundVerdict(alpha=alpha, q=q, source=env.source,
                               hypothesis_satisfied=hypothesis,

@@ -27,10 +27,10 @@ from functools import cached_property
 
 import numpy as np
 
+from . import dynamics, localization, spectra
 from ._format import column_rows, dumps_json, write_csv, write_json
 from ._version import __version__
-from .dynamics import (BOUNDARY_SHARE_LIMIT, DOUBLING_RATIO_LIMIT, envelope,
-                       moment_bound_verdict, moment_series, time_grid)
+from .dynamics import envelope, moment_bound_verdict, moment_series, time_grid
 from .kernels import HoppingKernel, KernelError, build_kernel
 from .localization import (asymptotics_rows, bootstrap_decay_check,
                            check_eigenvalue_asymptotics, decay_rows,
@@ -40,8 +40,7 @@ from .operators import (MAX_DIMENSION_DEFAULT, ConstantPerturbation,
                         NoPerturbation, PeriodicPerturbation, PotentialError,
                         PotentialSpec, UniformRandomPerturbation,
                         build_operator)
-from .spectra import (DEGENERACY_GAP, ORTHONORMALITY_TOL, RESIDUAL_TOL,
-                      blas_runtime, diagonalize, load_spectral, provenance,
+from .spectra import (blas_runtime, diagonalize, load_spectral, provenance,
                       recheck_residuals, save_spectral)
 
 __all__ = [
@@ -54,7 +53,12 @@ __all__ = [
     "parse_config",
     "run",
     "ALL_STAGES",
+    "EIGENVALUE_DRIFT",
 ]
+
+# how far a trusted eigenvalue may move between two box sizes in a study
+EIGENVALUE_DRIFT = 1e-8
+
 
 class ConfigError(ValueError):
     """One or more config fields are invalid; every problem is listed."""
@@ -76,7 +80,7 @@ class ExperimentConfig:
     half_widths: tuple[int, ...]
     seed: int
     analyses: dict
-    tolerances: dict
+    interior_window: int | None
     output_dir: str
     max_dimension: int
     effective: dict
@@ -256,14 +260,7 @@ _CONFIG = _Field("object", expected="config root must be an object", fields={
                 "far_horizon": _Field("number", default=_GRID["far_horizon"],
                                       bound=_NONNEGATIVE)})})}),
     "tolerances": _Field("object", default={}, fields={
-        "residual": _positive(RESIDUAL_TOL),
-        "orthonormality": _positive(ORTHONORMALITY_TOL),
-        "degeneracy_gap": _positive(DEGENERACY_GAP),
-        "interior_window": _Field("integer", bound=_at_least(0)),
-        "bootstrap_slack": _positive(1e-8),
-        "doubling_ratio_limit": _positive(DOUBLING_RATIO_LIMIT),
-        "boundary_share_limit": _positive(BOUNDARY_SHARE_LIMIT),
-        "eigenvalue_drift": _positive(1e-8)}),
+        "interior_window": _Field("integer", bound=_at_least(0))}),
     "output": _Field("object", default={}, fields={
         "directory": _Field("string", default="out",
                             bound=((len, "must not be empty"),))}),
@@ -275,16 +272,6 @@ _PERTURBATIONS = {"none": NoPerturbation, "constant": ConstantPerturbation,
                   "uniform_random": UniformRandomPerturbation,
                   "periodic": PeriodicPerturbation,
                   "explicit": ExplicitPerturbation}
-
-# tolerance name -> keyword of diagonalize and provenance
-_GATES = {"residual": "residual_tol", "orthonormality": "orthonormality_tol",
-          "degeneracy_gap": "degeneracy_gap",
-          "interior_window": "interior_window"}
-
-
-def _gate_tolerances(tolerances: dict) -> dict:
-    return {keyword: tolerances[name] for name, keyword in _GATES.items()}
-
 
 def _offset(key) -> int | None:
     """The integer a coefficient key spells exactly, like "-2"; else None."""
@@ -423,10 +410,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     effective = dict(values, kernel=kernel.describe(),
                      potential=potential.describe())
+    window = values["tolerances"]["interior_window"]
     return ExperimentConfig(kernel=kernel, potential=potential,
                             half_widths=tuple(widths), seed=seed,
                             analyses=values["analyses"],
-                            tolerances=values["tolerances"],
+                            interior_window=window,
                             output_dir=values["output"]["directory"],
                             max_dimension=max_dim, effective=effective)
 
@@ -511,9 +499,8 @@ def _check_provenance(config: ExperimentConfig, op, sd) -> None:
     diagonalize records for the config's box op, naming the first
     differing field, or whose eigenpairs fail the residual gate again
     (spectra.recheck_residuals: tridiagonal boxes only)."""
-    diff = _first_difference(
-        provenance(op, **_gate_tolerances(config.tolerances)),
-        sd.provenance, "provenance")
+    diff = _first_difference(provenance(op, config.interior_window),
+                             sd.provenance, "provenance")
     if diff is not None:
         path, wanted, found = diff
         raise ProvenanceMismatchError(
@@ -570,7 +557,7 @@ def _spectrum_stage(ctx: _RunContext) -> None:
     the run's peak; ctx.spectra then lists them in config order, which
     every later stage and file follows."""
     config = ctx.config
-    spectra = {}
+    solved = {}
     for n in reversed(config.half_widths):  # they ascend
         base = os.path.join(config.output_dir, f"spectrum_N{n}")
         op = build_operator(config.kernel, config.potential, n,
@@ -579,11 +566,11 @@ def _spectrum_stage(ctx: _RunContext) -> None:
             sd = load_spectral(base)
             _check_provenance(config, op, sd)
         else:
-            sd = diagonalize(op, **_gate_tolerances(config.tolerances))
+            sd = diagonalize(op, config.interior_window)
             save_spectral(sd, base)
-        spectra[n] = sd
+        solved[n] = sd
         ctx.outputs += [f"spectrum_N{n}.json", f"spectrum_N{n}.bin"]
-    ctx.spectra.update((n, spectra[n]) for n in config.half_widths)
+    ctx.spectra.update((n, solved[n]) for n in config.half_widths)
 
 
 def _asymptotics_stage(ctx: _RunContext) -> None:
@@ -636,9 +623,7 @@ def _bootstrap_stage(ctx: _RunContext) -> None:
     config = ctx.config
     section = {}
     for n, sd in ctx.spectra.items():
-        rep = bootstrap_decay_check(
-            sd, config.analyses["bootstrap"]["gamma"],
-            base_slack=config.tolerances["bootstrap_slack"])
+        rep = bootstrap_decay_check(sd, config.analyses["bootstrap"]["gamma"])
         section[str(n)] = {
             "gamma": rep.gamma,
             "n_modes": rep.n_modes,
@@ -657,7 +642,7 @@ def _bootstrap_stage(ctx: _RunContext) -> None:
 
 
 def _dynamics_stage(ctx: _RunContext) -> None:
-    config, tol = ctx.config, ctx.config.tolerances
+    config = ctx.config
     dyn = config.analyses["dynamics"]
     grid = dyn["grid"]
     times = time_grid(**grid)
@@ -688,10 +673,8 @@ def _dynamics_stage(ctx: _RunContext) -> None:
     for alpha in alphas:
         for k in dyn["sources"]:
             for q in dyn["moments"]:
-                verdict = moment_bound_verdict(
-                    envs[k, n_small], alpha, q, envs.get((k, n_large)),
-                    ratio_limit=tol["doubling_ratio_limit"],
-                    share_limit=tol["boundary_share_limit"])
+                verdict = moment_bound_verdict(envs[k, n_small], alpha, q,
+                                               envs.get((k, n_large)))
                 envelope_doc["verdicts"].append(asdict(verdict))
                 if verdict.growth_not_excluded:
                     ctx.failures.append(f"dynamics: alpha={alpha} q={q} k={k} "
@@ -708,12 +691,11 @@ def _study_stage(ctx: _RunContext) -> None:
     and envelopes come from the run context, shared with the ule and
     dynamics stages.
     """
-    config, spectra = ctx.config, ctx.spectra
-    tol = config.tolerances
+    config = ctx.config
     widths = list(config.half_widths)
     eig_rows = []
     for n1, n2 in zip(widths, widths[1:]):
-        sd1, sd2 = spectra[n1], spectra[n2]
+        sd1, sd2 = ctx.spectra[n1], ctx.spectra[n2]
         bound = min(sd1.trusted_site_bound, sd2.trusted_site_bound)
         # ladder indices |n| <= bound that both spectra carry
         shared = np.intersect1d(sd1.ladder_indices, sd2.ladder_indices)
@@ -721,11 +703,11 @@ def _study_stage(ctx: _RunContext) -> None:
         drifts = np.abs(sd1.eigenvalues[sd1.anchor_position + shared]
                         - sd2.eigenvalues[sd2.anchor_position + shared])
         max_drift = float(drifts.max(initial=0.0))
-        within = max_drift <= tol["eigenvalue_drift"]
+        within = max_drift <= EIGENVALUE_DRIFT
         if not within:
             ctx.failures.append(
                 f"study: eigenvalue drift {max_drift:.3e} between N={n1} "
-                f"and N={n2} exceeds {tol['eigenvalue_drift']:.1e}")
+                f"and N={n2} exceeds {EIGENVALUE_DRIFT:.1e}")
         eig_rows.append({"pair": [n1, n2], "max_drift": max_drift,
                          "indices_compared": shared.size,
                          "within_tolerance": within})
@@ -760,7 +742,7 @@ def _study_stage(ctx: _RunContext) -> None:
                     env_rows.append({
                         "q": q, "source": k, "pair": [n1, n2],
                         "ratio": ratio,
-                        "within_limit": ratio < tol["doubling_ratio_limit"]})
+                        "within_limit": ratio < dynamics.DOUBLING_RATIO_LIMIT})
 
     ctx.write_json("study.json", {"eigenvalue_drift": eig_rows,
                                   "decay_drift": decay_rows_out,
@@ -780,6 +762,19 @@ _STAGES = (
     ("study", lambda config: len(config.half_widths) >= 2, _study_stage),
 )
 ALL_STAGES = tuple(name for name, _, _ in _STAGES)
+
+
+def _thresholds(config: ExperimentConfig) -> dict:
+    """The pass marks of the checks, read when the run writes them, and
+    the configured interior window: localization.json's tolerances."""
+    return {"residual": spectra.RESIDUAL_TOL,
+            "orthonormality": spectra.ORTHONORMALITY_TOL,
+            "degeneracy_gap": spectra.DEGENERACY_GAP,
+            "interior_window": config.interior_window,
+            "bootstrap_slack": localization.BOOTSTRAP_SLACK,
+            "doubling_ratio_limit": dynamics.DOUBLING_RATIO_LIMIT,
+            "boundary_share_limit": dynamics.BOUNDARY_SHARE_LIMIT,
+            "eigenvalue_drift": EIGENVALUE_DRIFT}
 
 
 def _environment() -> dict:
@@ -865,7 +860,7 @@ def run(config: ExperimentConfig, stages=None,
 
     if summary_owner is not None:
         write_json(os.path.join(config.output_dir, "localization.json"),
-                   {"tolerances": dict(config.tolerances), **ctx.localization})
+                   {"tolerances": _thresholds(config), **ctx.localization})
         summary_owner.outputs.append("localization.json")
     for rec in records:
         rec.outputs.sort()

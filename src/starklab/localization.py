@@ -53,8 +53,11 @@ __all__ = [
     "bootstrap_decay_check",
     "asymptotics_rows",
     "decay_rows",
+    "BOOTSTRAP_SLACK",
 ]
 
+# the bootstrap's numerical slack, added to each site's dropped-tail slack
+BOOTSTRAP_SLACK = 1e-8
 
 # interior modes per blocked pass; a d x 128 float64 block is 2 MB at d = 2001
 _BLOCK = 128
@@ -154,7 +157,6 @@ class BootstrapReport:
     """
 
     gamma: float
-    base_slack: float
     n_modes: int
     n_checked: int
     violations: tuple[BootstrapViolation, ...]
@@ -352,17 +354,17 @@ def _band_convolution(absw: np.ndarray, M: int, d: int):
     return lambda amp, rows, at: windows[:, ::-1][at, rows] @ amp
 
 
-def bootstrap_decay_check(sd: SpectralData, gamma: float | None = None,
-                          base_slack: float = 1e-8) -> BootstrapReport:
+def bootstrap_decay_check(sd: SpectralData,
+                          gamma: float | None = None) -> BootstrapReport:
     """Check the bootstrap inequality on every interior mode.
 
     gamma must dominate every trusted pinning deviation; None takes the
     pinning bound sd.pinning_gamma.  Sites with |m - n| <= 2*gamma are
     out of scope.  The dropped-tail slack at site n is
     (4*gamma/|m - n|) * (out-of-box hopping mass seen from n) * max|phi_m|,
-    plus the fixed numerical slack base_slack.  Violations are listed by
-    mode, then by site.  A gamma that is not finite and positive, or a
-    base_slack that is not, raises ValueError.
+    plus the fixed numerical slack BOOTSTRAP_SLACK.  Violations are
+    listed by mode, then by site.  A gamma that is not finite and
+    positive raises ValueError.
 
     The right side is formed only at the candidate sites, in scope with
     lhs > slack, since it is nonnegative.  Sites, lhs and slack have the
@@ -374,10 +376,6 @@ def bootstrap_decay_check(sd: SpectralData, gamma: float | None = None,
     gamma = sd.pinning_gamma if gamma is None else float(gamma)
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
-    base_slack = float(base_slack)
-    if not 0 < base_slack < np.inf:
-        raise ValueError(
-            f"base_slack must be finite and positive, got {base_slack}")
     positions = _interior_positions(sd)
 
     d = sd.dimension
@@ -423,15 +421,16 @@ def bootstrap_decay_check(sd: SpectralData, gamma: float | None = None,
     # a site where |phi_m| = 0 cannot exceed rhs + slack >= 0, so only the
     # rows of each block's support are checked
     for block, rows, amp in _blocks(sd, positions):
-        # slack >= base_slack, so only rows where some mode has
-        # amp > base_slack can hold a candidate; any() over the modes, as
-        # a NaN in one mode would hide the others from a row max
-        box_rows = rows.start + np.flatnonzero((amp > base_slack).any(axis=1))
+        # slack >= BOOTSTRAP_SLACK, so only rows where some mode has
+        # amp > BOOTSTRAP_SLACK can hold a candidate; any() over the modes,
+        # as a NaN in one mode would hide the others from a row max
+        box_rows = rows.start + np.flatnonzero(
+            (amp > BOOTSTRAP_SLACK).any(axis=1))
         ladder = indices[block]
         dist = np.abs(box_rows[:, np.newaxis] - (ladder + N))
         factor = factors[dist]
         slack = (factor * tail_mass[box_rows] * np.max(amp, axis=0)
-                 + base_slack)
+                 + BOOTSTRAP_SLACK)
         lhs = amp[box_rows - rows.start]
         cand = (dist > 2.0 * gamma) & (lhs > slack)
         keep = cand.any(axis=1)
@@ -458,9 +457,8 @@ def bootstrap_decay_check(sd: SpectralData, gamma: float | None = None,
     if margins:
         w = int(np.argmin([m for m, _, _ in margins]))
         min_margin, min_margin_at = float(margins[w][0]), margins[w][1:]
-    return BootstrapReport(gamma=gamma, base_slack=base_slack,
-                           n_modes=len(positions), n_checked=n_checked,
-                           violations=tuple(violations),
+    return BootstrapReport(gamma=gamma, n_modes=len(positions),
+                           n_checked=n_checked, violations=tuple(violations),
                            n_candidates=n_candidates, min_margin=min_margin,
                            min_margin_at=min_margin_at)
 

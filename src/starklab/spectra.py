@@ -61,8 +61,8 @@ raw solve, whose gates then fail.
 
 Every decomposition is gated on two invariants before it is returned:
 
-    ||H phi - lambda phi||_2 <= residual_tol * max(1, spectral radius)
-    max |<phi_i, phi_j> - delta_ij| <= orthonormality_tol
+    ||H phi - lambda phi||_2 <= RESIDUAL_TOL * max(1, spectral radius)
+    max |<phi_i, phi_j> - delta_ij| <= ORTHONORMALITY_TOL
 
 Eigenvalues are labeled by the ladder convention: index 0 goes to the
 smallest nonnegative eigenvalue and consecutive integers continue in both
@@ -670,10 +670,7 @@ def _gated_residuals(op: TruncatedOperator, lam: np.ndarray,
 
 
 def diagonalize(op: TruncatedOperator,
-                interior_window: int | None = None,
-                residual_tol: float = RESIDUAL_TOL,
-                orthonormality_tol: float = ORTHONORMALITY_TOL,
-                degeneracy_gap: float = DEGENERACY_GAP) -> SpectralData:
+                interior_window: int | None = None) -> SpectralData:
     """Full eigendecomposition of a truncated operator, quality-gated.
 
     _eigh picks the solver and _gated_residuals the residual's form, both
@@ -689,7 +686,8 @@ def diagonalize(op: TruncatedOperator,
 
     Raises ConvergenceFailureError if LAPACK does not converge, if an
     eigenvalue, residual or Gram entry is not finite, or if the
-    residual/orthonormality invariants fail at the given tolerances.
+    residual/orthonormality invariants fail at RESIDUAL_TOL and
+    ORTHONORMALITY_TOL.
     """
     _release_free_heap()  # before the solve, which sets the peak
     try:
@@ -706,17 +704,16 @@ def diagonalize(op: TruncatedOperator,
     scan = _, support = _fix_phases(vec)
     vec += 0.0  # -0.0 -> +0.0, so that a dump's runs give vec back exactly
     _release_free_heap()  # the scan's block temporaries, before the gates
-    resid = _gated_residuals(op, lam, vec, support, residual_tol)
+    resid = _gated_residuals(op, lam, vec, support, RESIDUAL_TOL)
 
     defect = _gram_defect(vec, support)
-    if not defect <= orthonormality_tol:
+    if not defect <= ORTHONORMALITY_TOL:
         raise ConvergenceFailureError(
-            f"orthonormality defect {defect:.3e} exceeds {orthonormality_tol:.3e} "
-            f"(half_width={op.half_width})")
+            f"orthonormality defect {defect:.3e} exceeds "
+            f"{ORTHONORMALITY_TOL:.3e} (half_width={op.half_width})")
 
     sd = SpectralData(_frozen(lam), _frozen(vec), _frozen(resid), defect,
-                      provenance(op, residual_tol, orthonormality_tol,
-                                 degeneracy_gap, interior_window))
+                      provenance(op, interior_window))
     vars(sd)["_scan"] = scan  # where cached_property keeps it
     return sd
 
@@ -753,12 +750,12 @@ def recheck_residuals(sd: SpectralData, op: TruncatedOperator) -> None:
             f"{recorded:.6e} as recorded: the eigenvectors were changed")
 
 
-def provenance(op: TruncatedOperator, residual_tol: float,
-               orthonormality_tol: float, degeneracy_gap: float,
+def provenance(op: TruncatedOperator,
                interior_window: int | None = None) -> dict:
     """The record of what a spectrum of op was computed from: the kernel,
     the potential, the box, the realized perturbation sup, the matrix
-    dtype, the gate tolerances and the interior window (by default
+    dtype, the gate tolerances (RESIDUAL_TOL, ORTHONORMALITY_TOL and
+    DEGENERACY_GAP) and the interior window (by default
     default_interior_window of the box's gamma)."""
     if interior_window is None:
         interior_window = default_interior_window(
@@ -770,9 +767,9 @@ def provenance(op: TruncatedOperator, residual_tol: float,
         "half_width": int(op.half_width),
         "perturbation_sup": float(op.perturbation_sup),
         "matrix_dtype": str(op.dtype),
-        "residual_tol": float(residual_tol),
-        "orthonormality_tol": float(orthonormality_tol),
-        "degeneracy_gap": float(degeneracy_gap),
+        "residual_tol": RESIDUAL_TOL,
+        "orthonormality_tol": ORTHONORMALITY_TOL,
+        "degeneracy_gap": DEGENERACY_GAP,
         "interior_window": int(interior_window),
     }
 

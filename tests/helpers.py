@@ -163,7 +163,7 @@ def full_gram_defect(vec):
     return float(np.max(np.abs(gram)))
 
 
-def whole_box_bootstrap(sd, gamma, base_slack=1e-8):
+def whole_box_bootstrap(sd, gamma):
     """The bootstrap check with its right side formed on every row of the
     box, one block of localization._BLOCK interior modes at a time: the
     shifted sum over the whole box for a narrow band, one GEMM with the
@@ -175,9 +175,12 @@ def whole_box_bootstrap(sd, gamma, base_slack=1e-8):
     slack), the number of candidate rows of each block, the margins
     (rhs + slack - lhs) / (rhs + slack) of the candidates as (margin,
     ladder index, site), by mode and then by site, and per block each
-    row's largest lhs - (slack - base_slack) over the modes in scope,
-    which a row's lhs must exceed by base_slack to be a candidate).
+    row's largest lhs - (slack - BOOTSTRAP_SLACK) over the modes in
+    scope, which a row's lhs must exceed by BOOTSTRAP_SLACK to be a
+    candidate).  BOOTSTRAP_SLACK is read at call time, as the check reads
+    it.
     """
+    from starklab import localization
     from starklab.localization import _BLOCK, _SHIFTED_SUM_MAX_BAND
     from starklab.operators import toeplitz
 
@@ -225,7 +228,7 @@ def whole_box_bootstrap(sd, gamma, base_slack=1e-8):
         scope = dist > 2.0 * gamma
         rhs = factor * convolve(amp)
         tail_slack = factor * tail_mass * np.max(amp, axis=0)
-        slack = tail_slack + base_slack
+        slack = tail_slack + localization.BOOTSTRAP_SLACK
         excess.append(np.max(np.where(scope, amp - tail_slack, -np.inf),
                              axis=1))
         n_checked += int(np.count_nonzero(scope))
@@ -242,17 +245,17 @@ def whole_box_bootstrap(sd, gamma, base_slack=1e-8):
     return n_checked, violations, candidate_rows, margins, excess
 
 
-def assert_bootstrap_matches_whole_box(sd, gamma, base_slack=1e-8):
-    """bootstrap_decay_check(sd, gamma, base_slack) against
+def assert_bootstrap_matches_whole_box(sd, gamma):
+    """bootstrap_decay_check(sd, gamma) against
     whole_box_bootstrap: the same sites, lhs, slack, counts and witness
     site; rhs and the smallest margin bit for bit on a narrow band,
     within 1e-13 relative on a wide one.  Returns the oracle's candidate
     rows per block."""
     from starklab.localization import _SHIFTED_SUM_MAX_BAND
 
-    rep = sl.bootstrap_decay_check(sd, gamma, base_slack)
+    rep = sl.bootstrap_decay_check(sd, gamma)
     n_checked, violations, candidate_rows, margins, _ = \
-        whole_box_bootstrap(sd, gamma, base_slack)
+        whole_box_bootstrap(sd, gamma)
     assert rep.n_checked == n_checked
     assert [(v.ladder_index, v.site, v.lhs, v.slack)
             for v in rep.violations] == \

@@ -295,12 +295,10 @@ def test_report_refuses_dumps_of_another_config(tmp_path, capsys):
                                                  "amplitude": 5.0}},
                      seed=9)
     reseeded = dict(nn, seed=2)
-    tighter = dict(nn, tolerances={"residual": 1e-11})
     windowed = dict(nn, tolerances={"interior_window": 7})
     capsys.readouterr()
     for doc, field in ((power_law, "provenance.kernel.family"),
                        (reseeded, "provenance.potential.perturbation.seed"),
-                       (tighter, "provenance.residual_tol"),
                        (windowed, "provenance.interior_window")):
         code = main(["report", "--config",
                      write_config(tmp_path / "report.json", doc)])
@@ -310,9 +308,19 @@ def test_report_refuses_dumps_of_another_config(tmp_path, capsys):
         assert field in printed
         assert "stage asymptotics: skipped" in printed
     # the dumps' own config still reports
-    assert main(["report", "--config",
-                 write_config(tmp_path / "same.json", nn)]) == 0
+    same = write_config(tmp_path / "same.json", nn)
+    assert main(["report", "--config", same]) == 0
     assert "stage spectrum: reused" in capsys.readouterr().out
+
+    # a dump written under another residual gate
+    def tighter(header):
+        header["provenance"]["residual_tol"] = 1e-11
+    helpers.resigned_dump(os.path.join(out, "spectrum_N60"),
+                          edit_header=tighter)
+    assert main(["report", "--config", same]) == 2
+    printed = capsys.readouterr().out
+    assert "stage spectrum: failed (ProvenanceMismatchError" in printed
+    assert "provenance.residual_tol is 1e-11 in the dump but 1e-10" in printed
 
 
 def _edit_sup(provenance):

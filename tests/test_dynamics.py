@@ -328,6 +328,21 @@ def test_bad_dynamics_input_is_rejected(kernel):
             _series(sd, 0, (2.0,), bad)
 
 
+@pytest.mark.parametrize("kind, amplitude, seed", [
+    ("nn", 2.0, 1),  # E_q was NaN (0 * inf) and the verdict read bounded
+    ("pl4", 0.0, 0),  # E_q was inf, its boundary share NaN
+])
+def test_envelope_refuses_a_moment_that_overflows(spectrum_cache, kind,
+                                                  amplitude, seed):
+    # |n|**400 overflows float64 from |n| = 6 on
+    _, sd = spectrum_cache(kind, 100, amplitude, seed)
+    with pytest.raises(ValueError, match="overflows float64 at q = 400 from "
+                                         "source 0 in the box of half-width "
+                                         "100"):
+        sl.envelope(sd, 0, (2.0, 400.0))
+    assert np.isfinite(sl.envelope(sd, 0, (100.0,)).moment_bound(100.0))
+
+
 def test_complex_kernel_propagates_like_single_calls(monkeypatch):
     op = sl.build_operator(sl.nearest_neighbor(0.6 + 0.8j),
                            sl.PotentialSpec(), 30)
@@ -514,10 +529,11 @@ def test_verdict_bounded_with_doubling(spectrum_cache):
     assert v.conclusion.startswith("bounded")
 
 
-def test_verdict_growth_not_excluded_under_tight_limit(spectrum_cache):
+def test_verdict_growth_not_excluded_under_tight_limit(spectrum_cache,
+                                                      monkeypatch):
     small, large = _envelopes(spectrum_cache, (2.0,))
-    v = sl.moment_bound_verdict(small, alpha=3.0, q=2.0, doubled=large,
-                                ratio_limit=0.5)
+    monkeypatch.setattr(dynamics, "DOUBLING_RATIO_LIMIT", 0.5)
+    v = sl.moment_bound_verdict(small, alpha=3.0, q=2.0, doubled=large)
     assert not v.conclusion.startswith("bounded")
     assert v.growth_not_excluded
     assert "growth not excluded" in v.conclusion

@@ -8,6 +8,7 @@ import pytest
 
 import helpers
 import starklab as sl
+import starklab.spectra
 from starklab.experiments import parse_config, load_config, run, \
     ConfigError
 
@@ -61,7 +62,7 @@ def test_parse_minimal_config_fills_defaults():
     assert cfg.analyses["decay"] is None
     assert cfg.output_dir == "out"
     assert cfg.max_dimension == 8192
-    assert cfg.tolerances["residual"] == 1e-10
+    assert cfg.interior_window is None
     assert cfg.potential.field_slope == 1.0
     assert cfg.effective["kernel"]["family"] == "nearest_neighbor"
 
@@ -168,15 +169,15 @@ def test_parse_rejects_non_finite_numbers():
                       "perturbation": {"kind": "uniform_random",
                                        "amplitude": NaN}},
         "half_widths": [8],
-        "analyses": {"decay": {"alphas": [Infinity]}},
-        "tolerances": {"residual": %s}
+        "analyses": {"decay": {"alphas": [Infinity]},
+                     "bootstrap": {"gamma": %s}}
     }""" % ("1" + "0" * 400))
     with pytest.raises(ConfigError) as err:
         parse_config(raw)
     problems = err.value.problems
     for path in ("kernel.coefficients.1", "kernel.coefficients.2.im",
                  "potential.slope", "potential.perturbation.amplitude",
-                 "analyses.decay.alphas[0]", "tolerances.residual"):
+                 "analyses.decay.alphas[0]", "analyses.bootstrap.gamma"):
         assert f"{path}: must be finite" in problems
 
 
@@ -445,9 +446,9 @@ def test_spectrum_stage_solves_and_reloads_the_largest_box_first(
     seen = []
     solve, reload = experiments.diagonalize, experiments.load_spectral
 
-    def spied_solve(op, **tolerances):
+    def spied_solve(op, interior_window):
         seen.append(("solve", op.half_width, list(contexts[-1].spectra)))
-        return solve(op, **tolerances)
+        return solve(op, interior_window)
 
     def spied_reload(base):
         seen.append(("reload", os.path.basename(base),
@@ -494,6 +495,11 @@ def test_outputs_keep_the_config_order_of_the_boxes(tmp_path):
     assert last["ratio"] == verdict["doubling_ratio"]
     with open(out / "localization.json") as fh:
         summary = json.load(fh)
+    assert summary["tolerances"] == {
+        "residual": 1e-10, "orthonormality": 1e-10, "degeneracy_gap": 1e-12,
+        "interior_window": 4, "bootstrap_slack": 1e-8,
+        "doubling_ratio_limit": 1.1, "boundary_share_limit": 0.01,
+        "eigenvalue_drift": 1e-8}
     # every section is its own box's
     for n in widths:
         sd = sl.load_spectral(str(out / f"spectrum_N{n}"))
@@ -511,11 +517,12 @@ def test_study_whose_largest_box_fails_its_gate_writes_no_dump(
     solved = []
     solve = experiments.diagonalize
 
-    def gated(op, **tolerances):
+    def gated(op, interior_window):
         solved.append(op.half_width)
         if op.half_width == 24:  # a Gram defect no box meets
-            tolerances["orthonormality_tol"] = 1e-300
-        return solve(op, **tolerances)
+            monkeypatch.setattr(starklab.spectra, "ORTHONORMALITY_TOL",
+                                1e-300)
+        return solve(op, interior_window)
 
     monkeypatch.setattr(experiments, "diagonalize", gated)
     out = tmp_path / "out"
@@ -877,9 +884,9 @@ DEMO_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
 GOLDEN = [
     # configs of the existing tests
     ("nn", {"half_widths": [10]},
-     "df266ad8c7872d15 af0053e3de14cf4b"),
+     "6cc4927e725e39c3 d40f74d36f8d7bc9"),
     ("nn", {"half_widths": [10], "analyses": {}},
-     "73ccaa07b9b4ccdd 6d06d4300c356b7a"),
+     "d5e340578420a27a f6b679928bd04e4a"),
     ("nn", {"kernel": DROP, "half_widths": [8, 4], "bogus_key": 1,
             "analyses": {"decay": {"alphas": [-1.0]}}, "seed": 2 ** 64},
      ["analyses.decay.alphas[0]: must be positive",
@@ -903,85 +910,84 @@ GOLDEN = [
         "-2": {"re": 1, "im": 1}}},
         "potential": {"slope": INF, "perturbation": {
             "kind": "uniform_random", "amplitude": NAN}},
-        "analyses": {"decay": {"alphas": [INF]}},
-        "tolerances": {"residual": 10 ** 400}},
-     ["analyses.decay.alphas[0]: must be finite",
+        "analyses": {"decay": {"alphas": [INF]},
+                     "bootstrap": {"gamma": 10 ** 400}}},
+     ["analyses.bootstrap.gamma: must be finite",
+      "analyses.decay.alphas[0]: must be finite",
       "kernel.coefficients.-1: must be finite",
       "kernel.coefficients.1: must be finite",
       "kernel.coefficients.2.im: must be finite",
       "potential.perturbation.amplitude: must be finite",
-      "potential.slope: must be finite",
-      "tolerances.residual: must be finite"]),
+      "potential.slope: must be finite"]),
     ("nn", {"analyses": {"dynamics": {"moments": [0.0]}}},
      ["analyses.dynamics.moments[0]: must be positive"]),
     ("base", {},
-     "4282b616b8af7402 fc114cbce17dd94c"),
+     "2feee1c106630b65 cf182fa1377fb554"),
     ("base", {"seed": 6},
-     "621ca052787ab3fd fc114cbce17dd94c"),
+     "8af8ee916fe24e91 cf182fa1377fb554"),
     ("base", {"potential.perturbation.seed": 77},
-     "f979218859247619 fecae75261ccc50f"),
+     "39a7d114efd75d2a 4a3f2828bafb3ab9"),
     ("nn", {"kernel": ZERO, "half_widths": [12]},
-     "be7c24a6d9201c55 2fc7bc8afc709a75"),
+     "aacc596b30ff4417 15283fe39a44ef77"),
     ("nn", {"potential": MARY, "half_widths": [16],
             "analyses": {"asymptotics": True, "bootstrap": {"gamma": 3.0},
                          "dynamics": {"sources": [0], "moments": [2.0],
                                       "grid": GRID}},
             "tolerances": {"interior_window": 5}},
-     "755bed2cf713c707 c93aba0426f68fb0"),
+     "c1849f759d7b375c 0d8673005c99f13d"),
     ("nn", {"potential": {"maryland": {"coupling": 1.0, "frequency": 0.5,
                                        "phase": 0.0}},
             "analyses": {"asymptotics": True, "dynamics": {
                 "sources": [0], "moments": [2.0], "grid": GRID}}},
-     "a5f9f51897af42c8 c064a7570c93c84e"),
+     "5181eb158961a7bd e9ffaf4125779b8a"),
     # changed: the operator dump is gone, so its key is unknown
     ("nn", {"half_widths": [6], "output": {"dump_operator": True}},
      ["output.dump_operator: unknown field"]),
     ("nn", {"kernel": ZERO, "half_widths": [12, 16], "analyses": {
         "asymptotics": True, "decay": {"alphas": [3.0]}}},
-     "efd1ead0796bc51b 67d41f2df035a4e8"),
+     "9fea3853793ffefe 7b991dddd78084f0"),
     ("nn", {"potential": URAND, "half_widths": [48, 64], "seed": 3,
             "analyses": {"decay": {"alphas": [3.0]}}},
-     "e41b8ef78087f89f 71cc461bb8691871"),
+     "3655bf4152afc786 62dc147b5671ca1e"),
     ("nn", {"potential": URAND, "half_widths": [48, 64], "seed": 3,
             "analyses": {"decay": {"alphas": [2.0, 3.0]}}},
-     "5b585f1cf39f244d 4676a7834476a99f"),
+     "1979e6de3e0f1342 c7ddf9e33fdb073d"),
     ("base", {"analyses": {"dynamics": {"sources": [0], "moments": [2.0, 2.5],
                                         "grid": GRID}}},
-     "bc6e0b112c521eed 93412fa121148c03"),
+     "3e7bff74e9a72e4a 63b5e56b32402650"),
     ("base", {"analyses": {"decay": {"alphas": [2.0, 3.0]}, "dynamics": {
         "sources": [0, 2], "moments": [2.0, 2.5, 3.0], "grid": GRID}}},
-     "d11187eed7dee790 dba1be25267017bf"),
+     "b10349cee6d43416 71744bad40f14d91"),
     ("nn", {"kernel": ZERO, "potential": {"slope": 2.0},
             "half_widths": [16]},
-     "6e059652ee1e3941 4b0b6d54e94c08e0"),
+     "357d12a2adebc7c7 bc261e55d23752a4"),
     ("nn", {"kernel": ZERO, "half_widths": [12], "analyses": {
         "dynamics": {"sources": [0], "moments": [2.0], "grid": GRID}}},
-     "c5ae08c90652ea7a bd0e3acbc2a690ee"),
+     "458e428a887dc584 728d58fdf4339e79"),
     ("nn", {"potential": URAND, "half_widths": [48, 64], "seed": 3,
             "analyses": {"asymptotics": True, "decay": {"alphas": [3.0]},
                          "dynamics": {"sources": [0], "moments": [2.0],
                                       "grid": GRID}}},
-     "4fc52ce63ee4d5db 33e19b489d91866d"),
+     "479aac64244ec868 99c40edd31dae7e3"),
     ("nn", {"half_widths": [9, 6]},
      ["half_widths: must be strictly ascending"]),
     ("nn", {"potential": URAND, "seed": 1, "analyses": {}},
-     "80fcb61f6fdc5d8b ef5461ea49285203"),
+     "3cc2008122776f16 4b715cc6acbc335d"),
     ("nn", {"kernel": ZERO, "half_widths": [12, 16], "analyses": {
         "asymptotics": True, "decay": {"alphas": [3.0]}, "bootstrap": {},
         "dynamics": {"sources": [0], "moments": [2.0], "grid": GRID}}},
-     "7420874a6fc230fb 14bea883f82f9e51"),
+     "8a163e7cb081b6d2 acf3ff7a44704d0f"),
     ("nn", {"potential": {"perturbation": {"kind": "uniform_random",
                                            "amplitude": 0.5}},
             "half_widths": [60], "seed": 1, "analyses": {
                 "asymptotics": True, "decay": {"alphas": [3.0]},
-                "bootstrap": {}},
-            "tolerances": {"residual": 1e-11}},
-     "148ab65504486ec3 88c2f72ee11401ae"),
+                "bootstrap": {}}},
+     "22c7b08dbcdc413e fdbc4849dcb68aad"),
     ("nn", {"kernel": {"family": "power_law", "exponent": 2.5},
             "potential": {"perturbation": {"kind": "uniform_random",
                                            "amplitude": 5.0}},
             "half_widths": [60], "seed": 9},
-     "3cb6de6f1a4e9294 76ec53dd0d733ed9"),
+     "379336d957b9fe43 5ef4ffeb90742e84"),
     ("nn", {"kernel": {"family": "power_law", "exponent": 4.0},
             "potential": {"perturbation": {"kind": "uniform_random",
                                            "amplitude": 0.5}},
@@ -991,62 +997,57 @@ GOLDEN = [
                                       "grid": {"dt": 0.1, "t_max": 50.0,
                                                "quasi_random": 20,
                                                "far_horizon": 1e6}}}},
-     "297aa29a01745a74 0adf6660f723c911"),
+     "cf9ff2b5ae731526 18d541516f322a50"),
     ("demo", {},
-     "449d17991eb4cabb ca78b58f51ff47ea"),
+     "db79c4f973e11510 106ee0867bd2de68"),
     # every kernel family and perturbation kind, accepted
     ("nn", {"kernel.amplitude": {"re": 0.6, "im": 0.8}},
-     "67c4c41c227895ae fb0270d6086fb2b9"),
+     "b71e978b7611a4b6 1d015e0fde1e20b9"),
     ("nn", {"kernel.amplitude": -0.5},
-     "25a559064b89fa70 388df2c07094f553"),
+     "126ff958f5b3eb43 f163271668f980f7"),
     # changed: a power law has no cutoff field
     ("nn", {"kernel": {"family": "power_law", "exponent": 3, "cutoff": 40}},
      ["kernel.cutoff: unknown field"]),
     ("nn", {"kernel": {"family": "finite_support",
                        "half": [1, {"re": 0.5, "im": 0.5}, 0.25]}},
-     "7d08aab92609dfd1 86578c583d5d8a1a"),
+     "91c9ce8517ccbeb1 43fe827d21524514"),
     ("nn", {"kernel": {"family": "custom", "coefficients": {
         "1": 0.5, "-1": 0.5, "2": {"re": 0.1, "im": 0.2},
         "-2": {"re": 0.1, "im": -0.2}}}},
-     "c4313c1cb9d474c5 5f8349a7505c418e"),
+     "37d683a4ce2b74d1 f5834b5304b211d7"),
     ("nn", {"kernel": {"family": "custom", "coefficients": {"3": 1}}},
-     "bd232c717c4e1a6b 4fbbdf6ed60cd2b1"),
+     "c5d2b68d1f443b0c 7f182c58bf10a4ea"),
     ("nn", {"potential": {"slope": 0.5, "perturbation": {
         "kind": "constant", "offset": 0.25}}},
-     "7db65ea3aa7ff1e6 268e9f24c1182d80"),
+     "e43cfc673028e002 8121cc50b77adb5d"),
     ("nn", {"potential": {"perturbation": {"kind": "periodic",
                                            "pattern": [0.5, -0.5, 1]}}},
-     "3fac44d49e81f76f 7498e4af10d82e7e"),
+     "894d828d4ffc3d51 6478bf301f8ac8da"),
     ("nn", {"potential": {"perturbation": {
         "kind": "explicit", "first_site": -2, "table": [1.0, 2, -3.5]}}},
-     "fa8f3c07c282bbf2 b9368459320e1126"),
+     "bc39454054f461cc ea0e6d353012cef8"),
     ("nn", {"potential": {"perturbation": {"kind": "explicit",
                                            "table": []}}},
-     "0deedb01a2a3b4c7 db020f1b74c1dba1"),
+     "f4f40f6d56079340 68120a6b4179522b"),
     ("nn", {"potential": {"perturbation": {"kind": "none"},
                           "family": "electric"}},
-     "f96c447a3efa15a4 dfca15a14fe387af"),
+     "4975b0958c12a8cc b1c5b93b659243ab"),
     ("nn", {"potential": {"slope": None, "maryland": {
         "coupling": 2, "frequency": 0.25}}},
-     "c637314889bc95a4 b09de736c8fd57c8"),
+     "606b05cfd93fbf24 a57c9d810d86e020"),
     ("nn", {"potential": {"perturbation": {"kind": "uniform_random",
                                            "amplitude": 0, "seed": 4}},
             "seed": 18446744073709551615},
-     "1edc990d9a292663 fb1af6dea438bec1"),
-    ("nn", {"tolerances": {"residual": 1e-9, "orthonormality": 1e-9,
-                           "degeneracy_gap": 1e-11, "interior_window": 0,
-                           "bootstrap_slack": 1e-7,
-                           "doubling_ratio_limit": 1.2,
-                           "boundary_share_limit": 0.02,
-                           "eigenvalue_drift": 1e-7},
-            "max_dimension": 17},
-     "1a2bacf92d517374 ff62a110cf583073"),
+     "6de512cada141403 c83264c55725b2dd"),
+    # changed: the interior window is the one tolerance left
+    ("nn", {"tolerances": {"interior_window": 0}, "max_dimension": 17},
+     "b10a157e5e1669a4 3bdcc7ce820c8068"),
     ("nn", {"analyses": {"bootstrap": {"gamma": 4}, "decay": None,
                          "dynamics": {"grid": {"dt": 1}}}},
-     "0bb5417920b40cfd 7fed4e8fd0c5b664"),
+     "1a97001b0c7822d7 4f2941d6104b2e0b"),
     ("nn", {"analyses": {"dynamics": {"grid": None}}, "tolerances": None,
             "output": None, "potential": None},
-     "1c83d29cdef4e0bd 8c6b62fb024936b9"),
+     "69b9344ba1d29d7f fd7e93bfe9439176"),
     # changed: an empty output directory is rejected
     ("nn", {"output": {"directory": ""}},
      ["output.directory: must not be empty"]),
@@ -1124,7 +1125,7 @@ GOLDEN = [
      ["potential.perturbation.bogus: unknown field"]),
     # changed: a null kind counts as absent, so it is none
     ("nn", {"potential": {"perturbation": {"kind": None}}},
-     "f96c447a3efa15a4 dfca15a14fe387af"),
+     "4975b0958c12a8cc b1c5b93b659243ab"),
     ("nn", {"potential": {"perturbation": {"kind": "constant",
                                            "offset": "x"}}},
      ["potential.perturbation.offset: expected a number"]),
@@ -1183,7 +1184,7 @@ GOLDEN = [
      ["analyses: expected an object"]),
     # changed: a null section counts as absent
     ("nn", {"analyses": None},
-     "f96c447a3efa15a4 dfca15a14fe387af"),
+     "4975b0958c12a8cc b1c5b93b659243ab"),
     ("nn", {"analyses": {"bogus": 1}},
      ["analyses.bogus: unknown field"]),
     ("nn", {"analyses": {"asymptotics": "x"}},
@@ -1233,6 +1234,8 @@ GOLDEN = [
     # changed: a falsy non-object section is a type error, not {}
     ("nn", {"tolerances": False},
      ["tolerances: expected an object"]),
+    # changed: the pass marks are module constants, so their keys are
+    # unknown
     ("nn", {"tolerances": {"residual": 0, "orthonormality": "x",
                            "degeneracy_gap": -1, "interior_window": -1,
                            "bootstrap_slack": True,
@@ -1240,14 +1243,14 @@ GOLDEN = [
                            "boundary_share_limit": NAN,
                            "eigenvalue_drift": -INF, "bogus": 1}},
      ["tolerances.bogus: unknown field",
-      "tolerances.bootstrap_slack: expected a number",
-      "tolerances.boundary_share_limit: must be finite",
-      "tolerances.degeneracy_gap: must be positive",
-      "tolerances.doubling_ratio_limit: must be positive",
-      "tolerances.eigenvalue_drift: must be finite",
+      "tolerances.bootstrap_slack: unknown field",
+      "tolerances.boundary_share_limit: unknown field",
+      "tolerances.degeneracy_gap: unknown field",
+      "tolerances.doubling_ratio_limit: unknown field",
+      "tolerances.eigenvalue_drift: unknown field",
       "tolerances.interior_window: must be >= 0",
-      "tolerances.orthonormality: expected a number",
-      "tolerances.residual: must be positive"]),
+      "tolerances.orthonormality: unknown field",
+      "tolerances.residual: unknown field"]),
     ("nn", {"tolerances": {"interior_window": 0.5}},
      ["tolerances.interior_window: expected an integer"]),
     ("nn", {"output": "x"},
@@ -1261,7 +1264,7 @@ GOLDEN = [
       "output.directory: expected a string"]),
     # changed: a null field counts as absent
     ("nn", {"output": {"directory": None}},
-     "f96c447a3efa15a4 dfca15a14fe387af"),
+     "4975b0958c12a8cc b1c5b93b659243ab"),
     ("nn", {"max_dimension": 2},
      ["half_widths[0]: box dimension 17 exceeds max_dimension 2",
       "max_dimension: must be >= 3"]),
@@ -1279,7 +1282,7 @@ GOLDEN = [
       "analyses.dynamics.moments[3]: expected a number"]),
     # added: the power law without a cutoff, its only form
     ("nn", {"kernel": {"family": "power_law", "exponent": 3}},
-     "ed376a4ce6983586 b82bedab90e38e3e"),
+     "6edbf8a6b55f21b7 52b423994d754b7a"),
 ]
 
 
@@ -1314,3 +1317,32 @@ def test_golden_config(base, edits, expected):
         with pytest.raises(ConfigError) as err:
             parse_config(raw)
         assert sorted(err.value.problems) == expected
+
+
+def _table_rows(spec, prefix=""):
+    """(path, tag) of every field under a config table entry, in table
+    order: a tagged object's tag key first, then each tag's fields, with
+    the tag that picks them."""
+    if spec.tag is None:
+        rows, groups = [], [(None, spec.fields or {})]
+    else:
+        rows, groups = [(prefix + spec.tag, None)], spec.fields.items()
+    for tag, fields in groups:
+        for name, child in fields.items():
+            rows.append((prefix + name, tag))
+            rows += _table_rows(child, f"{prefix}{name}.")
+    return rows
+
+
+def test_readme_config_reference_lists_every_field_of_the_table():
+    import re
+
+    from starklab.experiments import _CONFIG
+
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("### Config reference", 1)[1].split("\n## ", 1)[0]
+    listed = [(path, tag) for path, tag in re.findall(
+        r"^\| `([^`]+)`(?: \((\w+)\))? \|", section, flags=re.MULTILINE)]
+    assert listed == [(path, tag or "") for path, tag in _table_rows(_CONFIG)]

@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import helpers
 import starklab as sl
+from starklab import localization
 from starklab.localization import _BLOCK, asymptotics_rows, decay_rows
 
 
@@ -263,22 +265,19 @@ def test_bootstrap_gamma_must_be_positive(spectrum_cache):
         sl.bootstrap_decay_check(sd, gamma=0.0)
 
 
-@pytest.mark.parametrize("gamma, base_slack, problem", [
-    (math.inf, 1e-8, "gamma"),  # passed with no site checked
-    (3.0, math.nan, "base_slack"),  # passed with no violation
-    (3.0, math.inf, "base_slack"),  # passed with no violation
-    (3.0, -1.0, "base_slack"),  # 25,221 spurious violations
-], ids=["gamma-inf", "slack-nan", "slack-inf", "slack-negative"])
+@pytest.mark.parametrize("gamma", [
+    math.inf,  # passed with no site checked
+], ids=["gamma-inf"])
 def test_bootstrap_refuses_a_bound_that_is_not_finite_and_positive(
-        spectrum_cache, gamma, base_slack, problem):
+        spectrum_cache, gamma):
     _, sd = spectrum_cache("nn", 100)
-    with pytest.raises(ValueError, match=f"{problem} must be finite and "
+    with pytest.raises(ValueError, match="gamma must be finite and "
                                          "positive"):
-        sl.bootstrap_decay_check(_planted_far_amplitude(sd), gamma=gamma,
-                                 base_slack=base_slack)
+        sl.bootstrap_decay_check(_planted_far_amplitude(sd), gamma=gamma)
 
 
-def test_bootstrap_witness_is_the_smallest_candidate_margin(spectrum_cache):
+def test_bootstrap_witness_is_the_smallest_candidate_margin(spectrum_cache,
+                                                            monkeypatch):
     _, sd = spectrum_cache("nn", 100)
     clean = sl.bootstrap_decay_check(sd, gamma=3.0)
     assert clean.passed and clean.n_candidates > 0
@@ -291,7 +290,8 @@ def test_bootstrap_witness_is_the_smallest_candidate_margin(spectrum_cache):
     for s in (sd, _planted_far_amplitude(sd)):
         helpers.assert_bootstrap_matches_whole_box(s, 3.0)
     # no candidate, no witness
-    none = sl.bootstrap_decay_check(sd, gamma=3.0, base_slack=10.0)
+    monkeypatch.setattr(localization, "BOOTSTRAP_SLACK", 10.0)
+    none = sl.bootstrap_decay_check(sd, gamma=3.0)
     assert none.n_candidates == 0
     assert none.min_margin is None and none.min_margin_at is None
 
@@ -343,7 +343,7 @@ def _decay_oracle(sd, alpha):
     return per_mode, per_mode_by_index, fits
 
 
-def _bootstrap_oracle(sd, kernel, gamma, base_slack=1e-8):
+def _bootstrap_oracle(sd, kernel, gamma):
     """Per-mode bootstrap_decay_check: one np.convolve over reach 2N."""
     d, N = sd.dimension, sd.half_width
     support = kernel.support_radius
@@ -367,7 +367,8 @@ def _bootstrap_oracle(sd, kernel, gamma, base_slack=1e-8):
         conv = np.convolve(amp, absw)[M: M + d]
         factor = 4.0 * gamma / dist[scope]
         rhs = factor * conv[scope]
-        slack = base_slack + factor * tail_mass[scope] * float(np.max(amp))
+        slack = (localization.BOOTSTRAP_SLACK
+                 + factor * tail_mass[scope] * float(np.max(amp)))
         lhs = amp[scope]
         n_checked += int(np.count_nonzero(scope))
         bad = lhs > rhs + slack
@@ -475,15 +476,18 @@ def candidate_row_cases():
             perturbation=sl.UniformRandomPerturbation(amplitude, seed)), 150)
         sd = sl.diagonalize(op)
         gamma = sd.pinning_gamma
-        # a row is a candidate where its excess tops base_slack, so a
-        # base_slack between the n-th and the next largest excess leaves
-        # n candidate rows
+        # a row is a candidate where its excess tops BOOTSTRAP_SLACK, so a
+        # slack between the n-th and the next largest excess leaves n
+        # candidate rows
         excess = np.sort(helpers.whole_box_bootstrap(sd, gamma)[4][0])[::-1]
-        slacks = [10.0, 1e-8] + [math.sqrt(excess[n - 1] * excess[n])
-                                 for n in (1, 2, 5, 9, 40, 90)
-                                 if excess[n] > 0]
-        counts = [helpers.assert_bootstrap_matches_whole_box(sd, gamma, b)[0]
-                  for b in slacks]
+        slacks = [10.0, localization.BOOTSTRAP_SLACK] + [
+            math.sqrt(excess[n - 1] * excess[n])
+            for n in (1, 2, 5, 9, 40, 90) if excess[n] > 0]
+        counts = []
+        for slack in slacks:
+            with mock.patch.object(localization, "BOOTSTRAP_SLACK", slack):
+                counts.append(
+                    helpers.assert_bootstrap_matches_whole_box(sd, gamma)[0])
         # every row: the first and the last mode of the first block made
         # flat below their peaks, which keeps their centers, far enough
         # apart that each row is in scope of one

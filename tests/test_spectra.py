@@ -171,12 +171,14 @@ def test_no_spurious_degeneracy_on_distinct_diagonal():
     assert sd.degenerate_positions == ()
 
 
-def test_quality_gates_hold_and_can_be_forced_to_fail(spectrum_cache):
+def test_quality_gates_hold_and_can_be_forced_to_fail(spectrum_cache,
+                                                      monkeypatch):
     op, sd = spectrum_cache("pl4", 60, 0.5, 2)
     assert np.max(sd.residuals) <= 1e-10 * max(1.0, sd.spectral_radius)
     assert sd.orthonormality_defect <= 1e-10
+    monkeypatch.setattr(starklab.spectra, "RESIDUAL_TOL", 0.0)
     with pytest.raises(sl.ConvergenceFailureError):
-        sl.diagonalize(op, residual_tol=0.0)
+        sl.diagonalize(op)
 
 
 def test_rows_satisfy_completeness(spectrum_cache):
@@ -936,9 +938,10 @@ def test_blocked_gates_catch_one_bad_column(kernel, column, monkeypatch):
     _spoil_solver(monkeypatch, mix_in_another_mode)
     with pytest.raises(sl.ConvergenceFailureError, match="residual"):
         sl.diagonalize(op)
+    monkeypatch.setattr(starklab.spectra, "RESIDUAL_TOL", math.inf)
     with pytest.raises(sl.ConvergenceFailureError,
                        match="orthonormality defect"):
-        sl.diagonalize(op, residual_tol=math.inf)
+        sl.diagonalize(op)
 
 
 @LOCALIZED_KERNELS

@@ -115,7 +115,7 @@ def test_identity_sweep_reports_a_one_ulp_csv_change(sweep, tmp_path):
     record = records[os.path.join("case", "out", "ule.csv")]
     assert record["status"] == "differs"
     assert record["values"] == 1
-    assert record["first"] == "row 1 sup_constant"
+    assert record["paths"] == ["row 1 sup_constant"]
     assert record["max_abs"] == above - 0.1
     assert record["max_rel"] == (above - 0.1) / above
     text = sweep.summary(list(records.values()))
@@ -141,8 +141,28 @@ def test_identity_sweep_ignores_a_manifests_timing(sweep, tmp_path):
     record = sweep.compare_file(
         manifest, (tmp_path / "base" / manifest).read_bytes(),
         (tmp_path / "head" / manifest).read_bytes())
-    assert (record["status"], record["first"]) == \
-        ("differs", "stages[0].status")
+    assert (record["status"], record["paths"]) == \
+        ("differs", ["stages[0].status"])
+    # every differing path is named, up to PATHS_SHOWN: a config hash and
+    # the config keys a change removed
+    removed = ["bootstrap_slack", "degeneracy_gap", "residual"]
+    base_doc = {"config_hash": "a", "effective_config": {"tolerances": dict(
+        {key: 1.0 for key in removed}, interior_window=None)}}
+    head_doc = {"config_hash": "b", "effective_config": {
+        "tolerances": {"interior_window": None}}}
+    record = sweep.compare_file(manifest, json.dumps(base_doc).encode(),
+                                json.dumps(head_doc).encode())
+    paths = ["config_hash"] + [f"effective_config.tolerances.{key}"
+                               for key in removed]
+    assert (record["values"], record["paths"]) == (4, paths)
+    assert sweep.summary([record]).splitlines()[2].endswith(
+        "at " + ", ".join(paths))
+    head_doc.update({f"x{i}": i for i in range(8)})
+    record = sweep.compare_file(manifest, json.dumps(base_doc).encode(),
+                                json.dumps(head_doc).encode())
+    assert record["values"] == 12
+    assert record["paths"] == paths + [f"x{i}" for i in range(6)]
+    assert sweep.summary([record]).splitlines()[2].endswith("x5, ...")
 
 
 def _package(root, files):

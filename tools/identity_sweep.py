@@ -26,7 +26,8 @@ cases (cases()):
 Every case also writes ``commands.log``: each command, its exit status
 and its stdout.  Then every file of the two output trees is compared:
 equal bytes, or for CSV and JSON the count of differing values, the
-largest absolute and relative difference and the first differing path.
+largest absolute and relative difference and the first PATHS_SHOWN
+differing paths.
 A ``manifest.json`` is compared without its IGNORED_MANIFEST_KEYS, which
 hold wall times, a timestamp and the host.  The summary ends with
 ``verdict: identical`` (exit status 0) or ``verdict: differs`` (1); a
@@ -57,6 +58,7 @@ import tokenize
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 IGNORED_MANIFEST_KEYS = ("created_utc", "timing", "environment")
+PATHS_SHOWN = 10  # differing paths a CSV or JSON record names
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
 DEMOS = ("bootstrap_inequality", "eigenvalue_pinning", "integer_ladder",
@@ -176,12 +178,12 @@ def _number(value):
 
 class _Tally:
     """Differing values: their count, the largest absolute and relative
-    difference between numbers, and the path of the first."""
+    difference between numbers, and the paths of the first PATHS_SHOWN."""
 
     def __init__(self):
         self.count = 0
         self.max_abs = self.max_rel = 0.0
-        self.first = None
+        self.paths = []
 
     def add(self, path: str, a, b) -> None:
         if a == b or (isinstance(a, float) and isinstance(b, float)
@@ -189,8 +191,8 @@ class _Tally:
             return
         x, y = _number(a), _number(b)
         self.count += 1
-        if self.first is None:
-            self.first = path
+        if len(self.paths) < PATHS_SHOWN:
+            self.paths.append(path)
         if x is None or y is None:
             return
         if x == y:  # the text differs, the value does not
@@ -224,8 +226,8 @@ def compare_file(rel: str, base: bytes, head: bytes) -> dict:
     """How head's bytes of the file rel differ from base's: a record with
     the file, its kind and status ("identical", "equal" for a manifest
     equal outside IGNORED_MANIFEST_KEYS, or "differs") and, where they
-    differ, the value count, the largest differences and the first path
-    (or byte offset)."""
+    differ, the value count, the largest differences and the paths of
+    the first PATHS_SHOWN values (or the first byte offset)."""
     name = os.path.basename(rel)
     kind = "manifest" if name == "manifest.json" else \
         os.path.splitext(name)[1].lstrip(".") or "file"
@@ -260,7 +262,7 @@ def compare_file(rel: str, base: bytes, head: bytes) -> dict:
     if tally.count:
         record.update(status="differs", values=tally.count,
                       max_abs=tally.max_abs, max_rel=tally.max_rel,
-                      first=tally.first)
+                      paths=tally.paths)
     elif kind == "manifest":  # equal outside its ignored keys
         record["status"] = "equal"
     else:  # the same values, printed differently
@@ -296,9 +298,11 @@ def summary(records: list) -> str:
                                                            "equal")]
     for r in differing:
         if "values" in r:
+            more = ", ..." if r["values"] > len(r["paths"]) else ""
             lines.append(f"differs: {r['file']}: {r['values']} values, "
                          f"max abs {r['max_abs']:.3g}, max rel "
-                         f"{r['max_rel']:.3g}, first at {r['first']}")
+                         f"{r['max_rel']:.3g}, at {', '.join(r['paths'])}"
+                         + more)
         else:
             lines.append(f"differs: {r['file']}: {r['status']}"
                          + (f", first at {r['first']}" if "first" in r
