@@ -5,12 +5,13 @@ two-space indent, so identical runs produce byte-identical files.  Its
 floats are written shortest-round-trip (``repr``): ``json.loads`` gives
 back every float with the same type and bits, ``-0.0`` and ``1.0``
 included.  JSON has no non-finite numbers, so nan and +-inf are written
-as null.  CSV floats are written at 17 significant digits.
+as null.  A CSV is written from columns, each cell typed by its
+column's dtype: an integer column's cells as integers, any other's as
+floats at 17 significant digits.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 
@@ -50,39 +51,33 @@ def write_json(path, obj) -> None:
         fh.write(dumps_json(obj))
 
 
-# Rows per chunk of a CSV: each chunk is formatted and written with one join
+# Rows per chunk of a CSV: each chunk is formatted and written at once
 _CSV_CHUNK = 1024
 
 
-def column_rows(*columns):
-    """The rows of equal-length 1-d arrays, zipped as Python scalars, each
-    array converted one chunk of _CSV_CHUNK rows at a time (its tolist()),
-    so that no whole-column list is held."""
-    for first in range(0, len(columns[0]), _CSV_CHUNK):
-        yield from zip(*(c[first:first + _CSV_CHUNK].tolist()
-                         for c in columns))
+def write_csv(path, columns: dict) -> None:
+    """Write equal-length 1-d columns as a CSV whose header is their keys.
 
-
-def write_csv(path, header: list[str], rows) -> None:
-    """Write rows of int and float cells; floats at 17 significant digits,
-    non-finite ones as nan, inf and -inf.  Each row is one %-format of a
-    template cached by the row's cell types: %d for an integer cell, %.17g
-    (as format(float(cell), ".17g")) for any other.  rows is read and
-    written in chunks of _CSV_CHUNK rows, each chunk's lines joined into
-    one write, so neither the rows nor the file's text are held whole."""
-    templates: dict = {}
-    rows = iter(rows)
+    A cell is typed by its column's dtype: %d for an integer column,
+    %.17g for any other, so floats have 17 significant digits and the
+    non-finite ones read nan, inf and -inf.  Each chunk of _CSV_CHUNK rows
+    is one %-format of the row template repeated over the chunk's cells,
+    interleaved from the columns' tolist(), and one write, so neither a
+    whole column as Python objects nor the file's text is held.
+    """
+    columns = {key: np.asarray(column) for key, column in columns.items()}
+    lengths = {len(column) for column in columns.values()}
+    if len(lengths) != 1:
+        raise ValueError(f"columns of differing lengths {sorted(lengths)}")
+    width = len(columns)
+    row = ",".join("%d" if column.dtype.kind in "iu" else "%.17g"
+                   for column in columns.values()) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        while chunk := list(itertools.islice(rows, _CSV_CHUNK)):
-            lines = []
-            for row in chunk:
-                row = tuple(row)
-                types = tuple(map(type, row))
-                template = templates.get(types)
-                if template is None:
-                    template = templates[types] = ",".join(
-                        "%d" if issubclass(t, (int, np.integer)) else "%.17g"
-                        for t in types) + "\n"
-                lines.append(template % row)
-            fh.write("".join(lines))
+        fh.write(",".join(columns) + "\n")
+        for first in range(0, lengths.pop(), _CSV_CHUNK):
+            parts = [column[first:first + _CSV_CHUNK].tolist()
+                     for column in columns.values()]
+            cells = [None] * (len(parts[0]) * width)
+            for j, part in enumerate(parts):
+                cells[j::width] = part
+            fh.write(row * len(parts[0]) % tuple(cells))

@@ -372,7 +372,10 @@ def time_grid(dt: float = 0.05, t_max: float = 1000.0,
     base = np.arange(0.0, t_max + dt / 2, dt)
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     far = np.array([((i + 1) * ratio) % 1.0 for i in range(quasi_random)])
-    return np.unique(np.concatenate([base, far * far_horizon]))
+    # np.unique's sorted distinct values; np.unique itself imports numpy.ma
+    # (numpy 2.4), about 12 ms and 1 MB per process
+    times = np.sort(np.concatenate([base, far * far_horizon]))
+    return times[np.concatenate([[True], times[1:] != times[:-1]])]
 
 
 def envelope(sd: SpectralData, source: int, qs=(2.0,)) -> EnvelopeBound:

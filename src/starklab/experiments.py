@@ -28,12 +28,12 @@ from functools import cached_property
 import numpy as np
 
 from . import dynamics, localization, spectra
-from ._format import column_rows, dumps_json, write_csv, write_json
+from ._format import dumps_json, write_csv, write_json
 from ._version import __version__
 from .dynamics import envelope, moment_bound_verdict, moment_series, time_grid
 from .kernels import HoppingKernel, KernelError, build_kernel
-from .localization import (asymptotics_rows, bootstrap_decay_check,
-                           check_eigenvalue_asymptotics, decay_rows,
+from .localization import (bootstrap_decay_check,
+                           check_eigenvalue_asymptotics,
                            uniform_decay_constants)
 from .operators import (MAX_DIMENSION_DEFAULT, ConstantPerturbation,
                         ExplicitPerturbation, MarylandPotential,
@@ -542,8 +542,12 @@ class _RunContext:
         return {(k, n): envelope(self.spectra[n], k, dyn["moments"])
                 for k in dyn["sources"] for n in self.config.half_widths}
 
-    def write_csv(self, name: str, header, rows) -> None:
-        write_csv(os.path.join(self.config.output_dir, name), header, rows)
+    def write_csv(self, name: str, parts) -> None:
+        """Write the tables parts (dicts of columns, one key order), one
+        after the other, as the CSV name."""
+        write_csv(os.path.join(self.config.output_dir, name),
+                  {key: np.concatenate([part[key] for part in parts])
+                   for key in parts[0]})
         self.outputs.append(name)
 
     def write_json(self, name: str, doc) -> None:
@@ -574,11 +578,16 @@ def _spectrum_stage(ctx: _RunContext) -> None:
 
 
 def _asymptotics_stage(ctx: _RunContext) -> None:
-    rows = []
+    parts = []
     section = {}
     for n, sd in ctx.spectra.items():
         rep = check_eigenvalue_asymptotics(sd)
-        rows += [(n,) + row for row in asymptotics_rows(sd, rep)]
+        ladder, deviation = map(np.array, zip(*rep.deviations))
+        at = sd.anchor_position + ladder
+        parts.append({"half_width": np.full(ladder.size, n),
+                      "ladder_index": ladder,
+                      "eigenvalue": sd.eigenvalues[at],
+                      "deviation": deviation, "center": sd.centers[at]})
         section[str(n)] = {
             "max_deviation": rep.max_deviation,
             "bound": rep.bound,
@@ -592,30 +601,36 @@ def _asymptotics_stage(ctx: _RunContext) -> None:
             ctx.failures.append(
                 f"asymptotics: N={n} max deviation {rep.max_deviation:.6g} "
                 f"exceeds bound {rep.bound:.6g}")
-    ctx.write_csv("asymptotics.csv", ["half_width", "ladder_index",
-                                      "eigenvalue", "deviation", "center"],
-                  rows)
+    ctx.write_csv("asymptotics.csv", parts)
     ctx.localization["asymptotics"] = section
 
 
 def _ule_stage(ctx: _RunContext) -> None:
-    rows = []
+    parts = []
     section = {}
     reports = ctx.decay_reports
     for n, sd in ctx.spectra.items():
         per_n = {}
         for alpha in ctx.config.analyses["decay"]["alphas"]:
             rep = reports[n, alpha]
-            rows += [(n, alpha) + row for row in decay_rows(sd, rep)]
+            # the three per-mode tuples share one ladder order
+            ladder, by_center = map(np.array, zip(*rep.per_mode))
+            at = sd.anchor_position + ladder
+            parts.append({
+                "half_width": np.full(ladder.size, n),
+                "alpha": np.full(ladder.size, alpha),
+                "ladder_index": ladder, "eigenvalue": sd.eigenvalues[at],
+                "center": sd.centers[at], "mode_constant": by_center,
+                "mode_constant_by_index":
+                    np.array(rep.per_mode_by_index)[:, 1],
+                "fit_exponent": np.array(rep.fit_exponents)[:, 1]})
             per_n[format(alpha, "g")] = {
                 "sup_constant": rep.sup_constant,
                 "sup_constant_by_index": rep.sup_constant_by_index,
                 "n_modes": rep.n_modes,
             }
         section[str(n)] = per_n
-    ctx.write_csv("ule.csv", ["half_width", "alpha", "ladder_index",
-                              "eigenvalue", "center", "mode_constant",
-                              "mode_constant_by_index", "fit_exponent"], rows)
+    ctx.write_csv("ule.csv", parts)
     ctx.localization["decay"] = section
 
 
@@ -663,8 +678,7 @@ def _dynamics_stage(ctx: _RunContext) -> None:
         for q, values, dropped in zip(series.qs, series.values,
                                       series.dropped):
             ctx.write_csv(f"moments_q{format(q, 'g')}_k{k}.csv",
-                          ["t", "moment"],
-                          column_rows(series.times, values))
+                          [{"t": series.times, "moment": values}])
             ctx.budgets.setdefault(str(k), {})[format(q, "g")] = {
                 "dropped_weight": dropped}
     alphas = (config.analyses["decay"] or {}).get("alphas") or []
@@ -697,9 +711,11 @@ def _study_stage(ctx: _RunContext) -> None:
     for n1, n2 in zip(widths, widths[1:]):
         sd1, sd2 = ctx.spectra[n1], ctx.spectra[n2]
         bound = min(sd1.trusted_site_bound, sd2.trusted_site_bound)
-        # ladder indices |n| <= bound that both spectra carry
-        shared = np.intersect1d(sd1.ladder_indices, sd2.ladder_indices)
-        shared = shared[np.abs(shared) <= bound]
+        # ladder indices |n| <= bound that both spectra carry, ascending
+        # (np.isin, not np.intersect1d, which imports numpy.ma)
+        shared = sd1.ladder_indices
+        shared = shared[np.isin(shared, sd2.ladder_indices)
+                        & (np.abs(shared) <= bound)]
         drifts = np.abs(sd1.eigenvalues[sd1.anchor_position + shared]
                         - sd2.eigenvalues[sd2.anchor_position + shared])
         max_drift = float(drifts.max(initial=0.0))

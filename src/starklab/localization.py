@@ -51,8 +51,6 @@ __all__ = [
     "check_eigenvalue_asymptotics",
     "uniform_decay_constants",
     "bootstrap_decay_check",
-    "asymptotics_rows",
-    "decay_rows",
     "BOOTSTRAP_SLACK",
 ]
 
@@ -220,7 +218,9 @@ def uniform_decay_constants(sd: SpectralData,
     One pass over the eigenvector blocks serves every alpha: the
     distances and the per-mode decay fits (over 2 <= dist <= N // 2) are
     taken once, and only the two sups run per alpha.  The reports come
-    back in the order of alphas and share one fit_exponents tuple.
+    back in the order of alphas and share one fit_exponents tuple.  A
+    constant that overflows, as |phi| times a dist**alpha past the float
+    range, raises ValueError naming its alpha.
     """
     alphas = [float(alpha) for alpha in alphas]
     for alpha in alphas:
@@ -233,9 +233,12 @@ def uniform_decay_constants(sd: SpectralData,
     indices = sd.ladder_indices
     # distances are integers |site - m| <= N + d < 2d, so their powers and
     # logs are looked up; distance 0 is outside both sups and every fit,
-    # and its zero power never raises a max of nonnegative products
+    # and its zero power never raises a max of nonnegative products.  A
+    # power past the float range is inf, and an exact-zero entry times it
+    # a NaN, which np.fmax skips as the zero product it stands for
     dists = np.arange(2 * sd.dimension, dtype=float)
-    powers = [dists ** alpha for alpha in alphas]
+    with np.errstate(over="ignore"):
+        powers = [dists ** alpha for alpha in alphas]
     log_dist = np.log(dists, out=np.zeros_like(dists), where=dists > 0)
     degenerate = np.asarray(sd.degenerate_positions, dtype=int)
 
@@ -246,9 +249,10 @@ def uniform_decay_constants(sd: SpectralData,
         center_rows = sd.centers[block] + N
         dist_c = np.abs(box_rows - center_rows)
         dist_i = np.abs(box_rows - (indices[block] + N))
-        for power, (by_center, by_index) in zip(powers, sups):
-            by_center.append(np.max(amp * power[dist_c], axis=0))
-            by_index.append(np.max(amp * power[dist_i], axis=0))
+        with np.errstate(invalid="ignore"):
+            for power, (by_center, by_index) in zip(powers, sups):
+                by_center.append(np.fmax.reduce(amp * power[dist_c], axis=0))
+                by_index.append(np.fmax.reduce(amp * power[dist_i], axis=0))
         # only rows within fit_outer of some center can enter a fit
         lo = max(int(center_rows.min()) - fit_outer - rows.start, 0)
         hi = max(int(center_rows.max()) + fit_outer + 1 - rows.start, 0)
@@ -258,6 +262,10 @@ def uniform_decay_constants(sd: SpectralData,
             np.nan
         fits.append(fit)
 
+    for alpha, (by_center, by_index) in zip(alphas, sups):
+        if not np.isfinite(np.concatenate(by_center + by_index)).all():
+            raise ValueError(f"decay constants at alpha={alpha:g} overflow "
+                             f"at half_width={N}")
     ladder = indices[positions].tolist()
 
     def by_mode(parts):
@@ -461,23 +469,3 @@ def bootstrap_decay_check(sd: SpectralData,
                            n_checked=n_checked, violations=tuple(violations),
                            n_candidates=n_candidates, min_margin=min_margin,
                            min_margin_at=min_margin_at)
-
-
-def asymptotics_rows(sd: SpectralData, report: AsymptoticsReport):
-    """Per-mode rows (ladder_index, eigenvalue, deviation, center)."""
-    rows = []
-    for n, dev in report.deviations:
-        p = sd.position_of(n)
-        rows.append((n, float(sd.eigenvalues[p]), dev, int(sd.centers[p])))
-    return rows
-
-
-def decay_rows(sd: SpectralData, report: UniformDecayReport):
-    """Per-mode rows (ladder_index, eigenvalue, center, constants, fit)."""
-    rows = []
-    for (n, val_c), (_, val_i), (_, fit) in zip(
-            report.per_mode, report.per_mode_by_index, report.fit_exponents):
-        p = sd.position_of(n)
-        rows.append((n, float(sd.eigenvalues[p]), int(sd.centers[p]),
-                     val_c, val_i, fit))
-    return rows

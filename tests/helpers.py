@@ -141,7 +141,8 @@ def per_row_csv(path, header, rows):
     """A CSV written one row at a time: each row one %-format of a
     template cached by its cell types, %d for an integer cell and %.17g
     for any other, and one write per row (the byte format of
-    _format.write_csv, which writes in chunks)."""
+    _format.write_csv, which types a cell by its column's dtype and writes
+    in chunks)."""
     templates = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")

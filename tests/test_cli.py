@@ -77,6 +77,23 @@ def test_localize_success(tmp_path, capsys):
     assert os.path.exists(tmp_path / "out" / "asymptotics.csv")
 
 
+def test_localize_refuses_overflowing_decay_constants(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", {
+        "kernel": {"family": "nearest_neighbor"},
+        "potential": {"perturbation": {"kind": "uniform_random",
+                                       "amplitude": 2.0}},
+        "half_widths": [100, 200], "seed": 1,
+        "analyses": {"decay": {"alphas": [2.0, 300.0]}},
+        "output": {"directory": str(tmp_path / "out")}})
+    code = main(["localize", "--config", cfg])
+    out = capsys.readouterr().out
+    # a RuntimeWarning, an error in this suite, would fail the stage too
+    assert code == 2
+    assert ("stage ule: failed (ValueError: decay constants at alpha=300 "
+            "overflow at half_width=100)") in out
+    assert not os.path.exists(tmp_path / "out" / "ule.csv")
+
+
 def test_evolve_success(tmp_path, capsys):
     code = main(["evolve", "--config", dynamics_config(tmp_path)])
     out = capsys.readouterr().out
@@ -84,6 +101,20 @@ def test_evolve_success(tmp_path, capsys):
     assert "stage dynamics: ok" in out
     assert os.path.exists(tmp_path / "dyn_out" / "moments_q2_k0.csv")
     assert os.path.exists(tmp_path / "dyn_out" / "envelope.json")
+
+
+@pytest.mark.parametrize("command", ["evolve", "study"])
+def test_evolve_and_study_leave_numpy_ma_unimported(tmp_path, command):
+    # numpy 2.4's np.unique and np.intersect1d import numpy.ma; a run in a
+    # fresh interpreter calls neither
+    script = ("import sys\nfrom starklab.cli import main\n"
+              f"code = main([{command!r}, '--config', "
+              f"{study_config(tmp_path)!r}])\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.stdout.split()[-2:] == ["0", "False"], \
+        proc.stdout + proc.stderr
 
 
 def test_missing_config_flag_exits_1(tmp_path, capsys):

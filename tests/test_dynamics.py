@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -452,6 +453,29 @@ def test_time_grid_is_deterministic_and_sorted():
     assert g1[-1] <= 1e4
     with pytest.raises(ValueError):
         sl.time_grid(dt=0.0)
+
+
+@pytest.mark.parametrize("grid", [
+    {},  # the default grid
+    {"dt": 0.1, "t_max": 100.0, "quasi_random": 50},  # study demo
+    {"dt": 0.1, "t_max": 200.0, "quasi_random": 50},  # wave packet demo
+    {"dt": 0.5, "t_max": 100.0, "quasi_random": 20, "far_horizon": 1e5},
+    {"dt": 0.5, "t_max": 100.0, "quasi_random": 20},  # perfbench --quick
+    {"dt": 0.5, "t_max": 3.0, "quasi_random": 4, "far_horizon": 0.0}])
+def test_time_grid_is_the_unique_of_its_samples(grid):
+    # the oracle is np.unique of the uniform and the golden-ratio samples;
+    # the last grid folds every far sample onto t = 0
+    g = dict(dict(dt=0.05, t_max=1000.0, quasi_random=100,
+                  far_horizon=1e6), **grid)
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    samples = np.concatenate([
+        np.arange(0.0, g["t_max"] + g["dt"] / 2, g["dt"]),
+        np.array([((i + 1) * ratio) % 1.0 for i in range(g["quasi_random"])])
+        * g["far_horizon"]])
+    expected = np.unique(samples)
+    times = sl.time_grid(**grid)
+    assert times.dtype == expected.dtype
+    assert times.tobytes() == expected.tobytes()
 
 
 def test_envelope_zero_kernel_is_a_point_mass():

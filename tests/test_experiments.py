@@ -575,54 +575,62 @@ def test_csv_cells_are_integers_and_17_digit_floats(tmp_path):
     from starklab._format import write_csv
 
     path = tmp_path / "cells.csv"
-    # rows of differing cell types in one file; an int column stays exact
-    # past 2**53 and a float cell that holds an integer stays a float
-    write_csv(path, ["n", "x"], [(1, 0.1), (np.int64(-2), np.float64(1 / 3)),
-                                 (3, float("nan")), (4, float("inf")),
-                                 (5, -float("inf")), (6, -0.0),
-                                 (2 ** 60, 2.0 ** 60),
-                                 (np.uint64(2 ** 63 + 1), np.float32(0.1)),
-                                 [np.int32(7), 5e-324], (8, np.int8(3))])
-    assert path.read_text() == ("n,x\n1,0.10000000000000001\n"
-                                "-2,0.33333333333333331\n3,nan\n4,inf\n"
-                                "5,-inf\n6,-0\n"
-                                "1152921504606846976,1.152921504606847e+18\n"
-                                "9223372036854775809,0.10000000149011612\n"
-                                "7,4.9406564584124654e-324\n8,3\n")
+    # a cell is typed by its column's dtype: integer columns stay exact
+    # past 2**53 and 2**63, and a float that holds an integer stays a float
+    write_csv(path, {
+        "n": np.array([1, -2, 2 ** 60 + 1, -2 ** 63], dtype=np.int64),
+        "u": np.array([0, 7, 2 ** 63 + 1, 2 ** 64 - 1], dtype=np.uint64),
+        "x": [0.1, 1 / 3, 2.0 ** 60, 5e-324],
+        "y": [np.nan, np.inf, -np.inf, -0.0],
+        "f": np.array([0.1, 1 / 3, np.nan, 1e-45], dtype=np.float32)})
+    assert path.read_text() == (
+        "n,u,x,y,f\n"
+        "1,0,0.10000000000000001,nan,0.10000000149011612\n"
+        "-2,7,0.33333333333333331,inf,0.3333333432674408\n"
+        "1152921504606846977,9223372036854775809,1.152921504606847e+18,"
+        "-inf,nan\n"
+        "-9223372036854775808,18446744073709551615,"
+        "4.9406564584124654e-324,-0,1.4012984643248171e-45\n")
+    with pytest.raises(ValueError, match="differing lengths"):
+        write_csv(path, {"a": [1, 2], "b": [0.5]})
 
 
-def _mixed_rows(count):
-    """count rows of int, numpy integer and float cells, whose cell types
-    change from row to row and across every chunk boundary."""
-    for i in range(count):
-        if i % 3 == 0:
-            yield (i, i / 7)
-        elif i % 3 == 1:
-            yield [np.int64(-i), np.float64(i) * 0.1, float("nan")]
-        else:
-            yield (np.uint16(i), np.float32(1 / (i + 1)), 2 ** 60 + i, -0.0)
+def _mixed_columns(count):
+    """count rows of int64 and uint64 columns past 2**53 and 2**63 and of
+    float64 and float32 columns with nan, +-inf, -0.0 and subnormals."""
+    i = np.arange(count)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1 / 3])
+    return {"a": 2 ** 60 + i - count // 2,
+            "b": np.uint64(2 ** 63) + i.astype(np.uint64),
+            "c": np.where(i % 7 == 0, special[i % 6], i / 7),
+            "d": (np.sqrt(i) / 3).astype(np.float32)}
 
 
 @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
 def test_csv_in_chunks_is_the_per_row_loop(tmp_path, count):
     from starklab._format import write_csv
 
-    write_csv(tmp_path / "chunked.csv", ["a", "b"], _mixed_rows(count))
-    helpers.per_row_csv(tmp_path / "rows.csv", ["a", "b"], _mixed_rows(count))
+    columns = _mixed_columns(count)
+    write_csv(tmp_path / "chunked.csv", columns)
+    helpers.per_row_csv(tmp_path / "rows.csv", list(columns),
+                        zip(*(c.tolist() for c in columns.values())))
     chunked = (tmp_path / "chunked.csv").read_bytes()
     assert chunked == (tmp_path / "rows.csv").read_bytes()
     assert chunked.count(b"\n") == count + 1
 
 
 @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
-def test_column_rows_are_the_zipped_columns(count):
-    from starklab._format import column_rows
+def test_column_rows_are_the_zipped_columns(tmp_path, count):
+    from starklab._format import write_csv
 
+    # the CSV's rows read back as the zipped columns, bit for bit
     times = np.linspace(0.0, 1.0, count)
     values = np.sqrt(times) / 3
-    rows = list(column_rows(times, values))
+    write_csv(tmp_path / "t.csv", {"t": times, "moment": values})
+    with open(tmp_path / "t.csv") as fh:
+        assert next(fh) == "t,moment\n"
+        rows = [tuple(map(float, line.split(","))) for line in fh]
     assert rows == list(zip(times.tolist(), values.tolist()))
-    assert all(type(cell) is float for row in rows for cell in row)
 
 
 def test_json_is_sorted_indented_and_gives_back_every_float(tmp_path):

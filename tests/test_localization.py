@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 import helpers
 import starklab as sl
 from starklab import localization
-from starklab.localization import _BLOCK, asymptotics_rows, decay_rows
+from starklab.localization import _BLOCK
 
 
 def test_zero_kernel_pins_exactly():
@@ -144,10 +145,28 @@ def test_one_decay_call_serves_every_alpha(spectrum_cache):
         assert rep.per_mode_by_index == single.per_mode_by_index
         np.testing.assert_array_equal(rep.fit_exponents, single.fit_exponents)
         assert rep.fit_exponents is reports[0].fit_exponents
-        # decay_rows zips the three tuples: one ladder order
+        # the ule stage zips the three tuples: one ladder order
         ladder = [m for m, _ in rep.per_mode]
         assert [m for m, _ in rep.per_mode_by_index] == ladder
         assert [m for m, _ in rep.fit_exponents] == ladder
+
+
+def test_overflowing_decay_constants_raise(spectrum_cache):
+    # nearest neighbour, B = 2: |phi| * dist**300 overflows (about 1e497);
+    # the suite turns a RuntimeWarning on the way into an error
+    _, sd = spectrum_cache("nn", 100, 2.0, 1)
+    with pytest.raises(ValueError, match=r"alpha=300 .* half_width=100$"):
+        sl.uniform_decay_constants(sd, (2.0, 300.0))
+
+
+def test_zero_entries_times_an_overflowed_power_count_as_zero(
+        spectrum_cache):
+    # each zero-kernel eigenvector is one site: dist**300 overflows from
+    # distance 11 on, where every entry of a block is an exact zero
+    _, sd = spectrum_cache("zero", 12)
+    (rep,) = sl.uniform_decay_constants(sd, (300.0,))
+    assert rep.n_modes > 1
+    assert rep.sup_constant == rep.sup_constant_by_index == 0.0
 
 
 @pytest.mark.parametrize("alphas", [(0.0,), (2.0, -1.0, 3.0),
@@ -296,22 +315,48 @@ def test_bootstrap_witness_is_the_smallest_candidate_margin(spectrum_cache,
     assert none.min_margin is None and none.min_margin_at is None
 
 
-def test_report_rows_align_with_spectrum(spectrum_cache):
-    _, sd = spectrum_cache("pl4", 60, 0.5, 2)
+def test_report_rows_align_with_spectrum(tmp_path):
+    # the asymptotics and ule stages write their reports as columns; each
+    # CSV row is its mode's ladder index, eigenvalue, center and values
+    out = tmp_path / "out"
+    manifest = sl.run(sl.parse_config({
+        "kernel": {"family": "power_law", "exponent": 4.0},
+        "potential": {"perturbation": {"kind": "uniform_random",
+                                       "amplitude": 0.5}},
+        "half_widths": [60], "seed": 2,
+        "analyses": {"asymptotics": True, "decay": {"alphas": [3.0]}},
+        "output": {"directory": str(out)}}), stages=["spectrum",
+                                                     "asymptotics", "ule"])
+    assert not manifest.any_stage_failed
+    sd = sl.load_spectral(str(out / "spectrum_N60"))
     rep = sl.check_eigenvalue_asymptotics(sd)
-    rows = asymptotics_rows(sd, rep)
+    (drep,) = sl.uniform_decay_constants(sd, (3.0,))
+    tables = {}
+    for name in ("asymptotics", "ule"):
+        with open(out / f"{name}.csv") as fh:
+            tables[name] = list(csv.DictReader(fh))
+    rows, drows = tables["asymptotics"], tables["ule"]
     assert len(rows) == rep.n_interior
-    for n, lam, dev, center in rows:
-        assert lam - n == pytest.approx(dev, abs=1e-14)
-        assert abs(center) <= sd.half_width
-    drep = sl.uniform_decay_constants(sd, (3.0,))[0]
-    drows = decay_rows(sd, drep)
+    for row, (n, dev) in zip(rows, rep.deviations):
+        p = sd.position_of(n)
+        assert (int(row["half_width"]), int(row["ladder_index"])) == (60, n)
+        assert float(row["eigenvalue"]) == sd.eigenvalues[p]
+        assert float(row["deviation"]) == dev
+        assert float(row["eigenvalue"]) - n == pytest.approx(dev, abs=1e-14)
+        assert int(row["center"]) == sd.centers[p]
+        assert abs(int(row["center"])) <= sd.half_width
     assert len(drows) == drep.n_modes
-    by_mode = dict((n, v) for n, v in drep.per_mode)
-    fits = dict(drep.fit_exponents)
-    for n, _, _, val_c, _, fit in drows:
-        assert by_mode[n] == val_c
-        assert fit == fits[n] or math.isnan(fit) and math.isnan(fits[n])
+    for row, (n, val_c), (_, val_i), (_, fit) in zip(
+            drows, drep.per_mode, drep.per_mode_by_index,
+            drep.fit_exponents):
+        p = sd.position_of(n)
+        assert (int(row["ladder_index"]), float(row["alpha"])) == (n, 3.0)
+        assert float(row["eigenvalue"]) == sd.eigenvalues[p]
+        assert int(row["center"]) == sd.centers[p]
+        assert float(row["mode_constant"]) == val_c
+        assert float(row["mode_constant_by_index"]) == val_i
+        got = float(row["fit_exponent"])
+        assert got == fit or math.isnan(got) and math.isnan(fit)
 
 
 # ---- blocked checks against the per-mode loops they replace ----

@@ -155,14 +155,37 @@ def test_identity_sweep_ignores_a_manifests_timing(sweep, tmp_path):
     paths = ["config_hash"] + [f"effective_config.tolerances.{key}"
                                for key in removed]
     assert (record["values"], record["paths"]) == (4, paths)
-    assert sweep.summary([record]).splitlines()[2].endswith(
-        "at " + ", ".join(paths))
+    # strings and missing keys have no numeric difference to print
+    assert record["max_abs"] is None and record["max_rel"] is None
+    assert sweep.summary([record]).splitlines()[2] == (
+        "differs: case/out/manifest.json: 4 values, non-numeric, at "
+        + ", ".join(paths))
     head_doc.update({f"x{i}": i for i in range(8)})
     record = sweep.compare_file(manifest, json.dumps(base_doc).encode(),
                                 json.dumps(head_doc).encode())
     assert record["values"] == 12
     assert record["paths"] == paths + [f"x{i}" for i in range(6)]
     assert sweep.summary([record]).splitlines()[2].endswith("x5, ...")
+    # a number against a missing key is still no numeric pair
+    assert "non-numeric" in sweep.summary([record])
+
+
+def test_identity_sweep_prints_numbers_only_for_a_numeric_pair(sweep):
+    def line(base_doc, head_doc):
+        record = sweep.compare_file("study.json",
+                                    json.dumps(base_doc).encode(),
+                                    json.dumps(head_doc).encode())
+        return sweep.summary([record]).splitlines()[2]
+
+    assert line({"a": "x", "b": 1.0}, {"a": "y"}) == \
+        "differs: study.json: 2 values, non-numeric, at a, b"
+    # one numeric pair among strings sets the numbers
+    assert line({"a": "x", "b": 1.0}, {"a": "y", "b": 1.5}) == \
+        "differs: study.json: 2 values, max abs 0.5, max rel 0.333, at a, b"
+    # equal values printed differently are a numeric pair that differs by 0
+    record = sweep.compare_file("ule.csv", b"b\n0\n", b"b\n-0\n")
+    assert sweep.summary([record]).splitlines()[2] == \
+        "differs: ule.csv: 1 values, max abs 0, max rel 0, at row 1 b"
 
 
 def _package(root, files):

@@ -26,7 +26,8 @@ cases (cases()):
 Every case also writes ``commands.log``: each command, its exit status
 and its stdout.  Then every file of the two output trees is compared:
 equal bytes, or for CSV and JSON the count of differing values, the
-largest absolute and relative difference and the first PATHS_SHOWN
+largest absolute and relative difference between numbers ("non-numeric"
+where no differing pair is two numbers) and the first PATHS_SHOWN
 differing paths.
 A ``manifest.json`` is compared without its IGNORED_MANIFEST_KEYS, which
 hold wall times, a timestamp and the host.  The summary ends with
@@ -178,11 +179,12 @@ def _number(value):
 
 class _Tally:
     """Differing values: their count, the largest absolute and relative
-    difference between numbers, and the paths of the first PATHS_SHOWN."""
+    difference between numbers (None while no differing pair is two
+    numbers) and the paths of the first PATHS_SHOWN."""
 
     def __init__(self):
         self.count = 0
-        self.max_abs = self.max_rel = 0.0
+        self.max_abs = self.max_rel = None
         self.paths = []
 
     def add(self, path: str, a, b) -> None:
@@ -195,14 +197,13 @@ class _Tally:
             self.paths.append(path)
         if x is None or y is None:
             return
-        if x == y:  # the text differs, the value does not
-            return
-        diff = abs(x - y)
+        # 0 where the text differs and the value does not
+        diff = abs(x - y) if x != y else 0.0
         if not math.isfinite(diff):  # inf or NaN on one side
             diff = math.inf
-        self.max_abs = max(self.max_abs, diff)
-        self.max_rel = max(self.max_rel, math.inf if math.isinf(diff)
-                           else diff / max(abs(x), abs(y)))
+        rel = diff / max(abs(x), abs(y)) if 0 < diff < math.inf else diff
+        self.max_abs = max(self.max_abs or 0.0, diff)
+        self.max_rel = max(self.max_rel or 0.0, rel)
 
 
 def _walk(tally: _Tally, path: str, a, b) -> None:
@@ -299,10 +300,10 @@ def summary(records: list) -> str:
     for r in differing:
         if "values" in r:
             more = ", ..." if r["values"] > len(r["paths"]) else ""
+            size = "non-numeric" if r["max_abs"] is None else \
+                f"max abs {r['max_abs']:.3g}, max rel {r['max_rel']:.3g}"
             lines.append(f"differs: {r['file']}: {r['values']} values, "
-                         f"max abs {r['max_abs']:.3g}, max rel "
-                         f"{r['max_rel']:.3g}, at {', '.join(r['paths'])}"
-                         + more)
+                         f"{size}, at {', '.join(r['paths'])}" + more)
         else:
             lines.append(f"differs: {r['file']}: {r['status']}"
                          + (f", first at {r['first']}" if "first" in r
