@@ -41,8 +41,7 @@ def main():
     alphas = (2.0, 2.5, 3.0)
     reports = sl.uniform_decay_constants(sd, alphas)
     report = reports[-1]
-    fits = np.array([f for _, f in report.fit_exponents])
-    fits = fits[np.isfinite(fits)]
+    fits = report.fit_exponents[np.isfinite(report.fit_exponents)]
     print(f"interior modes: {report.n_modes}")
     print(f"sup |phi| * dist^3 (center anchored):  "
           f"{report.sup_constant:.3f}")

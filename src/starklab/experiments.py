@@ -582,12 +582,11 @@ def _asymptotics_stage(ctx: _RunContext) -> None:
     section = {}
     for n, sd in ctx.spectra.items():
         rep = check_eigenvalue_asymptotics(sd)
-        ladder, deviation = map(np.array, zip(*rep.deviations))
-        at = sd.anchor_position + ladder
-        parts.append({"half_width": np.full(ladder.size, n),
-                      "ladder_index": ladder,
+        at = sd.anchor_position + rep.ladder
+        parts.append({"half_width": np.full(rep.n_interior, n),
+                      "ladder_index": rep.ladder,
                       "eigenvalue": sd.eigenvalues[at],
-                      "deviation": deviation, "center": sd.centers[at]})
+                      "deviation": rep.deviations, "center": sd.centers[at]})
         section[str(n)] = {
             "max_deviation": rep.max_deviation,
             "bound": rep.bound,
@@ -613,17 +612,14 @@ def _ule_stage(ctx: _RunContext) -> None:
         per_n = {}
         for alpha in ctx.config.analyses["decay"]["alphas"]:
             rep = reports[n, alpha]
-            # the three per-mode tuples share one ladder order
-            ladder, by_center = map(np.array, zip(*rep.per_mode))
-            at = sd.anchor_position + ladder
+            at = sd.anchor_position + rep.ladder
             parts.append({
-                "half_width": np.full(ladder.size, n),
-                "alpha": np.full(ladder.size, alpha),
-                "ladder_index": ladder, "eigenvalue": sd.eigenvalues[at],
-                "center": sd.centers[at], "mode_constant": by_center,
-                "mode_constant_by_index":
-                    np.array(rep.per_mode_by_index)[:, 1],
-                "fit_exponent": np.array(rep.fit_exponents)[:, 1]})
+                "half_width": np.full(rep.n_modes, n),
+                "alpha": np.full(rep.n_modes, alpha),
+                "ladder_index": rep.ladder, "eigenvalue": sd.eigenvalues[at],
+                "center": sd.centers[at], "mode_constant": rep.per_mode,
+                "mode_constant_by_index": rep.per_mode_by_index,
+                "fit_exponent": rep.fit_exponents})
             per_n[format(alpha, "g")] = {
                 "sup_constant": rep.sup_constant,
                 "sup_constant_by_index": rep.sup_constant_by_index,
@@ -737,15 +733,15 @@ def _study_stage(ctx: _RunContext) -> None:
                 rep1, rep2 = reports[n1, alpha], reports[n2, alpha]
                 # the two sups range over different trusted sets, so the
                 # drift compares the modes trusted in both boxes one by one
-                second = dict(rep2.per_mode)
-                changes = [abs(second[m] - c1) / max(abs(c1), 1e-300)
-                           for m, c1 in rep1.per_mode if m in second]
-                decay_rows_out.append({"alpha": alpha, "pair": [n1, n2],
-                                       "first": rep1.sup_constant,
-                                       "second": rep2.sup_constant,
-                                       "indices_compared": len(changes),
-                                       "relative_change": max(changes,
-                                                              default=0.0)})
+                # (both ladders ascend, so the kept entries align)
+                c1 = rep1.per_mode[np.isin(rep1.ladder, rep2.ladder)]
+                c2 = rep2.per_mode[np.isin(rep2.ladder, rep1.ladder)]
+                changes = np.abs(c2 - c1) / np.maximum(np.abs(c1), 1e-300)
+                decay_rows_out.append({
+                    "alpha": alpha, "pair": [n1, n2],
+                    "first": rep1.sup_constant, "second": rep2.sup_constant,
+                    "indices_compared": c1.size,
+                    "relative_change": float(changes.max(initial=0.0))})
 
     env_rows = []
     dyn = config.analyses["dynamics"]

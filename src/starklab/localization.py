@@ -39,7 +39,7 @@ import numpy as np
 
 from .kernels import weighted_norm
 from .operators import box_hopping_norm
-from .spectra import SpectralData, support_rows
+from .spectra import SpectralData, _frozen, support_rows
 
 __all__ = [
     "WrongPotentialFamilyError",
@@ -83,16 +83,19 @@ class NoInteriorModesError(ValueError):
 class AsymptoticsReport:
     """Pinning of trusted eigenvalues to their ladder indices.
 
-    deviations holds (ladder index, eigenvalue - index), signed;
-    max_deviation is the sup of their moduli, bound the box's pinning
-    gamma.  The pass flag is always recomputed from the stored fields.
+    ladder holds the trusted ladder indices, ascending, and deviations
+    each one's eigenvalue - index, signed, entry by entry; both arrays
+    are read-only.  max_deviation is the sup of the deviations' moduli,
+    bound the box's pinning gamma.  The pass flag is always recomputed
+    from the stored fields.
     """
 
     max_deviation: float
     bound: float
     hopping_norm: float
     perturbation_sup: float
-    deviations: tuple[tuple[int, float], ...]
+    ladder: np.ndarray
+    deviations: np.ndarray
     center_offset_sup: int
 
     @property
@@ -101,37 +104,40 @@ class AsymptoticsReport:
 
     @property
     def n_interior(self) -> int:
-        return len(self.deviations)
+        return self.ladder.size
 
 
 @dataclass(frozen=True)
 class UniformDecayReport:
     """Sup of |phi| * dist**alpha over interior modes, per mode and global.
 
-    per_mode entries are (ladder index, sup over sites at distance >= 1
-    from the detected center); per_mode_by_index anchors distance at the
-    ladder index instead.  fit_exponents are per-mode least-squares decay
-    slopes over 2 <= dist <= N // 2 (nan when a mode is excluded or has
-    too few usable points), the same for every alpha; they are
-    diagnostics, not bounds.
+    ladder holds the interior modes' ladder indices, ascending, and the
+    other arrays one entry per mode in its order, all read-only.
+    per_mode is the sup over sites at distance >= 1 from the detected
+    center; per_mode_by_index anchors distance at the ladder index
+    instead.  fit_exponents are least-squares decay slopes over
+    2 <= dist <= N // 2 (nan when a mode is excluded or has too few
+    usable points), the same for every alpha; they are diagnostics, not
+    bounds.
     """
 
     alpha: float
-    per_mode: tuple[tuple[int, float], ...]
-    per_mode_by_index: tuple[tuple[int, float], ...]
-    fit_exponents: tuple[tuple[int, float], ...]
+    ladder: np.ndarray
+    per_mode: np.ndarray
+    per_mode_by_index: np.ndarray
+    fit_exponents: np.ndarray
 
     @property
     def sup_constant(self) -> float:
-        return max(v for _, v in self.per_mode)
+        return float(self.per_mode.max())
 
     @property
     def sup_constant_by_index(self) -> float:
-        return max(v for _, v in self.per_mode_by_index)
+        return float(self.per_mode_by_index.max())
 
     @property
     def n_modes(self) -> int:
-        return len(self.per_mode)
+        return self.ladder.size
 
 
 @dataclass(frozen=True)
@@ -199,15 +205,14 @@ def check_eigenvalue_asymptotics(sd: SpectralData) -> AsymptoticsReport:
         raise NoInteriorModesError(
             f"no trusted ladder indices: half_width={sd.half_width}, "
             f"window={sd.interior_window}")
-    devs = sd.eigenvalues[trusted] - indices[trusted]
-    pairs = tuple((int(n), float(v))
-                  for n, v in zip(indices[trusted], devs))
+    ladder = indices[trusted]
+    devs = sd.eigenvalues[trusted] - ladder
     return AsymptoticsReport(
         max_deviation=float(np.max(np.abs(devs))),
         bound=sd.pinning_gamma,
         hopping_norm=box_hopping_norm(sd.kernel, sd.half_width),
         perturbation_sup=float(sd.recorded("perturbation_sup")),
-        deviations=pairs,
+        ladder=_frozen(ladder), deviations=_frozen(devs),
         center_offset_sup=sd.center_offset_sup())
 
 
@@ -218,9 +223,9 @@ def uniform_decay_constants(sd: SpectralData,
     One pass over the eigenvector blocks serves every alpha: the
     distances and the per-mode decay fits (over 2 <= dist <= N // 2) are
     taken once, and only the two sups run per alpha.  The reports come
-    back in the order of alphas and share one fit_exponents tuple.  A
-    constant that overflows, as |phi| times a dist**alpha past the float
-    range, raises ValueError naming its alpha.
+    back in the order of alphas and share one ladder and one
+    fit_exponents array.  A constant that overflows, as |phi| times a
+    dist**alpha past the float range, raises ValueError naming its alpha.
     """
     alphas = [float(alpha) for alpha in alphas]
     for alpha in alphas:
@@ -262,20 +267,19 @@ def uniform_decay_constants(sd: SpectralData,
             np.nan
         fits.append(fit)
 
+    ladder = _frozen(indices[positions])
+    fit_exponents = _frozen(np.concatenate(fits))
+    reports = []
     for alpha, (by_center, by_index) in zip(alphas, sups):
-        if not np.isfinite(np.concatenate(by_center + by_index)).all():
+        both = _frozen(np.concatenate(by_center + by_index))
+        if not np.isfinite(both).all():
             raise ValueError(f"decay constants at alpha={alpha:g} overflow "
                              f"at half_width={N}")
-    ladder = indices[positions].tolist()
-
-    def by_mode(parts):
-        return tuple(zip(ladder, np.concatenate(parts).tolist()))
-
-    fit_exponents = by_mode(fits)
-    return tuple(UniformDecayReport(alpha=alpha, per_mode=by_mode(by_center),
-                                    per_mode_by_index=by_mode(by_index),
-                                    fit_exponents=fit_exponents)
-                 for alpha, (by_center, by_index) in zip(alphas, sups))
+        reports.append(UniformDecayReport(
+            alpha=alpha, ladder=ladder, per_mode=both[:ladder.size],
+            per_mode_by_index=both[ladder.size:],
+            fit_exponents=fit_exponents))
+    return tuple(reports)
 
 
 def _blocks(sd: SpectralData, positions: np.ndarray):

@@ -25,10 +25,15 @@ def test_zero_kernel_pins_exactly():
     assert rep.bound == 1.0
     assert rep.passed
     assert rep.center_offset_sup == 0
-    # deviations are (ladder index, signed deviation), ascending index
-    indices = [n for n, _ in rep.deviations]
+    # ladder and signed deviations are read-only arrays, entry by entry,
+    # ascending index
+    assert rep.ladder.dtype == np.int64 and rep.deviations.dtype == np.float64
+    assert rep.deviations.shape == rep.ladder.shape == (rep.n_interior,)
+    assert not rep.ladder.flags.writeable
+    assert not rep.deviations.flags.writeable
+    indices = rep.ladder.tolist()
     assert indices == sorted(indices)
-    assert all(dev == 0.0 for _, dev in rep.deviations)
+    assert all(dev == 0.0 for dev in rep.deviations.tolist())
 
 
 def test_pure_field_pinning_tight(spectrum_cache):
@@ -115,14 +120,14 @@ def test_zero_kernel_decay_constant_vanishes():
     rep = sl.uniform_decay_constants(sd, (3.0,))[0]
     assert rep.sup_constant == 0.0
     assert rep.sup_constant_by_index == 0.0
-    assert all(math.isnan(f) for _, f in rep.fit_exponents)
+    assert all(math.isnan(f) for f in rep.fit_exponents.tolist())
 
 
 def test_decay_constant_is_max_over_modes(spectrum_cache):
     _, sd = spectrum_cache("pl4", 60, 0.5, 2)
     rep = sl.uniform_decay_constants(sd, (3.0,))[0]
-    assert rep.sup_constant == max(v for _, v in rep.per_mode)
-    assert rep.sup_constant_by_index == max(v for _, v in rep.per_mode_by_index)
+    assert rep.sup_constant == max(rep.per_mode.tolist())
+    assert rep.sup_constant_by_index == max(rep.per_mode_by_index.tolist())
     assert rep.n_modes == int(np.count_nonzero(sd.interior_mask))
     assert rep.sup_constant > 0.0
 
@@ -141,14 +146,20 @@ def test_one_decay_call_serves_every_alpha(spectrum_cache):
     assert [rep.alpha for rep in reports] == list(alphas)
     for alpha, rep in zip(alphas, reports):
         (single,) = sl.uniform_decay_constants(sd, (alpha,))
-        assert rep.per_mode == single.per_mode
-        assert rep.per_mode_by_index == single.per_mode_by_index
+        assert rep.per_mode.tobytes() == single.per_mode.tobytes()
+        assert rep.per_mode_by_index.tobytes() == \
+            single.per_mode_by_index.tobytes()
         np.testing.assert_array_equal(rep.fit_exponents, single.fit_exponents)
+        np.testing.assert_array_equal(rep.ladder, single.ladder)
         assert rep.fit_exponents is reports[0].fit_exponents
-        # the ule stage zips the three tuples: one ladder order
-        ladder = [m for m, _ in rep.per_mode]
-        assert [m for m, _ in rep.per_mode_by_index] == ladder
-        assert [m for m, _ in rep.fit_exponents] == ladder
+        assert rep.ladder is reports[0].ladder
+        # the ule stage writes the arrays as columns: one entry per mode of
+        # the ladder, and none of them writable
+        assert rep.ladder.dtype == np.int64
+        for arr in (rep.ladder, rep.per_mode, rep.per_mode_by_index,
+                    rep.fit_exponents):
+            assert arr.shape == (rep.n_modes,)
+            assert not arr.flags.writeable
 
 
 def test_overflowing_decay_constants_raise(spectrum_cache):
@@ -186,8 +197,8 @@ def test_decay_constants_invariant_under_eigenvector_phases(spectrum_cache):
         sd, eigenvectors=sd.eigenvectors * phases[np.newaxis, :])
     a = sl.uniform_decay_constants(sd, (3.0,))[0]
     b = sl.uniform_decay_constants(phased, (3.0,))[0]
-    np.testing.assert_allclose([v for _, v in a.per_mode_by_index],
-                               [v for _, v in b.per_mode_by_index],
+    np.testing.assert_array_equal(a.ladder, b.ladder)
+    np.testing.assert_allclose(a.per_mode_by_index, b.per_mode_by_index,
                                rtol=1e-10)
     np.testing.assert_array_equal(sd.centers, phased.centers)
 
@@ -204,7 +215,7 @@ def test_decay_constant_monotone_under_window_shrink(spectrum_cache):
 def test_pure_field_modes_decay_superpolynomially(spectrum_cache):
     _, sd = spectrum_cache("nn", 100)
     rep = sl.uniform_decay_constants(sd, (5.0,))[0]
-    fits = [f for _, f in rep.fit_exponents if not math.isnan(f)]
+    fits = [f for f in rep.fit_exponents.tolist() if not math.isnan(f)]
     assert fits
     assert min(fits) > 3.0
 
@@ -337,7 +348,8 @@ def test_report_rows_align_with_spectrum(tmp_path):
             tables[name] = list(csv.DictReader(fh))
     rows, drows = tables["asymptotics"], tables["ule"]
     assert len(rows) == rep.n_interior
-    for row, (n, dev) in zip(rows, rep.deviations):
+    for row, n, dev in zip(rows, rep.ladder.tolist(),
+                           rep.deviations.tolist()):
         p = sd.position_of(n)
         assert (int(row["half_width"]), int(row["ladder_index"])) == (60, n)
         assert float(row["eigenvalue"]) == sd.eigenvalues[p]
@@ -346,9 +358,9 @@ def test_report_rows_align_with_spectrum(tmp_path):
         assert int(row["center"]) == sd.centers[p]
         assert abs(int(row["center"])) <= sd.half_width
     assert len(drows) == drep.n_modes
-    for row, (n, val_c), (_, val_i), (_, fit) in zip(
-            drows, drep.per_mode, drep.per_mode_by_index,
-            drep.fit_exponents):
+    for row, n, val_c, val_i, fit in zip(
+            drows, drep.ladder.tolist(), drep.per_mode.tolist(),
+            drep.per_mode_by_index.tolist(), drep.fit_exponents.tolist()):
         p = sd.position_of(n)
         assert (int(row["ladder_index"]), float(row["alpha"])) == (n, 3.0)
         assert float(row["eigenvalue"]) == sd.eigenvalues[p]
@@ -426,11 +438,14 @@ def _bootstrap_oracle(sd, kernel, gamma):
 def _assert_decay_matches_oracle(sd, alpha):
     rep = sl.uniform_decay_constants(sd, (alpha,))[0]
     per_mode, per_mode_by_index, fits = _decay_oracle(sd, alpha)
+    ladder = rep.ladder.tolist()
+    assert [m for m, _ in per_mode] == ladder
+    assert [m for m, _ in per_mode_by_index] == ladder
+    assert [m for m, _ in fits] == ladder
     # same products and maxima, so bit-identical
-    assert rep.per_mode == tuple(per_mode)
-    assert rep.per_mode_by_index == tuple(per_mode_by_index)
-    assert [m for m, _ in rep.fit_exponents] == [m for m, _ in fits]
-    got = np.array([f for _, f in rep.fit_exponents])
+    assert rep.per_mode.tolist() == [v for _, v in per_mode]
+    assert rep.per_mode_by_index.tolist() == [v for _, v in per_mode_by_index]
+    got = rep.fit_exponents
     want = np.array([f for _, f in fits])
     np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
     np.testing.assert_allclose(got[~np.isnan(want)], want[~np.isnan(want)],
@@ -619,13 +634,14 @@ def test_blocked_decay_matches_on_degenerate_and_zero_kernel(spectrum_cache):
     assert flagged.degenerate_positions == (positions[3], positions[10])
     assert flagged.anchor_position == sd.anchor_position
     rep = _assert_decay_matches_oracle(flagged, 3.0)
-    fits = dict(rep.fit_exponents)
-    for p in (positions[3], positions[4], positions[10], positions[11]):
-        assert math.isnan(fits[int(sd.ladder_indices[p])])
+    flagged_modes = np.isin(rep.ladder, sd.ladder_indices[
+        [positions[3], positions[4], positions[10], positions[11]]])
+    assert np.count_nonzero(flagged_modes) == 4
+    assert np.isnan(rep.fit_exponents[flagged_modes]).all()
     op = sl.build_operator(sl.custom_kernel({}), sl.PotentialSpec(), 12)
     zero = sl.diagonalize(op)
     rep = _assert_decay_matches_oracle(zero, 3.0)
-    assert all(math.isnan(f) for _, f in rep.fit_exponents)
+    assert all(math.isnan(f) for f in rep.fit_exponents.tolist())
     _assert_bootstrap_matches_oracle(zero, op.kernel, 1.0)
 
 
@@ -653,8 +669,9 @@ def test_a_one_mode_block_fits_on_the_whole_box():
     want = _decay_slopes(amp, dist, log_dist, 2, fit_outer)[0]
     start, stop = sd.row_support
     assert stop[p] - start[p] < hi - lo  # the support alone would differ
-    fits = dict(sl.uniform_decay_constants(sd, (3.0,))[0].fit_exponents)
-    assert fits[int(sd.ladder_indices[p])] == want
+    (rep,) = sl.uniform_decay_constants(sd, (3.0,))
+    assert rep.ladder[-1] == sd.ladder_indices[p]
+    assert rep.fit_exponents[-1] == want
 
 
 
