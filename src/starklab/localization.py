@@ -224,8 +224,9 @@ def uniform_decay_constants(sd: SpectralData,
     distances and the per-mode decay fits (over 2 <= dist <= N // 2) are
     taken once, and only the two sups run per alpha.  The reports come
     back in the order of alphas and share one ladder and one
-    fit_exponents array.  A constant that overflows, as |phi| times a
-    dist**alpha past the float range, raises ValueError naming its alpha.
+    fit_exponents array.  A block whose largest dist**alpha is past the
+    float range forms its products as exp(log|phi| + alpha * log dist);
+    a constant past the range raises ValueError naming its alpha.
     """
     alphas = [float(alpha) for alpha in alphas]
     for alpha in alphas:
@@ -238,14 +239,24 @@ def uniform_decay_constants(sd: SpectralData,
     indices = sd.ladder_indices
     # distances are integers |site - m| <= N + d < 2d, so their powers and
     # logs are looked up; distance 0 is outside both sups and every fit,
-    # and its zero power never raises a max of nonnegative products.  A
-    # power past the float range is inf, and an exact-zero entry times it
-    # a NaN, which np.fmax skips as the zero product it stands for
+    # and its zero power (its -inf log) never raises a max of nonnegative
+    # products
     dists = np.arange(2 * sd.dimension, dtype=float)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         powers = [dists ** alpha for alpha in alphas]
-    log_dist = np.log(dists, out=np.zeros_like(dists), where=dists > 0)
+        log_dist = np.log(dists)
     degenerate = np.asarray(sd.degenerate_positions, dtype=int)
+
+    # a block whose largest looked-up power is inf forms its products in
+    # logs, where an exact-zero entry gives exp(-inf) = 0 and only a
+    # product itself past the float range is inf; the other blocks keep
+    # the bits of |phi| * dist**alpha
+    def weighted_sup(amp, dist, alpha, power):
+        if np.isinf(power[-1]) and np.isinf(power[dist.max()]):
+            with np.errstate(over="ignore", divide="ignore"):
+                products = np.exp(np.log(amp) + alpha * log_dist[dist])
+            return products.max(axis=0)
+        return (amp * power[dist]).max(axis=0)
 
     sups = [([], []) for _ in alphas]  # (center, index) anchored, per alpha
     fits = []
@@ -254,10 +265,9 @@ def uniform_decay_constants(sd: SpectralData,
         center_rows = sd.centers[block] + N
         dist_c = np.abs(box_rows - center_rows)
         dist_i = np.abs(box_rows - (indices[block] + N))
-        with np.errstate(invalid="ignore"):
-            for power, (by_center, by_index) in zip(powers, sups):
-                by_center.append(np.fmax.reduce(amp * power[dist_c], axis=0))
-                by_index.append(np.fmax.reduce(amp * power[dist_i], axis=0))
+        for alpha, power, (by_center, by_index) in zip(alphas, powers, sups):
+            by_center.append(weighted_sup(amp, dist_c, alpha, power))
+            by_index.append(weighted_sup(amp, dist_i, alpha, power))
         # only rows within fit_outer of some center can enter a fit
         lo = max(int(center_rows.min()) - fit_outer - rows.start, 0)
         hi = max(int(center_rows.max()) + fit_outer + 1 - rows.start, 0)

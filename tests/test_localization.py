@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -168,6 +169,56 @@ def test_overflowing_decay_constants_raise(spectrum_cache):
     _, sd = spectrum_cache("nn", 100, 2.0, 1)
     with pytest.raises(ValueError, match=r"alpha=300 .* half_width=100$"):
         sl.uniform_decay_constants(sd, (2.0, 300.0))
+
+
+def _exact_decay_sups(sd, alpha, anchors):
+    """Per interior mode, the sup of |phi_m(n)| * |n - anchor|**alpha over
+    sites at distance >= 1, for an integer alpha: the sites within 1e-9
+    of the largest log|phi| + alpha log dist are evaluated in 40-digit
+    decimal arithmetic and the largest product rounded once to a float."""
+    sups = []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for p in np.nonzero(sd.interior_mask)[0]:
+            amp = np.abs(sd.eigenvectors[:, p])
+            dist = np.abs(sd.sites - anchors[p])
+            use = (dist >= 1) & (amp > 0.0)
+            logs = np.log(amp[use]) + alpha * np.log(dist[use])
+            near = logs >= logs.max() - 1e-9
+            sups.append(float(max(
+                Decimal(float(a)) * Decimal(int(n)) ** alpha
+                for a, n in zip(amp[use][near], dist[use][near]))))
+    return np.array(sups)
+
+
+def test_decay_constants_past_the_power_range_are_formed_in_logs(
+        spectrum_cache):
+    # nearest neighbour, B = 2: dist**170 overflows from distance 66 on,
+    # but no constant reaches 1e261.  Formed as exp(log|phi| + 170 log
+    # dist), whose exponent carries an absolute rounding of about 1e-13
+    # (terms up to about 1000), each is within 4096 ulps of its exact value
+    _, sd = spectrum_cache("nn", 100, 2.0, 1)
+    reports = sl.uniform_decay_constants(sd, (2.0, 3.0, 170.0))
+    rep = reports[-1]
+    assert 1e259 < rep.sup_constant < 1e261
+    for got, anchors in ((rep.per_mode, sd.centers),
+                         (rep.per_mode_by_index, sd.ladder_indices)):
+        want = _exact_decay_sups(sd, 170, anchors)
+        assert np.all(np.abs(got - want) <= 4096 * np.spacing(want))
+    # alphas whose powers stay finite keep the bits of the plain products
+    for alpha, rep in zip((2.0, 3.0), reports):
+        per_mode, per_mode_by_index, _ = _decay_oracle(sd, alpha)
+        assert rep.per_mode.tolist() == [v for _, v in per_mode]
+        assert rep.per_mode_by_index.tolist() == \
+            [v for _, v in per_mode_by_index]
+    # at alpha 200 some constant is past the float range itself
+    amp = np.abs(sd.eigenvectors[:, sd.interior_mask])
+    dist = np.abs(sd.sites[:, np.newaxis] - sd.centers[sd.interior_mask])
+    with np.errstate(divide="ignore"):
+        logs = np.log(amp) + 200 * np.log(dist)
+    assert logs.max() > np.log(np.finfo(float).max)
+    with pytest.raises(ValueError, match=r"alpha=200 .* half_width=100$"):
+        sl.uniform_decay_constants(sd, (200.0,))
 
 
 def test_zero_entries_times_an_overflowed_power_count_as_zero(
