@@ -434,32 +434,48 @@ def test_report_refuses_a_damaged_dump(tmp_path, capsys, damage, problem):
     assert "stage asymptotics: skipped" in out
 
 
-@pytest.mark.parametrize("scale, problem", [
-    (1.0 + 1e-6, "(ConvergenceFailureError: max eigenpair residual"),
-    (1.0 + 1e-11, "on reload but"),
-], ids=["gate", "recorded-max"])
-def test_report_regates_an_edited_eigenvector(tmp_path, capsys, scale,
+# (kernel, perturbation amplitude, seed, half_width) of an edited dump
+_REAL_BOX = ({"family": "nearest_neighbor"}, 1.0, 5, 12)
+_COMPLEX_BOX = ({"family": "nearest_neighbor",
+                 "amplitude": {"re": 0.6, "im": 0.8}}, 2.0, 1, 1400)
+
+
+@pytest.mark.parametrize("box, edit, problem", [
+    (_REAL_BOX, lambda entry, recorded: entry * (1.0 + 1e-6),
+     "(ConvergenceFailureError: max eigenpair residual"),
+    (_REAL_BOX, lambda entry, recorded: entry * (1.0 + 1e-11),
+     "on reload but"),
+    (_COMPLEX_BOX, lambda entry, recorded: entry + 5.0 * recorded,
+     "on reload but"),
+], ids=["gate", "recorded-max", "complex-N1400"])
+def test_report_regates_an_edited_eigenvector(tmp_path, capsys, box, edit,
                                               problem):
     # an eigenvector entry edited and the payload signed again passes the
     # loader's checks; report recomputes the tridiagonal residuals, which
-    # fail the gate or no longer match the recorded max_residual
+    # fail the gate or no longer match the recorded max_residual.  The
+    # complex edit raises a center entry's real part by 5 times the
+    # recorded max residual (1.19e-12)
+    kernel, amplitude, seed, half_width = box
     cfg = write_config(tmp_path / "cfg.json", {
-        "kernel": {"family": "nearest_neighbor"},
+        "kernel": kernel,
         "potential": {"perturbation": {"kind": "uniform_random",
-                                       "amplitude": 1.0}},
-        "half_widths": [12], "seed": 5,
+                                       "amplitude": amplitude}},
+        "half_widths": [half_width], "seed": seed,
         "output": {"directory": str(tmp_path / "out")}})
     assert main(["spectrum", "--config", cfg]) == 0
-    base = str(tmp_path / "out" / "spectrum_N12")
+    base = str(tmp_path / "out" / f"spectrum_N{half_width}")
     sd = sl.load_spectral(base)
+    recorded = float(np.max(sd.residuals))
     k = 7
-    at = helpers.run_offset(sd, k) + 8 * int(
+    dtype = sd.eigenvectors.dtype.newbyteorder("<")
+    at = helpers.run_offset(sd, k) + dtype.itemsize * int(
         sd.row_of_site(sd.centers[k]) - sd.row_support[0][k])
 
-    def edit(raw):
-        entry = np.frombuffer(raw[at:at + 8], "<f8")[0] * scale
-        raw[at:at + 8] = np.float64(entry).tobytes()
-    helpers.resigned_dump(base, edit)
+    def edit_payload(raw):
+        entry = np.frombuffer(raw[at:at + dtype.itemsize], dtype)[0]
+        raw[at:at + dtype.itemsize] = \
+            np.asarray(edit(entry, recorded), dtype).tobytes()
+    helpers.resigned_dump(base, edit_payload)
     sl.load_spectral(base)
     capsys.readouterr()
     assert main(["report", "--config", cfg]) == 2
